@@ -1,9 +1,23 @@
-"""One-off capture of golden measurement fixtures (run against pre-change code).
+"""Capture the golden regression fixtures.
 
-Dumps exact (repr-precision) per-host measurement outputs for a matrix of
-policies / protocols / attack kinds, plus full fig4 outputs at small scale,
-so the vectorised measurement path can be regression-tested bit for bit
-against the per-host loop it replaced.
+Dumps exact (repr-precision) outputs at small scale, so a faster rewrite can
+be regression-tested bit for bit against the code it replaced:
+
+``tests/data/golden_measurement.json``
+    Per-host measurement outputs for a matrix of policies / protocols /
+    attack kinds, the Figure 4(b) hidden-traffic ingredient and a full fig4
+    run (the reference for the vectorised measurement path).
+``tests/data/golden_figures.json``
+    Figure 3 (boxplots, weight sweep and every host's thresholds and FP/FN in
+    ``evaluations``) and Table 3 alarm counts (the reference for fig3's
+    assign-once, measure-per-size evaluation).
+
+Run it at the parent commit of the change being guarded, then copy the
+fixtures into the change.  At any commit whose tests pass, every fixture
+already equals the code's output, so rewriting all of them changes only the
+ones that are new::
+
+    PYTHONPATH=src python scripts/dev_capture_golden.py
 """
 
 from __future__ import annotations
@@ -12,20 +26,22 @@ import json
 from pathlib import Path
 
 from repro.attacks.mimicry import hidden_traffic_by_host
-from repro.core.evaluation import DetectionProtocol, evaluate_policy
+from repro.core.evaluation import DetectionProtocol, evaluate_policy, training_distributions
 from repro.core.fusion import FusionRule
-from repro.core.thresholds import PercentileHeuristic
-from repro.experiments.fig4_attacker import run_fig4
 from repro.core.policies import (
     FullDiversityPolicy,
     HomogeneousPolicy,
     PartialDiversityPolicy,
 )
+from repro.core.thresholds import PercentileHeuristic
+from repro.experiments.fig3_utility import run_fig3
+from repro.experiments.fig4_attacker import run_fig4
+from repro.experiments.table3_alarms import run_table3
 from repro.features.definitions import Feature
 from repro.sweeps.spec import AttackSpec
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_measurement.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 CONFIG = EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)
 
@@ -71,9 +87,7 @@ def perf_payload(perf) -> dict:
             for f, p in perf.feature_operating_points.items()
         },
         "feature_counts": {f.value: int(c) for f, c in perf.feature_false_alarm_counts.items()},
-        "feature_alarm": {
-            f.value: perf.feature_alarm_raised.get(f) for f in perf.thresholds
-        },
+        "feature_alarm": {f.value: perf.feature_alarm_raised.get(f) for f in perf.thresholds},
         "fp": repr(float(perf.operating_point.false_positive_rate)),
         "fn": repr(float(perf.operating_point.false_negative_rate)),
         "false_alarm_count": int(perf.false_alarm_count),
@@ -81,7 +95,11 @@ def perf_payload(perf) -> dict:
     }
 
 
-def main() -> None:
+def config_payload() -> dict:
+    return {"num_hosts": CONFIG.num_hosts, "num_weeks": CONFIG.num_weeks, "seed": CONFIG.seed}
+
+
+def capture_measurement() -> dict:
     population = generate_enterprise(CONFIG)
     matrices = population.matrices()
     heuristic = PercentileHeuristic(99.0)
@@ -91,7 +109,7 @@ def main() -> None:
         "partial": PartialDiversityPolicy(heuristic, num_groups=4),
     }
 
-    golden: dict = {"config": {"num_hosts": 24, "num_weeks": 2, "seed": 77}, "cases": {}}
+    golden: dict = {"config": config_payload(), "cases": {}}
     for proto_name, protocol in PROTOCOLS.items():
         for attack_name, attack in ATTACKS.items():
             builder = attack.build_builder(protocol.primary_feature, CONFIG.bin_width)
@@ -104,8 +122,6 @@ def main() -> None:
                 }
 
     # Hidden traffic (Figure 4(b) ingredient) under the three policies.
-    from repro.core.evaluation import training_distributions
-
     train = training_distributions(matrices, Feature.TCP_CONNECTIONS, 0)
     test_matrices = {host_id: m.week(1) for host_id, m in matrices.items()}
     hidden = {}
@@ -135,10 +151,56 @@ def main() -> None:
             for name, values in result.hidden_traffic.items()
         },
     }
+    return golden
 
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(golden, sort_keys=True, separators=(",", ":")))
-    print(f"wrote {OUT} ({OUT.stat().st_size} bytes, {len(golden['cases'])} cases)")
+
+def fig3_payload(result) -> dict:
+    return {
+        "boxplots": {
+            name: {key: repr(float(value)) for key, value in summary.to_dict().items()}
+            for name, summary in result.boxplots.items()
+        },
+        "weights": [repr(float(w)) for w in result.weights],
+        "weight_sweep": {
+            name: [repr(float(v)) for v in values] for name, values in result.weight_sweep.items()
+        },
+        "evaluations": {
+            name: {
+                str(host_id): perf_payload(perf)
+                for host_id, perf in sorted(evaluation.performances.items())
+            }
+            for name, evaluation in result.evaluations.items()
+        },
+    }
+
+
+def table3_payload(result) -> dict:
+    return {
+        "alarms": {
+            heuristic: {policy: repr(float(count)) for policy, count in row.items()}
+            for heuristic, row in result.alarms.items()
+        },
+    }
+
+
+def capture_figures() -> dict:
+    population = generate_enterprise(CONFIG)
+    return {
+        "config": config_payload(),
+        "fig3": fig3_payload(run_fig3(population)),
+        "table3": table3_payload(run_table3(population)),
+    }
+
+
+def main() -> None:
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, golden in (
+        ("golden_measurement.json", capture_measurement()),
+        ("golden_figures.json", capture_figures()),
+    ):
+        path = DATA / name
+        path.write_text(json.dumps(golden, sort_keys=True, separators=(",", ":")))
+        print(f"wrote {path} ({path.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

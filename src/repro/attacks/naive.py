@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackTrace, FeatureInjection, VictimBatch
+from repro.attacks.base import Attack, AttackTrace, FeatureInjection, VictimBatch, with_batch
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
 from repro.utils.validation import require, require_non_negative, require_probability
@@ -79,6 +79,22 @@ class NaiveAttacker(Attack):
             active = rng_for(host_id).uniform(size=batch.num_bins) < self.active_fraction
             rows[index] = np.where(active, base, 0.0)
         return rows
+
+    def builder(
+        self, rng_for: Callable[[int], np.random.Generator] = np.random.default_rng
+    ) -> Callable[[int, FeatureMatrix], AttackTrace]:
+        """This attack as a per-host builder for the evaluation entry points.
+
+        Host ``host_id`` is attacked with ``rng_for(host_id)``.  The builder
+        carries the bit-identical :meth:`batch_amounts` form (see
+        :func:`~repro.attacks.base.with_batch`), so measurement can inject
+        into a whole population at once.
+        """
+
+        def build(host_id: int, matrix: FeatureMatrix) -> AttackTrace:
+            return self.build(matrix, rng_for(host_id))
+
+        return with_batch(build, lambda batch: {self.feature: self.batch_amounts(batch, rng_for)})
 
 
 def constant_rate_attack(

@@ -30,6 +30,17 @@ def percentile_of_score(samples: Sequence[float], score: float) -> float:
     return 100.0 * ecdf(samples, score)
 
 
+def _sample_array(samples: Iterable[float]) -> np.ndarray:
+    """``samples`` as a float array: an ndarray converts directly, other iterables via a list.
+
+    The result may share memory with an ndarray input, so callers keep only a
+    sorted or concatenated copy of it.
+    """
+    if isinstance(samples, np.ndarray):
+        return np.asarray(samples, dtype=float)
+    return np.asarray(list(samples), dtype=float)
+
+
 class EmpiricalDistribution:
     """An empirical distribution built from observed samples.
 
@@ -53,7 +64,7 @@ class EmpiricalDistribution:
         allow_empty: bool = True,
         bin_width: Optional[float] = None,
     ) -> None:
-        values = np.asarray(list(samples) if samples is not None else [], dtype=float)
+        values = _sample_array(samples if samples is not None else ())
         if not allow_empty and values.size == 0:
             raise ValidationError("EmpiricalDistribution requires at least one sample")
         if values.size and not np.all(np.isfinite(values)):
@@ -91,7 +102,7 @@ class EmpiricalDistribution:
     # ----------------------------------------------------------------- update
     def add(self, values: Iterable[float]) -> "EmpiricalDistribution":
         """Return a new distribution with ``values`` merged in."""
-        new_values = np.asarray(list(values), dtype=float)
+        new_values = _sample_array(values)
         if new_values.size and not np.all(np.isfinite(new_values)):
             raise ValidationError("samples must be finite")
         merged = np.concatenate([self._sorted, new_values])

@@ -17,6 +17,8 @@ from repro.experiments import (
 )
 from repro.experiments.report import render_series, render_table
 from repro.features.definitions import Feature, PAPER_FEATURES
+from repro.telemetry import TelemetryRecorder, use_recorder
+from repro.utils.validation import ValidationError
 
 
 class TestReportRendering:
@@ -86,6 +88,22 @@ class TestFig3:
         assert gains[-1] >= gains[0] - 0.02
         assert result.diversity_gain() >= -0.02
         assert "Figure 3" in result.render()
+
+    def test_assigns_each_policy_once(self, tiny_population):
+        """Thresholds do not depend on the attack: one assignment per policy, not per size."""
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            result = run_fig3(tiny_population)
+        assert recorder.counters["optimize.assignments"] == 3
+        # Every policy is still measured under every one of the ten attack sizes.
+        measured = [span for span in recorder.spans if span.name == "core.measure"]
+        assert len(measured) == 3 * 10
+        assert recorder.counters["core.host_weeks_measured"] == 3 * 10 * len(tiny_population)
+        assert set(result.evaluations) == {"homogeneous", "full-diversity", "8-partial"}
+
+    def test_requires_an_attack_size(self, tiny_population):
+        with pytest.raises(ValidationError):
+            run_fig3(tiny_population, attack_sizes=())
 
 
 class TestTable3:

@@ -75,6 +75,33 @@ class TestEmpiricalDistribution:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             EmpiricalDistribution([1.0, float("nan")])
+        with pytest.raises(ValidationError):
+            EmpiricalDistribution(np.array([1.0, np.inf]))
+
+    def test_generator_input(self):
+        dist = EmpiricalDistribution(float(value) for value in (3, 1, 2))
+        assert list(dist.samples) == [1.0, 2.0, 3.0]
+
+    def test_array_input_is_copied(self):
+        source = np.array([3.0, 1.0, 2.0])
+        dist = EmpiricalDistribution(source, bin_width=300.0)
+        source[:] = 99.0
+        assert list(dist.samples) == [1.0, 2.0, 3.0]
+        sorted_source = np.array([1.0, 2.0, 3.0])
+        dist = EmpiricalDistribution(sorted_source)
+        sorted_source[0] = -5.0
+        assert dist.min() == 1.0
+
+    def test_array_input_matches_list_input(self):
+        values = np.random.default_rng(3).integers(0, 50, size=200)
+        from_array = EmpiricalDistribution(values)
+        from_list = EmpiricalDistribution(values.tolist())
+        assert from_array.samples.dtype == np.float64
+        assert np.array_equal(from_array.samples, from_list.samples)
+
+    def test_bin_width_still_validated(self):
+        with pytest.raises(ValidationError):
+            EmpiricalDistribution(np.array([1.0]), bin_width=0.0)
 
     def test_summary_keys(self):
         summary = EmpiricalDistribution(range(10)).summary()

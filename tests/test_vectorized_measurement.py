@@ -6,6 +6,11 @@ measurement loop: 54 policy x protocol x attack cases at repr precision, the
 Figure 4(b) hidden-traffic ingredient and a full small-scale fig4 run.  The
 batched array path must reproduce every float bit for bit.
 
+``tests/data/golden_figures.json`` (same script) holds Figure 3 and Table 3
+at the same small scale, captured while fig3 still
+re-trained and re-assigned every policy once per attack size; the
+assign-once fig3 must match it bit for bit too.
+
 The second half cross-checks ``_measure_assignment_batched`` against the
 retained per-host reference loop on fresh populations, covering the
 measure-only entry points (explicit test weeks, stale attack assignments)
@@ -17,9 +22,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.attacks.mimicry import hidden_traffic_by_host
+from repro.attacks.naive import NaiveAttacker
 from repro.core.evaluation import (
     DetectionProtocol,
     _measure_assignment_batched,
@@ -37,12 +44,15 @@ from repro.core.policies import (
     PartialDiversityPolicy,
 )
 from repro.core.thresholds import PercentileHeuristic
+from repro.experiments.fig3_utility import run_fig3
 from repro.experiments.fig4_attacker import run_fig4
+from repro.experiments.table3_alarms import run_table3
 from repro.features.definitions import Feature
 from repro.sweeps.spec import AttackSpec
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
+FIGURES_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_figures.json"
 
 CONFIG = EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)
 
@@ -111,8 +121,18 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def matrices():
-    return generate_enterprise(CONFIG).matrices()
+def golden_figures():
+    return json.loads(FIGURES_GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_population():
+    return generate_enterprise(CONFIG)
+
+
+@pytest.fixture(scope="module")
+def matrices(golden_population):
+    return golden_population.matrices()
 
 
 class TestGoldenBitIdentity:
@@ -153,6 +173,36 @@ class TestGoldenBitIdentity:
         for name, values in result.hidden_traffic.items():
             actual = {str(h): repr(float(v)) for h, v in sorted(values.items())}
             assert actual == golden["fig4"]["hidden_traffic"][name]
+
+    def test_fig3_matches_fixture(self, golden_figures, golden_population):
+        assert golden_figures["config"] == {"num_hosts": 24, "num_weeks": 2, "seed": 77}
+        result = run_fig3(golden_population)
+        expected = golden_figures["fig3"]
+        assert [repr(float(w)) for w in result.weights] == expected["weights"]
+        boxplots = {
+            name: {key: repr(float(value)) for key, value in summary.to_dict().items()}
+            for name, summary in result.boxplots.items()
+        }
+        assert boxplots == expected["boxplots"]
+        weight_sweep = {
+            name: [repr(float(v)) for v in values] for name, values in result.weight_sweep.items()
+        }
+        assert weight_sweep == expected["weight_sweep"]
+        assert set(result.evaluations) == set(expected["evaluations"])
+        for name, evaluation in result.evaluations.items():
+            actual = {
+                str(host_id): _perf_payload(perf)
+                for host_id, perf in sorted(evaluation.performances.items())
+            }
+            assert actual == expected["evaluations"][name]
+
+    def test_table3_matches_fixture(self, golden_figures, golden_population):
+        result = run_table3(golden_population)
+        alarms = {
+            heuristic: {policy: repr(float(count)) for policy, count in row.items()}
+            for heuristic, row in result.alarms.items()
+        }
+        assert alarms == golden_figures["table3"]["alarms"]
 
 
 def _measure_both(matrices, assignment, protocol, builder=None, week=None, attack_assignment=None):
@@ -228,6 +278,24 @@ class TestBatchedEqualsPerHostLoop:
         batched, reference = _measure_both(
             matrices, fresh, protocol, builder, week=3, attack_assignment=stale
         )
+        assert batched == reference
+
+    @pytest.mark.parametrize("active_fraction", [1.0, 0.6])
+    def test_equal_with_naive_attacker_builder(self, population, active_fraction):
+        """NaiveAttacker.builder's batch form injects what its per-host form does."""
+        protocol = PROTOCOLS["single"]
+        matrices = population.matrices()
+        builder = NaiveAttacker(
+            feature=protocol.primary_feature, attack_size=20.0, active_fraction=active_fraction
+        ).builder(lambda host_id: np.random.default_rng((5, host_id)))
+        assert callable(builder.batch)
+        training = detection_training_distributions(
+            matrices, protocol.features, protocol.train_week
+        )
+        assignment = PartialDiversityPolicy(PercentileHeuristic(99.0), num_groups=4).assign(
+            training, fusion=protocol.fusion
+        )
+        batched, reference = _measure_both(matrices, assignment, protocol, builder)
         assert batched == reference
 
     def test_irregular_grid_falls_back_to_per_host_loop(self, population):
