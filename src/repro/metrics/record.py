@@ -17,7 +17,6 @@ enabled.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.telemetry.report import summary_payload
+from repro.utils.jsonl import append_jsonl, read_jsonl
 from repro.utils.resources import peak_rss_bytes
 from repro.utils.validation import ValidationError, require, require_type
 
@@ -174,29 +174,15 @@ class MetricsHistory:
 
     def append(self, record: RunRecord) -> RunRecord:
         """Append one record (creating parent directories as needed)."""
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._path.open("a", encoding="utf-8") as sink:
-            sink.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        append_jsonl(self._path, record.to_dict())
         return record
 
     def records(self) -> List[RunRecord]:
-        """Every record in append order; [] when the file does not exist."""
-        if not self._path.is_file():
-            return []
-        records: List[RunRecord] = []
-        for number, line in enumerate(
-            self._path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValidationError(
-                    f"{self._path}:{number} is not valid JSON: {error}"
-                ) from error
-            records.append(RunRecord.from_dict(payload))
-        return records
+        """Every record in append order; [] when the file does not exist.
+
+        A torn final line (an interrupted append) is skipped with a warning.
+        """
+        return [RunRecord.from_dict(payload) for payload in read_jsonl(self._path)]
 
     def select(self, token: str) -> RunRecord:
         """The record named by ``token``: exact run id, else integer index.

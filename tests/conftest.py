@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import sys
 from pathlib import Path
 
@@ -41,3 +42,24 @@ def rng():
 def random_source():
     """A deterministic hierarchical random source."""
     return RandomSource(seed=42, label="test")
+
+
+@pytest.fixture()
+def jsonl_warnings():
+    """Messages ``repro.utils.jsonl`` logs at WARNING, captured at that logger.
+
+    A handler on the logger itself still sees them after a CLI test has made
+    the ``repro`` logger quiet and non-propagating.
+    """
+    logger = logging.getLogger("repro.utils.jsonl")
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    previous_level = logger.level
+    logger.setLevel(logging.WARNING)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous_level)

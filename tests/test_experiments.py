@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.policies import ConfigurationPolicy
 from repro.experiments import (
     run_all_experiments,
     run_fig1,
@@ -134,6 +135,19 @@ class TestFig4:
         medians = result.median_hidden_traffic()
         assert medians["full-diversity"] <= medians["homogeneous"]
         assert "Figure 4" in result.render()
+
+    def test_both_panels_share_one_assignment_per_policy(self, tiny_population, monkeypatch):
+        """Panel (b) reads panel (a)'s thresholds instead of assigning again."""
+        calls = []
+        original = ConfigurationPolicy.compute_thresholds
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConfigurationPolicy, "compute_thresholds", counted)
+        run_fig4(tiny_population, num_attack_sizes=6)
+        assert sorted(calls) == ["8-partial", "full-diversity", "homogeneous"]
 
 
 class TestFig5:

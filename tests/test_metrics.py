@@ -132,6 +132,21 @@ class TestRunRecord:
         with pytest.raises(ValidationError, match="metrics.jsonl:1"):
             MetricsHistory(path).records()
 
+    def test_torn_final_line_skipped_then_cut_by_next_append(self, tmp_path, jsonl_warnings):
+        history = MetricsHistory(tmp_path / "metrics.jsonl")
+        for run_id in ("run-a", "run-b", "run-c"):
+            history.append(make_record(run_id=run_id))
+        text = history.path.read_text()
+        # Keep only the first 40 characters of the last record, newline lost.
+        history.path.write_text(text[: text.rindex("\n", 0, -1) + 40])
+        assert [record.run_id for record in history.records()] == ["run-a", "run-b"]
+        history.append(make_record(run_id="run-d"))
+        assert [record.run_id for record in history.records()] == ["run-a", "run-b", "run-d"]
+        assert jsonl_warnings == [
+            f"{history.path}:3: skipping torn final line (interrupted append)",
+            f"{history.path}:3: dropping torn final line (interrupted append)",
+        ]
+
     def test_select_by_run_id_and_index(self, tmp_path):
         history = MetricsHistory(tmp_path / "metrics.jsonl")
         history.append(make_record(run_id="run-a"))

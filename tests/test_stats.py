@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.stats.empirical import EmpiricalDistribution, ecdf, percentile_of_score
 from repro.stats.histogram import Histogram, LogHistogram, histogram_from_samples
@@ -123,6 +124,98 @@ class TestEmpiricalDistribution:
     def test_cdf_bounds(self, samples, value):
         dist = EmpiricalDistribution(samples)
         assert 0.0 <= dist.cdf(value) <= 1.0
+
+
+_SIZES = st.integers(min_value=1, max_value=5000)
+
+#: Per-bin-count-like sample sets: arbitrary floats, all-equal samples,
+#: small integer counts with heavy ties, and heavy-tailed traffic.
+_SAMPLES = st.one_of(
+    hnp.arrays(np.float64, _SIZES, elements=st.floats(-1e9, 1e9)),
+    st.builds(np.full, _SIZES, st.floats(-1e9, 1e9)),
+    hnp.arrays(np.int64, _SIZES, elements=st.integers(0, 12)),
+    st.builds(
+        lambda size, seed: np.random.default_rng(seed).lognormal(2.0, 1.5, size),
+        _SIZES,
+        st.integers(0, 2**32 - 1),
+    ),
+)
+
+_Q = st.one_of(
+    st.sampled_from([0, 100, 99, 99.9, 50]),
+    st.integers(0, 100),
+    st.floats(0.0, 100.0),
+)
+
+#: ``q`` arrays: the candidate-threshold grid (upper-half quantiles), scalars
+#: as 0-d arrays, and arbitrary shapes.
+_QS = st.one_of(
+    st.integers(0, 60).map(lambda k: 100.0 * np.minimum(np.linspace(0.5, 1.0, k), 1.0)),
+    _Q.map(np.asarray),
+    hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=0, max_dims=2), elements=st.floats(0.0, 100.0)
+    ),
+)
+
+
+class TestPercentileKernel:
+    """Percentiles read by index from the sorted samples equal ``np.percentile``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SAMPLES, st.lists(_Q, min_size=1, max_size=20), st.floats(0.0, 1.0))
+    def test_percentile_and_quantile_match_numpy(self, samples, qs, p):
+        dist = EmpiricalDistribution(samples)
+        for q in qs:
+            assert dist.percentile(q) == np.percentile(samples, q)
+        assert dist.quantile(p) == np.percentile(samples, 100.0 * p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SAMPLES, _QS)
+    def test_percentiles_match_numpy(self, samples, qs):
+        expected = np.percentile(samples, qs)
+        actual = EmpiricalDistribution(samples).percentiles(qs)
+        assert np.shape(actual) == np.shape(expected)
+        assert np.array_equal(actual, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_SAMPLES, min_size=1, max_size=4), _Q, _QS)
+    def test_pooled_and_added_distributions_match_numpy(self, parts, q, qs):
+        combined = np.concatenate(parts)
+        pooled = EmpiricalDistribution.pooled([EmpiricalDistribution(part) for part in parts])
+        added = EmpiricalDistribution(parts[0])
+        for part in parts[1:]:
+            added = added.add(part)
+        for dist in (pooled, added):
+            assert dist.percentile(q) == np.percentile(combined, q)
+            assert np.array_equal(dist.percentiles(qs), np.percentile(combined, qs))
+
+    @given(
+        _SAMPLES,
+        st.one_of(
+            st.floats(max_value=0.0, exclude_max=True),
+            st.floats(min_value=100.0, exclude_min=True),
+            st.just(float("nan")),
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_out_of_range_q_rejected(self, samples, q):
+        dist = EmpiricalDistribution(samples)
+        with pytest.raises(ValidationError):
+            dist.percentile(q)
+        with pytest.raises(ValidationError):
+            dist.quantile(q / 100.0)
+        with pytest.raises(ValidationError):
+            dist.percentiles([50.0, q])
+
+    def test_empty_distribution_rejected(self):
+        empty = EmpiricalDistribution()
+        for query in (
+            lambda: empty.percentile(50),
+            lambda: empty.quantile(0.5),
+            lambda: empty.percentiles([50.0, 99.0]),
+        ):
+            with pytest.raises(ValidationError):
+                query()
 
 
 class TestStreamingQuantiles:

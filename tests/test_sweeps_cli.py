@@ -107,6 +107,32 @@ class TestSweepRun:
         assert "--rerun" in out
         assert len(store_path.read_text().splitlines()) == 2
 
+    def test_torn_store_resumes_with_only_the_lost_scenario(self, tmp_path, capsys):
+        # A run killed mid-append leaves a partial last record without its newline.
+        spec_path = tmp_path / "tiny.toml"
+        spec_path.write_text(TINY_SWEEP)
+        store_path = tmp_path / "out.jsonl"
+        argv = [
+            "sweep",
+            "run",
+            str(spec_path),
+            "--store",
+            str(store_path),
+            "--cache-dir",
+            str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        first, second = store_path.read_text().splitlines()
+        scenarios = [json.loads(line)["scenario"] for line in (first, second)]
+        store_path.write_text(first + "\n" + second[: len(second) // 2])
+        capsys.readouterr()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "skipped 1 scenario(s) already in" in captured.out
+        assert f"{store_path}:2: skipping torn final line" in captured.err
+        records = [json.loads(line) for line in store_path.read_text().splitlines()]
+        assert [record["scenario"] for record in records] == scenarios
+
     def test_rerun_flag_reevaluates(self, tmp_path, capsys):
         spec_path = tmp_path / "tiny.toml"
         spec_path.write_text(TINY_SWEEP)

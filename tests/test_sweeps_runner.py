@@ -549,6 +549,37 @@ class TestResultStore:
         with pytest.raises(ValidationError, match="2: not valid JSON"):
             ResultStore(path).records()
 
+    def _torn_store(self, tmp_path, count=12):
+        """A store of ``count`` records whose last append was cut off mid-record."""
+        store = ResultStore(tmp_path / "store.jsonl")
+        for index in range(count):
+            store.append(self._record(scenario=f"s{index}"))
+        text = store.path.read_text()
+        store.path.write_text(text[: text.rindex("\n", 0, -1) + 40])
+        return store
+
+    def test_torn_final_line_skipped_with_warning(self, tmp_path, jsonl_warnings):
+        store = self._torn_store(tmp_path)
+        assert [record.scenario for record in store.records()] == [f"s{i}" for i in range(11)]
+        assert jsonl_warnings == [
+            f"{store.path}:12: skipping torn final line (interrupted append)"
+        ]
+
+    def test_append_after_torn_line_keeps_every_record_readable(self, tmp_path, jsonl_warnings):
+        store = self._torn_store(tmp_path)
+        store.append(self._record(scenario="s11"))
+        assert [record.scenario for record in store.records()] == [f"s{i}" for i in range(12)]
+        assert store.path.read_text().count("\n") == 12
+        assert jsonl_warnings == [f"{store.path}:12: dropping torn final line (interrupted append)"]
+
+    def test_append_after_complete_line_missing_its_newline(self, tmp_path, jsonl_warnings):
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps(self._record().to_dict()))
+        store = ResultStore(path)
+        store.append(self._record(scenario="s2"))
+        assert [record.scenario for record in store.records()] == ["s1", "s2"]
+        assert jsonl_warnings == []
+
     def test_value_lookup(self):
         record = self._record()
         assert record.value("mean_utility") == 0.5
