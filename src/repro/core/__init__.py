@@ -50,6 +50,7 @@ from repro.core.metrics import (
 from repro.core.evaluation import (
     DetectionProtocol,
     HostPerformance,
+    HostPerformanceTable,
     PolicyEvaluation,
     detection_training_distributions,
     detection_training_window_distributions,
@@ -94,6 +95,7 @@ __all__ = [
     "DetectionAssignment",
     "DetectionProtocol",
     "HostPerformance",
+    "HostPerformanceTable",
     "PolicyEvaluation",
     "evaluate_policy",
     "measure_assignment",

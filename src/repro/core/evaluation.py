@@ -21,6 +21,10 @@ fusion votes — instead of a per-host Python loop.  The per-host loop is kept
 as the fallback for irregular matrices and as the golden reference the
 batched path is regression-tested against; the two produce bit-identical
 :class:`HostPerformance` values.
+
+Either way the result is one :class:`HostPerformanceTable`: per-host results
+stay numpy columns, which the population aggregates read directly, and a
+:class:`HostPerformance` is built only when one host is looked up.
 """
 
 from __future__ import annotations
@@ -28,7 +32,18 @@ from __future__ import annotations
 import inspect
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -36,7 +51,7 @@ from repro.attacks.base import AttackTrace, VictimBatch
 from repro.attacks.injection import InjectedSeries, inject_attack, pad_attack_amounts
 from repro.core.detector import ThresholdDetector
 from repro.core.fusion import FusionRule
-from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint
+from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint, utility_from_rate_arrays
 from repro.core.policies import ConfigurationPolicy, DetectionAssignment
 from repro.core.thresholds import DEFAULT_PERCENTILE
 from repro.features.definitions import Feature
@@ -241,14 +256,242 @@ class HostPerformance:
         return self.operating_point.utility(weight)
 
 
+def _frozen_column(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as a numpy column."""
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+def _require_probability_column(column: np.ndarray, name: str) -> None:
+    """:func:`require_probability` on every entry of ``column`` in one pass."""
+    outside = ~((column >= 0.0) & (column <= 1.0))
+    if outside.any():
+        require_probability(float(column[np.argmax(outside)]), name)
+
+
+@dataclass(frozen=True, eq=False)
+class AlarmColumns:
+    """One alarm's per-host results as columns, entry ``i`` for the table's ``i``-th host.
+
+    The alarm is either one feature's detector or the protocol's fused alarm.
+
+    Attributes
+    ----------
+    false_alarm_counts:
+        Benign test bins raising the alarm.
+    false_positive_rates, false_negative_rates:
+        The alarm's (FP, FN) on the test week.  Each column is checked to hold
+        probabilities when the columns are built, as :class:`OperatingPoint`
+        checks one pair.
+    attacked:
+        Whether any test bin carried attack traffic for this alarm.  There the
+        alarm was raised when FN is below 1 and missed when FN is 1; a host
+        that was not attacked has FN 0.
+    """
+
+    false_alarm_counts: np.ndarray
+    false_positive_rates: np.ndarray
+    false_negative_rates: np.ndarray
+    attacked: np.ndarray
+
+    def __post_init__(self) -> None:
+        dtypes = {
+            "false_alarm_counts": np.int64,
+            "false_positive_rates": float,
+            "false_negative_rates": float,
+            "attacked": bool,
+        }
+        for name, dtype in dtypes.items():
+            object.__setattr__(self, name, _frozen_column(getattr(self, name), dtype))
+        require(
+            self.attacked.ndim == 1 and len({getattr(self, name).shape for name in dtypes}) == 1,
+            "alarm columns must be 1-D and of equal length",
+        )
+        _require_probability_column(self.false_positive_rates, "false_positive_rate")
+        _require_probability_column(self.false_negative_rates, "false_negative_rate")
+
+    @classmethod
+    def from_bin_counts(
+        cls,
+        false_alarm_counts: np.ndarray,
+        num_bins: int,
+        missed_bins: np.ndarray,
+        attacked_bins: np.ndarray,
+    ) -> "AlarmColumns":
+        """Columns from per-host bin counts over a ``num_bins``-bin test week.
+
+        FP is ``false_alarm_counts / num_bins`` and FN is ``missed_bins /
+        attacked_bins`` (0 where no bin was attacked).  Dividing int64 columns
+        rounds each quotient correctly, so both equal the per-host path's
+        scalar ``int / int``.
+        """
+        counts = np.asarray(false_alarm_counts, dtype=np.int64)
+        attacked = np.asarray(attacked_bins, dtype=np.int64)
+        fn = np.zeros(counts.shape)
+        np.divide(np.asarray(missed_bins, dtype=np.int64), attacked, out=fn, where=attacked > 0)
+        return cls(counts, counts / num_bins, fn, attacked > 0)
+
+    def utilities(self, weight: float) -> np.ndarray:
+        """Per-host utility of this alarm at ``weight``."""
+        return utility_from_rate_arrays(
+            self.false_positive_rates, self.false_negative_rates, weight
+        )
+
+    def total_false_alarms(self) -> int:
+        """Benign alarms summed over the hosts."""
+        return int(self.false_alarm_counts.sum())
+
+    def fraction_raising_alarm(self) -> float:
+        """Fraction of attacked hosts whose alarm fired on an attacked bin.
+
+        Hosts that were not attacked are left out of the denominator; 0.0 when
+        no host was attacked.
+        """
+        if not self.attacked.any():
+            return 0.0
+        return float(np.mean(self.false_negative_rates[self.attacked] < 1.0))
+
+    def point(self, index: int) -> OperatingPoint:
+        """Entry ``index`` as an :class:`OperatingPoint`."""
+        return OperatingPoint(
+            false_positive_rate=float(self.false_positive_rates[index]),
+            false_negative_rate=float(self.false_negative_rates[index]),
+        )
+
+    def alarm_raised(self, index: int) -> Optional[bool]:
+        """Entry ``index``'s alarm: raised (True), missed (False) or not attacked (None)."""
+        if not self.attacked[index]:
+            return None
+        return bool(self.false_negative_rates[index] < 1.0)
+
+
+class HostPerformanceTable(Mapping[int, HostPerformance]):
+    """Every host's measured performance on one test week, held as columns.
+
+    A read-only mapping from host id to :class:`HostPerformance`, iterated in
+    measurement order.  The results live in numpy columns: each feature's
+    thresholds, one :class:`AlarmColumns` per feature and one for the fused
+    alarm (the same object for a one-feature protocol).  Population
+    aggregates read the columns; looking up one host builds its
+    :class:`HostPerformance`.  A table equals any mapping holding the same
+    :class:`HostPerformance` values.
+    """
+
+    def __init__(
+        self,
+        host_ids: Sequence[int],
+        thresholds: Mapping[Feature, np.ndarray],
+        feature_columns: Mapping[Feature, AlarmColumns],
+        fused: AlarmColumns,
+    ) -> None:
+        self._host_ids = tuple(host_ids)
+        self._index = {host_id: index for index, host_id in enumerate(self._host_ids)}
+        self._thresholds = {
+            feature: _frozen_column(values, float) for feature, values in thresholds.items()
+        }
+        self._feature_columns = dict(feature_columns)
+        self._fused = fused
+        require(len(self._index) == len(self._host_ids), "host ids must be distinct")
+        shape = (len(self._host_ids),)
+        require(
+            all(column.shape == shape for column in self._thresholds.values())
+            and all(alarm.attacked.shape == shape for alarm in (*feature_columns.values(), fused)),
+            "every column must hold one entry per host",
+        )
+
+    @classmethod
+    def from_rows(
+        cls, features: Sequence[Feature], rows: Iterable[HostPerformance]
+    ) -> "HostPerformanceTable":
+        """The table holding ``rows``, in their order."""
+        rows = list(rows)
+
+        def columns(points, counts, alarms) -> AlarmColumns:
+            return AlarmColumns(
+                false_alarm_counts=counts,
+                false_positive_rates=[point.false_positive_rate for point in points],
+                false_negative_rates=[point.false_negative_rate for point in points],
+                attacked=[alarm is not None for alarm in alarms],
+            )
+
+        return cls(
+            host_ids=[row.host_id for row in rows],
+            thresholds={feature: [row.thresholds[feature] for row in rows] for feature in features},
+            feature_columns={
+                feature: columns(
+                    [row.feature_operating_points[feature] for row in rows],
+                    [row.feature_false_alarm_counts[feature] for row in rows],
+                    [row.feature_alarm_raised.get(feature) for row in rows],
+                )
+                for feature in features
+            },
+            fused=columns(
+                [row.operating_point for row in rows],
+                [row.false_alarm_count for row in rows],
+                [row.alarm_raised for row in rows],
+            ),
+        )
+
+    @property
+    def host_ids(self) -> Tuple[int, ...]:
+        """Hosts in measurement order (the mapping's iteration order)."""
+        return self._host_ids
+
+    @property
+    def fused(self) -> AlarmColumns:
+        """Columns of the fused alarm."""
+        return self._fused
+
+    def feature_columns(self, feature: Feature) -> AlarmColumns:
+        """Columns of one feature's detector."""
+        return self._feature_columns[feature]
+
+    def __len__(self) -> int:
+        return len(self._host_ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._host_ids)
+
+    def __contains__(self, host_id: object) -> bool:
+        return host_id in self._index
+
+    def __getitem__(self, host_id: int) -> HostPerformance:
+        index = self._index[host_id]
+        per_feature = self._feature_columns
+        return HostPerformance(
+            host_id=self._host_ids[index],
+            thresholds={
+                feature: float(column[index]) for feature, column in self._thresholds.items()
+            },
+            feature_operating_points={
+                feature: columns.point(index) for feature, columns in per_feature.items()
+            },
+            feature_false_alarm_counts={
+                feature: int(columns.false_alarm_counts[index])
+                for feature, columns in per_feature.items()
+            },
+            operating_point=self._fused.point(index),
+            false_alarm_count=int(self._fused.false_alarm_counts[index]),
+            alarm_raised=self._fused.alarm_raised(index),
+            feature_alarm_raised={
+                feature: columns.alarm_raised(index) for feature, columns in per_feature.items()
+            },
+        )
+
+
 @dataclass(frozen=True)
 class PolicyEvaluation:
-    """Population-wide outcome of evaluating one policy on one feature set."""
+    """Population-wide outcome of evaluating one policy on one feature set.
+
+    ``performances`` is the :class:`HostPerformanceTable` the measurement
+    returned; the aggregates below read its columns.
+    """
 
     policy_name: str
     protocol: DetectionProtocol
     assignment: DetectionAssignment
-    performances: Mapping[int, HostPerformance]
+    performances: HostPerformanceTable
 
     def __post_init__(self) -> None:
         require(len(self.performances) > 0, "evaluation must cover at least one host")
@@ -273,37 +516,44 @@ class PolicyEvaluation:
         """
         return self.assignment.optimization
 
+    def _utility_column(self, weight: Optional[float]) -> np.ndarray:
+        w = weight if weight is not None else self.protocol.utility_weight
+        return self.performances.fused.utilities(w)
+
+    def _by_host(self, column: np.ndarray) -> Dict[int, float]:
+        return dict(zip(self.performances.host_ids, column.tolist(), strict=True))
+
     def utilities(self, weight: Optional[float] = None) -> Dict[int, float]:
         """Per-host fused utilities at ``weight`` (defaults to the protocol's weight)."""
-        w = weight if weight is not None else self.protocol.utility_weight
-        return {host_id: perf.utility(w) for host_id, perf in self.performances.items()}
+        return self._by_host(self._utility_column(weight))
 
     def mean_utility(self, weight: Optional[float] = None) -> float:
         """Average fused utility across the population (Figure 3(b)'s y-axis)."""
-        values = list(self.utilities(weight).values())
-        return float(np.mean(values))
+        return float(np.mean(self._utility_column(weight)))
 
     def utility_summary(self, weight: Optional[float] = None) -> SummaryStatistics:
         """Boxplot-style summary of per-host utilities (Figure 3(a))."""
-        return summarize(list(self.utilities(weight).values()))
+        return summarize(self._utility_column(weight))
 
     def false_positive_rates(self) -> Dict[int, float]:
         """Per-host fused false-positive rates."""
-        return {host_id: perf.false_positive_rate for host_id, perf in self.performances.items()}
+        return self._by_host(self.performances.fused.false_positive_rates)
 
     def detection_rates(self) -> Dict[int, float]:
         """Per-host fused detection rates (1 - FN)."""
-        return {host_id: perf.detection_rate for host_id, perf in self.performances.items()}
+        return self._by_host(1.0 - self.performances.fused.false_negative_rates)
 
     def feature_operating_points(self, feature: Feature) -> Dict[int, OperatingPoint]:
         """Per-host operating points of one feature's detector."""
+        columns = self.performances.feature_columns(feature)
         return {
-            host_id: perf.feature_point(feature) for host_id, perf in self.performances.items()
+            host_id: columns.point(index)
+            for index, host_id in enumerate(self.performances.host_ids)
         }
 
     def total_false_alarms(self) -> int:
         """Total fused benign alarms across the population on the test week."""
-        return int(sum(perf.false_alarm_count for perf in self.performances.values()))
+        return self.performances.fused.total_false_alarms()
 
     def false_alarms_per_week(self) -> float:
         """False alarms normalised to one week (the test window is one week)."""
@@ -316,10 +566,7 @@ class PolicyEvaluation:
         Only meaningful when an attack was overlaid; hosts with no attack are
         excluded from the denominator.
         """
-        flags = [perf.alarm_raised for perf in self.performances.values() if perf.alarm_raised is not None]
-        if not flags:
-            return 0.0
-        return float(np.mean([1.0 if flag else 0.0 for flag in flags]))
+        return self.performances.fused.fraction_raising_alarm()
 
 
 def training_distributions(
@@ -522,7 +769,7 @@ def measure_assignment(
     attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
     test_week: Optional[int] = None,
     attack_assignment=None,
-) -> Dict[int, HostPerformance]:
+) -> HostPerformanceTable:
     """Measure an already computed threshold assignment on one test week.
 
     This is the measurement half of :func:`evaluate_policy` (which is
@@ -540,6 +787,9 @@ def measure_assignment(
     after the defender retrains (the schedule-tracking attacker passes the
     in-force assignment instead).  ``None`` hands the builder the measuring
     assignment's thresholds, exactly as the one-shot evaluation does.
+
+    The result is a :class:`HostPerformanceTable` over the hosts of
+    ``matrices``, in their order.
     """
     require(len(matrices) > 0, "matrices must cover at least one host")
     features = protocol.features
@@ -554,9 +804,10 @@ def measure_assignment(
             return _measure_assignment_batched(
                 matrices, assignment, features, fusion, builder, week, attack_assignment
             )
-        return _measure_assignment_per_host(
+        rows = _measure_assignment_per_host(
             matrices, assignment, features, fusion, builder, week, attack_assignment
         )
+        return HostPerformanceTable.from_rows(features, rows.values())
 
 
 def _uniform_bin_grid(matrices: Mapping[int, FeatureMatrix]) -> bool:
@@ -672,8 +923,8 @@ def _measure_assignment_batched(
     builder: Optional[DetectionAttackBuilder],
     week: int,
     attack_assignment,
-) -> Dict[int, HostPerformance]:
-    """Vectorised measurement over one shared bin grid.
+) -> HostPerformanceTable:
+    """Vectorised measurement over one shared bin grid, straight into columns.
 
     Every per-host quantity is computed as an array operation over
     ``(num_hosts, num_bins)`` stacks; each row reproduces the per-host loop's
@@ -727,23 +978,32 @@ def _measure_assignment_batched(
             attack_thresholds,
         )
 
-    attack_bin_counts: Dict[Feature, np.ndarray] = {}
-    missed_counts: Dict[Feature, np.ndarray] = {}
-    for feature, rows in amounts.items():
-        attacked = rows > 0
-        attack_bin_counts[feature] = np.count_nonzero(attacked, axis=1)
-        missed_counts[feature] = np.count_nonzero(
-            ((values[feature] + rows) <= thresholds[feature][:, None]) & attacked, axis=1
+    no_bins = np.zeros(len(host_ids), dtype=np.int64)
+    feature_columns: Dict[Feature, AlarmColumns] = {}
+    for feature in features:
+        attacked_bins = missed_bins = no_bins
+        if feature in amounts:
+            attacked = amounts[feature] > 0
+            attacked_bins = np.count_nonzero(attacked, axis=1)
+            missed_bins = np.count_nonzero(
+                ((values[feature] + amounts[feature]) <= thresholds[feature][:, None]) & attacked,
+                axis=1,
+            )
+        feature_columns[feature] = AlarmColumns.from_bin_counts(
+            counts[feature], num_bins, missed_bins, attacked_bins
         )
 
-    multi = len(features) > 1
-    if multi:
+    if len(features) == 1:
+        # Any fusion rule needs exactly 1 vote of 1: the fused alarm IS the
+        # feature's detector.
+        fused = feature_columns[features[0]]
+    else:
         votes = np.zeros((len(host_ids), num_bins), dtype=np.int64)
         for feature in features:
             votes += exceed[feature]
         required = fusion.required_votes(len(features))
-        fused_benign = votes >= required
-        fused_counts = np.count_nonzero(fused_benign, axis=1)
+        fused_counts = np.count_nonzero(votes >= required, axis=1)
+        fused_attacked_bins = fused_missed = no_bins
         if amounts:
             union = np.zeros((len(host_ids), num_bins), dtype=bool)
             for rows in amounts.values():
@@ -757,68 +1017,11 @@ def _measure_assignment_batched(
                     else values[feature]
                 )
                 attack_votes += observed > thresholds[feature][:, None]
-            fused_attack = attack_votes >= required
-            fused_missed = np.count_nonzero(~fused_attack & union, axis=1)
-
-    performances: Dict[int, HostPerformance] = {}
-    for index, host_id in enumerate(host_ids):
-        host_thresholds = {
-            feature: float(thresholds[feature][index]) for feature in features
-        }
-        feature_counts = {feature: int(counts[feature][index]) for feature in features}
-        feature_fp = {feature: feature_counts[feature] / num_bins for feature in features}
-        feature_fn: Dict[Feature, float] = {}
-        feature_alarm: Dict[Feature, Optional[bool]] = {}
-        for feature in features:
-            attacked_bins = (
-                int(attack_bin_counts[feature][index]) if feature in amounts else 0
-            )
-            if attacked_bins > 0:
-                fn = float(int(missed_counts[feature][index])) / attacked_bins
-                feature_fn[feature] = fn
-                feature_alarm[feature] = fn < 1.0
-            else:
-                feature_fn[feature] = 0.0
-                feature_alarm[feature] = None
-
-        if not multi:
-            only = features[0]
-            fused_point = OperatingPoint(
-                false_positive_rate=feature_fp[only], false_negative_rate=feature_fn[only]
-            )
-            fused_count = feature_counts[only]
-            alarm_raised = feature_alarm[only]
-        else:
-            fused_count = int(fused_counts[index])
-            fused_fn = 0.0
-            alarm_raised = None
-            if amounts:
-                attacked_bins = int(fused_attacked_bins[index])
-                if attacked_bins > 0:
-                    fused_fn = float(int(fused_missed[index])) / attacked_bins
-                    alarm_raised = fused_fn < 1.0
-            fused_point = OperatingPoint(
-                false_positive_rate=float(fused_count) / num_bins,
-                false_negative_rate=fused_fn,
-            )
-
-        performances[host_id] = HostPerformance(
-            host_id=host_id,
-            thresholds=host_thresholds,
-            feature_operating_points={
-                feature: OperatingPoint(
-                    false_positive_rate=feature_fp[feature],
-                    false_negative_rate=feature_fn[feature],
-                )
-                for feature in features
-            },
-            feature_false_alarm_counts=feature_counts,
-            operating_point=fused_point,
-            false_alarm_count=fused_count,
-            alarm_raised=alarm_raised,
-            feature_alarm_raised=feature_alarm,
+            fused_missed = np.count_nonzero((attack_votes < required) & union, axis=1)
+        fused = AlarmColumns.from_bin_counts(
+            fused_counts, num_bins, fused_missed, fused_attacked_bins
         )
-    return performances
+    return HostPerformanceTable(host_ids, thresholds, feature_columns, fused)
 
 
 def _measure_assignment_per_host(
@@ -830,10 +1033,11 @@ def _measure_assignment_per_host(
     week: int,
     attack_assignment,
 ) -> Dict[int, HostPerformance]:
-    """The per-host reference measurement loop.
+    """The per-host reference measurement loop, one :class:`HostPerformance` per host.
 
-    Fallback for populations whose hosts do not share a bin grid, and the
-    golden reference the batched path is regression-tested against.
+    Fallback for populations whose hosts do not share a bin grid (its rows
+    then become the table), and the golden reference the batched path is
+    regression-tested against.
     """
     performances: Dict[int, HostPerformance] = {}
     for host_id, matrix in matrices.items():

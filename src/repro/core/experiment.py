@@ -25,6 +25,7 @@ from typing import (
 import numpy as np
 
 from repro.core.evaluation import (
+    AlarmColumns,
     AttackBuilder,
     DetectionAttackBuilder,
     DetectionProtocol,
@@ -32,7 +33,7 @@ from repro.core.evaluation import (
     evaluate_policy,
 )
 from repro.core.fusion import FusionRule
-from repro.core.metrics import f_measure_from_rates
+from repro.core.metrics import f_measure_from_rate_arrays
 from repro.core.policies import (
     ConfigurationPolicy,
     FullDiversityPolicy,
@@ -241,26 +242,19 @@ class ScenarioOutcome:
 
 
 def _aggregate_performances(
-    false_positive_rates: Sequence[float],
-    false_negative_rates: Sequence[float],
-    weight: float,
-    attack_prevalence: float,
+    columns: AlarmColumns, weight: float, attack_prevalence: float
 ) -> Dict[str, float]:
     """The shared (FP, FN) → aggregate-metric computation, fused or per feature."""
-    fp = np.asarray(false_positive_rates, dtype=float)
-    fn = np.asarray(false_negative_rates, dtype=float)
-    utilities = 1.0 - (weight * fn + (1.0 - weight) * fp)
-    f_measures = [
-        f_measure_from_rates(fp_i, fn_i, attack_prevalence)
-        for fp_i, fn_i in zip(fp, fn, strict=True)
-    ]
+    fp = columns.false_positive_rates
+    fn = columns.false_negative_rates
+    utilities = columns.utilities(weight)
     return {
         "mean_utility": float(np.mean(utilities)),
         "median_utility": float(np.median(utilities)),
         "mean_false_positive_rate": float(np.mean(fp)),
         "mean_false_negative_rate": float(np.mean(fn)),
         "mean_detection_rate": float(np.mean(1.0 - fn)),
-        "mean_f_measure": float(np.mean(f_measures)),
+        "mean_f_measure": float(np.mean(f_measure_from_rate_arrays(fp, fn, attack_prevalence))),
     }
 
 
@@ -276,7 +270,8 @@ def summarize_scenario(
     the paper's other aggregates (mean/median utility, alarm volume, fraction
     of hosts raising an alarm, distinct threshold count) come straight from
     the evaluation.  The headline numbers summarise the fused alarm; the
-    ``per_feature`` table repeats them for every individual feature.
+    ``per_feature`` table repeats them for every individual feature.  Every
+    aggregate reads the per-host columns of ``evaluation.performances``.
 
     When ``sample`` is an enabled :class:`~repro.core.sampling.SampleSpec`
     the evaluation covered a host subsample: the headline metrics become the
@@ -284,35 +279,16 @@ def summarize_scenario(
     percentile-bootstrap confidence interval over the per-host fused
     utilities (``utility_ci_low``/``utility_ci_high``).
     """
-    performances = evaluation.performances.values()
+    performances = evaluation.performances
     protocol = evaluation.protocol
     weight = protocol.utility_weight
-    fused = _aggregate_performances(
-        [perf.false_positive_rate for perf in performances],
-        [perf.false_negative_rate for perf in performances],
-        weight,
-        attack_prevalence,
-    )
+    fused = _aggregate_performances(performances.fused, weight, attack_prevalence)
     per_feature: Dict[str, Dict[str, float]] = {}
     for feature in protocol.features:
-        points = [perf.feature_point(feature) for perf in performances]
-        aggregates = _aggregate_performances(
-            [point.false_positive_rate for point in points],
-            [point.false_negative_rate for point in points],
-            weight,
-            attack_prevalence,
-        )
-        aggregates["total_false_alarms"] = int(
-            sum(perf.feature_false_alarm_counts[feature] for perf in performances)
-        )
-        flags = [
-            perf.feature_alarm_raised.get(feature)
-            for perf in performances
-            if perf.feature_alarm_raised.get(feature) is not None
-        ]
-        aggregates["fraction_raising_alarm"] = (
-            float(np.mean([1.0 if flag else 0.0 for flag in flags])) if flags else 0.0
-        )
+        columns = performances.feature_columns(feature)
+        aggregates = _aggregate_performances(columns, weight, attack_prevalence)
+        aggregates["total_false_alarms"] = columns.total_false_alarms()
+        aggregates["fraction_raising_alarm"] = columns.fraction_raising_alarm()
         aggregates["distinct_thresholds"] = (
             evaluation.assignment.for_feature(feature).distinct_threshold_count()
         )
@@ -320,10 +296,7 @@ def summarize_scenario(
     optimization = evaluation.optimization
     sampling_fields: Dict[str, Any] = {}
     if sample is not None and sample.enabled:
-        utilities = [
-            1.0 - (weight * perf.false_negative_rate + (1.0 - weight) * perf.false_positive_rate)
-            for perf in performances
-        ]
+        utilities = performances.fused.utilities(weight)
         low, high = bootstrap_mean_interval(
             utilities, sample.bootstrap, sample.confidence, sample.seed
         )
@@ -338,7 +311,7 @@ def summarize_scenario(
     return ScenarioOutcome(
         policy_name=evaluation.policy_name,
         feature="+".join(feature.value for feature in protocol.features),
-        num_hosts=len(evaluation.performances),
+        num_hosts=len(performances),
         mean_utility=fused["mean_utility"],
         median_utility=fused["median_utility"],
         mean_false_positive_rate=fused["mean_false_positive_rate"],

@@ -65,6 +65,21 @@ def utility(false_negative_rate: float, false_positive_rate: float, weight: floa
     return 1.0 - (weight * false_negative_rate + (1.0 - weight) * false_positive_rate)
 
 
+def utility_from_rate_arrays(
+    false_positive_rates: np.ndarray, false_negative_rates: np.ndarray, weight: float
+) -> np.ndarray:
+    """Vectorised :func:`utility` over arrays of operating points.
+
+    Element-for-element identical to the scalar version (same operation
+    order).  Only ``weight`` is checked here; the rates are checked where the
+    arrays are built.
+    """
+    require_probability(weight, "weight")
+    fp = np.asarray(false_positive_rates, dtype=float)
+    fn = np.asarray(false_negative_rates, dtype=float)
+    return 1.0 - (weight * fn + (1.0 - weight) * fp)
+
+
 def precision_recall(
     true_positives: float, false_positives: float, false_negatives: float
 ) -> Tuple[float, float]:

@@ -28,6 +28,7 @@ from repro.attacks.naive import NaiveAttacker
 from repro.core import evaluation as core_evaluation
 from repro.core.evaluation import DetectionProtocol, PolicyEvaluation, evaluate_policy
 from repro.core.fusion import FusionRule
+from repro.core.metrics import utility_from_rate_arrays
 from repro.core.policies import (
     ConfigurationPolicy,
     FullDiversityPolicy,
@@ -46,7 +47,13 @@ from repro.workload.enterprise import EnterprisePopulation
 
 @dataclass(frozen=True)
 class UtilityComparisonResult:
-    """Figure 3(a) boxplot summaries and the Figure 3(b) weight sweep."""
+    """Figure 3(a) boxplot summaries and the Figure 3(b) weight sweep.
+
+    Both panels score each host by its FN averaged over the attack-size
+    sweep.  ``evaluations`` holds each policy's full evaluation under the
+    first attack size only (the smallest, by default): it is kept for the
+    per-host thresholds, and its utilities are not the figure's.
+    """
 
     feature: Feature
     utility_weight: float
@@ -56,8 +63,12 @@ class UtilityComparisonResult:
     evaluations: Mapping[str, PolicyEvaluation]
 
     def mean_utilities(self) -> Dict[str, float]:
-        """Population-average utility per policy at the headline weight."""
-        return {name: ev.mean_utility(self.utility_weight) for name, ev in self.evaluations.items()}
+        """Population-average utility per policy at the headline weight.
+
+        The mean of the Figure 3(a) boxplot: each host's FN is averaged over
+        the attack-size sweep first.
+        """
+        return {name: summary.mean for name, summary in self.boxplots.items()}
 
     def diversity_gain(self) -> float:
         """Mean-utility gain of full diversity over the homogeneous policy."""
@@ -89,7 +100,7 @@ class UtilityComparisonResult:
         return panel_a + "\n\n" + panel_b
 
 
-def _default_attack_sizes(population: EnterprisePopulation, feature: Feature) -> Tuple[float, ...]:
+def default_attack_sizes(population: EnterprisePopulation, feature: Feature) -> Tuple[float, ...]:
     """Attack sizes spanning the range that can hide inside user traffic.
 
     The paper sweeps attack sizes up to the largest value seen in user
@@ -100,6 +111,18 @@ def _default_attack_sizes(population: EnterprisePopulation, feature: Feature) ->
     tails = list(population.per_host_percentiles(feature, 99).values())
     maximum = max(max(tails), 10.0)
     return tuple(float(round(x)) for x in np.linspace(maximum / 20.0, maximum, 10))
+
+
+def _mean_over_sizes(fn_columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Each host's FN averaged over the attack sizes, given one FN column per size.
+
+    The columns become C-order rows of one host each, so ``mean(axis=1)``
+    sums every row pairwise: each host's mean is bit-identical to
+    ``np.mean`` of that host's own FN list.  (An axis-0 mean over a
+    ``(sizes, hosts)`` block adds sequentially and can differ in the last
+    bit.)
+    """
+    return np.stack(fn_columns, axis=1).mean(axis=1)
 
 
 def run_fig3(
@@ -119,10 +142,11 @@ def run_fig3(
     sweep of injected attack sizes overlaid on its test week.
 
     ``evaluations`` holds each policy's full evaluation under the first
-    attack size (the smallest, by default).
+    attack size (the smallest, by default); the figure's numbers average
+    each host's FN over every size.
     """
     require(len(weights) > 0, "at least one weight is required")
-    sizes = tuple(attack_sizes) if attack_sizes is not None else _default_attack_sizes(population, feature)
+    sizes = tuple(attack_sizes) if attack_sizes is not None else default_attack_sizes(population, feature)
     require(len(sizes) > 0, "at least one attack size is required")
     heuristic = UtilityHeuristic(weight=utility_weight, attack_sizes=sizes)
     policies: List[ConfigurationPolicy] = [
@@ -144,7 +168,7 @@ def run_fig3(
         NaiveAttacker(feature=feature, attack_size=size).builder() for size in sizes
     ]
     evaluations: Dict[str, PolicyEvaluation] = {}
-    per_policy_rates: Dict[str, Dict[int, Tuple[float, float]]] = {}
+    rates: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for policy in policies:
         # A host's threshold depends on the training week, never on the
         # attack: train and assign once, under the first size, then only
@@ -153,9 +177,7 @@ def run_fig3(
         # is taken from the first evaluation.
         first = evaluate_policy(matrices, policy, protocol, attack_builder=first_builder)
         evaluations[policy.name] = first
-        fn_by_host: Dict[int, List[float]] = {
-            host_id: [perf.false_negative_rate] for host_id, perf in first.performances.items()
-        }
+        fn_columns = [first.performances.fused.false_negative_rates]
         for builder in other_builders:
             # Looked up on repro.core.evaluation at call time (not imported by
             # name), like evaluate_policy's own measurement call, so a wrapper
@@ -163,23 +185,20 @@ def run_fig3(
             performances = core_evaluation.measure_assignment(
                 matrices, first.assignment, protocol, attack_builder=builder
             )
-            for host_id, perf in performances.items():
-                fn_by_host[host_id].append(perf.false_negative_rate)
-        per_policy_rates[policy.name] = {
-            host_id: (first.performances[host_id].false_positive_rate, float(np.mean(fn_list)))
-            for host_id, fn_list in fn_by_host.items()
-        }
+            fn_columns.append(performances.fused.false_negative_rates)
+        rates[policy.name] = (
+            first.performances.fused.false_positive_rates,
+            _mean_over_sizes(fn_columns),
+        )
 
-    def utilities_at(policy_name: str, weight: float) -> List[float]:
-        return [
-            1.0 - (weight * fn + (1.0 - weight) * fp)
-            for fp, fn in per_policy_rates[policy_name].values()
-        ]
+    def utilities_at(policy_name: str, weight: float) -> np.ndarray:
+        false_positives, false_negatives = rates[policy_name]
+        return utility_from_rate_arrays(false_positives, false_negatives, weight)
 
-    boxplots = {name: summarize(utilities_at(name, utility_weight)) for name in per_policy_rates}
+    boxplots = {name: summarize(utilities_at(name, utility_weight)) for name in rates}
     weight_sweep = {
         name: [float(np.mean(utilities_at(name, weight))) for weight in weights]
-        for name in per_policy_rates
+        for name in rates
     }
     return UtilityComparisonResult(
         feature=feature,
@@ -279,7 +298,7 @@ def run_fig3_cooptimized(
     sizes = (
         tuple(attack_sizes)
         if attack_sizes is not None
-        else _default_attack_sizes(population, features[0])
+        else default_attack_sizes(population, features[0])
     )
     heuristic = UtilityHeuristic(weight=utility_weight, attack_sizes=sizes)
     if optimizers is None:

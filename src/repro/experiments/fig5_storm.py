@@ -135,8 +135,9 @@ def run_fig5(
         evaluation = evaluate_policy(
             matrices, policy, protocol, attack_builder=attack_builder
         )
+        false_positives = evaluation.false_positive_rates()
+        detections = evaluation.detection_rates()
         scatter[policy.name] = {
-            host_id: (perf.false_positive_rate, perf.detection_rate)
-            for host_id, perf in evaluation.performances.items()
+            host_id: (false_positives[host_id], detections[host_id]) for host_id in false_positives
         }
     return StormReplayResult(feature=feature, scatter=scatter)

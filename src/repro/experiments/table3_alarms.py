@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.fusion import FusionRule
 from repro.core.policies import (
@@ -27,6 +25,7 @@ from repro.core.policies import (
     PartialDiversityPolicy,
 )
 from repro.core.thresholds import PercentileHeuristic, ThresholdHeuristic, UtilityHeuristic
+from repro.experiments.fig3_utility import default_attack_sizes
 from repro.experiments.report import render_table
 from repro.features.definitions import Feature
 from repro.optimize import (
@@ -90,11 +89,7 @@ def run_table3(
         utility_weight=utility_weight,
     )
     if attack_sizes is None:
-        # Linear sweep over the range that can hide inside user traffic
-        # (bounded by the heaviest user's tail), as in the paper.
-        tails = list(population.per_host_percentiles(feature, 99).values())
-        maximum = max(max(tails), 10.0)
-        attack_sizes = tuple(float(round(x)) for x in np.linspace(maximum / 20.0, maximum, 10))
+        attack_sizes = default_attack_sizes(population, feature)
 
     heuristics: Dict[str, ThresholdHeuristic] = {
         "99th-percentile": PercentileHeuristic(99.0),

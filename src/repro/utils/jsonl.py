@@ -7,6 +7,10 @@ that line with a warning, so every complete record stays readable, and
 :func:`append_jsonl` cuts a torn tail off before writing, so the fragment
 never ends up as a bad line in the middle of the file.  Any other line that
 is not valid JSON is corruption and raises.
+
+Appenders in several processes take turns through an exclusive lock on the
+file (POSIX ``flock``), so one never mistakes another's in-progress write
+for a torn tail.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ from pathlib import Path
 from typing import Any, List
 
 from repro.utils.validation import ValidationError
+
+try:
+    import fcntl as _fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    _fcntl = None  # type: ignore[assignment]
 
 logger = logging.getLogger(__name__)
 
@@ -56,11 +65,16 @@ def append_jsonl(path: Path, payload: Any) -> None:
     Creates the file and its parent directories as needed.  When the file
     does not end in a newline, its last line either is a complete record,
     which the new one then follows on a fresh line, or is torn, in which
-    case it is cut off (with a warning) before the record is written.
+    case it is cut off (with a warning) before the record is written.  The
+    file is locked from that check until the write is flushed, so appenders
+    in other processes wait their turn.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     with path.open("ab+") as handle:
+        if _fcntl is not None:
+            # Released when the file is closed, after the flush below.
+            _fcntl.flock(handle.fileno(), _fcntl.LOCK_EX)
         size = handle.seek(0, os.SEEK_END)
         if size:
             handle.seek(size - 1)

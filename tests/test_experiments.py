@@ -90,6 +90,15 @@ class TestFig3:
         assert result.diversity_gain() >= -0.02
         assert "Figure 3" in result.render()
 
+    def test_mean_utilities_are_the_panels_means(self, tiny_population):
+        """One "mean utility": FN averaged over the size sweep, as both panels show."""
+        result = run_fig3(tiny_population, weights=(0.2, 0.4, 0.8))
+        means = result.mean_utilities()
+        assert set(means) == set(result.boxplots)
+        for name, summary in result.boxplots.items():
+            assert means[name] == summary.mean
+            assert means[name] == result.weight_sweep[name][1]
+
     def test_assigns_each_policy_once(self, tiny_population):
         """Thresholds do not depend on the attack: one assignment per policy, not per size."""
         recorder = TelemetryRecorder()

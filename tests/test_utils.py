@@ -1,12 +1,17 @@
-"""Tests for repro.utils: time handling, validation, deterministic RNG."""
+"""Tests for repro.utils: time handling, validation, deterministic RNG, JSONL appends."""
 
 from __future__ import annotations
+
+import logging
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.deprecation import ReproDeprecationWarning, warn_deprecated
+from repro.utils.jsonl import append_jsonl, read_jsonl
 from repro.utils.rng import RandomSource, derive_seed, spawn_rng
 from repro.utils.timeutils import (
     BinSpec,
@@ -156,3 +161,48 @@ class TestDeprecationLifecycle:
     def test_warn_deprecated_without_since_keeps_the_message_verbatim(self):
         with pytest.warns(ReproDeprecationWarning, match=r"old\(\) is gone$"):
             warn_deprecated("old() is gone", stacklevel=2)
+
+
+def _append_records(path: str, log_path: str, writer: int, count: int, pad: int) -> None:
+    """One appender process: ``count`` records of ``pad`` bytes, warnings logged to a file."""
+    logging.basicConfig(filename=log_path, level=logging.WARNING)
+    for index in range(count):
+        append_jsonl(Path(path), {"writer": writer, "index": index, "pad": "x" * pad})
+
+
+class TestConcurrentJsonlAppends:
+    WRITERS = 4  # more writers than the 2 CPUs this suite is sized for
+    RECORDS = 150
+    # A record spanning many pages stays visible half-written for a while; an
+    # appender that checked the tail without the lock would cut it off.
+    PAD = 70_000
+
+    def test_concurrent_appenders_keep_every_record(self, tmp_path, jsonl_warnings):
+        path = tmp_path / "store.jsonl"
+        logs = [tmp_path / f"writer{writer}.log" for writer in range(self.WRITERS)]
+        context = multiprocessing.get_context("spawn")
+        processes = [
+            context.Process(
+                target=_append_records,
+                args=(str(path), str(logs[writer]), writer, self.RECORDS, self.PAD),
+            )
+            for writer in range(self.WRITERS)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+        hung = [process for process in processes if process.is_alive()]
+        for process in hung:
+            process.kill()
+        assert not hung
+        assert [process.exitcode for process in processes] == [0] * self.WRITERS
+
+        records = read_jsonl(path)
+        assert sorted((record["writer"], record["index"]) for record in records) == [
+            (writer, index) for writer in range(self.WRITERS) for index in range(self.RECORDS)
+        ]
+        assert all(len(record["pad"]) == self.PAD for record in records)
+        assert jsonl_warnings == []
+        for log in logs:
+            assert "dropping torn final line" not in log.read_text()

@@ -15,6 +15,11 @@ The second half cross-checks ``_measure_assignment_batched`` against the
 retained per-host reference loop on fresh populations, covering the
 measure-only entry points (explicit test weeks, stale attack assignments)
 the golden fixture does not exercise.
+
+The last part is the reference oracle for the population aggregates: every
+aggregate read from a :class:`HostPerformanceTable`'s columns must equal, bit
+for bit, the same aggregate computed host by host from the per-host loop's
+:class:`HostPerformance` rows with the per-host formulas kept below.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ import pytest
 from repro.attacks.mimicry import hidden_traffic_by_host
 from repro.attacks.naive import NaiveAttacker
 from repro.core.evaluation import (
+    AlarmColumns,
     DetectionProtocol,
+    PolicyEvaluation,
     _measure_assignment_batched,
     _measure_assignment_per_host,
     _adapt_attack_builder,
@@ -37,18 +44,23 @@ from repro.core.evaluation import (
     measure_assignment,
     training_distributions,
 )
+from repro.core.experiment import ScenarioOutcome, summarize_scenario
 from repro.core.fusion import FusionRule
+from repro.core.metrics import f_measure_from_rates
 from repro.core.policies import (
     FullDiversityPolicy,
     HomogeneousPolicy,
     PartialDiversityPolicy,
 )
+from repro.core.sampling import SampleSpec, bootstrap_mean_interval
 from repro.core.thresholds import PercentileHeuristic
-from repro.experiments.fig3_utility import run_fig3
+from repro.experiments.fig3_utility import _mean_over_sizes, run_fig3
 from repro.experiments.fig4_attacker import run_fig4
 from repro.experiments.table3_alarms import run_table3
 from repro.features.definitions import Feature
+from repro.stats.summary import summarize
 from repro.sweeps.spec import AttackSpec
+from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
@@ -196,6 +208,13 @@ class TestGoldenBitIdentity:
             }
             assert actual == expected["evaluations"][name]
 
+    def test_fig3_size_average_matches_per_host_mean(self):
+        """On random FNs (the fixture's are too regular to tell summation orders apart)."""
+        rng = np.random.default_rng(2009)
+        columns = [rng.random(350) for _ in range(10)]
+        expected = [float(np.mean([column[host] for column in columns])) for host in range(350)]
+        assert _mean_over_sizes(columns).tolist() == expected
+
     def test_table3_matches_fixture(self, golden_figures, golden_population):
         result = run_table3(golden_population)
         alarms = {
@@ -330,3 +349,208 @@ class TestBatchedEqualsPerHostLoop:
         builder.batch = lambda batch: None
         adapted = _adapt_attack_builder(builder)
         assert getattr(adapted, "batch", None) is builder.batch
+
+
+# --- Reference oracle: the per-host aggregate formulas, over HostPerformance rows.
+
+
+def _reference_fraction(flags) -> float:
+    flags = [flag for flag in flags if flag is not None]
+    if not flags:
+        return 0.0
+    return float(np.mean([1.0 if flag else 0.0 for flag in flags]))
+
+
+def _reference_aggregates(points, weight, attack_prevalence) -> dict:
+    fp = np.asarray([point.false_positive_rate for point in points], dtype=float)
+    fn = np.asarray([point.false_negative_rate for point in points], dtype=float)
+    utilities = 1.0 - (weight * fn + (1.0 - weight) * fp)
+    f_measures = [
+        f_measure_from_rates(fp_i, fn_i, attack_prevalence)
+        for fp_i, fn_i in zip(fp, fn, strict=True)
+    ]
+    return {
+        "mean_utility": float(np.mean(utilities)),
+        "median_utility": float(np.median(utilities)),
+        "mean_false_positive_rate": float(np.mean(fp)),
+        "mean_false_negative_rate": float(np.mean(fn)),
+        "mean_detection_rate": float(np.mean(1.0 - fn)),
+        "mean_f_measure": float(np.mean(f_measures)),
+    }
+
+
+def _reference_outcome(evaluation, rows, attack_prevalence, sample) -> dict:
+    """``summarize_scenario(...).to_dict()`` computed host by host from ``rows``."""
+    performances = list(rows.values())
+    protocol = evaluation.protocol
+    weight = protocol.utility_weight
+    per_feature = {}
+    for feature in protocol.features:
+        aggregates = _reference_aggregates(
+            [perf.feature_point(feature) for perf in performances], weight, attack_prevalence
+        )
+        aggregates["total_false_alarms"] = int(
+            sum(perf.feature_false_alarm_counts[feature] for perf in performances)
+        )
+        aggregates["fraction_raising_alarm"] = _reference_fraction(
+            perf.feature_alarm_raised.get(feature) for perf in performances
+        )
+        aggregates["distinct_thresholds"] = (
+            evaluation.assignment.for_feature(feature).distinct_threshold_count()
+        )
+        per_feature[feature.value] = aggregates
+    sampling = {}
+    if sample is not None:
+        utilities = [
+            1.0 - (weight * perf.false_negative_rate + (1.0 - weight) * perf.false_positive_rate)
+            for perf in performances
+        ]
+        low, high = bootstrap_mean_interval(
+            utilities, sample.bootstrap, sample.confidence, sample.seed
+        )
+        sampling = {
+            "sample_size": len(utilities),
+            "sample_seed": sample.seed,
+            "utility_ci_low": low,
+            "utility_ci_high": high,
+            "sample_confidence": sample.confidence,
+            "bootstrap_iterations": sample.bootstrap,
+        }
+    optimization = evaluation.optimization
+    return ScenarioOutcome(
+        policy_name=evaluation.policy_name,
+        feature="+".join(feature.value for feature in protocol.features),
+        num_hosts=len(performances),
+        **_reference_aggregates(
+            [perf.operating_point for perf in performances], weight, attack_prevalence
+        ),
+        total_false_alarms=int(sum(perf.false_alarm_count for perf in performances)),
+        fraction_raising_alarm=_reference_fraction(perf.alarm_raised for perf in performances),
+        distinct_thresholds=evaluation.assignment.distinct_threshold_count(),
+        fusion=protocol.fusion.name,
+        num_features=protocol.num_features,
+        per_feature=per_feature,
+        optimizer=optimization.optimizer if optimization is not None else "none",
+        objective_value=optimization.objective_value if optimization is not None else None,
+        optimizer_iterations=optimization.iterations if optimization is not None else 0,
+        **sampling,
+    ).to_dict()
+
+
+def _assert_aggregates_match_rows(table, rows, protocol, assignment):
+    """Every column aggregate of ``table`` equals the per-host formula over ``rows``."""
+    assert list(table) == list(rows)
+    evaluation = PolicyEvaluation(
+        policy_name="oracle", protocol=protocol, assignment=assignment, performances=table
+    )
+    for weight in (None, 0.0, 0.1, 0.4, 0.77, 1.0):
+        w = protocol.utility_weight if weight is None else weight
+        utilities = {host_id: perf.utility(w) for host_id, perf in rows.items()}
+        assert evaluation.utilities(weight) == utilities
+        assert repr(evaluation.mean_utility(weight)) == repr(
+            float(np.mean(list(utilities.values())))
+        )
+        assert evaluation.utility_summary(weight) == summarize(list(utilities.values()))
+    assert evaluation.false_positive_rates() == {
+        host_id: perf.false_positive_rate for host_id, perf in rows.items()
+    }
+    assert evaluation.detection_rates() == {
+        host_id: perf.detection_rate for host_id, perf in rows.items()
+    }
+    for feature in protocol.features:
+        assert evaluation.feature_operating_points(feature) == {
+            host_id: perf.feature_point(feature) for host_id, perf in rows.items()
+        }
+    assert evaluation.total_false_alarms() == int(
+        sum(perf.false_alarm_count for perf in rows.values())
+    )
+    assert repr(evaluation.fraction_raising_alarm()) == repr(
+        _reference_fraction(perf.alarm_raised for perf in rows.values())
+    )
+    for attack_prevalence in (0.0, 0.01, 0.3, 1.0):
+        for sample in (None, SampleSpec(size=len(rows), seed=3, bootstrap=200)):
+            outcome = summarize_scenario(evaluation, attack_prevalence, sample)
+            assert outcome.to_dict() == _reference_outcome(
+                evaluation, rows, attack_prevalence, sample
+            )
+
+
+class TestColumnAggregatesMatchPerHostFormulas:
+    @pytest.fixture(scope="class")
+    def population(self):
+        return generate_enterprise(EnterpriseConfig(num_hosts=12, num_weeks=4, seed=909))
+
+    @staticmethod
+    def _assignment(matrices, protocol):
+        training = detection_training_distributions(
+            matrices, protocol.features, protocol.train_week
+        )
+        return PartialDiversityPolicy(PercentileHeuristic(99.0), num_groups=4).assign(
+            training, fusion=protocol.fusion
+        )
+
+    @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
+    @pytest.mark.parametrize("attack_name", list(ATTACKS))
+    def test_all_cases(self, population, proto_name, attack_name):
+        protocol = PROTOCOLS[proto_name]
+        matrices = population.matrices()
+        builder = ATTACKS[attack_name].build_builder(
+            protocol.primary_feature, population.config.bin_width
+        )
+        assignment = self._assignment(matrices, protocol)
+        table, rows = _measure_both(matrices, assignment, protocol, builder)
+        _assert_aggregates_match_rows(table, rows, protocol, assignment)
+
+    def test_irregular_grid(self, population):
+        """The per-host path's table (built from its rows) aggregates the same way."""
+        matrices = dict(population.matrices())
+        first_host = next(iter(matrices))
+        matrices[first_host] = matrices[first_host].slice_time(0.0, 2 * 7 * 24 * 3600.0)
+        protocol = PROTOCOLS["multi-2ofn"]
+        builder = ATTACKS["naive"].build_builder(
+            protocol.primary_feature, population.config.bin_width
+        )
+        assignment = self._assignment(matrices, protocol)
+        table = measure_assignment(matrices, assignment, protocol, attack_builder=builder)
+        rows = _measure_assignment_per_host(
+            matrices, assignment, protocol.features, protocol.fusion,
+            _adapt_attack_builder(builder), protocol.test_week, None,
+        )
+        _assert_aggregates_match_rows(table, rows, protocol, assignment)
+
+
+class TestHostPerformanceTableChecks:
+    @pytest.mark.parametrize(
+        "fp, fn",
+        [
+            ([0.5, 1.5], [0.0, 0.0]),
+            ([0.0, 0.0], [-0.25, 0.5]),
+            ([float("nan"), 0.0], [0.0, 0.0]),
+        ],
+    )
+    def test_rates_outside_unit_interval_rejected(self, fp, fn):
+        with pytest.raises(ValidationError, match="must be a probability"):
+            AlarmColumns(
+                false_alarm_counts=[0, 0],
+                false_positive_rates=fp,
+                false_negative_rates=fn,
+                attacked=[False, True],
+            )
+
+    def test_counts_beyond_the_bins_rejected(self):
+        with pytest.raises(ValidationError, match="false_positive_rate"):
+            AlarmColumns.from_bin_counts([3, 5], 4, [0, 0], [0, 0])
+        with pytest.raises(ValidationError, match="false_negative_rate"):
+            AlarmColumns.from_bin_counts([0, 0], 4, [0, 3], [0, 2])
+
+    def test_table_is_a_read_only_mapping(self, matrices):
+        protocol = PROTOCOLS["single"]
+        assignment = HomogeneousPolicy(PercentileHeuristic(99.0)).assign(
+            detection_training_distributions(matrices, protocol.features, 0)
+        )
+        table = measure_assignment(matrices, assignment, protocol)
+        with pytest.raises(ValueError):
+            table.fused.false_positive_rates[0] = 0.5
+        assert len(table) == len(matrices)
+        assert next(iter(table)) in table and -1 not in table
+        pytest.raises(KeyError, table.__getitem__, -1)
