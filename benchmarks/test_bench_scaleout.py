@@ -4,8 +4,9 @@ Tracks the two numbers the million-host path lives on:
 
 * how fast a sampled campaign evaluates against a warm sharded ``.rpopd``
   layout (seeded subsample + bootstrap confidence interval), and
-* how fast shard files map back in (``numpy.memmap`` zero-copy loads, no
-  value block read).
+* how fast shard files map back in from a cold open: each touched shard is
+  hashed once against its manifest record (buffered reads), then mapped
+  zero-copy with ``numpy.memmap``.
 
 The population is 4096 hosts cut into 512-host shards under the shared
 benchmark cache — the first harness run generates and persists the layout,
@@ -60,7 +61,7 @@ def test_bench_scaleout_sampled_eval(benchmark):
 
 
 def test_bench_scaleout_shard_load(benchmark):
-    """Zero-copy mmap loads: resolve a 256-host sample from a cold open."""
+    """Hash-checked mmap loads: resolve a 256-host sample from a cold open."""
     _warm_sharded_population()
     layout = PopulationCache(BENCH_CACHE_DIR).sharded_path_for(_POPULATION_SPEC.to_config())
     chosen = sample_host_ids(range(SCALE_HOSTS), 256, seed=7)

@@ -9,6 +9,8 @@ uses to obtain an :class:`~repro.workload.enterprise.EnterprisePopulation`:
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Every per-host random
   stream is derived from ``(config.seed, host_id)`` alone, so parallel output
   is bit-identical to serial output regardless of worker count or scheduling.
+  The same pool builds the missing shards of a sharded population made by
+  :meth:`PopulationEngine.generate_sharded` (see :mod:`repro.engine.sharded`).
 * **On-disk cache** — populations are stored under a content hash of the
   configuration (see :mod:`repro.engine.cache`), so repeated experiment and
   benchmark runs skip generation entirely.
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, PopulationCache, resolve_cache_dir
 from repro.features.timeseries import FeatureMatrix
@@ -105,6 +107,53 @@ def _generate_host_chunk_task(
     with child_recorder() as recorder:
         results = _generate_host_chunk(config, host_ids, roles)
     return results, recorder.snapshot()
+
+
+#: What a process pool raises when it cannot run tasks at all: OSError (no
+#: process spawning / shared memory), BrokenProcessPool (workers died without
+#: a result) and AssertionError (daemonic processes creating children).
+_POOL_FAILURES = (OSError, BrokenProcessPool, AssertionError)
+
+
+def _run_pool(
+    task: Callable[..., Tuple[Any, Dict[str, Any]]],
+    arguments: Sequence[Tuple[Any, ...]],
+    workers: int,
+    on_result: Callable[[Any], None],
+) -> bool:
+    """Run ``task(*args)`` for every ``args`` on a ``workers``-process pool.
+
+    Each task returns ``(result, telemetry snapshot)``.  As each one
+    finishes, its snapshot is merged into the caller's recorder and
+    ``on_result(result)`` is called.  Returns False when the pool itself
+    failed (see :data:`_POOL_FAILURES`); the caller then does the remaining
+    work in-process, which is bit-identical anyway.  Any other task error
+    (``ValidationError`` etc.) is re-raised once every other task has
+    finished and been handed to ``on_result`` — retrying it in-process would
+    just raise the same error more slowly.
+    """
+    recorder = get_recorder()
+    task_error: Optional[BaseException] = None
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            futures = [executor.submit(task, *args) for args in arguments]
+            for future in as_completed(futures):
+                try:
+                    result, telemetry = future.result()
+                except _POOL_FAILURES:
+                    raise
+                except Exception as error:
+                    if task_error is None:
+                        task_error = error
+                    continue
+                if recorder.enabled:
+                    recorder.merge(telemetry)
+                on_result(result)
+    except _POOL_FAILURES:
+        return False
+    if task_error is not None:
+        raise task_error
+    return True
 
 
 @dataclass(frozen=True)
@@ -321,7 +370,9 @@ class PopulationEngine:
         directory when present, regenerated deterministically otherwise — and
         at most ``max_resident_shards`` stay resident.  With caching enabled,
         freshly generated shards are persisted so later runs mmap them
-        directly.
+        directly, and a request that needs several missing shards at once
+        builds them on this engine's worker pool, each worker writing its
+        own shard file.
         """
         from repro.engine.sharded import (
             DEFAULT_HOSTS_PER_SHARD,
@@ -345,6 +396,7 @@ class PopulationEngine:
                 else DEFAULT_MAX_RESIDENT_SHARDS
             ),
             roles=roles,
+            engine=self,
         )
 
     def _effective_workers(self, num_hosts: int) -> int:
@@ -356,7 +408,7 @@ class PopulationEngine:
         self, config: EnterpriseConfig, roles: Mapping[int, UserRole]
     ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
         results = _generate_host_chunk(config, range(config.num_hosts), roles)
-        return self._merge_results(results)
+        return _merge_results(results)
 
     def _generate_parallel(
         self,
@@ -372,40 +424,25 @@ class PopulationEngine:
         generation, which is bit-identical anyway, and reports ``1``.
         """
         chunks = _chunk_host_ids(config.num_hosts, workers)
-        recorder = get_recorder()
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(_generate_host_chunk_task, config, chunk, dict(roles))
-                    for chunk in chunks
-                ]
-                results: List[Tuple[int, HostProfile, FeatureMatrix]] = []
-                for future in futures:
-                    chunk_results, telemetry = future.result()
-                    results.extend(chunk_results)
-                    if recorder.enabled:
-                        recorder.merge(telemetry)
-        except (OSError, BrokenProcessPool, AssertionError):
-            # OSError: no process spawning / shared memory; BrokenProcessPool:
-            # workers died without a result; AssertionError is what daemonic
-            # processes raise on child creation.  Worker-level generation
-            # errors (ValidationError etc.) propagate — retrying them
-            # serially would just raise the same error more slowly.
+        results: List[Tuple[int, HostProfile, FeatureMatrix]] = []
+        arguments = [(config, chunk, dict(roles)) for chunk in chunks]
+        if not _run_pool(_generate_host_chunk_task, arguments, workers, results.extend):
             profiles, matrices = self._generate_serial(config, roles)
             return profiles, matrices, 1
-        profiles, matrices = self._merge_results(results)
+        profiles, matrices = _merge_results(results)
         return profiles, matrices, workers
 
-    @staticmethod
-    def _merge_results(
-        results: Sequence[Tuple[int, HostProfile, FeatureMatrix]],
-    ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
-        profiles: Dict[int, HostProfile] = {}
-        matrices: Dict[int, FeatureMatrix] = {}
-        for host_id, profile, matrix in sorted(results, key=lambda item: item[0]):
-            profiles[host_id] = profile
-            matrices[host_id] = matrix
-        return profiles, matrices
+
+def _merge_results(
+    results: Sequence[Tuple[int, HostProfile, FeatureMatrix]],
+) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
+    """Generated host triples as ``(profiles, matrices)`` keyed in host order."""
+    profiles: Dict[int, HostProfile] = {}
+    matrices: Dict[int, FeatureMatrix] = {}
+    for host_id, profile, matrix in sorted(results, key=lambda item: item[0]):
+        profiles[host_id] = profile
+        matrices[host_id] = matrix
+    return profiles, matrices
 
 
 def _chunk_host_ids(num_hosts: int, workers: int) -> List[List[int]]:

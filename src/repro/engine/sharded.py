@@ -20,6 +20,11 @@ regenerating exactly that host range — per-host streams derive from
 bit-identical to the same hosts cut out of a monolithic generation.  When the
 population is backed by a directory, freshly generated shards are persisted
 and the manifest updated, so a later open resumes where this one stopped.
+A population made by :meth:`~repro.engine.PopulationEngine.generate_sharded`
+builds several missing shards at once on that engine's worker pool: each
+worker writes its own shard file and returns only the manifest record.  A
+shard file the population did not write itself is checked against its
+manifest hash the first time it is loaded, and regenerated on a mismatch.
 """
 
 from __future__ import annotations
@@ -29,10 +34,28 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
+from repro.engine.engine import (
+    PopulationEngine,
+    _generate_host_chunk,
+    _merge_results,
+    _run_pool,
+)
 from repro.engine.serialization import (
     POPULATION_FORMAT_VERSION,
     _FEATURE_ORDER,
@@ -48,18 +71,12 @@ from repro.engine.serialization import (
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.stats.empirical import EmpiricalDistribution
-from repro.telemetry import add_count, set_gauge, trace_span
+from repro.telemetry import add_count, child_recorder, set_gauge, trace_span
 from repro.traces.serialization import read_header, write_header
 from repro.utils.timeutils import BinSpec
 from repro.utils.validation import ValidationError, require
-from repro.workload.enterprise import (
-    EnterpriseConfig,
-    EnterprisePopulation,
-    build_population_events,
-    generate_host,
-)
+from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
 from repro.workload.profiles import FeatureIntensity, HostProfile, UserRole
-from repro.utils.rng import RandomSource
 
 _SHARD_MAGIC = b"RPSH"
 _MANIFEST_NAME = "manifest.json"
@@ -159,6 +176,66 @@ class _DigestSink:
 
     def hexdigest(self) -> str:
         return self._digest.hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    """SHA-256 hex digest of a file, hashed from buffered reads.
+
+    Never through an mmap: hashing a shard must not leave its pages resident.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _write_shard_file(
+    directory: Path,
+    index: int,
+    host_ids: Sequence[int],
+    profiles: Mapping[int, HostProfile],
+    matrices: Mapping[int, FeatureMatrix],
+) -> Dict[str, Any]:
+    """Write shard ``index`` under ``directory``; returns its manifest record."""
+    name = _shard_file_name(index)
+    digest = _write_shard(directory / name, host_ids, profiles, matrices)
+    return {
+        "file": name,
+        "first_host": host_ids[0],
+        "num_hosts": len(host_ids),
+        "sha256": digest,
+    }
+
+
+def _generate_shard_hosts(
+    config: EnterpriseConfig,
+    index: int,
+    host_ids: Sequence[int],
+    roles: Mapping[int, UserRole],
+) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
+    """Generate the hosts of shard ``index``, keyed in host order."""
+    with trace_span("engine.shard.generate", shard=index, num_hosts=len(host_ids)):
+        return _merge_results(_generate_host_chunk(config, host_ids, roles))
+
+
+def _build_shard_task(
+    config: EnterpriseConfig,
+    directory: Path,
+    index: int,
+    host_ids: Sequence[int],
+    roles: Mapping[int, UserRole],
+) -> Tuple[Tuple[int, Dict[str, Any]], Dict[str, Any]]:
+    """Pool entry point: generate shard ``index`` and write its ``.rpsh`` file.
+
+    Only ``(index, manifest record)`` and the worker's telemetry snapshot
+    travel back: the parent maps the file the worker wrote, so no bin value
+    crosses the process boundary.
+    """
+    with child_recorder() as recorder:
+        profiles, matrices = _generate_shard_hosts(config, index, host_ids, roles)
+        record = _write_shard_file(directory, index, host_ids, profiles, matrices)
+    return (index, record), recorder.snapshot()
 
 
 def _read_shard(
@@ -293,15 +370,10 @@ def write_population_sharded(
     matrices = population.matrices()
     for index in range(len(manifest["shards"])):
         first = index * hosts_per_shard
-        chunk = list(range(first, min(first + hosts_per_shard, len(host_ids))))
-        name = _shard_file_name(index)
-        digest = _write_shard(directory / name, chunk, profiles, matrices)
-        manifest["shards"][index] = {
-            "file": name,
-            "first_host": first,
-            "num_hosts": len(chunk),
-            "sha256": digest,
-        }
+        chunk = range(first, min(first + hosts_per_shard, len(host_ids)))
+        manifest["shards"][index] = _write_shard_file(
+            directory, index, chunk, profiles, matrices
+        )
     _write_manifest(directory, manifest)
     return directory
 
@@ -334,6 +406,12 @@ class ShardedPopulation:
     the bins actually touched — so a million-host population can be opened,
     sampled and evaluated without the full host array ever existing in
     memory.
+
+    ``engine`` is the :class:`~repro.engine.PopulationEngine` that created
+    the population, if any.  A directory-backed population with one builds
+    the missing shards of a multi-shard request (:meth:`matrices_for`,
+    :meth:`matrices`, :meth:`materialize`) on that engine's worker pool,
+    under the engine's worker count and serial floor.
     """
 
     def __init__(
@@ -344,6 +422,7 @@ class ShardedPopulation:
         max_resident_shards: int = DEFAULT_MAX_RESIDENT_SHARDS,
         use_mmap: bool = True,
         roles: Optional[Mapping[int, UserRole]] = None,
+        engine: Optional[PopulationEngine] = None,
     ) -> None:
         require(max_resident_shards >= 1, "max_resident_shards must be >= 1")
         self._config = config
@@ -356,8 +435,10 @@ class ShardedPopulation:
         self._roles: Mapping[int, UserRole] = dict(roles) if roles else {}
         #: shard index -> (profiles, matrices); insertion order is LRU order.
         self._resident: Dict[int, Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]] = {}
-        self._random_source: Optional[RandomSource] = None
-        self._events = None
+        self._engine = engine
+        #: Shards whose file is known to match its manifest hash: written by
+        #: this population (or its workers), or hashed once on first load.
+        self._verified: Set[int] = set()
 
     # --------------------------------------------------------------- opening
     @classmethod
@@ -388,6 +469,7 @@ class ShardedPopulation:
         max_resident_shards: int = DEFAULT_MAX_RESIDENT_SHARDS,
         use_mmap: bool = True,
         roles: Optional[Mapping[int, UserRole]] = None,
+        engine: Optional[PopulationEngine] = None,
     ) -> "ShardedPopulation":
         """A lazily generated sharded population for ``config``.
 
@@ -421,6 +503,7 @@ class ShardedPopulation:
             max_resident_shards=max_resident_shards,
             use_mmap=use_mmap,
             roles=roles,
+            engine=engine,
         )
 
     # ----------------------------------------------------------------- basic
@@ -505,71 +588,85 @@ class ShardedPopulation:
             if path.is_file():
                 with trace_span("engine.shard.load", shard=index):
                     try:
-                        return _read_shard(path, use_mmap=self._use_mmap)
+                        # A file this population did not write is hashed
+                        # once before its bins are trusted.
+                        intact = index in self._verified or (
+                            _file_sha256(path) == record["sha256"]
+                        )
+                        entry = _read_shard(path, use_mmap=self._use_mmap) if intact else None
                     except (ValidationError, OSError, ValueError, KeyError):
-                        # A corrupt shard is regenerated (and rewritten) below.
-                        pass
+                        entry = None
+                if entry is not None:
+                    self._verified.add(index)
+                    return entry
+        # No file, or a corrupt one: regenerate (and rewrite) the shard.
         return self._generate_shard(index)
 
     def _generate_shard(
         self, index: int
     ) -> Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]:
         host_range = self._shard_host_range(index)
-        with trace_span("engine.shard.generate", shard=index, num_hosts=len(host_range)):
-            if self._random_source is None:
-                self._random_source = RandomSource(seed=self._config.seed, label="enterprise")
-                self._events = build_population_events(self._config)
-            profiles: Dict[int, HostProfile] = {}
-            matrices: Dict[int, FeatureMatrix] = {}
-            for host_id in host_range:
-                profile, matrix = generate_host(
-                    self._config,
-                    host_id,
-                    self._random_source,
-                    self._events,
-                    role=self._roles.get(host_id),
-                )
-                profiles[host_id] = profile
-                matrices[host_id] = matrix
-            add_count("engine.hosts_generated", len(host_range))
+        profiles, matrices = _generate_shard_hosts(self._config, index, host_range, self._roles)
         if self._directory is not None:
-            self._persist_shard(index, list(host_range), profiles, matrices)
+            try:
+                record = _write_shard_file(
+                    self._directory, index, host_range, profiles, matrices
+                )
+            except OSError:
+                # An unwritable cache never discards generated data; the
+                # shard simply stays memory-resident for this process.
+                return profiles, matrices
+            self._record_shard(index, record)
             # Re-open through the mmap path so the resident copy is the
             # zero-copy view, not the generation-sized arrays.
-            record = self._manifest["shards"][index]
-            if record is not None:
-                try:
-                    return _read_shard(
-                        self._directory / record["file"], use_mmap=self._use_mmap
-                    )
-                except (ValidationError, OSError, ValueError, KeyError):
-                    pass
+            try:
+                return _read_shard(self._directory / record["file"], use_mmap=self._use_mmap)
+            except (ValidationError, OSError, ValueError, KeyError):
+                pass
         return profiles, matrices
 
-    def _persist_shard(
-        self,
-        index: int,
-        host_ids: List[int],
-        profiles: Dict[int, HostProfile],
-        matrices: Dict[int, FeatureMatrix],
-    ) -> None:
-        name = _shard_file_name(index)
-        try:
-            digest = _write_shard(self._directory / name, host_ids, profiles, matrices)
-        except OSError:
-            # An unwritable cache never discards generated data; the shard
-            # simply stays memory-resident for this process.
-            return
-        self._manifest["shards"][index] = {
-            "file": name,
-            "first_host": host_ids[0],
-            "num_hosts": len(host_ids),
-            "sha256": digest,
-        }
+    def _record_shard(self, index: int, record: Dict[str, Any]) -> None:
+        """Enter a shard file this population or one of its workers wrote."""
+        self._manifest["shards"][index] = record
+        self._verified.add(index)
         try:
             _write_manifest(self._directory, self._manifest)
         except OSError:
             pass
+
+    def _on_disk(self, index: int) -> bool:
+        record = self._manifest["shards"][index]
+        return record is not None and (self._directory / record["file"]).is_file()
+
+    def _build_missing_shards(self, indices: Iterable[int]) -> None:
+        """Build the missing shards among ``indices`` on the engine's pool.
+
+        Each worker writes one shard's file; its manifest record is entered
+        as the task finishes, so an interrupted or failed build keeps every
+        finished shard and a reopen rebuilds only the rest.  The shards then
+        load through :meth:`_shard` like any other file.  Whatever this does
+        not build — a population without an engine or a directory, a single
+        missing shard, fewer missing hosts than the engine's serial floor, a
+        pool that cannot start — :meth:`_shard` builds in-process.
+        """
+        if self._engine is None or self._directory is None:
+            return
+        missing = [
+            index
+            for index in indices
+            if index not in self._resident and not self._on_disk(index)
+        ]
+        num_hosts = sum(len(self._shard_host_range(index)) for index in missing)
+        workers = min(self._engine._effective_workers(num_hosts), len(missing))
+        if workers < 2:
+            return
+        arguments = [
+            (self._config, self._directory, index, self._shard_host_range(index), self._roles)
+            for index in missing
+        ]
+        _run_pool(
+            _build_shard_task, arguments, workers, lambda result: self._record_shard(*result)
+        )
 
     def verify_shard(self, index: int) -> bool:
         """Check the shard file on disk against its manifest content hash."""
@@ -579,11 +676,7 @@ class ShardedPopulation:
         path = self._directory / record["file"]
         if not path.is_file():
             return False
-        digest = hashlib.sha256()
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
-        return digest.hexdigest() == record["sha256"]
+        return _file_sha256(path) == record["sha256"]
 
     # ------------------------------------------------------------- accessors
     def profile(self, host_id: int) -> HostProfile:
@@ -604,6 +697,7 @@ class ShardedPopulation:
         million-host callers should iterate :meth:`iter_shards` or sample
         instead.
         """
+        self._build_missing_shards(range(self.num_shards))
         combined: Dict[int, FeatureMatrix] = {}
         for index in range(self.num_shards):
             _, matrices = self._shard(index)
@@ -619,6 +713,7 @@ class ShardedPopulation:
         by_shard: Dict[int, List[int]] = {}
         for host_id in host_ids:
             by_shard.setdefault(self.shard_of(host_id), []).append(host_id)
+        self._build_missing_shards(sorted(by_shard))
         combined: Dict[int, FeatureMatrix] = {}
         for index in sorted(by_shard):
             _, matrices = self._shard(index)
@@ -671,6 +766,7 @@ class ShardedPopulation:
 
     def materialize(self) -> EnterprisePopulation:
         """The equivalent fully in-memory :class:`EnterprisePopulation`."""
+        self._build_missing_shards(range(self.num_shards))
         profiles: Dict[int, HostProfile] = {}
         matrices: Dict[int, FeatureMatrix] = {}
         for index in range(self.num_shards):

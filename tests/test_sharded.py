@@ -5,7 +5,9 @@ The scale-out contract: a population cut into fixed-size host-range shards
 indistinguishable — bit for bit — from the same configuration generated
 monolithically, whether the shards are loaded zero-copy via ``numpy.memmap``
 or read fully into memory, and a format-version bump must invalidate every
-cached layout rather than silently reading stale bytes.
+cached layout rather than silently reading stale bytes.  Building missing
+shards on the engine's worker pool must write the very same files as the
+in-process build.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.policies import PartialDiversityPolicy
+import repro.engine.engine as engine_module
 from repro.engine import PopulationEngine, population_cache_key
 from repro.engine.cache import PopulationCache
 from repro.engine.sharded import (
@@ -26,6 +29,7 @@ from repro.engine.sharded import (
     write_population_sharded,
 )
 from repro.features.definitions import Feature
+from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
@@ -136,6 +140,18 @@ class TestShardedEqualsMonolithic:
         assert not sharded.verify_shard(0)
         assert_matches_monolithic(sharded, monolithic)
 
+    def test_corrupt_value_block_is_regenerated_identically(self, monolithic, tmp_path):
+        directory = write_population_sharded(
+            tmp_path / "pop.rpopd", monolithic, hosts_per_shard=16
+        )
+        shard_file = directory / "shard-00000.rpsh"
+        data = bytearray(shard_file.read_bytes())
+        data[-3] ^= 0xFF  # a bin value of the shard's last host: the header still parses
+        shard_file.write_bytes(bytes(data))
+        sharded = ShardedPopulation.open(directory)
+        assert_matches_monolithic(sharded, monolithic)
+        assert sharded.verify_shard(0)
+
 
 class TestMmapBitIdentity:
     def test_mmap_and_in_memory_values_identical(self, monolithic, tmp_path):
@@ -218,6 +234,154 @@ class TestCacheInvalidation:
         other = EnterpriseConfig(num_hosts=30, num_weeks=2, seed=512)
         with pytest.raises(ValidationError, match="does not match"):
             ShardedPopulation.generate(other, directory=directory, hosts_per_shard=16)
+
+
+class _PoolStarted(Exception):
+    """Raised by the patched executor: a process pool was asked for."""
+
+
+def _no_pool(*args, **kwargs):
+    raise _PoolStarted
+
+
+def _manifest_hashes(directory):
+    return [record and record["sha256"] for record in read_manifest(directory)["shards"]]
+
+
+class TestParallelShardBuild:
+    """Missing shards built on the engine's pool, one shard file per worker."""
+
+    ALL_HOSTS = list(range(CONFIG.num_hosts))
+
+    @staticmethod
+    def _parallel(tmp_path):
+        engine = PopulationEngine(workers=2, min_parallel_hosts=1, cache_dir=tmp_path / "cache")
+        return engine.generate_sharded(CONFIG, hosts_per_shard=8)
+
+    @staticmethod
+    def _in_process(tmp_path):
+        return ShardedPopulation.generate(
+            CONFIG, directory=tmp_path / "in-process.rpopd", hosts_per_shard=8
+        )
+
+    def test_shard_files_match_in_process_build(self, tmp_path):
+        parallel = self._parallel(tmp_path)
+        parallel.matrices_for(self.ALL_HOSTS)
+        in_process = self._in_process(tmp_path)
+        in_process.matrices_for(self.ALL_HOSTS)
+        hashes = _manifest_hashes(parallel.directory)
+        assert None not in hashes
+        assert hashes == _manifest_hashes(in_process.directory)
+        assert all(parallel.verify_shard(index) for index in range(parallel.num_shards))
+
+    def test_matrices_for_matches_monolithic(self, monolithic, tmp_path):
+        chosen = [1, 9, 10, 17, 29]  # hosts in every shard
+        subset = self._parallel(tmp_path).matrices_for(chosen)
+        assert sorted(subset) == chosen
+        for host_id in chosen:
+            expected = monolithic.matrix(host_id)
+            for feature in expected.features:
+                np.testing.assert_array_equal(
+                    subset[host_id].series(feature).values, expected.series(feature).values
+                )
+
+    @pytest.mark.parametrize("request_all", ["matrices", "materialize"])
+    def test_whole_population_requests_build_on_the_pool(
+        self, request_all, monolithic, tmp_path
+    ):
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            result = getattr(self._parallel(tmp_path), request_all)()
+        matrices = result.matrices() if request_all == "materialize" else result
+        assert sorted(matrices) == self.ALL_HOSTS
+        for host_id in self.ALL_HOSTS:
+            expected = monolithic.matrix(host_id)
+            for feature in expected.features:
+                np.testing.assert_array_equal(
+                    matrices[host_id].series(feature).values, expected.series(feature).values
+                )
+        generated_in = {
+            span.process for span in recorder.spans if span.name == "engine.shard.generate"
+        }
+        assert generated_in and "main" not in generated_in
+
+    def test_unavailable_pool_builds_the_same_files_in_process(self, tmp_path, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise OSError("no process spawning here")
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", unavailable)
+        parallel = self._parallel(tmp_path)
+        parallel.matrices_for(self.ALL_HOSTS)
+        in_process = self._in_process(tmp_path)
+        in_process.matrices_for(self.ALL_HOSTS)
+        assert _manifest_hashes(parallel.directory) == _manifest_hashes(in_process.directory)
+
+    def test_telemetry_counts_match_in_process_build(self, tmp_path):
+        parallel, in_process = TelemetryRecorder(), TelemetryRecorder()
+        for recorder, build in ((parallel, self._parallel), (in_process, self._in_process)):
+            with use_recorder(recorder):
+                build(tmp_path).matrices_for(self.ALL_HOSTS)
+        for counter in ("engine.hosts_generated", "engine.shards_loaded"):
+            assert parallel.counters[counter] == in_process.counters[counter], counter
+        # The shards were generated in the pool workers, whose spans merged in.
+        generated_in = {
+            span.process for span in parallel.spans if span.name == "engine.shard.generate"
+        }
+        assert generated_in and "main" not in generated_in
+
+    def test_failed_task_keeps_every_finished_shard(self, monolithic, tmp_path):
+        # An unknown role makes generating host 20 (shard 2) raise in its worker.
+        population = ShardedPopulation.generate(
+            CONFIG,
+            directory=tmp_path / "pop.rpopd",
+            hosts_per_shard=8,
+            roles={20: "not-a-role"},
+            engine=PopulationEngine(workers=2, min_parallel_hosts=1),
+        )
+        with pytest.raises(KeyError):
+            population.matrices_for(self.ALL_HOSTS)
+        hashes = _manifest_hashes(population.directory)
+        assert [index for index, digest in enumerate(hashes) if digest is None] == [2]
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            reopened = ShardedPopulation.open(population.directory)
+            assert_matches_monolithic(reopened, monolithic)
+        assert recorder.counters["engine.hosts_generated"] == 8
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda tmp_path: PopulationEngine(workers=2, min_parallel_hosts=1)
+                .generate_sharded(CONFIG, hosts_per_shard=8),
+                id="no-directory",
+            ),
+            pytest.param(
+                lambda tmp_path: PopulationEngine(workers=2, cache_dir=tmp_path)
+                .generate_sharded(CONFIG, hosts_per_shard=8),
+                id="below-serial-floor",
+            ),
+            pytest.param(
+                lambda tmp_path: ShardedPopulation.generate(
+                    CONFIG, directory=tmp_path / "direct.rpopd", hosts_per_shard=8
+                ),
+                id="constructed-directly",
+            ),
+        ],
+    )
+    def test_never_starts_a_pool(self, build, monolithic, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _no_pool)
+        population = build(tmp_path)
+        assert population.matrices_for(self.ALL_HOSTS).keys() == set(self.ALL_HOSTS)
+        assert_matches_monolithic(population, monolithic)
+
+    def test_lone_missing_shard_builds_in_process(self, monolithic, tmp_path, monkeypatch):
+        population = self._parallel(tmp_path)
+        for host_id in (0, 8, 16):
+            population.matrix(host_id)  # shards 0-2, one at a time
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _no_pool)
+        population.matrices_for(self.ALL_HOSTS)  # only shard 3 is missing
+        assert_matches_monolithic(population, monolithic)
 
 
 def test_default_shard_size_is_power_of_two():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.stats.empirical import EmpiricalDistribution, ecdf, percentile_of_score
@@ -147,6 +147,15 @@ _Q = st.one_of(
     st.floats(0.0, 100.0),
 )
 
+def _out_of_range(upper):
+    """Arguments outside ``[0, upper]``: below zero, above ``upper``, or NaN."""
+    return st.one_of(
+        st.floats(max_value=0.0, exclude_max=True),
+        st.floats(min_value=upper, exclude_min=True),
+        st.just(float("nan")),
+    )
+
+
 #: ``q`` arrays: the candidate-threshold grid (upper-half quantiles), scalars
 #: as 0-d arrays, and arbitrary shapes.
 _QS = st.one_of(
@@ -189,21 +198,17 @@ class TestPercentileKernel:
             assert dist.percentile(q) == np.percentile(combined, q)
             assert np.array_equal(dist.percentiles(qs), np.percentile(combined, qs))
 
-    @given(
-        _SAMPLES,
-        st.one_of(
-            st.floats(max_value=0.0, exclude_max=True),
-            st.floats(min_value=100.0, exclude_min=True),
-            st.just(float("nan")),
-        ),
-    )
+    # quantile() gets its own draw: q / 100 underflows to -0.0, a valid
+    # probability, for the tiniest negative subnormal q.
+    @given(_SAMPLES, _out_of_range(100.0), _out_of_range(1.0))
+    @example(samples=np.array([1.0]), q=-5e-324, p=-5e-324)
     @settings(max_examples=50, deadline=None)
-    def test_out_of_range_q_rejected(self, samples, q):
+    def test_out_of_range_q_rejected(self, samples, q, p):
         dist = EmpiricalDistribution(samples)
         with pytest.raises(ValidationError):
             dist.percentile(q)
         with pytest.raises(ValidationError):
-            dist.quantile(q / 100.0)
+            dist.quantile(p)
         with pytest.raises(ValidationError):
             dist.percentiles([50.0, q])
 
