@@ -10,7 +10,9 @@ be regression-tested bit for bit against the code it replaced:
 ``tests/data/golden_figures.json``
     Figure 3 (boxplots, weight sweep and every host's thresholds and FP/FN in
     ``evaluations``) and Table 3 alarm counts (the reference for fig3's
-    assign-once, measure-per-size evaluation).
+    assign-once, measure-per-size evaluation), Figure 5's per-host Storm
+    scatter and the co-optimised Figure 3 (mean utilities, detection rates
+    and objective values per optimizer and policy).
 
 Run it at the parent commit of the change being guarded, then copy the
 fixtures into the change.  At any commit whose tests pass, every fixture
@@ -34,8 +36,9 @@ from repro.core.policies import (
     PartialDiversityPolicy,
 )
 from repro.core.thresholds import PercentileHeuristic
-from repro.experiments.fig3_utility import run_fig3
+from repro.experiments.fig3_utility import run_fig3, run_fig3_cooptimized
 from repro.experiments.fig4_attacker import run_fig4
+from repro.experiments.fig5_storm import run_fig5
 from repro.experiments.table3_alarms import run_table3
 from repro.features.definitions import Feature
 from repro.sweeps.spec import AttackSpec
@@ -183,12 +186,36 @@ def table3_payload(result) -> dict:
     }
 
 
+def fig5_payload(result) -> dict:
+    return {
+        "scatter": {
+            name: {
+                str(host_id): [repr(float(fp)), repr(float(detection))]
+                for host_id, (fp, detection) in sorted(points.items())
+            }
+            for name, points in result.scatter.items()
+        },
+    }
+
+
+def fig3_cooptimized_payload(result) -> dict:
+    return {
+        name: {
+            optimizer: {policy: repr(float(value)) for policy, value in row.items()}
+            for optimizer, row in getattr(result, name).items()
+        }
+        for name in ("mean_utilities", "detection_rates", "objective_values")
+    }
+
+
 def capture_figures() -> dict:
     population = generate_enterprise(CONFIG)
     return {
         "config": config_payload(),
         "fig3": fig3_payload(run_fig3(population)),
         "table3": table3_payload(run_table3(population)),
+        "fig5": fig5_payload(run_fig5(population)),
+        "fig3_cooptimized": fig3_cooptimized_payload(run_fig3_cooptimized(population)),
     }
 
 

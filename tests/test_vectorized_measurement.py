@@ -9,7 +9,9 @@ batched array path must reproduce every float bit for bit.
 ``tests/data/golden_figures.json`` (same script) holds Figure 3 and Table 3
 at the same small scale, captured while fig3 still
 re-trained and re-assigned every policy once per attack size; the
-assign-once fig3 must match it bit for bit too.
+assign-once fig3 must match it bit for bit too.  Its Figure 5 scatter and
+co-optimised Figure 3 entries were captured while both experiments still
+attacked through per-host builders.
 
 The second half cross-checks ``_measure_assignment_batched`` against the
 retained per-host reference loop on fresh populations, covering the
@@ -54,8 +56,9 @@ from repro.core.policies import (
 )
 from repro.core.sampling import SampleSpec, bootstrap_mean_interval
 from repro.core.thresholds import PercentileHeuristic
-from repro.experiments.fig3_utility import _mean_over_sizes, run_fig3
+from repro.experiments.fig3_utility import _mean_over_sizes, run_fig3, run_fig3_cooptimized
 from repro.experiments.fig4_attacker import run_fig4
+from repro.experiments.fig5_storm import run_fig5
 from repro.experiments.table3_alarms import run_table3
 from repro.features.definitions import Feature
 from repro.stats.summary import summarize
@@ -222,6 +225,26 @@ class TestGoldenBitIdentity:
             for heuristic, row in result.alarms.items()
         }
         assert alarms == golden_figures["table3"]["alarms"]
+
+    def test_fig5_matches_fixture(self, golden_figures, golden_population):
+        result = run_fig5(golden_population)
+        scatter = {
+            name: {
+                str(host_id): [repr(float(fp)), repr(float(detection))]
+                for host_id, (fp, detection) in sorted(points.items())
+            }
+            for name, points in result.scatter.items()
+        }
+        assert scatter == golden_figures["fig5"]["scatter"]
+
+    def test_fig3_cooptimized_matches_fixture(self, golden_figures, golden_population):
+        result = run_fig3_cooptimized(golden_population)
+        for name in ("mean_utilities", "detection_rates", "objective_values"):
+            actual = {
+                optimizer: {policy: repr(float(value)) for policy, value in row.items()}
+                for optimizer, row in getattr(result, name).items()
+            }
+            assert actual == golden_figures["fig3_cooptimized"][name]
 
 
 def _measure_both(matrices, assignment, protocol, builder=None, week=None, attack_assignment=None):
