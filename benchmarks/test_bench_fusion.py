@@ -8,7 +8,6 @@ benchmark scale so later PRs can't silently regress the K-feature path.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from conftest import run_once
 
@@ -20,12 +19,7 @@ from repro.features.definitions import PAPER_FEATURES, Feature
 
 
 def _attack_builder(size: float = 80.0):
-    def build(host_id, matrix):
-        return NaiveAttacker(feature=Feature.TCP_CONNECTIONS, attack_size=size).build(
-            matrix, np.random.default_rng(host_id)
-        )
-
-    return build
+    return NaiveAttacker(feature=Feature.TCP_CONNECTIONS, attack_size=size).builder()
 
 
 @pytest.mark.parametrize("num_features", [1, 3, 6])

@@ -23,7 +23,7 @@ import argparse
 import numpy as np
 
 from repro import Feature, quick_population
-from repro.attacks.mimicry import MimicryAttacker
+from repro.attacks.mimicry import mimicry_builder
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.fusion import FusionRule
 from repro.core.policies import (
@@ -62,15 +62,9 @@ def main() -> None:
         features=FEATURES, fusion=FusionRule.any_(), utility_weight=args.weight
     )
 
-    def mimicry_builder(host_id, matrix, thresholds):
-        # The attacker adapts: it evades the TCP threshold actually in force,
-        # co-optimised or not.
-        attacker = MimicryAttacker(
-            feature=Feature.TCP_CONNECTIONS,
-            threshold=float(thresholds[Feature.TCP_CONNECTIONS]),
-            evasion_probability=args.evasion,
-        )
-        return attacker.build(matrix, np.random.default_rng(host_id))
+    # The attacker adapts: it evades the TCP threshold actually in force,
+    # co-optimised or not.
+    mimicry = mimicry_builder(Feature.TCP_CONNECTIONS, args.evasion)
 
     heuristic = UtilityHeuristic(weight=args.weight, attack_sizes=ATTACK_SIZES)
     optimizers = {
@@ -90,7 +84,7 @@ def main() -> None:
         )
         for policy in policies:
             evaluation = evaluate_policy(
-                matrices, policy, protocol, attack_builder=mimicry_builder
+                matrices, policy, protocol, attack_builder=mimicry
             )
             report = evaluation.optimization
             mean_fp = float(np.mean(list(evaluation.false_positive_rates().values())))

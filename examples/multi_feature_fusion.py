@@ -21,7 +21,7 @@ import argparse
 import numpy as np
 
 from repro import Feature, PolicyComparison, quick_population
-from repro.attacks.mimicry import MimicryAttacker
+from repro.attacks.mimicry import mimicry_builder
 from repro.core.experiment import ExperimentContext
 from repro.core.fusion import FusionRule
 from repro.experiments.report import render_table
@@ -49,21 +49,15 @@ def main() -> None:
     context = ExperimentContext(population)
     comparison = PolicyComparison(context)
 
-    def mimicry_builder(host_id, matrix, thresholds):
-        # The attacker knows the TCP threshold in force on this host and
-        # injects the largest volume that evades it with --evasion probability.
-        attacker = MimicryAttacker(
-            feature=Feature.TCP_CONNECTIONS,
-            threshold=float(thresholds[Feature.TCP_CONNECTIONS]),
-            evasion_probability=args.evasion,
-        )
-        return attacker.build(matrix, np.random.default_rng(host_id))
+    # The attacker knows the TCP threshold in force on each host and injects
+    # the largest volume that evades it with --evasion probability.
+    mimicry = mimicry_builder(Feature.TCP_CONNECTIONS, args.evasion)
 
     rows = []
     for features in FEATURE_SETS:
         for fusion in FUSION_RULES:
             protocol = context.detection_protocol(features, fusion=fusion)
-            results = comparison.run(protocol, attack_builder=mimicry_builder)
+            results = comparison.run(protocol, attack_builder=mimicry)
             for name, evaluation in results.items():
                 mean_fp = float(
                     np.mean(list(evaluation.false_positive_rates().values()))

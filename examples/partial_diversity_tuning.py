@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro import Feature, quick_population
 from repro.attacks.naive import NaiveAttacker
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
@@ -61,11 +59,7 @@ def main() -> None:
     )
     matrices = population.matrices()
     protocol = DetectionProtocol(features=(feature,))
-
-    def attack_builder(host_id, matrix):
-        return NaiveAttacker(feature=feature, attack_size=args.attack_size).build(
-            matrix, np.random.default_rng(host_id)
-        )
+    attack_builder = NaiveAttacker(feature=feature, attack_size=args.attack_size).builder()
 
     policies = [("1 (monoculture)", HomogeneousPolicy())]
     policies += [(str(groups), PartialDiversityPolicy(num_groups=groups)) for groups in (2, 4, 6, 8, 16)]

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro import Feature, PolicyComparison, PopulationEngine, quick_population
 from repro.attacks.naive import NaiveAttacker
 from repro.core.experiment import ExperimentContext
@@ -43,12 +41,7 @@ def main() -> None:
     comparison = PolicyComparison(ExperimentContext(population))
 
     feature = Feature.TCP_CONNECTIONS
-
-    def attack_builder(host_id, matrix):
-        return NaiveAttacker(feature=feature, attack_size=args.attack_size).build(
-            matrix, np.random.default_rng(host_id)
-        )
-
+    attack_builder = NaiveAttacker(feature=feature, attack_size=args.attack_size).builder()
     results = comparison.run(feature, attack_builder=attack_builder)
 
     rows = []

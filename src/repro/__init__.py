@@ -3,10 +3,11 @@
 The package is organised as:
 
 * :mod:`repro.core` — configuration policies (homogeneous / full-diversity /
-  partial-diversity), threshold heuristics, detectors, HIDS agents, the
-  central IT console and the evaluation harness (the paper's contribution).
-* :mod:`repro.stats` — empirical distributions, streaming quantiles,
-  histograms, heavy-tailed samplers, k-means.
+  partial-diversity), threshold heuristics, multi-feature fusion and the
+  evaluation harness (the paper's contribution), which scores every host's
+  per-bin detector as one array pass over the population.
+* :mod:`repro.stats` — empirical distributions and percentiles, tail
+  analysis, summary statistics, k-means.
 * :mod:`repro.traces` — packet/flow model, TCP connection assembly, protocol
   classification, capture sessions, serialization.
 * :mod:`repro.features` — the six Table-1 features and their extraction into
@@ -16,7 +17,8 @@ The package is organised as:
 * :mod:`repro.engine` — the population engine: vectorised generation fanned
   out across worker processes, with an on-disk population cache.
 * :mod:`repro.attacks` — naive / mimicry attackers, scan / DDoS / spam
-  primitives, the Storm zombie model and attack overlay machinery.
+  primitives, the Storm zombie model, botnet campaigns and the attack
+  builders the evaluation harness injects into a whole population at once.
 * :mod:`repro.experiments` — one driver per paper figure/table.
 * :mod:`repro.temporal` — the threshold lifecycle: retrain schedules,
   population drift statistics, timeline evaluation and staleness reports.

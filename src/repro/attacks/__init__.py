@@ -8,36 +8,48 @@ profiled the host and injects the largest amount that still evades detection
 with a target probability.  Figure 5 additionally replays a real Storm botnet
 zombie trace; here a synthetic Storm zombie model provides the equivalent
 footprint.
+
+Every evaluation entry point takes an *attack builder*
+(:data:`~repro.attacks.base.AttackBuilder`): a callable that receives a
+:class:`~repro.attacks.base.VictimBatch` and returns each attacked feature's
+``(num_hosts, num_bins)`` injected amounts.  One factory builds each attack
+kind: :meth:`NaiveAttacker.builder`, :func:`mimicry_builder`,
+:func:`storm_builder` and :func:`botnet_builder`.
 """
 
-from repro.attacks.base import Attack, AttackTrace, FeatureInjection
+from repro.attacks.base import Attack, AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
 from repro.attacks.naive import NaiveAttacker, constant_rate_attack
-from repro.attacks.mimicry import MimicryAttacker, MimicryPlan
+from repro.attacks.mimicry import MimicryAttacker, MimicryPlan, mimicry_builder
 from repro.attacks.primitives import (
     DDoSFloodModel,
     PortScanModel,
     SpamCampaignModel,
 )
-from repro.attacks.storm import StormZombieModel, generate_storm_trace
-from repro.attacks.botnet import Botnet, BotnetCampaign, CommandAndControl
+from repro.attacks.storm import StormZombieModel, generate_storm_trace, storm_builder
+from repro.attacks.botnet import Botnet, BotnetCampaign, CommandAndControl, botnet_builder
 from repro.attacks.injection import inject_attack, overlay_attack_matrix
 
 __all__ = [
     "Attack",
+    "AttackBuilder",
     "AttackTrace",
     "FeatureInjection",
+    "VictimBatch",
     "NaiveAttacker",
     "constant_rate_attack",
     "MimicryAttacker",
     "MimicryPlan",
+    "mimicry_builder",
     "PortScanModel",
     "DDoSFloodModel",
     "SpamCampaignModel",
     "StormZombieModel",
     "generate_storm_trace",
+    "storm_builder",
     "Botnet",
     "BotnetCampaign",
     "CommandAndControl",
+    "botnet_builder",
     "inject_attack",
     "overlay_attack_matrix",
 ]

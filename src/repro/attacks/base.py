@@ -93,14 +93,12 @@ class AttackTrace:
 
 
 class VictimBatch:
-    """A batch of victim hosts sharing one bin grid, for vectorised attacks.
+    """A batch of victim hosts sharing one test-week bin grid, handed to an attack builder.
 
-    The measurement path hands one of these to a batch-capable attack
-    builder (see :func:`with_batch`) instead of calling the per-host builder
-    once per victim.  Feature value stacks are provided lazily so a builder
-    that only needs ``num_bins`` (naive, storm) never pays for stacking, while
-    the mimicry attacker can profile every victim of its target feature in a
-    single ``(num_hosts, num_bins)`` array.
+    Feature value stacks are provided lazily so a builder that only needs
+    ``num_bins`` (naive, storm) never pays for stacking, while the mimicry
+    attacker can profile every victim of its target feature in a single
+    ``(num_hosts, num_bins)`` array.
 
     Attributes
     ----------
@@ -113,7 +111,7 @@ class VictimBatch:
         Bins per victim series.
     thresholds:
         Per-feature ``(num_hosts,)`` threshold vectors handed to the attacker
-        (what the per-host builder receives as its ``thresholds`` mapping).
+        (how the mimicry attacker learns the threshold it must stay under).
     """
 
     def __init__(
@@ -143,23 +141,12 @@ class VictimBatch:
         return self._values_cache[feature]
 
 
-#: Signature of a batch attack builder: per-feature ``(num_hosts, num_bins)``
-#: injected amounts (an all-zero row means that host is not attacked, which
-#: measures identically to a per-host builder returning ``None``), or ``None``
-#: to fall back to the per-host builder.
-BatchAttackFn = Callable[[VictimBatch], Optional[Mapping[Feature, np.ndarray]]]
-
-
-def with_batch(per_host_builder: Callable, batch_fn: BatchAttackFn) -> Callable:
-    """Attach a vectorised batch form to a per-host attack builder.
-
-    The per-host builder remains the source of truth (and the fallback for
-    irregular populations); the measurement path prefers ``batch_fn`` when
-    every victim shares a bin grid.  Both forms must produce bit-identical
-    injected amounts.
-    """
-    per_host_builder.batch = batch_fn
-    return per_host_builder
+#: An attack builder: per-feature ``(num_hosts, num_bins)`` amounts injected
+#: into a victim batch's test week.  An all-zero row leaves that host
+#: unattacked; a ``None`` result leaves the whole batch unattacked.  A builder
+#: may carry a ``tracks_schedule`` attribute (see
+#: :func:`repro.temporal.evaluate_timeline`).
+AttackBuilder = Callable[[VictimBatch], Optional[Mapping[Feature, np.ndarray]]]
 
 
 class Attack:

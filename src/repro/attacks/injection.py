@@ -85,8 +85,7 @@ class InjectedBatch:
     The vectorised counterpart of :class:`InjectedSeries`: ``observed`` is the
     element-wise sum the detectors see, ``attack_mask`` the ground-truth bins
     carrying attack traffic and ``attack_bin_counts`` the per-host count of
-    attacked bins (a zero row means that host carries no attack, matching a
-    per-host builder that returned ``None``).
+    attacked bins (a zero row means that host carries no attack).
     """
 
     observed: np.ndarray

@@ -19,7 +19,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackTrace, FeatureInjection
+from repro.attacks.base import Attack, AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
 from repro.stats.empirical import EmpiricalDistribution
@@ -124,6 +124,29 @@ def batch_hidden_traffic(
     require(stacked.ndim == 2, "values must be a (num_hosts, num_bins) stack")
     quantiles = np.percentile(stacked, 100.0 * evasion_probability, axis=1)
     return np.maximum(0.0, np.asarray(thresholds, dtype=float) - quantiles)
+
+
+def mimicry_builder(
+    feature: Feature, evasion_probability: float = 0.9, tracks_schedule: bool = False
+) -> AttackBuilder:
+    """The resourceful attacker as an attack builder.
+
+    On every victim it injects, in every bin of ``feature``, the largest
+    volume that evades the threshold handed to it with
+    ``evasion_probability`` (:func:`batch_hidden_traffic` over the victims'
+    test week).  ``tracks_schedule`` marks an attacker that re-profiles
+    whatever thresholds a timeline has in force (see
+    :func:`repro.temporal.evaluate_timeline`).
+    """
+
+    def build(batch: VictimBatch) -> Dict[Feature, np.ndarray]:
+        hidden = batch_hidden_traffic(
+            batch.values(feature), batch.thresholds[feature], evasion_probability
+        )
+        return {feature: np.repeat(hidden[:, None], batch.num_bins, axis=1)}
+
+    build.tracks_schedule = tracks_schedule
+    return build
 
 
 def hidden_traffic_by_host(

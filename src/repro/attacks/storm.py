@@ -17,7 +17,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace, FeatureInjection
+from repro.attacks.base import AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
+from repro.attacks.injection import pad_attack_amounts
 from repro.attacks.primitives import PortScanModel, SpamCampaignModel
 from repro.features.definitions import Feature
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -105,3 +106,27 @@ def generate_storm_trace(
         for feature, values in counts.items()
     }
     return AttackTrace(name="storm-zombie", injections=injections, bin_spec=bin_spec)
+
+
+def storm_builder(trace: AttackTrace) -> AttackBuilder:
+    """An attack builder replaying ``trace`` over every victim's test week.
+
+    Each victim receives the trace's overlapping prefix, and bins past the
+    trace's end carry zero.  A trace binned differently from the victims
+    raises :class:`~repro.utils.validation.ValidationError`.
+    """
+
+    def build(batch: VictimBatch) -> Dict[Feature, np.ndarray]:
+        require(
+            abs(trace.bin_spec.width - batch.bin_spec.width) < 1e-9,
+            "attack and benign series must use the same bin width",
+        )
+        return {
+            feature: np.tile(
+                pad_attack_amounts(trace.amounts(feature), batch.num_bins),
+                (batch.num_hosts, 1),
+            )
+            for feature in trace.features
+        }
+
+    return build

@@ -37,10 +37,7 @@ from repro.core.policies import (
     PartialDiversityPolicy,
     ThresholdAssignment,
 )
-from repro.core.detector import Alert, ThresholdDetector
 from repro.core.fusion import FUSION_RULES, FusionRule
-from repro.core.hids import AlertBatch, HIDSAgent, HIDSConfiguration
-from repro.core.console import CentralConsole, ConsoleReport
 from repro.core.metrics import (
     OperatingPoint,
     f_measure,
@@ -79,13 +76,6 @@ __all__ = [
     "FullDiversityPolicy",
     "PartialDiversityPolicy",
     "ThresholdAssignment",
-    "ThresholdDetector",
-    "Alert",
-    "HIDSAgent",
-    "HIDSConfiguration",
-    "AlertBatch",
-    "CentralConsole",
-    "ConsoleReport",
     "OperatingPoint",
     "utility",
     "f_measure",

@@ -14,42 +14,26 @@ The evaluation API is built around feature *sets*: a
 indicators, and :func:`evaluate_policy` measures both the per-feature
 operating points and the fused per-host (FP, FN)/utility.
 
-Measurement is vectorised: populations whose hosts share one bin grid (every
-generated population does) are scored as whole ``(num_hosts, num_bins)``
-array operations per feature — threshold exceedance, attack overlay and
-fusion votes — instead of a per-host Python loop.  The per-host loop is kept
-as the fallback for irregular matrices and as the golden reference the
-batched path is regression-tested against; the two produce bit-identical
-:class:`HostPerformance` values.
+Measurement is vectorised: one kernel scores every host of a test-week bin
+grid as whole ``(num_hosts, num_bins)`` array operations per feature —
+threshold exceedance, attack overlay and fusion votes.  Every generated
+population is one grid; hosts on different grids (clipped or shifted series)
+are scored one grid at a time and joined in input order.
 
-Either way the result is one :class:`HostPerformanceTable`: per-host results
-stay numpy columns, which the population aggregates read directly, and a
+The result is one :class:`HostPerformanceTable`: per-host results stay numpy
+columns, which the population aggregates read directly, and a
 :class:`HostPerformance` is built only when one host is looked up.
 """
 
 from __future__ import annotations
 
-import inspect
 import logging
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace, VictimBatch
-from repro.attacks.injection import InjectedSeries, inject_attack, pad_attack_amounts
-from repro.core.detector import ThresholdDetector
+from repro.attacks.base import AttackBuilder, VictimBatch
 from repro.core.fusion import FusionRule
 from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint, utility_from_rate_arrays
 from repro.core.policies import ConfigurationPolicy, DetectionAssignment
@@ -59,21 +43,10 @@ from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.summary import SummaryStatistics, summarize
 from repro.telemetry import add_count, trace_span
-from repro.utils.timeutils import WEEK
+from repro.utils.timeutils import WEEK, BinSpec
 from repro.utils.validation import require, require_probability
 
 logger = logging.getLogger(__name__)
-
-#: Signature of a per-host attack builder used during evaluation (legacy,
-#: two-argument form; still accepted everywhere).
-AttackBuilder = Callable[[int, FeatureMatrix], Optional[AttackTrace]]
-
-#: Signature of a threshold-aware per-host attack builder: receives the host
-#: id, its test-week matrix and the per-feature thresholds in force (which is
-#: how the mimicry attacker learns the threshold it must stay under).
-DetectionAttackBuilder = Callable[
-    [int, FeatureMatrix, Mapping[Feature, float]], Optional[AttackTrace]
-]
 
 
 @dataclass(frozen=True)
@@ -401,36 +374,38 @@ class HostPerformanceTable(Mapping[int, HostPerformance]):
         )
 
     @classmethod
-    def from_rows(
-        cls, features: Sequence[Feature], rows: Iterable[HostPerformance]
+    def concatenate(
+        cls, tables: Sequence["HostPerformanceTable"], host_ids: Sequence[int]
     ) -> "HostPerformanceTable":
-        """The table holding ``rows``, in their order."""
-        rows = list(rows)
+        """The rows of ``tables`` as one table, in ``host_ids`` order.
 
-        def columns(points, counts, alarms) -> AlarmColumns:
-            return AlarmColumns(
-                false_alarm_counts=counts,
-                false_positive_rates=[point.false_positive_rate for point in points],
-                false_negative_rates=[point.false_negative_rate for point in points],
-                attacked=[alarm is not None for alarm in alarms],
-            )
+        The tables cover disjoint hosts and the same features.
+        """
+        position = {
+            host_id: index
+            for index, host_id in enumerate(h for table in tables for h in table.host_ids)
+        }
+        order = [position[host_id] for host_id in host_ids]
 
+        def joined(columns: Sequence[np.ndarray]) -> np.ndarray:
+            return np.concatenate(columns)[order]
+
+        def joined_alarm(alarms: Sequence[AlarmColumns]) -> AlarmColumns:
+            names = [column.name for column in fields(AlarmColumns)]
+            return AlarmColumns(*(joined([getattr(a, name) for a in alarms]) for name in names))
+
+        features = list(tables[0]._feature_columns)
         return cls(
-            host_ids=[row.host_id for row in rows],
-            thresholds={feature: [row.thresholds[feature] for row in rows] for feature in features},
-            feature_columns={
-                feature: columns(
-                    [row.feature_operating_points[feature] for row in rows],
-                    [row.feature_false_alarm_counts[feature] for row in rows],
-                    [row.feature_alarm_raised.get(feature) for row in rows],
-                )
+            host_ids,
+            thresholds={
+                feature: joined([table._thresholds[feature] for table in tables])
                 for feature in features
             },
-            fused=columns(
-                [row.operating_point for row in rows],
-                [row.false_alarm_count for row in rows],
-                [row.alarm_raised for row in rows],
-            ),
+            feature_columns={
+                feature: joined_alarm([table.feature_columns(feature) for table in tables])
+                for feature in features
+            },
+            fused=joined_alarm([table.fused for table in tables]),
         )
 
     @property
@@ -555,11 +530,6 @@ class PolicyEvaluation:
         """Total fused benign alarms across the population on the test week."""
         return self.performances.fused.total_false_alarms()
 
-    def false_alarms_per_week(self) -> float:
-        """False alarms normalised to one week (the test window is one week)."""
-        duration = WEEK
-        return self.total_false_alarms() * (WEEK / duration)
-
     def fraction_raising_alarm(self) -> float:
         """Fraction of hosts whose fused alarm fired on at least one attacked bin.
 
@@ -641,70 +611,11 @@ def detection_training_window_distributions(
     return distributions
 
 
-def _adapt_attack_builder(
-    builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]],
-) -> Optional[DetectionAttackBuilder]:
-    """Normalise legacy two-argument attack builders onto the threshold-aware form."""
-    if builder is None:
-        return None
-    try:
-        parameters = list(inspect.signature(builder).parameters.values())
-    except (TypeError, ValueError):  # builtins / C callables: assume the new form
-        return builder
-    positional = [
-        p
-        for p in parameters
-        if p.kind in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    ]
-    if len(positional) >= 3 or any(
-        p.kind == inspect.Parameter.VAR_POSITIONAL for p in parameters
-    ):
-        return builder
-    if any(
-        p.kind == inspect.Parameter.KEYWORD_ONLY and p.name == "thresholds"
-        for p in parameters
-    ):
-        # New-form builder declared as (host_id, matrix, *, thresholds).
-        def adapted_keyword(
-            host_id: int, matrix: FeatureMatrix, thresholds: Mapping[Feature, float]
-        ) -> Optional[AttackTrace]:
-            return builder(host_id, matrix, thresholds=thresholds)
-
-        return _copy_batch_form(builder, adapted_keyword)
-
-    def adapted(
-        host_id: int, matrix: FeatureMatrix, thresholds: Mapping[Feature, float]
-    ) -> Optional[AttackTrace]:
-        return builder(host_id, matrix)
-
-    return _copy_batch_form(builder, adapted)
-
-
-def _copy_batch_form(builder, adapted):
-    """Carry a builder's vectorised batch form across the signature adapter."""
-    batch_fn = getattr(builder, "batch", None)
-    if batch_fn is not None:
-        adapted.batch = batch_fn
-    return adapted
-
-
-def _feature_injections(
-    attack: AttackTrace,
-    benign: Mapping[Feature, TimeSeries],
-) -> Dict[Feature, InjectedSeries]:
-    """Per-feature injected series for every evaluated feature the attack touches."""
-    injections: Dict[Feature, InjectedSeries] = {}
-    for feature, series in benign.items():
-        if feature in attack.features:
-            injections[feature] = inject_attack(series, attack, feature)
-    return injections
-
-
 def evaluate_policy(
     matrices: Mapping[int, FeatureMatrix],
     policy: ConfigurationPolicy,
     protocol: DetectionProtocol,
-    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+    attack_builder: Optional[AttackBuilder] = None,
 ) -> PolicyEvaluation:
     """Run the full train/test evaluation of ``policy`` over a feature set.
 
@@ -720,11 +631,10 @@ def evaluate_policy(
         Train/test weeks, the feature set, the fusion rule and the utility
         weight.
     attack_builder:
-        Optional callable producing the attack trace to overlay on each
-        host's *test* week.  Both the legacy ``(host_id, matrix)`` form and
-        the threshold-aware ``(host_id, matrix, thresholds)`` form are
-        accepted.  When None, only false positives are measured and the
-        false-negative rate is reported as 0.
+        Optional :data:`~repro.attacks.base.AttackBuilder` producing the
+        amounts to overlay on every host's *test* week; it is handed each
+        host's thresholds in force.  When None, only false positives are
+        measured and the false-negative rate is reported as 0.
     """
     require(len(matrices) > 0, "matrices must cover at least one host")
     features = protocol.features
@@ -766,7 +676,7 @@ def measure_assignment(
     matrices: Mapping[int, FeatureMatrix],
     assignment,
     protocol: DetectionProtocol,
-    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+    attack_builder: Optional[AttackBuilder] = None,
     test_week: Optional[int] = None,
     attack_assignment=None,
 ) -> HostPerformanceTable:
@@ -789,36 +699,38 @@ def measure_assignment(
     assignment's thresholds, exactly as the one-shot evaluation does.
 
     The result is a :class:`HostPerformanceTable` over the hosts of
-    ``matrices``, in their order.
+    ``matrices``, in their order.  Hosts are scored one test-week bin grid at
+    a time (see :func:`_grid_groups`); every generated population is a
+    single grid.
     """
     require(len(matrices) > 0, "matrices must cover at least one host")
-    features = protocol.features
-    fusion = protocol.fusion
-    builder = _adapt_attack_builder(attack_builder)
     week = protocol.test_week if test_week is None else int(test_week)
     require(week >= 0, "test_week must be non-negative")
 
     with trace_span("core.measure", num_hosts=len(matrices), test_week=week):
         add_count("core.host_weeks_measured", len(matrices))
-        if _uniform_bin_grid(matrices):
-            return _measure_assignment_batched(
-                matrices, assignment, features, fusion, builder, week, attack_assignment
+        tables = [
+            _measure_assignment_batched(
+                matrices, host_ids, assignment, protocol, attack_builder, week, attack_assignment
             )
-        rows = _measure_assignment_per_host(
-            matrices, assignment, features, fusion, builder, week, attack_assignment
-        )
-        return HostPerformanceTable.from_rows(features, rows.values())
+            for host_ids in _grid_groups(matrices, protocol.primary_feature)
+        ]
+        if len(tables) == 1:
+            return tables[0]
+        return HostPerformanceTable.concatenate(tables, list(matrices))
 
 
-def _uniform_bin_grid(matrices: Mapping[int, FeatureMatrix]) -> bool:
-    """True when every host shares one bin grid (stackable into arrays)."""
-    iterator = iter(matrices.values())
-    first = next(iterator)
-    num_bins = first.num_bins
-    bin_width = first.bin_width
-    return all(
-        matrix.num_bins == num_bins and matrix.bin_width == bin_width for matrix in iterator
-    )
+def _grid_groups(matrices: Mapping[int, FeatureMatrix], feature: Feature) -> List[List[int]]:
+    """Hosts grouped by bin grid: series length and :class:`BinSpec`, origin included.
+
+    Hosts of one group share their test-week slice bounds, so one kernel pass
+    stacks them.
+    """
+    groups: Dict[Tuple[int, BinSpec], List[int]] = {}
+    for host_id, matrix in matrices.items():
+        series = matrix.series(feature)
+        groups.setdefault((series.num_bins, series.bin_spec), []).append(host_id)
+    return list(groups.values())
 
 
 def _week_slice_bounds(series: TimeSeries, week: int) -> Tuple[int, int]:
@@ -835,116 +747,86 @@ def _threshold_vector(assignment, feature: Feature, host_ids: Sequence[int]) -> 
     return np.array([per_feature.threshold_of(host_id) for host_id in host_ids], dtype=float)
 
 
-def _batched_attack_amounts(
-    builder: DetectionAttackBuilder,
+def _stack(
+    matrices: Mapping[int, FeatureMatrix],
+    host_ids: Sequence[int],
+    feature: Feature,
+    first: int,
+    last: int,
+) -> np.ndarray:
+    """Bins ``[first, last)`` of ``feature``, one row per host of ``host_ids``."""
+    return np.stack(
+        [np.asarray(matrices[host_id].series(feature).values)[first:last] for host_id in host_ids]
+    )
+
+
+def _attack_amounts(
+    builder: AttackBuilder,
     host_ids: Sequence[int],
     matrices: Mapping[int, FeatureMatrix],
-    features: Tuple[Feature, ...],
-    week: int,
-    bin_spec,
+    bin_spec: BinSpec,
     first: int,
     last: int,
     values: Dict[Feature, np.ndarray],
     attack_thresholds: Mapping[Feature, np.ndarray],
 ) -> Dict[Feature, np.ndarray]:
-    """Per-feature ``(num_hosts, num_bins)`` injected amounts for the batch.
+    """Per-feature ``(num_hosts, num_bins)`` amounts the builder injects.
 
-    Prefers the builder's vectorised batch form (see
-    :func:`repro.attacks.base.with_batch`); otherwise replays the per-host
-    protocol exactly — builder called once per host with its test-week matrix
-    and threshold mapping, amounts padded to the test window with the same
-    prefix-overlap and bin-width rules as :func:`inject_attack`.
+    Amounts for features the protocol does not monitor are dropped.
     """
     num_bins = last - first
-    num_hosts = len(host_ids)
-    evaluated = set(features)
 
-    batch_fn = getattr(builder, "batch", None)
-    if batch_fn is not None:
+    def provider(feature: Feature) -> np.ndarray:
+        if feature in values:
+            return values[feature]
+        return _stack(matrices, host_ids, feature, first, last)
 
-        def provider(feature: Feature) -> np.ndarray:
-            if feature in values:
-                return values[feature]
-            return np.stack(
-                [
-                    np.asarray(matrices[host_id].series(feature).values)[first:last]
-                    for host_id in host_ids
-                ]
-            )
-
-        batch = VictimBatch(
-            host_ids=host_ids,
-            bin_spec=bin_spec,
-            num_bins=num_bins,
-            thresholds=attack_thresholds,
-            values_provider=provider,
-        )
-        result = batch_fn(batch)
-        if result is not None:
-            amounts: Dict[Feature, np.ndarray] = {}
-            for feature, rows in result.items():
-                if feature not in evaluated:
-                    continue
-                rows = np.asarray(rows, dtype=float)
-                require(
-                    rows.shape == (num_hosts, num_bins),
-                    "batch attack amounts must be (num_hosts, num_bins)",
-                )
-                amounts[feature] = rows
-            return amounts
-
-    stacks: Dict[Feature, np.ndarray] = {}
-    for index, host_id in enumerate(host_ids):
-        test_matrix = matrices[host_id].week(week)
-        thresholds_here = {
-            feature: float(attack_thresholds[feature][index]) for feature in features
-        }
-        attack = builder(host_id, test_matrix, thresholds_here)
-        if attack is None:
+    batch = VictimBatch(
+        host_ids=host_ids,
+        bin_spec=bin_spec,
+        num_bins=num_bins,
+        thresholds=attack_thresholds,
+        values_provider=provider,
+    )
+    amounts: Dict[Feature, np.ndarray] = {}
+    for feature, rows in (builder(batch) or {}).items():
+        if feature not in values:
             continue
-        for feature in features:
-            if feature not in attack.features:
-                continue
-            require(
-                abs(bin_spec.width - attack.bin_spec.width) < 1e-9,
-                "attack and benign series must use the same bin width",
-            )
-            if feature not in stacks:
-                stacks[feature] = np.zeros((num_hosts, num_bins))
-            stacks[feature][index] = pad_attack_amounts(attack.amounts(feature), num_bins)
-    return stacks
+        rows = np.asarray(rows, dtype=float)
+        require(
+            rows.shape == (len(host_ids), num_bins),
+            "batch attack amounts must be (num_hosts, num_bins)",
+        )
+        amounts[feature] = rows
+    return amounts
 
 
 def _measure_assignment_batched(
     matrices: Mapping[int, FeatureMatrix],
+    host_ids: Sequence[int],
     assignment,
-    features: Tuple[Feature, ...],
-    fusion: FusionRule,
-    builder: Optional[DetectionAttackBuilder],
+    protocol: DetectionProtocol,
+    builder: Optional[AttackBuilder],
     week: int,
     attack_assignment,
 ) -> HostPerformanceTable:
-    """Vectorised measurement over one shared bin grid, straight into columns.
+    """The measurement kernel: ``host_ids``, which share one bin grid, straight into columns.
 
     Every per-host quantity is computed as an array operation over
-    ``(num_hosts, num_bins)`` stacks; each row reproduces the per-host loop's
-    floats bit for bit (element-wise comparisons and additions are the same
+    ``(num_hosts, num_bins)`` stacks; each row equals, bit for bit, scoring
+    that host alone (element-wise comparisons and additions are the same
     scalar operations, just batched).
     """
-    host_ids = list(matrices)
+    features = protocol.features
     reference = matrices[host_ids[0]].series(features[0])
-    # Trigger the legacy out-of-range week validation once; the grid is
-    # uniform, so one host's validation covers them all.
+    # Trigger the out-of-range week validation once; the hosts share one
+    # grid, so one host's validation covers them all.
     reference.week(week)
     first, last = _week_slice_bounds(reference, week)
     num_bins = last - first
-    bin_spec = reference.bin_spec
 
     values: Dict[Feature, np.ndarray] = {
-        feature: np.stack(
-            [np.asarray(matrices[host_id].series(feature).values)[first:last] for host_id in host_ids]
-        )
-        for feature in features
+        feature: _stack(matrices, host_ids, feature, first, last) for feature in features
     }
     thresholds: Dict[Feature, np.ndarray] = {
         feature: _threshold_vector(assignment, feature, host_ids) for feature in features
@@ -965,13 +847,11 @@ def _measure_assignment_batched(
                 feature: _threshold_vector(attack_assignment, feature, host_ids)
                 for feature in features
             }
-        amounts = _batched_attack_amounts(
+        amounts = _attack_amounts(
             builder,
             host_ids,
             matrices,
-            features,
-            week,
-            bin_spec,
+            reference.bin_spec,
             first,
             last,
             values,
@@ -1001,7 +881,7 @@ def _measure_assignment_batched(
         votes = np.zeros((len(host_ids), num_bins), dtype=np.int64)
         for feature in features:
             votes += exceed[feature]
-        required = fusion.required_votes(len(features))
+        required = protocol.fusion.required_votes(len(features))
         fused_counts = np.count_nonzero(votes >= required, axis=1)
         fused_attacked_bins = fused_missed = no_bins
         if amounts:
@@ -1022,147 +902,3 @@ def _measure_assignment_batched(
             fused_counts, num_bins, fused_missed, fused_attacked_bins
         )
     return HostPerformanceTable(host_ids, thresholds, feature_columns, fused)
-
-
-def _measure_assignment_per_host(
-    matrices: Mapping[int, FeatureMatrix],
-    assignment,
-    features: Tuple[Feature, ...],
-    fusion: FusionRule,
-    builder: Optional[DetectionAttackBuilder],
-    week: int,
-    attack_assignment,
-) -> Dict[int, HostPerformance]:
-    """The per-host reference measurement loop, one :class:`HostPerformance` per host.
-
-    Fallback for populations whose hosts do not share a bin grid (its rows
-    then become the table), and the golden reference the batched path is
-    regression-tested against.
-    """
-    performances: Dict[int, HostPerformance] = {}
-    for host_id, matrix in matrices.items():
-        thresholds = {
-            feature: assignment.for_feature(feature).threshold_of(host_id)
-            for feature in features
-        }
-        detectors = {
-            feature: ThresholdDetector(
-                host_id=host_id, feature=feature, threshold=thresholds[feature]
-            )
-            for feature in features
-        }
-        test_matrix = matrix.week(week)
-        benign = {feature: test_matrix.series(feature) for feature in features}
-
-        feature_counts = {
-            feature: detectors[feature].alarm_count(benign[feature]) for feature in features
-        }
-        feature_fp = {
-            feature: detectors[feature].false_positive_rate(benign[feature])
-            for feature in features
-        }
-
-        feature_fn: Dict[Feature, float] = {feature: 0.0 for feature in features}
-        feature_alarm: Dict[Feature, Optional[bool]] = {
-            feature: None for feature in features
-        }
-        fused_fn = 0.0
-        alarm_raised: Optional[bool] = None
-        injections: Dict[Feature, InjectedSeries] = {}
-        if builder is not None:
-            if attack_assignment is None:
-                attack_thresholds = thresholds
-            else:
-                attack_thresholds = {
-                    feature: attack_assignment.for_feature(feature).threshold_of(host_id)
-                    for feature in features
-                }
-            attack = builder(host_id, test_matrix, attack_thresholds)
-            if attack is not None:
-                injections = _feature_injections(attack, benign)
-                for feature, injected in injections.items():
-                    feature_fn[feature] = detectors[feature].false_negative_rate(
-                        benign[feature], injected.attack_amounts
-                    )
-                    if injected.num_attack_bins > 0:
-                        feature_alarm[feature] = feature_fn[feature] < 1.0
-                if len(features) > 1:
-                    fused_fn, alarm_raised = _fused_false_negative_rate(
-                        features, fusion, thresholds, benign, injections
-                    )
-
-        if len(features) == 1:
-            # Bit-identical legacy path: the fused view of one feature IS the
-            # per-feature view (any fusion rule needs exactly 1 vote of 1).
-            only = features[0]
-            fused_point = OperatingPoint(
-                false_positive_rate=feature_fp[only], false_negative_rate=feature_fn[only]
-            )
-            fused_count = feature_counts[only]
-            alarm_raised = feature_alarm[only]
-            fused_fn = feature_fn[only]
-        else:
-            benign_indicators = np.stack(
-                [
-                    np.asarray(benign[feature].values) > thresholds[feature]
-                    for feature in features
-                ]
-            )
-            fused_benign = fusion.fuse(benign_indicators)
-            fused_count = int(np.count_nonzero(fused_benign))
-            fused_point = OperatingPoint(
-                false_positive_rate=float(fused_count) / benign[features[0]].num_bins,
-                false_negative_rate=fused_fn,
-            )
-
-        performances[host_id] = HostPerformance(
-            host_id=host_id,
-            thresholds=thresholds,
-            feature_operating_points={
-                feature: OperatingPoint(
-                    false_positive_rate=feature_fp[feature],
-                    false_negative_rate=feature_fn[feature],
-                )
-                for feature in features
-            },
-            feature_false_alarm_counts=feature_counts,
-            operating_point=fused_point,
-            false_alarm_count=fused_count,
-            alarm_raised=alarm_raised,
-            feature_alarm_raised=feature_alarm,
-        )
-    return performances
-
-
-def _fused_false_negative_rate(
-    features: Tuple[Feature, ...],
-    fusion: FusionRule,
-    thresholds: Mapping[Feature, float],
-    benign: Mapping[Feature, TimeSeries],
-    injections: Mapping[Feature, InjectedSeries],
-) -> Tuple[float, Optional[bool]]:
-    """Fused (FN, alarm_raised) over the union of attacked bins.
-
-    A bin counts as attacked when *any* evaluated feature carries injected
-    traffic in it; each feature's indicator on such a bin reflects what its
-    detector observes there (benign + its own injection, if any).
-    """
-    if not injections:
-        return 0.0, None
-    union_mask = np.any(
-        np.stack([injected.attack_mask for injected in injections.values()]), axis=0
-    )
-    num_attacked = int(np.count_nonzero(union_mask))
-    if num_attacked == 0:
-        return 0.0, None
-    indicators = []
-    for feature in features:
-        if feature in injections:
-            observed = np.asarray(injections[feature].observed.values)
-        else:
-            observed = np.asarray(benign[feature].values)
-        indicators.append(observed > thresholds[feature])
-    fused = fusion.fuse(np.stack(indicators))
-    missed = int(np.count_nonzero(~fused[union_mask]))
-    fused_fn = float(missed) / num_attacked
-    return fused_fn, fused_fn < 1.0

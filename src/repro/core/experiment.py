@@ -24,10 +24,9 @@ from typing import (
 
 import numpy as np
 
+from repro.attacks.base import AttackBuilder
 from repro.core.evaluation import (
     AlarmColumns,
-    AttackBuilder,
-    DetectionAttackBuilder,
     DetectionProtocol,
     PolicyEvaluation,
     evaluate_policy,
@@ -335,7 +334,7 @@ def evaluate_scenario(
     population: EnterprisePopulation,
     policy: "ConfigurationPolicy",
     protocol: DetectionProtocol,
-    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+    attack_builder: Optional[AttackBuilder] = None,
     attack_prevalence: float = 0.01,
     sample: Optional[SampleSpec] = None,
 ) -> ScenarioOutcome:
@@ -407,7 +406,7 @@ class PolicyComparison:
         self,
         feature: Union[Feature, DetectionProtocol],
         utility_weight: float = 0.4,
-        attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+        attack_builder: Optional[AttackBuilder] = None,
     ) -> Dict[str, PolicyEvaluation]:
         """Evaluate every policy and return results by policy name.
 
@@ -431,7 +430,7 @@ class PolicyComparison:
         self,
         feature: Union[Feature, DetectionProtocol],
         weights: Sequence[float],
-        attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+        attack_builder: Optional[AttackBuilder] = None,
     ) -> Dict[str, List[float]]:
         """Average utility per policy across a sweep of utility weights.
 

@@ -22,8 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace
-from repro.attacks.mimicry import MimicryAttacker
+from repro.attacks.mimicry import mimicry_builder
 from repro.attacks.naive import NaiveAttacker
 from repro.core import evaluation as core_evaluation
 from repro.core.evaluation import DetectionProtocol, PolicyEvaluation, evaluate_policy
@@ -38,7 +37,6 @@ from repro.core.policies import (
 from repro.core.thresholds import UtilityHeuristic
 from repro.experiments.report import render_series, render_table
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
 from repro.optimize import CoordinateAscentOptimizer, IndependentOptimizer, ThresholdOptimizer
 from repro.stats.summary import SummaryStatistics, summarize
 from repro.utils.validation import require
@@ -283,7 +281,6 @@ def run_fig3_cooptimized(
     test_week: int = 1,
     partial_groups: int = 8,
     optimizers: Optional[Mapping[str, ThresholdOptimizer]] = None,
-    attack_seed: int = 1701,
 ) -> CoOptimizedUtilityResult:
     """Compute the co-optimised Figure 3 variant on ``population``.
 
@@ -316,15 +313,7 @@ def run_fig3_cooptimized(
         test_week=test_week,
         utility_weight=utility_weight,
     )
-    target = features[0]
-
-    def build_mimicry(host_id: int, matrix: FeatureMatrix, thresholds) -> AttackTrace:
-        attacker = MimicryAttacker(
-            feature=target,
-            threshold=float(thresholds[target]),
-            evasion_probability=evasion_probability,
-        )
-        return attacker.build(matrix, np.random.default_rng((attack_seed, host_id)))
+    mimicry = mimicry_builder(features[0], evasion_probability)
 
     mean_utilities: Dict[str, Dict[str, float]] = {}
     detection_rates: Dict[str, Dict[str, float]] = {}
@@ -339,7 +328,7 @@ def run_fig3_cooptimized(
         detections: Dict[str, float] = {}
         objectives: Dict[str, float] = {}
         for policy in policies:
-            evaluation = evaluate_policy(matrices, policy, protocol, attack_builder=build_mimicry)
+            evaluation = evaluate_policy(matrices, policy, protocol, attack_builder=mimicry)
             utilities[policy.name] = evaluation.mean_utility()
             detections[policy.name] = float(
                 np.mean(list(evaluation.detection_rates().values()))

@@ -20,8 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace
-from repro.attacks.storm import StormZombieModel, generate_storm_trace
+from repro.attacks.storm import StormZombieModel, generate_storm_trace, storm_builder
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.policies import (
     ConfigurationPolicy,
@@ -32,7 +31,6 @@ from repro.core.policies import (
 from repro.core.thresholds import PercentileHeuristic
 from repro.experiments.report import render_table
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
 from repro.utils.timeutils import WEEK
 from repro.workload.enterprise import EnterprisePopulation
 
@@ -120,15 +118,14 @@ def run_fig5(
         FullDiversityPolicy(heuristic),
         PartialDiversityPolicy(heuristic, num_groups=partial_groups),
     )
-    storm = generate_storm_trace(
-        duration=WEEK,
-        bin_width=population.config.bin_width,
-        seed=storm_seed,
-        model=storm_model,
+    attack_builder = storm_builder(
+        generate_storm_trace(
+            duration=WEEK,
+            bin_width=population.config.bin_width,
+            seed=storm_seed,
+            model=storm_model,
+        )
     )
-
-    def attack_builder(host_id: int, matrix: FeatureMatrix) -> AttackTrace:
-        return storm
 
     scatter: Dict[str, Dict[int, Tuple[float, float]]] = {}
     for policy in policies:

@@ -15,7 +15,6 @@ from repro.features.definitions import (
 )
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.features.extractor import FeatureExtractor, extract_feature_matrix
-from repro.features.streaming import StreamingFeatureCounter, WindowCounts
 
 __all__ = [
     "Feature",
@@ -27,6 +26,4 @@ __all__ = [
     "FeatureMatrix",
     "FeatureExtractor",
     "extract_feature_matrix",
-    "StreamingFeatureCounter",
-    "WindowCounts",
 ]

@@ -2,9 +2,8 @@
 
 Everything the detection core and workload generator need that would normally
 be pulled from scipy/sklearn is implemented here explicitly: empirical
-distributions and percentiles, streaming quantile estimation, histograms,
-heavy-tailed samplers, tail-index estimation and a small k-means
-implementation used by the grouping policies.
+distributions and percentiles, tail-index estimation, summary statistics and
+a small k-means implementation used by the grouping policies.
 """
 
 from repro.stats.empirical import (
@@ -12,17 +11,6 @@ from repro.stats.empirical import (
     common_bin_width,
     ecdf,
     percentile_of_score,
-)
-from repro.stats.quantile import GreenwaldKhannaSketch, P2QuantileEstimator, StreamingQuantile
-from repro.stats.histogram import Histogram, LogHistogram
-from repro.stats.samplers import (
-    LogNormalSampler,
-    MixtureSampler,
-    ParetoSampler,
-    PoissonSampler,
-    Sampler,
-    TruncatedSampler,
-    ZipfSampler,
 )
 from repro.stats.tail import hill_estimator, tail_ratio
 from repro.stats.kmeans import KMeansResult, kmeans
@@ -33,18 +21,6 @@ __all__ = [
     "common_bin_width",
     "ecdf",
     "percentile_of_score",
-    "GreenwaldKhannaSketch",
-    "P2QuantileEstimator",
-    "StreamingQuantile",
-    "Histogram",
-    "LogHistogram",
-    "Sampler",
-    "LogNormalSampler",
-    "ParetoSampler",
-    "PoissonSampler",
-    "ZipfSampler",
-    "MixtureSampler",
-    "TruncatedSampler",
     "hill_estimator",
     "tail_ratio",
     "KMeansResult",

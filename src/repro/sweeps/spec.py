@@ -22,14 +22,20 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.attacks import storm
+from repro.attacks.base import AttackBuilder
+from repro.attacks.botnet import CommandAndControl, botnet_builder
+from repro.attacks.mimicry import mimicry_builder
+from repro.attacks.naive import NaiveAttacker
 from repro.core.fusion import FUSION_RULES, FusionRule
 from repro.core.sampling import SampleSpec
 from repro.features.definitions import Feature
 from repro.sweeps import toml_io
+from repro.utils.timeutils import WEEK
 from repro.utils.validation import ValidationError, require
 from repro.workload.drift import DRIFT_KINDS, DriftModel
 from repro.workload.enterprise import EnterpriseConfig
@@ -342,149 +348,36 @@ class AttackSpec:
                 f"attack.feature must be one of {valid}, got {self.feature!r}"
             ) from None
 
-    def build_builder(
-        self, primary_feature: Feature, bin_width: float
-    ) -> Optional[Callable[[int, Any, Mapping[Feature, float]], Any]]:
-        """The threshold-aware per-host attack builder :func:`evaluate_policy` takes."""
+    def build_builder(self, primary_feature: Feature, bin_width: float) -> Optional[AttackBuilder]:
+        """The attack builder :func:`evaluate_policy` takes (None for ``"none"``)."""
         if self.kind == "none":
             return None
-        if self.kind == "naive":
-            from repro.attacks.base import with_batch
-            from repro.attacks.naive import NaiveAttacker
-
-            attacker = NaiveAttacker(
-                feature=self.target_feature(primary_feature),
-                attack_size=self.size,
-                active_fraction=self.active_fraction,
-            )
-
-            def build_naive(host_id: int, matrix, thresholds):
-                return attacker.build(matrix, np.random.default_rng((self.seed, host_id)))
-
-            def batch_naive(batch):
-                rows = attacker.batch_amounts(
-                    batch, lambda host_id: np.random.default_rng((self.seed, host_id))
-                )
-                return {attacker.feature: rows}
-
-            return with_batch(build_naive, batch_naive)
+        if self.kind == "storm":
+            # The paper replays the same zombie trace over every host's test week.
+            trace = storm.generate_storm_trace(duration=WEEK, bin_width=bin_width, seed=self.seed)
+            return storm.storm_builder(trace)
+        target = self.target_feature(primary_feature)
         if self.kind in ("mimicry", "mimicry-vs-schedule"):
-            from repro.attacks.base import with_batch
-            from repro.attacks.mimicry import MimicryAttacker, batch_hidden_traffic
-
-            target = self.target_feature(primary_feature)
-
-            def build_mimicry(host_id: int, matrix, thresholds):
-                # The resourceful attacker knows the threshold in force on
-                # this host (monitoring code planted on the victim).
-                attacker = MimicryAttacker(
-                    feature=target,
-                    threshold=float(thresholds[target]),
-                    evasion_probability=self.evasion_probability,
-                )
-                return attacker.build(matrix, np.random.default_rng((self.seed, host_id)))
-
-            def batch_mimicry(batch):
-                hidden = batch_hidden_traffic(
-                    batch.values(target),
-                    batch.thresholds[target],
-                    self.evasion_probability,
-                )
-                return {target: np.repeat(hidden[:, None], batch.num_bins, axis=1)}
-
             # On a timeline, plain mimicry keeps evading the thresholds it
-            # profiled at the initial deployment; the schedule-tracking
-            # variant re-profiles and evades whatever is in force on the
-            # week being attacked (see repro.temporal.evaluate_timeline).
-            # One-shot evaluations have a single deployment, so the two
-            # kinds coincide there.
-            build_mimicry.tracks_schedule = self.kind == "mimicry-vs-schedule"
-            return with_batch(build_mimicry, batch_mimicry)
-        if self.kind == "botnet":
-            return self._build_botnet_builder(primary_feature)
+            # profiled at the initial deployment; mimicry-vs-schedule evades
+            # whatever is in force on the attacked week.
+            tracks = self.kind == "mimicry-vs-schedule"
+            return mimicry_builder(target, self.evasion_probability, tracks_schedule=tracks)
 
-        from repro.attacks.base import with_batch
-        from repro.attacks.injection import pad_attack_amounts
-        from repro.attacks.storm import generate_storm_trace
-        from repro.utils.timeutils import WEEK
+        def rng_for(host_id: int) -> np.random.Generator:
+            return np.random.default_rng((self.seed, host_id))
 
-        # The paper replays the same zombie trace over every host's test week.
-        storm = generate_storm_trace(duration=WEEK, bin_width=bin_width, seed=self.seed)
-
-        def build_storm(host_id: int, matrix, thresholds):
-            return storm
-
-        def batch_storm(batch):
-            if abs(storm.bin_spec.width - batch.bin_spec.width) >= 1e-9:
-                return None  # fall back so the per-host path raises its usual error
-            return {
-                feature: np.tile(
-                    pad_attack_amounts(storm.amounts(feature), batch.num_bins),
-                    (batch.num_hosts, 1),
-                )
-                for feature in storm.features
-            }
-
-        return with_batch(build_storm, batch_storm)
-
-    def _build_botnet_builder(
-        self, primary_feature: Feature
-    ) -> Callable[[int, Any, Mapping[Feature, float]], Any]:
-        from repro.attacks.base import AttackTrace, FeatureInjection, with_batch
-        from repro.attacks.botnet import CommandAndControl
-
-        campaign_feature = self.target_feature(primary_feature)
-        control_feature = CommandAndControl(self.command_and_control).control_feature
-        with_control = control_feature != campaign_feature and self.control_size > 0.0
-
-        def build_botnet(host_id: int, matrix, thresholds):
-            rng = np.random.default_rng((self.seed, host_id))
-            recruited = rng.uniform() < self.compromise_probability
-            if not recruited:
-                return None
-            num_bins = matrix.num_bins
-            amounts = np.full(num_bins, float(self.size))
-            if self.active_fraction < 1.0:
-                active = rng.uniform(size=num_bins) < self.active_fraction
-                amounts = np.where(active, amounts, 0.0)
-            injections = {
-                campaign_feature: FeatureInjection(feature=campaign_feature, amounts=amounts)
-            }
-            if with_control:
-                injections[control_feature] = FeatureInjection(
-                    feature=control_feature,
-                    amounts=np.full(num_bins, float(self.control_size)),
-                )
-            return AttackTrace(
-                name=f"botnet-{self.command_and_control}-{campaign_feature.value}-{self.size:g}",
-                injections=injections,
-                bin_spec=matrix.series(campaign_feature).bin_spec,
-            )
-
-        def batch_botnet(batch):
-            # Per-host draws replayed in host order from each host's own
-            # generator — recruitment first, then the activity mask — exactly
-            # as build_botnet does, so the batch is bit-identical.
-            num_bins = batch.num_bins
-            campaign = np.zeros((batch.num_hosts, num_bins))
-            control = np.zeros((batch.num_hosts, num_bins)) if with_control else None
-            for index, host_id in enumerate(batch.host_ids):
-                rng = np.random.default_rng((self.seed, host_id))
-                if rng.uniform() >= self.compromise_probability:
-                    continue
-                amounts = np.full(num_bins, float(self.size))
-                if self.active_fraction < 1.0:
-                    active = rng.uniform(size=num_bins) < self.active_fraction
-                    amounts = np.where(active, amounts, 0.0)
-                campaign[index] = amounts
-                if control is not None:
-                    control[index] = float(self.control_size)
-            result = {campaign_feature: campaign}
-            if control is not None:
-                result[control_feature] = control
-            return result
-
-        return with_batch(build_botnet, batch_botnet)
+        if self.kind == "naive":
+            return NaiveAttacker(target, self.size, self.active_fraction).builder(rng_for)
+        return botnet_builder(
+            target,
+            self.size,
+            rng_for,
+            compromise_probability=self.compromise_probability,
+            active_fraction=self.active_fraction,
+            command_and_control=CommandAndControl(self.command_and_control),
+            control_size=self.control_size,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -25,9 +25,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.attacks.base import AttackBuilder
 from repro.core.evaluation import (
-    AttackBuilder,
-    DetectionAttackBuilder,
     DetectionProtocol,
     PolicyEvaluation,
     detection_training_window_distributions,
@@ -176,7 +175,7 @@ def evaluate_timeline(
     policy: ConfigurationPolicy,
     protocol: DetectionProtocol,
     schedule: RetrainSchedule,
-    attack_builder: Optional[Union[AttackBuilder, DetectionAttackBuilder]] = None,
+    attack_builder: Optional[AttackBuilder] = None,
     end_week: Optional[int] = None,
     week_hook: Optional[Callable[[TimelineWeek], None]] = None,
 ) -> TimelineResult:
@@ -197,7 +196,7 @@ def evaluate_timeline(
         re-optimised (on a rolling ``schedule.window_weeks`` window, with
         joint optimizers warm-started from the outgoing solution).
     attack_builder:
-        Per-host attack builder, as in :func:`evaluate_policy`.  Builders
+        Attack builder, as in :func:`evaluate_policy`.  Builders
         carrying a truthy ``tracks_schedule`` attribute receive the
         thresholds *currently in force* on each attacked week (the
         schedule-aware mimic); plain builders receive the initial

@@ -1,26 +1,20 @@
-"""Tests for detectors, HIDS agents, the central console and the evaluation harness."""
+"""Tests for the evaluation harness."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.attacks.naive import NaiveAttacker
-from repro.core.console import CentralConsole
-from repro.core.detector import ThresholdDetector
 from repro.core.evaluation import (
     DetectionProtocol,
     evaluate_policy,
     training_distributions,
     weekly_train_test_pairs,
 )
-from repro.core.fusion import FusionRule
-from repro.core.hids import AlertBatch, HIDSAgent, HIDSConfiguration
 from repro.core.policies import FullDiversityPolicy, HomogeneousPolicy, PartialDiversityPolicy
 from repro.features.definitions import Feature
-from repro.features.streaming import WindowCounts
 from repro.features.timeseries import FeatureMatrix, TimeSeries
-from repro.utils.timeutils import BinSpec, DAY, MINUTE, WEEK
+from repro.utils.timeutils import BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 
 
@@ -30,210 +24,6 @@ def _series(values):
 
 def _matrix(values, host_id=1, feature=Feature.TCP_CONNECTIONS):
     return FeatureMatrix(host_id=host_id, series={feature: _series(values)})
-
-
-class TestThresholdDetector:
-    def test_alert_generation_with_ground_truth(self):
-        detector = ThresholdDetector(1, Feature.TCP_CONNECTIONS, threshold=10.0)
-        series = _series([5, 15, 8, 20])
-        alerts = detector.evaluate(series, attack_mask=[False, True, False, False])
-        assert len(alerts) == 2
-        assert alerts[0].is_true_positive is True
-        assert alerts[1].is_true_positive is False
-        assert alerts[0].excess == pytest.approx(5.0)
-
-    def test_rates(self):
-        detector = ThresholdDetector(1, Feature.TCP_CONNECTIONS, threshold=10.0)
-        benign = _series([5, 5, 5, 20])
-        assert detector.false_positive_rate(benign) == pytest.approx(0.25)
-        fn = detector.false_negative_rate(benign, attack_amounts=[4.0, 0.0, 10.0, 0.0])
-        # attacked bins: 0 (5+4=9 <= 10 missed) and 2 (5+10=15 > 10 detected)
-        assert fn == pytest.approx(0.5)
-
-    def test_false_negative_no_attack_bins(self):
-        detector = ThresholdDetector(1, Feature.TCP_CONNECTIONS, threshold=10.0)
-        assert detector.false_negative_rate(_series([1, 2]), [0.0, 0.0]) == 0.0
-
-    def test_threshold_update(self):
-        detector = ThresholdDetector(1, Feature.TCP_CONNECTIONS, threshold=10.0)
-        detector.update_threshold(3.0)
-        assert detector.check(5.0)
-        with pytest.raises(ValidationError):
-            detector.update_threshold(-1.0)
-
-    def test_mask_length_validation(self):
-        detector = ThresholdDetector(1, Feature.TCP_CONNECTIONS, threshold=1.0)
-        with pytest.raises(ValidationError):
-            detector.evaluate(_series([1, 2]), attack_mask=[True])
-
-
-class TestHIDSAgent:
-    def _configuration(self, host_id=1):
-        return HIDSConfiguration(
-            host_id=host_id,
-            thresholds={Feature.TCP_CONNECTIONS: 10.0, Feature.UDP_CONNECTIONS: 5.0},
-            batch_interval=DAY,
-        )
-
-    def test_evaluate_matrix_collects_alerts(self):
-        agent = HIDSAgent(self._configuration())
-        matrix = FeatureMatrix(
-            host_id=1,
-            series={
-                Feature.TCP_CONNECTIONS: _series([5, 50]),
-                Feature.UDP_CONNECTIONS: _series([1, 20]),
-            },
-        )
-        alerts = agent.evaluate_matrix(matrix)
-        assert len(alerts) == 2
-        assert agent.pending_alert_count == 2
-
-    def test_observe_window_streaming(self):
-        agent = HIDSAgent(self._configuration())
-        window = WindowCounts(
-            window_index=3,
-            start_time=3 * 900.0,
-            end_time=4 * 900.0,
-            counts={Feature.TCP_CONNECTIONS: 100.0, Feature.UDP_CONNECTIONS: 0.0},
-        )
-        alerts = agent.observe_window(window)
-        assert len(alerts) == 1
-        assert alerts[0].feature == Feature.TCP_CONNECTIONS
-
-    def test_batching_interval(self):
-        agent = HIDSAgent(self._configuration())
-        agent.evaluate_matrix(_matrix([100.0]))
-        assert agent.ship_batch(now=DAY / 2) is None  # too early
-        batch = agent.ship_batch(now=2 * DAY)
-        assert isinstance(batch, AlertBatch)
-        assert batch.alert_count == 1
-        assert agent.pending_alert_count == 0
-
-    def test_flush_ships_everything(self):
-        agent = HIDSAgent(self._configuration())
-        agent.evaluate_matrix(_matrix([100.0]))
-        assert agent.flush(now=10.0).alert_count == 1
-        assert agent.flush(now=20.0) is None
-
-    def test_reconfigure(self):
-        agent = HIDSAgent(self._configuration())
-        agent.reconfigure(
-            HIDSConfiguration(host_id=1, thresholds={Feature.TCP_CONNECTIONS: 1000.0})
-        )
-        assert agent.detector(Feature.TCP_CONNECTIONS).threshold == 1000.0
-        with pytest.raises(ValidationError):
-            agent.reconfigure(HIDSConfiguration(host_id=2, thresholds={Feature.TCP_CONNECTIONS: 1.0}))
-
-    def test_wrong_host_matrix_rejected(self):
-        agent = HIDSAgent(self._configuration(host_id=1))
-        with pytest.raises(ValidationError):
-            agent.evaluate_matrix(_matrix([1.0], host_id=2))
-
-
-class TestCentralConsole:
-    def test_report_counts_false_alarms_per_week(self):
-        console = CentralConsole()
-        agent = HIDSAgent(
-            HIDSConfiguration(host_id=1, thresholds={Feature.TCP_CONNECTIONS: 10.0})
-        )
-        agent.evaluate_matrix(_matrix([50.0, 5.0, 60.0]))
-        console.receive_batch(agent.flush(now=100.0))
-        report = console.report(duration=WEEK)
-        assert report.total_alerts == 2
-        assert report.false_alarms == 2
-        assert report.false_alarms_per_week == pytest.approx(2.0)
-        assert report.alerts_per_host[1] == 2
-
-    def test_configuration_push(self):
-        console = CentralConsole()
-        configuration = HIDSConfiguration(host_id=5, thresholds={Feature.TCP_CONNECTIONS: 3.0})
-        console.push_configuration(configuration)
-        assert console.configuration_for(5) is configuration
-        assert console.configured_host_count == 1
-
-    def test_reset(self):
-        console = CentralConsole()
-        console.receive_alerts(
-            ThresholdDetector(1, Feature.TCP_CONNECTIONS, 1.0).evaluate(_series([5.0]))
-        )
-        assert console.alert_count == 1
-        console.reset()
-        assert console.alert_count == 0
-
-    def test_true_detection_counting(self):
-        console = CentralConsole()
-        detector = ThresholdDetector(1, Feature.TCP_CONNECTIONS, 1.0)
-        console.receive_alerts(detector.evaluate(_series([5.0, 6.0]), attack_mask=[True, False]))
-        report = console.report(duration=WEEK)
-        assert report.true_detections == 1
-        assert report.false_alarms == 1
-
-
-class TestAgentFusion:
-    def _fused_configuration(self, rule=FusionRule.k_of_n(2)):
-        return HIDSConfiguration(
-            host_id=1,
-            thresholds={Feature.TCP_CONNECTIONS: 10.0, Feature.UDP_CONNECTIONS: 5.0},
-            fusion=rule,
-        )
-
-    def _matrix_two_features(self):
-        return FeatureMatrix(
-            host_id=1,
-            series={
-                Feature.TCP_CONNECTIONS: _series([5, 50, 50, 5]),
-                Feature.UDP_CONNECTIONS: _series([1, 1, 20, 20]),
-            },
-        )
-
-    def test_fused_alarm_bins_k_of_n(self):
-        # TCP alerts in bins 1, 2; UDP alerts in bins 2, 3 -> only bin 2 has
-        # both votes.
-        agent = HIDSAgent(self._fused_configuration())
-        assert agent.fused_alarm_bins(self._matrix_two_features()) == [2]
-        assert agent.fused_alarm_count(self._matrix_two_features()) == 1
-
-    def test_fused_alarm_bins_any(self):
-        agent = HIDSAgent(self._fused_configuration(FusionRule.any_()))
-        assert agent.fused_alarm_bins(self._matrix_two_features()) == [1, 2, 3]
-
-    def test_fused_alarm_bins_all(self):
-        agent = HIDSAgent(self._fused_configuration(FusionRule.all_()))
-        assert agent.fused_alarm_bins(self._matrix_two_features()) == [2]
-
-    def test_default_configuration_fusion_is_any(self):
-        configuration = HIDSConfiguration(host_id=1, thresholds={Feature.TCP_CONNECTIONS: 1.0})
-        assert configuration.fusion == FusionRule.any_()
-
-    def test_wrong_host_rejected(self):
-        agent = HIDSAgent(self._fused_configuration())
-        with pytest.raises(ValidationError):
-            agent.fused_alarm_bins(_matrix([1.0], host_id=2))
-
-
-class TestConsoleFusion:
-    def _console_with_two_feature_alerts(self):
-        # Host 1: TCP fires in bins 1, 2; UDP fires in bins 2, 3.
-        console = CentralConsole()
-        tcp = ThresholdDetector(1, Feature.TCP_CONNECTIONS, 10.0)
-        udp = ThresholdDetector(1, Feature.UDP_CONNECTIONS, 5.0)
-        console.receive_alerts(tcp.evaluate(_series([5, 50, 50, 5])))
-        console.receive_alerts(udp.evaluate(_series([1, 1, 20, 20])))
-        return console
-
-    def test_fused_incidents_require_corroboration(self):
-        console = self._console_with_two_feature_alerts()
-        incidents = console.fused_incidents(FusionRule.k_of_n(2), num_features=2)
-        assert list(incidents) == [(1, 2)]
-        assert incidents[(1, 2)] == (Feature.TCP_CONNECTIONS, Feature.UDP_CONNECTIONS)
-        assert console.fused_incident_count(FusionRule.k_of_n(2), 2) == 1
-
-    def test_any_fusion_counts_every_alerting_bin_once(self):
-        console = self._console_with_two_feature_alerts()
-        # Bins 1, 2, 3 alert in at least one feature; bin 2 is one incident,
-        # not two.
-        assert console.fused_incident_count(FusionRule.any_(), 2) == 3
-        assert console.fused_incidents_per_host(FusionRule.any_(), 2) == {1: 3}
 
 
 class TestEvaluation:
@@ -267,12 +57,7 @@ class TestEvaluation:
     def test_policy_evaluation_with_attack(self, small_population):
         matrices = small_population.matrices()
         protocol = DetectionProtocol(features=(Feature.TCP_CONNECTIONS,), train_week=0, test_week=1)
-
-        def attack_builder(host_id, matrix):
-            return NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=50.0).build(
-                matrix, np.random.default_rng(host_id)
-            )
-
+        attack_builder = NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=50.0).builder()
         diversity = evaluate_policy(
             matrices, FullDiversityPolicy(), protocol, attack_builder=attack_builder
         )
@@ -293,12 +78,7 @@ class TestEvaluation:
     def test_utilities_respond_to_weight(self, small_population):
         matrices = small_population.matrices()
         protocol = DetectionProtocol(features=(Feature.TCP_CONNECTIONS,))
-
-        def attack_builder(host_id, matrix):
-            return NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=5.0).build(
-                matrix, np.random.default_rng(host_id)
-            )
-
+        attack_builder = NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=5.0).builder()
         evaluation = evaluate_policy(
             matrices, HomogeneousPolicy(), protocol, attack_builder=attack_builder
         )

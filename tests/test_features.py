@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.features.definitions import FEATURES, Feature, PAPER_FEATURES, feature_by_name
 from repro.features.extractor import extract_feature_matrix
-from repro.features.streaming import StreamingFeatureCounter
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.traces.flow import ConnectionRecord, flow_key_of
 from repro.traces.packet import TCPFlags, ip_to_int, make_tcp_packet, make_udp_packet
@@ -225,41 +224,3 @@ class TestFeatureExtractor:
         )
         matrix = extract_feature_matrix(1, [record], duration=15 * MINUTE)
         assert matrix[Feature.TCP_CONNECTIONS].total() == 0
-
-
-class TestStreamingCounter:
-    def test_matches_batch_extractor(self):
-        records = [
-            _record(60.0 * i, dst_port=80 if i % 2 else 443, udp=(i % 5 == 0)) for i in range(60)
-        ]
-        records.sort(key=lambda r: r.start_time)
-        duration = 3600.0
-        batch = extract_feature_matrix(1, records, bin_width=15 * MINUTE, duration=duration)
-
-        counter = StreamingFeatureCounter(BinSpec(width=15 * MINUTE))
-        windows = counter.feed_many(records) + counter.flush()
-        streaming_totals = {feature: 0.0 for feature in PAPER_FEATURES}
-        for window in windows:
-            for feature in PAPER_FEATURES:
-                streaming_totals[feature] += window.count(feature)
-        for feature in (Feature.TCP_CONNECTIONS, Feature.UDP_CONNECTIONS, Feature.DNS_CONNECTIONS):
-            assert streaming_totals[feature] == pytest.approx(batch[feature].total())
-
-    def test_idle_windows_emitted(self):
-        counter = StreamingFeatureCounter(BinSpec(width=15 * MINUTE))
-        counter.feed(_record(10.0))
-        closed = counter.feed(_record(46 * MINUTE))
-        assert len(closed) == 3
-        assert closed[1].counts[Feature.TCP_CONNECTIONS] == 0.0
-
-    def test_out_of_order_rejected(self):
-        counter = StreamingFeatureCounter()
-        counter.feed(_record(100.0))
-        with pytest.raises(ValidationError):
-            counter.feed(_record(50.0))
-
-    def test_flush_resets(self):
-        counter = StreamingFeatureCounter()
-        counter.feed(_record(10.0))
-        assert len(counter.flush()) == 1
-        assert counter.flush() == []

@@ -119,12 +119,7 @@ def _two_feature_population(rng_seed: int = 3, num_hosts: int = 4):
 
 
 def _naive_builder(feature: Feature, size: float):
-    def build(host_id, matrix):
-        return NaiveAttacker(feature=feature, attack_size=size).build(
-            matrix, np.random.default_rng(host_id)
-        )
-
-    return build
+    return NaiveAttacker(feature=feature, attack_size=size).builder()
 
 
 class TestMultiFeatureEvaluation:
@@ -214,8 +209,9 @@ class TestMultiFeatureEvaluation:
         matrices = _two_feature_population()
         seen = {}
 
-        def builder(host_id, matrix, thresholds):
-            seen[host_id] = dict(thresholds)
+        def builder(batch):
+            for index, host_id in enumerate(batch.host_ids):
+                seen[host_id] = {f: float(t[index]) for f, t in batch.thresholds.items()}
             return None  # noqa: RET501  # None is the builder contract for "no attack"
 
         protocol = DetectionProtocol(features=(FEATURE_A, FEATURE_B))
@@ -223,18 +219,6 @@ class TestMultiFeatureEvaluation:
         assert set(seen) == set(matrices)
         for host_id, thresholds in seen.items():
             assert thresholds == evaluation.performances[host_id].thresholds
-
-    def test_keyword_only_thresholds_builder_supported(self):
-        matrices = _two_feature_population()
-        seen = {}
-
-        def builder(host_id, matrix, *, thresholds):
-            seen[host_id] = dict(thresholds)
-            return None  # noqa: RET501  # None is the builder contract for "no attack"
-
-        protocol = DetectionProtocol(features=(FEATURE_A, FEATURE_B))
-        evaluate_policy(matrices, FullDiversityPolicy(), protocol, builder)
-        assert set(seen) == set(matrices)
 
 
 class TestSingleFeatureGolden:

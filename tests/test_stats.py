@@ -1,4 +1,4 @@
-"""Tests for repro.stats: distributions, quantiles, histograms, samplers, k-means."""
+"""Tests for repro.stats: distributions, percentiles, tails, k-means, summaries."""
 
 from __future__ import annotations
 
@@ -8,17 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.stats.empirical import EmpiricalDistribution, ecdf, percentile_of_score
-from repro.stats.histogram import Histogram, LogHistogram, histogram_from_samples
 from repro.stats.kmeans import kmeans, separation_score
-from repro.stats.quantile import GreenwaldKhannaSketch, P2QuantileEstimator
-from repro.stats.samplers import (
-    LogNormalSampler,
-    MixtureSampler,
-    ParetoSampler,
-    PoissonSampler,
-    TruncatedSampler,
-    ZipfSampler,
-)
 from repro.stats.summary import summarize
 from repro.stats.tail import exceedance_curve, hill_estimator, orders_of_magnitude, tail_ratio
 from repro.utils.validation import ValidationError
@@ -223,164 +213,10 @@ class TestPercentileKernel:
                 query()
 
 
-class TestStreamingQuantiles:
-    def test_p2_close_to_exact(self, rng):
-        data = rng.lognormal(3, 1, 5000)
-        estimator = P2QuantileEstimator(0.99)
-        for value in data:
-            estimator.update(value)
-        exact = np.percentile(data, 99)
-        assert estimator.query() == pytest.approx(exact, rel=0.25)
-
-    def test_p2_few_samples_uses_exact(self):
-        estimator = P2QuantileEstimator(0.5)
-        for value in (5.0, 1.0, 3.0):
-            estimator.update(value)
-        assert estimator.query() == pytest.approx(3.0)
-
-    def test_p2_rejects_other_quantile_query(self):
-        estimator = P2QuantileEstimator(0.9)
-        estimator.update(1.0)
-        with pytest.raises(ValidationError):
-            estimator.query(0.5)
-
-    def test_gk_sketch_rank_error(self, rng):
-        data = rng.exponential(10.0, 4000)
-        sketch = GreenwaldKhannaSketch(epsilon=0.01)
-        for value in data:
-            sketch.update(value)
-        for p in (0.5, 0.9, 0.99):
-            estimate = sketch.query(p)
-            true_rank = np.count_nonzero(data <= estimate) / data.size
-            assert abs(true_rank - p) < 0.05
-
-    def test_gk_requires_data(self):
-        with pytest.raises(ValidationError):
-            GreenwaldKhannaSketch().query(0.5)
-
-    def test_counts_track_updates(self):
-        sketch = GreenwaldKhannaSketch()
-        estimator = P2QuantileEstimator(0.9)
-        for value in range(10):
-            sketch.update(value)
-            estimator.update(value)
-        assert sketch.count == 10
-        assert estimator.count == 10
-
-
-class TestHistograms:
-    def test_fixed_histogram_quantile(self):
-        histogram = Histogram(bin_width=1.0, num_bins=100)
-        histogram.add_many(range(100))
-        assert histogram.quantile(0.5) == pytest.approx(50, abs=2)
-        assert histogram.total == 100
-
-    def test_fixed_histogram_overflow(self):
-        histogram = Histogram(bin_width=1.0, num_bins=10)
-        histogram.add(100.0)
-        assert histogram.overflow == 1
-        assert histogram.quantile(1.0) == pytest.approx(100.0)
-
-    def test_fixed_histogram_merge(self):
-        a = Histogram(1.0, 10)
-        b = Histogram(1.0, 10)
-        a.add_many([1, 2, 3])
-        b.add_many([4, 5])
-        merged = a.merge(b)
-        assert merged.total == 5
-
-    def test_merge_rejects_mismatched_geometry(self):
-        with pytest.raises(ValidationError):
-            Histogram(1.0, 10).merge(Histogram(2.0, 10))
-
-    def test_exceedance(self):
-        histogram = Histogram(bin_width=1.0, num_bins=10)
-        histogram.add_many([0.5, 1.5, 2.5, 3.5])
-        assert histogram.exceedance(1.9) == pytest.approx(0.5)
-
-    def test_log_histogram_quantile_order_of_magnitude(self, rng):
-        histogram = LogHistogram(base=2.0)
-        data = rng.lognormal(4, 1, 2000)
-        histogram.add_many(data)
-        estimate = histogram.quantile(0.5)
-        exact = float(np.median(data))
-        assert estimate == pytest.approx(exact, rel=0.6)
-
-    def test_log_histogram_merge(self):
-        a, b = LogHistogram(), LogHistogram()
-        a.add_many([1, 2, 4])
-        b.add_many([8, 16])
-        assert a.merge(b).total == 5
-
-    def test_histogram_from_samples(self):
-        histogram = histogram_from_samples([1.0, 5.0, 10.0], num_bins=10)
-        assert histogram.total == 3
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValidationError):
-            Histogram(1.0, 10).add(-1.0)
-        with pytest.raises(ValidationError):
-            LogHistogram().add(-1.0)
-
-
-class TestSamplers:
-    def test_lognormal_mean_close(self, rng):
-        sampler = LogNormalSampler(mu=1.0, sigma=0.5)
-        samples = sampler.sample(rng, size=20000)
-        assert np.mean(samples) == pytest.approx(sampler.mean(), rel=0.1)
-
-    def test_lognormal_quantile_monotone(self):
-        sampler = LogNormalSampler(mu=0.0, sigma=1.0)
-        assert sampler.quantile(0.5) < sampler.quantile(0.9) < sampler.quantile(0.99)
-
-    def test_pareto_minimum_respected(self, rng):
-        sampler = ParetoSampler(xm=2.0, alpha=1.5)
-        samples = sampler.sample(rng, size=1000)
-        assert np.min(samples) >= 2.0
-
-    def test_pareto_quantile(self):
-        sampler = ParetoSampler(xm=1.0, alpha=2.0)
-        assert sampler.quantile(0.75) == pytest.approx(2.0)
-
-    def test_pareto_infinite_mean(self):
-        assert ParetoSampler(xm=1.0, alpha=0.9).mean() == float("inf")
-
-    def test_poisson_and_zipf(self, rng):
-        assert PoissonSampler(5.0).sample(rng, size=100).min() >= 0
-        zipf = ZipfSampler(exponent=2.0, max_value=50).sample(rng, size=500)
-        assert zipf.max() <= 50
-        assert zipf.min() >= 1
-
-    def test_mixture_weights_normalised(self, rng):
-        mixture = MixtureSampler(
-            [LogNormalSampler(0, 1), ParetoSampler(1.0, 2.0)], weights=[2.0, 2.0]
-        )
-        assert np.allclose(mixture.weights, [0.5, 0.5])
-        samples = mixture.sample(rng, size=100)
-        assert samples.shape == (100,)
-
-    def test_mixture_scalar_sample(self, rng):
-        mixture = MixtureSampler([PoissonSampler(3.0)], weights=[1.0])
-        assert mixture.sample(rng) >= 0
-
-    def test_truncated_sampler_clips(self, rng):
-        sampler = TruncatedSampler(LogNormalSampler(5, 2), low=0.0, high=10.0)
-        samples = sampler.sample(rng, size=500)
-        assert np.max(samples) <= 10.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValidationError):
-            LogNormalSampler(0.0, 0.0)
-        with pytest.raises(ValidationError):
-            ParetoSampler(0.0, 1.0)
-        with pytest.raises(ValidationError):
-            MixtureSampler([], [])
-
-
 class TestTailAnalysis:
     def test_hill_estimator_recovers_pareto_alpha(self, rng):
         alpha = 2.0
-        samples = ParetoSampler(xm=1.0, alpha=alpha).sample(rng, size=20000)
+        samples = 1.0 + rng.pareto(alpha, size=20000)
         estimate = hill_estimator(samples, tail_fraction=0.1)
         assert estimate == pytest.approx(alpha, rel=0.25)
 

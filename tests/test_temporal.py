@@ -304,8 +304,10 @@ class TestTimeline:
     def test_schedule_aware_attacker_sees_current_thresholds(self, drifting_population):
         seen = {}
 
-        def recording_builder(host_id, matrix, thresholds):
-            seen.setdefault(host_id, []).append(thresholds[Feature.TCP_CONNECTIONS])
+        def recording_builder(batch):
+            thresholds = batch.thresholds[Feature.TCP_CONNECTIONS]
+            for host_id, threshold in zip(batch.host_ids, thresholds, strict=True):
+                seen.setdefault(host_id, []).append(float(threshold))
             return None  # noqa: RET501  # None is the builder contract for "no attack"
 
         # Plain builder: always handed the initial deployment's thresholds.

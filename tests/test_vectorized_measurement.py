@@ -13,10 +13,13 @@ assign-once fig3 must match it bit for bit too.  Its Figure 5 scatter and
 co-optimised Figure 3 entries were captured while both experiments still
 attacked through per-host builders.
 
-The second half cross-checks ``_measure_assignment_batched`` against the
-retained per-host reference loop on fresh populations, covering the
+The second half is the reference oracle: a per-host measurement loop that
+scores each host alone on its own test-week slice, attacked by per-host
+builders that rebuild every ``ATTACKS`` kind one host at a time.
+``measure_assignment`` must equal it on fresh populations, covering the
 measure-only entry points (explicit test weeks, stale attack assignments)
-the golden fixture does not exercise.
+and populations mixing test-week bin grids, which the golden fixture does
+not exercise.
 
 The last part is the reference oracle for the population aggregates: every
 aggregate read from a :class:`HostPerformanceTable`'s columns must equal, bit
@@ -32,15 +35,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.attacks.mimicry import hidden_traffic_by_host
+from repro.attacks.base import AttackTrace, FeatureInjection
+from repro.attacks.botnet import CommandAndControl
+from repro.attacks.injection import inject_attack
+from repro.attacks.mimicry import MimicryAttacker, hidden_traffic_by_host
 from repro.attacks.naive import NaiveAttacker
+from repro.attacks.storm import generate_storm_trace, storm_builder
 from repro.core.evaluation import (
     AlarmColumns,
     DetectionProtocol,
+    HostPerformance,
     PolicyEvaluation,
-    _measure_assignment_batched,
-    _measure_assignment_per_host,
-    _adapt_attack_builder,
     detection_training_distributions,
     evaluate_policy,
     measure_assignment,
@@ -48,11 +53,14 @@ from repro.core.evaluation import (
 )
 from repro.core.experiment import ScenarioOutcome, summarize_scenario
 from repro.core.fusion import FusionRule
-from repro.core.metrics import f_measure_from_rates
+from repro.core.grouping import GroupAssignment
+from repro.core.metrics import OperatingPoint, f_measure_from_rates
 from repro.core.policies import (
+    DetectionAssignment,
     FullDiversityPolicy,
     HomogeneousPolicy,
     PartialDiversityPolicy,
+    ThresholdAssignment,
 )
 from repro.core.sampling import SampleSpec, bootstrap_mean_interval
 from repro.core.thresholds import PercentileHeuristic
@@ -61,8 +69,10 @@ from repro.experiments.fig4_attacker import run_fig4
 from repro.experiments.fig5_storm import run_fig5
 from repro.experiments.table3_alarms import run_table3
 from repro.features.definitions import Feature
+from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.stats.summary import summarize
 from repro.sweeps.spec import AttackSpec
+from repro.utils.timeutils import WEEK, BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
@@ -247,18 +257,167 @@ class TestGoldenBitIdentity:
             assert actual == golden_figures["fig3_cooptimized"][name]
 
 
-def _measure_both(matrices, assignment, protocol, builder=None, week=None, attack_assignment=None):
-    adapted = _adapt_attack_builder(builder)
-    test_week = protocol.test_week if week is None else week
-    batched = _measure_assignment_batched(
-        matrices, assignment, protocol.features, protocol.fusion, adapted, test_week,
-        attack_assignment,
+# --- Reference oracle: the per-host measurement loop and per-host attack builders.
+#
+# Each host is scored alone, on its own test-week slice, with the detector's
+# per-bin formulas: exceedance count and rate (``TimeSeries.exceedance_*``)
+# and the false-negative rate over attacked bins below.  The per-host
+# builders rebuild each ``ATTACKS`` kind one victim at a time; none of them
+# calls a batch builder.
+
+
+def _reference_attack(spec: AttackSpec, primary: Feature, bin_width: float):
+    """``spec``'s attack as ``(host_id, test_matrix, thresholds) -> AttackTrace | None``."""
+    if spec.kind == "none":
+        return None
+    if spec.kind == "storm":
+        trace = generate_storm_trace(duration=WEEK, bin_width=bin_width, seed=spec.seed)
+        return lambda host_id, matrix, thresholds: trace
+    target = spec.target_feature(primary)
+    if spec.kind == "naive":
+        return _reference_naive(NaiveAttacker(target, spec.size, spec.active_fraction), spec.seed)
+    if spec.kind in ("mimicry", "mimicry-vs-schedule"):
+
+        def build_mimicry(host_id, matrix, thresholds):
+            attacker = MimicryAttacker(target, float(thresholds[target]), spec.evasion_probability)
+            return attacker.build(matrix, np.random.default_rng((spec.seed, host_id)))
+
+        return build_mimicry
+    assert spec.kind == "botnet", spec.kind
+    control = CommandAndControl(spec.command_and_control).control_feature
+
+    def build_botnet(host_id, matrix, thresholds):
+        rng = np.random.default_rng((spec.seed, host_id))
+        if rng.uniform() >= spec.compromise_probability:
+            return None
+        num_bins = matrix.num_bins
+        amounts = np.full(num_bins, float(spec.size))
+        if spec.active_fraction < 1.0:
+            amounts = np.where(rng.uniform(size=num_bins) < spec.active_fraction, amounts, 0.0)
+        injections = {target: FeatureInjection(target, amounts)}
+        if control != target and spec.control_size > 0.0:
+            injections[control] = FeatureInjection(control, np.full(num_bins, spec.control_size))
+        return AttackTrace("botnet", injections, matrix.series(target).bin_spec)
+
+    return build_botnet
+
+
+def _reference_naive(attacker: NaiveAttacker, seed: int):
+    """``attacker`` built per victim, host ``h`` drawing from ``default_rng((seed, h))``."""
+    return lambda host_id, matrix, thresholds: attacker.build(
+        matrix, np.random.default_rng((seed, host_id))
     )
-    reference = _measure_assignment_per_host(
-        matrices, assignment, protocol.features, protocol.fusion, adapted, test_week,
-        attack_assignment,
+
+
+def _false_negative_rate(benign: TimeSeries, amounts: np.ndarray, threshold: float) -> float:
+    """Fraction of attacked bins (``amounts > 0``) whose observed count is at most ``threshold``."""
+    attacked = amounts > 0
+    if not np.any(attacked):
+        return 0.0
+    observed = np.asarray(benign.values)[attacked] + amounts[attacked]
+    missed = np.count_nonzero(observed <= threshold)
+    return float(missed) / int(np.count_nonzero(attacked))
+
+
+def _fused_false_negative(features, fusion, thresholds, benign, injections):
+    """Fused (FN, alarm raised) over the bins carrying any feature's injection."""
+    if not injections:
+        return 0.0, None
+    union = np.any(np.stack([injected.attack_mask for injected in injections.values()]), axis=0)
+    num_attacked = int(np.count_nonzero(union))
+    if num_attacked == 0:
+        return 0.0, None
+    indicators = [
+        np.asarray((injections[f].observed if f in injections else benign[f]).values)
+        > thresholds[f]
+        for f in features
+    ]
+    fused = fusion.fuse(np.stack(indicators))
+    fused_fn = float(int(np.count_nonzero(~fused[union]))) / num_attacked
+    return fused_fn, fused_fn < 1.0
+
+
+def _reference_rows(matrices, assignment, protocol, attack=None, week=None, attack_assignment=None):
+    """One :class:`HostPerformance` per host of ``matrices``, each scored alone."""
+    features, fusion = protocol.features, protocol.fusion
+    week = protocol.test_week if week is None else week
+    rows = {}
+    for host_id, matrix in matrices.items():
+        thresholds = {f: assignment.for_feature(f).threshold_of(host_id) for f in features}
+        test_matrix = matrix.week(week)
+        benign = {f: test_matrix.series(f) for f in features}
+        counts = {f: benign[f].exceedance_count(thresholds[f]) for f in features}
+        fp = {f: benign[f].exceedance_rate(thresholds[f]) for f in features}
+        fn = {f: 0.0 for f in features}
+        raised = {f: None for f in features}
+        trace = None
+        if attack is not None:
+            in_force = assignment if attack_assignment is None else attack_assignment
+            trace = attack(
+                host_id,
+                test_matrix,
+                {f: in_force.for_feature(f).threshold_of(host_id) for f in features},
+            )
+        injections = {}
+        if trace is not None:
+            injections = {
+                f: inject_attack(benign[f], trace, f) for f in features if f in trace.features
+            }
+        for f, injected in injections.items():
+            fn[f] = _false_negative_rate(benign[f], injected.attack_amounts, thresholds[f])
+            if injected.num_attack_bins > 0:
+                raised[f] = fn[f] < 1.0
+        if len(features) == 1:
+            only = features[0]
+            fused_count, fused_fp, fused_fn = counts[only], fp[only], fn[only]
+            alarm_raised = raised[only]
+        else:
+            indicators = np.stack([np.asarray(benign[f].values) > thresholds[f] for f in features])
+            fused_count = int(np.count_nonzero(fusion.fuse(indicators)))
+            fused_fp = float(fused_count) / benign[features[0]].num_bins
+            fused_fn, alarm_raised = _fused_false_negative(
+                features, fusion, thresholds, benign, injections
+            )
+        rows[host_id] = HostPerformance(
+            host_id=host_id,
+            thresholds=thresholds,
+            feature_operating_points={f: OperatingPoint(fp[f], fn[f]) for f in features},
+            feature_false_alarm_counts=counts,
+            operating_point=OperatingPoint(fused_fp, fused_fn),
+            false_alarm_count=fused_count,
+            alarm_raised=alarm_raised,
+            feature_alarm_raised=raised,
+        )
+    return rows
+
+
+def _measure_both(matrices, assignment, protocol, attack=None, week=None, attack_assignment=None):
+    """``measure_assignment`` and the oracle's rows, for ``attack = (builder, reference)``."""
+    builder, reference = attack if attack is not None else (None, None)
+    table = measure_assignment(
+        matrices,
+        assignment,
+        protocol,
+        attack_builder=builder,
+        test_week=week,
+        attack_assignment=attack_assignment,
     )
-    return batched, reference
+    rows = _reference_rows(matrices, assignment, protocol, reference, week, attack_assignment)
+    return table, rows
+
+
+def _attack(attack_name, protocol, bin_width):
+    """The production builder of ``ATTACKS[attack_name]`` and its per-host reference."""
+    spec = ATTACKS[attack_name]
+    return (
+        spec.build_builder(protocol.primary_feature, bin_width),
+        _reference_attack(spec, protocol.primary_feature, bin_width),
+    )
+
+
+def _full_diversity(matrices, protocol):
+    training = detection_training_distributions(matrices, protocol.features, protocol.train_week)
+    return FullDiversityPolicy(PercentileHeuristic(99.0)).assign(training, fusion=protocol.fusion)
 
 
 class TestBatchedEqualsPerHostLoop:
@@ -271,24 +430,14 @@ class TestBatchedEqualsPerHostLoop:
     def test_equal_on_all_cases(self, population, proto_name, attack_name):
         protocol = PROTOCOLS[proto_name]
         matrices = population.matrices()
-        builder = ATTACKS[attack_name].build_builder(
-            protocol.primary_feature, population.config.bin_width
-        )
-        training = detection_training_distributions(
-            matrices, protocol.features, protocol.train_week
-        )
-        assignment = FullDiversityPolicy(PercentileHeuristic(99.0)).assign(
-            training, fusion=protocol.fusion
-        )
-        batched, reference = _measure_both(matrices, assignment, protocol, builder)
-        assert batched == reference
+        attack = _attack(attack_name, protocol, population.config.bin_width)
+        table, rows = _measure_both(matrices, _full_diversity(matrices, protocol), protocol, attack)
+        assert table == rows
 
     def test_equal_on_explicit_test_week(self, population):
         protocol = PROTOCOLS["single"]
         matrices = population.matrices()
-        builder = ATTACKS["naive"].build_builder(
-            protocol.primary_feature, population.config.bin_width
-        )
+        attack = _attack("naive", protocol, population.config.bin_width)
         training = detection_training_distributions(
             matrices, protocol.features, protocol.train_week
         )
@@ -296,18 +445,14 @@ class TestBatchedEqualsPerHostLoop:
             training, fusion=protocol.fusion
         )
         for week in (1, 2, 3):
-            batched, reference = _measure_both(
-                matrices, assignment, protocol, builder, week=week
-            )
-            assert batched == reference
+            table, rows = _measure_both(matrices, assignment, protocol, attack, week=week)
+            assert table == rows
 
     def test_equal_with_stale_attack_assignment(self, population):
         """A mimicry attacker evading stale thresholds (attack_assignment)."""
         protocol = PROTOCOLS["single"]
         matrices = population.matrices()
-        builder = ATTACKS["mimicry"].build_builder(
-            protocol.primary_feature, population.config.bin_width
-        )
+        attack = _attack("mimicry", protocol, population.config.bin_width)
         heuristic = PercentileHeuristic(99.0)
         stale = HomogeneousPolicy(heuristic).assign(
             detection_training_distributions(matrices, protocol.features, 0),
@@ -317,61 +462,179 @@ class TestBatchedEqualsPerHostLoop:
             detection_training_distributions(matrices, protocol.features, 2),
             fusion=protocol.fusion,
         )
-        batched, reference = _measure_both(
-            matrices, fresh, protocol, builder, week=3, attack_assignment=stale
+        table, rows = _measure_both(
+            matrices, fresh, protocol, attack, week=3, attack_assignment=stale
         )
-        assert batched == reference
+        assert table == rows
 
     @pytest.mark.parametrize("active_fraction", [1.0, 0.6])
     def test_equal_with_naive_attacker_builder(self, population, active_fraction):
-        """NaiveAttacker.builder's batch form injects what its per-host form does."""
+        """NaiveAttacker.builder injects what NaiveAttacker.build does, host by host."""
         protocol = PROTOCOLS["single"]
         matrices = population.matrices()
-        builder = NaiveAttacker(
+        attacker = NaiveAttacker(
             feature=protocol.primary_feature, attack_size=20.0, active_fraction=active_fraction
-        ).builder(lambda host_id: np.random.default_rng((5, host_id)))
-        assert callable(builder.batch)
+        )
+        attack = (
+            attacker.builder(lambda host_id: np.random.default_rng((5, host_id))),
+            _reference_naive(attacker, 5),
+        )
         training = detection_training_distributions(
             matrices, protocol.features, protocol.train_week
         )
         assignment = PartialDiversityPolicy(PercentileHeuristic(99.0), num_groups=4).assign(
             training, fusion=protocol.fusion
         )
-        batched, reference = _measure_both(matrices, assignment, protocol, builder)
-        assert batched == reference
+        table, rows = _measure_both(matrices, assignment, protocol, attack)
+        assert table == rows
 
-    def test_irregular_grid_falls_back_to_per_host_loop(self, population):
-        """Mixed bin counts route through the reference loop unchanged."""
+    def test_irregular_grid_measured_per_grid(self, population):
+        """A host with fewer bins is measured on its own grid, in input order."""
         matrices = dict(population.matrices())
         host_ids = list(matrices)
-        # Truncate one host's matrix to one week: the grid is no longer
-        # uniform and measure_assignment must use the per-host path.
-        clipped = matrices[host_ids[0]].slice_time(0.0, 2 * 7 * 24 * 3600.0)
+        # Truncate one host's matrix to two weeks: it no longer shares the
+        # others' bin grid.
         irregular = dict(matrices)
-        irregular[host_ids[0]] = clipped
+        irregular[host_ids[0]] = matrices[host_ids[0]].slice_time(0.0, 2 * WEEK)
         protocol = PROTOCOLS["single"]
-        training = detection_training_distributions(
-            irregular, protocol.features, protocol.train_week
-        )
-        assignment = FullDiversityPolicy(PercentileHeuristic(99.0)).assign(
-            training, fusion=protocol.fusion
-        )
-        performances = measure_assignment(irregular, assignment, protocol)
-        reference = _measure_assignment_per_host(
-            irregular, assignment, protocol.features, protocol.fusion, None,
-            protocol.test_week, None,
-        )
-        assert performances == reference
+        table, rows = _measure_both(irregular, _full_diversity(irregular, protocol), protocol)
+        assert table == rows
+        assert list(table) == host_ids
 
-    def test_batch_attribute_survives_builder_adaptation(self):
-        """A two-argument builder's vectorised form is kept by the adapter."""
 
-        def builder(host_id, matrix):
-            return None
+def _shift_origin(matrix: FeatureMatrix, origin: float) -> FeatureMatrix:
+    """``matrix``'s bin counts on a grid starting at ``origin``."""
+    return FeatureMatrix(
+        matrix.host_id,
+        {
+            feature: TimeSeries(series.values, BinSpec(series.bin_width, origin))
+            for feature, series in matrix.items()
+        },
+    )
 
-        builder.batch = lambda batch: None
-        adapted = _adapt_attack_builder(builder)
-        assert getattr(adapted, "batch", None) is builder.batch
+
+class TestMixedBinGrids:
+    """Populations whose hosts do not share one test-week bin grid."""
+
+    @pytest.fixture(scope="class")
+    def shifted_origin(self):
+        """Three hosts of Poisson(5) bins over 3 weeks; host 2's grid starts half a week late."""
+        rng = np.random.default_rng(2009)
+        num_bins = int(3 * WEEK // (15 * MINUTE))
+        matrices = {}
+        for host_id in range(3):
+            spec = BinSpec(15 * MINUTE, WEEK / 2 if host_id == 2 else 0.0)
+            matrices[host_id] = FeatureMatrix(
+                host_id,
+                {feature: TimeSeries(rng.poisson(5, num_bins), spec) for feature in Feature},
+            )
+        return matrices
+
+    @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
+    def test_shifted_origin_matches_oracle(self, shifted_origin, proto_name):
+        protocol = PROTOCOLS[proto_name]
+        table, rows = _measure_both(
+            shifted_origin, _full_diversity(shifted_origin, protocol), protocol
+        )
+        assert table == rows
+
+    @pytest.fixture(scope="class")
+    def interleaved(self):
+        """Full-length, clipped mid-test-week and shifted-origin hosts, in scrambled order."""
+        population = generate_enterprise(EnterpriseConfig(num_hosts=12, num_weeks=2, seed=909))
+        matrices = population.matrices()
+        host_ids = list(matrices)
+        grids = {}
+        for index, host_id in enumerate(host_ids):
+            matrix = matrices[host_id]
+            if index % 3 == 1:
+                matrix = matrix.slice_time(0.0, 1.5 * WEEK)
+            elif index % 3 == 2:
+                matrix = _shift_origin(matrix, WEEK / 2)
+            grids[host_id] = matrix
+        order = host_ids[1::2] + host_ids[::-2]
+        return {host_id: grids[host_id] for host_id in order}, population.config.bin_width
+
+    @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
+    @pytest.mark.parametrize("attack_name", list(ATTACKS))
+    def test_interleaved_grids_match_oracle(self, interleaved, proto_name, attack_name):
+        matrices, bin_width = interleaved
+        protocol = PROTOCOLS[proto_name]
+        assignment = _full_diversity(matrices, protocol)
+        table, rows = _measure_both(
+            matrices, assignment, protocol, _attack(attack_name, protocol, bin_width)
+        )
+        assert table == rows
+        assert list(table) == list(matrices)
+
+    def test_storm_bin_width_mismatch_raises(self, interleaved):
+        matrices, bin_width = interleaved
+        protocol = DetectionProtocol(features=(Feature.DISTINCT_CONNECTIONS,))
+        storm = storm_builder(generate_storm_trace(bin_width=2 * bin_width))
+        with pytest.raises(ValidationError, match="same bin width"):
+            measure_assignment(
+                matrices, _full_diversity(matrices, protocol), protocol, attack_builder=storm
+            )
+
+
+def _fixed_assignment(host_id: int, thresholds) -> DetectionAssignment:
+    """One host's per-feature thresholds as a :class:`DetectionAssignment`."""
+    grouping = GroupAssignment(groups=((host_id,),), strategy_name="fixed")
+    return DetectionAssignment(
+        per_feature={
+            feature: ThresholdAssignment({host_id: value}, grouping, (value,), "fixed")
+            for feature, value in thresholds.items()
+        },
+        policy_name="fixed",
+    )
+
+
+class TestHandComputedWeek:
+    """One host's four-bin test week, measured through ``measure_assignment``."""
+
+    TCP, UDP = Feature.TCP_CONNECTIONS, Feature.UDP_CONNECTIONS
+
+    def _measure(self, series, thresholds, fusion, attack_builder=None):
+        spec = BinSpec(15 * MINUTE)
+        matrix = FeatureMatrix(1, {f: TimeSeries(v, spec) for f, v in series.items()})
+        protocol = DetectionProtocol(features=tuple(series), fusion=fusion)
+        table = measure_assignment(
+            {1: matrix},
+            _fixed_assignment(1, thresholds),
+            protocol,
+            attack_builder=attack_builder,
+            test_week=0,
+        )
+        return table[1]
+
+    @pytest.mark.parametrize(
+        "fusion, expected",
+        [(FusionRule.k_of_n(2), 1), (FusionRule.any_(), 3), (FusionRule.all_(), 1)],
+        ids=["2-of-n", "any", "all"],
+    )
+    def test_fused_false_alarms(self, fusion, expected):
+        # TCP alerts in bins 1 and 2, UDP in bins 2 and 3: only bin 2 has both
+        # votes, and it counts once under any-fusion.
+        perf = self._measure(
+            {self.TCP: [5, 50, 50, 5], self.UDP: [1, 1, 20, 20]},
+            {self.TCP: 10.0, self.UDP: 5.0},
+            fusion,
+        )
+        assert perf.feature_false_alarm_counts == {self.TCP: 2, self.UDP: 2}
+        assert perf.false_alarm_count == expected
+        assert perf.false_positive_rate == expected / 4
+
+    def test_rates(self):
+        # Attacked bins: 0 (5 + 4 = 9 <= 10, missed) and 2 (5 + 10 = 15 > 10).
+        perf = self._measure(
+            {self.TCP: [5, 5, 5, 20]},
+            {self.TCP: 10.0},
+            FusionRule.any_(),
+            attack_builder=lambda batch: {self.TCP: np.array([[4.0, 0.0, 10.0, 0.0]])},
+        )
+        assert perf.false_positive_rate == 0.25
+        assert perf.false_negative_rate == 0.5
+        assert perf.alarm_raised is True
 
 
 # --- Reference oracle: the per-host aggregate formulas, over HostPerformance rows.
@@ -517,28 +780,20 @@ class TestColumnAggregatesMatchPerHostFormulas:
     def test_all_cases(self, population, proto_name, attack_name):
         protocol = PROTOCOLS[proto_name]
         matrices = population.matrices()
-        builder = ATTACKS[attack_name].build_builder(
-            protocol.primary_feature, population.config.bin_width
-        )
+        attack = _attack(attack_name, protocol, population.config.bin_width)
         assignment = self._assignment(matrices, protocol)
-        table, rows = _measure_both(matrices, assignment, protocol, builder)
+        table, rows = _measure_both(matrices, assignment, protocol, attack)
         _assert_aggregates_match_rows(table, rows, protocol, assignment)
 
     def test_irregular_grid(self, population):
-        """The per-host path's table (built from its rows) aggregates the same way."""
+        """A table joined from two grids' columns aggregates the same way."""
         matrices = dict(population.matrices())
         first_host = next(iter(matrices))
-        matrices[first_host] = matrices[first_host].slice_time(0.0, 2 * 7 * 24 * 3600.0)
+        matrices[first_host] = matrices[first_host].slice_time(0.0, 2 * WEEK)
         protocol = PROTOCOLS["multi-2ofn"]
-        builder = ATTACKS["naive"].build_builder(
-            protocol.primary_feature, population.config.bin_width
-        )
+        attack = _attack("naive", protocol, population.config.bin_width)
         assignment = self._assignment(matrices, protocol)
-        table = measure_assignment(matrices, assignment, protocol, attack_builder=builder)
-        rows = _measure_assignment_per_host(
-            matrices, assignment, protocol.features, protocol.fusion,
-            _adapt_attack_builder(builder), protocol.test_week, None,
-        )
+        table, rows = _measure_both(matrices, assignment, protocol, attack)
         _assert_aggregates_match_rows(table, rows, protocol, assignment)
 
 
