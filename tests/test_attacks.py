@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.attacks.base import AttackTrace, FeatureInjection, uniform_injection
-from repro.attacks.botnet import Botnet, CommandAndControl
+from repro.attacks.base import AttackTrace, FeatureInjection, VictimBatch, uniform_injection
+from repro.attacks.botnet import Botnet, CommandAndControl, botnet_builder
 from repro.attacks.injection import inject_attack, inject_population, overlay_attack_matrix
-from repro.attacks.mimicry import MimicryAttacker, hidden_traffic_by_host
+from repro.attacks.mimicry import MimicryAttacker, hidden_traffic_by_host, mimicry_builder
 from repro.attacks.naive import NaiveAttacker, attack_size_sweep, constant_rate_attack
 from repro.attacks.primitives import DDoSFloodModel, PortScanModel, SpamCampaignModel
-from repro.attacks.storm import generate_storm_trace
+from repro.attacks.storm import generate_storm_trace, storm_builder
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -240,3 +240,186 @@ class TestInjection:
             np.asarray(injected.observed.values),
             np.asarray(benign.values) + size,
         )
+
+
+def _victims(num_hosts=4, num_bins=20, seed=3):
+    """Hosts 10, 11, ... with Poisson traffic whose mean grows with the host id."""
+    rng = np.random.default_rng(seed)
+    return {
+        host_id: _matrix(rng.poisson(5 + 3 * index, num_bins).astype(float), host_id=host_id)
+        for index, host_id in enumerate(range(10, 10 + num_hosts))
+    }
+
+
+def _batch(matrices, thresholds=None, requested=None):
+    """``matrices`` as one victim batch; ``requested`` records each value stack asked for."""
+    host_ids = list(matrices)
+
+    def values(feature):
+        if requested is not None:
+            requested.append(feature)
+        return np.stack([np.asarray(matrices[h].series(feature).values) for h in host_ids])
+
+    first = matrices[host_ids[0]]
+    return VictimBatch(
+        host_ids,
+        first.series(Feature.TCP_CONNECTIONS).bin_spec,
+        first.num_bins,
+        thresholds or {},
+        values,
+    )
+
+
+def _seeded(seed):
+    """An ``rng_for`` drawing host ``h`` from ``default_rng((seed, h))``."""
+
+    def rng_for(host_id):
+        return np.random.default_rng((seed, host_id))
+
+    return rng_for
+
+
+class TestAttackBuilders:
+    """The batch attack builders, row by row against the single-victim trace API."""
+
+    TCP = Feature.TCP_CONNECTIONS
+
+    def test_naive_builder_always_on_reads_no_values(self):
+        requested = []
+        amounts = NaiveAttacker(self.TCP, attack_size=12.0).builder()(
+            _batch(_victims(), requested=requested)
+        )
+        assert list(amounts) == [self.TCP]
+        assert np.array_equal(amounts[self.TCP], np.full((4, 20), 12.0))
+        assert requested == []
+
+    @pytest.mark.parametrize("active_fraction", [1.0, 0.4])
+    def test_naive_builder_rows_equal_single_victim_builds(self, active_fraction):
+        victims = _victims()
+        attacker = NaiveAttacker(self.TCP, attack_size=12.0, active_fraction=active_fraction)
+        rng_for = _seeded(9)
+        rows = attacker.builder(rng_for)(_batch(victims))[self.TCP]
+        for row, (host_id, matrix) in zip(rows, victims.items(), strict=True):
+            expected = attacker.build(matrix, rng_for(host_id)).amounts(self.TCP)
+            assert np.array_equal(row, expected)
+
+    def test_naive_builder_draws_each_host_from_default_rng_of_its_id(self):
+        victims = _victims()
+        attacker = NaiveAttacker(self.TCP, attack_size=3.0, active_fraction=0.5)
+        rows = attacker.builder()(_batch(victims))[self.TCP]
+        for row, (host_id, matrix) in zip(rows, victims.items(), strict=True):
+            expected = attacker.build(matrix, np.random.default_rng(host_id)).amounts(self.TCP)
+            assert np.array_equal(row, expected)
+        assert 0 < np.count_nonzero(rows) < rows.size
+
+    def test_mimicry_builder_rows_equal_plans(self):
+        victims = _victims()
+        thresholds = np.array([8.0, 14.0, 30.0, 2.0])
+        requested = []
+        amounts = mimicry_builder(self.TCP, evasion_probability=0.8)(
+            _batch(victims, {self.TCP: thresholds}, requested)
+        )
+        assert list(amounts) == [self.TCP]
+        assert requested == [self.TCP]
+        rows = amounts[self.TCP]
+        for row, threshold, matrix in zip(rows, thresholds, victims.values(), strict=True):
+            plan = MimicryAttacker(self.TCP, threshold, evasion_probability=0.8).plan(matrix)
+            assert np.array_equal(row, np.full(matrix.num_bins, plan.hidden_traffic))
+        # The lowest threshold leaves its host no room; the highest leaves some.
+        assert not np.any(rows[3]) and np.all(rows[2] > 0)
+
+    def test_mimicry_builder_tracks_schedule_only_when_asked(self):
+        assert mimicry_builder(self.TCP).tracks_schedule is False
+        assert mimicry_builder(self.TCP, tracks_schedule=True).tracks_schedule is True
+
+    @pytest.mark.parametrize("num_bins", [96, 700], ids=["shorter-week", "longer-week"])
+    def test_storm_builder_replays_the_trace_on_every_victim(self, num_bins):
+        trace = generate_storm_trace(seed=5)
+        victims = {
+            host_id: FeatureMatrix(
+                host_id,
+                {f: TimeSeries(np.full(num_bins, float(host_id)), trace.bin_spec) for f in Feature},
+            )
+            for host_id in (3, 1, 2)
+        }
+        amounts = storm_builder(trace)(_batch(victims))
+        assert set(amounts) == set(trace.features)
+        for feature, rows in amounts.items():
+            assert rows.shape == (3, num_bins)
+            for row, matrix in zip(rows, victims.values(), strict=True):
+                expected = inject_attack(matrix.series(feature), trace, feature).attack_amounts
+                assert np.array_equal(row, expected)
+
+    def test_storm_builder_rejects_another_bin_width_like_inject_attack(self):
+        trace = generate_storm_trace(bin_width=30 * MINUTE, seed=5)
+        victims = _victims()
+        message = "attack and benign series must use the same bin width"
+        with pytest.raises(ValidationError, match=message):
+            storm_builder(trace)(_batch(victims))
+        with pytest.raises(ValidationError, match=message):
+            inject_attack(victims[10].series(self.TCP), trace, Feature.DISTINCT_CONNECTIONS)
+
+    def test_botnet_builder_recruitment_bounds(self):
+        batch = _batch(_victims())
+        nobody = botnet_builder(self.TCP, 25.0, _seeded(1), compromise_probability=0.0)(batch)
+        everybody = botnet_builder(self.TCP, 25.0, _seeded(1), compromise_probability=1.0)(batch)
+        assert np.array_equal(nobody[self.TCP], np.zeros((4, 20)))
+        assert np.array_equal(everybody[self.TCP], np.full((4, 20), 25.0))
+
+    @pytest.mark.parametrize(
+        "channel, target, control_size, control_feature",
+        [
+            (CommandAndControl.P2P, Feature.TCP_CONNECTIONS, 5.0, Feature.UDP_CONNECTIONS),
+            (CommandAndControl.HTTP, Feature.TCP_CONNECTIONS, 5.0, Feature.HTTP_CONNECTIONS),
+            (CommandAndControl.P2P, Feature.UDP_CONNECTIONS, 5.0, None),
+            (CommandAndControl.P2P, Feature.TCP_CONNECTIONS, 0.0, None),
+        ],
+        ids=["p2p", "http", "control-is-target", "no-control"],
+    )
+    def test_botnet_builder_control_traffic_on_recruited_hosts_only(
+        self, channel, target, control_size, control_feature
+    ):
+        builder = botnet_builder(
+            target,
+            25.0,
+            _seeded(1701),
+            compromise_probability=0.5,
+            command_and_control=channel,
+            control_size=control_size,
+        )
+        amounts = builder(_batch(_victims(num_hosts=12)))
+        recruited = np.any(amounts[target] > 0, axis=1)
+        assert 0 < np.count_nonzero(recruited) < 12
+        assert np.array_equal(amounts[target][recruited], np.full((recruited.sum(), 20), 25.0))
+        if control_feature is None:
+            assert list(amounts) == [target]
+        else:
+            assert list(amounts) == [target, control_feature]
+            expected = np.where(recruited[:, None], control_size, 0.0) * np.ones((1, 20))
+            assert np.array_equal(amounts[control_feature], expected)
+
+    @pytest.mark.parametrize("kind", ["naive", "mimicry", "storm", "botnet"])
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, kind):
+        """A host is attacked alike in any batch, so hosts can be measured grid by grid."""
+        builder = {
+            "naive": NaiveAttacker(self.TCP, 7.0, active_fraction=0.5).builder(_seeded(4)),
+            "mimicry": mimicry_builder(self.TCP),
+            "storm": storm_builder(generate_storm_trace(seed=4)),
+            "botnet": botnet_builder(
+                self.TCP, 9.0, _seeded(4), 0.6, active_fraction=0.7, control_size=2.0
+            ),
+        }[kind]
+        victims = _victims(num_hosts=6)
+        thresholds = np.linspace(5.0, 30.0, 6)
+        whole = builder(_batch(victims, {self.TCP: thresholds}))
+        picks = [4, 1, 3]
+        host_ids = list(victims)
+        part = builder(
+            _batch(
+                {host_ids[i]: victims[host_ids[i]] for i in picks},
+                {self.TCP: thresholds[picks]},
+            )
+        )
+        assert list(part) == list(whole)
+        for feature, rows in whole.items():
+            assert np.array_equal(part[feature], rows[picks])

@@ -88,6 +88,9 @@ class TestDetectionProtocol:
         with pytest.raises(ValidationError):
             DetectionProtocol(features=(FEATURE_A,), train_week=1, test_week=1)
 
+    def test_default_fusion_is_any(self):
+        assert DetectionProtocol(features=(FEATURE_A, FEATURE_B)).fusion == FusionRule.any_()
+
     def test_single_feature_accessor(self):
         assert DetectionProtocol(features=(FEATURE_A,)).feature == FEATURE_A
         with pytest.raises(ValidationError):

@@ -30,6 +30,7 @@ for bit, the same aggregate computed host by host from the per-host loop's
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.core.evaluation import (
     AlarmColumns,
     DetectionProtocol,
     HostPerformance,
+    HostPerformanceTable,
     PolicyEvaluation,
     detection_training_distributions,
     evaluate_policy,
@@ -72,6 +74,7 @@ from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.stats.summary import summarize
 from repro.sweeps.spec import AttackSpec
+from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.timeutils import WEEK, BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
@@ -567,6 +570,67 @@ class TestMixedBinGrids:
         assert table == rows
         assert list(table) == list(matrices)
 
+    def test_one_measure_span_and_count_per_call(self, interleaved):
+        matrices, bin_width = interleaved
+        protocol = PROTOCOLS["multi-any"]
+        assignment = _full_diversity(matrices, protocol)
+        builder = ATTACKS["naive"].build_builder(protocol.primary_feature, bin_width)
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            measure_assignment(matrices, assignment, protocol, attack_builder=builder)
+        assert [span.name for span in recorder.spans] == ["core.measure"]
+        assert recorder.counters["core.host_weeks_measured"] == len(matrices)
+
+    def test_builder_gets_one_batch_per_grid(self, interleaved):
+        matrices, _ = interleaved
+        protocol = PROTOCOLS["single"]
+        batches = []
+
+        def record(batch):
+            batches.append(batch)
+            return None  # noqa: RET501  # None is the builder contract for "no attack"
+
+        measure_assignment(
+            matrices, _full_diversity(matrices, protocol), protocol, attack_builder=record
+        )
+        assert len({(batch.num_bins, batch.bin_spec) for batch in batches}) == len(batches) == 3
+        assert sorted(h for batch in batches for h in batch.host_ids) == sorted(matrices)
+        for batch in batches:
+            assert list(batch.host_ids) == [h for h in matrices if h in batch.host_ids]
+            for host_id in batch.host_ids:
+                series = matrices[host_id].series(protocol.primary_feature)
+                assert series.bin_spec == batch.bin_spec
+                assert series.week(protocol.test_week).num_bins == batch.num_bins
+
+    def test_concatenate_joins_tables_in_host_id_order(self, matrices):
+        protocol = PROTOCOLS["multi-2ofn"]
+        assignment = _full_diversity(matrices, protocol)
+        builder = ATTACKS["botnet"].build_builder(protocol.primary_feature, CONFIG.bin_width)
+
+        def measured(host_ids):
+            return measure_assignment(
+                {host_id: matrices[host_id] for host_id in host_ids},
+                assignment,
+                protocol,
+                attack_builder=builder,
+            )
+
+        host_ids = list(matrices)
+        order = [host_ids[i] for i in np.random.default_rng(1).permutation(len(host_ids))]
+        joined = HostPerformanceTable.concatenate(
+            [measured(host_ids[::2]), measured(host_ids[1::2])], order
+        )
+        whole = measured(order)
+        assert list(joined) == order
+        assert joined == whole
+
+        def alarms(table):
+            return [table.fused] + [table.feature_columns(f) for f in protocol.features]
+
+        for ours, theirs in zip(alarms(joined), alarms(whole), strict=True):
+            for column in fields(AlarmColumns):
+                assert np.array_equal(getattr(ours, column.name), getattr(theirs, column.name))
+
     def test_storm_bin_width_mismatch_raises(self, interleaved):
         matrices, bin_width = interleaved
         protocol = DetectionProtocol(features=(Feature.DISTINCT_CONNECTIONS,))
@@ -635,6 +699,96 @@ class TestHandComputedWeek:
         assert perf.false_positive_rate == 0.25
         assert perf.false_negative_rate == 0.5
         assert perf.alarm_raised is True
+
+    def test_true_and_false_alarms(self):
+        # Benign traffic alerts in bin 3 (20 > 10); the attack lifts bin 1 to 15 > 10.
+        perf = self._measure(
+            {self.TCP: [5, 5, 8, 20]},
+            {self.TCP: 10.0},
+            FusionRule.any_(),
+            attack_builder=lambda batch: {self.TCP: np.array([[0.0, 10.0, 0.0, 0.0]])},
+        )
+        assert perf.false_alarm_count == 1
+        assert perf.false_positive_rate == 0.25
+        assert perf.false_negative_rate == 0.0
+        assert perf.alarm_raised is True
+
+    @pytest.mark.parametrize(
+        "attack_builder",
+        [lambda batch: None, lambda batch: {Feature.TCP_CONNECTIONS: np.zeros((1, 4))}],
+        ids=["none-result", "zero-rows"],
+    )
+    def test_unattacked_host(self, attack_builder):
+        perf = self._measure(
+            {self.TCP: [1, 2, 30, 4]}, {self.TCP: 10.0}, FusionRule.any_(), attack_builder
+        )
+        assert perf.false_alarm_count == 1
+        assert perf.false_negative_rate == 0.0
+        assert perf.alarm_raised is None
+        assert perf.feature_alarm_raised == {self.TCP: None}
+
+    def test_amounts_for_unmonitored_features_dropped(self):
+        perf = self._measure(
+            {self.TCP: [5, 5, 5, 5]},
+            {self.TCP: 10.0},
+            FusionRule.any_(),
+            attack_builder=lambda batch: {self.UDP: np.full((1, 4), 100.0)},
+        )
+        assert perf.false_negative_rate == 0.0
+        assert perf.alarm_raised is None
+
+    def test_amounts_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValidationError, match=r"\(num_hosts, num_bins\)"):
+            self._measure(
+                {self.TCP: [5, 5, 5, 5]},
+                {self.TCP: 10.0},
+                FusionRule.any_(),
+                attack_builder=lambda batch: {self.TCP: np.ones((1, 3))},
+            )
+
+    def test_host_outside_the_assignment_rejected(self):
+        matrix = FeatureMatrix(2, {self.TCP: TimeSeries([5, 5, 5, 5], BinSpec(15 * MINUTE))})
+        protocol = DetectionProtocol(features=(self.TCP,))
+        with pytest.raises(KeyError):
+            measure_assignment(
+                {2: matrix}, _fixed_assignment(1, {self.TCP: 10.0}), protocol, test_week=0
+            )
+
+    def _two_hosts(self, attack_builder=None):
+        """Hosts 1 and 2 under threshold 10, as a :class:`PolicyEvaluation`."""
+        spec = BinSpec(15 * MINUTE)
+        matrices = {
+            host_id: FeatureMatrix(host_id, {self.TCP: TimeSeries(values, spec)})
+            for host_id, values in ((1, [50, 5, 60, 5]), (2, [5, 5, 5, 50]))
+        }
+        grouping = GroupAssignment(groups=((1, 2),), strategy_name="fixed")
+        assignment = DetectionAssignment(
+            per_feature={
+                self.TCP: ThresholdAssignment({1: 10.0, 2: 10.0}, grouping, (10.0,), "fixed")
+            },
+            policy_name="fixed",
+        )
+        protocol = DetectionProtocol(features=(self.TCP,))
+        table = measure_assignment(
+            matrices, assignment, protocol, attack_builder=attack_builder, test_week=0
+        )
+        return PolicyEvaluation("fixed", protocol, assignment, table)
+
+    def test_population_false_alarm_totals(self):
+        evaluation = self._two_hosts()
+        counts = {h: perf.false_alarm_count for h, perf in evaluation.performances.items()}
+        assert counts == {1: 2, 2: 1}
+        assert evaluation.total_false_alarms() == 3
+        assert evaluation.false_positive_rates() == {1: 0.5, 2: 0.25}
+
+    def test_fraction_of_hosts_raising_an_alarm(self):
+        # Host 1's bin 1 reaches 5 + 10 = 15 > 10; host 2's bin 0 only 5 + 1 = 6.
+        evaluation = self._two_hosts(
+            lambda batch: {self.TCP: np.array([[0.0, 10.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])}
+        )
+        assert evaluation.detection_rates() == {1: 1.0, 2: 0.0}
+        assert evaluation.fraction_raising_alarm() == 0.5
+        assert evaluation.total_false_alarms() == 3
 
 
 # --- Reference oracle: the per-host aggregate formulas, over HostPerformance rows.
