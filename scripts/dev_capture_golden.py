@@ -11,8 +11,11 @@ be regression-tested bit for bit against the code it replaced:
     Figure 3 (boxplots, weight sweep and every host's thresholds and FP/FN in
     ``evaluations``) and Table 3 alarm counts (the reference for fig3's
     assign-once, measure-per-size evaluation), Figure 5's per-host Storm
-    scatter and the co-optimised Figure 3 (mean utilities, detection rates
-    and objective values per optimizer and policy).
+    scatter, the co-optimised Figure 3 (mean utilities, detection rates
+    and objective values per optimizer and policy) and, under ``optimizers``,
+    every host's jointly optimised thresholds, objective value and iteration
+    count per policy, fusion rule and optimizer (coordinate ascent cold and
+    warm-started, the exhaustive grid, the independent report's objective).
 
 Run it at the parent commit of the change being guarded, then copy the
 fixtures into the change.  At any commit whose tests pass, every fixture
@@ -28,19 +31,25 @@ import json
 from pathlib import Path
 
 from repro.attacks.mimicry import hidden_traffic_by_host
-from repro.core.evaluation import DetectionProtocol, evaluate_policy, training_distributions
+from repro.core.evaluation import (
+    DetectionProtocol,
+    detection_training_distributions,
+    evaluate_policy,
+    training_distributions,
+)
 from repro.core.fusion import FusionRule
 from repro.core.policies import (
     FullDiversityPolicy,
     HomogeneousPolicy,
     PartialDiversityPolicy,
 )
-from repro.core.thresholds import PercentileHeuristic
+from repro.core.thresholds import PercentileHeuristic, UtilityHeuristic
 from repro.experiments.fig3_utility import run_fig3, run_fig3_cooptimized
 from repro.experiments.fig4_attacker import run_fig4
 from repro.experiments.fig5_storm import run_fig5
 from repro.experiments.table3_alarms import run_table3
 from repro.features.definitions import Feature
+from repro.optimize import CoordinateAscentOptimizer, GridJointOptimizer, IndependentOptimizer
 from repro.sweeps.spec import AttackSpec
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
@@ -208,6 +217,64 @@ def fig3_cooptimized_payload(result) -> dict:
     }
 
 
+OPTIMIZER_FEATURES = (Feature.TCP_CONNECTIONS, Feature.UDP_CONNECTIONS, Feature.DNS_CONNECTIONS)
+
+OPTIMIZER_FUSIONS = (FusionRule.any_(), FusionRule.k_of_n(2), FusionRule.all_())
+
+
+def optimizer_policies(optimizer) -> dict:
+    heuristic = UtilityHeuristic(weight=0.4)
+    return {
+        "homogeneous": HomogeneousPolicy(heuristic, optimizer=optimizer),
+        "full-diversity": FullDiversityPolicy(heuristic, optimizer=optimizer),
+        "partial": PartialDiversityPolicy(heuristic, num_groups=4, optimizer=optimizer),
+    }
+
+
+def assignment_payload(assignment) -> dict:
+    report = assignment.optimization
+    return {
+        "thresholds": {
+            feature.value: {
+                str(host_id): repr(float(assignment.for_feature(feature).threshold_of(host_id)))
+                for host_id in sorted(assignment.host_ids)
+            }
+            for feature in OPTIMIZER_FEATURES
+        },
+        "objective_value": repr(float(report.objective_value)),
+        "iterations": int(report.iterations),
+    }
+
+
+def capture_optimizers(population) -> dict:
+    matrices = population.matrices()
+    week0 = detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=0)
+    week1 = detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=1)
+    ascent = optimizer_policies(CoordinateAscentOptimizer(weight=0.4))
+    grid = optimizer_policies(GridJointOptimizer(weight=0.4, num_candidates=8))
+    independent = optimizer_policies(IndependentOptimizer(weight=0.4))
+    cases: dict = {}
+    for fusion in OPTIMIZER_FUSIONS:
+        for name, policy in ascent.items():
+            cold = policy.assign(week0, fusion=fusion)
+            scored = independent[name].assign(week0, fusion=fusion).optimization
+            cases[f"{name}/{fusion.name}"] = {
+                "coordinate-ascent": assignment_payload(cold),
+                "coordinate-ascent-warm": assignment_payload(
+                    policy.assign(week1, fusion=fusion, warm_start=cold)
+                ),
+                "grid-joint": assignment_payload(grid[name].assign(week0, fusion=fusion)),
+                "independent": repr(float(scored.objective_value)),
+            }
+    dns = optimizer_policies(
+        CoordinateAscentOptimizer(weight=0.4, attack_feature=Feature.DNS_CONNECTIONS)
+    )["partial"]
+    cases["partial/any/attack-dns"] = {
+        "coordinate-ascent": assignment_payload(dns.assign(week0, fusion=FusionRule.any_())),
+    }
+    return cases
+
+
 def capture_figures() -> dict:
     population = generate_enterprise(CONFIG)
     return {
@@ -216,6 +283,7 @@ def capture_figures() -> dict:
         "table3": table3_payload(run_table3(population)),
         "fig5": fig5_payload(run_fig5(population)),
         "fig3_cooptimized": fig3_cooptimized_payload(run_fig3_cooptimized(population)),
+        "optimizers": capture_optimizers(population),
     }
 
 

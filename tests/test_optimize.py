@@ -47,8 +47,14 @@ from repro.optimize import (
 )
 from repro.stats.empirical import EmpiricalDistribution, common_bin_width
 from repro.utils.validation import ValidationError
+from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_thresholds.json"
+
+#: ``scripts/dev_capture_golden.py`` pins every optimizer's selections under
+#: this file's ``optimizers`` key (24 hosts, 2 weeks, seed 77).
+FIGURES_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_figures.json"
+OPTIMIZER_FEATURES = (Feature.TCP_CONNECTIONS, Feature.UDP_CONNECTIONS, Feature.DNS_CONNECTIONS)
 
 #: The feature set and training setup the golden file was captured with
 #: (16 hosts, 2 weeks, seed 99 — the `tiny_population` fixture).
@@ -109,6 +115,58 @@ class TestGoldenRegression:
                         feature.value,
                         host,
                     )
+
+    def test_optimizer_selections_match_fixture(self):
+        """Joint selections reproduce the pinned thresholds, objectives and sweeps."""
+        golden = json.loads(FIGURES_GOLDEN_PATH.read_text(encoding="utf-8"))["optimizers"]
+        matrices = generate_enterprise(
+            EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)
+        ).matrices()
+        week0 = detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=0)
+        week1 = detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=1)
+        heuristic = UtilityHeuristic(weight=0.4)
+
+        def policy(kind, optimizer):
+            if kind == "partial":
+                return PartialDiversityPolicy(heuristic, num_groups=4, optimizer=optimizer)
+            return _policy(kind, heuristic, optimizer=optimizer)
+
+        def payload(assignment):
+            return {
+                "thresholds": {
+                    feature.value: {
+                        str(host): repr(float(assignment.for_feature(feature).threshold_of(host)))
+                        for host in sorted(assignment.host_ids)
+                    }
+                    for feature in OPTIMIZER_FEATURES
+                },
+                "objective_value": repr(float(assignment.optimization.objective_value)),
+                "iterations": assignment.optimization.iterations,
+            }
+
+        fusions = (FusionRule.any_(), FusionRule.k_of_n(2), FusionRule.all_())
+        for kind in ("homogeneous", "full-diversity", "partial"):
+            ascent = policy(kind, CoordinateAscentOptimizer(weight=0.4))
+            grid = policy(kind, GridJointOptimizer(weight=0.4, num_candidates=8))
+            independent = policy(kind, IndependentOptimizer(weight=0.4))
+            for fusion in fusions:
+                expected = golden[f"{kind}/{fusion.name}"]
+                cold = ascent.assign(week0, fusion=fusion)
+                assert payload(cold) == expected["coordinate-ascent"], (kind, fusion.name)
+                warm = ascent.assign(week1, fusion=fusion, warm_start=cold)
+                assert payload(warm) == expected["coordinate-ascent-warm"], (kind, fusion.name)
+                joint = grid.assign(week0, fusion=fusion)
+                assert payload(joint) == expected["grid-joint"], (kind, fusion.name)
+                scored = independent.assign(week0, fusion=fusion).optimization
+                assert repr(float(scored.objective_value)) == expected["independent"]
+        dns = policy(
+            "partial",
+            CoordinateAscentOptimizer(weight=0.4, attack_feature=Feature.DNS_CONNECTIONS),
+        )
+        assert (
+            payload(dns.assign(week0, fusion=FusionRule.any_()))
+            == golden["partial/any/attack-dns"]["coordinate-ascent"]
+        )
 
     def test_independent_optimizer_adds_provenance_only(self, golden_training):
         heuristic = GOLDEN_HEURISTICS["percentile-99"]
