@@ -399,18 +399,17 @@ class ConfigurationPolicy:
         with trace_span(
             "optimize.joint", optimizer=self._optimizer.name, num_groups=grouping.num_groups
         ):
-            for group_index, group in enumerate(grouping.groups):
-                members = [
+            groups = [
+                [
                     {feature: training_distributions[feature][host_id] for feature in features}
                     for host_id in group
                 ]
-                optimized = self._optimizer.optimize_group(
-                    members,
-                    features,
-                    objective,
-                    self._heuristic,
-                    warm_start=warm_vectors[group_index] if warm_vectors is not None else None,
-                )
+                for group in grouping.groups
+            ]
+            optimized_groups = self._optimizer.optimize_groups(
+                groups, features, objective, self._heuristic, warm_starts=warm_vectors
+            )
+            for group, optimized in zip(grouping.groups, optimized_groups, strict=True):
                 total_iterations += optimized.iterations
                 # The group's objective value IS the mean member utility at the
                 # chosen vector, so the population mean is the size-weighted mean
@@ -485,25 +484,22 @@ class ConfigurationPolicy:
         Used by the independent path, whose per-feature groupings carry no
         fused score of their own; computed the same way the joint path's
         group values aggregate, so the reported value is directly comparable
-        across optimizers.  Hosts sharing a threshold vector are scored in
-        one vectorized call (one call total for a homogeneous assignment).
+        across optimizers.  One kernel call scores every host at its own
+        vector; the utilities are then summed per shared vector, in
+        first-appearance order.
         """
         features = tuple(training_distributions)
         host_ids = next(iter(per_feature.values())).host_ids
+        members = [
+            {feature: training_distributions[feature][host_id] for feature in features}
+            for host_id in host_ids
+        ]
+        vectors = np.array([[per_feature[f].threshold_of(h) for f in features] for h in host_ids])
+        utilities = objective.bind(members, features).utilities(vectors[:, None, :])[0]
         by_vector: Dict[Tuple[float, ...], List[int]] = {}
-        for host_id in host_ids:
-            vector = tuple(per_feature[feature].threshold_of(host_id) for feature in features)
-            by_vector.setdefault(vector, []).append(host_id)
-        total = 0.0
-        for vector, hosts in by_vector.items():
-            members = [
-                {feature: training_distributions[feature][host_id] for feature in features}
-                for host_id in hosts
-            ]
-            utilities = objective.member_utilities(
-                members, features, np.asarray(vector)[None, :]
-            )
-            total += float(np.sum(utilities))
+        for index, vector in enumerate(map(tuple, vectors)):
+            by_vector.setdefault(vector, []).append(index)
+        total = sum(float(np.sum(utilities[indices])) for indices in by_vector.values())
         return OptimizationReport(
             optimizer=self._optimizer.name,
             objective_value=total / len(host_ids),

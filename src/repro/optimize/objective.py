@@ -42,6 +42,10 @@ DEFAULT_ATTACK_SIZES: Tuple[float, ...] = (10.0, 50.0, 100.0, 500.0)
 #: One group member's training data: its per-feature benign distributions.
 MemberDistributions = Mapping[Feature, EmpiricalDistribution]
 
+#: Most float64 elements one block of stacked rows spans across the features
+#: and the benign plus attacked cases (``F * (S + 1) * rows * C``): 1 MiB.
+ROW_BLOCK_ELEMENTS = 1 << 17
+
 
 @dataclass(frozen=True)
 class FusedUtilityObjective:
@@ -84,6 +88,16 @@ class FusedUtilityObjective:
         )
         return features.index(self.attack_feature)
 
+    def bind(
+        self, members: Sequence[MemberDistributions], features: Sequence[Feature]
+    ) -> "BoundObjective":
+        """This objective over the members' sorted training samples (not copied)."""
+        require(len(members) > 0, "at least one member is required")
+        rows = tuple(tuple(member[feature].samples for member in members) for feature in features)
+        counts = np.array([[row.size for row in feature_rows] for feature_rows in rows])
+        require(bool(np.all(counts > 0)), "operation requires a non-empty distribution")
+        return BoundObjective(self, self.target_index(features), rows, counts)
+
     def member_utilities(
         self,
         members: Sequence[MemberDistributions],
@@ -94,37 +108,10 @@ class FusedUtilityObjective:
 
         ``candidates`` has shape ``(num_candidates, num_features)`` (a single
         vector is promoted); the result has shape
-        ``(num_candidates, num_members)``.
+        ``(num_candidates, num_members)``, scored by one
+        :meth:`BoundObjective.utilities` kernel call over the stacked members.
         """
-        features = tuple(features)
-        require(len(members) > 0, "at least one member is required")
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        require(
-            candidates.shape[1] == len(features),
-            "candidate vectors must cover every evaluated feature",
-        )
-        target = self.target_index(features)
-        sizes = np.asarray(self.attack_sizes, dtype=float)
-        # (num_sizes, num_candidates) thresholds the attacked feature's benign
-        # traffic must stay under for the attacked bin to go unnoticed.
-        shifted = candidates[:, target][None, :] - sizes[:, None] if sizes.size else None
-        utilities = np.empty((candidates.shape[0], len(members)))
-        for member_index, member in enumerate(members):
-            alert = np.stack(
-                [member[feature].exceedances(candidates[:, i]) for i, feature in enumerate(features)]
-            )  # (num_features, num_candidates)
-            false_positive = self.fusion.alarm_probability(alert)
-            if shifted is None:
-                false_negative = np.zeros_like(false_positive)
-            else:
-                attacked = np.repeat(alert[:, None, :], sizes.size, axis=1)
-                attacked[target] = member[features[target]].exceedances(shifted)
-                detection = self.fusion.alarm_probability(attacked)  # (num_sizes, num_candidates)
-                false_negative = np.mean(1.0 - detection, axis=0)
-            utilities[:, member_index] = 1.0 - (
-                self.weight * false_negative + (1.0 - self.weight) * false_positive
-            )
-        return utilities
+        return self.bind(members, features).utilities(candidates)
 
     def group_scores(
         self,
@@ -149,3 +136,73 @@ class FusedUtilityObjective:
         """Mean member utility of one threshold vector."""
         vector = np.asarray(thresholds, dtype=float)[None, :]
         return float(self.group_scores(members, features, vector)[0])
+
+
+@dataclass(frozen=True)
+class BoundObjective:
+    """A :class:`FusedUtilityObjective` bound to members' sorted training rows.
+
+    ``rows[i][r]`` is member ``r``'s sorted samples of the ``i``-th feature
+    (rows may differ in length); ``sample_counts[i, r]`` is their count.
+    """
+
+    objective: FusedUtilityObjective
+    target: int
+    rows: Tuple[Tuple[np.ndarray, ...], ...]
+    sample_counts: np.ndarray
+
+    def select(self, indices: Sequence[int]) -> "BoundObjective":
+        """The same objective over the rows at ``indices``, in that order."""
+        rows = tuple(tuple(feature_rows[r] for r in indices) for feature_rows in self.rows)
+        return BoundObjective(self.objective, self.target, rows, self.sample_counts[:, indices])
+
+    def utilities(self, candidates: np.ndarray) -> np.ndarray:
+        """Utility of candidate vectors for every row, C-contiguous ``(C, R)``.
+
+        ``candidates`` is ``(C, F)`` for every row (a vector is promoted) or
+        ``(R, C, F)`` per row; row blocks are bounded by :data:`ROW_BLOCK_ELEMENTS`.
+        """
+        candidates = np.asarray(candidates, dtype=float)
+        if candidates.ndim < 3:
+            candidates = np.atleast_2d(candidates)[None]
+        num_features, num_rows = self.sample_counts.shape
+        num_candidates = candidates.shape[1]
+        require(
+            candidates.shape[2] == num_features and candidates.shape[0] in (1, num_rows),
+            "candidates must be (C, F) or (R, C, F) vectors over every evaluated feature",
+        )
+        fusion, weight, target = self.objective.fusion, self.objective.weight, self.target
+        sizes = np.asarray(self.objective.attack_sizes, dtype=float)
+        # (F, R, C) thresholds and the (R, S, C) values the attacked feature's
+        # benign traffic must stay under for an attacked bin to go unnoticed.
+        thresholds = np.ascontiguousarray(np.moveaxis(candidates, -1, 0))
+        shifted = thresholds[target][:, None, :] - sizes[:, None]
+        shifted = np.broadcast_to(shifted, (num_rows, sizes.size, num_candidates))
+        thresholds = np.broadcast_to(thresholds, (num_features, num_rows, num_candidates))
+        block = max(1, ROW_BLOCK_ELEMENTS // (num_features * (sizes.size + 1) * num_candidates))
+        result = np.empty((num_candidates, num_rows))
+        for start in range(0, num_rows, block):
+            rows = slice(start, start + block)
+            alert = np.stack([self._exceedances(i, t, rows) for i, t in enumerate(thresholds)])
+            false_positive = fusion.alarm_probability(alert)  # (rows, C)
+            false_negative = 0.0
+            if sizes.size:
+                attacked = np.repeat(alert[:, None], sizes.size, axis=1)  # (F, S, rows, C)
+                attacked[target] = np.moveaxis(self._exceedances(target, shifted, rows), 1, 0)
+                missed = 1.0 - fusion.alarm_probability(attacked)
+                # The mean over sizes reduces the leading axis, except that a
+                # lone candidate's sizes sum as one contiguous (pairwise) run,
+                # exactly as a single member's (S, 1) column does.
+                axis = -1 if num_candidates == 1 else 0
+                missed = np.ascontiguousarray(np.moveaxis(missed, 0, axis))
+                false_negative = np.mean(missed, axis=axis)
+            result[:, rows] = (1.0 - (weight * false_negative + (1.0 - weight) * false_positive)).T
+        return result
+
+    def _exceedances(self, index: int, values: np.ndarray, rows: slice) -> np.ndarray:
+        """``exceedances(values[r])`` of feature ``index`` for each row ``r`` in ``rows``."""
+        values = values[rows]
+        pairs = zip(self.rows[index][rows], values, strict=True)
+        counts = np.array([row.searchsorted(v, "right") for row, v in pairs])
+        sample_counts = self.sample_counts[index, rows].reshape((-1,) + (1,) * (values.ndim - 1))
+        return 1.0 - counts / sample_counts

@@ -1,7 +1,7 @@
 """Threshold optimizers: choose per-feature threshold vectors jointly.
 
-A :class:`ThresholdOptimizer` turns one group's per-member training
-distributions into the per-feature threshold vector every member will run,
+A :class:`ThresholdOptimizer` turns each group's per-member training
+distributions into the per-feature threshold vector its members will run,
 maximising a :class:`~repro.optimize.objective.FusedUtilityObjective`.  Three
 implementations span the accuracy/cost spectrum:
 
@@ -10,10 +10,10 @@ implementations span the accuracy/cost spectrum:
   in isolation), with the fused objective only *scored* for reporting.
 * :class:`CoordinateAscentOptimizer` — starts from the independent solution
   and cycles the features, re-optimising one feature's threshold over its
-  candidate grid while the others stay fixed (the fused utility is scored
-  vectorized over the whole grid per move), until a full sweep no longer
-  improves the objective.  Monotone by construction: never worse than the
-  independent start.
+  candidate grid while the others stay fixed, until a full sweep no longer
+  improves the objective.  All groups move in lockstep: one fused-utility
+  kernel call over their stacked members scores every group's grid per
+  (sweep, feature).  Monotone: never worse than the independent start.
 * :class:`GridJointOptimizer` — exhaustive search of the joint candidate
   grid, the ground-truth baseline; capped at 3 features because the grid is
   the cartesian product.
@@ -32,6 +32,7 @@ from repro.core.thresholds import ThresholdHeuristic, candidate_threshold_grid
 from repro.features.definitions import Feature
 from repro.optimize.objective import (
     DEFAULT_ATTACK_SIZES,
+    BoundObjective,
     FusedUtilityObjective,
     MemberDistributions,
 )
@@ -109,6 +110,19 @@ def _feature_grids(
     return grids
 
 
+def _group_scores(bound: BoundObjective, candidates: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean member utility of each group's ``(G, C, F)`` candidates, shape ``(C, G)``.
+
+    Group ``g`` owns the next ``sizes[g]`` rows of ``bound``.  Each mean reduces
+    the group's own C-contiguous ``(C, M)`` block, so it sums as a one-group array.
+    """
+    utilities = bound.utilities(np.repeat(candidates, sizes, axis=0))
+    if np.all(sizes == sizes[0]):
+        return np.mean(utilities.reshape(len(utilities), sizes.size, sizes[0]), axis=2)
+    blocks = np.split(utilities, np.cumsum(sizes)[:-1], axis=1)
+    return np.stack([np.mean(np.ascontiguousarray(block), axis=1) for block in blocks], axis=1)
+
+
 class ThresholdOptimizer:
     """Interface: choose one group's per-feature threshold vector.
 
@@ -157,6 +171,21 @@ class ThresholdOptimizer:
         wrapper ignores it (its selection is the heuristic's by definition).
         """
         raise NotImplementedError
+
+    def optimize_groups(
+        self,
+        groups: Sequence[Sequence[MemberDistributions]],
+        features: Sequence[Feature],
+        objective: FusedUtilityObjective,
+        heuristic: ThresholdHeuristic,
+        warm_starts: Optional[Sequence[Optional[Mapping[Feature, float]]]] = None,
+    ) -> List[GroupOptimization]:
+        """:meth:`optimize_group` for every group (``warm_starts``: one per group)."""
+        warm_starts = warm_starts if warm_starts is not None else [None] * len(groups)
+        return [
+            self.optimize_group(members, features, objective, heuristic, warm_start=warm)
+            for members, warm in zip(groups, warm_starts, strict=True)
+        ]
 
     def _validate_common(self) -> None:
         require_probability(self.weight, "weight")
@@ -238,34 +267,72 @@ class CoordinateAscentOptimizer(ThresholdOptimizer):
         heuristic: ThresholdHeuristic,
         warm_start: Optional[Mapping[Feature, float]] = None,
     ) -> GroupOptimization:
+        return self.optimize_groups([members], features, objective, heuristic, [warm_start])[0]
+
+    def optimize_groups(
+        self,
+        groups: Sequence[Sequence[MemberDistributions]],
+        features: Sequence[Feature],
+        objective: FusedUtilityObjective,
+        heuristic: ThresholdHeuristic,
+        warm_starts: Optional[Sequence[Optional[Mapping[Feature, float]]]] = None,
+    ) -> List[GroupOptimization]:
+        """Coordinate ascent for every group at once, in lockstep.
+
+        Each (sweep, feature) step scores every active group's grid, padded to
+        the widest, in one kernel call; padding never wins a group's
+        ``argmax``.  A group leaves after the sweep in which it converges.
+        """
         features = tuple(features)
-        start = independent_thresholds(members, features, heuristic)
-        grids = _feature_grids(
-            members, features, self.num_candidates, include=(start, warm_start)
-        )
-        vector = np.array([start[feature] for feature in features])
-        best = objective.score(members, features, vector)
-        if warm_start is not None:
-            warm_vector = np.array([warm_start[feature] for feature in features])
-            warm_score = objective.score(members, features, warm_vector)
-            if warm_score > best:
-                best, vector = warm_score, warm_vector
-        iterations = 0
-        for _ in range(self.max_sweeps):
-            iterations += 1
-            before = best
-            for index, grid in enumerate(grids):
-                candidates = np.tile(vector, (grid.size, 1))
-                candidates[:, index] = grid
-                scores = objective.group_scores(members, features, candidates)
-                winner = int(np.argmax(scores))
-                if scores[winner] > best:
-                    best = float(scores[winner])
-                    vector = candidates[winner]
-            if best - before <= self.tolerance:
-                break
-        thresholds = {feature: float(vector[i]) for i, feature in enumerate(features)}
-        return GroupOptimization(thresholds=thresholds, objective_value=best, iterations=iterations)
+        warm_starts = warm_starts if warm_starts is not None else [None] * len(groups)
+        starts = [independent_thresholds(members, features, heuristic) for members in groups]
+        grids = [
+            _feature_grids(members, features, self.num_candidates, include=(start, warm))
+            for members, start, warm in zip(groups, starts, warm_starts, strict=True)
+        ]
+        sizes = np.array([len(members) for members in groups])
+        group_of_row = np.repeat(np.arange(len(groups)), sizes)
+        bound = objective.bind([member for members in groups for member in members], features)
+        vectors = np.array([[start[feature] for feature in features] for start in starts])
+        best = _group_scores(bound, vectors[:, None, :], sizes)[0]
+        if any(warm is not None for warm in warm_starts):
+            # A group without a warm start re-scores its start, which never wins.
+            warm_vectors = vectors.copy()
+            for g, warm in enumerate(warm_starts):
+                if warm is not None:
+                    warm_vectors[g] = [warm[feature] for feature in features]
+            warm_scores = _group_scores(bound, warm_vectors[:, None, :], sizes)[0]
+            better = warm_scores > best
+            best[better], vectors[better] = warm_scores[better], warm_vectors[better]
+
+        widths = np.array([[grid.size for grid in group_grids] for group_grids in grids])
+        padded = np.zeros((len(features), len(groups), widths.max()))
+        for g, group_grids in enumerate(grids):
+            for i, grid in enumerate(group_grids):
+                padded[i, g, : grid.size] = grid
+        iterations = np.zeros(len(groups), dtype=int)
+        active = np.arange(len(groups))
+        while active.size and iterations[active[0]] < self.max_sweeps:
+            iterations[active] += 1
+            before = best[active]
+            rows = bound.select(np.flatnonzero(np.isin(group_of_row, active)))
+            for index in range(len(features)):
+                width = widths[active, index].max()
+                grid = padded[index, active, :width]
+                candidates = np.repeat(vectors[active, None, :], width, axis=1)
+                candidates[:, :, index] = grid
+                scores = _group_scores(rows, candidates, sizes[active])
+                scores[np.arange(width)[:, None] >= widths[active, index]] = -np.inf
+                winners = np.argmax(scores, axis=0)
+                top = scores[winners, np.arange(active.size)]
+                improved = top > best[active]
+                best[active[improved]] = top[improved]
+                vectors[active[improved], index] = grid[improved, winners[improved]]
+            active = active[best[active] - before > self.tolerance]
+        return [
+            GroupOptimization(dict(zip(features, vector.tolist(), strict=True)), value, int(count))
+            for vector, value, count in zip(vectors, best.tolist(), iterations, strict=True)
+        ]
 
 
 @dataclass(frozen=True)

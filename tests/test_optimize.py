@@ -10,6 +10,7 @@ objective itself, provenance threading through `evaluate_policy` and
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,8 @@ from repro.optimize import (
     GridJointOptimizer,
     IndependentOptimizer,
 )
+from repro.optimize.objective import ROW_BLOCK_ELEMENTS
+from repro.optimize.optimizers import _feature_grids, independent_thresholds
 from repro.stats.empirical import EmpiricalDistribution, common_bin_width
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
@@ -186,13 +189,13 @@ class TestGoldenRegression:
 
 
 @st.composite
-def _member_groups(draw):
-    """1-3 group members, each with a distribution per golden feature."""
-    num_members = draw(st.integers(min_value=1, max_value=3))
+def _member_groups(draw, features=GOLDEN_FEATURES, max_members=3):
+    """1-``max_members`` group members, each with a distribution per feature."""
+    num_members = draw(st.integers(min_value=1, max_value=max_members))
     members = []
     for _ in range(num_members):
         member = {}
-        for feature in GOLDEN_FEATURES:
+        for feature in features:
             samples = draw(
                 st.lists(st.integers(min_value=0, max_value=120), min_size=4, max_size=40)
             )
@@ -379,6 +382,308 @@ class TestFusedObjective:
                 (Feature.TCP_CONNECTIONS,),
                 [1.5],
             )
+
+
+def _reference_member_utilities(objective, members, features, candidates):
+    """The per-member loop the stacked kernel replaced: the test oracle.
+
+    Scores one member at a time through ``EmpiricalDistribution.exceedances``
+    and ``FusionRule.alarm_probability``; never touches ``bind``.
+    """
+    features = tuple(features)
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    target = objective.target_index(features)
+    sizes = np.asarray(objective.attack_sizes, dtype=float)
+    shifted = candidates[:, target][None, :] - sizes[:, None] if sizes.size else None
+    utilities = np.empty((candidates.shape[0], len(members)))
+    for member_index, member in enumerate(members):
+        alert = np.stack(
+            [member[feature].exceedances(candidates[:, i]) for i, feature in enumerate(features)]
+        )
+        false_positive = objective.fusion.alarm_probability(alert)
+        if shifted is None:
+            false_negative = np.zeros_like(false_positive)
+        else:
+            attacked = np.repeat(alert[:, None, :], sizes.size, axis=1)
+            attacked[target] = member[features[target]].exceedances(shifted)
+            detection = objective.fusion.alarm_probability(attacked)
+            false_negative = np.mean(1.0 - detection, axis=0)
+        utilities[:, member_index] = 1.0 - (
+            objective.weight * false_negative + (1.0 - objective.weight) * false_positive
+        )
+    return utilities
+
+
+def _reference_coordinate_ascent(optimizer, members, features, objective, heuristic, warm_start):
+    """One group's coordinate ascent as it ran before groups moved in lockstep."""
+
+    def scores(candidates):
+        return np.mean(
+            _reference_member_utilities(objective, members, features, candidates), axis=1
+        )
+
+    start = independent_thresholds(members, features, heuristic)
+    grids = _feature_grids(
+        members, features, optimizer.num_candidates, include=(start, warm_start)
+    )
+    vector = np.array([start[feature] for feature in features])
+    best = float(scores(vector)[0])
+    if warm_start is not None:
+        warm_vector = np.array([warm_start[feature] for feature in features])
+        warm_score = float(scores(warm_vector)[0])
+        if warm_score > best:
+            best, vector = warm_score, warm_vector
+    iterations = 0
+    for _ in range(optimizer.max_sweeps):
+        iterations += 1
+        before = best
+        for index, grid in enumerate(grids):
+            candidates = np.tile(vector, (grid.size, 1))
+            candidates[:, index] = grid
+            group = scores(candidates)
+            winner = int(np.argmax(group))
+            if group[winner] > best:
+                best = float(group[winner])
+                vector = candidates[winner]
+        if best - before <= optimizer.tolerance:
+            break
+    thresholds = {feature: float(vector[i]) for i, feature in enumerate(features)}
+    return thresholds, best, iterations
+
+
+_ALL_FUSIONS = st.sampled_from([FusionRule.any_(), FusionRule.k_of_n(2), FusionRule.all_()])
+
+#: No sizes, a few, or 8-12: from 8 on, numpy sums a lone candidate's sizes
+#: pairwise rather than in sequence, so the kernel must reproduce both orders.
+_SIZE = st.floats(min_value=0.0, max_value=150.0, allow_nan=False)
+_ANY_ATTACK_SIZES = st.one_of(
+    st.lists(_SIZE, max_size=3), st.lists(_SIZE, min_size=8, max_size=12)
+).map(tuple)
+
+
+@st.composite
+def _objective_cases(draw, max_members=5):
+    """An objective, members with unequal sample counts, and its features."""
+    features = OPTIMIZER_FEATURES[: draw(st.integers(min_value=1, max_value=3))]
+    members = draw(_member_groups(features=features, max_members=max_members))
+    objective = FusedUtilityObjective(
+        fusion=draw(_ALL_FUSIONS),
+        weight=draw(st.floats(min_value=0.0, max_value=1.0)),
+        attack_sizes=draw(_ANY_ATTACK_SIZES),
+        attack_feature=draw(st.sampled_from([None, features[-1]])),
+    )
+    return objective, members, features
+
+
+def _candidates(draw, shape):
+    size = int(np.prod(shape))
+    values = st.floats(min_value=-5.0, max_value=130.0, allow_nan=False)
+    return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+
+def _poisson_members(rng, lengths, mean):
+    """One member per entry ``n`` of ``lengths``: ``n`` Poisson samples per feature."""
+    return [
+        {feature: EmpiricalDistribution(rng.poisson(mean, n)) for feature in OPTIMIZER_FEATURES}
+        for n in lengths
+    ]
+
+
+@pytest.fixture(scope="module")
+def fixture_training():
+    """Week-0 and week-1 training on the golden fixture's 24-host population."""
+    matrices = generate_enterprise(EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)).matrices()
+    return tuple(
+        detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=week)
+        for week in (0, 1)
+    )
+
+
+class TestFusedUtilityKernel:
+    """The stacked kernel equals the per-member reference loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_objective_cases(), data=st.data())
+    def test_member_utilities_match_reference(self, case, data):
+        objective, members, features = case
+        num_candidates = data.draw(st.integers(min_value=1, max_value=6))
+        candidates = _candidates(data.draw, (num_candidates, len(features)))
+        actual = objective.member_utilities(members, features, candidates)
+        expected = _reference_member_utilities(objective, members, features, candidates)
+        assert actual.flags.c_contiguous
+        assert np.array_equal(actual, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_objective_cases(), data=st.data())
+    def test_per_row_candidates_match_reference(self, case, data):
+        """``(R, C, F)`` candidates score each row on its own grid."""
+        objective, members, features = case
+        num_candidates = data.draw(st.integers(min_value=1, max_value=6))
+        candidates = _candidates(data.draw, (len(members), num_candidates, len(features)))
+        actual = objective.bind(members, features).utilities(candidates)
+        expected = np.concatenate(
+            [
+                _reference_member_utilities(objective, [member], features, grid)
+                for member, grid in zip(members, candidates, strict=True)
+            ],
+            axis=1,
+        )
+        assert actual.flags.c_contiguous
+        assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_rows_straddling_blocks_match_reference(self, per_row):
+        rng = np.random.default_rng(17)
+        sizes = (10.0, 50.0, 100.0, 500.0)
+        objective = FusedUtilityObjective(fusion=FusionRule.k_of_n(2), attack_sizes=sizes)
+        members = _poisson_members(rng, [60 + 7 * index for index in range(7)], 40.0)
+        # Three rows per block, so the seven rows split 3 + 3 + 1.
+        num_candidates = ROW_BLOCK_ELEMENTS // (len(OPTIMIZER_FEATURES) * (len(sizes) + 1) * 3)
+        shape = (len(members),) * per_row + (num_candidates, len(OPTIMIZER_FEATURES))
+        candidates = rng.uniform(0.0, 120.0, size=shape)
+        actual = objective.bind(members, OPTIMIZER_FEATURES).utilities(candidates)
+        grids = candidates if per_row else [candidates] * len(members)
+        expected = np.concatenate(
+            [
+                _reference_member_utilities(objective, [member], OPTIMIZER_FEATURES, grid)
+                for member, grid in zip(members, grids, strict=True)
+            ],
+            axis=1,
+        )
+        assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("fusion", [FusionRule.k_of_n(2), FusionRule.all_()])
+    def test_lone_candidate_with_many_sizes_matches_reference(self, fusion):
+        """With 8+ sizes a lone candidate's sizes sum pairwise, as per member."""
+        rng = np.random.default_rng(5)
+        members = _poisson_members(rng, [50 + index for index in range(16)], 40.0)
+        sizes = tuple(float(size) for size in range(2, 22, 2))
+        objective = FusedUtilityObjective(fusion=fusion, weight=0.4, attack_sizes=sizes)
+        vector = np.array([45.0, 42.0, 47.0])
+        actual = objective.member_utilities(members, OPTIMIZER_FEATURES, vector)
+        expected = _reference_member_utilities(objective, members, OPTIMIZER_FEATURES, vector)
+        assert np.array_equal(actual, expected)
+        per_row = np.tile(vector, (len(members), 1, 1))
+        bound = objective.bind(members, OPTIMIZER_FEATURES)
+        assert np.array_equal(bound.utilities(per_row), expected)
+
+    def test_kernel_memory_is_bounded(self):
+        """Row blocks bound the stacked arrays: stacking all 64 rows at once
+        would need ~24 MB for the attacked block alone."""
+        rng = np.random.default_rng(2009)
+        members = _poisson_members(rng, [2016] * 64, 30.0)
+        candidates = rng.uniform(0.0, 80.0, size=(4000, len(OPTIMIZER_FEATURES)))
+        objective = FusedUtilityObjective(
+            fusion=FusionRule.k_of_n(2), attack_sizes=(10.0, 50.0, 100.0, 500.0)
+        )
+        tracemalloc.start()
+        try:
+            utilities = objective.member_utilities(members, OPTIMIZER_FEATURES, candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert utilities.shape == (4000, 64)
+        assert peak < 8 * 2**20, peak
+
+    @pytest.mark.parametrize("kind", ["partial", "full-diversity"])
+    def test_independent_report_matches_per_vector_sum(self, fixture_training, kind):
+        """One kernel call over every host reports what per-vector calls did."""
+        training = fixture_training[0]
+        sizes = tuple(float(size) for size in np.linspace(5.0, 120.0, 10))
+        optimizer = IndependentOptimizer(weight=0.4, attack_sizes=sizes)
+        heuristic = UtilityHeuristic(weight=0.4)
+        if kind == "partial":
+            policy = PartialDiversityPolicy(heuristic, num_groups=4, optimizer=optimizer)
+        else:
+            policy = FullDiversityPolicy(heuristic, optimizer=optimizer)
+        fusion = FusionRule.k_of_n(2)
+        assignment = policy.assign(training, fusion=fusion)
+        by_vector = {}
+        for host in assignment.host_ids:
+            vector = tuple(assignment.for_feature(f).threshold_of(host) for f in OPTIMIZER_FEATURES)
+            by_vector.setdefault(vector, []).append(host)
+        assert len(by_vector) > 1
+        total = 0.0
+        for vector, hosts in by_vector.items():
+            members = [{f: training[f][host] for f in OPTIMIZER_FEATURES} for host in hosts]
+            utilities = _reference_member_utilities(
+                optimizer.objective(fusion), members, OPTIMIZER_FEATURES, vector
+            )
+            total += float(np.sum(utilities))
+        assert assignment.optimization.objective_value == total / len(assignment.host_ids)
+
+
+class TestLockstepCoordinateAscent:
+    """Every group moving in lockstep selects exactly what one group alone did."""
+
+    @pytest.mark.parametrize("max_sweeps", [3, 8])
+    @pytest.mark.parametrize("fusion", [FusionRule.k_of_n(2), FusionRule.all_()])
+    def test_groups_match_per_group_runs(self, fixture_training, fusion, max_sweeps):
+        """Groups of 1, 3 and 7 hosts, half warm-started, converging in different sweeps."""
+        heuristic = PercentileHeuristic(99.0)
+        optimizer = CoordinateAscentOptimizer(weight=0.4, max_sweeps=max_sweeps)
+        objective = optimizer.objective(fusion)
+        hosts = sorted(fixture_training[0][OPTIMIZER_FEATURES[0]])
+        bounds = np.cumsum([0, 1, 3, 7, 1, 3, 7])
+        week0, week1 = (
+            [
+                [{f: training[f][host] for f in OPTIMIZER_FEATURES} for host in hosts[lo:hi]]
+                for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)
+            ]
+            for training in fixture_training
+        )
+        previous = optimizer.optimize_groups(week0, OPTIMIZER_FEATURES, objective, heuristic)
+        warm_starts = [
+            result.thresholds if index % 2 == 0 else None for index, result in enumerate(previous)
+        ]
+        for groups, warm in ((week0, None), (week1, warm_starts)):
+            together = optimizer.optimize_groups(
+                groups, OPTIMIZER_FEATURES, objective, heuristic, warm_starts=warm
+            )
+            assert len(together) == len(groups)
+            assert len({result.iterations for result in together}) >= 2
+            for index, (members, result) in enumerate(zip(groups, together, strict=True)):
+                warm_start = warm[index] if warm is not None else None
+                alone = optimizer.optimize_group(
+                    members, OPTIMIZER_FEATURES, objective, heuristic, warm_start=warm_start
+                )
+                assert result == alone, index
+                reference = _reference_coordinate_ascent(
+                    optimizer, members, OPTIMIZER_FEATURES, objective, heuristic, warm_start
+                )
+                assert (result.thresholds, result.objective_value, result.iterations) == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        groups=st.lists(_member_groups(max_members=9), min_size=1, max_size=4),
+        fusion=_FUSIONS,
+        sizes=_ANY_ATTACK_SIZES,
+    )
+    def test_random_groups_match_reference_ascent(self, groups, fusion, sizes):
+        heuristic = PercentileHeuristic(99.0)
+        optimizer = CoordinateAscentOptimizer(num_candidates=6, max_sweeps=5, attack_sizes=sizes)
+        objective = optimizer.objective(fusion)
+        together = optimizer.optimize_groups(groups, GOLDEN_FEATURES, objective, heuristic)
+        for members, result in zip(groups, together, strict=True):
+            reference = _reference_coordinate_ascent(
+                optimizer, members, GOLDEN_FEATURES, objective, heuristic, None
+            )
+            assert (result.thresholds, result.objective_value, result.iterations) == reference
+
+    def test_base_optimizer_loops_optimize_group(self, fixture_training):
+        heuristic = UtilityHeuristic(weight=0.4)
+        optimizer = GridJointOptimizer(weight=0.4, num_candidates=6)
+        objective = optimizer.objective(FusionRule.any_())
+        training = fixture_training[0]
+        hosts = sorted(training[OPTIMIZER_FEATURES[0]])
+        groups = [
+            [{f: training[f][host] for f in OPTIMIZER_FEATURES} for host in hosts[:5]],
+            [{f: training[f][host] for f in OPTIMIZER_FEATURES} for host in hosts[5:6]],
+        ]
+        assert optimizer.optimize_groups(groups, OPTIMIZER_FEATURES, objective, heuristic) == [
+            optimizer.optimize_group(members, OPTIMIZER_FEATURES, objective, heuristic)
+            for members in groups
+        ]
 
 
 class TestEvaluationProvenance:
