@@ -78,44 +78,6 @@ def overlay_attack_matrix(matrix: FeatureMatrix, attack: AttackTrace) -> Feature
     return updated
 
 
-@dataclass(frozen=True)
-class InjectedBatch:
-    """Attack overlay for a whole host batch, as ``(num_hosts, num_bins)`` stacks.
-
-    The vectorised counterpart of :class:`InjectedSeries`: ``observed`` is the
-    element-wise sum the detectors see, ``attack_mask`` the ground-truth bins
-    carrying attack traffic and ``attack_bin_counts`` the per-host count of
-    attacked bins (a zero row means that host carries no attack).
-    """
-
-    observed: np.ndarray
-    benign: np.ndarray
-    attack_amounts: np.ndarray
-
-    @property
-    def attack_mask(self) -> np.ndarray:
-        """Boolean ``(num_hosts, num_bins)`` mask of attacked bins."""
-        return self.attack_amounts > 0
-
-    @property
-    def attack_bin_counts(self) -> np.ndarray:
-        """Per-host number of attacked bins, shape ``(num_hosts,)``."""
-        return np.count_nonzero(self.attack_mask, axis=1)
-
-
-def inject_attack_batch(benign_values: np.ndarray, attack_amounts: np.ndarray) -> InjectedBatch:
-    """Overlay per-host attack amounts onto stacked benign values.
-
-    Both arrays are ``(num_hosts, num_bins)``; the addition is element-wise,
-    so each row is bit-identical to :func:`inject_attack` on that host's
-    series with the same amounts.
-    """
-    benign = np.asarray(benign_values, dtype=float)
-    amounts = np.asarray(attack_amounts, dtype=float)
-    require(benign.shape == amounts.shape, "benign and attack stacks must share a shape")
-    return InjectedBatch(observed=benign + amounts, benign=benign, attack_amounts=amounts)
-
-
 def pad_attack_amounts(amounts: np.ndarray, num_bins: int) -> np.ndarray:
     """Pad or truncate a one-host amounts vector to ``num_bins`` bins.
 
