@@ -374,7 +374,7 @@ class ConfigurationPolicy:
         objective: FusedUtilityObjective,
         warm_start: Optional[DetectionAssignment] = None,
     ) -> DetectionAssignment:
-        """Co-optimise the per-feature threshold vector group by group.
+        """Co-optimise every group's per-feature threshold vector in one call.
 
         One grouping — built from the *primary* (first) feature's grouping
         statistics, as the console would deploy it — is shared by every

@@ -42,8 +42,8 @@ DEFAULT_ATTACK_SIZES: Tuple[float, ...] = (10.0, 50.0, 100.0, 500.0)
 #: One group member's training data: its per-feature benign distributions.
 MemberDistributions = Mapping[Feature, EmpiricalDistribution]
 
-#: Most float64 elements one block of stacked rows spans across the features
-#: and the benign plus attacked cases (``F * (S + 1) * rows * C``): 1 MiB.
+#: Bound on one row block's float64 elements across the features and the
+#: benign plus attacked cases, ``F * (S + 1) * rows * C``: 1 MiB (min 1 row).
 ROW_BLOCK_ELEMENTS = 1 << 17
 
 

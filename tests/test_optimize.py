@@ -92,6 +92,16 @@ def golden_training(tiny_population):
     )
 
 
+@pytest.fixture(scope="module")
+def fixture_training():
+    """Week-0 and week-1 training on the golden fixture's 24-host population."""
+    matrices = generate_enterprise(EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)).matrices()
+    return tuple(
+        detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=week)
+        for week in (0, 1)
+    )
+
+
 class TestGoldenRegression:
     """Selection must reproduce the pre-optimizer thresholds bit for bit."""
 
@@ -119,14 +129,10 @@ class TestGoldenRegression:
                         host,
                     )
 
-    def test_optimizer_selections_match_fixture(self):
+    def test_optimizer_selections_match_fixture(self, fixture_training):
         """Joint selections reproduce the pinned thresholds, objectives and sweeps."""
         golden = json.loads(FIGURES_GOLDEN_PATH.read_text(encoding="utf-8"))["optimizers"]
-        matrices = generate_enterprise(
-            EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)
-        ).matrices()
-        week0 = detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=0)
-        week1 = detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=1)
+        week0, week1 = fixture_training
         heuristic = UtilityHeuristic(weight=0.4)
 
         def policy(kind, optimizer):
@@ -451,8 +457,6 @@ def _reference_coordinate_ascent(optimizer, members, features, objective, heuris
     return thresholds, best, iterations
 
 
-_ALL_FUSIONS = st.sampled_from([FusionRule.any_(), FusionRule.k_of_n(2), FusionRule.all_()])
-
 #: No sizes, a few, or 8-12: from 8 on, numpy sums a lone candidate's sizes
 #: pairwise rather than in sequence, so the kernel must reproduce both orders.
 _SIZE = st.floats(min_value=0.0, max_value=150.0, allow_nan=False)
@@ -467,7 +471,7 @@ def _objective_cases(draw, max_members=5):
     features = OPTIMIZER_FEATURES[: draw(st.integers(min_value=1, max_value=3))]
     members = draw(_member_groups(features=features, max_members=max_members))
     objective = FusedUtilityObjective(
-        fusion=draw(_ALL_FUSIONS),
+        fusion=draw(_FUSIONS),
         weight=draw(st.floats(min_value=0.0, max_value=1.0)),
         attack_sizes=draw(_ANY_ATTACK_SIZES),
         attack_feature=draw(st.sampled_from([None, features[-1]])),
@@ -487,16 +491,6 @@ def _poisson_members(rng, lengths, mean):
         {feature: EmpiricalDistribution(rng.poisson(mean, n)) for feature in OPTIMIZER_FEATURES}
         for n in lengths
     ]
-
-
-@pytest.fixture(scope="module")
-def fixture_training():
-    """Week-0 and week-1 training on the golden fixture's 24-host population."""
-    matrices = generate_enterprise(EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)).matrices()
-    return tuple(
-        detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=week)
-        for week in (0, 1)
-    )
 
 
 class TestFusedUtilityKernel:
