@@ -63,7 +63,7 @@ def test_bench_scaleout_sampled_eval(benchmark):
 def test_bench_scaleout_shard_load(benchmark):
     """Hash-checked mmap loads: resolve a 256-host sample from a cold open."""
     _warm_sharded_population()
-    layout = PopulationCache(BENCH_CACHE_DIR).sharded_path_for(_POPULATION_SPEC.to_config())
+    layout = PopulationCache(BENCH_CACHE_DIR).path_for(_POPULATION_SPEC.to_config())
     chosen = sample_host_ids(range(SCALE_HOSTS), 256, seed=7)
 
     def open_and_resolve():

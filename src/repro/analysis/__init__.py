@@ -9,7 +9,6 @@ REP001    unseeded / global-state randomness outside ``utils/rng.py``
 REP002    wall-clock reads outside the injectable-clock seams
 REP003    telemetry span/counter literals must match the registry
 REP004    stored-record fields may only change with a schema bump
-REP005    deprecation shims must carry a ``since=`` lifecycle marker
 REP006    executor tasks must be module-top-level and state-free
 ========  ==========================================================
 

@@ -167,7 +167,7 @@ class ProjectContext:
     root: Path
     modules: List[SourceModule]
     schema_baseline: Optional[Mapping[str, Any]] = None
-    #: Per-rule extra report payloads (e.g. REP005's shim inventory).
+    #: Per-rule extra report payloads (e.g. REP004's schema fingerprint).
     inventory: Dict[str, Any] = field(default_factory=dict)
 
     def find_module(self, *suffixes: str) -> Optional[SourceModule]:

@@ -41,7 +41,7 @@ def _finding_line(finding: Finding) -> str:
 
 
 def render_text(result: LintResult) -> str:
-    """The human report: violations, documented suppressions, shim ages."""
+    """The human report: violations and documented suppressions."""
     lines: List[str] = []
     violations = result.violations
     for finding in violations:
@@ -53,13 +53,6 @@ def render_text(result: LintResult) -> str:
         for finding in suppressed:
             lines.append(f"  {_finding_line(finding)}")
             lines.append(f"      reason: {finding.suppression_reason}")
-    shims = result.inventory.get("deprecation_shims", [])
-    if shims:
-        lines.append("")
-        lines.append(f"deprecation shims ({len(shims)}) — removal candidates by age:")
-        for shim in sorted(shims, key=lambda s: (s.get("since") or "", s["path"])):
-            since = shim.get("since") or "<unmarked>"
-            lines.append(f"  {since:>6}  {shim['path']}:{shim['line']}")
     lines.append("")
     lines.append(
         f"{len(violations)} violation(s), {len(suppressed)} suppressed, "

@@ -344,70 +344,6 @@ class SchemaGuardRule(Rule):
         return findings
 
 
-class DeprecationLifecycleRule(Rule):
-    """REP005: every deprecation shim carries a ``since=`` lifecycle marker."""
-
-    id = "REP005"
-    title = "deprecation shim without a since= marker"
-    rationale = (
-        "The ROADMAP's shim-removal cleanup ('remove single-feature shims "
-        "after the re-anchor') is only mechanical if every shim records when "
-        "it was deprecated. warn_deprecated(..., since='PR3') stamps the age; "
-        "the lint report lists every shim with its marker, so a removal PR is "
-        "a table lookup instead of a git-archaeology session."
-    )
-    example_violation = 'warn_deprecated("old_api is deprecated; use new_api")'
-    example_fix = 'warn_deprecated("old_api is deprecated; use new_api", since="PR3")'
-
-    #: The defining module: the function itself takes since as a parameter.
-    _defining_module = "utils/deprecation.py"
-
-    def check(self, context: ProjectContext) -> List[Finding]:
-        findings: List[Finding] = []
-        shims: List[Dict[str, Any]] = []
-        for module in context.modules:
-            if module.path_endswith(self._defining_module):
-                continue
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None
-                )
-                if name == "warn_deprecated":
-                    since = _keyword_string(node, "since")
-                    shims.append(
-                        {"path": module.relpath, "line": node.lineno, "since": since}
-                    )
-                    if not since:
-                        findings.append(
-                            self.finding(
-                                module,
-                                node,
-                                "warn_deprecated() without since=: stamp the PR "
-                                'that deprecated this API (e.g. since="PR3") so '
-                                "shim ages stay mechanically trackable",
-                            )
-                        )
-                elif name == "warn" and any(
-                    isinstance(arg, ast.Name) and arg.id == "ReproDeprecationWarning"
-                    for arg in node.args
-                ):
-                    findings.append(
-                        self.finding(
-                            module,
-                            node,
-                            "raise repro deprecations via warn_deprecated(..., "
-                            "since=...) so the shim inventory stays complete",
-                        )
-                    )
-        context.inventory["deprecation_shims"] = shims
-        return findings
-
-
 class ExecutorTaskPurityRule(Rule):
     """REP006: process-pool tasks must be importable, state-free functions."""
 
@@ -659,15 +595,6 @@ def _literal_string_tuples(tree: ast.Module) -> Dict[str, Tuple[str, ...]]:
     return registry
 
 
-def _keyword_string(node: ast.Call, keyword: str) -> Optional[str]:
-    for kw in node.keywords:
-        if kw.arg == keyword and isinstance(kw.value, ast.Constant):
-            value = kw.value.value
-            if isinstance(value, str) and value.strip():
-                return value
-    return None
-
-
 def _imports_concurrent_futures(module: SourceModule) -> bool:
     return any(
         origin.startswith("concurrent.futures")
@@ -711,7 +638,6 @@ def default_rules() -> List[Rule]:
         WallClockRule(),
         TelemetryNameRegistryRule(),
         SchemaGuardRule(),
-        DeprecationLifecycleRule(),
         ExecutorTaskPurityRule(),
     ]
 

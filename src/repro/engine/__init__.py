@@ -26,17 +26,12 @@ from repro.engine.engine import (
     default_worker_count,
 )
 from repro.engine.serialization import (
-    POPULATION_FORMAT_VERSION,
-    read_population,
-    write_population,
-)
-from repro.engine.sharded import (
     DEFAULT_HOSTS_PER_SHARD,
-    DEFAULT_MAX_RESIDENT_SHARDS,
-    ShardedPopulation,
+    POPULATION_FORMAT_VERSION,
     read_manifest,
     write_population_sharded,
 )
+from repro.engine.sharded import DEFAULT_MAX_RESIDENT_SHARDS, ShardedPopulation
 
 __all__ = [
     "PopulationEngine",
@@ -45,8 +40,6 @@ __all__ = [
     "PopulationCache",
     "population_cache_key",
     "resolve_cache_dir",
-    "read_population",
-    "write_population",
     "ShardedPopulation",
     "write_population_sharded",
     "read_manifest",

@@ -3,8 +3,9 @@
 Generating the paper-scale population is pure function of
 (:class:`~repro.workload.enterprise.EnterpriseConfig`, explicit role
 overrides), so a content hash of those inputs fully identifies the output.
-The cache stores one binary file per key (written atomically via a temporary
-file + rename) and treats any unreadable or stale-format file as a miss.
+The cache stores one ``.rpopd`` layout per key (see
+:mod:`repro.engine.serialization`), hash-checks every shard it reads back,
+and treats any unreadable, stale-format or corrupt layout as a miss.
 """
 
 from __future__ import annotations
@@ -15,18 +16,23 @@ import logging
 import os
 import warnings
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.engine.serialization import (
+    DEFAULT_HOSTS_PER_SHARD,
     POPULATION_FORMAT_VERSION,
+    _file_sha256,
+    _read_shard,
+    config_from_payload,
     config_payload,
-    read_population,
-    write_population,
+    read_manifest,
+    write_population_sharded,
 )
+from repro.features.timeseries import FeatureMatrix
 from repro.telemetry import set_gauge, trace_span
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, require
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
-from repro.workload.profiles import UserRole
+from repro.workload.profiles import HostProfile, UserRole
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +76,7 @@ def resolve_cache_dir(cache_dir: Optional[PathLike] = None) -> Optional[Path]:
 
 
 class PopulationCache:
-    """A directory of serialized populations addressed by content hash."""
+    """A directory of ``.rpopd`` population layouts addressed by content hash."""
 
     def __init__(self, directory: PathLike) -> None:
         self._directory = Path(directory).expanduser()
@@ -83,97 +89,138 @@ class PopulationCache:
     def path_for(
         self, config: EnterpriseConfig, roles: Optional[Mapping[int, UserRole]] = None
     ) -> Path:
-        """The file a population with these inputs is stored at."""
-        key = population_cache_key(config, roles)
-        return self._directory / f"population-{key[:32]}.rpop"
+        """The ``.rpopd`` directory a population with these inputs is stored under.
 
-    def sharded_path_for(
-        self, config: EnterpriseConfig, roles: Optional[Mapping[int, UserRole]] = None
-    ) -> Path:
-        """The ``.rpopd`` directory a sharded population is stored under."""
+        :meth:`~repro.engine.PopulationEngine.generate` and
+        :meth:`~repro.engine.PopulationEngine.generate_sharded` share it, so a
+        configuration used both whole and sampled is stored once.
+        """
         key = population_cache_key(config, roles)
         return self._directory / f"population-{key[:32]}.rpopd"
 
     def load(
         self, config: EnterpriseConfig, roles: Optional[Mapping[int, UserRole]] = None
     ) -> Optional[EnterprisePopulation]:
-        """Return the cached population, or None on a miss or unreadable file."""
-        path = self.path_for(config, roles)
+        """Return the cached population, or None on a miss.
+
+        Every shard is hashed against its manifest record before it is read.
+        A missing or unreadable manifest, one for another config, and a shard
+        with no record, no file or another hash all make a miss: the engine
+        then regenerates the population and :meth:`store` rewrites the layout.
+        """
+        directory = self.path_for(config, roles)
         with trace_span("engine.cache.read") as span:
-            if not path.is_file():
+            if not directory.is_dir():
                 span.set(hit=False)
-                logger.debug("population cache miss: %s", path)
+                logger.debug("population cache miss: %s", directory)
                 return None
             try:
                 with trace_span("engine.cache.deserialize"):
-                    population = read_population(path)
+                    population = _read_layout(directory, config)
             except (ValidationError, OSError, ValueError, KeyError):
-                # A corrupt or stale-format file is a miss; regeneration overwrites it.
                 span.set(hit=False)
-                logger.debug("population cache file unreadable, treating as miss: %s", path)
+                logger.debug("population cache layout unreadable, treating as miss: %s", directory)
                 return None
             span.set(hit=True)
-            logger.debug("population cache hit: %s (%d hosts)", path, len(population))
+            logger.debug("population cache hit: %s (%d hosts)", directory, len(population))
             return population
 
     def entry_count(self) -> int:
-        """Number of cached populations (sharded ``.rpopd`` dirs count as one)."""
-        if not self._directory.is_dir():
-            return 0
-        flat = sum(1 for _ in self._directory.glob("population-*.rpop"))
-        sharded = sum(
-            1 for path in self._directory.glob("population-*.rpopd") if path.is_dir()
-        )
-        return flat + sharded
+        """Number of cached populations (one per ``.rpopd`` directory)."""
+        return len(self._layouts())
 
     def store(
         self,
         population: EnterprisePopulation,
         roles: Optional[Mapping[int, UserRole]] = None,
     ) -> Optional[Path]:
-        """Atomically write ``population``; returns the cache file path.
+        """Write ``population`` as its layout; returns the layout directory.
+
+        An existing layout for the same config keeps its shard geometry, so
+        the shards a lazily resolved population already recorded are simply
+        rewritten in place; otherwise the population is cut into
+        :data:`~repro.engine.serialization.DEFAULT_HOSTS_PER_SHARD`-host
+        shards.  Shard files are replaced by rename before the manifest is,
+        so an interrupted store leaves a layout that still verifies or that
+        the next :meth:`load` misses.
 
         An unwritable or full cache location must never discard a generated
         population, so write failures emit a warning and return None (the
         next run simply misses the cache), mirroring how :meth:`load` treats
-        unreadable files as misses.
+        unreadable layouts as misses.
         """
-        path = self.path_for(population.config, roles)
-        temporary = path.with_suffix(f".tmp{os.getpid()}")
+        config = population.config
+        directory = self.path_for(config, roles)
         with trace_span("engine.cache.write"):
             try:
-                self._directory.mkdir(parents=True, exist_ok=True)
+                hosts_per_shard = _matching_manifest(directory, config)["hosts_per_shard"]
+            except ValidationError:
+                hosts_per_shard = DEFAULT_HOSTS_PER_SHARD
+            try:
                 with trace_span("engine.cache.serialize"):
-                    write_population(temporary, population)
-                os.replace(temporary, path)
+                    write_population_sharded(directory, population, hosts_per_shard)
             except OSError as error:
-                warnings.warn(f"population cache write to {path} failed: {error}", stacklevel=2)
+                warnings.warn(
+                    f"population cache write to {directory} failed: {error}", stacklevel=2
+                )
                 return None
-            finally:
-                if temporary.exists():
-                    temporary.unlink()
         set_gauge("engine.cache_entries", float(self.entry_count()))
-        logger.debug("population cached: %s (%d hosts)", path, len(population))
-        return path
+        logger.debug("population cached: %s (%d hosts)", directory, len(population))
+        return directory
 
     def clear(self) -> int:
         """Delete every cached population; returns the number removed.
 
-        Counts one per population: a sharded ``.rpopd`` directory removes as
-        a single entry however many shard files it holds.
+        Counts one per population: a ``.rpopd`` directory removes as a single
+        entry however many shard files it holds.
         """
-        if not self._directory.is_dir():
-            return 0
-        removed = 0
-        for path in self._directory.glob("population-*.rpop"):
-            path.unlink()
-            removed += 1
-        for directory in self._directory.glob("population-*.rpopd"):
-            if not directory.is_dir():
-                continue
+        layouts = self._layouts()
+        for directory in layouts:
             for path in directory.iterdir():
                 path.unlink()
             directory.rmdir()
-            removed += 1
         set_gauge("engine.cache_entries", float(self.entry_count()))
-        return removed
+        return len(layouts)
+
+    def _layouts(self) -> List[Path]:
+        if not self._directory.is_dir():
+            return []
+        return [path for path in self._directory.glob("population-*.rpopd") if path.is_dir()]
+
+
+def _matching_manifest(directory: Path, config: EnterpriseConfig) -> dict:
+    """The manifest of the layout at ``directory`` if it holds ``config``.
+
+    Raises ``ValidationError`` when there is no readable manifest or it
+    records another configuration.
+    """
+    manifest = read_manifest(directory)
+    require(
+        manifest["config"] == config_payload(config),
+        f"cached layout {directory} holds another configuration",
+    )
+    return manifest
+
+
+def _read_layout(directory: Path, config: EnterpriseConfig) -> EnterprisePopulation:
+    """Every shard of the layout at ``directory``, each checked against its hash.
+
+    Raises ``ValidationError`` (or ``OSError`` for a missing shard file)
+    unless every shard is recorded and intact.
+    """
+    manifest = _matching_manifest(directory, config)
+    profiles: Dict[int, HostProfile] = {}
+    matrices: Dict[int, FeatureMatrix] = {}
+    for index, record in enumerate(manifest["shards"]):
+        require(record is not None, f"cached layout {directory} has no shard {index}")
+        path = directory / record["file"]
+        require(
+            _file_sha256(path) == record["sha256"],
+            f"shard {path} does not match its manifest hash",
+        )
+        shard_profiles, shard_matrices = _read_shard(path)
+        profiles.update(shard_profiles)
+        matrices.update(shard_matrices)
+    return EnterprisePopulation(
+        config=config_from_payload(manifest["config"]), profiles=profiles, matrices=matrices
+    )

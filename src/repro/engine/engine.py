@@ -11,9 +11,9 @@ uses to obtain an :class:`~repro.workload.enterprise.EnterprisePopulation`:
   is bit-identical to serial output regardless of worker count or scheduling.
   The same pool builds the missing shards of a sharded population made by
   :meth:`PopulationEngine.generate_sharded` (see :mod:`repro.engine.sharded`).
-* **On-disk cache** — populations are stored under a content hash of the
-  configuration (see :mod:`repro.engine.cache`), so repeated experiment and
-  benchmark runs skip generation entirely.
+* **On-disk cache** — populations are stored as ``.rpopd`` layouts under a
+  content hash of the configuration (see :mod:`repro.engine.cache`), so
+  repeated experiment and benchmark runs skip generation entirely.
 
 Environment overrides (picked up by :meth:`PopulationEngine.from_env`, which
 is what :func:`~repro.workload.enterprise.generate_enterprise` uses when no
@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.cache import DEFAULT_CACHE_DIR, PopulationCache, resolve_cache_dir
+from repro.engine.serialization import DEFAULT_HOSTS_PER_SHARD
 from repro.features.timeseries import FeatureMatrix
 from repro.telemetry import add_count, child_recorder, get_recorder, monotonic_now, trace_span
 from repro.utils.rng import RandomSource
@@ -366,24 +367,20 @@ class PopulationEngine:
 
         The scale-out entry point: nothing is generated up front.  Shards are
         produced the first time an evaluation touches one of their hosts —
-        loaded zero-copy (``numpy.memmap``) from the cache's ``.rpopd``
-        directory when present, regenerated deterministically otherwise — and
-        at most ``max_resident_shards`` stay resident.  With caching enabled,
-        freshly generated shards are persisted so later runs mmap them
-        directly, and a request that needs several missing shards at once
-        builds them on this engine's worker pool, each worker writing its
-        own shard file.
+        mapped zero-copy from the cache's ``.rpopd`` layout when present,
+        regenerated deterministically otherwise — and at most
+        ``max_resident_shards`` stay resident.  With caching enabled, freshly
+        generated shards are persisted so later runs map them directly, and
+        a request that needs several missing shards at once builds them on
+        this engine's worker pool, each worker writing its own shard file.
+        The layout is the one :meth:`generate` stores for ``config``, so in
+        the default geometry a configuration used both ways is generated and
+        stored once.
         """
-        from repro.engine.sharded import (
-            DEFAULT_HOSTS_PER_SHARD,
-            DEFAULT_MAX_RESIDENT_SHARDS,
-            ShardedPopulation,
-        )
+        from repro.engine.sharded import DEFAULT_MAX_RESIDENT_SHARDS, ShardedPopulation
 
         config = config if config is not None else EnterpriseConfig()
-        directory = (
-            self._cache.sharded_path_for(config, roles) if self._cache is not None else None
-        )
+        directory = self._cache.path_for(config, roles) if self._cache is not None else None
         return ShardedPopulation.generate(
             config,
             directory=directory,

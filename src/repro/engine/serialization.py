@@ -1,20 +1,35 @@
-"""Binary serialization of generated enterprise populations.
+"""The ``.rpopd`` population format: one directory of hash-checked shards.
 
-Cached populations are stored in the same style as the packet/connection
-trace formats in :mod:`repro.traces.serialization`: a magic + version header
-followed by fixed-width little-endian records, with feature values written as
-raw float64 buffers.  The round trip is exact — loading a cached population
-yields bit-identical feature matrices — which is what lets experiment and
-benchmark runs skip generation entirely on a warm cache.
+Every cached population lives in a ``population-<key>.rpopd/`` directory:
+
+* ``manifest.json`` — format version, the full
+  :class:`~repro.workload.enterprise.EnterpriseConfig` payload, the shard
+  geometry and, per written shard, its file name and SHA-256 content hash.
+* ``shard-NNNNN.rpsh`` — one fixed-size host range each.  A shard file holds
+  a magic + version header and the profiles of its hosts, in the same style
+  as the packet/connection trace formats in :mod:`repro.traces.serialization`,
+  followed by one contiguous ``(num_hosts, num_features, num_bins)``
+  little-endian float64 block.  The whole feature payload of a shard maps
+  straight into memory, so loading a shard never copies bin values, and the
+  round trip is exact: a loaded population is bit-identical to the generated
+  one.
+
+Shards are written first and the manifest last, each replaced by rename, so
+an interrupted write leaves either the previous manifest or none: a shard
+file the manifest does not record, or whose hash it does not match, is never
+trusted.  A population of up to :data:`DEFAULT_HOSTS_PER_SHARD` hosts is one
+shard.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import os
 import struct
 from pathlib import Path
-from typing import Dict, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,12 +41,18 @@ from repro.utils.validation import ValidationError, require
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
 from repro.workload.profiles import FeatureIntensity, HostProfile, UserRole
 
-_POPULATION_MAGIC = b"RPOP"
 #: Bump whenever the on-disk layout or the generation process changes in a
 #: way that invalidates cached populations.  Version 2 introduced the
-#: sharded ``.rpopd`` directory layout alongside the monolithic file (the
-#: bump retires monolithic caches written before the shard-aware reader).
+#: ``.rpopd`` layout.
 POPULATION_FORMAT_VERSION = 2
+
+#: Default host-range size per shard.  4096 hosts x 6 features x one week of
+#: 15-minute bins is ~132 MiB of float64 per five-week shard — big enough to
+#: amortise per-shard overhead, small enough that a handful stay resident.
+DEFAULT_HOSTS_PER_SHARD = 4096
+
+_SHARD_MAGIC = b"RPSH"
+_MANIFEST_NAME = "manifest.json"
 
 # host_id, role index, is_laptop, master_intensity
 _HOST_STRUCT = struct.Struct("<IBBd")
@@ -45,12 +66,15 @@ _FEATURE_ORDER = PAPER_FEATURES
 
 PathLike = Union[str, Path]
 
+#: One shard's contents: profiles and feature matrices keyed by host id.
+ShardEntry = Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]
+
 
 def config_payload(config: EnterpriseConfig) -> dict:
     """JSON-ready mapping of every ``EnterpriseConfig`` field.
 
     Derived via :func:`dataclasses.asdict` so newly added config fields are
-    automatically part of both the serialized header and the cache key — a
+    automatically part of both the manifest and the cache key — a
     hand-maintained field list here would silently collide cache entries for
     configs differing only in a forgotten field.
     """
@@ -67,65 +91,148 @@ def config_payload(config: EnterpriseConfig) -> dict:
     return payload
 
 
-def _config_to_json(config: EnterpriseConfig) -> bytes:
-    return json.dumps(config_payload(config), sort_keys=True).encode("utf-8")
-
-
-def _config_from_json(blob: bytes) -> EnterpriseConfig:
-    payload = json.loads(blob.decode("utf-8"))
+def config_from_payload(payload: Mapping) -> EnterpriseConfig:
+    """The ``EnterpriseConfig`` a :func:`config_payload` mapping describes."""
+    payload = dict(payload)
     payload["maintenance_weeks"] = tuple(payload["maintenance_weeks"])
     return EnterpriseConfig(**payload)
 
 
-def write_population(path: PathLike, population: EnterprisePopulation) -> None:
-    """Write ``population`` (config, profiles, matrices) to ``path``."""
-    with open(path, "wb") as handle:
-        write_header(
-            handle, _POPULATION_MAGIC, len(population), version=POPULATION_FORMAT_VERSION
-        )
-        config_blob = _config_to_json(population.config)
-        handle.write(struct.pack("<I", len(config_blob)))
-        handle.write(config_blob)
-        for host_id in population.host_ids:
-            profile = population.profile(host_id)
-            matrix = population.matrix(host_id)
-            handle.write(
-                _HOST_STRUCT.pack(
-                    host_id,
-                    _ROLE_ORDER.index(profile.role),
-                    1 if profile.is_laptop else 0,
-                    profile.master_intensity,
+# ------------------------------------------------------------------- shards
+def _write_shard(
+    path: Path,
+    host_ids: Sequence[int],
+    profiles: Mapping[int, HostProfile],
+    matrices: Mapping[int, FeatureMatrix],
+) -> str:
+    """Write one shard file; returns its SHA-256 hex digest.
+
+    The shard requires a uniform bin grid and feature set across its hosts
+    (every generated population satisfies both), which is what makes the
+    value block a single rectangular array.
+    """
+    reference = matrices[host_ids[0]]
+    features = reference.features
+    num_bins = reference.num_bins
+    bin_spec = reference.series(features[0]).bin_spec
+
+    temporary = path.with_suffix(f".tmp{os.getpid()}")
+    try:
+        with open(temporary, "wb") as handle:
+            sink = _DigestSink(handle)
+            write_header(sink, _SHARD_MAGIC, len(host_ids), version=POPULATION_FORMAT_VERSION)
+            for host_id in host_ids:
+                profile = profiles[host_id]
+                matrix = matrices[host_id]
+                require(
+                    matrix.features == features and matrix.num_bins == num_bins,
+                    "sharded populations require a uniform feature set and bin grid",
                 )
-            )
-            handle.write(struct.pack("<B", len(profile.intensities)))
-            for feature, intensity in profile.intensities.items():
-                handle.write(struct.pack("<B", _FEATURE_ORDER.index(feature)))
-                handle.write(
-                    _INTENSITY_STRUCT.pack(
-                        intensity.scale,
-                        intensity.body_sigma,
-                        intensity.burst_probability,
-                        intensity.burst_alpha,
+                sink.write(
+                    _HOST_STRUCT.pack(
+                        host_id,
+                        _ROLE_ORDER.index(profile.role),
+                        1 if profile.is_laptop else 0,
+                        profile.master_intensity,
                     )
                 )
-            handle.write(
-                _MATRIX_STRUCT.pack(matrix.num_bins, matrix.bin_width, _matrix_origin(matrix))
-            )
-            handle.write(struct.pack("<B", len(matrix.features)))
-            for feature in matrix.features:
-                handle.write(struct.pack("<B", _FEATURE_ORDER.index(feature)))
-                values = np.ascontiguousarray(matrix.series(feature).values, dtype="<f8")
-                handle.write(values.tobytes())
+                sink.write(struct.pack("<B", len(profile.intensities)))
+                for feature, intensity in profile.intensities.items():
+                    sink.write(struct.pack("<B", _FEATURE_ORDER.index(feature)))
+                    sink.write(
+                        _INTENSITY_STRUCT.pack(
+                            intensity.scale,
+                            intensity.body_sigma,
+                            intensity.burst_probability,
+                            intensity.burst_alpha,
+                        )
+                    )
+            sink.write(_MATRIX_STRUCT.pack(num_bins, bin_spec.width, bin_spec.origin))
+            sink.write(struct.pack("<B", len(features)))
+            for feature in features:
+                sink.write(struct.pack("<B", _FEATURE_ORDER.index(feature)))
+            # Pad the value block to 8-byte alignment so the mapped view is
+            # aligned float64.
+            padding = (-sink.position) % 8
+            if padding:
+                sink.write(b"\x00" * padding)
+            for host_id in host_ids:
+                matrix = matrices[host_id]
+                for feature in features:
+                    values = np.ascontiguousarray(matrix.series(feature).values, dtype="<f8")
+                    sink.write(values.tobytes())
+        os.replace(temporary, path)
+    finally:
+        if temporary.exists():
+            temporary.unlink()
+    return sink.hexdigest()
 
 
-def read_population(path: PathLike) -> EnterprisePopulation:
-    """Read a population written by :func:`write_population`."""
+class _DigestSink:
+    """File-like wrapper feeding everything written through a hash as well."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+        self._digest = hashlib.sha256()
+        self.position = 0
+
+    def write(self, chunk: bytes) -> None:
+        self._handle.write(chunk)
+        self._digest.update(chunk)
+        self.position += len(chunk)
+
+    def hexdigest(self) -> str:
+        return self._digest.hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    """SHA-256 hex digest of a file, hashed from buffered reads.
+
+    Never through an mmap: hashing a shard must not leave its pages resident.
+    """
+    digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        num_hosts = read_header(handle, _POPULATION_MAGIC, version=POPULATION_FORMAT_VERSION)
-        (config_length,) = struct.unpack("<I", _read_exact(handle, 4))
-        config = _config_from_json(_read_exact(handle, config_length))
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _shard_file_name(index: int) -> str:
+    return f"shard-{index:05d}.rpsh"
+
+
+def _write_shard_file(
+    directory: Path,
+    index: int,
+    host_ids: Sequence[int],
+    profiles: Mapping[int, HostProfile],
+    matrices: Mapping[int, FeatureMatrix],
+) -> Dict[str, Any]:
+    """Write shard ``index`` under ``directory``; returns its manifest record."""
+    name = _shard_file_name(index)
+    digest = _write_shard(directory / name, host_ids, profiles, matrices)
+    return {
+        "file": name,
+        "first_host": host_ids[0],
+        "num_hosts": len(host_ids),
+        "sha256": digest,
+    }
+
+
+def _read_shard(path: Path) -> ShardEntry:
+    """Read a shard written by :func:`_write_shard`.
+
+    The value block is not read at all: each host's series wraps a row of one
+    read-only mapping of the file, so bins are paged in only when an
+    evaluation actually touches them.  The rows are plain ``numpy.ndarray``
+    views (whose base keeps the mapping alive), not ``numpy.memmap`` rows,
+    whose Python-level ``__array_wrap__``/``__getitem__`` would tax every
+    numpy operation on them.
+    """
+    with open(path, "rb") as handle:
+        num_hosts = read_header(handle, _SHARD_MAGIC, version=POPULATION_FORMAT_VERSION)
         profiles: Dict[int, HostProfile] = {}
-        matrices: Dict[int, FeatureMatrix] = {}
+        host_ids: List[int] = []
         for _ in range(num_hosts):
             host_id, role_index, is_laptop, master_intensity = _HOST_STRUCT.unpack(
                 _read_exact(handle, _HOST_STRUCT.size)
@@ -150,38 +257,154 @@ def read_population(path: PathLike) -> EnterprisePopulation:
                 intensities=intensities,
                 is_laptop=bool(is_laptop),
             )
-            num_bins, bin_width, origin = _MATRIX_STRUCT.unpack(
-                _read_exact(handle, _MATRIX_STRUCT.size)
-            )
-            bin_spec = BinSpec(width=bin_width, origin=origin)
-            (num_features,) = struct.unpack("<B", _read_exact(handle, 1))
-            series: Dict[Feature, TimeSeries] = {}
-            for _ in range(num_features):
-                (feature_index,) = struct.unpack("<B", _read_exact(handle, 1))
-                buffer = _read_exact(handle, num_bins * 8)
-                values = np.frombuffer(buffer, dtype="<f8").astype(float)
-                series[_feature_at(feature_index)] = TimeSeries(values, bin_spec)
-            matrices[host_id] = FeatureMatrix(host_id=host_id, series=series)
-    return EnterprisePopulation(config=config, profiles=profiles, matrices=matrices)
+            host_ids.append(host_id)
+        num_bins, bin_width, origin = _MATRIX_STRUCT.unpack(
+            _read_exact(handle, _MATRIX_STRUCT.size)
+        )
+        bin_spec = BinSpec(width=bin_width, origin=origin)
+        (num_features,) = struct.unpack("<B", _read_exact(handle, 1))
+        features = tuple(
+            _feature_at(struct.unpack("<B", _read_exact(handle, 1))[0])
+            for _ in range(num_features)
+        )
+        position = handle.tell()
+        values_offset = position + ((-position) % 8)
 
+    shape = (num_hosts, num_features, num_bins)
+    block = np.memmap(path, dtype="<f8", mode="r", offset=values_offset, shape=shape)
+    block = block.view(np.ndarray)
 
-def _matrix_origin(matrix: FeatureMatrix) -> float:
-    return matrix.series(matrix.features[0]).bin_spec.origin
+    matrices: Dict[int, FeatureMatrix] = {}
+    for row, host_id in enumerate(host_ids):
+        series: Dict[Feature, TimeSeries] = {}
+        for column, feature in enumerate(features):
+            # The block was validated (non-negative, one-dimensional) when the
+            # shard was written and is integrity-checked via its manifest
+            # hash, so wrap rows without re-validating: np.all(...) on a
+            # mapped block would page the whole shard in and defeat the
+            # zero-copy load.
+            series[feature] = TimeSeries._wrap(block[row, column], bin_spec)
+        matrices[host_id] = FeatureMatrix(host_id=host_id, series=series)
+    return profiles, matrices
 
 
 def _read_exact(handle, size: int) -> bytes:
     chunk = handle.read(size)
-    require(len(chunk) == size, "truncated population cache file")
+    require(len(chunk) == size, "truncated population shard file")
     return chunk
 
 
 def _feature_at(index: int) -> Feature:
     if not 0 <= index < len(_FEATURE_ORDER):
-        raise ValidationError(f"unknown feature index {index} in population cache")
+        raise ValidationError(f"unknown feature index {index} in population shard")
     return _FEATURE_ORDER[index]
 
 
 def _role_at(index: int) -> UserRole:
     if not 0 <= index < len(_ROLE_ORDER):
-        raise ValidationError(f"unknown role index {index} in population cache")
+        raise ValidationError(f"unknown role index {index} in population shard")
     return _ROLE_ORDER[index]
+
+
+# ----------------------------------------------------------------- manifest
+def _manifest_path(directory: Path) -> Path:
+    return directory / _MANIFEST_NAME
+
+
+def _write_manifest(directory: Path, manifest: dict) -> None:
+    path = _manifest_path(directory)
+    temporary = path.with_suffix(f".tmp{os.getpid()}")
+    temporary.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    os.replace(temporary, path)
+
+
+def _num_shards(num_hosts: int, hosts_per_shard: int) -> int:
+    return -(-num_hosts // hosts_per_shard)
+
+
+def _new_manifest(config: EnterpriseConfig, hosts_per_shard: int) -> dict:
+    return {
+        "format": POPULATION_FORMAT_VERSION,
+        "config": config_payload(config),
+        "num_hosts": config.num_hosts,
+        "hosts_per_shard": hosts_per_shard,
+        "shards": [None] * _num_shards(config.num_hosts, hosts_per_shard),
+    }
+
+
+def write_population_sharded(
+    directory: PathLike,
+    population: EnterprisePopulation,
+    hosts_per_shard: int = DEFAULT_HOSTS_PER_SHARD,
+) -> Path:
+    """Write an in-memory population as a complete ``.rpopd`` directory.
+
+    Every shard file is written (and renamed into place) before the manifest
+    that records it, so an interrupted write never leaves a manifest naming
+    a shard that is not on disk.
+    """
+    require(hosts_per_shard >= 1, "hosts_per_shard must be >= 1")
+    host_ids = population.host_ids
+    require(
+        host_ids == tuple(range(len(host_ids))),
+        "sharded populations require contiguous host ids starting at 0",
+    )
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest = _new_manifest(population.config, hosts_per_shard)
+    profiles = {host_id: population.profile(host_id) for host_id in host_ids}
+    matrices = population.matrices()
+    for index in range(len(manifest["shards"])):
+        first = index * hosts_per_shard
+        chunk = range(first, min(first + hosts_per_shard, len(host_ids)))
+        manifest["shards"][index] = _write_shard_file(
+            directory, index, chunk, profiles, matrices
+        )
+    _write_manifest(directory, manifest)
+    return directory
+
+
+def read_manifest(directory: PathLike) -> dict:
+    """Read and validate a ``.rpopd`` manifest; raises ``ValidationError``."""
+    path = _manifest_path(Path(directory))
+    if not path.is_file():
+        raise ValidationError(f"not a sharded population: {path} is missing")
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as error:
+        raise ValidationError(f"unreadable sharded population manifest: {error}") from None
+    if not isinstance(manifest, dict):
+        raise ValidationError("sharded population manifest is not a JSON object")
+    if manifest.get("format") != POPULATION_FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported sharded population format {manifest.get('format')!r}"
+        )
+    for key in ("config", "num_hosts", "hosts_per_shard", "shards"):
+        if key not in manifest:
+            raise ValidationError(f"sharded population manifest missing {key!r}")
+    num_hosts, hosts_per_shard, shards = (
+        manifest["num_hosts"],
+        manifest["hosts_per_shard"],
+        manifest["shards"],
+    )
+    if not (
+        isinstance(num_hosts, int)
+        and isinstance(hosts_per_shard, int)
+        and hosts_per_shard >= 1
+        and isinstance(shards, list)
+        and len(shards) == _num_shards(num_hosts, hosts_per_shard)
+        and all(record is None or _is_shard_record(record) for record in shards)
+    ):
+        raise ValidationError(
+            "sharded population manifest needs one shard record (or null) per "
+            "hosts_per_shard hosts of num_hosts"
+        )
+    return manifest
+
+
+def _is_shard_record(record: Any) -> bool:
+    return (
+        isinstance(record, dict)
+        and isinstance(record.get("file"), str)
+        and isinstance(record.get("sha256"), str)
+    )

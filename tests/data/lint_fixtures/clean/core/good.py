@@ -1,7 +1,6 @@
 """A module that honours every invariant: nothing to report here."""
 
 from telemetry import add_count, trace_span
-from utils.deprecation import warn_deprecated
 from utils.rng import spawn_rng
 
 
@@ -10,8 +9,3 @@ def run(seed, n):
     with trace_span("app.run"):
         add_count("app.items", n)
         return rng.random(n)
-
-
-def legacy(seed, n):
-    warn_deprecated("legacy() is deprecated; use run()", since="PR1")
-    return run(seed, n)

@@ -1,4 +1,4 @@
-"""Tests for ``repro.analysis``: the REP001–REP006 determinism lint.
+"""Tests for ``repro.analysis``: the REP001–REP004 and REP006 determinism lint.
 
 Fixture trees under ``tests/data/lint_fixtures/`` exercise each rule's
 positive and negative cases without importing the fixture code; the engine
@@ -99,21 +99,6 @@ class TestRulePack:
         (tmp_path / "app.py").write_text('with trace_span("anything"):\n    pass\n')
         assert by_rule(run_rules(tmp_path)).get("REP003", []) == []
 
-    def test_rep005_flags_unstamped_shims_and_raw_warns(self):
-        result = run_rules(VIOLATIONS)
-        findings = by_rule(result).get("REP005", [])
-        assert len(findings) == 2
-        messages = " | ".join(f.message for f in findings)
-        assert "without since=" in messages
-        assert "warn_deprecated(..., since=...)" in messages
-
-    def test_rep005_inventories_shim_ages(self):
-        inventory = run_rules(VIOLATIONS).inventory["deprecation_shims"]
-        stamped = [shim for shim in inventory if shim["since"]]
-        unstamped = [shim for shim in inventory if not shim["since"]]
-        assert [shim["since"] for shim in stamped] == ["PR2"]
-        assert len(unstamped) == 1
-
     def test_rep006_flags_impure_tasks(self):
         findings = by_rule(run_rules(VIOLATIONS)).get("REP006", [])
         assert len(findings) == 4
@@ -189,9 +174,9 @@ class TestReporters:
                 "suppression_reason",
             } <= set(finding)
 
-    def test_json_report_carries_the_inventory(self):
-        report = json_report(run_rules(VIOLATIONS))
-        assert "deprecation_shims" in report["inventory"]
+    def test_json_report_carries_the_inventory(self, tmp_path):
+        report = json_report(run_rules(schema_tree(tmp_path)))
+        assert report["inventory"]["schema_fingerprint"]["result_schema_version"] == 4
 
     def test_text_report_lists_violations_and_reasons(self):
         text = render_text(run_rules(SUPPRESSED))
@@ -199,11 +184,6 @@ class TestReporters:
         assert "documented suppressions" in text
         assert "provenance label" in text
         assert "violation(s)" in text
-
-    def test_text_report_renders_shim_ages(self):
-        text = render_text(run_rules(VIOLATIONS))
-        assert "deprecation shims" in text
-        assert "PR2" in text
 
 
 # -------------------------------------------------------------- schema guard
@@ -361,13 +341,6 @@ class TestShippedTree:
         assert result.suppressed, "expected at least the run-id suppression"
         for finding in result.suppressed:
             assert finding.suppression_reason.strip()
-
-    def test_shipped_tree_carries_no_deprecation_shims(self):
-        # The PR3/PR7 shims (EvaluationProtocol, evaluate_policy_on_feature,
-        # SweepRunner.run(timing=...)) were removed after their deprecation
-        # window; the shipped tree must stay shim-free.
-        inventory = LintEngine().run(SRC_TREE).inventory["deprecation_shims"]
-        assert inventory == []
 
     def test_unseeded_randomness_fails_the_tree(self, tmp_path, capsys):
         tree = copy_src_tree(tmp_path)

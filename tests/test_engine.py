@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+
+import repro
 from repro.engine import (
     PopulationCache,
     PopulationEngine,
+    ShardedPopulation,
     population_cache_key,
-    read_population,
-    write_population,
 )
 from repro.engine.engine import _chunk_host_ids
+from repro.engine.serialization import _file_sha256
 from repro.features.definitions import PAPER_FEATURES
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 from repro.workload.profiles import UserRole
@@ -104,11 +111,13 @@ class TestCache:
         cache = PopulationCache(tmp_path)
         engine = PopulationEngine(workers=1, cache_dir=tmp_path)
         population = engine.generate(CONFIG)
-        cache.path_for(CONFIG).write_bytes(b"garbage")
+        flip_value_byte(cache.path_for(CONFIG) / "shard-00000.rpsh")
         assert cache.load(CONFIG) is None
         regenerated = engine.generate(CONFIG)
         assert engine.last_report.cache_hit is False
         assert_populations_identical(population, regenerated)
+        layout = ShardedPopulation.open(cache.path_for(CONFIG))
+        assert all(layout.verify_shard(index) for index in range(layout.num_shards))
 
     def test_clear_removes_cached_populations(self, tmp_path):
         engine = PopulationEngine(workers=1, cache_dir=tmp_path)
@@ -167,13 +176,13 @@ class TestCache:
 
 
 class TestSerialization:
-    def test_write_read_round_trip(self, tmp_path):
-        population = PopulationEngine(workers=1).generate(
-            EnterpriseConfig(num_hosts=12, num_weeks=2, seed=77)
-        )
-        path = tmp_path / "population.rpop"
-        write_population(path, population)
-        loaded = read_population(path)
+    CONFIG = EnterpriseConfig(num_hosts=12, num_weeks=2, seed=77)
+
+    def test_store_load_round_trip(self, tmp_path):
+        population = PopulationEngine(workers=1).generate(self.CONFIG)
+        cache = PopulationCache(tmp_path)
+        assert cache.store(population) == cache.path_for(self.CONFIG)
+        loaded = cache.load(self.CONFIG)
         assert_populations_identical(population, loaded)
         for host_id in population.host_ids:
             for feature in PAPER_FEATURES:
@@ -181,10 +190,82 @@ class TestSerialization:
                 restored = loaded.matrix(host_id).series(feature).values
                 assert original.dtype == restored.dtype
 
-    def test_bad_magic_rejected(self, tmp_path):
-        from repro.utils.validation import ValidationError
+    def test_bad_magic_is_a_miss(self, tmp_path):
+        cache = PopulationCache(tmp_path)
+        cache.store(PopulationEngine(workers=1).generate(self.CONFIG))
+        layout = cache.path_for(self.CONFIG)
+        shard = layout / "shard-00000.rpsh"
+        shard.write_bytes(b"NOPE" + shard.read_bytes()[4:])
+        # Record the new bytes' hash, so only the shard reader can reject them.
+        manifest = json.loads((layout / "manifest.json").read_text())
+        manifest["shards"][0]["sha256"] = _file_sha256(shard)
+        (layout / "manifest.json").write_text(json.dumps(manifest))
+        assert cache.load(self.CONFIG) is None
 
-        path = tmp_path / "bad.rpop"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValidationError):
-            read_population(path)
+
+def flip_value_byte(shard: Path) -> None:
+    """Flip a bin value of a shard's last host: the header still parses."""
+    data = bytearray(shard.read_bytes())
+    data[-3] ^= 0xFF
+    shard.write_bytes(bytes(data))
+
+
+#: Child process for the kill tests: SIGKILLs itself inside
+#: ``PopulationCache.store`` once the shard files are written, just before
+#: the manifest is replaced.
+_KILLED_IN_STORE = """
+import os, signal, sys
+import repro.engine.serialization as serialization
+from repro.engine import PopulationEngine
+from repro.workload.enterprise import EnterpriseConfig
+
+def killed(directory, manifest):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+serialization._write_manifest = killed
+num_hosts, num_weeks, seed = map(int, sys.argv[2:])
+config = EnterpriseConfig(num_hosts=num_hosts, num_weeks=num_weeks, seed=seed)
+PopulationEngine(workers=1, cache_dir=sys.argv[1]).generate(config)
+raise SystemExit("the cache write was not interrupted")
+"""
+
+
+def _killed_in_store(cache_dir: Path) -> None:
+    """Run ``_KILLED_IN_STORE`` on ``CONFIG`` against ``cache_dir``."""
+    paths = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+    fields = (CONFIG.num_hosts, CONFIG.num_weeks, CONFIG.seed)
+    arguments = [str(cache_dir), *map(str, fields)]
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLED_IN_STORE, *arguments], env=env, timeout=120
+    )
+    assert child.returncode == -signal.SIGKILL
+
+
+class TestInterruptedCacheWrite:
+    """A process killed inside ``store`` leaves a cache the next run recovers from."""
+
+    def test_kill_before_first_manifest_is_a_miss(self, tmp_path):
+        _killed_in_store(tmp_path)
+        layout = PopulationCache(tmp_path).path_for(CONFIG)
+        # Shards are written before the manifest: the kill left a shard
+        # file that no manifest records.
+        assert (layout / "shard-00000.rpsh").is_file()
+        assert not (layout / "manifest.json").exists()
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        resumed = engine.generate(CONFIG)
+        assert engine.last_report.cache_hit is False
+        assert_populations_identical(resumed, PopulationEngine(workers=1).generate(CONFIG))
+        engine.generate(CONFIG)
+        assert engine.last_report.cache_hit is True
+
+    def test_kill_while_rewriting_a_corrupt_shard(self, tmp_path):
+        PopulationEngine(workers=1, cache_dir=tmp_path).generate(CONFIG)
+        layout = PopulationCache(tmp_path).path_for(CONFIG)
+        flip_value_byte(layout / "shard-00000.rpsh")
+        _killed_in_store(tmp_path)
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        resumed = engine.generate(CONFIG)
+        # The rewritten shard is the bytes the old manifest recorded.
+        assert engine.last_report.cache_hit is True
+        assert_populations_identical(resumed, PopulationEngine(workers=1).generate(CONFIG))

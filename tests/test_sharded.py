@@ -1,13 +1,13 @@
-"""Tests for sharded population storage: equality, mmap identity, cache.
+"""Tests for sharded population storage: equality, mapped shards, cache.
 
 The scale-out contract: a population cut into fixed-size host-range shards
-(``.rpopd`` directory, one mmap-backed ``.rpsh`` file per shard) must be
+(``.rpopd`` directory, one mapped ``.rpsh`` file per shard) must be
 indistinguishable — bit for bit — from the same configuration generated
-monolithically, whether the shards are loaded zero-copy via ``numpy.memmap``
-or read fully into memory, and a format-version bump must invalidate every
-cached layout rather than silently reading stale bytes.  Building missing
-shards on the engine's worker pool must write the very same files as the
-in-process build.
+monolithically, and a format-version bump must invalidate every cached
+layout rather than silently reading stale bytes.  Building missing shards on
+the engine's worker pool must write the very same files as the in-process
+build.  The layout is also the engine cache's only format, so whole and
+sampled uses of one configuration share it.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from repro.core.policies import PartialDiversityPolicy
 import repro.engine.engine as engine_module
 from repro.engine import PopulationEngine, population_cache_key
 from repro.engine.cache import PopulationCache
-from repro.engine.sharded import (
+from repro.engine.serialization import (
     DEFAULT_HOSTS_PER_SHARD,
-    ShardedPopulation,
     read_manifest,
     write_population_sharded,
 )
+from repro.engine.sharded import ShardedPopulation
 from repro.features.definitions import Feature
 from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
@@ -154,24 +154,22 @@ class TestShardedEqualsMonolithic:
 
 
 class TestMmapBitIdentity:
-    def test_mmap_and_in_memory_values_identical(self, monolithic, tmp_path):
+    def test_shard_values_are_plain_views_of_the_file(self, monolithic, tmp_path):
         directory = write_population_sharded(
             tmp_path / "pop.rpopd", monolithic, hosts_per_shard=8
         )
-        mapped = ShardedPopulation.open(directory, use_mmap=True)
-        in_memory = ShardedPopulation.open(directory, use_mmap=False)
+        mapped = ShardedPopulation.open(directory)
         for host_id in monolithic.host_ids:
             for feature in monolithic.matrix(host_id).features:
-                np.testing.assert_array_equal(
-                    mapped.matrix(host_id).series(feature).values,
-                    in_memory.matrix(host_id).series(feature).values,
-                )
+                values = mapped.matrix(host_id).series(feature).values
+                assert type(values) is np.ndarray
+                assert not values.flags.owndata
 
     def test_evaluation_on_mmap_matches_monolithic(self, monolithic, tmp_path):
         directory = write_population_sharded(
             tmp_path / "pop.rpopd", monolithic, hosts_per_shard=8
         )
-        mapped = ShardedPopulation.open(directory, use_mmap=True)
+        mapped = ShardedPopulation.open(directory)
         policy = PartialDiversityPolicy()
         baseline = evaluate_policy(monolithic.matrices(), policy, PROTOCOL)
         via_mmap = evaluate_policy(mapped.matrices(), policy, PROTOCOL)
@@ -186,13 +184,13 @@ class TestCacheInvalidation:
         )
         assert population_cache_key(CONFIG) != before
 
-    def test_sharded_path_moves_on_version_bump(self, tmp_path, monkeypatch):
+    def test_cache_path_moves_on_version_bump(self, tmp_path, monkeypatch):
         cache = PopulationCache(tmp_path)
-        before = cache.sharded_path_for(CONFIG)
+        before = cache.path_for(CONFIG)
         monkeypatch.setattr(
             "repro.engine.cache.POPULATION_FORMAT_VERSION", 99_999_999
         )
-        after = cache.sharded_path_for(CONFIG)
+        after = cache.path_for(CONFIG)
         assert before != after  # a bump never reuses the old layout's path
 
     def test_stale_manifest_format_is_rejected(self, monolithic, tmp_path):
@@ -219,11 +217,31 @@ class TestCacheInvalidation:
         assert json.loads(manifest_path.read_text())["format"] != manifest["format"]
         assert_matches_monolithic(sharded, monolithic)
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [[], None, {"shards": []}, {"shards": "none"}, {"shards": [None, None, "x", None]}],
+        ids=["list", "null", "too-few-shards", "shards-not-a-list", "bad-record"],
+    )
+    def test_malformed_manifest_is_a_miss(self, manifest, monolithic, tmp_path):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        layout = engine.generate_sharded(CONFIG, hosts_per_shard=8).directory
+        manifest_path = layout / "manifest.json"
+        if isinstance(manifest, dict):
+            manifest = dict(read_manifest(layout), **manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError):
+            read_manifest(layout)
+        assert engine.cache.load(CONFIG) is None
+        # generate() starts a fresh layout over the malformed one.
+        sharded = ShardedPopulation.generate(CONFIG, directory=layout, hosts_per_shard=8)
+        assert len(read_manifest(layout)["shards"]) == 4
+        assert_matches_monolithic(sharded, monolithic)
+
     def test_engine_generate_sharded_uses_cache_directory(self, tmp_path):
         engine = PopulationEngine(workers=1, cache_dir=tmp_path)
         sharded = engine.generate_sharded(CONFIG, hosts_per_shard=8)
         sharded.matrix(0)
-        layout = PopulationCache(tmp_path).sharded_path_for(CONFIG)
+        layout = PopulationCache(tmp_path).path_for(CONFIG)
         assert layout.is_dir()
         assert (layout / "shard-00000.rpsh").is_file()
 
@@ -234,6 +252,51 @@ class TestCacheInvalidation:
         other = EnterpriseConfig(num_hosts=30, num_weeks=2, seed=512)
         with pytest.raises(ValidationError, match="does not match"):
             ShardedPopulation.generate(other, directory=directory, hosts_per_shard=16)
+
+
+def _hosts_generated(action):
+    """``action()`` and the number of hosts it generated."""
+    recorder = TelemetryRecorder()
+    with use_recorder(recorder):
+        result = action()
+    return result, recorder.counters.get("engine.hosts_generated", 0)
+
+
+class TestOneLayoutPerPopulation:
+    """``generate`` and ``generate_sharded`` share the cache's one layout."""
+
+    def test_generate_then_sharded_generates_no_host(self, monolithic, tmp_path):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        engine.generate(CONFIG)
+        materialized, generated = _hosts_generated(
+            lambda: engine.generate_sharded(CONFIG).materialize()
+        )
+        assert generated == 0
+        assert_matches_monolithic(materialized, monolithic)
+
+    def test_sharded_then_generate_is_a_cache_hit(self, monolithic, tmp_path):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        engine.generate_sharded(CONFIG).materialize()
+        whole, generated = _hosts_generated(lambda: engine.generate(CONFIG))
+        assert engine.last_report.cache_hit is True
+        assert generated == 0
+        assert_matches_monolithic(whole, monolithic)
+        assert engine.cache.entry_count() == 1
+        assert engine.cache.clear() == 1
+
+    def test_generate_completes_a_partial_layout(self, monolithic, tmp_path):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        engine.generate_sharded(CONFIG, hosts_per_shard=8).matrix(0)  # shard 0 only
+        whole = engine.generate(CONFIG)
+        assert engine.last_report.cache_hit is False
+        assert_matches_monolithic(whole, monolithic)
+        # store() kept the layout's geometry and recorded every shard.
+        assert None not in _manifest_hashes(engine.cache.path_for(CONFIG))
+        sharded, generated = _hosts_generated(
+            lambda: engine.generate_sharded(CONFIG, hosts_per_shard=8).materialize()
+        )
+        assert generated == 0
+        assert_matches_monolithic(sharded, monolithic)
 
 
 class _PoolStarted(Exception):

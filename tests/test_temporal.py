@@ -15,7 +15,7 @@ from repro.core.evaluation import (
 from repro.core.experiment import ScenarioOutcome, evaluate_scenario
 from repro.core.policies import HomogeneousPolicy, PartialDiversityPolicy
 from repro.core.thresholds import PercentileHeuristic, UtilityHeuristic
-from repro.engine.serialization import read_population, write_population
+from repro.engine import PopulationCache
 from repro.features.definitions import Feature
 from repro.optimize import CoordinateAscentOptimizer
 from repro.temporal import (
@@ -139,9 +139,9 @@ class TestDriftModels:
             drift=DriftModel.from_kinds("role-churn", probability=0.5),
         )
         population = generate_enterprise(config)
-        path = tmp_path / "population.rpop"
-        write_population(path, population)
-        loaded = read_population(path)
+        cache = PopulationCache(tmp_path)
+        cache.store(population)
+        loaded = cache.load(config)
         assert loaded.config == config
         for host_id in population.host_ids:
             for feature in population.matrix(host_id).features:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.deprecation import ReproDeprecationWarning, warn_deprecated
 from repro.utils.jsonl import append_jsonl, read_jsonl
 from repro.utils.rng import RandomSource, derive_seed, spawn_rng
 from repro.utils.timeutils import (
@@ -149,18 +148,6 @@ class TestRandomSource:
     def test_derive_seed_in_range(self, seed, label):
         derived = derive_seed(seed, label)
         assert 0 <= derived < 2**63
-
-
-class TestDeprecationLifecycle:
-    def test_warn_deprecated_appends_the_since_marker(self):
-        with pytest.warns(
-            ReproDeprecationWarning, match=r"old\(\) is gone \(deprecated since PR9\)"
-        ):
-            warn_deprecated("old() is gone", since="PR9", stacklevel=2)
-
-    def test_warn_deprecated_without_since_keeps_the_message_verbatim(self):
-        with pytest.warns(ReproDeprecationWarning, match=r"old\(\) is gone$"):
-            warn_deprecated("old() is gone", stacklevel=2)
 
 
 def _append_records(path: str, log_path: str, writer: int, count: int, pad: int) -> None:
