@@ -18,7 +18,11 @@ Measurement is vectorised: one kernel scores every host of a test-week bin
 grid as whole ``(num_hosts, num_bins)`` array operations per feature —
 threshold exceedance, attack overlay and fusion votes.  Every generated
 population is one grid; hosts on different grids (clipped or shifted series)
-are scored one grid at a time and joined in input order.
+are scored one grid at a time and joined in input order.  Training is one
+sort of the same kind of ``(num_hosts, num_bins)`` block per feature-week.
+A :class:`~repro.features.timeseries.PopulationFrame` (a population loaded
+from a one-shard cache layout) is one grid, and both kernels read its
+blocks as views of the mapped shard instead of stacking per-host rows.
 
 The result is one :class:`HostPerformanceTable`: per-host results stay numpy
 columns, which the population aggregates read directly, and a
@@ -39,12 +43,12 @@ from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint, utility_f
 from repro.core.policies import ConfigurationPolicy, DetectionAssignment
 from repro.core.thresholds import DEFAULT_PERCENTILE
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
 from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.summary import SummaryStatistics, summarize
 from repro.telemetry import add_count, trace_span
 from repro.utils.timeutils import WEEK, BinSpec
-from repro.utils.validation import require, require_probability
+from repro.utils.validation import ValidationError, require, require_probability
 
 logger = logging.getLogger(__name__)
 
@@ -552,23 +556,10 @@ def training_distributions(
     host with no active bins at all falls back to its full (all-zero) series
     so that a threshold can still be computed.
 
-    Only the requested feature's series is sliced — a single-feature protocol
-    never pays for slicing the five features it does not train on.
+    Only the requested feature is trained — a single-feature protocol never
+    pays for the five features it does not train on.
     """
-    return {
-        host_id: _training_distribution(matrix.series(feature).week(week), active_bins_only)
-        for host_id, matrix in matrices.items()
-    }
-
-
-def _training_distribution(series, active_bins_only: bool) -> EmpiricalDistribution:
-    values = np.asarray(series.values)
-    if active_bins_only:
-        active = values[values > 0]
-        values = active if active.size else values
-    # Tag the measurement bin width so grouping never silently pools
-    # per-bin counts observed over incompatible windows.
-    return EmpiricalDistribution(values, bin_width=series.bin_width)
+    return _train_blocks(matrices, (feature,), week, week + 1, active_bins_only)[feature]
 
 
 def detection_training_distributions(
@@ -578,10 +569,7 @@ def detection_training_distributions(
     active_bins_only: bool = True,
 ) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
     """:func:`training_distributions` for every feature of a protocol."""
-    return {
-        feature: training_distributions(matrices, feature, week, active_bins_only)
-        for feature in features
-    }
+    return _train_blocks(matrices, features, week, week + 1, active_bins_only)
 
 
 def detection_training_window_distributions(
@@ -597,17 +585,49 @@ def detection_training_window_distributions(
     :func:`detection_training_distributions`: re-optimisation schedules train
     on the last ``k`` completed weeks rather than a single fixed one.  A
     one-week window is bit-identical to the single-week helper (the slice is
-    the same bins).  Out-of-range windows raise :class:`ValueError` via
-    :meth:`~repro.features.timeseries.FeatureMatrix.week_range`.
+    the same bins).  Out-of-range windows raise :class:`ValueError` as
+    :meth:`~repro.features.timeseries.TimeSeries.week_range` does.
+    """
+    return _train_blocks(matrices, features, start_week, end_week, active_bins_only)
+
+
+def _train_blocks(
+    matrices: Mapping[int, FeatureMatrix],
+    features: Iterable[Feature],
+    start_week: int,
+    end_week: int,
+    active_bins_only: bool,
+) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
+    """The training kernel: per feature and bin grid, one sort of a ``(hosts, bins)`` block.
+
+    Each host's distribution wraps its row of the sorted block without a
+    copy.  With ``active_bins_only`` that row is its suffix after the last
+    ``<= 0`` bin (a sorted row's positive bins), or the whole row when no bin
+    is positive.  Each distribution equals, bit for bit, the constructor's
+    over the host's own window (sorting a row sorts the same values).  Hosts
+    come back in ``matrices`` order.
     """
     distributions: Dict[Feature, Dict[int, EmpiricalDistribution]] = {
         feature: {} for feature in features
     }
-    for host_id, matrix in matrices.items():
-        for feature in distributions:
-            distributions[feature][host_id] = _training_distribution(
-                matrix.series(feature).week_range(start_week, end_week), active_bins_only
-            )
+    for feature, trained in distributions.items():
+        windows = list(_window_blocks(matrices, feature, start_week, end_week))
+        for host_ids, width, window in windows:
+            block = np.sort(window, axis=1)
+            # Sorted rows put -inf first and +inf and NaN last.
+            if not np.isfinite(block[:, [0, -1]]).all():
+                raise ValidationError("samples must be finite")
+            block.flags.writeable = False
+            starts = np.zeros(len(host_ids), dtype=np.intp)
+            if active_bins_only:
+                starts = np.count_nonzero(block <= 0, axis=1)
+                starts[starts == block.shape[1]] = 0
+            # Tag the measurement bin width so grouping never silently pools
+            # per-bin counts observed over incompatible windows.
+            for row, (host_id, start) in enumerate(zip(host_ids, starts.tolist())):
+                trained[host_id] = EmpiricalDistribution.from_sorted(block[row, start:], width)
+        if len(windows) > 1:
+            distributions[feature] = {host_id: trained[host_id] for host_id in matrices}
     return distributions
 
 
@@ -720,12 +740,14 @@ def measure_assignment(
         return HostPerformanceTable.concatenate(tables, list(matrices))
 
 
-def _grid_groups(matrices: Mapping[int, FeatureMatrix], feature: Feature) -> List[List[int]]:
+def _grid_groups(matrices: Mapping[int, FeatureMatrix], feature: Feature) -> List[Sequence[int]]:
     """Hosts grouped by bin grid: series length and :class:`BinSpec`, origin included.
 
-    Hosts of one group share their test-week slice bounds, so one kernel pass
-    stacks them.
+    Hosts of one group share their week slice bounds, so one kernel pass
+    reads them as one block.  A :class:`PopulationFrame` is one grid.
     """
+    if isinstance(matrices, PopulationFrame):
+        return [matrices.host_ids]
     groups: Dict[Tuple[int, BinSpec], List[int]] = {}
     for host_id, matrix in matrices.items():
         series = matrix.series(feature)
@@ -733,11 +755,28 @@ def _grid_groups(matrices: Mapping[int, FeatureMatrix], feature: Feature) -> Lis
     return list(groups.values())
 
 
-def _week_slice_bounds(series: TimeSeries, week: int) -> Tuple[int, int]:
-    """The [first, last) bin indices :meth:`TimeSeries.week` would slice."""
+def _window_blocks(
+    matrices: Mapping[int, FeatureMatrix], feature: Feature, start_week: int, end_week: int
+) -> Iterator[Tuple[Sequence[int], float, np.ndarray]]:
+    """Per bin grid: its hosts, bin width, and ``feature`` over weeks ``[start, end)`` as a block.
+
+    The window is checked once per grid, on one host: the hosts share it.
+    """
+    for host_ids in _grid_groups(matrices, feature):
+        reference = matrices[host_ids[0]].series(feature)
+        first, last = _window_bounds(reference, start_week, end_week)
+        yield host_ids, reference.bin_width, _block(matrices, host_ids, feature, first, last)
+
+
+def _window_bounds(series: TimeSeries, start_week: int, end_week: int) -> Tuple[int, int]:
+    """The [first, last) bin indices :meth:`TimeSeries.week_range` slices.
+
+    Raises as ``week_range`` does when ``series`` does not cover the window.
+    """
+    series.week_range(start_week, end_week)
     spec = series.bin_spec
-    first = max(spec.index_of(week * WEEK), 0)
-    last = min(spec.index_of((week + 1) * WEEK - 1e-9) + 1, series.num_bins)
+    first = max(spec.index_of(start_week * WEEK), 0)
+    last = min(spec.index_of(end_week * WEEK - 1e-9) + 1, series.num_bins)
     return first, last
 
 
@@ -747,14 +786,20 @@ def _threshold_vector(assignment, feature: Feature, host_ids: Sequence[int]) -> 
     return np.array([per_feature.threshold_of(host_id) for host_id in host_ids], dtype=float)
 
 
-def _stack(
+def _block(
     matrices: Mapping[int, FeatureMatrix],
     host_ids: Sequence[int],
     feature: Feature,
     first: int,
     last: int,
 ) -> np.ndarray:
-    """Bins ``[first, last)`` of ``feature``, one row per host of ``host_ids``."""
+    """Bins ``[first, last)`` of ``feature``, one row per host of ``host_ids``.
+
+    A read-only view of a :class:`PopulationFrame` over exactly these hosts;
+    otherwise the hosts' rows stacked into a new array.
+    """
+    if isinstance(matrices, PopulationFrame) and tuple(host_ids) == matrices.host_ids:
+        return matrices.block(feature, first, last)
     return np.stack(
         [np.asarray(matrices[host_id].series(feature).values)[first:last] for host_id in host_ids]
     )
@@ -779,7 +824,7 @@ def _attack_amounts(
     def provider(feature: Feature) -> np.ndarray:
         if feature in values:
             return values[feature]
-        return _stack(matrices, host_ids, feature, first, last)
+        return _block(matrices, host_ids, feature, first, last)
 
     batch = VictimBatch(
         host_ids=host_ids,
@@ -813,20 +858,19 @@ def _measure_assignment_batched(
     """The measurement kernel: ``host_ids``, which share one bin grid, straight into columns.
 
     Every per-host quantity is computed as an array operation over
-    ``(num_hosts, num_bins)`` stacks; each row equals, bit for bit, scoring
-    that host alone (element-wise comparisons and additions are the same
-    scalar operations, just batched).
+    ``(num_hosts, num_bins)`` blocks (views of a :class:`PopulationFrame`,
+    which nothing here writes); each row equals, bit for bit, scoring that
+    host alone (element-wise comparisons and additions are the same scalar
+    operations, just batched).
     """
     features = protocol.features
     reference = matrices[host_ids[0]].series(features[0])
-    # Trigger the out-of-range week validation once; the hosts share one
-    # grid, so one host's validation covers them all.
-    reference.week(week)
-    first, last = _week_slice_bounds(reference, week)
+    # The hosts share one grid: one host's week check covers them all.
+    first, last = _window_bounds(reference, week, week + 1)
     num_bins = last - first
 
     values: Dict[Feature, np.ndarray] = {
-        feature: _stack(matrices, host_ids, feature, first, last) for feature in features
+        feature: _block(matrices, host_ids, feature, first, last) for feature in features
     }
     thresholds: Dict[Feature, np.ndarray] = {
         feature: _threshold_vector(assignment, feature, host_ids) for feature in features

@@ -63,7 +63,7 @@ class ExperimentContext:
         require(self.train_week < weeks and self.test_week < weeks, "train/test weeks out of range")
 
     @property
-    def matrices(self) -> Dict[int, FeatureMatrix]:
+    def matrices(self) -> Mapping[int, FeatureMatrix]:
         """Per-host benign feature matrices."""
         return self.population.matrices()
 
@@ -361,7 +361,7 @@ def evaluate_scenario(
 
 def _scenario_matrices(
     population: EnterprisePopulation, sample: Optional[SampleSpec]
-) -> Dict[int, FeatureMatrix]:
+) -> Mapping[int, FeatureMatrix]:
     """The matrices a scenario evaluates: the full population, or its sample."""
     if sample is None or not sample.enabled:
         return population.matrices()

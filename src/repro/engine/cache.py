@@ -16,11 +16,12 @@ import logging
 import os
 import warnings
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Union
+from typing import List, Mapping, Optional, Union
 
 from repro.engine.serialization import (
     DEFAULT_HOSTS_PER_SHARD,
     POPULATION_FORMAT_VERSION,
+    ShardEntry,
     _file_sha256,
     _read_shard,
     config_from_payload,
@@ -28,11 +29,10 @@ from repro.engine.serialization import (
     read_manifest,
     write_population_sharded,
 )
-from repro.features.timeseries import FeatureMatrix
 from repro.telemetry import set_gauge, trace_span
 from repro.utils.validation import ValidationError, require
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
-from repro.workload.profiles import HostProfile, UserRole
+from repro.workload.profiles import UserRole
 
 logger = logging.getLogger(__name__)
 
@@ -205,12 +205,16 @@ def _matching_manifest(directory: Path, config: EnterpriseConfig) -> dict:
 def _read_layout(directory: Path, config: EnterpriseConfig) -> EnterprisePopulation:
     """Every shard of the layout at ``directory``, each checked against its hash.
 
-    Raises ``ValidationError`` (or ``OSError`` for a missing shard file)
-    unless every shard is recorded and intact.
+    A one-shard layout (every population of up to
+    :data:`~repro.engine.serialization.DEFAULT_HOSTS_PER_SHARD` hosts in the
+    default geometry) is served over its shard's
+    :class:`~repro.features.timeseries.PopulationFrame`; the matrices of
+    several shards are merged into one dict.  Raises ``ValidationError`` (or
+    ``OSError`` for a missing shard file) unless every shard is recorded and
+    intact.
     """
     manifest = _matching_manifest(directory, config)
-    profiles: Dict[int, HostProfile] = {}
-    matrices: Dict[int, FeatureMatrix] = {}
+    shards: List[ShardEntry] = []
     for index, record in enumerate(manifest["shards"]):
         require(record is not None, f"cached layout {directory} has no shard {index}")
         path = directory / record["file"]
@@ -218,9 +222,12 @@ def _read_layout(directory: Path, config: EnterpriseConfig) -> EnterprisePopulat
             _file_sha256(path) == record["sha256"],
             f"shard {path} does not match its manifest hash",
         )
-        shard_profiles, shard_matrices = _read_shard(path)
-        profiles.update(shard_profiles)
-        matrices.update(shard_matrices)
+        shards.append(_read_shard(path))
+    if len(shards) == 1:
+        profiles, matrices = shards[0]
+    else:
+        profiles = {h: p for shard_profiles, _ in shards for h, p in shard_profiles.items()}
+        matrices = {h: m for _, shard_matrices in shards for h, m in shard_matrices.items()}
     return EnterprisePopulation(
         config=config_from_payload(manifest["config"]), profiles=profiles, matrices=matrices
     )

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from repro.features.definitions import PAPER_FEATURES, Feature
-from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.features.timeseries import FeatureMatrix, PopulationFrame
 from repro.traces.serialization import read_header, write_header
 from repro.utils.timeutils import BinSpec
 from repro.utils.validation import ValidationError, require
@@ -66,8 +66,9 @@ _FEATURE_ORDER = PAPER_FEATURES
 
 PathLike = Union[str, Path]
 
-#: One shard's contents: profiles and feature matrices keyed by host id.
-ShardEntry = Tuple[Dict[int, HostProfile], Dict[int, FeatureMatrix]]
+#: One shard's contents: profiles and feature matrices keyed by host id (a
+#: :class:`PopulationFrame` when read from a shard file).
+ShardEntry = Tuple[Dict[int, HostProfile], Mapping[int, FeatureMatrix]]
 
 
 def config_payload(config: EnterpriseConfig) -> dict:
@@ -220,14 +221,14 @@ def _write_shard_file(
 
 
 def _read_shard(path: Path) -> ShardEntry:
-    """Read a shard written by :func:`_write_shard`.
+    """Read a shard written by :func:`_write_shard`: its profiles and its frame.
 
-    The value block is not read at all: each host's series wraps a row of one
-    read-only mapping of the file, so bins are paged in only when an
-    evaluation actually touches them.  The rows are plain ``numpy.ndarray``
-    views (whose base keeps the mapping alive), not ``numpy.memmap`` rows,
-    whose Python-level ``__array_wrap__``/``__getitem__`` would tax every
-    numpy operation on them.
+    The value block is not read at all: the :class:`PopulationFrame` holds one
+    read-only mapping of the file, and each host's series wraps a row of it,
+    so bins are paged in only when an evaluation actually touches them.  The
+    block and its rows are plain ``numpy.ndarray`` views (whose base keeps the
+    mapping alive), not ``numpy.memmap`` rows, whose Python-level
+    ``__array_wrap__``/``__getitem__`` would tax every numpy operation on them.
     """
     with open(path, "rb") as handle:
         num_hosts = read_header(handle, _SHARD_MAGIC, version=POPULATION_FORMAT_VERSION)
@@ -272,20 +273,11 @@ def _read_shard(path: Path) -> ShardEntry:
 
     shape = (num_hosts, num_features, num_bins)
     block = np.memmap(path, dtype="<f8", mode="r", offset=values_offset, shape=shape)
-    block = block.view(np.ndarray)
-
-    matrices: Dict[int, FeatureMatrix] = {}
-    for row, host_id in enumerate(host_ids):
-        series: Dict[Feature, TimeSeries] = {}
-        for column, feature in enumerate(features):
-            # The block was validated (non-negative, one-dimensional) when the
-            # shard was written and is integrity-checked via its manifest
-            # hash, so wrap rows without re-validating: np.all(...) on a
-            # mapped block would page the whole shard in and defeat the
-            # zero-copy load.
-            series[feature] = TimeSeries._wrap(block[row, column], bin_spec)
-        matrices[host_id] = FeatureMatrix(host_id=host_id, series=series)
-    return profiles, matrices
+    # The block was validated (non-negative, one-dimensional) when the shard
+    # was written and is integrity-checked via its manifest hash, so the
+    # frame wraps its rows without re-validating: np.all(...) on a mapped
+    # block would page the whole shard in and defeat the zero-copy load.
+    return profiles, PopulationFrame(host_ids, features, bin_spec, block.view(np.ndarray))
 
 
 def _read_exact(handle, size: int) -> bytes:

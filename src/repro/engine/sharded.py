@@ -56,7 +56,7 @@ from repro.engine.serialization import (
     config_payload,
     read_manifest,
 )
-from repro.features.timeseries import FeatureMatrix
+from repro.features.timeseries import FeatureMatrix, PopulationFrame
 from repro.telemetry import add_count, child_recorder, set_gauge, trace_span
 from repro.utils.validation import ValidationError, require
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
@@ -387,18 +387,22 @@ class ShardedPopulation:
         _, matrices = self._shard(self.shard_of(host_id))
         return matrices[host_id]
 
-    def matrices(self) -> Dict[int, FeatureMatrix]:
+    def matrices(self) -> Mapping[int, FeatureMatrix]:
         """All feature matrices keyed by host id.
 
-        This materialises every shard's matrix mapping at once (the arrays
-        themselves stay mmap-backed) — fine at experiment scale, but
-        million-host callers should iterate :meth:`iter_shards` or sample
-        instead.
+        A one-shard population mapped from its file returns that shard's
+        read-only :class:`~repro.features.timeseries.PopulationFrame`.
+        Otherwise this materialises every shard's matrix mapping into one
+        dict (the arrays themselves stay mmap-backed) — fine at experiment
+        scale, but million-host callers should iterate :meth:`iter_shards` or
+        sample instead.
         """
         self._build_missing_shards(range(self.num_shards))
         combined: Dict[int, FeatureMatrix] = {}
         for index in range(self.num_shards):
             _, matrices = self._shard(index)
+            if self.num_shards == 1 and isinstance(matrices, PopulationFrame):
+                return matrices
             combined.update(matrices)
         return combined
 
@@ -419,7 +423,7 @@ class ShardedPopulation:
                 combined[host_id] = matrices[host_id]
         return combined
 
-    def iter_shards(self) -> Iterator[Tuple[range, Dict[int, FeatureMatrix]]]:
+    def iter_shards(self) -> Iterator[Tuple[range, Mapping[int, FeatureMatrix]]]:
         """Iterate ``(host_range, matrices)`` shard by shard."""
         for index in range(self.num_shards):
             _, matrices = self._shard(index)

@@ -13,7 +13,7 @@ from repro.features.definitions import (
     feature_by_name,
     PAPER_FEATURES,
 )
-from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
 from repro.features.extractor import FeatureExtractor, extract_feature_matrix
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "feature_by_name",
     "TimeSeries",
     "FeatureMatrix",
+    "PopulationFrame",
     "FeatureExtractor",
     "extract_feature_matrix",
 ]

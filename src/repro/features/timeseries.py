@@ -4,7 +4,10 @@
 :class:`FeatureMatrix` holds all six features for one host over the same bin
 grid.  Both support slicing by week (the paper's train-one-week /
 test-the-next protocol), rebinning to coarser windows and conversion to
-empirical distributions for threshold computation.
+empirical distributions for threshold computation.  :class:`PopulationFrame`
+is a whole population's matrices over one read-only
+``(hosts, features, bins)`` block, which the train and measure kernels read
+as views.
 """
 
 from __future__ import annotations
@@ -283,3 +286,94 @@ class FeatureMatrix:
             f"FeatureMatrix(host={self._host_id}, features={len(self._series)}, "
             f"bins={self.num_bins})"
         )
+
+
+class PopulationFrame(Mapping[int, FeatureMatrix]):
+    """Every host's :class:`FeatureMatrix` as rows of one read-only block.
+
+    ``array`` is a float64 block of shape ``(num_hosts, num_features,
+    num_bins)``: ``array[i, j]`` is the series of ``features[j]`` on
+    ``host_ids[i]``, and every host shares ``bin_spec``.  (It is not called
+    ``values``, which would shadow :meth:`Mapping.values`.)  As a mapping the
+    frame iterates in ``host_ids`` order and ``frame[h]`` is ``h``'s
+    :class:`FeatureMatrix`, whose series are rows of ``array`` (not copies),
+    so it serves every reader of a population's matrices.  :meth:`block`
+    hands the train and measure kernels a whole population's bins as one
+    view instead of per-host rows to stack.
+
+    A mapped shard is read-only, and so is the frame: the constructor rejects
+    a writeable block, and every view of it raises on a write.
+    """
+
+    def __init__(
+        self,
+        host_ids: Sequence[int],
+        features: Sequence[Feature],
+        bin_spec: BinSpec,
+        array: np.ndarray,
+    ) -> None:
+        self._host_ids = tuple(int(host_id) for host_id in host_ids)
+        self._features = tuple(features)
+        require(
+            isinstance(array, np.ndarray) and array.dtype == np.float64,
+            "frame array must be float64",
+        )
+        require(not array.flags.writeable, "frame array must be read-only")
+        require(
+            array.ndim == 3 and array.shape[:2] == (len(self._host_ids), len(self._features)),
+            "frame array must be shaped (num_hosts, num_features, num_bins)",
+        )
+        self._columns = {feature: column for column, feature in enumerate(self._features)}
+        require(len(self._columns) == len(self._features), "frame features must be distinct")
+        self._bin_spec = bin_spec
+        self._array = array
+        self._matrices: Dict[int, FeatureMatrix] = {
+            host_id: FeatureMatrix(
+                host_id,
+                {
+                    # The block was validated when its series were built, so
+                    # rows are wrapped without a pass over their bins.
+                    feature: TimeSeries._wrap(array[row, column], bin_spec)
+                    for column, feature in enumerate(self._features)
+                },
+            )
+            for row, host_id in enumerate(self._host_ids)
+        }
+        require(len(self._matrices) == len(self._host_ids), "frame host ids must be distinct")
+
+    @property
+    def host_ids(self) -> Tuple[int, ...]:
+        """Hosts in row order (the mapping's iteration order)."""
+        return self._host_ids
+
+    @property
+    def features(self) -> Tuple[Feature, ...]:
+        """Features in column order."""
+        return self._features
+
+    @property
+    def bin_spec(self) -> BinSpec:
+        """The bin grid every host shares."""
+        return self._bin_spec
+
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only ``(num_hosts, num_features, num_bins)`` block."""
+        return self._array
+
+    def block(self, feature: Feature, first: int, last: int) -> np.ndarray:
+        """Bins ``[first, last)`` of ``feature``, one row per host: a view of :attr:`array`."""
+        return self._array[:, self._columns[feature], first:last]
+
+    def __getitem__(self, host_id: int) -> FeatureMatrix:
+        return self._matrices[host_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._host_ids)
+
+    def __len__(self) -> int:
+        return len(self._host_ids)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        hosts, features, bins = self._array.shape
+        return f"PopulationFrame(hosts={hosts}, features={features}, bins={bins})"

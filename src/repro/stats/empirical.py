@@ -111,6 +111,27 @@ class EmpiricalDistribution:
         self._sorted = np.sort(values)
         self._bin_width = None if bin_width is None else float(bin_width)
 
+    @classmethod
+    def from_sorted(
+        cls, samples: np.ndarray, bin_width: Optional[float] = None
+    ) -> "EmpiricalDistribution":
+        """Wrap float samples that are already sorted, finite and read-only, without a copy.
+
+        The training kernel sorts a whole population's week in one call and
+        hands each host a row of it; the constructor would copy, re-sort and
+        re-check every row.  The caller guarantees all three properties; only
+        the read-only flag is checked here.  A distribution never writes its
+        samples (:meth:`add` and :meth:`pooled` build new arrays), so a
+        read-only row can be shared.
+        """
+        require(not samples.flags.writeable, "presorted samples must be read-only")
+        if bin_width is not None:
+            require(bin_width > 0.0, "bin_width must be positive")
+        distribution = cls.__new__(cls)
+        distribution._sorted = samples
+        distribution._bin_width = None if bin_width is None else float(bin_width)
+        return distribution
+
     # ------------------------------------------------------------------ basic
     def __len__(self) -> int:
         return int(self._sorted.size)

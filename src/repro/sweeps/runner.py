@@ -315,10 +315,13 @@ class SweepRunner:
                 len(scenarios),
                 len(skipped),
             )
+            # One content hash per scenario (a JSON dump + SHA-256), shared by
+            # the deduplication, the reuse flags and the serial evaluation.
+            keys = [population_cache_key(s.population.to_config()) for s in scenarios]
             with trace_span("sweeps.populations"):
-                populations, first_use = self._generate_distinct_populations(scenarios)
+                populations, first_use = self._generate_distinct_populations(scenarios, keys)
             run_span.set(distinct_populations=len(populations))
-            results = self._evaluate(scenarios, populations, first_use, on_finished)
+            results = self._evaluate(scenarios, keys, populations, first_use, on_finished)
 
         stats_delta_generations = self._engine.stats.generations - stats_before.generations
         stats_delta_hits = self._engine.stats.cache_hits - stats_before.cache_hits
@@ -358,13 +361,15 @@ class SweepRunner:
             else:
                 kept.append(scenario)
         return kept, tuple(skipped)
+
     def _generate_distinct_populations(
-        self, scenarios: List[ScenarioSpec]
+        self, scenarios: List[ScenarioSpec], keys: List[str]
     ) -> Tuple[Dict[str, Any], Dict[str, str]]:
         """One engine generation per distinct population configuration.
 
-        Returns the populations keyed by content hash, plus the name of the
-        first scenario to use each key (later users are "reusers").
+        ``keys`` holds each scenario's population cache key.  Returns the
+        populations keyed by it, plus the name of the first scenario to use
+        each key (later users are "reusers").
 
         A configuration used *only* by sampled scenarios is produced as a
         lazy :class:`~repro.engine.ShardedPopulation` — shards materialise
@@ -373,15 +378,13 @@ class SweepRunner:
         needs the full host set, the classic in-memory generation is used.
         """
         sampled_only: Dict[str, bool] = {}
-        for scenario in scenarios:
-            key = population_cache_key(scenario.population.to_config())
+        for scenario, key in zip(scenarios, keys, strict=True):
             sampled_only[key] = (
                 sampled_only.get(key, True) and scenario.evaluation.sample.enabled
             )
         populations: Dict[str, Any] = {}
         first_use: Dict[str, str] = {}
-        for scenario in scenarios:
-            key = population_cache_key(scenario.population.to_config())
+        for scenario, key in zip(scenarios, keys, strict=True):
             if key not in populations:
                 config = scenario.population.to_config()
                 if sampled_only[key]:
@@ -399,15 +402,13 @@ class SweepRunner:
     def _evaluate(
         self,
         scenarios: List[ScenarioSpec],
+        keys: List[str],
         populations: Dict[str, Any],
         first_use: Dict[str, str],
         progress: Optional[ProgressCallback],
     ) -> List[ScenarioResult]:
         total = len(scenarios)
-        reused = [
-            first_use[population_cache_key(s.population.to_config())] != s.name
-            for s in scenarios
-        ]
+        reused = [first_use[key] != s.name for s, key in zip(scenarios, keys, strict=True)]
         if self._effective_workers() > 1:
             # Restricted environments (no process spawning) fall back to the
             # identical serial path, as the engine itself does.  Once the pool
@@ -415,12 +416,14 @@ class SweepRunner:
             # instead (no silent duplicate re-run).
             with contextlib.suppress(_PoolUnavailable):
                 return self._evaluate_parallel(scenarios, reused, progress, total)
-        return self._evaluate_serial(scenarios, populations, reused, progress, total)
+        return self._evaluate_serial(
+            scenarios, [populations[key] for key in keys], reused, progress, total
+        )
 
     def _evaluate_serial(
         self,
         scenarios: List[ScenarioSpec],
-        populations: Dict[str, Any],
+        populations: List[Any],
         reused: List[bool],
         progress: Optional[ProgressCallback],
         total: int,
@@ -429,10 +432,7 @@ class SweepRunner:
         for index, scenario in enumerate(scenarios):
             scenario_started = monotonic_now()
             with trace_span("sweeps.scenario", scenario=scenario.name) as span:
-                population = populations[
-                    population_cache_key(scenario.population.to_config())
-                ]
-                outcome = run_scenario(scenario, population)
+                outcome = run_scenario(scenario, populations[index])
                 add_count("sweeps.scenarios_evaluated")
             duration = (
                 span.duration

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.evaluation import _window_blocks
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
 from repro.utils.validation import require
@@ -38,12 +39,10 @@ def _pooled_quantiles(
     end_week: int,
     quantiles: Sequence[float],
 ) -> np.ndarray:
-    values = np.concatenate(
-        [
-            np.asarray(matrix.week_range(start_week, end_week).series(feature).values)
-            for matrix in matrices.values()
-        ]
-    )
+    # One block per bin grid (a view of a PopulationFrame): the percentiles
+    # of the pooled values do not depend on their order.
+    blocks = [block for _, _, block in _window_blocks(matrices, feature, start_week, end_week)]
+    values = blocks[0] if len(blocks) == 1 else np.concatenate([b.ravel() for b in blocks])
     return np.percentile(values, quantiles)
 
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
+from repro.features.timeseries import FeatureMatrix, PopulationFrame
 from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.rng import RandomSource
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -80,7 +80,12 @@ class EnterpriseConfig:
 
 
 class EnterprisePopulation:
-    """The generated population: host profiles plus per-host feature matrices."""
+    """The generated population: host profiles plus per-host feature matrices.
+
+    A population loaded from a one-shard cache layout holds its matrices as
+    a read-only :class:`~repro.features.timeseries.PopulationFrame` over the
+    mapped shard, kept as it is; any other mapping is copied into a dict.
+    """
 
     def __init__(
         self,
@@ -92,7 +97,9 @@ class EnterprisePopulation:
         require(len(profiles) > 0, "population must contain at least one host")
         self._config = config
         self._profiles = dict(profiles)
-        self._matrices = dict(matrices)
+        self._matrices: Mapping[int, FeatureMatrix] = (
+            matrices if isinstance(matrices, PopulationFrame) else dict(matrices)
+        )
 
     # ----------------------------------------------------------------- basic
     @property
@@ -119,8 +126,15 @@ class EnterprisePopulation:
         """Feature matrix of ``host_id``."""
         return self._matrices[host_id]
 
-    def matrices(self) -> Dict[int, FeatureMatrix]:
-        """All feature matrices keyed by host id (shallow copy)."""
+    def matrices(self) -> Mapping[int, FeatureMatrix]:
+        """All feature matrices keyed by host id.
+
+        The population's read-only :class:`~repro.features.timeseries.PopulationFrame`
+        when it has one, otherwise a shallow dict copy; wrap the result in
+        ``dict(...)`` to edit it.
+        """
+        if isinstance(self._matrices, PopulationFrame):
+            return self._matrices
         return dict(self._matrices)
 
     # ------------------------------------------------------------- transforms

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
 from repro.engine import (
@@ -19,8 +21,11 @@ from repro.engine import (
     population_cache_key,
 )
 from repro.engine.engine import _chunk_host_ids
-from repro.engine.serialization import _file_sha256
+from repro.engine.serialization import _file_sha256, write_population_sharded
 from repro.features.definitions import PAPER_FEATURES
+from repro.features.timeseries import PopulationFrame
+from repro.utils.timeutils import BinSpec
+from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 from repro.workload.profiles import UserRole
 
@@ -201,6 +206,86 @@ class TestSerialization:
         manifest["shards"][0]["sha256"] = _file_sha256(shard)
         (layout / "manifest.json").write_text(json.dumps(manifest))
         assert cache.load(self.CONFIG) is None
+
+
+class TestPopulationFrame:
+    """A population loaded from a one-shard layout is a read-only frame over the mapped shard."""
+
+    CONFIG = EnterpriseConfig(num_hosts=12, num_weeks=2, seed=77)
+
+    @staticmethod
+    def _frame(tmp_path):
+        population = PopulationEngine(workers=1).generate(TestPopulationFrame.CONFIG)
+        cache = PopulationCache(tmp_path)
+        cache.store(population)
+        return population, cache.load(TestPopulationFrame.CONFIG)
+
+    def test_loaded_matrices_are_the_frame(self, tmp_path):
+        generated, loaded = self._frame(tmp_path)
+        frame = loaded.matrices()
+        assert isinstance(frame, PopulationFrame) and loaded.matrices() is frame
+        assert not isinstance(generated.matrices(), PopulationFrame)
+        assert len(frame) == 12 and list(frame) == list(frame.host_ids) == list(range(12))
+        assert frame.features == PAPER_FEATURES
+        assert frame.array.shape == (12, len(PAPER_FEATURES), generated.matrix(0).num_bins)
+        for row, host_id in enumerate(frame):
+            assert frame[host_id] is loaded.matrix(host_id)
+            for column, feature in enumerate(frame.features):
+                values = frame[host_id].series(feature).values
+                assert np.shares_memory(values, frame.array)
+                np.testing.assert_array_equal(values, frame.array[row, column])
+                np.testing.assert_array_equal(values, generated.matrix(host_id)[feature].values)
+        block = frame.block(PAPER_FEATURES[1], 3, 9)
+        np.testing.assert_array_equal(block, frame.array[:, 1, 3:9])
+        assert np.shares_memory(block, frame.array)
+        assert 12 not in frame and 0 in frame
+
+    def test_writes_raise(self, tmp_path):
+        _, loaded = self._frame(tmp_path)
+        frame = loaded.matrices()
+        with pytest.raises(ValueError, match="read-only"):
+            frame.array[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            frame.array[3, 2][:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            frame.block(PAPER_FEATURES[0], 0, 4)[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            frame[0] = frame[1]
+
+    def test_constructor_rejects_writeable_misshapen_or_non_float64_blocks(self):
+        features = PAPER_FEATURES[:2]
+        spec = BinSpec(900.0)
+        writeable = np.zeros((3, 2, 8))
+        with pytest.raises(ValidationError, match="read-only"):
+            PopulationFrame(range(3), features, spec, writeable)
+        misfits = (np.zeros((3, 3, 8)), np.zeros((2, 2, 8)), np.zeros((3, 2)))
+        for bad in (*misfits, np.zeros((3, 2, 8), np.float32)):
+            bad.flags.writeable = False
+            with pytest.raises(ValidationError, match="frame array"):
+                PopulationFrame(range(3), features, spec, bad)
+        block = np.zeros((3, 2, 8))
+        block.flags.writeable = False
+        with pytest.raises(ValidationError, match="distinct"):
+            PopulationFrame([0, 1, 1], features, spec, block)
+        frame = PopulationFrame([5, 3, 4], features, spec, block)
+        assert list(frame) == [5, 3, 4] and frame.bin_spec == spec
+
+    def test_frame_keeps_its_mapping_alive(self, tmp_path):
+        """The population may go; its frame still reads the file (no leaked handle)."""
+        generated, loaded = self._frame(tmp_path)
+        frame = loaded.matrices()
+        del loaded
+        gc.collect()
+        expected = generated.matrix(11)[PAPER_FEATURES[0]].values.sum()
+        assert frame[11][PAPER_FEATURES[0]].values.sum() == expected
+
+    def test_multi_shard_layout_loads_as_a_plain_mapping(self, tmp_path):
+        generated = PopulationEngine(workers=1).generate(self.CONFIG)
+        cache = PopulationCache(tmp_path)
+        write_population_sharded(cache.path_for(self.CONFIG), generated, hosts_per_shard=5)
+        loaded = cache.load(self.CONFIG)
+        assert type(loaded.matrices()) is dict
+        assert_populations_identical(generated, loaded)
 
 
 def flip_value_byte(shard: Path) -> None:

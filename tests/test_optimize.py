@@ -38,7 +38,9 @@ from repro.core.thresholds import (
     UtilityHeuristic,
     candidate_threshold_grid,
 )
+from repro.engine.cache import PopulationCache
 from repro.features.definitions import Feature
+from repro.features.timeseries import PopulationFrame
 from repro.optimize import (
     MAX_JOINT_GRID_FEATURES,
     CoordinateAscentOptimizer,
@@ -92,10 +94,21 @@ def golden_training(tiny_population):
     )
 
 
-@pytest.fixture(scope="module")
-def fixture_training():
-    """Week-0 and week-1 training on the golden fixture's 24-host population."""
-    matrices = generate_enterprise(EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)).matrices()
+@pytest.fixture(scope="module", params=("generated", "cached"))
+def fixture_training(request, tmp_path_factory):
+    """Week-0 and week-1 training on the golden fixture's 24-host population.
+
+    Once generated and once loaded back through a cache, whose matrices are a
+    ``PopulationFrame`` the training kernel reads as views.
+    """
+    config = EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)
+    population = generate_enterprise(config)
+    if request.param == "cached":
+        cache = PopulationCache(tmp_path_factory.mktemp("optimizer-golden"))
+        cache.store(population)
+        population = cache.load(config)
+        assert isinstance(population.matrices(), PopulationFrame)
+    matrices = population.matrices()
     return tuple(
         detection_training_distributions(matrices, OPTIMIZER_FEATURES, week=week)
         for week in (0, 1)

@@ -29,6 +29,7 @@ from repro.engine.serialization import (
 )
 from repro.engine.sharded import ShardedPopulation
 from repro.features.definitions import Feature
+from repro.features.timeseries import PopulationFrame
 from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
@@ -164,6 +165,21 @@ class TestMmapBitIdentity:
                 values = mapped.matrix(host_id).series(feature).values
                 assert type(values) is np.ndarray
                 assert not values.flags.owndata
+
+    def test_one_shard_matrices_are_its_frame(self, monolithic, tmp_path):
+        """One shard serves its frame whole; a sample and several shards are plain dicts."""
+        one = ShardedPopulation.open(write_population_sharded(tmp_path / "one.rpopd", monolithic))
+        frame = one.matrices()
+        assert isinstance(frame, PopulationFrame) and one.matrices() is frame
+        assert list(frame) == list(monolithic.host_ids)
+        assert frame[7] is one.matrix(7)
+        sample = one.matrices_for([7, 2])
+        assert type(sample) is dict and list(sample) == [7, 2] and sample[7] is frame[7]
+        several = ShardedPopulation.open(
+            write_population_sharded(tmp_path / "several.rpopd", monolithic, hosts_per_shard=8)
+        )
+        assert type(several.matrices()) is dict
+        assert_matches_monolithic(one, monolithic)
 
     def test_evaluation_on_mmap_matches_monolithic(self, monolithic, tmp_path):
         directory = write_population_sharded(

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.evaluation import detection_training_window_distributions, training_distributions
+from repro.features.definitions import PAPER_FEATURES
+from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
 from repro.stats.empirical import EmpiricalDistribution, ecdf, percentile_of_score
 from repro.stats.kmeans import kmeans, separation_score
 from repro.stats.summary import summarize
 from repro.stats.tail import exceedance_curve, hill_estimator, orders_of_magnitude, tail_ratio
+from repro.utils.timeutils import WEEK, BinSpec
 from repro.utils.validation import ValidationError
 
 
@@ -211,6 +215,123 @@ class TestPercentileKernel:
         ):
             with pytest.raises(ValidationError):
                 query()
+
+
+#: Eight bins per week keeps generated rows short.
+_SHORT_GRID = BinSpec(WEEK / 8)
+
+
+def _matrices(array: np.ndarray, host_ids, as_frame: bool):
+    """``array``'s ``(hosts, features, bins)`` counts as a frame or a dict of matrices."""
+    array = np.array(array, dtype=np.float64)
+    features = PAPER_FEATURES[: array.shape[1]]
+    if not as_frame:
+        return {
+            host_id: FeatureMatrix(
+                host_id,
+                {f: TimeSeries(array[row, j], _SHORT_GRID) for j, f in enumerate(features)},
+            )
+            for row, host_id in enumerate(host_ids)
+        }
+    array.flags.writeable = False
+    return PopulationFrame(host_ids, features, _SHORT_GRID, array)
+
+
+def _per_row(series: TimeSeries, active_bins_only: bool) -> EmpiricalDistribution:
+    """The constructor over one host's window: its positive bins, or every bin if none is."""
+    values = np.asarray(series.values)
+    if active_bins_only and np.any(values > 0):
+        values = values[values > 0]
+    return EmpiricalDistribution(values, bin_width=series.bin_width)
+
+
+@st.composite
+def _training_cases(draw):
+    """Hosts (in shuffled id order), their counts with zeros, ties and all-zero rows, a window."""
+    num_hosts = draw(st.integers(1, 6))
+    num_weeks = draw(st.integers(1, 3))
+    counts = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.0, 2.5]), st.floats(0.0, 1e6))
+    array = draw(hnp.arrays(np.float64, (num_hosts, 2, 8 * num_weeks), elements=counts))
+    idle = draw(st.lists(st.booleans(), min_size=num_hosts, max_size=num_hosts))
+    array[np.array(idle)] = 0.0
+    host_ids = draw(st.permutations([10 * host for host in range(num_hosts)]))
+    start = draw(st.integers(0, num_weeks - 1))
+    end = draw(st.integers(start + 1, num_weeks))
+    return host_ids, array, start, end
+
+
+class TestBlockTraining:
+    """The training kernel (one sort per feature-week block) against the per-row constructor."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_training_cases(), active_bins_only=st.booleans(), as_frame=st.booleans())
+    def test_block_path_matches_per_row_constructor(self, case, active_bins_only, as_frame):
+        host_ids, array, start, end = case
+        matrices = _matrices(array, host_ids, as_frame)
+        features = PAPER_FEATURES[:2]
+        trained = detection_training_window_distributions(
+            matrices, features, start, end, active_bins_only
+        )
+        assert list(trained) == list(features)
+        for feature, distributions in trained.items():
+            assert list(distributions) == list(host_ids)
+            if end == start + 1:
+                single = training_distributions(matrices, feature, start, active_bins_only)
+                assert list(single) == list(host_ids)
+            for host_id, actual in distributions.items():
+                series = matrices[host_id].series(feature).week_range(start, end)
+                expected = _per_row(series, active_bins_only)
+                assert actual.samples.dtype == expected.samples.dtype == np.float64
+                assert actual.samples.tobytes() == expected.samples.tobytes()
+                assert actual.bin_width == expected.bin_width == WEEK / 8
+                if end == start + 1:
+                    assert single[host_id].samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("as_frame", [False, True])
+    @pytest.mark.parametrize("active_bins_only", [True, False])
+    def test_infinite_bin_raises(self, active_bins_only, as_frame):
+        array = np.ones((2, 1, 16))
+        array[1, 0, 11] = np.inf
+        matrices = _matrices(array, (0, 1), as_frame)
+        training_distributions(matrices, PAPER_FEATURES[0], 0, active_bins_only)
+        with pytest.raises(ValidationError, match="finite"):
+            training_distributions(matrices, PAPER_FEATURES[0], 1, active_bins_only)
+
+    def test_mixed_grids_train_one_grid_at_a_time(self):
+        """Shifted-origin and shorter hosts train on their own windows, in input order."""
+        rng = np.random.default_rng(2009)
+        feature = PAPER_FEATURES[0]
+        grids = {
+            3: (24, _SHORT_GRID),
+            1: (24, BinSpec(WEEK / 8, WEEK / 2)),
+            2: (12, _SHORT_GRID),
+            0: (24, _SHORT_GRID),
+        }
+        matrices = {
+            host_id: FeatureMatrix(
+                host_id, {feature: TimeSeries(rng.integers(0, 3, num_bins).astype(float), spec)}
+            )
+            for host_id, (num_bins, spec) in grids.items()
+        }
+        for active_bins_only in (True, False):
+            trained = training_distributions(matrices, feature, 1, active_bins_only)
+            assert list(trained) == [3, 1, 2, 0]
+            for host_id, actual in trained.items():
+                expected = _per_row(matrices[host_id].series(feature).week(1), active_bins_only)
+                assert actual.samples.tobytes() == expected.samples.tobytes()
+
+    def test_from_sorted_wraps_without_copying(self):
+        row = np.array([0.0, 1.0, 1.0, 4.0])
+        with pytest.raises(ValidationError, match="read-only"):
+            EmpiricalDistribution.from_sorted(row)
+        row.flags.writeable = False
+        with pytest.raises(ValidationError, match="bin_width"):
+            EmpiricalDistribution.from_sorted(row, bin_width=0.0)
+        wrapped = EmpiricalDistribution.from_sorted(row, bin_width=900)
+        assert np.shares_memory(wrapped.samples, row)
+        assert wrapped.bin_width == 900.0
+        assert wrapped.percentile(60) == EmpiricalDistribution(row).percentile(60)
+        assert wrapped.add([2.0]).samples.tolist() == [0.0, 1.0, 1.0, 2.0, 4.0]
 
 
 class TestTailAnalysis:

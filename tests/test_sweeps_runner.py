@@ -96,6 +96,33 @@ class TestRunner:
         assert run.populations_generated == 2
         assert len(counting_generation) == 2
 
+    def test_population_key_computed_once_per_scenario(self, tmp_path, monkeypatch):
+        """Deduplication, reuse flags and serial evaluation share one key per scenario."""
+        import repro.sweeps.runner as runner_module
+
+        keyed = []
+        original = runner_module.population_cache_key
+
+        def counted(config, roles=None):
+            keyed.append(config.num_hosts)
+            return original(config, roles)
+
+        monkeypatch.setattr(runner_module, "population_cache_key", counted)
+        sweep = _sweep(
+            {
+                "population.num_hosts": [6, 9],
+                "policy.kind": ["homogeneous", "full-diversity"],
+            }
+        )
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        run = SweepRunner(engine=engine, workers=1).run(sweep)
+        assert sorted(keyed) == [6, 6, 9, 9]
+        assert run.distinct_populations == 2
+        assert sum(result.population_reused for result in run.results) == 2
+        assert {result.outcome.num_hosts for result in run.results} == {6, 9}
+        for result in run.results:
+            assert result.outcome.num_hosts == result.scenario.population.num_hosts
+
     def test_uncached_engine_still_deduplicates_in_memory(self, counting_generation):
         sweep = _sweep({"policy.kind": ["homogeneous", "full-diversity"]})
         engine = PopulationEngine(workers=1, use_cache=False)

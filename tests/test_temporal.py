@@ -17,15 +17,19 @@ from repro.core.policies import HomogeneousPolicy, PartialDiversityPolicy
 from repro.core.thresholds import PercentileHeuristic, UtilityHeuristic
 from repro.engine import PopulationCache
 from repro.features.definitions import Feature
+from repro.features.timeseries import PopulationFrame
 from repro.optimize import CoordinateAscentOptimizer
 from repro.temporal import (
+    DEFAULT_DRIFT_QUANTILES,
     RetrainSchedule,
+    drift_statistic_series,
     evaluate_timeline,
     population_drift_statistic,
     staleness_report,
     timeline_outcome,
     weeks_covered,
 )
+from repro.temporal.statistic import pooled_baseline_quantiles
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ValidationError
 from repro.workload.drift import DriftComponent, DriftModel
@@ -209,6 +213,33 @@ class TestDriftStatistic:
             drifting.matrices(), features, baseline_weeks=(0, 1), week=2
         )
         assert loud > calm
+
+    def test_frame_equals_plain_dict(self, drifting_population, tmp_path):
+        """On a cached population's frame the statistic reads one view per window."""
+        cache = PopulationCache(tmp_path)
+        cache.store(drifting_population)
+        frame = cache.load(drifting_population.config).matrices()
+        assert isinstance(frame, PopulationFrame)
+        plain = dict(frame)
+        features = (Feature.TCP_CONNECTIONS, Feature.DNS_CONNECTIONS)
+        for window in ((0, 1), (0, 2), (1, 3)):
+            on_frame = pooled_baseline_quantiles(frame, features, window)
+            on_dict = pooled_baseline_quantiles(plain, features, window)
+            for feature in features:
+                # The statistic's definition: percentiles of every host's window, concatenated.
+                pooled = np.concatenate(
+                    [m.week_range(*window).series(feature).values for m in plain.values()]
+                )
+                expected = np.percentile(pooled, DEFAULT_DRIFT_QUANTILES)
+                assert on_frame[feature].tobytes() == on_dict[feature].tobytes()
+                assert on_frame[feature].tobytes() == expected.tobytes()
+            weeks = range(window[1], 4)
+            assert drift_statistic_series(frame, features, window, weeks) == (
+                drift_statistic_series(plain, features, window, weeks)
+            )
+        assert population_drift_statistic(frame, features, (0, 2), 3) == (
+            population_drift_statistic(drifting_population.matrices(), features, (0, 2), 3)
+        )
 
     def test_weeks_covered_matches_config(self, drifting_population):
         assert weeks_covered(drifting_population.matrices()) == 4

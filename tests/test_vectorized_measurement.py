@@ -21,6 +21,11 @@ measure-only entry points (explicit test weeks, stale attack assignments)
 and populations mixing test-week bin grids, which the golden fixture does
 not exercise.
 
+Every golden fixture and both oracle comparisons run twice: on a freshly
+generated population (plain dict matrices) and on the same population stored
+and loaded back through a :class:`PopulationCache`, whose matrices are a
+:class:`PopulationFrame` that the kernels read as views of the mapped shard.
+
 The last part is the reference oracle for the population aggregates: every
 aggregate read from a :class:`HostPerformanceTable`'s columns must equal, bit
 for bit, the same aggregate computed host by host from the per-host loop's
@@ -66,12 +71,13 @@ from repro.core.policies import (
 )
 from repro.core.sampling import SampleSpec, bootstrap_mean_interval
 from repro.core.thresholds import PercentileHeuristic
+from repro.engine.cache import PopulationCache
 from repro.experiments.fig3_utility import _mean_over_sizes, run_fig3, run_fig3_cooptimized
 from repro.experiments.fig4_attacker import run_fig4
 from repro.experiments.fig5_storm import run_fig5
 from repro.experiments.table3_alarms import run_table3
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
 from repro.stats.summary import summarize
 from repro.sweeps.spec import AttackSpec
 from repro.telemetry import TelemetryRecorder, use_recorder
@@ -153,9 +159,26 @@ def golden_figures():
     return json.loads(FIGURES_GOLDEN_PATH.read_text())
 
 
-@pytest.fixture(scope="module")
-def golden_population():
-    return generate_enterprise(CONFIG)
+#: Where a test population comes from: generation (dict matrices) or a cache
+#: round trip (a PopulationFrame over the mapped shard).
+SOURCES = ("generated", "cached")
+
+
+def _population(config: EnterpriseConfig, source: str, directory: Path):
+    """``config``'s population, generated or stored then loaded through a cache in ``directory``."""
+    population = generate_enterprise(config)
+    if source == "generated":
+        return population
+    cache = PopulationCache(directory)
+    cache.store(population)
+    loaded = cache.load(config)
+    assert isinstance(loaded.matrices(), PopulationFrame)
+    return loaded
+
+
+@pytest.fixture(scope="module", params=SOURCES)
+def golden_population(request, tmp_path_factory):
+    return _population(CONFIG, request.param, tmp_path_factory.mktemp("golden"))
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +187,13 @@ def matrices(golden_population):
 
 
 class TestGoldenBitIdentity:
+    def test_only_the_cached_population_is_a_frame(self, request, golden_population):
+        """A generated population keeps dict matrices; a cached one serves its frame as is."""
+        matrices = golden_population.matrices()
+        cached = request.node.callspec.params["golden_population"] == "cached"
+        assert isinstance(matrices, PopulationFrame) == cached
+        assert (golden_population.matrices() is matrices) == cached
+
     @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
     @pytest.mark.parametrize("attack_name", list(ATTACKS))
     def test_cases_match_pre_vectorisation_fixture(
@@ -192,8 +222,10 @@ class TestGoldenBitIdentity:
             actual = {str(h): repr(float(v)) for h, v in sorted(hidden.items())}
             assert actual == golden["hidden_traffic"][policy_name]
 
-    def test_fig4_matches_fixture(self, golden):
-        population = generate_enterprise(EnterpriseConfig(num_hosts=16, num_weeks=2, seed=41))
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_fig4_matches_fixture(self, golden, source, tmp_path):
+        config = EnterpriseConfig(num_hosts=16, num_weeks=2, seed=41)
+        population = _population(config, source, tmp_path)
         result = run_fig4(population, num_attack_sizes=6)
         assert [repr(float(s)) for s in result.attack_sizes] == golden["fig4"]["attack_sizes"]
         for name, values in result.detection_curves.items():
@@ -424,9 +456,10 @@ def _full_diversity(matrices, protocol):
 
 
 class TestBatchedEqualsPerHostLoop:
-    @pytest.fixture(scope="class")
-    def population(self):
-        return generate_enterprise(EnterpriseConfig(num_hosts=12, num_weeks=4, seed=909))
+    @pytest.fixture(scope="class", params=SOURCES)
+    def population(self, request, tmp_path_factory):
+        config = EnterpriseConfig(num_hosts=12, num_weeks=4, seed=909)
+        return _population(config, request.param, tmp_path_factory.mktemp("oracle"))
 
     @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
     @pytest.mark.parametrize("attack_name", list(ATTACKS))
@@ -916,9 +949,10 @@ def _assert_aggregates_match_rows(table, rows, protocol, assignment):
 
 
 class TestColumnAggregatesMatchPerHostFormulas:
-    @pytest.fixture(scope="class")
-    def population(self):
-        return generate_enterprise(EnterpriseConfig(num_hosts=12, num_weeks=4, seed=909))
+    @pytest.fixture(scope="class", params=SOURCES)
+    def population(self, request, tmp_path_factory):
+        config = EnterpriseConfig(num_hosts=12, num_weeks=4, seed=909)
+        return _population(config, request.param, tmp_path_factory.mktemp("aggregates"))
 
     @staticmethod
     def _assignment(matrices, protocol):
