@@ -16,6 +16,16 @@ be regression-tested bit for bit against the code it replaced:
     every host's jointly optimised thresholds, objective value and iteration
     count per policy, fusion rule and optimizer (coordinate ascent cold and
     warm-started, the exhaustive grid, the independent report's objective).
+``tests/data/golden_population.json``
+    The generator's bytes: per host, the SHA-256 of its six series'
+    ``tobytes()`` in ``PAPER_FEATURES`` order and its profile, for 24-host
+    populations under several configurations (defaults, no mobility, no
+    maintenance, no week drift, composed drift models, explicit roles with
+    desktops, a bin width that divides neither a day nor the rollout window),
+    plus the environment lists ``generate_capture_session`` draws for laptops
+    and a desktop.  The measurement fixtures read only what is measured; this
+    one moves with any change to an unmeasured feature, a late week or a
+    ``-0.0``.
 
 Run it at the parent commit of the change being guarded, then copy the
 fixtures into the change.  At any commit whose tests pass, every fixture
@@ -27,6 +37,7 @@ ones that are new::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -44,14 +55,21 @@ from repro.core.policies import (
     PartialDiversityPolicy,
 )
 from repro.core.thresholds import PercentileHeuristic, UtilityHeuristic
+from repro.engine import PopulationEngine
+from repro.engine.serialization import config_payload as full_config_payload
 from repro.experiments.fig3_utility import run_fig3, run_fig3_cooptimized
 from repro.experiments.fig4_attacker import run_fig4
 from repro.experiments.fig5_storm import run_fig5
 from repro.experiments.table3_alarms import run_table3
-from repro.features.definitions import Feature
+from repro.features.definitions import PAPER_FEATURES, Feature
 from repro.optimize import CoordinateAscentOptimizer, GridJointOptimizer, IndependentOptimizer
 from repro.sweeps.spec import AttackSpec
+from repro.utils.rng import RandomSource
+from repro.utils.timeutils import DAY, MINUTE
+from repro.workload.drift import DriftModel
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
+from repro.workload.mobility import MobilityModel, generate_capture_session
+from repro.workload.profiles import UserRole
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -287,11 +305,136 @@ def capture_figures() -> dict:
     }
 
 
+POPULATION_CONFIG = EnterpriseConfig(num_hosts=24, num_weeks=5, seed=77)
+
+#: (config, roles) per generator fixture case.
+POPULATION_CASES = {
+    "defaults": (POPULATION_CONFIG, {}),
+    "two-weeks": (EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77), {}),
+    "no-mobility": (EnterpriseConfig(num_hosts=24, num_weeks=5, seed=77, with_mobility=False), {}),
+    "no-maintenance": (
+        EnterpriseConfig(num_hosts=24, num_weeks=5, seed=77, with_maintenance=False),
+        {},
+    ),
+    "no-week-drift": (
+        EnterpriseConfig(num_hosts=24, num_weeks=5, seed=77, week_drift_scale=0.0),
+        {},
+    ),
+    "drift-models": (
+        EnterpriseConfig(
+            num_hosts=24,
+            num_weeks=5,
+            seed=77,
+            drift=DriftModel.from_kinds("seasonal+role-churn+flash-crowd"),
+        ),
+        {},
+    ),
+    "roles-and-desktops": (
+        EnterpriseConfig(num_hosts=24, num_weeks=5, seed=77, laptop_fraction=0.5),
+        {
+            0: UserRole.SYSTEM_ADMINISTRATOR,
+            1: UserRole.SYSTEM_ADMINISTRATOR,
+            2: UserRole.SYSTEM_ADMINISTRATOR,
+            3: UserRole.OFFICE_WORKER,
+            4: UserRole.SALES_MOBILE,
+            5: UserRole.POWER_USER,
+        },
+    ),
+    "seven-minute-bins": (
+        EnterpriseConfig(num_hosts=24, num_weeks=5, seed=77, bin_width=7 * MINUTE),
+        {},
+    ),
+}
+
+#: (host id, duration, mobility model) per capture-session fixture case.
+CAPTURE_SESSION_CASES = {
+    "laptop": (5, 9 * DAY, MobilityModel()),
+    "laptop-travel-partial-day": (6, 8.6 * DAY, MobilityModel(travel_day_probability=0.4)),
+    "desktop": (7, 9 * DAY, MobilityModel(is_laptop=False)),
+}
+
+
+def series_digest(matrix) -> str:
+    """SHA-256 of the host's six series' bytes, in ``PAPER_FEATURES`` order."""
+    digest = hashlib.sha256()
+    for feature in PAPER_FEATURES:
+        digest.update(matrix.series(feature).values.tobytes())
+    return digest.hexdigest()
+
+
+def profile_payload(profile) -> dict:
+    return {
+        "role": profile.role.value,
+        "master_intensity": repr(float(profile.master_intensity)),
+        "is_laptop": bool(profile.is_laptop),
+        "intensities": {
+            feature.value: [
+                repr(float(intensity.scale)),
+                repr(float(intensity.body_sigma)),
+                repr(float(intensity.burst_probability)),
+                repr(float(intensity.burst_alpha)),
+            ]
+            for feature, intensity in profile.intensities.items()
+        },
+    }
+
+
+def environments_payload(session) -> list:
+    return [
+        [
+            repr(float(env.start_time)),
+            repr(float(env.end_time)),
+            env.location.value,
+            env.interface,
+            env.host_ip,
+        ]
+        for env in session.environments
+    ]
+
+
+def capture_population() -> dict:
+    engine = PopulationEngine(workers=1, use_cache=False)
+    populations = {}
+    for name, (config, roles) in POPULATION_CASES.items():
+        population = generate_enterprise(config, roles=roles or None, engine=engine)
+        populations[name] = {
+            "config": full_config_payload(config),
+            "roles": {str(host_id): role.value for host_id, role in sorted(roles.items())},
+            "hosts": {
+                str(host_id): {
+                    "series_sha256": series_digest(population.matrix(host_id)),
+                    "profile": profile_payload(population.profile(host_id)),
+                }
+                for host_id in population.host_ids
+            },
+        }
+    random_source = RandomSource(seed=POPULATION_CONFIG.seed, label="enterprise")
+    sessions = {}
+    for name, (host_id, duration, model) in CAPTURE_SESSION_CASES.items():
+        session = generate_capture_session(
+            host_id, 0x0A000000 | host_id, duration, random_source, model
+        )
+        sessions[name] = {
+            "host_id": host_id,
+            "duration": repr(float(duration)),
+            "model": {
+                "is_laptop": model.is_laptop,
+                "home_evening_probability": model.home_evening_probability,
+                "weekend_home_probability": model.weekend_home_probability,
+                "travel_day_probability": model.travel_day_probability,
+                "wireless_probability": model.wireless_probability,
+            },
+            "environments": environments_payload(session),
+        }
+    return {"populations": populations, "capture_sessions": sessions}
+
+
 def main() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
     for name, golden in (
         ("golden_measurement.json", capture_measurement()),
         ("golden_figures.json", capture_figures()),
+        ("golden_population.json", capture_population()),
     ):
         path = DATA / name
         path.write_text(json.dumps(golden, sort_keys=True, separators=(",", ":")))

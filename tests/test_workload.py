@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.engine import PopulationEngine
+from repro.engine.serialization import config_from_payload
 from repro.features.definitions import Feature, PAPER_FEATURES
 from repro.traces.capture import NetworkLocation
 from repro.utils.timeutils import DAY, HOUR, MINUTE, WEEK
 from repro.utils.validation import ValidationError
 from repro.workload.diurnal import ActivityModel, always_on_pattern, office_worker_pattern
-from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
+from repro.utils.rng import RandomSource
+from repro.workload.enterprise import EnterpriseConfig, generate_enterprise, generate_host
 from repro.workload.events import (
     DEFAULT_ROLLOUT_AMOUNTS,
     ScheduledEvent,
@@ -20,6 +27,8 @@ from repro.workload.events import (
 from repro.workload.generator import HostSeriesGenerator, HostTraceGenerator
 from repro.workload.mobility import LOCATION_ACTIVITY, MobilityModel, generate_capture_session
 from repro.workload.profiles import ActivityLevel, HostProfile, UserRole, sample_host_profile
+
+GOLDEN_POPULATION = Path(__file__).parent / "data" / "golden_population.json"
 
 
 class TestProfiles:
@@ -287,3 +296,90 @@ class TestEnterprisePopulation:
         config = EnterpriseConfig(num_hosts=3, num_weeks=1, seed=1)
         population = generate_enterprise(config, roles={0: UserRole.SYSTEM_ADMINISTRATOR})
         assert population.profile(0).role == UserRole.SYSTEM_ADMINISTRATOR
+
+
+def _series_digest(matrix) -> str:
+    digest = hashlib.sha256()
+    for feature in PAPER_FEATURES:
+        digest.update(matrix.series(feature).values.tobytes())
+    return digest.hexdigest()
+
+
+def _profile_payload(profile) -> dict:
+    return {
+        "role": profile.role.value,
+        "master_intensity": repr(float(profile.master_intensity)),
+        "is_laptop": bool(profile.is_laptop),
+        "intensities": {
+            feature.value: [
+                repr(float(intensity.scale)),
+                repr(float(intensity.body_sigma)),
+                repr(float(intensity.burst_probability)),
+                repr(float(intensity.burst_alpha)),
+            ]
+            for feature, intensity in profile.intensities.items()
+        },
+    }
+
+
+class TestGeneratorBytes:
+    """The generator's output, byte for byte, against tests/data/golden_population.json.
+
+    The measurement fixtures only pin what fig3/fig4/table3 measure; this one
+    pins every series of every host (unmeasured features, late weeks, the
+    sign of zeros) under each configuration the fixture lists, plus the
+    environment timelines ``generate_capture_session`` draws.  A change to
+    the order of any random draw fails here; such a change needs a
+    generator version bump and a recapture (scripts/dev_capture_golden.py).
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_POPULATION.read_text())
+
+    def test_generated_bytes_match_fixture(self, golden):
+        engine = PopulationEngine(workers=1, use_cache=False)
+        assert len(golden["populations"]) >= 8
+        for name, case in golden["populations"].items():
+            config = config_from_payload(case["config"])
+            roles = {int(host_id): UserRole(role) for host_id, role in case["roles"].items()}
+            population = generate_enterprise(config, roles=roles or None, engine=engine)
+            assert list(population.host_ids) == sorted(int(host_id) for host_id in case["hosts"])
+            mismatched = [
+                host_id
+                for host_id in population.host_ids
+                if _series_digest(population.matrix(host_id))
+                != case["hosts"][str(host_id)]["series_sha256"]
+                or _profile_payload(population.profile(host_id))
+                != case["hosts"][str(host_id)]["profile"]
+            ]
+            assert not mismatched, f"{name}: hosts {mismatched} differ from the fixture"
+            # generate_host on its own yields the same bytes as the engine's chunk.
+            host_id = population.host_ids[-1]
+            profile, matrix = generate_host(config, host_id, role=roles.get(host_id))
+            assert _series_digest(matrix) == case["hosts"][str(host_id)]["series_sha256"]
+            assert _profile_payload(profile) == case["hosts"][str(host_id)]["profile"]
+
+    def test_capture_sessions_match_fixture(self, golden):
+        random_source = RandomSource(seed=77, label="enterprise")
+        assert {"laptop", "desktop"} <= set(golden["capture_sessions"])
+        for name, case in golden["capture_sessions"].items():
+            host_id = case["host_id"]
+            session = generate_capture_session(
+                host_id,
+                0x0A000000 | host_id,
+                float(case["duration"]),
+                random_source,
+                MobilityModel(**case["model"]),
+            )
+            environments = [
+                [
+                    repr(float(env.start_time)),
+                    repr(float(env.end_time)),
+                    env.location.value,
+                    env.interface,
+                    env.host_ip,
+                ]
+                for env in session.environments
+            ]
+            assert environments == case["environments"], name
