@@ -43,6 +43,7 @@ from repro.workload.enterprise import (
     EnterprisePopulation,
     build_population_events,
     generate_host,
+    population_grid,
 )
 from repro.workload.profiles import HostProfile, UserRole
 
@@ -80,17 +81,18 @@ def _generate_host_chunk(
 ) -> List[Tuple[int, HostProfile, FeatureMatrix]]:
     """Worker entry point: generate a batch of hosts from scratch.
 
-    Reconstructs the population-level random source and event schedule from
-    the configuration, so the only state shipped to the worker is the config
-    and the host ids.
+    Reconstructs the population-level random source, event schedule and bin
+    grid from the configuration, so the only state shipped to the worker is
+    the config and the host ids.
     """
     random_source = RandomSource(seed=config.seed, label="enterprise")
     events = build_population_events(config)
+    grid = population_grid(config)
     results: List[Tuple[int, HostProfile, FeatureMatrix]] = []
     with trace_span("engine.generate_chunk", num_hosts=len(host_ids)):
         for host_id in host_ids:
             profile, matrix = generate_host(
-                config, host_id, random_source, events, role=roles.get(host_id)
+                config, host_id, random_source, events, role=roles.get(host_id), grid=grid
             )
             results.append((host_id, profile, matrix))
     # Counted here — inside the worker for parallel runs, inline for serial

@@ -73,6 +73,39 @@ class CaptureSession:
     host_id: int
     environments: List[CaptureEnvironment] = field(default_factory=list)
 
+    @classmethod
+    def from_segments(
+        cls,
+        host_id: int,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        locations: Sequence[NetworkLocation],
+        host_ip: int,
+        interfaces: Sequence[str],
+    ) -> "CaptureSession":
+        """A session whose environments are the given segments, checked at once.
+
+        ``starts``/``ends`` hold one segment per entry, in time order;
+        :func:`check_segments` applies the checks :class:`CaptureEnvironment`
+        and :meth:`add_environment` make, over the whole timeline.
+        """
+        starts = np.asarray(starts, dtype=float)
+        ends = np.asarray(ends, dtype=float)
+        check_segments(starts, ends)
+        require(
+            len(locations) == len(interfaces) == starts.size,
+            "one location and one interface per segment",
+        )
+        return cls(
+            host_id=host_id,
+            environments=[
+                CaptureEnvironment(start, end, location, host_ip, interface)
+                for start, end, location, interface in zip(
+                    starts.tolist(), ends.tolist(), locations, interfaces
+                )
+            ],
+        )
+
     def add_environment(self, environment: CaptureEnvironment) -> None:
         """Append an environment segment; must not overlap the previous one."""
         if self.environments:
@@ -109,19 +142,12 @@ class CaptureSession:
         """Vectorised segment lookup for an array of timestamps.
 
         Returns, per timestamp, the index of the environment covering it, or
-        ``-1`` when the timestamp falls in a gap (offline).  Environments are
-        appended in time order, so a single ``searchsorted`` over the segment
-        start times replaces the per-timestamp linear scan.
+        ``-1`` when the timestamp falls in a gap (offline); see
+        :func:`segment_lookup`.
         """
-        times = np.asarray(timestamps, dtype=float)
-        if not self.environments:
-            return np.full(times.shape, -1, dtype=np.intp)
-        starts = np.array([env.start_time for env in self.environments])
-        ends = np.array([env.end_time for env in self.environments])
-        indices = np.searchsorted(starts, times, side="right") - 1
-        clipped = np.clip(indices, 0, starts.size - 1)
-        covered = (indices >= 0) & (times < ends[clipped])
-        return np.where(covered, clipped, -1)
+        starts = np.array([env.start_time for env in self.environments], dtype=float)
+        ends = np.array([env.end_time for env in self.environments], dtype=float)
+        return segment_lookup(starts, ends, timestamps)
 
     def locations_at(self, timestamps: Sequence[float]) -> List[NetworkLocation]:
         """Vectorised :meth:`location_at` for an array of timestamps."""
@@ -148,3 +174,36 @@ class CaptureSession:
         return sum(
             environment.duration for environment in self.environments if environment.location == location
         )
+
+
+def check_segments(starts: np.ndarray, ends: np.ndarray) -> None:
+    """Check a timeline given as aligned segment start and end arrays.
+
+    Every segment must have positive length, and each must start no earlier
+    than the previous one ends (time order, no overlap, with the same 1 ns
+    slack :meth:`CaptureSession.add_environment` allows).
+    """
+    require(
+        starts.ndim == 1 and starts.shape == ends.shape,
+        "segment starts and ends must be aligned one-dimensional arrays",
+    )
+    require(bool(np.all(ends > starts)), "environment interval must have positive length")
+    require(
+        bool(np.all(starts[1:] >= ends[:-1] - 1e-9)),
+        "environments must be appended in time order without overlap",
+    )
+
+
+def segment_lookup(starts: np.ndarray, ends: np.ndarray, timestamps: Sequence[float]) -> np.ndarray:
+    """Index of the segment covering each timestamp, or ``-1`` in a gap.
+
+    Segments are in time order, so one ``searchsorted`` over their start
+    times replaces a per-timestamp linear scan.
+    """
+    times = np.asarray(timestamps, dtype=float)
+    if starts.size == 0:
+        return np.full(times.shape, -1, dtype=np.intp)
+    indices = np.searchsorted(starts, times, side="right") - 1
+    clipped = np.clip(indices, 0, starts.size - 1)
+    covered = (indices >= 0) & (times < ends[clipped])
+    return np.where(covered, clipped, -1)

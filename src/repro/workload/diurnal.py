@@ -53,12 +53,17 @@ class DiurnalPattern:
 
     def multipliers_at(self, timestamps: Sequence[float]) -> np.ndarray:
         """Vectorised :meth:`multiplier` for an array of timestamps."""
-        times = np.asarray(timestamps, dtype=float)
-        day_index = ((times % WEEK) // DAY).astype(np.intp)
-        hour_index = ((times % DAY) // HOUR).astype(np.intp)
-        weekday = np.asarray(self.weekday_hours, dtype=float)
-        weekend = np.asarray(self.weekend_hours, dtype=float)
-        return np.where(day_index < 5, weekday[hour_index], weekend[hour_index])
+        return self.slot_multipliers(hour_of_week_slots(timestamps))
+
+    def slot_multipliers(self, slots: np.ndarray) -> np.ndarray:
+        """Multipliers of the hour slots :func:`hour_of_week_slots` returns."""
+        hours = np.concatenate(
+            (
+                np.asarray(self.weekday_hours, dtype=float),
+                np.asarray(self.weekend_hours, dtype=float),
+            )
+        )
+        return hours[slots]
 
     def mean_multiplier(self) -> float:
         """Average multiplier over a full week."""
@@ -129,10 +134,25 @@ class ActivityModel:
 
     def multipliers(self, timestamps: Sequence[float], rng: np.random.Generator) -> np.ndarray:
         """Vectorised multipliers for many bin-start timestamps."""
-        times = np.asarray(timestamps, dtype=float)
-        base = np.maximum(self.pattern.multipliers_at(times), self.floor)
+        return self.slot_multipliers(hour_of_week_slots(timestamps), rng)
+
+    def slot_multipliers(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Vectorised multipliers for bins given by their :func:`hour_of_week_slots`."""
+        base = np.maximum(self.pattern.slot_multipliers(slots), self.floor)
         if self.jitter_sigma > 0:
-            jitter = rng.lognormal(mean=0.0, sigma=self.jitter_sigma, size=times.size)
+            jitter = rng.lognormal(mean=0.0, sigma=self.jitter_sigma, size=slots.size)
         else:
-            jitter = np.ones(times.size)
+            jitter = np.ones(slots.size)
         return base * jitter
+
+
+def hour_of_week_slots(timestamps: Sequence[float]) -> np.ndarray:
+    """Per timestamp, its hour's index into a pattern's 48 hourly multipliers.
+
+    Slots 0-23 are the hours of a weekday, 24-47 those of a weekend day; the
+    trace epoch (t = 0) is midnight at the start of a Monday.
+    """
+    times = np.asarray(timestamps, dtype=float)
+    day_index = ((times % WEEK) // DAY).astype(np.intp)
+    hour_index = ((times % DAY) // HOUR).astype(np.intp)
+    return np.where(day_index < 5, hour_index, hour_index + 24)

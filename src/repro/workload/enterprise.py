@@ -22,7 +22,7 @@ from repro.utils.validation import require, require_positive
 from repro.workload.diurnal import ActivityModel, always_on_pattern, office_worker_pattern
 from repro.workload.drift import DriftModel
 from repro.workload.events import ScheduledEvent, build_maintenance_events
-from repro.workload.generator import HostSeriesGenerator
+from repro.workload.generator import BinGrid, HostSeriesGenerator
 from repro.workload.mobility import MobilityModel
 from repro.workload.profiles import HostProfile, UserRole, sample_host_profile
 
@@ -188,12 +188,18 @@ def build_population_events(config: EnterpriseConfig) -> List[ScheduledEvent]:
     return build_maintenance_events(config.num_weeks, config.maintenance_weeks)
 
 
+def population_grid(config: EnterpriseConfig) -> BinGrid:
+    """The bin grid every host of ``config``'s population is generated on."""
+    return BinGrid(BinSpec(width=config.bin_width), config.duration)
+
+
 def generate_host(
     config: EnterpriseConfig,
     host_id: int,
     random_source: Optional[RandomSource] = None,
     events: Optional[Sequence[ScheduledEvent]] = None,
     role: Optional[UserRole] = None,
+    grid: Optional[BinGrid] = None,
 ) -> Tuple[HostProfile, FeatureMatrix]:
     """Generate one host's profile and feature matrix.
 
@@ -202,12 +208,16 @@ def generate_host(
     the configuration and the host id — never on generation order.  This is
     the property the parallel :class:`~repro.engine.PopulationEngine` relies
     on to fan hosts out across worker processes while staying bit-identical
-    to serial generation.
+    to serial generation.  ``random_source``, ``events`` and ``grid`` are
+    the same for every host of the population (built from ``config`` when
+    None), so a caller generating many hosts builds them once.
     """
     if random_source is None:
         random_source = RandomSource(seed=config.seed, label="enterprise")
     if events is None:
         events = build_population_events(config)
+    if grid is None:
+        grid = population_grid(config)
     profile = sample_host_profile(
         host_id=host_id,
         random_source=random_source,
@@ -225,12 +235,12 @@ def generate_host(
         profile=profile,
         activity=ActivityModel(pattern=pattern),
         mobility=mobility,
-        bin_spec=BinSpec(width=config.bin_width),
+        bin_spec=grid.bin_spec,
         week_drift_scale=config.week_drift_scale,
         events=events,
         drift_model=config.drift,
     )
-    return profile, generator.generate(config.duration, random_source)
+    return profile, generator.generate_on(grid, random_source)
 
 
 def generate_enterprise(

@@ -15,7 +15,7 @@ floods the IT console with more false alarms than the diversity policies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -132,28 +132,62 @@ def build_maintenance_events(
     return events
 
 
-def event_amounts_for_bins(
+def add_event_counts(
+    counts: Dict[Feature, np.ndarray],
     events: Sequence[ScheduledEvent],
     bin_starts: np.ndarray,
     bin_width: float,
+    online: np.ndarray,
     rng: np.random.Generator,
-) -> Dict[Feature, np.ndarray]:
-    """Per-bin extra counts contributed by ``events`` for one host.
+) -> None:
+    """Add one host's share of ``events`` to its online bins of ``counts``, in place.
 
-    Participation and a mild per-host magnitude jitter are sampled from
-    ``rng`` (one draw per event), so different hosts see slightly different
-    rollout footprints.
+    Each event draws, in event order, its participation (one uniform) and,
+    for a participating host only, a mild lognormal magnitude jitter, so
+    different hosts see slightly different rollout footprints.  A
+    participating event contributes ``amount * jitter`` to each bin that
+    overlaps its window; per feature the contributions are summed over the
+    events, floored once and added to the bins where ``online`` holds.
+    Features absent from ``counts`` are ignored.
+
+    ``bin_starts`` must be increasing (a bin grid).  Then the bins that
+    overlap a window, ``bin_starts + bin_width > start`` and
+    ``bin_starts < end``, are a suffix intersected with a prefix: one
+    contiguous run, found by two binary searches.  Only those runs are
+    touched; windows that overlap are summed together before flooring,
+    since ``floor(a + b)`` is not ``floor(a) + floor(b)``.
     """
     require_positive(bin_width, "bin_width")
-    totals: Dict[Feature, np.ndarray] = {}
+    bin_ends = bin_starts + bin_width
+    windows: List[Tuple[int, int, float, ScheduledEvent]] = []
     for event in events:
         if rng.uniform() >= event.participation:
             continue
         jitter = rng.lognormal(mean=0.0, sigma=0.25)
-        in_window = (bin_starts + bin_width > event.start_time) & (bin_starts < event.end_time)
-        if not np.any(in_window):
-            continue
-        for feature, amount in event.feature_amounts.items():
-            contribution = np.where(in_window, amount * jitter, 0.0)
-            totals[feature] = totals.get(feature, 0.0) + contribution
-    return totals
+        first = int(np.searchsorted(bin_ends, event.start_time, side="right"))
+        last = int(np.searchsorted(bin_starts, event.end_time, side="left"))
+        if first < last:
+            windows.append((first, last, jitter, event))
+
+    # Group the windows into runs of overlapping ones; each run is summed
+    # over its own bins, in event order.
+    runs: List[List] = []
+    for index in sorted(range(len(windows)), key=lambda index: windows[index][0]):
+        first, last = windows[index][:2]
+        if runs and first < runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], last)
+            runs[-1][2].append(index)
+        else:
+            runs.append([first, last, [index]])
+    for run_first, run_last, members in runs:
+        totals: Dict[Feature, np.ndarray] = {}
+        for index in sorted(members):
+            first, last, jitter, event = windows[index]
+            for feature, amount in event.feature_amounts.items():
+                if feature not in totals:
+                    totals[feature] = np.zeros(run_last - run_first)
+                totals[feature][first - run_first : last - run_first] += amount * jitter
+        run_online = online[run_first:run_last]
+        for feature, total in totals.items():
+            if feature in counts:
+                counts[feature][run_first:run_last] += np.where(run_online, np.floor(total), 0.0)

@@ -25,15 +25,11 @@ from repro.features.definitions import Feature, PAPER_FEATURES
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.traces.packet import Packet
 from repro.utils.rng import RandomSource
-from repro.utils.timeutils import BinSpec, MINUTE
+from repro.utils.timeutils import BinSpec, MINUTE, WEEK
 from repro.utils.validation import require, require_positive
-from repro.workload.diurnal import ActivityModel, office_worker_pattern
-from repro.workload.events import ScheduledEvent
-from repro.workload.mobility import (
-    MobilityModel,
-    generate_capture_session,
-    location_activity_factors,
-)
+from repro.workload.diurnal import ActivityModel, hour_of_week_slots, office_worker_pattern
+from repro.workload.events import ScheduledEvent, add_event_counts
+from repro.workload.mobility import MobilityModel, mobility_timeline
 from repro.workload.profiles import HostProfile
 from repro.workload.sessions import (
     ApplicationSession,
@@ -47,6 +43,43 @@ from repro.workload.sessions import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.drift import DriftModel
+
+
+class BinGrid:
+    """The bins a generated series covers, and what depends on their starts alone.
+
+    Every host generated with one bin spec and duration shares the grid, so a
+    population builds it once and passes it to each host.  Its arrays are
+    read-only.
+
+    Attributes
+    ----------
+    bin_spec, duration:
+        What the grid was built from.
+    starts:
+        Bin start times: the complete bins that fit in ``duration`` (at least
+        one).
+    hour_slots:
+        Each bin's :func:`~repro.workload.diurnal.hour_of_week_slots` entry.
+    week_indices, num_weeks:
+        Each bin's 0-based week, and the number of weeks the bins touch.
+    """
+
+    def __init__(self, bin_spec: BinSpec, duration: float) -> None:
+        require_positive(duration, "duration")
+        self.bin_spec = bin_spec
+        self.duration = duration
+        starts = bin_spec.starts(max(bin_spec.count_until(duration), 1))
+        week_indices = (starts // WEEK).astype(int)
+        self.num_weeks = int(week_indices.max()) + 1
+        self.starts = _read_only(starts)
+        self.hour_slots = _read_only(hour_of_week_slots(starts))
+        self.week_indices = _read_only(week_indices)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class HostSeriesGenerator:
@@ -108,24 +141,32 @@ class HostSeriesGenerator:
 
     def generate(self, duration: float, random_source: RandomSource) -> FeatureMatrix:
         """Generate a :class:`FeatureMatrix` covering ``duration`` seconds."""
-        require_positive(duration, "duration")
+        return self.generate_on(BinGrid(self._bin_spec, duration), random_source)
+
+    def generate_on(self, grid: BinGrid, random_source: RandomSource) -> FeatureMatrix:
+        """Generate a :class:`FeatureMatrix` on ``grid``, built on this generator's bin spec."""
+        require(grid.bin_spec == self._bin_spec, "grid must be built on the generator's bin spec")
         host_id = self._profile.host_id
         rng = random_source.child("series", host_id).generator
-        num_bins = max(self._bin_spec.count_until(duration), 1)
-        bin_starts = self._bin_spec.starts(num_bins)
 
         # Activity multiplier per bin = diurnal pattern x location factor x
         # per-week drift (week-to-week non-stationarity of the user).
-        activity = self._activity.multipliers(bin_starts, rng)
-        location_factor = self._location_factors(host_id, duration, bin_starts, random_source)
-        week_factor = self._week_drift(bin_starts, rng)
-        week_factor = week_factor * self._model_drift(host_id, bin_starts, random_source)
+        activity = self._activity.slot_multipliers(grid.hour_slots, rng)
+        location_factor = self._location_factors(host_id, grid, random_source)
+        week_factor = self._week_drift(grid, rng)
+        if self._drift_model:
+            week_factor = week_factor * self._model_drift(host_id, grid, random_source)
         per_bin_activity = activity * location_factor * week_factor
 
+        offline = per_bin_activity <= 0.0
         counts: Dict[Feature, np.ndarray] = {}
         for feature in PAPER_FEATURES:
-            counts[feature] = self._feature_counts(feature, per_bin_activity, rng)
-        self._apply_events(counts, bin_starts, per_bin_activity, rng)
+            counts[feature] = self._feature_counts(feature, per_bin_activity, offline, rng)
+        if self._events:
+            # Enterprise-wide scheduled events (patch rollouts) on online bins.
+            add_event_counts(
+                counts, self._events, grid.starts, self._bin_spec.width, ~offline, rng
+            )
         self._enforce_consistency(counts)
 
         series = {
@@ -134,7 +175,7 @@ class HostSeriesGenerator:
         return FeatureMatrix(host_id=host_id, series=series)
 
     # ------------------------------------------------------------------ internals
-    def _week_drift(self, bin_starts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _week_drift(self, grid: BinGrid, rng: np.random.Generator) -> np.ndarray:
         """Per-bin multiplier capturing week-to-week drift of the host's activity.
 
         Drift strength scales with the host's master intensity: light users
@@ -143,11 +184,8 @@ class HostSeriesGenerator:
         a large factor for a week.
         """
         if self._week_drift_scale <= 0.0:
-            return np.ones(bin_starts.size)
-        from repro.utils.timeutils import WEEK
-
-        week_indices = (bin_starts // WEEK).astype(int)
-        num_weeks = int(week_indices.max()) + 1 if week_indices.size else 1
+            return np.ones(grid.starts.size)
+        num_weeks = grid.num_weeks
 
         # "Heaviness" of the host in [0, 1], from its master intensity.
         heaviness = float(np.clip(np.log10(1.0 + self._profile.master_intensity) / 2.2, 0.0, 1.0))
@@ -162,10 +200,10 @@ class HostSeriesGenerator:
         trend = self._week_drift_scale * 0.22 * heaviness ** 1.5
         log_drift = rng.normal(0.0, sigma, size=num_weeks) + trend * np.arange(num_weeks)
         weekly = 10.0 ** log_drift
-        return weekly[week_indices]
+        return weekly[grid.week_indices]
 
     def _model_drift(
-        self, host_id: int, bin_starts: np.ndarray, random_source: RandomSource
+        self, host_id: int, grid: BinGrid, random_source: RandomSource
     ) -> np.ndarray:
         """Per-bin multipliers from the composable named drift models.
 
@@ -174,36 +212,24 @@ class HostSeriesGenerator:
         empty model (the default) leaves generation bit-identical by touching
         no stream at all.
         """
-        if not self._drift_model:
-            return np.ones(bin_starts.size)
-        from repro.utils.timeutils import WEEK
-
-        week_indices = (bin_starts // WEEK).astype(int)
-        num_weeks = int(week_indices.max()) + 1 if week_indices.size else 1
         drift_rng = random_source.child("drift", host_id).generator
-        weekly = self._drift_model.week_multipliers(self._profile, num_weeks, drift_rng)
-        return weekly[week_indices]
+        weekly = self._drift_model.week_multipliers(self._profile, grid.num_weeks, drift_rng)
+        return weekly[grid.week_indices]
 
     def _location_factors(
-        self,
-        host_id: int,
-        duration: float,
-        bin_starts: np.ndarray,
-        random_source: RandomSource,
+        self, host_id: int, grid: BinGrid, random_source: RandomSource
     ) -> np.ndarray:
         if self._mobility is None:
-            return np.ones(bin_starts.size)
-        session = generate_capture_session(
-            host_id=host_id,
-            host_ip=0x0A000000 | (host_id & 0xFFFF),
-            duration=duration,
-            random_source=random_source,
-            model=self._mobility,
-        )
-        return location_activity_factors(session, bin_starts)
+            return np.ones(grid.starts.size)
+        timeline = mobility_timeline(host_id, grid.duration, random_source, self._mobility)
+        return timeline.activity_factors(grid.starts)
 
     def _feature_counts(
-        self, feature: Feature, per_bin_activity: np.ndarray, rng: np.random.Generator
+        self,
+        feature: Feature,
+        per_bin_activity: np.ndarray,
+        offline: np.ndarray,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         intensity = self._profile.intensity(feature)
         base = self._profile.base_rate(feature)
@@ -213,35 +239,19 @@ class HostSeriesGenerator:
         body = rng.lognormal(
             mean=-intensity.body_sigma ** 2 / 2.0, sigma=intensity.body_sigma, size=num_bins
         )
-        values = base * per_bin_activity * body
+        values = base * per_bin_activity
+        values *= body
 
         # Occasional Pareto bursts on top of the body (user fringe behaviour).
-        burst_mask = rng.uniform(size=num_bins) < intensity.burst_probability
-        if np.any(burst_mask):
-            bursts = (1.0 + rng.pareto(intensity.burst_alpha, size=int(burst_mask.sum()))) * base
-            values[burst_mask] += bursts
+        # random(n) yields the doubles uniform(size=n) would.
+        burst_mask = rng.random(num_bins) < intensity.burst_probability
+        num_bursts = np.count_nonzero(burst_mask)
+        if num_bursts:
+            values[burst_mask] += (1.0 + rng.pareto(intensity.burst_alpha, size=num_bursts)) * base
 
-        counts = np.floor(values)
-        counts[per_bin_activity <= 0.0] = 0.0
-        return np.maximum(counts, 0.0)
-
-    def _apply_events(
-        self,
-        counts: Dict[Feature, np.ndarray],
-        bin_starts: np.ndarray,
-        per_bin_activity: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Add enterprise-wide scheduled events (patch rollouts) to online bins."""
-        if not self._events:
-            return
-        from repro.workload.events import event_amounts_for_bins
-
-        extra = event_amounts_for_bins(self._events, bin_starts, self._bin_spec.width, rng)
-        online = per_bin_activity > 0.0
-        for feature, amounts in extra.items():
-            if feature in counts:
-                counts[feature] = counts[feature] + np.where(online, np.floor(amounts), 0.0)
+        counts = np.floor(values, out=values)
+        counts[offline] = 0.0
+        return np.maximum(counts, 0.0, out=counts)
 
     @staticmethod
     def _enforce_consistency(counts: Dict[Feature, np.ndarray]) -> None:

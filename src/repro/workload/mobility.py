@@ -9,11 +9,16 @@ different activity multiplier than office segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.traces.capture import CaptureEnvironment, CaptureSession, NetworkLocation
+from repro.traces.capture import (
+    CaptureSession,
+    NetworkLocation,
+    check_segments,
+    segment_lookup,
+)
 from repro.utils.rng import RandomSource
 from repro.utils.timeutils import DAY, HOUR
 from repro.utils.validation import require_in_range, require_positive
@@ -28,19 +33,22 @@ LOCATION_ACTIVITY: Dict[NetworkLocation, float] = {
     NetworkLocation.OFFLINE: 0.0,
 }
 
+#: A timeline's location array holds indices into this tuple.
+TIMELINE_LOCATIONS: Tuple[NetworkLocation, ...] = tuple(NetworkLocation)
 
-def location_activity_factors(session: CaptureSession, timestamps) -> np.ndarray:
-    """Vectorised ``LOCATION_ACTIVITY[session.location_at(t)]`` per timestamp.
-
-    One segment lookup over the whole bin grid replaces the per-bin linear
-    scan through the session's environments; gaps map to the OFFLINE factor.
-    """
-    indices = session.segment_indices(timestamps)
-    # Trailing 0.0 so a gap index of -1 resolves to the OFFLINE factor.
-    factors = np.array(
-        [LOCATION_ACTIVITY[env.location] for env in session.environments] + [0.0]
+_WIRED, _WIRELESS, _HOME, _TRAVEL, _OFFLINE = (
+    TIMELINE_LOCATIONS.index(location)
+    for location in (
+        NetworkLocation.OFFICE_WIRED,
+        NetworkLocation.OFFICE_WIRELESS,
+        NetworkLocation.HOME,
+        NetworkLocation.TRAVEL,
+        NetworkLocation.OFFLINE,
     )
-    return factors[indices]
+)
+
+#: Segments one day contributes: (start hour, end hour, location index).
+_DaySegments = List[Tuple[float, float, int]]
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,82 @@ class MobilityModel:
             require_in_range(getattr(self, name), 0.0, 1.0, name)
 
 
+class MobilityTimeline(NamedTuple):
+    """One host's environment timeline as aligned segment arrays.
+
+    ``starts``/``ends`` are in seconds since the trace epoch, in time order
+    and without overlap; ``locations`` indexes :data:`TIMELINE_LOCATIONS`.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    locations: np.ndarray
+
+    def activity_factors(self, timestamps: Sequence[float]) -> np.ndarray:
+        """``LOCATION_ACTIVITY`` of the segment covering each timestamp.
+
+        A timestamp no segment covers (past the end of the trace) maps to the
+        OFFLINE factor.
+        """
+        indices = segment_lookup(self.starts, self.ends, timestamps)
+        factors = np.array([LOCATION_ACTIVITY[location] for location in TIMELINE_LOCATIONS])
+        # Trailing 0.0 so a gap index of -1 resolves to the OFFLINE factor.
+        return np.append(factors[self.locations], 0.0)[indices]
+
+
+def mobility_timeline(
+    host_id: int, duration: float, random_source: RandomSource, model: MobilityModel
+) -> MobilityTimeline:
+    """Draw the environment timeline of one host for ``duration`` seconds.
+
+    The timeline is a sequence of day-by-day segments; offline periods are
+    represented explicitly so that analyses can distinguish "no traffic
+    because offline" from "online but idle".
+
+    A laptop's days draw from the host's dedicated ``"mobility"`` stream,
+    which nothing else reads.  Every draw is a uniform double (a scaled one
+    is ``low + (high - low) * u``, which is what ``Generator.uniform``
+    computes), so the stream is drawn as one block, at most six doubles per
+    day, and the days consume it in order; the unread tail changes nothing.
+    """
+    require_positive(duration, "duration")
+    if model.is_laptop:
+        num_days = int(np.ceil(duration / DAY))
+        draws = random_source.child("mobility", host_id).generator.random(6 * num_days).tolist()
+        timeline = _laptop_timeline(draws, num_days, duration, model)
+    else:
+        timeline = MobilityTimeline(
+            np.array([0.0]), np.array([float(duration)]), np.array([_WIRED], dtype=np.intp)
+        )
+    check_segments(timeline.starts, timeline.ends)
+    return timeline
+
+
+def _laptop_timeline(
+    draws: List[float], num_days: int, duration: float, model: MobilityModel
+) -> MobilityTimeline:
+    """The day-by-day segments of a laptop, reading ``draws`` in order."""
+    position = 0
+    days: List[int] = []
+    segments: _DaySegments = []
+    for day in range(num_days):
+        if day % 7 < 5:
+            day_segments, position = _weekday_segments(draws, position, model)
+        else:
+            day_segments, position = _weekend_segments(draws, position, model)
+        days.extend([day] * len(day_segments))
+        segments.extend(day_segments)
+    start_hours, end_hours, locations = zip(*segments)
+
+    day_start = np.array(days) * DAY
+    day_end = np.minimum(day_start + DAY, duration)
+    starts = day_start + np.array(start_hours) * HOUR
+    ends = np.minimum(day_start + np.array(end_hours) * HOUR, day_end)
+    # Segments of a final partial day that start past the trace end vanish.
+    keep = ends > starts
+    return MobilityTimeline(starts[keep], ends[keep], np.array(locations, dtype=np.intp)[keep])
+
+
 def generate_capture_session(
     host_id: int,
     host_ip: int,
@@ -90,97 +174,68 @@ def generate_capture_session(
     random_source: RandomSource,
     model: MobilityModel,
 ) -> CaptureSession:
-    """Generate the environment timeline of one host for ``duration`` seconds.
+    """The :func:`mobility_timeline` of one host as a :class:`CaptureSession`.
 
-    The timeline is a sequence of day-by-day segments; offline periods are
-    represented explicitly so that analyses can distinguish "no traffic
-    because offline" from "online but idle".
+    Office-wireless and home segments use ``wlan0``, the others ``eth0``.
     """
-    require_positive(duration, "duration")
-    rng = random_source.child("mobility", host_id).generator
-    session = CaptureSession(host_id=host_id)
-
-    if not model.is_laptop:
-        session.add_environment(
-            CaptureEnvironment(
-                start_time=0.0,
-                end_time=duration,
-                location=NetworkLocation.OFFICE_WIRED,
-                host_ip=host_ip,
-                interface="eth0",
-            )
-        )
-        return session
-
-    num_days = int(np.ceil(duration / DAY))
-    for day in range(num_days):
-        day_start = day * DAY
-        day_end = min((day + 1) * DAY, duration)
-        weekday = (day % 7) < 5
-        segments = _weekday_segments(rng, model) if weekday else _weekend_segments(rng, model)
-        for start_hour, end_hour, location in segments:
-            start = day_start + start_hour * HOUR
-            end = min(day_start + end_hour * HOUR, day_end)
-            if end <= start:
-                continue
-            interface = "wlan0" if location in (NetworkLocation.OFFICE_WIRELESS, NetworkLocation.HOME) else "eth0"
-            session.add_environment(
-                CaptureEnvironment(
-                    start_time=start,
-                    end_time=end,
-                    location=location,
-                    host_ip=host_ip,
-                    interface=interface,
-                )
-            )
-        if day_end >= duration:
-            break
-    return session
+    timeline = mobility_timeline(host_id, duration, random_source, model)
+    locations = [TIMELINE_LOCATIONS[index] for index in timeline.locations.tolist()]
+    interfaces = [
+        "wlan0"
+        if location in (NetworkLocation.OFFICE_WIRELESS, NetworkLocation.HOME)
+        else "eth0"
+        for location in locations
+    ]
+    return CaptureSession.from_segments(
+        host_id, timeline.starts, timeline.ends, locations, host_ip, interfaces
+    )
 
 
-def _weekday_segments(rng: np.random.Generator, model: MobilityModel):
-    """Return (start_hour, end_hour, location) tuples for one weekday."""
-    segments = [(0.0, 8.0, NetworkLocation.OFFLINE)]
-    if rng.uniform() < model.travel_day_probability:
-        segments.append((8.0, 18.0, NetworkLocation.TRAVEL))
+def _weekday_segments(
+    draws: List[float], position: int, model: MobilityModel
+) -> Tuple[_DaySegments, int]:
+    """Segments of one weekday covering hours 0-24, and the next unread draw.
+
+    Draws, in order: travel; unless travelling, wireless, arrival and
+    departure; then home evening and, if at home, its end.  Adjacent
+    offline segments are kept apart, as the day's schedule lists them.
+    """
+    segments: _DaySegments = [(0.0, 8.0, _OFFLINE)]
+    if draws[position] < model.travel_day_probability:
+        segments.append((8.0, 18.0, _TRAVEL))
+        cursor = 18.0
+        position += 1
     else:
-        office = (
-            NetworkLocation.OFFICE_WIRELESS
-            if rng.uniform() < model.wireless_probability
-            else NetworkLocation.OFFICE_WIRED
-        )
-        arrival = float(rng.uniform(8.0, 9.5))
-        departure = float(rng.uniform(17.0, 19.0))
-        segments.append((8.0, arrival, NetworkLocation.OFFLINE))
+        office = _WIRELESS if draws[position + 1] < model.wireless_probability else _WIRED
+        arrival = 8.0 + 1.5 * draws[position + 2]
+        departure = 17.0 + 2.0 * draws[position + 3]
+        if arrival > 8.0:
+            segments.append((8.0, arrival, _OFFLINE))
         segments.append((arrival, departure, office))
-        segments.append((departure, 20.0, NetworkLocation.OFFLINE))
-    if rng.uniform() < model.home_evening_probability:
-        segments.append((20.0, float(rng.uniform(22.0, 24.0)), NetworkLocation.HOME))
-    # Collapse to a clean, sorted, non-overlapping list ending at 24h offline.
-    segments = sorted(segments, key=lambda item: item[0])
-    cleaned = []
-    cursor = 0.0
-    for start, end, location in segments:
-        start = max(start, cursor)
-        if end <= start:
-            continue
-        if start > cursor:
-            cleaned.append((cursor, start, NetworkLocation.OFFLINE))
-        cleaned.append((start, end, location))
-        cursor = end
+        segments.append((departure, 20.0, _OFFLINE))
+        cursor = 20.0
+        position += 4
+    if draws[position] < model.home_evening_probability:
+        home_end = 22.0 + 2.0 * draws[position + 1]
+        if cursor < 20.0:
+            segments.append((cursor, 20.0, _OFFLINE))
+        segments.append((20.0, home_end, _HOME))
+        cursor = home_end
+        position += 2
+    else:
+        position += 1
     if cursor < 24.0:
-        cleaned.append((cursor, 24.0, NetworkLocation.OFFLINE))
-    return cleaned
+        segments.append((cursor, 24.0, _OFFLINE))
+    return segments, position
 
 
-def _weekend_segments(rng: np.random.Generator, model: MobilityModel):
-    """Return (start_hour, end_hour, location) tuples for one weekend day."""
-    if rng.uniform() < model.weekend_home_probability:
-        start = float(rng.uniform(10.0, 14.0))
-        end = float(rng.uniform(start + 1.0, 23.0))
-        return [
-            (0.0, start, NetworkLocation.OFFLINE),
-            (start, end, NetworkLocation.HOME),
-            (end, 24.0, NetworkLocation.OFFLINE),
-        ]
-    return [(0.0, 24.0, NetworkLocation.OFFLINE)]
+def _weekend_segments(
+    draws: List[float], position: int, model: MobilityModel
+) -> Tuple[_DaySegments, int]:
+    """Segments of one weekend day covering hours 0-24, and the next unread draw."""
+    if draws[position] < model.weekend_home_probability:
+        start = 10.0 + 4.0 * draws[position + 1]
+        low = start + 1.0
+        end = low + (23.0 - low) * draws[position + 2]
+        return [(0.0, start, _OFFLINE), (start, end, _HOME), (end, 24.0, _OFFLINE)], position + 3
+    return [(0.0, 24.0, _OFFLINE)], position + 1

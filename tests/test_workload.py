@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import PopulationEngine
 from repro.engine.serialization import config_from_payload
 from repro.features.definitions import Feature, PAPER_FEATURES
 from repro.traces.capture import NetworkLocation
-from repro.utils.timeutils import DAY, HOUR, MINUTE, WEEK
+from repro.utils.timeutils import DAY, HOUR, MINUTE, WEEK, BinSpec
 from repro.utils.validation import ValidationError
 from repro.workload.diurnal import ActivityModel, always_on_pattern, office_worker_pattern
 from repro.utils.rng import RandomSource
@@ -21,8 +23,8 @@ from repro.workload.enterprise import EnterpriseConfig, generate_enterprise, gen
 from repro.workload.events import (
     DEFAULT_ROLLOUT_AMOUNTS,
     ScheduledEvent,
+    add_event_counts,
     build_maintenance_events,
-    event_amounts_for_bins,
 )
 from repro.workload.generator import HostSeriesGenerator, HostTraceGenerator
 from repro.workload.mobility import LOCATION_ACTIVITY, MobilityModel, generate_capture_session
@@ -139,16 +141,56 @@ class TestEvents:
         assert len(events) == 1
         assert events[0].name == "patch-rollout-week0"
 
-    def test_event_amounts_cover_window(self, rng):
+    def test_event_counts_cover_window(self, rng):
         events = build_maintenance_events(1, maintenance_weeks=(0,))
         event = events[0]
         bin_starts = np.arange(0, WEEK, 15 * MINUTE)
-        amounts = event_amounts_for_bins([event], bin_starts, 15 * MINUTE, rng)
-        if not amounts:  # 10% non-participation possibility with a single draw
+        counts = {feature: np.zeros(bin_starts.size) for feature in PAPER_FEATURES}
+        online = np.ones(bin_starts.size, dtype=bool)
+        add_event_counts(counts, [event], bin_starts, 15 * MINUTE, online, rng)
+        tcp = counts[Feature.TCP_CONNECTIONS]
+        if not tcp.any():  # 10% non-participation possibility with a single draw
             return
-        tcp = amounts[Feature.TCP_CONNECTIONS]
         active_bins = np.count_nonzero(tcp)
         assert active_bins == pytest.approx(event.duration / (15 * MINUTE), abs=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_windowed_events_equal_full_length_masks(self, data):
+        width = data.draw(st.floats(1.0, 3600.0), label="width")
+        origin = data.draw(st.floats(-4 * width, 10 * width), label="origin")
+        num_bins = data.draw(st.integers(1, 200), label="num_bins")
+        bin_starts = BinSpec(width=width, origin=origin).starts(num_bins)
+        span = max(origin + (num_bins + 4) * width, width)
+        event = st.builds(
+            ScheduledEvent,
+            name=st.just("e"),
+            start_time=st.floats(0.0, span),
+            duration=st.floats(0.5, span / 2 + 1.0),
+            feature_amounts=st.dictionaries(
+                st.sampled_from(PAPER_FEATURES), st.floats(0.0, 300.0), min_size=1
+            ),
+            participation=st.floats(0.05, 1.0),
+        )
+        events = data.draw(st.lists(event, max_size=5), label="events")
+        present = data.draw(
+            st.lists(st.sampled_from(PAPER_FEATURES), min_size=1, unique=True), label="counts"
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        inputs = np.random.default_rng(seed)
+        initial = {feature: np.floor(inputs.random(num_bins) * 40.0) for feature in present}
+        online = inputs.random(num_bins) < 0.8
+
+        counts = {feature: values.copy() for feature, values in initial.items()}
+        rng = np.random.default_rng(seed + 1)
+        add_event_counts(counts, events, bin_starts, width, online, rng)
+        expected = {feature: values.copy() for feature, values in initial.items()}
+        reference_rng = np.random.default_rng(seed + 1)
+        _reference_event_counts(expected, events, bin_starts, width, online, reference_rng)
+
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        for feature in present:
+            assert counts[feature].tobytes() == expected[feature].tobytes(), feature
 
     def test_event_validation(self):
         with pytest.raises(ValidationError):
@@ -161,6 +203,29 @@ class TestEvents:
             name="x", start_time=100.0, duration=50.0, feature_amounts=DEFAULT_ROLLOUT_AMOUNTS
         )
         assert event.covers(100.0) and event.covers(149.0) and not event.covers(150.0)
+
+
+def _reference_event_counts(counts, events, bin_starts, bin_width, online, rng):
+    """The full-length computation ``add_event_counts`` replaced.
+
+    One window mask and one ``np.where`` per event and feature over the whole
+    grid, summed per feature across events, floored once, then added where
+    the host is online.
+    """
+    totals = {}
+    for event in events:
+        if rng.uniform() >= event.participation:
+            continue
+        jitter = rng.lognormal(mean=0.0, sigma=0.25)
+        in_window = (bin_starts + bin_width > event.start_time) & (bin_starts < event.end_time)
+        if not np.any(in_window):
+            continue
+        for feature, amount in event.feature_amounts.items():
+            contribution = np.where(in_window, amount * jitter, 0.0)
+            totals[feature] = totals.get(feature, 0.0) + contribution
+    for feature, amounts in totals.items():
+        if feature in counts:
+            counts[feature] = counts[feature] + np.where(online, np.floor(amounts), 0.0)
 
 
 class TestHostSeriesGenerator:
