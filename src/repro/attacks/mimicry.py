@@ -114,10 +114,12 @@ def batch_hidden_traffic(
     The vectorised form of
     :meth:`~repro.stats.empirical.EmpiricalDistribution.largest_hidden_shift`:
     ``values`` is a ``(num_hosts, num_bins)`` stack of each victim's benign
-    series, ``thresholds`` the ``(num_hosts,)`` thresholds in force.  Row
-    ``i`` is bit-identical to the per-host computation — ``np.percentile``
-    along ``axis=1`` applies the same order statistics and interpolation per
-    row as the scalar call does on one host's samples.
+    series, ``thresholds`` the ``(num_hosts,)`` thresholds in force, or a
+    ``(num_assignments, num_hosts)`` stack of several assignments' thresholds
+    scored against one percentile per host (the result then has that shape
+    too).  Host ``i`` is bit-identical to the per-host computation —
+    ``np.percentile`` along ``axis=1`` applies the same order statistics and
+    interpolation per row as the scalar call does on one host's samples.
     """
     require_probability(evasion_probability, "evasion_probability")
     stacked = np.asarray(values, dtype=float)

@@ -781,9 +781,13 @@ def _window_bounds(series: TimeSeries, start_week: int, end_week: int) -> Tuple[
 
 
 def _threshold_vector(assignment, feature: Feature, host_ids: Sequence[int]) -> np.ndarray:
-    """Per-host thresholds of ``feature`` as a ``(num_hosts,)`` vector."""
-    per_feature = assignment.for_feature(feature)
-    return np.array([per_feature.threshold_of(host_id) for host_id in host_ids], dtype=float)
+    """Per-host thresholds of ``feature`` as a ``(num_hosts,)`` vector.
+
+    Read straight from the assignment's host -> threshold mapping (the floats
+    ``threshold_of`` returns), without a method call per host.
+    """
+    thresholds = assignment.for_feature(feature).thresholds
+    return np.fromiter(map(thresholds.__getitem__, host_ids), dtype=float, count=len(host_ids))
 
 
 def _block(

@@ -19,11 +19,15 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.mimicry import hidden_traffic_by_host
+from repro.attacks import mimicry
+# Unused here, but perfbench/layers.py times it by patching this module's
+# attribute (read with getattr), so the name must stay importable.
+from repro.attacks.mimicry import hidden_traffic_by_host  # noqa: F401
 from repro.attacks.naive import NaiveAttacker, attack_size_sweep
 from repro.core.evaluation import (
     DetectionProtocol,
     PolicyEvaluation,
+    _window_blocks,
     detection_training_distributions,
     measure_assignment,
     # Unused here, but perfbench/layers.py times it by patching this module's
@@ -154,16 +158,24 @@ def run_fig4(
             )
             detection_curves[policy.name].append(evaluation.fraction_raising_alarm())
 
-    # Panel (b): resourceful (mimicry) attacker hidden traffic.
-    test_matrices = {host_id: matrix.week(test_week) for host_id, matrix in matrices.items()}
-    hidden: Dict[str, Mapping[int, float]] = {}
-    for policy in policies:
-        hidden[policy.name] = hidden_traffic_by_host(
-            test_matrices,
-            assignments[policy.name].for_feature(feature).thresholds,
-            feature,
-            evasion_probability=evasion_probability,
+    # Panel (b): resourceful (mimicry) attacker hidden traffic.  The hosts of
+    # each bin grid read their test week as one block (a frame view, or a
+    # stack), whose percentile is taken once for every policy's thresholds.
+    hidden_of: Dict[int, np.ndarray] = {}
+    for host_ids, _, block in _window_blocks(matrices, feature, test_week, test_week + 1):
+        thresholds = np.array(
+            [
+                [assignments[policy.name].for_feature(feature).thresholds[h] for h in host_ids]
+                for policy in policies
+            ],
+            dtype=float,
         )
+        hidden_rows = mimicry.batch_hidden_traffic(block, thresholds, evasion_probability)
+        hidden_of.update(zip(host_ids, hidden_rows.T))
+    hidden: Dict[str, Mapping[int, float]] = {
+        policy.name: {host_id: float(hidden_of[host_id][index]) for host_id in matrices}
+        for index, policy in enumerate(policies)
+    }
 
     return AttackerResult(
         feature=feature,
