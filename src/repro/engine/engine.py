@@ -26,7 +26,10 @@ engine is passed):
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -118,6 +121,26 @@ def _generate_host_chunk_task(
 _POOL_FAILURES = (OSError, BrokenProcessPool, AssertionError)
 
 
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end the worker as soon as its parent process dies.
+
+    A parent killed outright (SIGKILL, OOM) cannot shut its pool down, and a
+    worker waiting on the task queue would then wait forever.  A daemon
+    thread waits on the parent's sentinel, which becomes ready when the
+    parent is gone, and exits the worker at once; nobody is left to read its
+    result, and the manifest never records a shard file it was writing.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def _run_pool(
     task: Callable[..., Tuple[Any, Dict[str, Any]]],
     arguments: Sequence[Tuple[Any, ...]],
@@ -138,7 +161,7 @@ def _run_pool(
     recorder = get_recorder()
     task_error: Optional[BaseException] = None
     try:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as executor:
             futures = [executor.submit(task, *args) for args in arguments]
             for future in as_completed(futures):
                 try:

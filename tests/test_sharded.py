@@ -13,9 +13,17 @@ sampled uses of one configuration share it.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.policies import PartialDiversityPolicy
@@ -461,6 +469,102 @@ class TestParallelShardBuild:
         monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _no_pool)
         population.matrices_for(self.ALL_HOSTS)  # only shard 3 is missing
         assert_matches_monolithic(population, monolithic)
+
+
+#: Child process for the kill-and-resume test: builds a 32-host layout on a
+#: two-worker pool and SIGKILLs itself right after the second finished shard
+#: is entered in the manifest, first writing its pool workers' pids to argv[2].
+_KILLED_MID_POOL_BUILD = """
+import multiprocessing, os, signal, sys
+import repro.engine.sharded as sharded
+from repro.engine import PopulationEngine
+from repro.workload.enterprise import EnterpriseConfig
+
+record_shard = sharded.ShardedPopulation._record_shard
+recorded = []
+
+def record_then_kill(self, index, record):
+    record_shard(self, index, record)
+    recorded.append(index)
+    if len(recorded) == 2:
+        workers = " ".join(str(child.pid) for child in multiprocessing.active_children())
+        with open(sys.argv[2], "w") as handle:
+            handle.write(workers)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+sharded.ShardedPopulation._record_shard = record_then_kill
+num_hosts, num_weeks, seed = map(int, sys.argv[3:])
+config = EnterpriseConfig(num_hosts=num_hosts, num_weeks=num_weeks, seed=seed)
+engine = PopulationEngine(workers=2, min_parallel_hosts=1, cache_dir=sys.argv[1])
+engine.generate_sharded(config, hosts_per_shard=8).materialize()
+raise SystemExit("the shard build was not interrupted")
+"""
+
+
+def _process_exited(pid: int) -> bool:
+    """True once ``pid`` has exited (an unreaped zombie counts as exited)."""
+    stat = Path(f"/proc/{pid}/stat")
+    if stat.parent.parent.is_dir():
+        try:
+            state = stat.read_text().rsplit(")", 1)[1].split()[0]
+        except (FileNotFoundError, ProcessLookupError):
+            return True
+        return state in ("Z", "X")
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestKilledPoolBuild:
+    """A process SIGKILLed in the middle of a pool shard build, then resumed."""
+
+    CONFIG = EnterpriseConfig(num_hosts=32, num_weeks=2, seed=511)
+
+    def test_kill_mid_build_then_resume(self, tmp_path):
+        cache_dir, pid_file = tmp_path / "cache", tmp_path / "workers.txt"
+        paths = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+        fields = (self.CONFIG.num_hosts, self.CONFIG.num_weeks, self.CONFIG.seed)
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLED_MID_POOL_BUILD, str(cache_dir), str(pid_file)]
+            + [str(field) for field in fields],
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL
+
+        # The killed build's pool workers notice their parent is gone and exit.
+        workers = [int(pid) for pid in pid_file.read_text().split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30.0
+        while not all(_process_exited(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        lingering = [pid for pid in workers if not _process_exited(pid)]
+        for pid in lingering:  # leave no orphan behind when the check fails
+            os.kill(pid, signal.SIGKILL)
+        assert not lingering, "orphaned pool workers outlived 30 s"
+
+        layout = PopulationCache(cache_dir).path_for(self.CONFIG)
+        recorded = [index for index, digest in enumerate(_manifest_hashes(layout)) if digest]
+        assert len(recorded) == 2
+
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            engine = PopulationEngine(workers=2, min_parallel_hosts=1, cache_dir=cache_dir)
+            resumed = engine.generate_sharded(self.CONFIG, hosts_per_shard=8).materialize()
+        # Only the two shards the manifest does not record are generated again.
+        assert recorder.counters["engine.hosts_generated"] == 16
+        expected = generate_enterprise(self.CONFIG)
+        assert resumed.host_ids == expected.host_ids
+        for host_id in expected.host_ids:
+            assert resumed.profile(host_id) == expected.profile(host_id)
+            for feature in expected.matrix(host_id).features:
+                assert (
+                    resumed.matrix(host_id).series(feature).values.tobytes()
+                    == expected.matrix(host_id).series(feature).values.tobytes()
+                )
 
 
 def test_default_shard_size_is_power_of_two():
