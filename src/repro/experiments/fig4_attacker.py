@@ -27,6 +27,7 @@ from repro.attacks.naive import NaiveAttacker, attack_size_sweep
 from repro.core.evaluation import (
     DetectionProtocol,
     PolicyEvaluation,
+    _threshold_vector,
     _window_blocks,
     detection_training_distributions,
     measure_assignment,
@@ -161,20 +162,18 @@ def run_fig4(
     # Panel (b): resourceful (mimicry) attacker hidden traffic.  The hosts of
     # each bin grid read their test week as one block (a frame view, or a
     # stack), whose percentile is taken once for every policy's thresholds.
-    hidden_of: Dict[int, np.ndarray] = {}
+    hidden_of: Dict[str, Dict[int, float]] = {policy.name: {} for policy in policies}
     for host_ids, _, block in _window_blocks(matrices, feature, test_week, test_week + 1):
-        thresholds = np.array(
-            [
-                [assignments[policy.name].for_feature(feature).thresholds[h] for h in host_ids]
-                for policy in policies
-            ],
-            dtype=float,
+        thresholds = np.stack(
+            [_threshold_vector(assignments[policy.name], feature, host_ids) for policy in policies]
         )
-        hidden_rows = mimicry.batch_hidden_traffic(block, thresholds, evasion_probability)
-        hidden_of.update(zip(host_ids, hidden_rows.T))
+        rows = mimicry.batch_hidden_traffic(block, thresholds, evasion_probability)
+        for policy, row in zip(policies, rows):
+            hidden_of[policy.name].update(zip(host_ids, row.tolist()))
+    # In the population's host order, whatever the grid grouping.
     hidden: Dict[str, Mapping[int, float]] = {
-        policy.name: {host_id: float(hidden_of[host_id][index]) for host_id in matrices}
-        for index, policy in enumerate(policies)
+        name: {host_id: values[host_id] for host_id in matrices}
+        for name, values in hidden_of.items()
     }
 
     return AttackerResult(

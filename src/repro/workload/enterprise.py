@@ -218,6 +218,10 @@ def generate_host(
         events = build_population_events(config)
     if grid is None:
         grid = population_grid(config)
+    require(
+        grid.bin_spec == BinSpec(width=config.bin_width) and grid.duration == config.duration,
+        "grid must be the config's population_grid",
+    )
     profile = sample_host_profile(
         host_id=host_id,
         random_source=random_source,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -233,6 +234,36 @@ class TestCaptureSession:
         with pytest.raises(ValidationError):
             session.add_environment(
                 CaptureEnvironment(100.0, 180.0, NetworkLocation.TRAVEL, HOST_IP)
+            )
+
+    def test_from_segments_matches_appended_environments(self):
+        built = CaptureSession.from_segments(
+            1,
+            np.array([0.0, 100.0, 150.0]),
+            np.array([100.0, 150.0, 200.0]),
+            [NetworkLocation.OFFICE_WIRED, NetworkLocation.OFFLINE, NetworkLocation.HOME],
+            HOST_IP,
+            ["eth0", "eth0", "eth0"],
+        )
+        assert built == self._session()
+
+    @pytest.mark.parametrize(
+        "starts, ends",
+        [
+            ([0.0, 100.0], [100.0, 100.0]),  # zero length
+            ([0.0, 50.0], [100.0, 150.0]),  # overlap
+            ([100.0, 0.0], [150.0, 50.0]),  # out of time order
+        ],
+    )
+    def test_from_segments_rejects_bad_timelines(self, starts, ends):
+        with pytest.raises(ValidationError):
+            CaptureSession.from_segments(
+                1,
+                np.array(starts),
+                np.array(ends),
+                [NetworkLocation.HOME] * 2,
+                HOST_IP,
+                ["wlan0"] * 2,
             )
 
     def test_inside_enterprise_flag(self):

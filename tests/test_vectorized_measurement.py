@@ -83,7 +83,7 @@ from repro.sweeps.spec import AttackSpec
 from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.timeutils import WEEK, BinSpec, MINUTE
 from repro.utils.validation import ValidationError
-from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
+from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
 FIGURES_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_figures.json"
@@ -602,6 +602,42 @@ class TestMixedBinGrids:
         )
         assert table == rows
         assert list(table) == list(matrices)
+
+    def test_fig4_hidden_traffic_matches_per_host_plans(self, interleaved):
+        """Panel (b) scores one block per grid; the per-host plans are the reference."""
+        matrices, _ = interleaved
+        config = EnterpriseConfig(num_hosts=12, num_weeks=2, seed=909)
+        generated = generate_enterprise(config)
+        mixed = EnterprisePopulation(
+            config, {host_id: generated.profile(host_id) for host_id in matrices}, matrices
+        )
+        result = run_fig4(mixed, num_attack_sizes=3, partial_groups=4)
+
+        feature = Feature.TCP_CONNECTIONS
+        protocol = DetectionProtocol(features=(feature,))
+        training = detection_training_distributions(
+            matrices, protocol.features, 0, active_bins_only=protocol.train_on_active_bins
+        )
+        heuristic = PercentileHeuristic(99.0)
+        policies = (
+            HomogeneousPolicy(heuristic),
+            FullDiversityPolicy(heuristic),
+            PartialDiversityPolicy(heuristic, num_groups=4),
+        )
+        for policy in policies:
+            thresholds = policy.assign(
+                training,
+                grouping_statistic_percentile=protocol.grouping_statistic_percentile,
+                fusion=protocol.fusion,
+            ).for_feature(feature).thresholds
+            expected = {
+                host_id: MimicryAttacker(feature=feature, threshold=float(thresholds[host_id]))
+                .plan(matrix.week(1))
+                .hidden_traffic
+                for host_id, matrix in matrices.items()
+            }
+            assert list(result.hidden_traffic[policy.name]) == list(matrices)
+            assert result.hidden_traffic[policy.name] == expected
 
     def test_one_measure_span_and_count_per_call(self, interleaved):
         matrices, bin_width = interleaved

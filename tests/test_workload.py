@@ -19,7 +19,12 @@ from repro.utils.timeutils import DAY, HOUR, MINUTE, WEEK, BinSpec
 from repro.utils.validation import ValidationError
 from repro.workload.diurnal import ActivityModel, always_on_pattern, office_worker_pattern
 from repro.utils.rng import RandomSource
-from repro.workload.enterprise import EnterpriseConfig, generate_enterprise, generate_host
+from repro.workload.enterprise import (
+    EnterpriseConfig,
+    generate_enterprise,
+    generate_host,
+    population_grid,
+)
 from repro.workload.events import (
     DEFAULT_ROLLOUT_AMOUNTS,
     ScheduledEvent,
@@ -356,6 +361,12 @@ class TestEnterprisePopulation:
             EnterpriseConfig(num_hosts=0)
         with pytest.raises(ValidationError):
             EnterpriseConfig(laptop_fraction=2.0)
+
+    def test_generate_host_rejects_another_configs_grid(self):
+        config = EnterpriseConfig(num_hosts=3, num_weeks=1, seed=1)
+        other = population_grid(EnterpriseConfig(num_hosts=3, num_weeks=2, seed=1))
+        with pytest.raises(ValidationError):
+            generate_host(config, 0, grid=other)
 
     def test_roles_override(self):
         config = EnterpriseConfig(num_hosts=3, num_weeks=1, seed=1)
