@@ -146,7 +146,7 @@ class TestEvents:
         assert len(events) == 1
         assert events[0].name == "patch-rollout-week0"
 
-    def test_event_counts_cover_window(self, rng):
+    def test_event_amounts_cover_window(self, rng):
         events = build_maintenance_events(1, maintenance_weeks=(0,))
         event = events[0]
         bin_starts = np.arange(0, WEEK, 15 * MINUTE)
