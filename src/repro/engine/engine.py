@@ -130,12 +130,10 @@ def _exit_with_parent() -> None:
     parent is gone, and exits the worker at once; nobody is left to read its
     result, and the manifest never records a shard file it was writing.
     """
-    parent = multiprocessing.parent_process()
-    if parent is None:
-        return
+    sentinel = multiprocessing.parent_process().sentinel
 
     def watch() -> None:
-        multiprocessing.connection.wait([parent.sentinel])
+        multiprocessing.connection.wait([sentinel])
         os._exit(1)
 
     threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
