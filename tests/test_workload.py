@@ -15,10 +15,10 @@ from repro.engine import PopulationEngine
 from repro.engine.serialization import config_from_payload
 from repro.features.definitions import Feature, PAPER_FEATURES
 from repro.traces.capture import NetworkLocation
+from repro.utils.rng import RandomSource
 from repro.utils.timeutils import DAY, HOUR, MINUTE, WEEK, BinSpec
 from repro.utils.validation import ValidationError
 from repro.workload.diurnal import ActivityModel, always_on_pattern, office_worker_pattern
-from repro.utils.rng import RandomSource
 from repro.workload.enterprise import (
     EnterpriseConfig,
     generate_enterprise,
