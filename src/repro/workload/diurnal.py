@@ -51,12 +51,8 @@ class DiurnalPattern:
         hours = self.weekday_hours if day_index < 5 else self.weekend_hours
         return float(hours[hour_index])
 
-    def multipliers_at(self, timestamps: Sequence[float]) -> np.ndarray:
-        """Vectorised :meth:`multiplier` for an array of timestamps."""
-        return self.slot_multipliers(hour_of_week_slots(timestamps))
-
     def slot_multipliers(self, slots: np.ndarray) -> np.ndarray:
-        """Multipliers of the hour slots :func:`hour_of_week_slots` returns."""
+        """Vectorised :meth:`multiplier`, for the :func:`hour_of_week_slots` of timestamps."""
         hours = np.concatenate(
             (
                 np.asarray(self.weekday_hours, dtype=float),
