@@ -14,9 +14,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 #: Root spans a sweep-run trace must contain when no --root-span is given.
@@ -28,29 +26,6 @@ DEFAULT_COUNTERS = (
     "core.host_weeks_measured",
     "engine.hosts_generated",
 )
-
-
-def load_trace(path: Path) -> Dict[str, Any]:
-    """Parsed JSONL trace: ``{"spans": [...], "counters": {...}, ...}``."""
-    spans: List[Dict[str, Any]] = []
-    counters: Dict[str, Any] = {}
-    gauges: Dict[str, Any] = {}
-    meta: Dict[str, Any] = {}
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            kind = payload.get("type")
-            if kind == "span":
-                spans.append(payload)
-            elif kind == "counter":
-                counters[payload["name"]] = payload["value"]
-            elif kind == "gauge":
-                gauges[payload["name"]] = payload["value"]
-            elif kind == "meta":
-                meta = payload
-    return {"meta": meta, "spans": spans, "counters": counters, "gauges": gauges}
 
 
 def check(
@@ -108,9 +83,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"(default: {' '.join(DEFAULT_COUNTERS)})",
     )
     args = parser.parse_args(argv)
+    from repro.telemetry import read_trace_jsonl
+    from repro.utils.validation import ValidationError
+
     try:
-        trace = load_trace(Path(args.trace))
-    except (OSError, json.JSONDecodeError, KeyError) as error:
+        trace = read_trace_jsonl(args.trace)
+    except (OSError, ValidationError, KeyError) as error:
         print(f"check_trace: error: {error!r}", file=sys.stderr)
         return 2
     errors = check(

@@ -39,7 +39,7 @@ Quickstart::
 
 from typing import Optional
 
-from repro.core.experiment import ExperimentContext, PolicyComparison, build_context
+from repro.core.experiment import ExperimentContext, PolicyComparison
 from repro.core.policies import (
     ConfigurationPolicy,
     FullDiversityPolicy,
@@ -91,7 +91,6 @@ __all__ = [
     "FMeasureHeuristic",
     "ExperimentContext",
     "PolicyComparison",
-    "build_context",
     "__version__",
 ]
 

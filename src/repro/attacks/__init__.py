@@ -18,16 +18,14 @@ kind: :meth:`NaiveAttacker.builder`, :func:`mimicry_builder`,
 """
 
 from repro.attacks.base import Attack, AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
-from repro.attacks.naive import NaiveAttacker, constant_rate_attack
+from repro.attacks.naive import NaiveAttacker
 from repro.attacks.mimicry import MimicryAttacker, MimicryPlan, mimicry_builder
 from repro.attacks.primitives import (
-    DDoSFloodModel,
     PortScanModel,
     SpamCampaignModel,
 )
 from repro.attacks.storm import StormZombieModel, generate_storm_trace, storm_builder
 from repro.attacks.botnet import Botnet, BotnetCampaign, CommandAndControl, botnet_builder
-from repro.attacks.injection import inject_attack, overlay_attack_matrix
 
 __all__ = [
     "Attack",
@@ -36,12 +34,10 @@ __all__ = [
     "FeatureInjection",
     "VictimBatch",
     "NaiveAttacker",
-    "constant_rate_attack",
     "MimicryAttacker",
     "MimicryPlan",
     "mimicry_builder",
     "PortScanModel",
-    "DDoSFloodModel",
     "SpamCampaignModel",
     "StormZombieModel",
     "generate_storm_trace",
@@ -50,6 +46,4 @@ __all__ = [
     "BotnetCampaign",
     "CommandAndControl",
     "botnet_builder",
-    "inject_attack",
-    "overlay_attack_matrix",
 ]

@@ -3,7 +3,8 @@
 An attack is represented as additional per-bin feature counts — an
 :class:`AttackTrace` — aligned with a victim host's benign feature series.
 Overlaying the attack on the benign series is a simple element-wise addition
-(the paper's additivity assumption), done by :mod:`repro.attacks.injection`.
+(the paper's additivity assumption), done by the measurement kernel in
+:mod:`repro.core.evaluation`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
 from repro.utils.timeutils import BinSpec
-from repro.utils.validation import require, require_non_negative
+from repro.utils.validation import require
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,6 @@ class FeatureInjection:
     def total(self) -> float:
         """Total injected volume over the whole trace."""
         return float(np.sum(self.amounts))
-
-    @property
-    def active_bins(self) -> int:
-        """Number of bins with a non-zero injection."""
-        return int(np.count_nonzero(self.amounts))
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,6 @@ class AttackTrace:
         if injection is None:
             return np.zeros(self.num_bins)
         return injection.amounts
-
-    def attack_bins(self, feature: Feature) -> np.ndarray:
-        """Boolean mask of bins where the attack is active for ``feature``."""
-        return self.amounts(feature) > 0
 
 
 class VictimBatch:
@@ -161,21 +153,3 @@ class Attack:
     def build(self, victim: FeatureMatrix, rng: np.random.Generator) -> AttackTrace:
         """Return the attack trace to overlay on ``victim``."""
         raise NotImplementedError
-
-
-def uniform_injection(
-    feature: Feature,
-    amount_per_bin: float,
-    num_bins: int,
-    bin_spec: BinSpec,
-    name: Optional[str] = None,
-) -> AttackTrace:
-    """Build an attack that adds ``amount_per_bin`` to every bin of one feature."""
-    require_non_negative(amount_per_bin, "amount_per_bin")
-    require(num_bins >= 1, "num_bins must be >= 1")
-    injection = FeatureInjection(feature=feature, amounts=np.full(num_bins, float(amount_per_bin)))
-    return AttackTrace(
-        name=name or f"uniform-{feature.value}-{amount_per_bin:g}",
-        injections={feature: injection},
-        bin_spec=bin_spec,
-    )

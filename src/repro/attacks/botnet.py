@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.attacks.base import AttackBuilder, AttackTrace, VictimBatch
 from repro.attacks.mimicry import MimicryAttacker
-from repro.attacks.naive import NaiveAttacker
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
 from repro.utils.rng import RandomSource
@@ -48,11 +47,6 @@ class BotnetCampaign:
 
     feature: Feature
     per_host_traces: Mapping[int, AttackTrace]
-
-    @property
-    def recruited_hosts(self) -> Sequence[int]:
-        """Hosts participating in the campaign."""
-        return tuple(sorted(self.per_host_traces))
 
     def total_volume(self) -> float:
         """Total injected volume across all zombies and bins (attack strength)."""
@@ -100,23 +94,6 @@ class Botnet:
             for host_id in host_ids
             if rng.uniform() < self.compromise_probability
         ]
-
-    def naive_campaign(
-        self,
-        matrices: Mapping[int, FeatureMatrix],
-        feature: Feature,
-        attack_size: float,
-    ) -> BotnetCampaign:
-        """Task every recruited zombie with the same per-bin injection."""
-        recruited = self.recruit(sorted(matrices))
-        rng_source = RandomSource(self.seed, "botnet")
-        traces: Dict[int, AttackTrace] = {}
-        for host_id in recruited:
-            attacker = NaiveAttacker(feature=feature, attack_size=attack_size)
-            traces[host_id] = attacker.build(
-                matrices[host_id], rng_source.child("naive", host_id).generator
-            )
-        return BotnetCampaign(feature=feature, per_host_traces=traces)
 
     def resourceful_campaign(
         self,

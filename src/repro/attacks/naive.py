@@ -10,7 +10,7 @@ plausible sizes (Figure 4(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -89,17 +89,6 @@ class NaiveAttacker(Attack):
         :meth:`batch_amounts`.
         """
         return lambda batch: {self.feature: self.batch_amounts(batch, rng_for)}
-
-
-def constant_rate_attack(
-    victim: FeatureMatrix,
-    feature: Feature,
-    attack_size: float,
-    rng: Optional[np.random.Generator] = None,
-) -> AttackTrace:
-    """Convenience wrapper: always-on naive attack of ``attack_size`` per bin."""
-    attacker = NaiveAttacker(feature=feature, attack_size=attack_size)
-    return attacker.build(victim, rng if rng is not None else np.random.default_rng(0))
 
 
 def attack_size_sweep(max_size: float, num_points: int = 50) -> np.ndarray:

@@ -54,47 +54,6 @@ class PortScanModel:
 
 
 @dataclass(frozen=True)
-class DDoSFloodModel:
-    """Flooding a single victim with TCP or UDP connection attempts.
-
-    Attributes
-    ----------
-    connections_per_bin:
-        Mean connections opened towards the victim per active bin.
-    udp_fraction:
-        Fraction of the flood carried over UDP instead of TCP.
-    activity_probability:
-        Probability that any given bin participates in the flood.
-    """
-
-    connections_per_bin: float = 500.0
-    udp_fraction: float = 0.0
-    activity_probability: float = 1.0
-
-    def __post_init__(self) -> None:
-        require_positive(self.connections_per_bin, "connections_per_bin")
-        require_probability(self.udp_fraction, "udp_fraction")
-        require_probability(self.activity_probability, "activity_probability")
-
-    def per_bin_counts(self, num_bins: int, rng: np.random.Generator) -> Dict[Feature, np.ndarray]:
-        """Per-bin additive feature counts produced by the flood."""
-        require(num_bins >= 1, "num_bins must be >= 1")
-        active = rng.uniform(size=num_bins) < self.activity_probability
-        volume = np.where(active, rng.poisson(self.connections_per_bin, size=num_bins), 0).astype(float)
-        udp = volume * self.udp_fraction
-        tcp = volume - udp
-        counts: Dict[Feature, np.ndarray] = {
-            Feature.TCP_CONNECTIONS: tcp,
-            Feature.TCP_SYN: tcp,
-            Feature.UDP_CONNECTIONS: udp,
-            # A flood targets one victim, so it adds at most one distinct
-            # destination per active bin.
-            Feature.DISTINCT_CONNECTIONS: active.astype(float),
-        }
-        return counts
-
-
-@dataclass(frozen=True)
 class SpamCampaignModel:
     """Outbound spam: SMTP connections to many mail exchangers plus DNS MX lookups.
 

@@ -18,7 +18,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.attacks.base import AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
-from repro.attacks.injection import pad_attack_amounts
 from repro.attacks.primitives import PortScanModel, SpamCampaignModel
 from repro.features.definitions import Feature
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -108,6 +107,20 @@ def generate_storm_trace(
     return AttackTrace(name="storm-zombie", injections=injections, bin_spec=bin_spec)
 
 
+def _pad_attack_amounts(amounts: np.ndarray, num_bins: int) -> np.ndarray:
+    """Pad or truncate a one-host amounts vector to ``num_bins`` bins.
+
+    Only the overlapping prefix of the attack trace is injected (the paper
+    overlays a one-week zombie trace onto each one-week test window); missing
+    bins carry zero.
+    """
+    amounts = np.asarray(amounts, dtype=float)
+    padded = np.zeros(int(num_bins))
+    usable = min(int(num_bins), amounts.size)
+    padded[:usable] = amounts[:usable]
+    return padded
+
+
 def storm_builder(trace: AttackTrace) -> AttackBuilder:
     """An attack builder replaying ``trace`` over every victim's test week.
 
@@ -123,7 +136,7 @@ def storm_builder(trace: AttackTrace) -> AttackBuilder:
         )
         return {
             feature: np.tile(
-                pad_attack_amounts(trace.amounts(feature), batch.num_bins),
+                _pad_attack_amounts(trace.amounts(feature), batch.num_bins),
                 (batch.num_hosts, 1),
             )
             for feature in trace.features

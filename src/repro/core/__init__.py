@@ -24,7 +24,6 @@ from repro.core.thresholds import (
 from repro.core.grouping import (
     GroupAssignment,
     GroupingStrategy,
-    KMeansGrouping,
     PerHostGrouping,
     QuantileSplitGrouping,
     SingleGroupGrouping,
@@ -54,9 +53,8 @@ from repro.core.evaluation import (
     evaluate_policy,
     measure_assignment,
     training_distributions,
-    weekly_train_test_pairs,
 )
-from repro.core.experiment import ExperimentContext, PolicyComparison, build_context
+from repro.core.experiment import ExperimentContext, PolicyComparison
 from repro.core.sampling import SampleSpec, bootstrap_mean_interval, sample_host_ids
 
 __all__ = [
@@ -70,7 +68,6 @@ __all__ = [
     "SingleGroupGrouping",
     "PerHostGrouping",
     "QuantileSplitGrouping",
-    "KMeansGrouping",
     "ConfigurationPolicy",
     "HomogeneousPolicy",
     "FullDiversityPolicy",
@@ -92,10 +89,8 @@ __all__ = [
     "training_distributions",
     "detection_training_distributions",
     "detection_training_window_distributions",
-    "weekly_train_test_pairs",
     "ExperimentContext",
     "PolicyComparison",
-    "build_context",
     "SampleSpec",
     "bootstrap_mean_interval",
     "sample_host_ids",

@@ -45,7 +45,6 @@ from repro.core.thresholds import DEFAULT_PERCENTILE
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
 from repro.stats.empirical import EmpiricalDistribution
-from repro.stats.summary import SummaryStatistics, summarize
 from repro.telemetry import add_count, trace_span
 from repro.utils.timeutils import WEEK, BinSpec
 from repro.utils.validation import ValidationError, require, require_probability
@@ -127,18 +126,6 @@ class DetectionProtocol:
             "protocol.feature is only defined for single-feature protocols; use .features",
         )
         return self.features[0]
-
-
-def weekly_train_test_pairs(num_weeks: int, overlapping: bool = False) -> List[Tuple[int, int]]:
-    """The paper's weekly pairing: (week 0 trains week 1), (week 2 trains week 3), ...
-
-    With ``overlapping`` True a rolling scheme is returned instead
-    ((0,1), (1,2), (2,3), ...), useful for threshold-stability studies.
-    """
-    require(num_weeks >= 2, "at least two weeks are required")
-    if overlapping:
-        return [(week, week + 1) for week in range(num_weeks - 1)]
-    return [(week, week + 1) for week in range(0, num_weeks - 1, 2)]
 
 
 @dataclass(frozen=True)
@@ -509,10 +496,6 @@ class PolicyEvaluation:
     def mean_utility(self, weight: Optional[float] = None) -> float:
         """Average fused utility across the population (Figure 3(b)'s y-axis)."""
         return float(np.mean(self._utility_column(weight)))
-
-    def utility_summary(self, weight: Optional[float] = None) -> SummaryStatistics:
-        """Boxplot-style summary of per-host utilities (Figure 3(a))."""
-        return summarize(self._utility_column(weight))
 
     def false_positive_rates(self) -> Dict[int, float]:
         """Per-host fused false-positive rates."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -44,11 +43,7 @@ from repro.core.thresholds import ThresholdHeuristic
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
 from repro.utils.validation import require
-from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import PopulationEngine
-
+from repro.workload.enterprise import EnterprisePopulation
 
 @dataclass
 class ExperimentContext:
@@ -90,21 +85,6 @@ class ExperimentContext:
             test_week=self.test_week,
             utility_weight=utility_weight,
         )
-
-
-def build_context(
-    config: Optional[EnterpriseConfig] = None,
-    train_week: int = 0,
-    test_week: int = 1,
-    engine: Optional["PopulationEngine"] = None,
-) -> ExperimentContext:
-    """Generate the population and wrap it in an :class:`ExperimentContext`.
-
-    Pass an ``engine`` (see :class:`repro.engine.PopulationEngine`) to control
-    worker count and population caching; the default is serial and uncached.
-    """
-    population = generate_enterprise(config, engine=engine)
-    return ExperimentContext(population=population, train_week=train_week, test_week=test_week)
 
 
 def standard_policies(

@@ -90,11 +90,6 @@ class FusionRule:
         votes = np.count_nonzero(stacked, axis=0)
         return votes >= self.required_votes(stacked.shape[0])
 
-    def fuse_mapping(self, indicators: Mapping[Any, np.ndarray]) -> np.ndarray:
-        """:meth:`fuse` over a per-feature mapping of indicator arrays."""
-        require(len(indicators) > 0, "at least one feature indicator is required")
-        return self.fuse(np.stack([np.asarray(row, dtype=bool) for row in indicators.values()]))
-
     def alarm_probability(self, alert_probabilities: np.ndarray) -> np.ndarray:
         """``P(fused alarm)`` from independent per-feature alert probabilities.
 

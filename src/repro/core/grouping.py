@@ -5,18 +5,16 @@ one global group (homogeneous / monoculture) and one group per host (full
 diversity); partial diversity lies in between.  The paper's partial-diversity
 heuristic splits the population at the knee of the tail-value curve (the top
 15% heaviest hosts) and subdivides each side into four groups, for eight
-groups total; a k-means alternative is included to reproduce the paper's
-finding that it does not produce meaningful clusters on this data.
+groups total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.kmeans import kmeans
 from repro.utils.validation import require, require_probability
 
 
@@ -50,17 +48,6 @@ class GroupAssignment:
     def host_ids(self) -> Tuple[int, ...]:
         """All hosts covered by the assignment, sorted."""
         return tuple(sorted(host for group in self.groups for host in group))
-
-    def group_of(self, host_id: int) -> int:
-        """Index of the group containing ``host_id``."""
-        for index, group in enumerate(self.groups):
-            if host_id in group:
-                return index
-        raise KeyError(f"host {host_id} is not in any group")
-
-    def group_sizes(self) -> Tuple[int, ...]:
-        """Sizes of every group."""
-        return tuple(len(group) for group in self.groups)
 
 
 class GroupingStrategy:
@@ -153,40 +140,3 @@ class QuantileSplitGrouping(GroupingStrategy):
         pieces = min(self.groups_per_side, len(hosts))
         splits = np.array_split(np.asarray(hosts, dtype=int), pieces)
         return [tuple(int(host) for host in piece) for piece in splits if piece.size > 0]
-
-
-@dataclass(frozen=True)
-class KMeansGrouping(GroupingStrategy):
-    """Group hosts by k-means on their tail statistic.
-
-    Included to reproduce the paper's observation that k-means does not find
-    natural clusters in the tail values (the statistic sweeps continuously
-    through its range), which is why the quantile-split heuristic is used for
-    the headline results instead.
-    """
-
-    num_groups: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        require(self.num_groups >= 1, "num_groups must be >= 1")
-
-    @property
-    def name(self) -> str:
-        return f"kmeans-{self.num_groups}"
-
-    def assign(self, host_statistics: Mapping[int, float]) -> GroupAssignment:
-        require(len(host_statistics) > 0, "cannot group an empty population")
-        hosts = sorted(host_statistics)
-        values = np.array([[host_statistics[host]] for host in hosts])
-        k = min(self.num_groups, len(hosts))
-        # Cluster on log-scaled values: the statistic spans orders of magnitude.
-        log_values = np.log10(np.maximum(values, 1e-9))
-        result = kmeans(log_values, k=k, seed=self.seed)
-        groups: Dict[int, List[int]] = {}
-        for host, label in zip(hosts, result.labels, strict=True):
-            groups.setdefault(int(label), []).append(host)
-        return GroupAssignment(
-            groups=tuple(tuple(members) for members in groups.values() if members),
-            strategy_name=self.name,
-        )

@@ -138,13 +138,6 @@ class DetectionAssignment:
         """The per-feature :class:`ThresholdAssignment` for ``feature``."""
         return self.per_feature[feature]
 
-    def thresholds_of(self, host_id: int) -> Dict[Feature, float]:
-        """Every threshold in force on ``host_id``, keyed by feature."""
-        return {
-            feature: assignment.threshold_of(host_id)
-            for feature, assignment in self.per_feature.items()
-        }
-
     def distinct_threshold_count(self) -> int:
         """Number of distinct threshold *configurations* across the population.
 
@@ -247,15 +240,6 @@ class ConfigurationPolicy:
     def optimizer(self) -> Optional[ThresholdOptimizer]:
         """The threshold optimizer in use (None = pure heuristic selection)."""
         return self._optimizer
-
-    def with_optimizer(self, optimizer: Optional[ThresholdOptimizer]) -> "ConfigurationPolicy":
-        """A copy of this policy selecting thresholds through ``optimizer``."""
-        return ConfigurationPolicy(
-            heuristic=self._heuristic,
-            grouping=self._grouping,
-            name=self._name,
-            optimizer=optimizer,
-        )
 
     def compute_thresholds(
         self,

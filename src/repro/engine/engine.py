@@ -306,10 +306,6 @@ class PopulationEngine:
         """Cumulative generation/cache-hit accounting for this engine."""
         return self._stats
 
-    def reset_stats(self) -> None:
-        """Zero the cumulative accounting (e.g. between sweep runs)."""
-        self._stats = EngineStats()
-
     # ------------------------------------------------------------- generation
     def generate(
         self,

@@ -6,8 +6,7 @@ Every cached population lives in a ``population-<key>.rpopd/`` directory:
   :class:`~repro.workload.enterprise.EnterpriseConfig` payload, the shard
   geometry and, per written shard, its file name and SHA-256 content hash.
 * ``shard-NNNNN.rpsh`` — one fixed-size host range each.  A shard file holds
-  a magic + version header and the profiles of its hosts, in the same style
-  as the packet/connection trace formats in :mod:`repro.traces.serialization`,
+  a magic + version + host-count header and the profiles of its hosts,
   followed by one contiguous ``(num_hosts, num_features, num_bins)``
   little-endian float64 block.  The whole feature payload of a shard maps
   straight into memory, so loading a shard never copies bin values, and the
@@ -35,7 +34,6 @@ import numpy as np
 
 from repro.features.definitions import PAPER_FEATURES, Feature
 from repro.features.timeseries import FeatureMatrix, PopulationFrame
-from repro.traces.serialization import read_header, write_header
 from repro.utils.timeutils import BinSpec
 from repro.utils.validation import ValidationError, require
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
@@ -58,6 +56,23 @@ _MANIFEST_NAME = "manifest.json"
 _HOST_STRUCT = struct.Struct("<IBBd")
 # scale, body_sigma, burst_probability, burst_alpha
 _INTENSITY_STRUCT = struct.Struct("<dddd")
+
+
+def _write_header(handle, magic: bytes, count: int, version: int) -> None:
+    """Write a magic + version + record-count header."""
+    handle.write(magic)
+    handle.write(struct.pack("<HI", version, count))
+
+
+def _read_header(handle, magic: bytes, version: int) -> int:
+    """Validate a header written by :func:`_write_header`; return the record count."""
+    header = handle.read(len(magic) + 6)
+    if len(header) != len(magic) + 6 or header[: len(magic)] != magic:
+        raise ValidationError("not a valid shard file (bad magic)")
+    file_version, count = struct.unpack("<HI", header[len(magic):])
+    if file_version != version:
+        raise ValidationError(f"unsupported shard format version {file_version}")
+    return count
 # num_bins, bin_width, bin origin
 _MATRIX_STRUCT = struct.Struct("<Idd")
 
@@ -121,7 +136,7 @@ def _write_shard(
     try:
         with open(temporary, "wb") as handle:
             sink = _DigestSink(handle)
-            write_header(sink, _SHARD_MAGIC, len(host_ids), version=POPULATION_FORMAT_VERSION)
+            _write_header(sink, _SHARD_MAGIC, len(host_ids), version=POPULATION_FORMAT_VERSION)
             for host_id in host_ids:
                 profile = profiles[host_id]
                 matrix = matrices[host_id]
@@ -231,7 +246,7 @@ def _read_shard(path: Path) -> ShardEntry:
     ``__array_wrap__``/``__getitem__`` would tax every numpy operation on them.
     """
     with open(path, "rb") as handle:
-        num_hosts = read_header(handle, _SHARD_MAGIC, version=POPULATION_FORMAT_VERSION)
+        num_hosts = _read_header(handle, _SHARD_MAGIC, version=POPULATION_FORMAT_VERSION)
         profiles: Dict[int, HostProfile] = {}
         host_ids: List[int] = []
         for _ in range(num_hosts):

@@ -290,9 +290,7 @@ class ShardedPopulation:
                     try:
                         # A file this population did not write is hashed
                         # once before its bins are trusted.
-                        intact = index in self._verified or (
-                            _file_sha256(path) == record["sha256"]
-                        )
+                        intact = index in self._verified or self.verify_shard(index)
                         entry = _read_shard(path) if intact else None
                     except (ValidationError, OSError, ValueError, KeyError):
                         entry = None

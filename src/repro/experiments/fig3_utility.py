@@ -68,11 +68,6 @@ class UtilityComparisonResult:
         """
         return {name: summary.mean for name, summary in self.boxplots.items()}
 
-    def diversity_gain(self) -> float:
-        """Mean-utility gain of full diversity over the homogeneous policy."""
-        means = self.mean_utilities()
-        return means["full-diversity"] - means["homogeneous"]
-
     def gain_by_weight(self) -> List[float]:
         """Full-diversity minus homogeneous average utility for every swept weight."""
         full = self.weight_sweep["full-diversity"]

@@ -67,15 +67,6 @@ class StormReplayResult:
         """Worst per-host false-positive rate under ``policy_name``."""
         return float(max(fp for fp, _ in self.scatter[policy_name].values()))
 
-    def fraction_better_detection(self, policy_name: str, baseline: str) -> float:
-        """Fraction of hosts with strictly better detection under ``policy_name``."""
-        hosts = self.scatter[policy_name].keys()
-        better = [
-            1.0 if self.scatter[policy_name][h][1] > self.scatter[baseline][h][1] else 0.0
-            for h in hosts
-        ]
-        return float(np.mean(better))
-
     def render(self) -> str:
         """Text rendering of the Figure 5 comparison."""
         rows: List[Sequence[object]] = []

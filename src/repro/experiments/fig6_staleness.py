@@ -56,16 +56,6 @@ class StalenessStudyResult:
         """The :class:`StalenessReport` of one (policy, schedule) pair."""
         return self.reports[(policy, schedule)]
 
-    def retraining_gain(self, policy: str) -> float:
-        """Best retraining schedule's mean-utility gain over ``never`` for a policy."""
-        never = self.reports[(policy, "never")].mean_utility
-        best = max(
-            report.mean_utility
-            for (name, schedule), report in self.reports.items()
-            if name == policy and schedule != "never"
-        )
-        return best - never
-
     def render(self) -> str:
         """Utility-vs-week table: one row per (policy, schedule)."""
         headers = (

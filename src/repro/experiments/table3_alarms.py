@@ -48,13 +48,6 @@ class AlarmVolumeResult:
         """Average alarms per host per week for one cell of the table."""
         return self.alarms[heuristic_name][policy_name] / self.num_hosts
 
-    def reduction_vs_homogeneous(self, heuristic_name: str, policy_name: str) -> float:
-        """Fraction by which ``policy_name`` reduces alarms relative to homogeneous."""
-        homogeneous = self.alarms[heuristic_name]["homogeneous"]
-        if homogeneous <= 0:
-            return 0.0
-        return 1.0 - self.alarms[heuristic_name][policy_name] / homogeneous
-
     def render(self) -> str:
         """Text rendering of Table 3."""
         policy_names = list(next(iter(self.alarms.values())).keys())

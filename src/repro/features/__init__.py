@@ -10,7 +10,6 @@ from repro.features.definitions import (
     Feature,
     FeatureDefinition,
     FEATURES,
-    feature_by_name,
     PAPER_FEATURES,
 )
 from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
@@ -21,7 +20,6 @@ __all__ = [
     "FeatureDefinition",
     "FEATURES",
     "PAPER_FEATURES",
-    "feature_by_name",
     "TimeSeries",
     "FeatureMatrix",
     "PopulationFrame",

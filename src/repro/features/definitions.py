@@ -153,11 +153,3 @@ PAPER_FEATURES: Tuple[Feature, ...] = (
     Feature.DISTINCT_CONNECTIONS,
     Feature.UDP_CONNECTIONS,
 )
-
-
-def feature_by_name(name: str) -> Feature:
-    """Look up a feature by its string name (raises ``KeyError`` when unknown)."""
-    for feature in Feature:
-        if feature.value == name:
-            return feature
-    raise KeyError(f"unknown feature: {name!r}")

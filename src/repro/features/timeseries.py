@@ -152,11 +152,6 @@ class TimeSeries:
         combined[: other.num_bins] += other._values
         return TimeSeries(combined, self._bin_spec)
 
-    def add_constant(self, amount: float) -> "TimeSeries":
-        """Add a constant amount to every bin (constant-rate attack injection)."""
-        require(amount >= 0, "amount must be non-negative")
-        return TimeSeries(self._values + amount, self._bin_spec)
-
     # --------------------------------------------------------------- queries
     def distribution(self) -> EmpiricalDistribution:
         """The empirical distribution of per-bin counts.
@@ -266,12 +261,6 @@ class FeatureMatrix:
     def rebin(self, factor: int) -> "FeatureMatrix":
         """Rebin every feature series by ``factor``."""
         return FeatureMatrix(self._host_id, {f: ts.rebin(factor) for f, ts in self._series.items()})
-
-    def with_series(self, feature: Feature, series: TimeSeries) -> "FeatureMatrix":
-        """Return a copy with ``feature``'s series replaced."""
-        updated = dict(self._series)
-        updated[feature] = series
-        return FeatureMatrix(self._host_id, updated)
 
     def distributions(self) -> Dict[Feature, EmpiricalDistribution]:
         """Empirical distribution of every feature."""

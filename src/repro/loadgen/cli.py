@@ -155,7 +155,9 @@ def _cmd_loadgen_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_loadgen_parser(subcommands, add_engine_flags, add_output_flags=None) -> None:
+def add_loadgen_parser(
+    subcommands, add_engine_flags, add_monitor_flag, add_output_flags=None
+) -> None:
     """Register the ``loadgen`` subcommand on the main ``repro`` parser."""
     loadgen = subcommands.add_parser(
         "loadgen", help="profile-driven load generation and soak testing"
@@ -180,13 +182,7 @@ def add_loadgen_parser(subcommands, add_engine_flags, add_output_flags=None) -> 
         help="write a pytest-benchmark-compatible BENCH_*.json here "
         "(feeds scripts/bench_compare.py)",
     )
-    run.add_argument(
-        "--monitor",
-        action="store_true",
-        help="render a live in-terminal status line (phase, rate, p50/p95, "
-        "cache hit ratio, resident shards, RSS) on stderr while the run "
-        "progresses",
-    )
+    add_monitor_flag(run)
     add_engine_flags(run)
     output_flags(run)
     run.set_defaults(handler=_cmd_loadgen_run)

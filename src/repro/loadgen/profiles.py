@@ -108,7 +108,7 @@ class LoadProfile:
         require(self.num_hosts >= 2, "profile needs at least two hosts")
         require(self.num_weeks >= 2, "profile needs at least two weeks (train + test)")
         require(len(self.phases) >= 1, "profile needs at least one phase")
-        names = [phase.name for phase in self.phases]
+        names = self.phase_names
         require(len(set(names)) == len(names), "phase names must be unique")
         declared = sum(phase.num_events for phase in self.phases)
         require(

@@ -100,16 +100,6 @@ class HotKeySelector:
             "hot_probability must be in [0, 1]",
         )
 
-    @property
-    def hot_items(self) -> Tuple[Any, ...]:
-        """The hot pool."""
-        return self.items[: self.hot_count]
-
-    @property
-    def cold_items(self) -> Tuple[Any, ...]:
-        """The cold pool."""
-        return self.items[self.hot_count :]
-
     @cached_property
     def weights(self) -> np.ndarray:
         """Per-item selection probabilities implied by the pools (read-only)."""

@@ -10,7 +10,6 @@ from repro.stats.empirical import (
     EmpiricalDistribution,
     common_bin_width,
     ecdf,
-    percentile_of_score,
 )
 from repro.stats.tail import hill_estimator, tail_ratio
 from repro.stats.kmeans import KMeansResult, kmeans
@@ -20,7 +19,6 @@ __all__ = [
     "EmpiricalDistribution",
     "common_bin_width",
     "ecdf",
-    "percentile_of_score",
     "hill_estimator",
     "tail_ratio",
     "KMeansResult",

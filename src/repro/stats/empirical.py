@@ -25,11 +25,6 @@ def ecdf(samples: Sequence[float], value: float) -> float:
     return float(np.count_nonzero(data <= value)) / data.size
 
 
-def percentile_of_score(samples: Sequence[float], score: float) -> float:
-    """Return the percentile rank (0-100) of ``score`` within ``samples``."""
-    return 100.0 * ecdf(samples, score)
-
-
 def _sample_array(samples: Iterable[float]) -> np.ndarray:
     """``samples`` as a float array: an ndarray converts directly, other iterables via a list.
 
@@ -241,11 +236,6 @@ class EmpiricalDistribution:
         require(bool(np.all((values >= 0.0) & (values <= 100.0))), "percentile q must be in [0, 100]")
         self._require_samples()
         return _sorted_percentiles(self._sorted, values)
-
-    def survival_at_or_above(self, value: float) -> float:
-        """Return ``P(X >= value)``."""
-        self._require_samples()
-        return 1.0 - float(np.searchsorted(self._sorted, value, side="left")) / self._sorted.size
 
     def rank(self, value: float) -> float:
         """Return the percentile rank of ``value`` (0-100)."""

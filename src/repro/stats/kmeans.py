@@ -44,10 +44,6 @@ class KMeansResult:
         """Number of clusters."""
         return int(self.centers.shape[0])
 
-    def cluster_sizes(self) -> np.ndarray:
-        """Number of points assigned to each cluster."""
-        return np.bincount(self.labels, minlength=self.k)
-
 
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ centre initialisation."""

@@ -19,7 +19,7 @@ into "run arbitrary detection campaigns at scale":
 """
 
 from repro.core.sampling import SampleSpec
-from repro.sweeps.catalog import builtin_sweep_names, builtin_sweeps, load_builtin
+from repro.sweeps.catalog import builtin_sweeps, load_builtin
 from repro.sweeps.results import (
     RESULT_SCHEMA_VERSION,
     ResultStore,
@@ -72,7 +72,6 @@ __all__ = [
     "comparison_table",
     "RESULT_SCHEMA_VERSION",
     "builtin_sweeps",
-    "builtin_sweep_names",
     "load_builtin",
     "derive_scenario_seed",
     "scenario_spec_hash",

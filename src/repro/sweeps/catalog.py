@@ -8,7 +8,7 @@ from any directory with no files of your own.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Dict, List
+from typing import Dict
 
 from repro.sweeps.spec import SweepSpec
 from repro.utils.validation import ValidationError
@@ -23,11 +23,6 @@ def builtin_sweeps() -> Dict[str, SweepSpec]:
             spec = SweepSpec.from_toml(entry.read_text(encoding="utf-8"))
             sweeps[spec.name] = spec
     return sweeps
-
-
-def builtin_sweep_names() -> List[str]:
-    """Names of every packaged sweep, sorted."""
-    return sorted(builtin_sweeps())
 
 
 def load_builtin(name: str) -> SweepSpec:

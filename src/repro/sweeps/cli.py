@@ -147,7 +147,7 @@ def _add_monitor_flag(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="render a live in-terminal status line (phase, rate, p50/p95, "
         "cache hit ratio, resident shards, RSS) on stderr while the run "
-        "progresses; replaces per-scenario progress prints",
+        "progresses; in `sweep run` it replaces per-scenario progress prints",
     )
 
 
@@ -552,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.loadgen.cli import add_loadgen_parser
 
-    add_loadgen_parser(subcommands, _add_engine_flags, _add_output_flags)
+    add_loadgen_parser(subcommands, _add_engine_flags, _add_monitor_flag, _add_output_flags)
 
     from repro.analysis.cli import add_lint_parser
 

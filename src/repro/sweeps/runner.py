@@ -9,10 +9,10 @@ stored results:
   the :class:`~repro.engine.PopulationEngine` (scenarios differing only in
   policy, attack or evaluation knobs reuse one generated population —
   verified by the engine's cumulative :class:`~repro.engine.EngineStats`);
-* scenario evaluation fans out across a process pool when the runner has
-  ``workers > 1`` and the engine has an on-disk cache (workers reload the
-  shared populations from it), and degrades to the bit-identical serial path
-  otherwise;
+* scenario evaluation fans out across the engine's process pool when the
+  runner has ``workers > 1`` and the engine has an on-disk cache (workers
+  reload the shared populations from it), and degrades to the bit-identical
+  serial path otherwise;
 * each finished scenario is appended to the
   :class:`~repro.sweeps.results.ResultStore` and reported through the
   ``progress`` callback as soon as it lands.
@@ -20,19 +20,17 @@ stored results:
 
 from __future__ import annotations
 
-import contextlib
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.evaluation import DetectionProtocol
 from repro.core.experiment import ScenarioOutcome, evaluate_scenario
 from repro.engine import EngineStats, PopulationEngine, population_cache_key
+from repro.engine.engine import _run_pool
 from repro.sweeps.results import ResultStore, ScenarioRecord
 from repro.sweeps.spec import ScenarioSpec, SweepSpec, scenario_spec_hash
-from repro.telemetry import add_count, child_recorder, get_recorder, monotonic_now, trace_span
+from repro.telemetry import add_count, child_recorder, monotonic_now, trace_span
 from repro.utils.validation import require
 from repro.workload.enterprise import EnterprisePopulation
 
@@ -40,10 +38,6 @@ logger = logging.getLogger(__name__)
 
 #: Progress callback: (completed count, total count, the finished result).
 ProgressCallback = Callable[[int, int, "ScenarioResult"], None]
-
-
-class _PoolUnavailable(Exception):
-    """The process pool could not produce any result (fall back to serial)."""
 
 
 def planned_attack_feature(spec: ScenarioSpec, protocol: DetectionProtocol):
@@ -141,14 +135,15 @@ def run_scenario(spec: ScenarioSpec, population: EnterprisePopulation) -> Scenar
 
 
 def _evaluate_scenario_task(
-    payload: Dict[str, Any], cache_dir: Optional[str]
-) -> Tuple[Dict[str, Any], float, Dict[str, Any]]:
-    """Worker entry point: reload the shared population, evaluate, return.
+    index: int, payload: Dict[str, Any], cache_dir: Optional[str]
+) -> Tuple[Tuple[int, Dict[str, Any], float], Dict[str, Any]]:
+    """Pool entry point: reload the shared population, evaluate, return.
 
     The parent generated every distinct population before fanning out, so the
     worker's engine finds it in the on-disk cache and never regenerates.
-    Returns the outcome payload, the wall-clock duration, and the worker's
-    telemetry snapshot (merged into the parent recorder when tracing).
+    Returns the scenario's ``index``, its outcome payload and wall-clock
+    duration, plus the worker's telemetry snapshot (merged into the parent
+    recorder when tracing).
     """
     started = monotonic_now()
     spec = ScenarioSpec.from_dict(payload)
@@ -163,7 +158,7 @@ def _evaluate_scenario_task(
             population = engine.generate(config)
         outcome = run_scenario(spec, population)
         add_count("sweeps.scenarios_evaluated")
-    return outcome.to_dict(), monotonic_now() - started, recorder.snapshot()
+    return (index, outcome.to_dict(), monotonic_now() - started), recorder.snapshot()
 
 
 @dataclass(frozen=True)
@@ -321,7 +316,9 @@ class SweepRunner:
             with trace_span("sweeps.populations"):
                 populations, first_use = self._generate_distinct_populations(scenarios, keys)
             run_span.set(distinct_populations=len(populations))
-            results = self._evaluate(scenarios, keys, populations, first_use, on_finished)
+            results, workers = self._evaluate(
+                scenarios, keys, populations, first_use, on_finished
+            )
 
         stats_delta_generations = self._engine.stats.generations - stats_before.generations
         stats_delta_hits = self._engine.stats.cache_hits - stats_before.cache_hits
@@ -340,7 +337,7 @@ class SweepRunner:
             populations_from_cache=stats_delta_hits,
             engine_stats=self._engine.stats,
             duration_seconds=monotonic_now() - started,
-            workers=self._effective_workers(),
+            workers=workers,
             skipped_scenarios=skipped,
         )
 
@@ -406,85 +403,56 @@ class SweepRunner:
         populations: Dict[str, Any],
         first_use: Dict[str, str],
         progress: Optional[ProgressCallback],
-    ) -> List[ScenarioResult]:
+    ) -> Tuple[List[ScenarioResult], int]:
+        """Evaluate every scenario; returns the results in sweep order and the workers used.
+
+        ``progress`` sees each result as it finishes.  With more than one
+        worker the scenarios run on the engine's pool; if the pool fails
+        (restricted environments cannot spawn processes), the scenarios
+        without a result run in-process, which is bit-identical, and the run
+        reports one worker.
+        """
         total = len(scenarios)
         reused = [first_use[key] != s.name for s, key in zip(scenarios, keys, strict=True)]
-        if self._effective_workers() > 1:
-            # Restricted environments (no process spawning) fall back to the
-            # identical serial path, as the engine itself does.  Once the pool
-            # has produced a result, later errors are real and propagate
-            # instead (no silent duplicate re-run).
-            with contextlib.suppress(_PoolUnavailable):
-                return self._evaluate_parallel(scenarios, reused, progress, total)
-        return self._evaluate_serial(
-            scenarios, [populations[key] for key in keys], reused, progress, total
-        )
+        slots: List[Optional[ScenarioResult]] = [None] * total
+        completed = 0
 
-    def _evaluate_serial(
-        self,
-        scenarios: List[ScenarioSpec],
-        populations: List[Any],
-        reused: List[bool],
-        progress: Optional[ProgressCallback],
-        total: int,
-    ) -> List[ScenarioResult]:
-        results: List[ScenarioResult] = []
+        def finished(index: int, outcome: ScenarioOutcome, duration: float) -> None:
+            nonlocal completed
+            slots[index] = ScenarioResult(
+                scenario=scenarios[index],
+                outcome=outcome,
+                duration_seconds=duration,
+                population_reused=reused[index],
+            )
+            completed += 1
+            if progress is not None:
+                progress(completed, total, slots[index])
+
+        workers = self._effective_workers()
+        if workers > 1:
+            cache_dir = str(self._engine.cache.directory)
+            arguments = [
+                (index, scenario.to_dict(), cache_dir) for index, scenario in enumerate(scenarios)
+            ]
+
+            def on_result(result: Tuple[int, Dict[str, Any], float]) -> None:
+                index, payload, duration = result
+                finished(index, ScenarioOutcome.from_dict(payload), duration)
+
+            if not _run_pool(_evaluate_scenario_task, arguments, workers, on_result):
+                workers = 1
         for index, scenario in enumerate(scenarios):
+            if slots[index] is not None:
+                continue
             scenario_started = monotonic_now()
             with trace_span("sweeps.scenario", scenario=scenario.name) as span:
-                outcome = run_scenario(scenario, populations[index])
+                outcome = run_scenario(scenario, populations[keys[index]])
                 add_count("sweeps.scenarios_evaluated")
             duration = (
                 span.duration
                 if span.duration is not None
                 else monotonic_now() - scenario_started
             )
-            result = ScenarioResult(
-                scenario=scenario,
-                outcome=outcome,
-                duration_seconds=duration,
-                population_reused=reused[index],
-            )
-            results.append(result)
-            if progress is not None:
-                progress(index + 1, total, result)
-        return results
-
-    def _evaluate_parallel(
-        self,
-        scenarios: List[ScenarioSpec],
-        reused: List[bool],
-        progress: Optional[ProgressCallback],
-        total: int,
-    ) -> List[ScenarioResult]:
-        cache_dir = str(self._engine.cache.directory)
-        recorder = get_recorder()
-        results: List[ScenarioResult] = []
-        try:
-            with ProcessPoolExecutor(max_workers=self._workers) as executor:
-                futures = [
-                    executor.submit(_evaluate_scenario_task, scenario.to_dict(), cache_dir)
-                    for scenario in scenarios
-                ]
-                for index, (scenario, future) in enumerate(
-                    zip(scenarios, futures, strict=True)
-                ):
-                    outcome_payload, duration, telemetry = future.result()
-                    if recorder.enabled:
-                        recorder.merge(telemetry)
-                    result = ScenarioResult(
-                        scenario=scenario,
-                        outcome=ScenarioOutcome.from_dict(outcome_payload),
-                        duration_seconds=duration,
-                        population_reused=reused[index],
-                    )
-                    results.append(result)
-                    if progress is not None:
-                        progress(index + 1, total, result)
-        except (OSError, BrokenProcessPool, AssertionError) as error:
-            if results:
-                # The pool worked, then something real broke (disk full,
-                # cache deleted mid-run): surface it, don't re-run serially.
-                raise
-            raise _PoolUnavailable() from error
-        return results
+            finished(index, outcome, duration)
+        return slots, workers

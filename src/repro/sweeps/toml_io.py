@@ -2,40 +2,29 @@
 
 Sweep specs are plain nested mappings of strings, numbers, booleans and
 arrays, so only that subset of TOML is needed.  Reading uses the stdlib
-:mod:`tomllib` when available (Python 3.11+) and falls back to a small
-built-in parser of the same subset on 3.10, where the stdlib module does not
-exist and ``tomli`` may not be installed.  Writing always uses the built-in
-emitter — the stdlib has no TOML writer — and the emitter only produces
-documents the fallback parser accepts, so spec round-trips work on every
-supported interpreter.
+:mod:`tomllib`; writing uses the built-in emitter below, since the stdlib has
+no TOML writer.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Tuple
+import tomllib
+from typing import Any, Dict, List, Tuple
 
 from repro.utils.validation import ValidationError, require
-
-try:  # Python 3.11+
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - exercised only on Python 3.10
-    _tomllib = None
 
 _BARE_KEY = re.compile(r"^[A-Za-z0-9_-]+$")
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 def loads(text: str) -> Dict[str, Any]:
     """Parse a TOML document into nested dicts."""
-    if _tomllib is not None:
-        try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as error:
-            raise ValidationError(f"invalid TOML: {error}") from None
-    return mini_loads(text)  # pragma: no cover - Python 3.10 only
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as error:
+        raise ValidationError(f"invalid TOML: {error}") from None
 
 
 def dumps(data: Dict[str, Any]) -> str:
@@ -83,218 +72,3 @@ def _format_value(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_value(item) for item in value) + "]"
     raise ValidationError(f"cannot represent {type(value).__name__} in TOML")
-
-
-# ----------------------------------------------------- fallback parser (3.10)
-def mini_loads(text: str) -> Dict[str, Any]:
-    """Parse the sweep-spec subset of TOML without :mod:`tomllib`.
-
-    Supports comments, ``[dotted.section]`` headers, bare and quoted keys,
-    basic strings, integers, floats, booleans and (possibly multi-line)
-    arrays — exactly what :func:`dumps` emits and sweep spec files use.
-    """
-    root: Dict[str, Any] = {}
-    current = root
-    for line_number, line in _logical_lines(text):
-        if line.startswith("["):
-            if line.startswith("[["):
-                raise ValidationError(f"line {line_number}: arrays of tables are not supported")
-            require(line.endswith("]"), f"line {line_number}: unterminated table header")
-            current = _descend(root, _parse_dotted_key(line[1:-1], line_number), line_number)
-            continue
-        key_part, _, value_part = _split_key_value(line, line_number)
-        keys = _parse_dotted_key(key_part, line_number)
-        # Dotted keys are relative to the current [section], as in TOML proper.
-        table = _descend(current, keys[:-1], line_number) if len(keys) > 1 else current
-        key = keys[-1]
-        if key in table:
-            raise ValidationError(f"line {line_number}: duplicate key {key!r}")
-        table[key] = _parse_value(value_part, line_number)
-    return root
-
-
-def _logical_lines(text: str) -> List[Tuple[int, str]]:
-    """Strip comments/blanks and join lines until brackets balance."""
-    logical: List[Tuple[int, str]] = []
-    pending = ""
-    pending_start = 0
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw).strip()
-        if not stripped and not pending:
-            continue
-        if pending:
-            pending += " " + stripped
-        else:
-            pending, pending_start = stripped, number
-        if _bracket_depth(pending) > 0:
-            continue
-        if pending:
-            logical.append((pending_start, pending))
-        pending = ""
-    if pending:
-        raise ValidationError(f"line {pending_start}: unterminated array")
-    return logical
-
-
-def _strip_comment(line: str) -> str:
-    in_string = False
-    escaped = False
-    for index, ch in enumerate(line):
-        if escaped:
-            escaped = False
-        elif ch == "\\" and in_string:
-            escaped = True
-        elif ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:index]
-    return line
-
-
-def _bracket_depth(line: str) -> int:
-    depth = 0
-    in_string = False
-    escaped = False
-    for ch in line:
-        if escaped:
-            escaped = False
-        elif ch == "\\" and in_string:
-            escaped = True
-        elif ch == '"':
-            in_string = not in_string
-        elif not in_string and ch == "[":
-            depth += 1
-        elif not in_string and ch == "]":
-            depth -= 1
-    return depth
-
-
-def _split_key_value(line: str, line_number: int) -> Tuple[str, str, str]:
-    in_string = False
-    for index, ch in enumerate(line):
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "=" and not in_string:
-            return line[:index].strip(), "=", line[index + 1 :].strip()
-    raise ValidationError(f"line {line_number}: expected 'key = value'")
-
-
-def _parse_dotted_key(text: str, line_number: int) -> List[str]:
-    parts: List[str] = []
-    rest = text.strip()
-    while rest:
-        if rest.startswith('"'):
-            value, rest = _take_string(rest, line_number)
-            parts.append(value)
-        else:
-            match = re.match(r"[A-Za-z0-9_-]+", rest)
-            if not match:
-                raise ValidationError(f"line {line_number}: invalid key {text!r}")
-            parts.append(match.group(0))
-            rest = rest[match.end() :]
-        rest = rest.strip()
-        if rest:
-            require(rest.startswith("."), f"line {line_number}: invalid key {text!r}")
-            rest = rest[1:].strip()
-            require(bool(rest), f"line {line_number}: invalid key {text!r}")
-    require(bool(parts), f"line {line_number}: empty key")
-    return parts
-
-
-def _descend(root: Dict[str, Any], keys: List[str], line_number: int) -> Dict[str, Any]:
-    table = root
-    for key in keys:
-        table = table.setdefault(key, {})
-        if not isinstance(table, dict):
-            raise ValidationError(f"line {line_number}: {key!r} is not a table")
-    return table
-
-
-def _take_string(text: str, line_number: int) -> Tuple[str, str]:
-    require(text.startswith('"'), f"line {line_number}: expected string")
-    result: List[str] = []
-    index = 1
-    while index < len(text):
-        ch = text[index]
-        if ch == '"':
-            return "".join(result), text[index + 1 :]
-        if ch == "\\":
-            index += 1
-            if index >= len(text) or text[index] not in _UNESCAPES:
-                raise ValidationError(f"line {line_number}: unsupported escape in string")
-            result.append(_UNESCAPES[text[index]])
-        else:
-            result.append(ch)
-        index += 1
-    raise ValidationError(f"line {line_number}: unterminated string")
-
-
-def _parse_value(text: str, line_number: int) -> Any:
-    text = text.strip()
-    require(bool(text), f"line {line_number}: missing value")
-    if text.startswith('"'):
-        value, rest = _take_string(text, line_number)
-        require(not rest.strip(), f"line {line_number}: trailing characters after string")
-        return value
-    if text.startswith("["):
-        values, rest = _take_array(text, line_number)
-        require(not rest.strip(), f"line {line_number}: trailing characters after array")
-        return values
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    return _parse_number(text, line_number)
-
-
-def _take_array(text: str, line_number: int) -> Tuple[List[Any], Any]:
-    require(text.startswith("["), f"line {line_number}: expected array")
-    values: List[Any] = []
-    rest = text[1:].strip()
-    while True:
-        if rest.startswith("]"):
-            return values, rest[1:]
-        if rest.startswith('"'):
-            value, rest = _take_string(rest, line_number)
-        elif rest.startswith("["):
-            value, rest = _take_array(rest, line_number)
-        else:
-            match = re.match(r"[^,\]]+", rest)
-            if not match:
-                raise ValidationError(f"line {line_number}: malformed array")
-            token = match.group(0).strip()
-            if token == "true":
-                value = True
-            elif token == "false":
-                value = False
-            else:
-                value = _parse_number(token, line_number)
-            rest = rest[match.end() :]
-        values.append(value)
-        rest = rest.strip()
-        if rest.startswith(","):
-            rest = rest[1:].strip()
-        elif not rest.startswith("]"):
-            raise ValidationError(f"line {line_number}: malformed array")
-
-
-def _parse_number(token: str, line_number: int) -> Any:
-    cleaned = token.replace("_", "")
-    try:
-        if re.fullmatch(r"[+-]?\d+", cleaned):
-            return int(cleaned)
-        return float(cleaned)
-    except ValueError:
-        raise ValidationError(f"line {line_number}: cannot parse value {token!r}") from None
-
-
-def stdlib_parser_available() -> bool:
-    """True when :mod:`tomllib` is doing the parsing (Python 3.11+)."""
-    return _tomllib is not None
-
-
-def parse_with(text: str, use_fallback: Optional[bool] = None) -> Dict[str, Any]:
-    """Parse ``text``, optionally forcing the fallback parser (for tests)."""
-    if use_fallback:
-        return mini_loads(text)
-    return loads(text)

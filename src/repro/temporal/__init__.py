@@ -29,7 +29,6 @@ from repro.temporal.schedule import (
 from repro.temporal.staleness import StalenessReport, staleness_report
 from repro.temporal.statistic import (
     DEFAULT_DRIFT_QUANTILES,
-    drift_statistic_series,
     population_drift_statistic,
     weeks_covered,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "StalenessReport",
     "staleness_report",
     "population_drift_statistic",
-    "drift_statistic_series",
     "weeks_covered",
     "TimelineResult",
     "TimelineWeek",

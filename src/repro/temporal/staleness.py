@@ -76,16 +76,6 @@ class StalenessReport:
         """Timeline-mean fused utility."""
         return float(np.mean(self.utilities))
 
-    @property
-    def final_utility(self) -> float:
-        """Fused utility of the last deployed week."""
-        return float(self.utilities[-1])
-
-    @property
-    def utility_decay_total(self) -> float:
-        """Utility change from the first to the last deployed week."""
-        return float(self.utilities[-1] - self.utilities[0])
-
     def render(self) -> str:
         """The utility-vs-week staleness table."""
         rows = []

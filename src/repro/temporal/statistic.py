@@ -112,25 +112,6 @@ def population_drift_statistic(
     return drift_from_baseline(matrices, baseline, week, quantiles)
 
 
-def drift_statistic_series(
-    matrices: Mapping[int, FeatureMatrix],
-    features: Iterable[Feature],
-    baseline_weeks: Tuple[int, int],
-    weeks: Sequence[int],
-    quantiles: Sequence[float] = DEFAULT_DRIFT_QUANTILES,
-) -> Dict[int, float]:
-    """:func:`population_drift_statistic` for several weeks at once.
-
-    The pooled baseline quantiles are computed once and reused, so sweeping a
-    whole timeline costs one pooled percentile call per (feature, week).
-    """
-    baseline = pooled_baseline_quantiles(matrices, features, baseline_weeks, quantiles)
-    return {
-        int(week): drift_from_baseline(matrices, baseline, week, quantiles)
-        for week in weeks
-    }
-
-
 def weeks_covered(matrices: Mapping[int, FeatureMatrix]) -> int:
     """Whole weeks every host's matrix covers (the timeline's horizon)."""
     require(len(matrices) > 0, "matrices must cover at least one host")
@@ -144,6 +125,5 @@ __all__ = [
     "pooled_baseline_quantiles",
     "drift_from_baseline",
     "population_drift_statistic",
-    "drift_statistic_series",
     "weeks_covered",
 ]

@@ -3,18 +3,14 @@
 The paper processed raw end-host packet traces with Bro to build per-bin
 feature time series.  This package reproduces that substrate: a packet-header
 data model, flow keys and connection records, a TCP connection-assembly state
-machine, lightweight DNS/HTTP classification, an end-host capture-session
-model (mobile laptops changing interfaces and locations), and a simple binary
-serialization for storing traces on disk.
+machine, lightweight DNS/HTTP classification and an end-host capture-session
+model (mobile laptops changing interfaces and locations).
 """
 
 from repro.traces.packet import (
     IPProtocol,
     Packet,
     TCPFlags,
-    make_dns_query,
-    make_tcp_packet,
-    make_udp_packet,
 )
 from repro.traces.flow import ConnectionRecord, FiveTuple, FlowDirection, flow_key_of
 from repro.traces.assembler import ConnectionAssembler, TCPConnectionState
@@ -26,15 +22,11 @@ from repro.traces.protocols import (
     WELL_KNOWN_PORTS,
 )
 from repro.traces.capture import CaptureEnvironment, CaptureSession, NetworkLocation
-from repro.traces.serialization import read_connections, read_packets, write_connections, write_packets
 
 __all__ = [
     "IPProtocol",
     "Packet",
     "TCPFlags",
-    "make_tcp_packet",
-    "make_udp_packet",
-    "make_dns_query",
     "FiveTuple",
     "FlowDirection",
     "ConnectionRecord",
@@ -49,8 +41,4 @@ __all__ = [
     "CaptureEnvironment",
     "CaptureSession",
     "NetworkLocation",
-    "read_packets",
-    "write_packets",
-    "read_connections",
-    "write_connections",
 ]

@@ -86,11 +86,6 @@ class ConnectionAssembler:
         """The monitored host address."""
         return self._host_ip
 
-    @property
-    def active_flow_count(self) -> int:
-        """Number of flows currently being tracked."""
-        return len(self._active)
-
     # ------------------------------------------------------------------ feed
     def feed(self, packet: Packet) -> None:
         """Process one packet (packets must arrive in non-decreasing time order)."""

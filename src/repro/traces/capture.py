@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -27,11 +27,6 @@ class NetworkLocation(Enum):
     HOME = "home"
     TRAVEL = "travel"
     OFFLINE = "offline"
-
-    @property
-    def inside_enterprise(self) -> bool:
-        """True when the host is on the corporate network."""
-        return self in (NetworkLocation.OFFICE_WIRED, NetworkLocation.OFFICE_WIRELESS)
 
 
 @dataclass(frozen=True)
@@ -125,55 +120,6 @@ class CaptureSession:
     def end_time(self) -> float:
         """End of the last environment (or 0 when empty)."""
         return self.environments[-1].end_time if self.environments else 0.0
-
-    def environment_at(self, timestamp: float) -> Optional[CaptureEnvironment]:
-        """Return the environment covering ``timestamp`` (None when offline gaps exist)."""
-        for environment in self.environments:
-            if environment.contains(timestamp):
-                return environment
-        return None
-
-    def location_at(self, timestamp: float) -> NetworkLocation:
-        """Return the location at ``timestamp`` (OFFLINE when no segment covers it)."""
-        environment = self.environment_at(timestamp)
-        return environment.location if environment is not None else NetworkLocation.OFFLINE
-
-    def segment_indices(self, timestamps: Sequence[float]) -> np.ndarray:
-        """Vectorised segment lookup for an array of timestamps.
-
-        Returns, per timestamp, the index of the environment covering it, or
-        ``-1`` when the timestamp falls in a gap (offline); see
-        :func:`segment_lookup`.
-        """
-        starts = np.array([env.start_time for env in self.environments], dtype=float)
-        ends = np.array([env.end_time for env in self.environments], dtype=float)
-        return segment_lookup(starts, ends, timestamps)
-
-    def locations_at(self, timestamps: Sequence[float]) -> List[NetworkLocation]:
-        """Vectorised :meth:`location_at` for an array of timestamps."""
-        indices = self.segment_indices(timestamps)
-        locations = [env.location for env in self.environments]
-        return [
-            locations[index] if index >= 0 else NetworkLocation.OFFLINE for index in indices
-        ]
-
-    def online_fraction(self) -> float:
-        """Fraction of the session during which the host was not OFFLINE."""
-        total = self.end_time - self.start_time
-        if total <= 0:
-            return 0.0
-        online = sum(
-            environment.duration
-            for environment in self.environments
-            if environment.location != NetworkLocation.OFFLINE
-        )
-        return online / total
-
-    def time_in_location(self, location: NetworkLocation) -> float:
-        """Total seconds spent in ``location``."""
-        return sum(
-            environment.duration for environment in self.environments if environment.location == location
-        )
 
 
 def check_segments(starts: np.ndarray, ends: np.ndarray) -> None:

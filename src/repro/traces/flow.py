@@ -131,30 +131,3 @@ class ConnectionRecord:
     def is_outbound(self) -> bool:
         """True when the monitored host originated the connection."""
         return self.direction == FlowDirection.OUTBOUND
-
-    def with_attack_flag(self) -> "AttackConnectionRecord":
-        """Return an attack-labelled copy of this record (used by injectors)."""
-        return AttackConnectionRecord(
-            start_time=self.start_time,
-            end_time=self.end_time,
-            key=self.key,
-            direction=self.direction,
-            syn_count=self.syn_count,
-            packet_count=self.packet_count,
-            byte_count=self.byte_count,
-            established=self.established,
-        )
-
-
-@dataclass(frozen=True)
-class AttackConnectionRecord(ConnectionRecord):
-    """A connection record known to originate from injected attack traffic.
-
-    The label is ground truth used only by the evaluation harness (to compute
-    false negatives); the detectors themselves never see it.
-    """
-
-    @property
-    def is_attack(self) -> bool:
-        """Always True; attack ground-truth marker."""
-        return True

@@ -87,86 +87,6 @@ class Packet:
         require(self.payload_length >= 0, "payload_length must be non-negative")
 
     @property
-    def src_ip_str(self) -> str:
-        """Source address as a dotted quad."""
-        return int_to_ip(self.src_ip)
-
-    @property
-    def dst_ip_str(self) -> str:
-        """Destination address as a dotted quad."""
-        return int_to_ip(self.dst_ip)
-
-    @property
-    def is_tcp(self) -> bool:
-        """True for TCP packets."""
-        return self.protocol == IPProtocol.TCP
-
-    @property
-    def is_udp(self) -> bool:
-        """True for UDP packets."""
-        return self.protocol == IPProtocol.UDP
-
-    @property
     def is_syn(self) -> bool:
         """True for a pure connection-initiating SYN (SYN set, ACK clear)."""
         return bool(self.flags & TCPFlags.SYN) and not bool(self.flags & TCPFlags.ACK)
-
-
-def make_tcp_packet(
-    timestamp: float,
-    src_ip: str,
-    dst_ip: str,
-    src_port: int,
-    dst_port: int,
-    flags: TCPFlags = TCPFlags.ACK,
-    payload_length: int = 0,
-) -> Packet:
-    """Convenience constructor for a TCP packet with string addresses."""
-    return Packet(
-        timestamp=timestamp,
-        src_ip=ip_to_int(src_ip),
-        dst_ip=ip_to_int(dst_ip),
-        protocol=IPProtocol.TCP,
-        src_port=src_port,
-        dst_port=dst_port,
-        flags=flags,
-        payload_length=payload_length,
-    )
-
-
-def make_udp_packet(
-    timestamp: float,
-    src_ip: str,
-    dst_ip: str,
-    src_port: int,
-    dst_port: int,
-    payload_length: int = 0,
-) -> Packet:
-    """Convenience constructor for a UDP packet with string addresses."""
-    return Packet(
-        timestamp=timestamp,
-        src_ip=ip_to_int(src_ip),
-        dst_ip=ip_to_int(dst_ip),
-        protocol=IPProtocol.UDP,
-        src_port=src_port,
-        dst_port=dst_port,
-        payload_length=payload_length,
-    )
-
-
-def make_dns_query(
-    timestamp: float,
-    src_ip: str,
-    dns_server: str,
-    src_port: int = 53001,
-    payload_length: int = 64,
-) -> Packet:
-    """Convenience constructor for a DNS query packet (UDP to port 53)."""
-    return make_udp_packet(
-        timestamp=timestamp,
-        src_ip=src_ip,
-        dst_ip=dns_server,
-        src_port=src_port,
-        dst_port=53,
-        payload_length=payload_length,
-    )

@@ -12,11 +12,6 @@ from repro.utils.timeutils import (
     DAY,
     WEEK,
     bin_index,
-    bin_start,
-    bins_per_day,
-    bins_per_week,
-    format_duration,
-    iter_bins,
 )
 from repro.utils.resources import peak_rss_bytes, peak_rss_mb
 from repro.utils.validation import (
@@ -37,11 +32,6 @@ __all__ = [
     "DAY",
     "WEEK",
     "bin_index",
-    "bin_start",
-    "bins_per_day",
-    "bins_per_week",
-    "format_duration",
-    "iter_bins",
     "peak_rss_bytes",
     "peak_rss_mb",
     "ValidationError",

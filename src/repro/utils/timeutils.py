@@ -10,7 +10,7 @@ simple and avoids timezone concerns that do not matter for the reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -79,53 +79,3 @@ def bin_index(timestamp: float, width: float, origin: float = 0.0) -> int:
     """Return the index of the bin of size ``width`` containing ``timestamp``."""
     require_positive(width, "width")
     return int((timestamp - origin) // width)
-
-
-def bin_start(index: int, width: float, origin: float = 0.0) -> float:
-    """Return the start timestamp of bin ``index`` for bins of size ``width``."""
-    require_positive(width, "width")
-    return origin + index * width
-
-
-def bins_per_day(width: float) -> int:
-    """Number of bins of size ``width`` in one day (must divide evenly)."""
-    require_positive(width, "width")
-    count = DAY / width
-    require(abs(count - round(count)) < 1e-9, "bin width must evenly divide one day")
-    return int(round(count))
-
-
-def bins_per_week(width: float) -> int:
-    """Number of bins of size ``width`` in one week (must divide evenly)."""
-    return bins_per_day(width) * 7
-
-
-def iter_bins(start: float, end: float, width: float) -> Iterator[Tuple[int, float, float]]:
-    """Yield ``(index, bin_start, bin_end)`` for every bin overlapping [start, end).
-
-    The first yielded bin contains ``start``; the last contains the largest
-    timestamp strictly below ``end``.
-    """
-    require_positive(width, "width")
-    require(end >= start, "end must be >= start")
-    if end == start:
-        return
-    first = bin_index(start, width)
-    last = bin_index(end - 1e-12, width)
-    for index in range(first, last + 1):
-        yield index, bin_start(index, width), bin_start(index + 1, width)
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration in a compact human-readable form (``1w2d3h``)."""
-    require(seconds >= 0, "seconds must be non-negative")
-    remaining = float(seconds)
-    parts = []
-    for label, unit in (("w", WEEK), ("d", DAY), ("h", HOUR), ("m", MINUTE)):
-        if remaining >= unit:
-            count = int(remaining // unit)
-            parts.append(f"{count}{label}")
-            remaining -= count * unit
-    if remaining > 1e-9 or not parts:
-        parts.append(f"{remaining:.0f}s")
-    return "".join(parts)

@@ -21,7 +21,6 @@ pipeline (used by examples and integration tests to exercise the substrate).
 """
 
 from repro.workload.profiles import (
-    ActivityLevel,
     FeatureIntensity,
     HostProfile,
     UserRole,
@@ -47,7 +46,6 @@ from repro.workload.sessions import (
 )
 
 __all__ = [
-    "ActivityLevel",
     "UserRole",
     "FeatureIntensity",
     "HostProfile",

@@ -61,12 +61,6 @@ class DiurnalPattern:
         )
         return hours[slots]
 
-    def mean_multiplier(self) -> float:
-        """Average multiplier over a full week."""
-        weekday = float(np.mean(np.asarray(self.weekday_hours)))
-        weekend = float(np.mean(np.asarray(self.weekend_hours)))
-        return (5.0 * weekday + 2.0 * weekend) / 7.0
-
 
 def office_worker_pattern() -> DiurnalPattern:
     """The default enterprise diurnal pattern: 9-to-6 weekday peak, light evenings."""

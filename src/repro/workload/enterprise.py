@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, PopulationFrame
 from repro.stats.empirical import EmpiricalDistribution
@@ -146,24 +144,12 @@ class EnterprisePopulation:
             {host_id: matrix.week(index) for host_id, matrix in self._matrices.items()},
         )
 
-    def feature_values(self, feature: Feature) -> Dict[int, np.ndarray]:
-        """Per-host per-bin values of ``feature``."""
-        return {host_id: matrix.series(feature).values for host_id, matrix in self._matrices.items()}
-
     def distributions(self, feature: Feature) -> Dict[int, EmpiricalDistribution]:
         """Per-host empirical distribution of ``feature``."""
         return {
             host_id: matrix.series(feature).distribution()
             for host_id, matrix in self._matrices.items()
         }
-
-    def pooled_distribution(self, feature: Feature) -> EmpiricalDistribution:
-        """The global (pooled across hosts) distribution of ``feature``.
-
-        This is what the central console computes under the homogeneous
-        (monoculture) policy.
-        """
-        return EmpiricalDistribution.pooled(list(self.distributions(feature).values()))
 
     def per_host_percentiles(self, feature: Feature, q: float) -> Dict[int, float]:
         """Per-host ``q``-th percentile of ``feature`` (full-diversity thresholds)."""

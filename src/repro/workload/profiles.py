@@ -25,14 +25,6 @@ from repro.utils.rng import RandomSource
 from repro.utils.validation import require, require_positive
 
 
-class ActivityLevel(Enum):
-    """Coarse activity class, used for reporting and grouping checks."""
-
-    LIGHT = "light"
-    MEDIUM = "medium"
-    HEAVY = "heavy"
-
-
 class UserRole(Enum):
     """Enterprise user archetypes with different application mixes."""
 
@@ -166,15 +158,6 @@ class HostProfile:
     def __post_init__(self) -> None:
         require_positive(self.master_intensity, "master_intensity")
         require(len(self.intensities) > 0, "profile requires at least one feature intensity")
-
-    @property
-    def activity_level(self) -> ActivityLevel:
-        """Coarse activity class derived from the master intensity."""
-        if self.master_intensity < 3.0:
-            return ActivityLevel.LIGHT
-        if self.master_intensity < 30.0:
-            return ActivityLevel.MEDIUM
-        return ActivityLevel.HEAVY
 
     def intensity(self, feature: Feature) -> FeatureIntensity:
         """Intensity parameters for ``feature``."""

@@ -45,11 +45,6 @@ class ApplicationSession:
     kind: str
     connections: Sequence[ConnectionIntent]
 
-    @property
-    def connection_count(self) -> int:
-        """Number of connections this session will open."""
-        return len(self.connections)
-
 
 class SessionModel:
     """Interface: generate one :class:`ApplicationSession` at a given time."""

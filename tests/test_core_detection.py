@@ -9,7 +9,6 @@ from repro.core.evaluation import (
     DetectionProtocol,
     evaluate_policy,
     training_distributions,
-    weekly_train_test_pairs,
 )
 from repro.core.policies import FullDiversityPolicy, HomogeneousPolicy, PartialDiversityPolicy
 from repro.features.definitions import Feature
@@ -27,12 +26,6 @@ def _matrix(values, host_id=1, feature=Feature.TCP_CONNECTIONS):
 
 
 class TestEvaluation:
-    def test_weekly_pairs(self):
-        assert weekly_train_test_pairs(5) == [(0, 1), (2, 3)]
-        assert weekly_train_test_pairs(4, overlapping=True) == [(0, 1), (1, 2), (2, 3)]
-        with pytest.raises(ValidationError):
-            weekly_train_test_pairs(1)
-
     def test_protocol_validation(self):
         with pytest.raises(ValidationError):
             DetectionProtocol(features=(Feature.TCP_CONNECTIONS,), train_week=1, test_week=1)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.core.grouping import (
     GroupAssignment,
-    KMeansGrouping,
     PerHostGrouping,
     QuantileSplitGrouping,
     SingleGroupGrouping,
@@ -115,18 +114,18 @@ class TestGrouping:
     def test_single_group(self):
         assignment = SingleGroupGrouping().assign({1: 5.0, 2: 9.0})
         assert assignment.num_groups == 1
-        assert assignment.group_of(1) == assignment.group_of(2)
+        assert assignment.groups == ((1, 2),)
 
     def test_per_host_group(self):
         assignment = PerHostGrouping().assign({1: 5.0, 2: 9.0, 3: 1.0})
         assert assignment.num_groups == 3
-        assert assignment.group_sizes() == (1, 1, 1)
+        assert all(len(group) == 1 for group in assignment.groups)
 
     def test_quantile_split_eight_groups(self):
         statistics = {host: float(host + 1) for host in range(100)}
         assignment = QuantileSplitGrouping().assign(statistics)
         assert assignment.num_groups == 8
-        assert sum(assignment.group_sizes()) == 100
+        assert len(assignment.host_ids) == 100
         # The heavy-side groups contain the hosts with the largest statistics.
         heavy_hosts = set(assignment.groups[-1]) | set(assignment.groups[-2])
         assert all(statistics[h] > 80 for h in heavy_hosts)
@@ -134,7 +133,7 @@ class TestGrouping:
 
     def test_quantile_split_small_population(self):
         assignment = QuantileSplitGrouping().assign({0: 1.0, 1: 2.0, 2: 3.0})
-        assert sum(assignment.group_sizes()) == 3
+        assert len(assignment.host_ids) == 3
 
     def test_quantile_split_groups_ordered_by_statistic(self):
         statistics = {host: float(100 - host) for host in range(50)}
@@ -142,23 +141,11 @@ class TestGrouping:
         maxima = [max(statistics[h] for h in group) for group in assignment.groups]
         assert maxima == sorted(maxima)
 
-    def test_kmeans_grouping(self):
-        statistics = {host: 1.0 + host * 0.01 for host in range(30)}
-        statistics.update({host: 1000.0 + host for host in range(30, 40)})
-        assignment = KMeansGrouping(num_groups=2, seed=1).assign(statistics)
-        assert assignment.num_groups == 2
-        assert sum(assignment.group_sizes()) == 40
-
     def test_assignment_validation(self):
         with pytest.raises(ValidationError):
             GroupAssignment(groups=((1, 2), (2, 3)), strategy_name="bad")
         with pytest.raises(ValidationError):
             GroupAssignment(groups=(), strategy_name="empty")
-
-    def test_group_of_unknown_host(self):
-        assignment = SingleGroupGrouping().assign({1: 1.0})
-        with pytest.raises(KeyError):
-            assignment.group_of(99)
 
 
 class TestPolicies:

@@ -176,8 +176,6 @@ class TestCache:
         assert engine.stats.generations == 2
         assert engine.stats.cache_hits == 1
         assert engine.stats.requests == 3
-        engine.reset_stats()
-        assert engine.stats == EngineStats()
 
 
 class TestSerialization:

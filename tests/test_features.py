@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.features.definitions import FEATURES, Feature, PAPER_FEATURES, feature_by_name
+from repro.features.definitions import FEATURES, Feature, PAPER_FEATURES
 from repro.features.extractor import extract_feature_matrix
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.traces.flow import ConnectionRecord, flow_key_of
-from repro.traces.packet import TCPFlags, ip_to_int, make_tcp_packet, make_udp_packet
+from repro.traces.packet import TCPFlags, ip_to_int
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
 from repro.utils.validation import ValidationError
+
+from helpers import make_tcp_packet, make_udp_packet
 
 HOST = "10.0.0.9"
 HOST_IP = ip_to_int(HOST)
@@ -36,12 +38,6 @@ class TestFeatureDefinitions:
     def test_all_six_paper_features_present(self):
         assert len(PAPER_FEATURES) == 6
         assert set(PAPER_FEATURES) == set(FEATURES)
-
-    def test_feature_by_name_roundtrip(self):
-        for feature in Feature:
-            assert feature_by_name(feature.value) == feature
-        with pytest.raises(KeyError):
-            feature_by_name("nonexistent")
 
     def test_predicates(self):
         dns = _record(0.0, dst="10.0.0.53", dst_port=53, udp=True)
@@ -123,12 +119,11 @@ class TestTimeSeries:
         assert list(rebinned.values) == [6.0, 15.0]
         assert rebinned.bin_width == pytest.approx(15 * MINUTE)
 
-    def test_add_series_and_constant(self):
+    def test_add_series(self):
         a = self._series([1, 2, 3])
         b = self._series([10, 10])
         combined = a.add(b)
         assert list(combined.values) == [11.0, 12.0, 3.0]
-        assert list(a.add_constant(5).values) == [6.0, 7.0, 8.0]
 
     def test_exceedance(self):
         series = self._series([1, 5, 10, 20])
@@ -176,13 +171,6 @@ class TestFeatureMatrix:
                     Feature.UDP_CONNECTIONS: TimeSeries([1], spec),
                 },
             )
-
-    def test_with_series_replaces(self):
-        matrix = self._matrix()
-        new_series = TimeSeries([9, 9, 9, 9], BinSpec(width=15 * MINUTE))
-        updated = matrix.with_series(Feature.TCP_CONNECTIONS, new_series)
-        assert updated[Feature.TCP_CONNECTIONS].total() == 36
-        assert matrix[Feature.TCP_CONNECTIONS].total() == 10
 
 
 class TestFeatureExtractor:

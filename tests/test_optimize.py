@@ -741,14 +741,6 @@ class TestEvaluationProvenance:
         }
         assert len(groupings) == 1
 
-    def test_with_optimizer_copy(self):
-        base = HomogeneousPolicy(PercentileHeuristic(99.0))
-        joined = base.with_optimizer(CoordinateAscentOptimizer())
-        assert base.optimizer is None
-        assert joined.optimizer is not None
-        assert joined.name == base.name
-        assert joined.heuristic is base.heuristic
-
 
 class TestBinWidthPooling:
     """`threshold_for_group` must not pool incomparable per-bin counts."""

@@ -42,6 +42,8 @@ from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
+from helpers import process_exited
+
 CONFIG = EnterpriseConfig(num_hosts=30, num_weeks=2, seed=511)
 
 PROTOCOL = DetectionProtocol(features=(Feature.TCP_CONNECTIONS,))
@@ -501,22 +503,6 @@ raise SystemExit("the shard build was not interrupted")
 """
 
 
-def _process_exited(pid: int) -> bool:
-    """True once ``pid`` has exited (an unreaped zombie counts as exited)."""
-    stat = Path(f"/proc/{pid}/stat")
-    if stat.parent.parent.is_dir():
-        try:
-            state = stat.read_text().rsplit(")", 1)[1].split()[0]
-        except (FileNotFoundError, ProcessLookupError):
-            return True
-        return state in ("Z", "X")
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    return False
-
-
 class TestKilledPoolBuild:
     """A process SIGKILLed in the middle of a pool shard build, then resumed."""
 
@@ -539,9 +525,9 @@ class TestKilledPoolBuild:
         workers = [int(pid) for pid in pid_file.read_text().split()]
         assert len(workers) == 2
         deadline = time.monotonic() + 30.0
-        while not all(_process_exited(pid) for pid in workers) and time.monotonic() < deadline:
+        while not all(process_exited(pid) for pid in workers) and time.monotonic() < deadline:
             time.sleep(0.05)
-        lingering = [pid for pid in workers if not _process_exited(pid)]
+        lingering = [pid for pid in workers if not process_exited(pid)]
         for pid in lingering:  # leave no orphan behind when the check fails
             os.kill(pid, signal.SIGKILL)
         assert not lingering, "orphaned pool workers outlived 30 s"

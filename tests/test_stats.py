@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.evaluation import detection_training_window_distributions, training_distributions
 from repro.features.definitions import PAPER_FEATURES
 from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
-from repro.stats.empirical import EmpiricalDistribution, ecdf, percentile_of_score
+from repro.stats.empirical import EmpiricalDistribution, ecdf
 from repro.stats.kmeans import kmeans, separation_score
 from repro.stats.summary import summarize
 from repro.stats.tail import exceedance_curve, hill_estimator, orders_of_magnitude, tail_ratio
@@ -104,7 +104,6 @@ class TestEmpiricalDistribution:
 
     def test_ecdf_helpers(self):
         assert ecdf([1, 2, 3, 4], 2) == pytest.approx(0.5)
-        assert percentile_of_score([1, 2, 3, 4], 4) == pytest.approx(100.0)
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
     def test_percentiles_monotone(self, samples):
@@ -361,7 +360,7 @@ class TestKMeans:
         points = np.concatenate([np.full(20, 0.0), np.full(20, 100.0)]).reshape(-1, 1)
         result = kmeans(points, k=2, seed=1)
         assert result.k == 2
-        sizes = sorted(result.cluster_sizes())
+        sizes = sorted(np.bincount(result.labels, minlength=result.k))
         assert sizes == [20, 20]
         assert separation_score(result, points) > 0.5
 

@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.sweeps.runner as runner_module
 from repro.engine import PopulationEngine
 from repro.sweeps import (
     RESULT_SCHEMA_VERSION,
@@ -19,6 +27,8 @@ from repro.sweeps import (
     run_scenario,
 )
 from repro.utils.validation import ValidationError
+
+from helpers import process_exited
 
 
 def _sweep(axes, num_hosts=8, mode="grid", name="test-sweep"):
@@ -98,8 +108,6 @@ class TestRunner:
 
     def test_population_key_computed_once_per_scenario(self, tmp_path, monkeypatch):
         """Deduplication, reuse flags and serial evaluation share one key per scenario."""
-        import repro.sweeps.runner as runner_module
-
         keyed = []
         original = runner_module.population_cache_key
 
@@ -204,6 +212,32 @@ class TestRunner:
 
         spec = ScenarioSpec.from_dict(reloaded.spec)
         assert spec.name == reloaded.scenario
+
+
+    def test_pool_failure_runs_only_unfinished_scenarios_in_process(self, tmp_path, monkeypatch):
+        sweep = _sweep({"attack.size": [10.0, 50.0, 400.0]})
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        serial = SweepRunner(engine=engine, workers=1).run(sweep)
+
+        def pool_that_breaks_after_one_result(task, arguments, workers, on_result):
+            on_result(task(*arguments[1])[0])
+            return False
+
+        monkeypatch.setattr(runner_module, "_run_pool", pool_that_breaks_after_one_result)
+        store = ResultStore(tmp_path / "results.jsonl")
+        seen = []
+        run = SweepRunner(engine=engine, workers=2).run(
+            sweep, store=store, progress=lambda done, total, result: seen.append(
+                (done, result.scenario.name)
+            )
+        )
+        names = [result.scenario.name for result in serial.results]
+        assert [result.scenario.name for result in run.results] == names
+        assert [r.outcome for r in run.results] == [r.outcome for r in serial.results]
+        assert run.workers == 1
+        # The pool's one result lands first; only the other two run in-process.
+        assert seen == [(1, names[1]), (2, names[0]), (3, names[2])]
+        assert [record.scenario for record in store.records()] == [name for _, name in seen]
 
 
 class TestSweepResultCache:
@@ -635,3 +669,73 @@ class TestResultStore:
         text = comparison_table(records, metrics=["mean_utility", "total_false_alarms"])
         assert "a" in text and "b" in text
         assert "mean_utility" in text
+
+
+_KILLED_MID_SWEEP = """
+import json, multiprocessing, os, signal, sys
+from repro.engine import PopulationEngine
+from repro.sweeps import ResultStore, SweepRunner, SweepSpec
+
+append = ResultStore.append
+
+def append_then_kill(self, record):
+    append(self, record)
+    workers = " ".join(str(child.pid) for child in multiprocessing.active_children())
+    with open(sys.argv[3], "w") as handle:
+        handle.write(workers)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+ResultStore.append = append_then_kill
+cache_dir, store_path = sys.argv[1:3]
+sweep = SweepSpec.from_dict(json.loads(sys.argv[4]))
+engine = PopulationEngine(workers=1, cache_dir=cache_dir)
+SweepRunner(engine=engine, workers=2).run(sweep, store=ResultStore(store_path))
+raise SystemExit("the sweep was not interrupted")
+"""
+
+
+class TestKilledSweep:
+    """A sweep SIGKILLed after its first stored result, then run again on the same store."""
+
+    SWEEP = _sweep({"attack.size": [10.0, 25.0, 50.0, 100.0, 200.0, 400.0]})
+
+    @staticmethod
+    def _records(store):
+        return sorted(
+            (record.scenario, json.dumps(record.metrics, sort_keys=True))
+            for record in store.records()
+        )
+
+    def test_kill_mid_sweep_then_resume(self, tmp_path):
+        cache_dir, pid_file = tmp_path / "cache", tmp_path / "workers.txt"
+        store = ResultStore(tmp_path / "results.jsonl")
+        paths = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLED_MID_SWEEP, str(cache_dir), str(store.path)]
+            + [str(pid_file), json.dumps(self.SWEEP.to_dict())],
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL
+        assert len(store.records()) == 1
+
+        # The killed sweep's pool workers notice their parent is gone and exit.
+        workers = [int(pid) for pid in pid_file.read_text().split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30.0
+        while not all(process_exited(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        lingering = [pid for pid in workers if not process_exited(pid)]
+        for pid in lingering:  # leave no orphan behind when the check fails
+            os.kill(pid, signal.SIGKILL)
+        assert not lingering, "orphaned pool workers outlived 30 s"
+
+        # Running the sweep again evaluates only what the store lacks.
+        engine = PopulationEngine(workers=1, cache_dir=cache_dir)
+        resumed = SweepRunner(engine=engine, workers=2).run(self.SWEEP, store=store)
+        assert resumed.skipped_count == 1
+        assert len(resumed.results) == 5
+        uninterrupted = ResultStore(tmp_path / "uninterrupted.jsonl")
+        SweepRunner(engine=engine, workers=1).run(self.SWEEP, store=uninterrupted)
+        assert self._records(store) == self._records(uninterrupted)

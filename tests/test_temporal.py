@@ -22,14 +22,13 @@ from repro.optimize import CoordinateAscentOptimizer
 from repro.temporal import (
     DEFAULT_DRIFT_QUANTILES,
     RetrainSchedule,
-    drift_statistic_series,
     evaluate_timeline,
     population_drift_statistic,
     staleness_report,
     timeline_outcome,
     weeks_covered,
 )
-from repro.temporal.statistic import pooled_baseline_quantiles
+from repro.temporal.statistic import drift_from_baseline, pooled_baseline_quantiles
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ValidationError
 from repro.workload.drift import DriftComponent, DriftModel
@@ -233,10 +232,10 @@ class TestDriftStatistic:
                 expected = np.percentile(pooled, DEFAULT_DRIFT_QUANTILES)
                 assert on_frame[feature].tobytes() == on_dict[feature].tobytes()
                 assert on_frame[feature].tobytes() == expected.tobytes()
-            weeks = range(window[1], 4)
-            assert drift_statistic_series(frame, features, window, weeks) == (
-                drift_statistic_series(plain, features, window, weeks)
-            )
+            for week in range(window[1], 4):
+                assert drift_from_baseline(frame, on_frame, week) == (
+                    drift_from_baseline(plain, on_dict, week)
+                )
         assert population_drift_statistic(frame, features, (0, 2), 3) == (
             population_drift_statistic(drifting_population.matrices(), features, (0, 2), 3)
         )

@@ -12,19 +12,7 @@ from hypothesis import given, strategies as st
 
 from repro.utils.jsonl import append_jsonl, read_jsonl
 from repro.utils.rng import RandomSource, derive_seed, spawn_rng
-from repro.utils.timeutils import (
-    BinSpec,
-    DAY,
-    HOUR,
-    MINUTE,
-    WEEK,
-    bin_index,
-    bin_start,
-    bins_per_day,
-    bins_per_week,
-    format_duration,
-    iter_bins,
-)
+from repro.utils.timeutils import BinSpec, WEEK, bin_index
 from repro.utils.validation import (
     ValidationError,
     require,
@@ -65,33 +53,11 @@ class TestBinSpec:
 
 
 class TestBinHelpers:
-    def test_bins_per_day_and_week(self):
-        assert bins_per_day(15 * MINUTE) == 96
-        assert bins_per_week(15 * MINUTE) == 672
-        assert bins_per_day(5 * MINUTE) == 288
-
-    def test_bins_per_day_requires_even_division(self):
-        with pytest.raises(ValidationError):
-            bins_per_day(7 * MINUTE)
-
     def test_bin_index_and_start_roundtrip(self):
         width = 300.0
         for timestamp in (0.0, 100.0, 299.9, 300.0, 12345.6):
             index = bin_index(timestamp, width)
-            assert bin_start(index, width) <= timestamp < bin_start(index + 1, width)
-
-    def test_iter_bins_covers_interval(self):
-        bins = list(iter_bins(0.0, HOUR, 15 * MINUTE))
-        assert len(bins) == 4
-        assert bins[0][0] == 0
-        assert bins[-1][2] == HOUR
-
-    def test_iter_bins_empty_interval(self):
-        assert list(iter_bins(10.0, 10.0, 60.0)) == []
-
-    def test_format_duration(self):
-        assert format_duration(WEEK + DAY + HOUR) == "1w1d1h"
-        assert format_duration(0) == "0s"
+            assert index * width <= timestamp < (index + 1) * width
 
 
 class TestValidation:

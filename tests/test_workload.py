@@ -33,7 +33,9 @@ from repro.workload.events import (
 )
 from repro.workload.generator import HostSeriesGenerator, HostTraceGenerator
 from repro.workload.mobility import LOCATION_ACTIVITY, MobilityModel, generate_capture_session
-from repro.workload.profiles import ActivityLevel, HostProfile, UserRole, sample_host_profile
+from repro.workload.profiles import UserRole, sample_host_profile
+
+from helpers import location_at, online_fraction
 
 GOLDEN_POPULATION = Path(__file__).parent / "data" / "golden_population.json"
 
@@ -55,17 +57,6 @@ class TestProfiles:
             assert profile.intensity(feature).scale > 0
             assert profile.base_rate(feature) > 0
 
-    def test_activity_level_classification(self, random_source):
-        light = sample_host_profile(1, random_source)
-        heavy = HostProfile(
-            host_id=2,
-            role=UserRole.POWER_USER,
-            master_intensity=100.0,
-            intensities=light.intensities,
-        )
-        assert heavy.activity_level == ActivityLevel.HEAVY
-        assert isinstance(light.activity_level, ActivityLevel)
-
     def test_fixed_role_respected(self, random_source):
         profile = sample_host_profile(5, random_source, role=UserRole.RESEARCHER)
         assert profile.role == UserRole.RESEARCHER
@@ -85,11 +76,6 @@ class TestDiurnal:
     def test_always_on_pattern_flat(self):
         pattern = always_on_pattern()
         assert pattern.multiplier(3 * HOUR) >= 0.7
-
-    def test_mean_multiplier_between_extremes(self):
-        pattern = office_worker_pattern()
-        mean = pattern.mean_multiplier()
-        assert 0.0 < mean < 1.0
 
     def test_activity_model_applies_floor(self, rng):
         model = ActivityModel(pattern=office_worker_pattern(), jitter_sigma=0.0, floor=0.1)
@@ -113,21 +99,21 @@ class TestMobility:
         session = generate_capture_session(
             1, 0x0A000001, WEEK, random_source, MobilityModel(is_laptop=False)
         )
-        assert session.online_fraction() == pytest.approx(1.0)
-        assert session.location_at(3 * HOUR) == NetworkLocation.OFFICE_WIRED
+        assert online_fraction(session) == pytest.approx(1.0)
+        assert location_at(session, 3 * HOUR) == NetworkLocation.OFFICE_WIRED
 
     def test_laptop_has_offline_periods(self, random_source):
         session = generate_capture_session(
             2, 0x0A000002, WEEK, random_source, MobilityModel(is_laptop=True)
         )
-        assert 0.0 < session.online_fraction() < 1.0
-        assert session.location_at(2 * HOUR) == NetworkLocation.OFFLINE
+        assert 0.0 < online_fraction(session) < 1.0
+        assert location_at(session, 2 * HOUR) == NetworkLocation.OFFLINE
 
     def test_weekday_office_presence(self, random_source):
         session = generate_capture_session(
             3, 0x0A000003, WEEK, random_source, MobilityModel(travel_day_probability=0.0)
         )
-        location = session.location_at(11 * HOUR)  # Monday late morning
+        location = location_at(session, 11 * HOUR)  # Monday late morning
         assert location in (NetworkLocation.OFFICE_WIRED, NetworkLocation.OFFICE_WIRELESS)
 
     def test_location_activity_covers_all_locations(self):
@@ -307,7 +293,7 @@ class TestHostTraceGenerator:
         generator = HostTraceGenerator(profile=profile)
         sessions = generator.generate_sessions(8 * HOUR, random_source)
         assert sessions
-        assert all(session.connection_count >= 1 for session in sessions)
+        assert all(len(session.connections) >= 1 for session in sessions)
 
 
 class TestEnterprisePopulation:
@@ -332,11 +318,6 @@ class TestEnterprisePopulation:
             return np.log10(values.max() / values.min())
 
         assert spread(Feature.DNS_CONNECTIONS) < spread(Feature.UDP_CONNECTIONS)
-
-    def test_pooled_distribution_dominated_by_heavy_hosts(self, small_population):
-        pooled = small_population.pooled_distribution(Feature.TCP_CONNECTIONS)
-        per_host = small_population.per_host_percentiles(Feature.TCP_CONNECTIONS, 99)
-        assert pooled.percentile(99) > np.median(list(per_host.values()))
 
     def test_generation_deterministic(self):
         config = EnterpriseConfig(num_hosts=6, num_weeks=1, seed=5)
