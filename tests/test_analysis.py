@@ -280,6 +280,15 @@ class TestCli:
         assert lint_main([str(tmp_path / "nope")]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_without_a_path_lints_src_when_present(self, tmp_path, monkeypatch, capsys):
+        shutil.copytree(VIOLATIONS, tmp_path, dirs_exist_ok=True)
+        shutil.copytree(CLEAN, tmp_path / "src")
+        monkeypatch.chdir(tmp_path)
+        assert lint_main([]) == 0
+        shutil.rmtree(tmp_path / "src")
+        assert lint_main([]) == 1
+        capsys.readouterr()
+
     def test_json_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = lint_main(

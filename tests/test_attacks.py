@@ -169,6 +169,22 @@ class TestBotnet:
         )
         assert low.total_volume() < high.total_volume()
 
+    def test_campaign_per_bin_volume_sums_to_total(self):
+        matrices = {i: _matrix(list(range(20)), host_id=i) for i in range(3)}
+        campaign = Botnet().resourceful_campaign(
+            matrices, {i: 300.0 for i in range(3)}, Feature.TCP_CONNECTIONS
+        )
+        profile = campaign.per_bin_volume()
+        assert profile.shape == (20,)
+        assert profile.sum() == pytest.approx(campaign.total_volume())
+        assert campaign.total_volume() > 0.0
+        empty = Botnet(compromise_probability=0.0).resourceful_campaign(
+            matrices, {i: 300.0 for i in range(3)}, Feature.TCP_CONNECTIONS
+        )
+        assert empty.total_volume() == 0.0
+        with pytest.raises(ValidationError, match="no participating hosts"):
+            empty.per_bin_volume()
+
     def test_control_feature_mapping(self):
         assert CommandAndControl.HTTP.control_feature == Feature.HTTP_CONNECTIONS
         assert CommandAndControl.P2P.control_feature == Feature.UDP_CONNECTIONS

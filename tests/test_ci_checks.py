@@ -434,6 +434,18 @@ class TestCheckTrace:
         assert check_trace.main([str(path), "--counter", "temporal.retrains"]) == 1
         assert check_trace.main([str(tmp_path / "nope.jsonl")]) == 2
 
+    def test_main_unreadable_trace_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"type": "meta", "version": 1}\nnot json\n')
+        assert check_trace.main([str(path)]) == 2
+        assert "not JSON" in capsys.readouterr().err
+        path.write_text('{"type": "event"}\n')
+        assert check_trace.main([str(path)]) == 2
+        assert "unknown trace line type" in capsys.readouterr().err
+        path.write_text('{"type": "counter", "value": 3}\n')
+        assert check_trace.main([str(path)]) == 2
+        assert "check_trace: error:" in capsys.readouterr().err
+
 
 # --------------------------------------------------------- check_lint_report
 def lint_report(findings=None, **overrides):

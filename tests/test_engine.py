@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -193,16 +194,36 @@ class TestSerialization:
                 restored = loaded.matrix(host_id).series(feature).values
                 assert original.dtype == restored.dtype
 
-    def test_bad_magic_is_a_miss(self, tmp_path):
+    def _store_and_rewrite_shard(self, tmp_path, rewrite):
+        """Store a population, rewrite its shard's bytes and record their hash.
+
+        With the new hash in the manifest, only the shard reader can reject them.
+        """
         cache = PopulationCache(tmp_path)
         cache.store(PopulationEngine(workers=1).generate(self.CONFIG))
         layout = cache.path_for(self.CONFIG)
         shard = layout / "shard-00000.rpsh"
-        shard.write_bytes(b"NOPE" + shard.read_bytes()[4:])
-        # Record the new bytes' hash, so only the shard reader can reject them.
+        shard.write_bytes(rewrite(shard.read_bytes()))
         manifest = json.loads((layout / "manifest.json").read_text())
         manifest["shards"][0]["sha256"] = _file_sha256(shard)
         (layout / "manifest.json").write_text(json.dumps(manifest))
+        return cache
+
+    def test_bad_magic_is_a_miss(self, tmp_path):
+        cache = self._store_and_rewrite_shard(tmp_path, lambda data: b"NOPE" + data[4:])
+        assert cache.load(self.CONFIG) is None
+
+    def test_other_format_version_is_a_miss(self, tmp_path):
+        def bump_version(data):
+            (version,) = struct.unpack("<H", data[4:6])
+            return data[:4] + struct.pack("<H", version + 1) + data[6:]
+
+        cache = self._store_and_rewrite_shard(tmp_path, bump_version)
+        assert cache.load(self.CONFIG) is None
+
+    def test_truncated_shard_is_a_miss(self, tmp_path):
+        # Cut inside the host records, after a valid header.
+        cache = self._store_and_rewrite_shard(tmp_path, lambda data: data[:40])
         assert cache.load(self.CONFIG) is None
 
 

@@ -142,6 +142,18 @@ class TestProfiles:
                 total_events=tiny.total_events + 1,
             )
 
+    def test_duplicate_phase_names_rejected(self):
+        ramp = tiny_profile().phases[0]
+        with pytest.raises(ValidationError, match="phase names must be unique"):
+            LoadProfile(
+                name="bad-names",
+                description="one phase name twice",
+                num_hosts=8,
+                num_weeks=2,
+                phases=(ramp, ramp),
+                total_events=2 * ramp.num_events,
+            )
+
     def test_soak_phase_needs_three_weeks(self):
         with pytest.raises(ValidationError, match="soak phases need"):
             LoadProfile(
@@ -390,6 +402,12 @@ class TestLoadgenCli:
         # The saved report renders back through `repro loadgen report`.
         assert cli_main(["loadgen", "report", str(report_path)]) == 0
         assert "loadgen demo" in capsys.readouterr().out
+
+    def test_run_monitor_flag_renders_to_stderr(self, capsys):
+        assert cli_main(["loadgen", "run", "demo", "--no-cache", "--monitor"]) == 0
+        captured = capsys.readouterr()
+        assert "[monitor]" in captured.err
+        assert "host-weeks/s" in captured.out
 
     def test_report_rejects_missing_and_foreign_files(self, tmp_path, capsys):
         assert cli_main(["loadgen", "report", str(tmp_path / "nope.json")]) == 1

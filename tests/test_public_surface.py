@@ -179,3 +179,40 @@ def test_scan_reports_a_function_only_a_test_calls(tmp_path):
     result = scan(tmp_path)
     assert [d.qualname for d in result["test_only"]] == ["orphan", "Thing.tested"]
     assert result["unreferenced"] == []
+
+
+def test_scan_counts_toml_string_and_example_references_as_calls(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "library").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "def named_in_toml():\n    return 1\n\n\n"
+        "def patched_by_name():\n    return 2\n\n\n"
+        "def run_by_example():\n    return 3\n\n\n"
+        "def uncalled():\n    return 4\n"
+    )
+    (package / "library" / "spec.toml").write_text('[scenario]\nkind = "named_in_toml"\n')
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "layers.py").write_text('PATCHED = ["pkg.mod.patched_by_name"]\n')
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from pkg.mod import run_by_example\n\nrun_by_example()\n"
+    )
+    result = scan(tmp_path)
+    assert [d.qualname for d in result["unreferenced"]] == ["uncalled"]
+    assert result["test_only"] == []
+
+
+def test_scan_skips_private_and_nested_definitions(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from pkg.mod import Outer as Alias\n")
+    (package / "mod.py").write_text(
+        "def _private():\n    def nested():\n        return 1\n    return nested()\n\n\n"
+        "class Outer:\n    class Inner:\n        def deep(self):\n            return 2\n\n"
+        "    def _hidden(self):\n        return 3\n\n"
+        "    def shown(self):\n        return 4\n"
+    )
+    result = scan(tmp_path)
+    # The re-export under another name is not a call either.
+    assert [d.qualname for d in result["unreferenced"]] == ["Outer", "Outer.shown"]

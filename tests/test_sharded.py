@@ -121,6 +121,21 @@ class TestShardedEqualsMonolithic:
                 full[host_id].series(Feature.TCP_CONNECTIONS).values,
             )
 
+    def test_iter_shards_walks_every_host_once(self, monolithic, tmp_path):
+        sharded = ShardedPopulation.generate(
+            CONFIG, directory=tmp_path / "pop.rpopd", hosts_per_shard=8
+        )
+        ranges = []
+        for host_range, matrices in sharded.iter_shards():
+            assert sorted(matrices) == list(host_range)
+            for host_id in host_range:
+                np.testing.assert_array_equal(
+                    matrices[host_id].series(Feature.TCP_CONNECTIONS).values,
+                    monolithic.matrix(host_id).series(Feature.TCP_CONNECTIONS).values,
+                )
+            ranges.append(host_range)
+        assert ranges == [range(0, 8), range(8, 16), range(16, 24), range(24, 30)]
+
     def test_residency_stays_bounded(self, tmp_path):
         sharded = ShardedPopulation.generate(
             CONFIG,

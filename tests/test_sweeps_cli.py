@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.sweeps import ResultStore
 from repro.sweeps.cli import main
 
 TINY_SWEEP = """
@@ -215,6 +216,25 @@ class TestSweepReport:
         out = capsys.readouterr().out
         assert "tiny/kind=homogeneous" in out
         assert "mean_utility" in out
+
+    def test_report_renders_sampled_confidence_intervals(self, populated_store, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["sweep", "report", str(populated_store)]) == 0
+        assert "confidence intervals" not in capsys.readouterr().out
+        spec_path = tmp_path / "sampled.toml"
+        spec_path.write_text(TINY_SWEEP + "\n[scenario.evaluation.sample]\nsize = 4\nseed = 1\n")
+        store_path = tmp_path / "sampled.jsonl"
+        run = ["sweep", "run", str(spec_path), "--store", str(store_path), "--no-cache", "--quiet"]
+        assert main(run) == 0
+        capsys.readouterr()
+        assert main(["sweep", "report", str(store_path)]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("Sampled evaluation"):]
+        for record in ResultStore(store_path).records():
+            metrics = record.metrics
+            assert metrics["sample_size"] == 4
+            row = next(line for line in table.splitlines() if record.scenario in line)
+            assert f"[{metrics['utility_ci_low']:.4f}, {metrics['utility_ci_high']:.4f}]" in row
 
     def test_report_pivot(self, populated_store, capsys):
         capsys.readouterr()

@@ -171,6 +171,25 @@ class TestRunner:
         parallel = SweepRunner(engine=parallel_engine, workers=2).run(sweep)
         assert [r.outcome for r in parallel.results] == [r.outcome for r in serial.results]
 
+    def test_parallel_run_streams_every_scenario_once(self, tmp_path):
+        sweep = _sweep({"attack.size": [10.0, 50.0, 400.0]})
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        store = ResultStore(tmp_path / "results.jsonl")
+        seen = []
+        run = SweepRunner(engine=engine, workers=2).run(
+            sweep, store=store, progress=lambda done, total, result: seen.append(
+                (done, total, result.scenario.name)
+            )
+        )
+        names = [scenario.name for scenario in sweep.expand()]
+        assert [result.scenario.name for result in run.results] == names
+        assert run.workers == 2
+        assert [(done, total) for done, total, _ in seen] == [(1, 3), (2, 3), (3, 3)]
+        assert sorted(name for _, _, name in seen) == sorted(names)
+        # Each record is appended before its progress call, so the store holds
+        # the scenarios in the order they finished.
+        assert [record.scenario for record in store.records()] == [name for _, _, name in seen]
+
     def test_run_scenario_equals_runner_outcome(self, tmp_path):
         sweep = _sweep({"attack.size": [60.0]})
         engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")

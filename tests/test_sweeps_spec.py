@@ -106,6 +106,13 @@ class TestExpansionProperties:
     def test_toml_round_trip_is_exact(self, sweep):
         assert SweepSpec.from_toml(sweep.to_toml()) == sweep
 
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_specs())
+    def test_emitted_toml_parses_back_to_the_spec_dict(self, sweep):
+        # The emitter alone, below from_dict's normalisation: quoting of dotted
+        # axis keys and escaping of the generated descriptions included.
+        assert toml_io.loads(sweep.to_toml()) == sweep.to_dict()
+
 
 class TestExpansionSemantics:
     def test_zip_mode_pairs_axes(self):
@@ -641,6 +648,18 @@ class TestBuiltinCatalog:
         with pytest.raises(ValidationError, match="unknown built-in sweep"):
             load_builtin("no-such-sweep")
 
+    def test_packaged_files_re_emit_to_the_same_document(self):
+        from importlib import resources
+
+        root = resources.files("repro.sweeps") / "library"
+        checked = 0
+        for entry in root.iterdir():
+            if entry.name.endswith(".toml"):
+                parsed = toml_io.loads(entry.read_text(encoding="utf-8"))
+                assert toml_io.loads(toml_io.dumps(parsed)) == parsed, entry.name
+                checked += 1
+        assert checked >= 4
+
 
 class TestTomlIO:
     def test_writer_quotes_dotted_keys(self):
@@ -652,6 +671,32 @@ class TestTomlIO:
         for bad in ["just text", "[unclosed", 'key = "unterminated', "a = [1, 2"]:
             with pytest.raises(ValidationError, match="invalid TOML"):
                 toml_io.loads(bad)
+
+    def test_loads_handles_comments_and_multiline_arrays(self):
+        text = '# header\nvalues = [1,  # inline\n  2, 3]\nname = "a#b"  # trailing\n'
+        assert toml_io.loads(text) == {"values": [1, 2, 3], "name": "a#b"}
+
+    def test_dotted_keys_nest_under_the_current_section(self):
+        text = "[scenario]\npopulation.num_hosts = 50\n"
+        assert toml_io.loads(text) == {"scenario": {"population": {"num_hosts": 50}}}
+        sweep = SweepSpec.from_toml(
+            '[sweep]\nname = "dotted"\n\n[scenario]\nname = "base"\n'
+            "population.num_hosts = 50\npopulation.num_weeks = 2\n\n"
+            '[axes]\n"policy.kind" = ["homogeneous"]\n'
+        )
+        assert sweep.scenario.population.num_hosts == 50
+
+    def test_writer_emits_headers_only_for_tables_with_values(self):
+        data = {"top": 1, "a": {"b": {"c": 2}}, "empty": {}}
+        text = toml_io.dumps(data)
+        assert text.splitlines() == ["top = 1", "", "[a.b]", "c = 2", "", "[empty]"]
+        assert toml_io.loads(text) == data
+
+    def test_writer_rejects_what_toml_cannot_hold(self):
+        with pytest.raises(ValidationError, match="cannot represent NoneType"):
+            toml_io.dumps({"a": None})
+        with pytest.raises(ValidationError, match="non-empty strings"):
+            toml_io.dumps({"": 1})
 
     def test_floats_survive_as_floats(self):
         data = {"x": {"a": 1.0, "b": 2, "c": [0.5, 1e-12]}}

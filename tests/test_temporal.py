@@ -177,6 +177,20 @@ class TestRetrainSchedule:
         assert schedule.should_retrain(2, 1, drift_statistic=0.2)
         assert not schedule.should_retrain(2, 1, drift_statistic=0.05)
 
+    def test_constructors_carry_their_parameters(self):
+        assert RetrainSchedule.never() == RetrainSchedule("never")
+        assert RetrainSchedule.never(window_weeks=2) == RetrainSchedule("never", window_weeks=2)
+        assert RetrainSchedule.every_k_weeks(3, window_weeks=2) == RetrainSchedule(
+            "every-k-weeks", period=3, window_weeks=2
+        )
+        assert RetrainSchedule.drift_triggered(0.25, window_weeks=3) == RetrainSchedule(
+            "drift-triggered", threshold=0.25, window_weeks=3
+        )
+        with pytest.raises(ValidationError, match="window_weeks"):
+            RetrainSchedule.never(window_weeks=0)
+        with pytest.raises(ValidationError, match="period"):
+            RetrainSchedule.every_k_weeks(0)
+
     def test_names(self):
         assert RetrainSchedule("never").name == "never"
         assert RetrainSchedule.every_k_weeks(3).name == "every-3-weeks"

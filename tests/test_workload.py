@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.engine import PopulationEngine
 from repro.engine.serialization import config_from_payload
 from repro.features.definitions import Feature, PAPER_FEATURES
+from repro.stats.empirical import EmpiricalDistribution
 from repro.traces.capture import NetworkLocation
 from repro.utils.rng import RandomSource
 from repro.utils.timeutils import DAY, HOUR, MINUTE, WEEK, BinSpec
@@ -318,6 +319,19 @@ class TestEnterprisePopulation:
             return np.log10(values.max() / values.min())
 
         assert spread(Feature.DNS_CONNECTIONS) < spread(Feature.UDP_CONNECTIONS)
+
+    def test_pooled_distribution_dominated_by_heavy_hosts(self, small_population):
+        # The monoculture's global distribution pools every host's samples, so
+        # its tail sits above the typical host's own tail.
+        feature = Feature.TCP_CONNECTIONS
+        distributions = [
+            small_population.matrix(host_id)[feature].distribution()
+            for host_id in small_population.host_ids
+        ]
+        pooled = EmpiricalDistribution.pooled(distributions)
+        assert len(pooled) == sum(len(distribution) for distribution in distributions)
+        per_host = small_population.per_host_percentiles(feature, 99)
+        assert pooled.percentile(99) > np.median(list(per_host.values()))
 
     def test_generation_deterministic(self):
         config = EnterpriseConfig(num_hosts=6, num_weeks=1, seed=5)
