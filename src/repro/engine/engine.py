@@ -154,10 +154,13 @@ def _run_pool(
     work in-process, which is bit-identical anyway.  Any other task error
     (``ValidationError`` etc.) is re-raised once every other task has
     finished and been handed to ``on_result`` — retrying it in-process would
-    just raise the same error more slowly.
+    just raise the same error more slowly.  An error ``on_result`` raises is
+    the caller's, not the pool's, even an ``OSError`` (a full disk under the
+    caller's store): the queued tasks are dropped and it propagates as is.
     """
     recorder = get_recorder()
     task_error: Optional[BaseException] = None
+    callback_failed = False
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as executor:
             futures = [executor.submit(task, *args) for args in arguments]
@@ -172,8 +175,15 @@ def _run_pool(
                     continue
                 if recorder.enabled:
                     recorder.merge(telemetry)
-                on_result(result)
+                try:
+                    on_result(result)
+                except BaseException:
+                    callback_failed = True
+                    executor.shutdown(cancel_futures=True)
+                    raise
     except _POOL_FAILURES:
+        if callback_failed:
+            raise
         return False
     if task_error is not None:
         raise task_error

@@ -52,27 +52,12 @@ DEFAULT_HOSTS_PER_SHARD = 4096
 _SHARD_MAGIC = b"RPSH"
 _MANIFEST_NAME = "manifest.json"
 
+# magic, format version, host count
+_HEADER_STRUCT = struct.Struct("<4sHI")
 # host_id, role index, is_laptop, master_intensity
 _HOST_STRUCT = struct.Struct("<IBBd")
 # scale, body_sigma, burst_probability, burst_alpha
 _INTENSITY_STRUCT = struct.Struct("<dddd")
-
-
-def _write_header(handle, magic: bytes, count: int, version: int) -> None:
-    """Write a magic + version + record-count header."""
-    handle.write(magic)
-    handle.write(struct.pack("<HI", version, count))
-
-
-def _read_header(handle, magic: bytes, version: int) -> int:
-    """Validate a header written by :func:`_write_header`; return the record count."""
-    header = handle.read(len(magic) + 6)
-    if len(header) != len(magic) + 6 or header[: len(magic)] != magic:
-        raise ValidationError("not a valid shard file (bad magic)")
-    file_version, count = struct.unpack("<HI", header[len(magic):])
-    if file_version != version:
-        raise ValidationError(f"unsupported shard format version {file_version}")
-    return count
 # num_bins, bin_width, bin origin
 _MATRIX_STRUCT = struct.Struct("<Idd")
 
@@ -136,7 +121,7 @@ def _write_shard(
     try:
         with open(temporary, "wb") as handle:
             sink = _DigestSink(handle)
-            _write_header(sink, _SHARD_MAGIC, len(host_ids), version=POPULATION_FORMAT_VERSION)
+            sink.write(_HEADER_STRUCT.pack(_SHARD_MAGIC, POPULATION_FORMAT_VERSION, len(host_ids)))
             for host_id in host_ids:
                 profile = profiles[host_id]
                 matrix = matrices[host_id]
@@ -246,7 +231,12 @@ def _read_shard(path: Path) -> ShardEntry:
     ``__array_wrap__``/``__getitem__`` would tax every numpy operation on them.
     """
     with open(path, "rb") as handle:
-        num_hosts = _read_header(handle, _SHARD_MAGIC, version=POPULATION_FORMAT_VERSION)
+        magic, version, num_hosts = _HEADER_STRUCT.unpack(_read_exact(handle, _HEADER_STRUCT.size))
+        require(magic == _SHARD_MAGIC, "not a valid shard file (bad magic)")
+        require(
+            version == POPULATION_FORMAT_VERSION,
+            f"unsupported shard format version {version}",
+        )
         profiles: Dict[int, HostProfile] = {}
         host_ids: List[int] = []
         for _ in range(num_hosts):

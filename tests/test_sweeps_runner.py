@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -257,6 +258,42 @@ class TestRunner:
         # The pool's one result lands first; only the other two run in-process.
         assert seen == [(1, names[1]), (2, names[0]), (3, names[2])]
         assert [record.scenario for record in store.records()] == [name for _, name in seen]
+
+    @pytest.mark.parametrize("where", ["store", "progress"])
+    def test_parallel_callback_error_is_not_a_pool_failure(self, tmp_path, where):
+        # A full disk under the store or a failing progress check raises one of
+        # the errors a broken pool raises.  Only the first call fails, as a
+        # transient error would: it must still propagate, not send the rest of
+        # the sweep to the in-process fallback with the first record lost.
+        sweep = _sweep({"attack.size": [10.0, 50.0, 400.0]})
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        error = OSError(errno.ENOSPC, "No space left on device")
+        calls = []
+
+        class FullDiskOnceStore(ResultStore):
+            def append(self, record):
+                calls.append(record.scenario)
+                if len(calls) == 1:
+                    raise error
+                super().append(record)
+
+        def failing_once_progress(done, total, result):
+            if done == 1:
+                raise AssertionError("progress check")
+
+        store_class = FullDiskOnceStore if where == "store" else ResultStore
+        progress = failing_once_progress if where == "progress" else None
+        with pytest.raises((OSError, AssertionError)) as raised:
+            SweepRunner(engine=engine, workers=2).run(
+                sweep, store=store_class(tmp_path / "results.jsonl"), progress=progress
+            )
+        if where == "store":
+            assert raised.value is error
+            assert len(calls) == 1
+        else:
+            assert str(raised.value) == "progress check"
+            # The record landed before the progress call that failed.
+            assert len(ResultStore(tmp_path / "results.jsonl").records()) == 1
 
 
 class TestSweepResultCache:

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.traces.assembler import ConnectionAssembler, assemble_connections
-from repro.traces.capture import CaptureEnvironment, CaptureSession, NetworkLocation
+from repro.traces.capture import (
+    CaptureEnvironment,
+    CaptureSession,
+    NetworkLocation,
+    segment_lookup,
+)
 from repro.traces.flow import ConnectionRecord, FlowDirection, flow_key_of
 from repro.traces.packet import (
     IPProtocol,
@@ -19,7 +24,7 @@ from repro.traces.packet import (
 from repro.traces.protocols import ApplicationProtocol, classify_connection, is_dns, is_http
 from repro.utils.validation import ValidationError
 
-from helpers import location_at, make_tcp_packet, make_udp_packet, online_fraction
+from helpers import location_at, make_tcp_packet, make_udp_packet
 
 HOST = "10.0.0.5"
 HOST_IP = ip_to_int(HOST)
@@ -187,15 +192,33 @@ class TestCaptureSession:
         session.add_environment(CaptureEnvironment(150.0, 200.0, NetworkLocation.HOME, HOST_IP))
         return session
 
-    def test_location_lookup(self):
-        session = self._session()
-        assert location_at(session, 50.0) == NetworkLocation.OFFICE_WIRED
-        assert location_at(session, 120.0) == NetworkLocation.OFFLINE
-        assert location_at(session, 175.0) == NetworkLocation.HOME
-        assert location_at(session, 500.0) == NetworkLocation.OFFLINE
+    @staticmethod
+    def _segments(session):
+        """The session's timeline as the aligned arrays :func:`segment_lookup` reads."""
+        starts = np.array([environment.start_time for environment in session.environments])
+        ends = np.array([environment.end_time for environment in session.environments])
+        return starts, ends
 
-    def test_online_fraction(self):
-        assert online_fraction(self._session()) == pytest.approx(150.0 / 200.0)
+    def test_segment_lookup_marks_gaps_and_out_of_range_times(self):
+        starts, ends = np.array([0.0, 150.0]), np.array([100.0, 200.0])
+        timestamps = [-1.0, 0.0, 99.999, 100.0, 120.0, 150.0, 199.999, 200.0, 500.0]
+        indices = segment_lookup(starts, ends, timestamps)
+        assert indices.tolist() == [-1, 0, 0, -1, -1, 1, 1, -1, -1]
+
+    def test_vectorised_location_lookup_matches_scalar(self):
+        session = self._session()
+        # Boundaries, segment interiors, and out-of-range timestamps alike.
+        timestamps = [0.0, 50.0, 99.999, 100.0, 120.0, 150.0, 175.0, 199.999, 200.0, 500.0]
+        indices = segment_lookup(*self._segments(session), timestamps)
+        locations = [
+            session.environments[index].location if index >= 0 else NetworkLocation.OFFLINE
+            for index in indices.tolist()
+        ]
+        assert locations == [location_at(session, t) for t in timestamps]
+
+    def test_vectorised_location_lookup_empty_session(self):
+        starts, ends = self._segments(CaptureSession(host_id=2))
+        assert segment_lookup(starts, ends, [0.0, 10.0]).tolist() == [-1, -1]
 
     def test_overlapping_environment_rejected(self):
         session = self._session()

@@ -33,7 +33,13 @@ from repro.workload.events import (
     build_maintenance_events,
 )
 from repro.workload.generator import HostSeriesGenerator, HostTraceGenerator
-from repro.workload.mobility import LOCATION_ACTIVITY, MobilityModel, generate_capture_session
+from repro.workload.mobility import (
+    LOCATION_ACTIVITY,
+    TIMELINE_LOCATIONS,
+    MobilityModel,
+    MobilityTimeline,
+    generate_capture_session,
+)
 from repro.workload.profiles import UserRole, sample_host_profile
 
 from helpers import location_at, online_fraction
@@ -116,6 +122,18 @@ class TestMobility:
         )
         location = location_at(session, 11 * HOUR)  # Monday late morning
         assert location in (NetworkLocation.OFFICE_WIRED, NetworkLocation.OFFICE_WIRELESS)
+
+    def test_activity_factors_follow_the_covering_segment(self):
+        wired = TIMELINE_LOCATIONS.index(NetworkLocation.OFFICE_WIRED)
+        home = TIMELINE_LOCATIONS.index(NetworkLocation.HOME)
+        timeline = MobilityTimeline(
+            np.array([0.0, 150.0]), np.array([100.0, 200.0]), np.array([wired, home])
+        )
+        # Segments end-exclusive; the gap and the time past the end read OFFLINE's 0.
+        factors = timeline.activity_factors([0.0, 99.999, 100.0, 120.0, 150.0, 199.999, 200.0])
+        at_office = LOCATION_ACTIVITY[NetworkLocation.OFFICE_WIRED]
+        at_home = LOCATION_ACTIVITY[NetworkLocation.HOME]
+        assert factors.tolist() == [at_office, at_office, 0.0, 0.0, at_home, at_home, 0.0]
 
     def test_location_activity_covers_all_locations(self):
         assert set(LOCATION_ACTIVITY) == set(NetworkLocation)
