@@ -23,6 +23,8 @@ sort of the same kind of ``(num_hosts, num_bins)`` block per feature-week.
 A :class:`~repro.features.timeseries.PopulationFrame` (a population loaded
 from a one-shard cache layout) is one grid, and both kernels read its
 blocks as views of the mapped shard instead of stacking per-host rows.
+Always-on naive attacks of many sizes are scored from one sorted test-week
+block per grid instead (:func:`naive_false_negatives`).
 
 The result is one :class:`HostPerformanceTable`: per-host results stay numpy
 columns, which the population aggregates read directly, and a
@@ -721,6 +723,48 @@ def measure_assignment(
         if len(tables) == 1:
             return tables[0]
         return HostPerformanceTable.concatenate(tables, list(matrices))
+
+
+def naive_false_negatives(
+    matrices: Mapping[int, FeatureMatrix],
+    assignment,
+    protocol: DetectionProtocol,
+    sizes: Sequence[float],
+) -> np.ndarray:
+    """Each host's FN under an always-on naive attack of each size, as ``(hosts, sizes)``.
+
+    Column ``j`` equals, bit for bit, the FN column :func:`measure_assignment`
+    returns for the one-feature ``protocol`` under ``NaiveAttacker(feature,
+    sizes[j]).builder()``; rows are C-contiguous, in ``matrices`` order.  A bin
+    is missed where ``v + s <= t``, the kernel's own predicate, monotone along a
+    sorted row: one sort per grid, then a binary search per (host, size).  (Not
+    a search for ``t - s``: at ``v = 29``, ``s = 8.8`` and ``t = 37.8`` the bin
+    is missed, but ``37.8 - 8.8 < 29``.)  Size 0 attacks no bin: its FN is 0.
+    """
+    require(protocol.num_features == 1, "naive_false_negatives needs a one-feature protocol")
+    sizes = np.asarray(sizes, dtype=float)
+    require(bool(np.all(sizes >= 0)), "attack sizes must be non-negative")
+    feature, week = protocol.primary_feature, protocol.test_week
+    position = {host_id: index for index, host_id in enumerate(matrices)}
+    false_negatives = np.zeros((len(position), sizes.size))
+    with trace_span("core.measure_sizes", num_hosts=len(matrices), num_sizes=sizes.size):
+        for host_ids, _, block in _window_blocks(matrices, feature, week, week + 1):
+            ordered = np.sort(block, axis=1)
+            num_bins = ordered.shape[1]
+            thresholds = _threshold_vector(assignment, feature, host_ids)[:, None]
+            # Missed bins: the longest prefix of each sorted row that a size
+            # leaves at or below the threshold, grown by halving steps.
+            missed = np.zeros((len(host_ids), sizes.size), dtype=np.int64)
+            step = 1 << (num_bins.bit_length() - 1)
+            while step:
+                grown = missed + step
+                values = np.take_along_axis(ordered, np.minimum(grown, num_bins) - 1, axis=1)
+                missed[(grown <= num_bins) & (values + sizes <= thresholds)] += step
+                step >>= 1
+            # int64 / int64, the division AlarmColumns.from_bin_counts does.
+            rows = [position[host_id] for host_id in host_ids]
+            false_negatives[rows] = np.where(sizes > 0, missed / num_bins, 0.0)
+    return false_negatives
 
 
 def _grid_groups(matrices: Mapping[int, FeatureMatrix], feature: Feature) -> List[Sequence[int]]:

@@ -116,27 +116,16 @@ def candidate_threshold_grid(
     return np.unique(np.append(values, distribution.max() * 1.01 + 1.0))
 
 
-def _rates_at(
-    distribution: EmpiricalDistribution, threshold: float, attack_sizes: np.ndarray
-) -> tuple:
-    """(FP, FN) at ``threshold`` for attacks uniformly drawn from ``attack_sizes``."""
-    false_positive = distribution.exceedance(threshold)
-    if attack_sizes.size == 0:
-        return false_positive, 0.0
-    misses = [1.0 - distribution.shifted_exceedance(threshold, size) for size in attack_sizes]
-    return false_positive, float(np.mean(misses))
-
-
 def _member_rate_matrices(
     distributions: Sequence[EmpiricalDistribution],
     candidates: np.ndarray,
     attack_sizes: np.ndarray,
 ) -> tuple:
-    """Vectorised :func:`_rates_at` over the whole candidate grid.
+    """Each member's training (FP, FN) at each candidate, as two ``(candidates, members)`` arrays.
 
-    Returns ``(fp, fn)`` arrays of shape ``(num_candidates, num_members)``;
-    member values sit contiguously per candidate so row reductions match the
-    scalar loop's float summation order exactly.
+    FN is the chance of missing an attack whose size is drawn uniformly from
+    ``attack_sizes`` (0 when there are none).  Member values sit contiguously
+    per candidate, so a mean over members sums each row pairwise.
     """
     fp = np.empty((candidates.size, len(distributions)))
     fn = np.zeros((candidates.size, len(distributions)))

@@ -24,8 +24,12 @@ import numpy as np
 
 from repro.attacks.mimicry import mimicry_builder
 from repro.attacks.naive import NaiveAttacker
-from repro.core import evaluation as core_evaluation
-from repro.core.evaluation import DetectionProtocol, PolicyEvaluation, evaluate_policy
+from repro.core.evaluation import (
+    DetectionProtocol,
+    PolicyEvaluation,
+    evaluate_policy,
+    naive_false_negatives,
+)
 from repro.core.fusion import FusionRule
 from repro.core.metrics import utility_from_rate_arrays
 from repro.core.policies import (
@@ -106,18 +110,6 @@ def default_attack_sizes(population: EnterprisePopulation, feature: Feature) -> 
     return tuple(float(round(x)) for x in np.linspace(maximum / 20.0, maximum, 10))
 
 
-def _mean_over_sizes(fn_columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Each host's FN averaged over the attack sizes, given one FN column per size.
-
-    The columns become C-order rows of one host each, so ``mean(axis=1)``
-    sums every row pairwise: each host's mean is bit-identical to
-    ``np.mean`` of that host's own FN list.  (An axis-0 mean over a
-    ``(sizes, hosts)`` block adds sequentially and can differ in the last
-    bit.)
-    """
-    return np.stack(fn_columns, axis=1).mean(axis=1)
-
-
 def run_fig3(
     population: EnterprisePopulation,
     feature: Feature = Feature.TCP_CONNECTIONS,
@@ -155,33 +147,22 @@ def run_fig3(
         utility_weight=utility_weight,
     )
 
-    # The evaluated attacks: one always-on naive injection per swept size,
-    # each with the batch form the measurement path prefers.
-    first_builder, *other_builders = [
-        NaiveAttacker(feature=feature, attack_size=size).builder() for size in sizes
-    ]
+    # The evaluated attacks: one always-on naive injection per swept size.
+    first_builder = NaiveAttacker(feature=feature, attack_size=sizes[0]).builder()
     evaluations: Dict[str, PolicyEvaluation] = {}
     rates: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for policy in policies:
         # A host's threshold depends on the training week, never on the
-        # attack: train and assign once, under the first size, then only
-        # re-measure that assignment under every other size.  Each host's FN
-        # is averaged over the sizes; FP does not depend on the attack, so it
-        # is taken from the first evaluation.
+        # attack: train and assign once, under the first size, then score
+        # that assignment under every size.  Each host's FN is averaged over
+        # the sizes (a C-order row mean sums pairwise, as np.mean of the
+        # host's own FN list does); FP does not depend on the attack.
         first = evaluate_policy(matrices, policy, protocol, attack_builder=first_builder)
         evaluations[policy.name] = first
-        fn_columns = [first.performances.fused.false_negative_rates]
-        for builder in other_builders:
-            # Looked up on repro.core.evaluation at call time (not imported by
-            # name), like evaluate_policy's own measurement call, so a wrapper
-            # installed on that module (perfbench's layer tracing) sees it too.
-            performances = core_evaluation.measure_assignment(
-                matrices, first.assignment, protocol, attack_builder=builder
-            )
-            fn_columns.append(performances.fused.false_negative_rates)
+        false_negatives = naive_false_negatives(matrices, first.assignment, protocol, sizes)
         rates[policy.name] = (
             first.performances.fused.false_positive_rates,
-            _mean_over_sizes(fn_columns),
+            false_negatives.mean(axis=1),
         )
 
     def utilities_at(policy_name: str, weight: float) -> np.ndarray:

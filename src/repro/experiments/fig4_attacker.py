@@ -15,7 +15,7 @@ monoculture value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -23,16 +23,16 @@ from repro.attacks import mimicry
 # Unused here, but perfbench/layers.py times it by patching this module's
 # attribute (read with getattr), so the name must stay importable.
 from repro.attacks.mimicry import hidden_traffic_by_host  # noqa: F401
-from repro.attacks.naive import NaiveAttacker, attack_size_sweep
+from repro.attacks.naive import attack_size_sweep
 from repro.core.evaluation import (
     DetectionProtocol,
-    PolicyEvaluation,
     _threshold_vector,
     _window_blocks,
     detection_training_distributions,
-    measure_assignment,
-    # Unused here, but perfbench/layers.py times it by patching this module's
-    # attribute (read with getattr), so the name must stay importable.
+    naive_false_negatives,
+    # Unused here, but perfbench/layers.py times them by patching this module's
+    # attributes (read with getattr), so the names must stay importable.
+    measure_assignment,  # noqa: F401
     training_distributions,  # noqa: F401
 )
 from repro.core.policies import (
@@ -126,9 +126,7 @@ def run_fig4(
 
     # Training and threshold assignment are attack-independent, so they are
     # computed once per policy and reused across the whole size sweep and by
-    # panel (b) — the per-size evaluation is measurement only (identical
-    # numbers to running the full evaluate_policy per size, which re-derived
-    # the same assignment every time).
+    # panel (b).
     training = detection_training_distributions(
         matrices,
         protocol.features,
@@ -144,20 +142,12 @@ def run_fig4(
         for policy in policies
     }
 
-    detection_curves: Dict[str, List[float]] = {policy.name: [] for policy in policies}
-    for size in sizes:
-        attack_builder = NaiveAttacker(feature=feature, attack_size=size).builder()
-        for policy in policies:
-            performances = measure_assignment(
-                matrices, assignments[policy.name], protocol, attack_builder=attack_builder
-            )
-            evaluation = PolicyEvaluation(
-                policy_name=policy.name,
-                protocol=protocol,
-                assignment=assignments[policy.name],
-                performances=performances,
-            )
-            detection_curves[policy.name].append(evaluation.fraction_raising_alarm())
+    # Every size is at least 1, so every host is attacked, and the fraction
+    # of hosts raising an alarm at a size is the fraction whose FN is below 1.
+    detection_curves: Dict[str, Tuple[float, ...]] = {}
+    for policy in policies:
+        fn = naive_false_negatives(matrices, assignments[policy.name], protocol, sizes)
+        detection_curves[policy.name] = tuple(np.mean(fn < 1.0, axis=0).tolist())
 
     # Panel (b): resourceful (mimicry) attacker hidden traffic.  The hosts of
     # each bin grid read their test week as one block (a frame view, or a
@@ -179,7 +169,7 @@ def run_fig4(
     return AttackerResult(
         feature=feature,
         attack_sizes=sizes,
-        detection_curves={name: tuple(values) for name, values in detection_curves.items()},
+        detection_curves=detection_curves,
         hidden_traffic=hidden,
         evasion_probability=evasion_probability,
     )

@@ -237,10 +237,6 @@ class EmpiricalDistribution:
         self._require_samples()
         return _sorted_percentiles(self._sorted, values)
 
-    def rank(self, value: float) -> float:
-        """Return the percentile rank of ``value`` (0-100)."""
-        return 100.0 * self.cdf(value)
-
     def shifted_exceedance(self, threshold: float, shift: float) -> float:
         """Return ``P(X + shift > threshold)``.
 
@@ -248,17 +244,6 @@ class EmpiricalDistribution:
         ``shift`` units of traffic on top of the benign feature value.
         """
         return self.exceedance(threshold - shift)
-
-    def headroom(self, threshold: float, quantile: float = 0.5) -> float:
-        """Return ``threshold - quantile(X)``: the attacker's hidden-traffic room.
-
-        The paper's Figure 4(b) measures the "room" ``T - g`` an attacker can
-        exploit; by default this uses the median of the benign distribution as
-        the reference point for ``g``.
-        """
-        require_probability(quantile, "quantile")
-        self._require_samples()
-        return threshold - self.quantile(quantile)
 
     def largest_hidden_shift(self, threshold: float, evasion_probability: float) -> float:
         """Largest additive shift ``b`` with ``P(X + b < threshold) >= evasion_probability``.

@@ -47,6 +47,7 @@ SPAN_NAMES = (
     "core.assign",
     "core.evaluate",
     "core.measure",
+    "core.measure_sizes",
     "core.train",
     "engine.cache.deserialize",
     "engine.cache.read",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attacks.naive import NaiveAttacker
 from repro.core.policies import ConfigurationPolicy
 from repro.experiments import (
     run_all_experiments,
@@ -105,15 +106,22 @@ class TestFig3:
         with use_recorder(recorder):
             result = run_fig3(tiny_population)
         assert recorder.counters["optimize.assignments"] == 3
-        # Every policy is still measured under every one of the ten attack sizes.
+        # One kernel pass per policy (its evaluation under the first size);
+        # all ten sizes are scored from one sorted test week per policy.
         measured = [span for span in recorder.spans if span.name == "core.measure"]
-        assert len(measured) == 3 * 10
-        assert recorder.counters["core.host_weeks_measured"] == 3 * 10 * len(tiny_population)
+        assert len(measured) == 3
+        swept = [span for span in recorder.spans if span.name == "core.measure_sizes"]
+        assert [span.attributes["num_sizes"] for span in swept] == [10, 10, 10]
+        assert recorder.counters["core.host_weeks_measured"] == 3 * len(tiny_population)
         assert set(result.evaluations) == {"homogeneous", "full-diversity", "8-partial"}
 
     def test_requires_an_attack_size(self, tiny_population):
         with pytest.raises(ValidationError):
             run_fig3(tiny_population, attack_sizes=())
+
+    def test_rejects_a_negative_attack_size(self, tiny_population):
+        with pytest.raises(ValidationError):
+            run_fig3(tiny_population, attack_sizes=(5.0, -1.0))
 
 
 class TestTable3:
@@ -157,6 +165,24 @@ class TestFig4:
         monkeypatch.setattr(ConfigurationPolicy, "compute_thresholds", counted)
         run_fig4(tiny_population, num_attack_sizes=6)
         assert sorted(calls) == ["8-partial", "full-diversity", "homogeneous"]
+
+    def test_size_sweep_makes_no_kernel_pass(self, tiny_population, monkeypatch):
+        """Panel (a) scores every size from one sorted test week per policy."""
+        builds = []
+        original = NaiveAttacker.batch_amounts
+
+        def counted(self, *args, **kwargs):
+            builds.append(self.attack_size)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(NaiveAttacker, "batch_amounts", counted)
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            result = run_fig4(tiny_population, num_attack_sizes=6)
+        assert [span for span in recorder.spans if span.name == "core.measure"] == []
+        swept = [span for span in recorder.spans if span.name == "core.measure_sizes"]
+        assert [span.attributes["num_sizes"] for span in swept] == [len(result.attack_sizes)] * 3
+        assert builds == []
 
 
 class TestFig5:

@@ -26,6 +26,12 @@ generated population (plain dict matrices) and on the same population stored
 and loaded back through a :class:`PopulationCache`, whose matrices are a
 :class:`PopulationFrame` that the kernels read as views of the mapped shard.
 
+The naive attack-size sweep behind Figure 3's size average and Figure 4(a)
+(``naive_false_negatives``) has the kernel itself as its oracle: each of its
+columns must equal the FN of one ``measure_assignment`` pass at that size,
+byte for byte, on hypothesis-drawn weeks, mixed grids, cached frames and the
+350-host benchmark population.
+
 The last part is the reference oracle for the population aggregates: every
 aggregate read from a :class:`HostPerformanceTable`'s columns must equal, bit
 for bit, the same aggregate computed host by host from the per-host loop's
@@ -40,11 +46,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.base import AttackTrace, FeatureInjection
 from repro.attacks.botnet import CommandAndControl
 from repro.attacks.mimicry import MimicryAttacker, hidden_traffic_by_host
-from repro.attacks.naive import NaiveAttacker
+from repro.attacks.naive import NaiveAttacker, attack_size_sweep
 from repro.attacks.storm import generate_storm_trace, storm_builder
 from repro.core.evaluation import (
     AlarmColumns,
@@ -55,6 +63,7 @@ from repro.core.evaluation import (
     detection_training_distributions,
     evaluate_policy,
     measure_assignment,
+    naive_false_negatives,
     training_distributions,
 )
 from repro.core.experiment import ScenarioOutcome, summarize_scenario
@@ -69,9 +78,9 @@ from repro.core.policies import (
     ThresholdAssignment,
 )
 from repro.core.sampling import SampleSpec, bootstrap_mean_interval
-from repro.core.thresholds import PercentileHeuristic
+from repro.core.thresholds import PercentileHeuristic, UtilityHeuristic
 from repro.engine.cache import PopulationCache
-from repro.experiments.fig3_utility import _mean_over_sizes, run_fig3, run_fig3_cooptimized
+from repro.experiments.fig3_utility import default_attack_sizes, run_fig3, run_fig3_cooptimized
 from repro.experiments.fig4_attacker import run_fig4
 from repro.experiments.fig5_storm import run_fig5
 from repro.experiments.table3_alarms import run_table3
@@ -257,11 +266,20 @@ class TestGoldenBitIdentity:
             assert actual == expected["evaluations"][name]
 
     def test_fig3_size_average_matches_per_host_mean(self):
-        """On random FNs (the fixture's are too regular to tell summation orders apart)."""
+        """On irregular FNs (the fixture's are too regular to tell summation orders apart).
+
+        fig3 averages the rows of the C-order ``(hosts, sizes)`` array
+        :func:`naive_false_negatives` returns, which sums each row pairwise,
+        as ``np.mean`` of one host's own FN list does.
+        """
         rng = np.random.default_rng(2009)
-        columns = [rng.random(350) for _ in range(10)]
-        expected = [float(np.mean([column[host] for column in columns])) for host in range(350)]
-        assert _mean_over_sizes(columns).tolist() == expected
+        matrices = _tcp_week(rng.poisson(20.0, size=(350, 641)).astype(float))
+        assignment = _tcp_assignment(dict(enumerate(rng.uniform(10.0, 60.0, 350).tolist())))
+        fn = naive_false_negatives(matrices, assignment, SIZE_PROTOCOL, rng.uniform(0, 40, 10))
+        expected = [float(np.mean(row)) for row in fn.tolist()]
+        assert fn.mean(axis=1).tolist() == expected
+        # The data tells the orders apart: a sequential sum over the sizes differs.
+        assert np.ascontiguousarray(fn.T).mean(axis=0).tolist() != expected
 
     def test_table3_matches_fixture(self, golden_figures, golden_population):
         result = run_table3(golden_population)
@@ -455,6 +473,41 @@ def _full_diversity(matrices, protocol):
     return FullDiversityPolicy(PercentileHeuristic(99.0)).assign(training, fusion=protocol.fusion)
 
 
+#: A one-feature protocol testing week 0, for hand-built test weeks.
+SIZE_PROTOCOL = DetectionProtocol(features=(Feature.TCP_CONNECTIONS,), train_week=1, test_week=0)
+
+
+def _tcp_week(rows):
+    """Host ``i``'s TCP counts over week 0 (15-minute bins) are ``rows[i]``."""
+    spec = BinSpec(15 * MINUTE)
+    return {
+        host_id: FeatureMatrix(host_id, {Feature.TCP_CONNECTIONS: TimeSeries(row, spec)})
+        for host_id, row in enumerate(rows)
+    }
+
+
+def _tcp_assignment(thresholds) -> DetectionAssignment:
+    """TCP ``thresholds`` (host id -> float), one group per host."""
+    groups = tuple((host_id,) for host_id in thresholds)
+    grouping = GroupAssignment(groups=groups, strategy_name="fixed")
+    tcp = ThresholdAssignment(dict(thresholds), grouping, tuple(thresholds.values()), "fixed")
+    return DetectionAssignment(per_feature={Feature.TCP_CONNECTIONS: tcp}, policy_name="fixed")
+
+
+def _assert_naive_columns_match_kernel(matrices, assignment, protocol, sizes):
+    """Column ``j`` of :func:`naive_false_negatives` is the kernel's FN under ``sizes[j]``.
+
+    Byte for byte: one ``measure_assignment`` pass per size is the oracle.
+    """
+    fn = naive_false_negatives(matrices, assignment, protocol, sizes)
+    assert fn.shape == (len(matrices), len(sizes))
+    assert fn.dtype == np.float64 and fn.flags.c_contiguous
+    for column, size in enumerate(sizes):
+        builder = NaiveAttacker(protocol.primary_feature, size).builder()
+        table = measure_assignment(matrices, assignment, protocol, attack_builder=builder)
+        assert fn[:, column].tobytes() == table.fused.false_negative_rates.tobytes(), size
+
+
 class TestBatchedEqualsPerHostLoop:
     @pytest.fixture(scope="class", params=SOURCES)
     def population(self, request, tmp_path_factory):
@@ -523,6 +576,15 @@ class TestBatchedEqualsPerHostLoop:
         )
         table, rows = _measure_both(matrices, assignment, protocol, attack)
         assert table == rows
+
+    def test_naive_size_sweep_equals_the_kernel_per_size(self, population):
+        """On the cached population the sorted week is a copy of the frame's read-only view."""
+        protocol = PROTOCOLS["single"]
+        matrices = population.matrices()
+        sizes = (0.0, 0.5, 3.0, 12.0, 12.5, 80.0)
+        _assert_naive_columns_match_kernel(
+            matrices, _full_diversity(matrices, protocol), protocol, sizes
+        )
 
     def test_irregular_grid_measured_per_grid(self, population):
         """A host with fewer bins is measured on its own grid, in input order."""
@@ -602,6 +664,14 @@ class TestMixedBinGrids:
         )
         assert table == rows
         assert list(table) == list(matrices)
+
+    def test_naive_size_sweep_sorts_each_grid(self, interleaved):
+        """One sorted block per grid, rows back in input order."""
+        matrices, _ = interleaved
+        protocol = PROTOCOLS["single"]
+        _assert_naive_columns_match_kernel(
+            matrices, _full_diversity(matrices, protocol), protocol, (0.0, 1.0, 3.5, 12.0, 40.0)
+        )
 
     def test_fig4_hidden_traffic_matches_per_host_plans(self, interleaved):
         """Panel (b) scores one block per grid; the per-host plans are the reference."""
@@ -858,6 +928,114 @@ class TestHandComputedWeek:
         assert evaluation.detection_rates() == {1: 1.0, 2: 0.0}
         assert evaluation.fraction_raising_alarm() == 0.5
         assert evaluation.total_false_alarms() == 3
+
+
+class TestNaiveFalseNegatives:
+    """:func:`naive_false_negatives` against one ``measure_assignment`` pass per size."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_weeks_match_the_kernel(self, data):
+        """Ties, non-integer sizes, size 0 and thresholds at, just above and just below v + s."""
+        num_bins = data.draw(st.integers(1, 40))
+        value = st.one_of(
+            st.integers(0, 30).map(float),
+            st.sampled_from([0.1, 2.5, 8.8, 29.0, 37.8]),
+            st.floats(0.0, 100.0),
+        )
+        row = st.lists(value, min_size=num_bins, max_size=num_bins)
+        rows = data.draw(st.lists(row, min_size=1, max_size=5))
+        size = st.one_of(
+            st.just(0.0),
+            st.integers(1, 40).map(float),
+            st.sampled_from([0.1, 0.3, 8.8]),
+            st.floats(0.0, 60.0),
+        )
+        sizes = data.draw(st.lists(size, min_size=1, max_size=6))
+        thresholds = {}
+        for host_id, values in enumerate(rows):
+            edge = data.draw(st.sampled_from(values)) + data.draw(st.sampled_from(sizes))
+            near = [edge, float(np.nextafter(edge, np.inf)), float(np.nextafter(edge, -np.inf))]
+            thresholds[host_id] = data.draw(st.sampled_from(near) | st.floats(0.0, 150.0))
+        _assert_naive_columns_match_kernel(
+            _tcp_week(rows), _tcp_assignment(thresholds), SIZE_PROTOCOL, sizes
+        )
+
+    def test_missed_bin_a_shifted_threshold_search_gets_wrong(self):
+        """29 + 8.8 <= 37.8 holds, so the bin is missed, yet 37.8 - 8.8 < 29."""
+        assert 29.0 + 8.8 <= 37.8 and 37.8 - 8.8 < 29.0
+        matrices = _tcp_week([[29.0, 50.0, 29.0, 1.0]])
+        assignment = _tcp_assignment({0: 37.8})
+        # Bins 0, 2 and 3 are missed; a search for 37.8 - 8.8 finds bin 3 only.
+        assert naive_false_negatives(matrices, assignment, SIZE_PROTOCOL, [8.8]).tolist() == [
+            [0.75]
+        ]
+        _assert_naive_columns_match_kernel(matrices, assignment, SIZE_PROTOCOL, [8.8])
+
+    def test_size_zero_attacks_no_bin(self):
+        matrices = _tcp_week([[5.0, 5.0, 20.0, 5.0], [1.0, 1.0, 1.0, 1.0]])
+        assignment = _tcp_assignment({0: 10.0, 1: 10.0})
+        fn = naive_false_negatives(matrices, assignment, SIZE_PROTOCOL, [0.0, 5.0, 9.0, 10.0])
+        assert fn.tolist() == [[0.0, 0.75, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]]
+
+    def test_one_span_and_no_kernel_count(self):
+        matrices = _tcp_week([[5.0, 6.0], [7.0, 8.0]])
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            naive_false_negatives(
+                matrices, _tcp_assignment({0: 9.0, 1: 9.0}), SIZE_PROTOCOL, [1.0, 2.0, 3.0]
+            )
+        assert [(span.name, span.attributes) for span in recorder.spans] == [
+            ("core.measure_sizes", {"num_hosts": 2, "num_sizes": 3})
+        ]
+        assert "core.host_weeks_measured" not in recorder.counters
+
+    def test_rejects_a_two_feature_protocol(self):
+        matrices = _tcp_week([[5.0, 6.0]])
+        with pytest.raises(ValidationError, match="one-feature"):
+            naive_false_negatives(
+                matrices, _tcp_assignment({0: 9.0}), PROTOCOLS["multi-any"], [1.0]
+            )
+
+    def test_rejects_a_negative_size(self):
+        matrices = _tcp_week([[5.0, 6.0]])
+        with pytest.raises(ValidationError, match="non-negative"):
+            naive_false_negatives(matrices, _tcp_assignment({0: 9.0}), SIZE_PROTOCOL, [1.0, -0.5])
+
+
+class TestNaiveSizeSweepAtPaperScale:
+    """fig3's and fig4(a)'s size sweeps on the 350-host x 2-week seed-2009 population.
+
+    Every column must equal one kernel pass byte for byte, for every policy
+    of both figures, on a generated and on a cached population.
+    """
+
+    @pytest.fixture(scope="class", params=SOURCES)
+    def population(self, request, tmp_path_factory):
+        config = EnterpriseConfig(num_hosts=350, num_weeks=2, seed=2009)
+        return _population(config, request.param, tmp_path_factory.mktemp("paper-scale"))
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_every_column_equals_the_kernel(self, population, figure):
+        feature = Feature.TCP_CONNECTIONS
+        matrices = population.matrices()
+        if figure == "fig3":
+            sizes = default_attack_sizes(population, feature)
+            heuristic = UtilityHeuristic(weight=0.4, attack_sizes=sizes)
+        else:
+            max_size = max(population.max_observed(feature), 10.0)
+            sizes = tuple(attack_size_sweep(max_size, 12).tolist())
+            heuristic = PercentileHeuristic(99.0)
+        protocol = DetectionProtocol(features=(feature,))
+        training = detection_training_distributions(matrices, protocol.features, 0)
+        policies = (
+            HomogeneousPolicy(heuristic),
+            FullDiversityPolicy(heuristic),
+            PartialDiversityPolicy(heuristic, num_groups=8),
+        )
+        for policy in policies:
+            assignment = policy.assign(training, fusion=protocol.fusion)
+            _assert_naive_columns_match_kernel(matrices, assignment, protocol, sizes)
 
 
 # --- Reference oracle: the per-host aggregate formulas, over HostPerformance rows.
