@@ -26,6 +26,13 @@ be regression-tested bit for bit against the code it replaced:
     and a desktop.  The measurement fixtures read only what is measured; this
     one moves with any change to an unmeasured feature, a late week or a
     ``-0.0``.
+``tests/data/golden_observability.json``
+    The bytes the observability surfaces print, one list of lines per text:
+    the fake-clock report and BENCH JSON of three load profiles, a SHA-256 of
+    the ``demo`` plan, and, for one fake-clock synthetic run, the metrics
+    record (``repro metrics show``), its OpenMetrics export, a metrics diff,
+    the trace report (text and JSON) and the ``--monitor`` byte stream.  The
+    builders live in ``tests/helpers.py``, which the test imports too.
 
 Run it at the parent commit of the change being guarded, then copy the
 fixtures into the change.  At any commit whose tests pass, every fixture
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from repro.attacks.mimicry import hidden_traffic_by_host
@@ -71,7 +79,8 @@ from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 from repro.workload.mobility import MobilityModel, generate_capture_session
 from repro.workload.profiles import UserRole
 
-DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+DATA = TESTS / "data"
 
 CONFIG = EnterpriseConfig(num_hosts=24, num_weeks=2, seed=77)
 
@@ -429,6 +438,14 @@ def capture_population() -> dict:
     return {"populations": populations, "capture_sessions": sessions}
 
 
+def capture_observability() -> str:
+    """The observability fixture, one JSON line per text line so diffs stay small."""
+    sys.path.insert(0, str(TESTS))
+    from helpers import observability_golden
+
+    return json.dumps(observability_golden(), indent=1, sort_keys=True) + "\n"
+
+
 def main() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
     for name, golden in (
@@ -439,6 +456,9 @@ def main() -> None:
         path = DATA / name
         path.write_text(json.dumps(golden, sort_keys=True, separators=(",", ":")))
         print(f"wrote {path} ({path.stat().st_size} bytes)")
+    path = DATA / "golden_observability.json"
+    path.write_text(capture_observability())
+    print(f"wrote {path} ({path.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import FakeClock, tiny_profile, tiny_soak_profile
 from repro.engine import PopulationEngine
 from repro.loadgen import (
     PROFILE_NAMES,
@@ -34,52 +35,6 @@ from repro.sweeps.spec import PopulationSpec
 from repro.utils.validation import ValidationError
 
 SEED_BENCH = Path(__file__).resolve().parents[1] / "BENCH_20260727_seed.json"
-
-
-def tiny_profile(seed: int = 7) -> LoadProfile:
-    """A fast two-phase profile exercising the direct evaluation paths."""
-    return LoadProfile(
-        name="tiny",
-        description="test profile",
-        num_hosts=8,
-        num_weeks=2,
-        phases=(
-            PhaseSpec(name="ramp", kind="steady-ramp", num_events=2, host_fraction=0.5),
-            PhaseSpec(
-                name="faults",
-                kind="failure-injection",
-                num_events=2,
-                host_fraction=0.75,
-                drop_fraction=0.25,
-                corrupt_fraction=0.25,
-            ),
-        ),
-        total_events=4,
-        seed=seed,
-    )
-
-
-def tiny_soak_profile() -> LoadProfile:
-    """A one-event soak profile exercising the timeline path."""
-    return LoadProfile(
-        name="tiny-soak",
-        description="test soak profile",
-        num_hosts=8,
-        num_weeks=3,
-        phases=(PhaseSpec(name="soak", kind="soak", num_events=1),),
-        total_events=1,
-    )
-
-
-class FakeClock:
-    """Monotonic counter advancing one second per call."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        self.now += 1.0
-        return self.now
 
 
 def fresh_engine() -> PopulationEngine:
