@@ -7,11 +7,12 @@ expand — deterministically per seed — into phased event streams
 (steady-ramp, burst, flash-crowd replay, failure injection, multi-week
 soak) with Zipf/hot-key skew over hosts and features, and the
 :class:`~repro.loadgen.orchestrator.LoadOrchestrator` drives the existing
-evaluation machinery while recording throughput (scenarios/s,
-host-weeks/s) and latency percentiles (p50/p95/p99 per phase).  Reports
-serialize to pytest-benchmark-compatible ``BENCH_*.json`` payloads so
-loadgen numbers accumulate in the same perf trajectory
-``scripts/bench_compare.py`` gates on.
+evaluation machinery under a telemetry recorder.  Each phase's throughput
+(scenarios/s, host-weeks/s) and latency percentiles (p50/p95/p99) come from
+the evaluation spans the run's trace holds under that phase and from its
+planned events.  Reports serialize to pytest-benchmark-compatible
+``BENCH_*.json`` payloads so loadgen numbers accumulate in the same perf
+trajectory ``scripts/bench_compare.py`` gates on.
 
 CLI surface: ``repro loadgen list | run | report``.
 """
@@ -19,7 +20,6 @@ CLI surface: ``repro loadgen list | run | report``.
 from repro.loadgen.metrics import (
     BENCH_FORMAT_VERSION,
     LoadReport,
-    MetricsRecorder,
     PhaseMetrics,
     bench_stats,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "LoadOrchestrator",
     "LoadProfile",
     "LoadReport",
-    "MetricsRecorder",
     "PHASE_KINDS",
     "PROFILE_NAMES",
     "PROFILES",

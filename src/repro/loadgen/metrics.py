@@ -1,12 +1,13 @@
 """Load-run metrics: throughput, latency percentiles and BENCH-style JSON.
 
-The orchestrator feeds one latency sample per executed work item into a
-:class:`MetricsRecorder`; :class:`PhaseMetrics` summarises each phase
-(p50/p95/p99 latency, scenarios/s, host-weeks/s) and :class:`LoadReport`
-serialises the whole run — either as a plain report dict or as a
-pytest-benchmark-compatible payload (:meth:`LoadReport.to_bench_json`) so
-loadgen numbers land in the same ``BENCH_*.json`` trajectory the benchmark
-harness feeds and ``scripts/bench_compare.py`` gates on.
+After each phase the orchestrator reads the phase's latency samples off the
+run's trace (one per evaluation span recorded under its ``loadgen.phase``
+span) into a :class:`PhaseMetrics`, which summarises the phase (p50/p95/p99
+latency, scenarios/s, host-weeks/s); :class:`LoadReport` serialises the
+whole run — either as a plain report dict or as a pytest-benchmark-compatible
+payload (:meth:`LoadReport.to_bench_json`) so loadgen numbers land in the
+same ``BENCH_*.json`` trajectory the benchmark harness feeds and
+``scripts/bench_compare.py`` gates on.
 
 All derived statistics are pure functions of the recorded samples: run the
 orchestrator under an injected fake clock and the report reproduces bit for
@@ -17,28 +18,26 @@ from __future__ import annotations
 
 import platform
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.loadgen.profiles import LoadProfile
+from repro.telemetry import duration_percentile
 from repro.utils.validation import require
 
 #: pytest-benchmark payload version the BENCH trajectory files use.
 BENCH_FORMAT_VERSION = "5.2.3"
 
 
-def _percentile(samples: Tuple[float, ...], q: float) -> float:
-    return float(np.percentile(np.asarray(samples, dtype=float), q))
-
-
 @dataclass(frozen=True)
 class PhaseMetrics:
     """Summary of one executed phase.
 
-    ``latencies`` holds one wall-clock sample per completed work item (for
-    soak phases: one per deployed timeline week); ``host_weeks`` is the total
-    volume of host-week evaluations the phase pushed through the engine, the
+    ``latencies`` holds the durations of the evaluation spans recorded under
+    the phase, one per completed work item (for soak phases: one per
+    deployed timeline week); ``host_weeks`` is the total volume of host-week
+    evaluations the phase's planned events pushed through the engine, the
     throughput unit the million-host roadmap item is judged in.
     """
 
@@ -64,17 +63,17 @@ class PhaseMetrics:
     @property
     def p50(self) -> float:
         """Median per-item latency (seconds)."""
-        return _percentile(self.latencies, 50.0)
+        return duration_percentile(self.latencies, 50.0)
 
     @property
     def p95(self) -> float:
         """95th-percentile per-item latency (seconds)."""
-        return _percentile(self.latencies, 95.0)
+        return duration_percentile(self.latencies, 95.0)
 
     @property
     def p99(self) -> float:
         """99th-percentile per-item latency (seconds)."""
-        return _percentile(self.latencies, 99.0)
+        return duration_percentile(self.latencies, 99.0)
 
     # -------------------------------------------------------------- throughput
     @property
@@ -112,49 +111,14 @@ class PhaseMetrics:
         }
 
 
-class MetricsRecorder:
-    """Accumulates per-item latency and volume samples for one phase."""
-
-    def __init__(self, name: str, kind: str) -> None:
-        self.name = name
-        self.kind = kind
-        self._latencies: List[float] = []
-        self._host_weeks = 0.0
-        self._num_events = 0
-
-    def record(self, latency: float, host_weeks: float, events: int = 1) -> None:
-        """Record one completed work item (or timeline week)."""
-        self._latencies.append(float(latency))
-        self._host_weeks += float(host_weeks)
-        self._num_events += events
-
-    def count_events(self, events: int) -> None:
-        """Count completed work items without adding a latency sample.
-
-        Soak phases record one *latency* per deployed week but count as one
-        work item: each week's sample passes ``events=0`` and the finished
-        timeline is counted here.
-        """
-        self._num_events += events
-
-    def finish(self, duration_seconds: float) -> PhaseMetrics:
-        """Freeze into a :class:`PhaseMetrics` for the report."""
-        return PhaseMetrics(
-            name=self.name,
-            kind=self.kind,
-            num_events=self._num_events,
-            latencies=tuple(self._latencies),
-            host_weeks=self._host_weeks,
-            duration_seconds=duration_seconds,
-        )
-
-
 @dataclass(frozen=True)
 class LoadReport:
     """The full result of one load-generation run.
 
     ``engine_cache`` carries the population-engine cache effectiveness over
-    the run (``hits``/``misses``/``hit_ratio``), so cache regressions show in
+    the run (``hits``/``misses``/``hit_ratio`` of the ``engine.cache.*``
+    counters the run added, as :func:`~repro.metrics.engine_cache_stats`
+    defines them for the run's metrics record), so cache regressions show in
     ``repro loadgen report`` without digging through BENCH JSON; ``None`` on
     reports written before the field existed.
     """
@@ -267,8 +231,8 @@ def bench_stats(samples: Tuple[float, ...]) -> Dict[str, Any]:
     """pytest-benchmark ``stats`` block computed from raw samples."""
     require(len(samples) >= 1, "bench stats need at least one sample")
     data = np.asarray(samples, dtype=float)
-    q1 = float(np.percentile(data, 25.0))
-    q3 = float(np.percentile(data, 75.0))
+    q1 = duration_percentile(data, 25.0)
+    q3 = duration_percentile(data, 75.0)
     iqr = q3 - q1
     low_fence = q1 - 1.5 * iqr
     high_fence = q3 + 1.5 * iqr
@@ -323,7 +287,6 @@ def _cpu_count() -> int:
 __all__ = [
     "BENCH_FORMAT_VERSION",
     "LoadReport",
-    "MetricsRecorder",
     "PhaseMetrics",
     "bench_stats",
     "default_machine_info",

@@ -5,20 +5,23 @@ deterministic event stream :func:`~repro.loadgen.phases.plan_events`
 produces:
 
 * ``burst`` phases go through the :class:`~repro.sweeps.runner.SweepRunner`
-  (the campaign path), with the phase's latency samples read off the
-  runner's ``sweeps.scenario`` telemetry spans;
+  (the campaign path), one ``sweeps.scenario`` span per scenario;
 * ``steady-ramp``/``flash-crowd``/``failure-injection`` phases evaluate each
   event directly via :func:`~repro.core.evaluation.evaluate_policy` on the
   event's skew-selected host subset — with dropped hosts removed and
   corrupted hosts' matrices bin-masked first — one ``loadgen.event`` span
   per event;
 * ``soak`` phases run one :func:`~repro.temporal.evaluate_timeline` pass,
-  recording one latency sample per deployed week from the timeline's
-  ``temporal.week`` spans.
+  one ``temporal.week`` span per deployed week.
 
-Every latency and duration sample is a telemetry span duration: when no
-ambient recorder is installed (the default), the orchestrator creates a
-local :class:`~repro.telemetry.TelemetryRecorder` bound to its injectable
+After each phase its :class:`~repro.loadgen.metrics.PhaseMetrics` is read
+off the run's trace: one latency sample per evaluation span
+(:data:`~repro.telemetry.EVALUATION_SPANS`) recorded under the phase's
+``loadgen.phase`` span, spans merged from pool workers included; event
+counts and host-weeks come from the planned events, and the report's engine
+cache from the ``engine.cache.*`` counters the run added.  When no ambient
+recorder is installed (the default), the orchestrator creates a local
+:class:`~repro.telemetry.TelemetryRecorder` bound to its injectable
 ``clock``, so tests can substitute a fake clock and assert the metrics JSON
 reproduces bit for bit; under ``repro --trace`` the run records into the
 CLI's recorder (and the phases appear as spans in the exported trace).
@@ -33,19 +36,26 @@ from __future__ import annotations
 import logging
 import time
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.evaluation import evaluate_policy
 from repro.engine import PopulationEngine, population_cache_key
 from repro.features.timeseries import FeatureMatrix
-from repro.loadgen.metrics import LoadReport, MetricsRecorder, PhaseMetrics
+from repro.loadgen.metrics import LoadReport, PhaseMetrics
 from repro.loadgen.phases import LoadEvent, corrupt_matrix, plan_events
 from repro.loadgen.profiles import LoadProfile
+from repro.metrics.record import engine_cache_stats
 from repro.sweeps.runner import SweepRunner, scenario_components
 from repro.sweeps.spec import SweepSpec
-from repro.telemetry import TelemetryRecorder, get_recorder, trace_span, use_recorder
+from repro.telemetry import (
+    EVALUATION_SPANS,
+    TelemetryRecorder,
+    get_recorder,
+    trace_span,
+    use_recorder,
+)
 from repro.utils.validation import require
 from repro.workload.enterprise import EnterprisePopulation
 
@@ -121,7 +131,7 @@ class LoadOrchestrator:
         self, profile: LoadProfile, recorder: TelemetryRecorder, timestamp: str
     ) -> LoadReport:
         started = self._clock()
-        stats_before = self._engine.stats
+        counters_before = recorder.counters
         logger.info(
             "loadgen profile %r: %d phase(s), %d host(s)",
             profile.name,
@@ -141,73 +151,69 @@ class LoadOrchestrator:
                 phase_events = [
                     event for event in events if event.phase == phase_spec.name
                 ]
-                metrics = MetricsRecorder(phase_spec.name, phase_spec.kind)
+                # Spans are appended as they end, and every span that ends while
+                # the phase span is open nests under it (worker spans are merged
+                # under the open span), so the phase's spans are those appended
+                # from here on.
+                first_span = len(recorder.spans)
                 with trace_span(
                     "loadgen.phase", phase=phase_spec.name, kind=phase_spec.kind
                 ) as phase_span:
                     if phase_spec.kind == "burst":
-                        self._run_burst(profile, phase_events, metrics, recorder)
+                        self._run_burst(profile, phase_events)
                     elif phase_spec.kind == "soak":
-                        self._run_soak(profile, phase_events[0], metrics, recorder)
+                        self._run_soak(profile, phase_events[0])
                     else:
                         for event in phase_events:
-                            self._run_direct(profile, event, metrics)
-                phases.append(metrics.finish(phase_span.duration))
+                            self._run_direct(profile, event)
+                latencies = tuple(
+                    span.duration
+                    for span in recorder.spans[first_span:]
+                    if span.name in EVALUATION_SPANS
+                )
+                phases.append(
+                    PhaseMetrics(
+                        name=phase_spec.name,
+                        kind=phase_spec.kind,
+                        num_events=len(phase_events),
+                        latencies=latencies,
+                        host_weeks=_host_weeks(profile, phase_events, len(latencies)),
+                        duration_seconds=phase_span.duration,
+                    )
+                )
                 logger.info(
                     "phase %r (%s) finished in %.3fs",
                     phase_spec.name,
                     phase_spec.kind,
                     phase_span.duration,
                 )
-        stats_after = self._engine.stats
-        requests = stats_after.requests - stats_before.requests
-        hits = stats_after.cache_hits - stats_before.cache_hits
+        counters = recorder.counters
         return LoadReport(
             profile=profile,
             phases=tuple(phases),
             duration_seconds=self._clock() - started,
             timestamp=timestamp or _utc_now(),
-            engine_cache={
-                "hits": hits,
-                "misses": requests - hits,
-                "hit_ratio": (hits / requests) if requests else 0.0,
-            },
+            engine_cache=engine_cache_stats(
+                {name: value - counters_before.get(name, 0) for name, value in counters.items()}
+            ),
         )
 
     # ------------------------------------------------------------ burst phase
-    def _run_burst(
-        self,
-        profile: LoadProfile,
-        events: List[LoadEvent],
-        metrics: MetricsRecorder,
-        recorder: TelemetryRecorder,
-    ) -> None:
+    def _run_burst(self, profile: LoadProfile, events: List[LoadEvent]) -> None:
         """Fire the phase's scenarios back-to-back through the sweep runner.
 
-        One latency sample per ``sweeps.scenario`` span the runner records —
-        spans evaluated in pool workers are delivered when their snapshots
-        merge, so parallel bursts sample identically to serial ones.
+        Scenarios evaluated in pool workers record their ``sweeps.scenario``
+        spans there; the runner merges them into the run's recorder under
+        this phase, so parallel bursts sample like serial ones.
         """
         runner = SweepRunner(engine=self._engine, workers=self._workers)
         sweep = SweepSpec(name=f"loadgen-{profile.name}")
-        host_weeks = profile.num_hosts * profile.num_weeks
-
-        def on_span(span) -> None:
-            if span.name == "sweeps.scenario":
-                metrics.record(span.duration, host_weeks=host_weeks)
-
-        recorder.subscribe(on_span)
-        try:
-            runner.run(sweep, scenarios=[event.scenario for event in events])
-        finally:
-            recorder.unsubscribe(on_span)
+        runner.run(sweep, scenarios=[event.scenario for event in events])
 
     # ----------------------------------------------------------- direct phases
-    def _run_direct(
-        self, profile: LoadProfile, event: LoadEvent, metrics: MetricsRecorder
-    ) -> None:
+    def _run_direct(self, profile: LoadProfile, event: LoadEvent) -> None:
         """Evaluate one event on its host subset (with failures injected)."""
-        with trace_span("loadgen.event", index=event.index, kind=event.kind) as span:
+        with trace_span("loadgen.event", index=event.index, kind=event.kind):
             matrices = self._event_matrices(profile, event)
             components = scenario_components(
                 event.scenario, self._population(event).config.bin_width
@@ -218,10 +224,6 @@ class LoadOrchestrator:
                 components.protocol,
                 attack_builder=components.attack_builder,
             )
-        metrics.record(
-            span.duration,
-            host_weeks=len(matrices) * profile.num_weeks,
-        )
 
     def _event_matrices(
         self, profile: LoadProfile, event: LoadEvent
@@ -243,14 +245,8 @@ class LoadOrchestrator:
         return matrices
 
     # ------------------------------------------------------------- soak phase
-    def _run_soak(
-        self,
-        profile: LoadProfile,
-        event: LoadEvent,
-        metrics: MetricsRecorder,
-        recorder: TelemetryRecorder,
-    ) -> None:
-        """One timeline run; a latency sample per ``temporal.week`` span."""
+    def _run_soak(self, profile: LoadProfile, event: LoadEvent) -> None:
+        """One timeline run: a ``temporal.week`` span per deployed week."""
         from repro.temporal import evaluate_timeline
 
         population = self._population(event)
@@ -262,23 +258,13 @@ class LoadOrchestrator:
         }
         components = scenario_components(event.scenario, population.config.bin_width)
         require(components.schedule is not None, "soak events must carry a schedule")
-
-        def on_span(span) -> None:
-            if span.name == "temporal.week":
-                metrics.record(span.duration, host_weeks=len(matrices), events=0)
-
-        recorder.subscribe(on_span)
-        try:
-            evaluate_timeline(
-                matrices,
-                components.policy,
-                components.protocol,
-                components.schedule,
-                attack_builder=components.attack_builder,
-            )
-        finally:
-            recorder.unsubscribe(on_span)
-        metrics.count_events(1)
+        evaluate_timeline(
+            matrices,
+            components.policy,
+            components.protocol,
+            components.schedule,
+            attack_builder=components.attack_builder,
+        )
 
     # -------------------------------------------------------------- populations
     def _population(self, event: LoadEvent) -> EnterprisePopulation:
@@ -297,6 +283,20 @@ class LoadOrchestrator:
             else:
                 self._populations[key] = self._engine.generate(config)
         return self._populations[key]
+
+
+def _host_weeks(profile: LoadProfile, events: Sequence[LoadEvent], samples: int) -> float:
+    """Host-week evaluations a phase's planned events push through the engine.
+
+    A burst scenario evaluates every host over every week, a direct event
+    its targets minus the dropped hosts over every week, and a soak timeline
+    those hosts once per deployed week (one latency sample each).
+    """
+    kind = events[0].kind
+    if kind == "burst":
+        return float(len(events) * profile.num_hosts * profile.num_weeks)
+    hosts = sum(len(event.target_hosts) - len(event.dropped_hosts) for event in events)
+    return float(hosts * (samples if kind == "soak" else profile.num_weeks))
 
 
 def _utc_now() -> str:

@@ -31,7 +31,7 @@ from repro.metrics.export import (
     parse_openmetrics,
 )
 from repro.metrics.gauges import ResourceSampler
-from repro.metrics.monitor import EVALUATION_SPANS, CampaignMonitor
+from repro.metrics.monitor import CampaignMonitor
 from repro.metrics.record import (
     DEFAULT_HISTORY_NAME,
     METRICS_HISTORY_ENV,
@@ -41,11 +41,11 @@ from repro.metrics.record import (
     annotate_run,
     build_run_record,
     collect_annotations,
+    engine_cache_stats,
 )
 
 __all__ = [
     "DEFAULT_HISTORY_NAME",
-    "EVALUATION_SPANS",
     "EXPORT_FORMATS",
     "METRICS_HISTORY_ENV",
     "METRICS_SCHEMA_VERSION",
@@ -58,6 +58,7 @@ __all__ = [
     "build_run_record",
     "collect_annotations",
     "diff_summaries",
+    "engine_cache_stats",
     "export_record",
     "flatten_summary",
     "metric_name",

@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List
 
 from repro.metrics.diff import render_metrics_diff
 from repro.metrics.export import EXPORT_FORMATS, export_record
@@ -29,6 +28,7 @@ from repro.metrics.record import (
     MetricsHistory,
     RunRecord,
 )
+from repro.telemetry.report import summary_rows
 
 
 def _history(args: argparse.Namespace) -> MetricsHistory:
@@ -61,25 +61,7 @@ def render_run_record(record: RunRecord) -> str:
     ]
     for key in sorted(record.annotations):
         lines.append(f"  {key}: {record.annotations[key]}")
-
-    rows: List[List[str]] = []
-
-    def add_rows(node, depth: int) -> None:
-        rows.append(
-            [
-                "  " * depth + str(node["name"]),
-                str(node["count"]),
-                f"{node['total_seconds']:.3f}",
-                f"{node['self_seconds']:.3f}",
-                f"{node['p50'] * 1e3:.2f}",
-                f"{node['p95'] * 1e3:.2f}",
-            ]
-        )
-        for child in node.get("children", []):
-            add_rows(child, depth + 1)
-
-    for root in record.summary:
-        add_rows(root, 0)
+    rows = summary_rows(record.summary)
     if rows:
         lines.append(
             render_table(

@@ -47,7 +47,7 @@ class SpanDelta:
 
 
 def flatten_summary(nodes: List[Mapping[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    """A summary tree as ``{path: node}`` with ``/``-joined paths."""
+    """A summary tree as ``{path: node}`` with ``/``-joined paths, depth first."""
     flat: Dict[str, Dict[str, Any]] = {}
 
     def walk(children: List[Mapping[str, Any]], prefix: Tuple[str, ...]) -> None:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Mapping, Tuple, Union
+from typing import Any, Dict, List, Mapping, Union
 
+from repro.metrics.diff import flatten_summary
 from repro.metrics.record import RunRecord
 from repro.utils.validation import ValidationError
 
@@ -39,18 +40,6 @@ def metric_name(name: str) -> str:
 
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _flatten_summary(
-    nodes: List[Mapping[str, Any]], prefix: Tuple[str, ...] = ()
-) -> List[Tuple[str, Mapping[str, Any]]]:
-    """``(path, node)`` pairs for every node of a span summary tree."""
-    flat: List[Tuple[str, Mapping[str, Any]]] = []
-    for node in nodes:
-        path = prefix + (str(node["name"]),)
-        flat.append(("/".join(path), node))
-        flat.extend(_flatten_summary(node.get("children", []), path))
-    return flat
 
 
 def openmetrics_text(record: Union[RunRecord, Mapping[str, Any]]) -> str:
@@ -86,21 +75,21 @@ def openmetrics_text(record: Union[RunRecord, Mapping[str, Any]]) -> str:
         family(metric_name(name), "gauge", f"repro gauge {name}.")
         lines.append(f"{metric_name(name)} {value}")
 
-    flat = _flatten_summary(record.get("summary", []))
+    flat = flatten_summary(record.get("summary", []))
     if flat:
         calls = metric_name("span.calls")
         total = metric_name("span.seconds")
         own = metric_name("span.self_seconds")
         family(calls, "counter", "Completed spans per summary-tree path.")
-        for path, node in flat:
+        for path, node in flat.items():
             lines.append(f'{calls}_total{{path="{_escape_label(path)}"}} {node["count"]}')
         family(total, "gauge", "Cumulative span seconds per summary-tree path.")
-        for path, node in flat:
+        for path, node in flat.items():
             lines.append(
                 f'{total}{{path="{_escape_label(path)}"}} {node["total_seconds"]}'
             )
         family(own, "gauge", "Self (non-child) span seconds per summary-tree path.")
-        for path, node in flat:
+        for path, node in flat.items():
             lines.append(f'{own}{{path="{_escape_label(path)}"}} {node["self_seconds"]}')
 
     lines.append("# EOF")

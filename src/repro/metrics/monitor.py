@@ -15,14 +15,11 @@ from __future__ import annotations
 import sys
 from typing import Any, Callable, List, Optional, TextIO
 
-import numpy as np
-
 from repro.metrics.gauges import ResourceSampler
+from repro.metrics.record import engine_cache_stats
+from repro.telemetry import EVALUATION_SPANS, duration_percentile
 from repro.telemetry.recorder import SpanRecord, TelemetryRecorder
 from repro.utils.resources import peak_rss_bytes
-
-#: Span names that count as one completed evaluation unit.
-EVALUATION_SPANS = frozenset({"sweeps.scenario", "loadgen.event", "temporal.week"})
 
 #: Span name -> campaign phase shown while those spans are completing.
 _PHASE_OF_SPAN = {
@@ -90,16 +87,14 @@ class CampaignMonitor:
         elapsed = now - self._started
         rate = (self._events / elapsed) if elapsed > 0 else 0.0
         if self._durations:
-            samples = np.asarray(self._durations)
-            p50 = float(np.percentile(samples, 50.0)) * 1e3
-            p95 = float(np.percentile(samples, 95.0)) * 1e3
+            p50 = duration_percentile(self._durations, 50.0) * 1e3
+            p95 = duration_percentile(self._durations, 95.0) * 1e3
             latency = f"p50={p50:.1f}ms p95={p95:.1f}ms"
         else:
             latency = "p50=- p95=-"
-        counters = self._recorder.counters
-        hits = counters.get("engine.cache.hits", 0)
-        misses = counters.get("engine.cache.misses", 0)
-        cache = f"{hits / (hits + misses):.0%}" if hits + misses else "-"
+        cache_stats = engine_cache_stats(self._recorder.counters)
+        reads = cache_stats["hits"] + cache_stats["misses"]
+        cache = f"{cache_stats['hit_ratio']:.0%}" if reads else "-"
         gauges = self._recorder.gauges
         shards = gauges.get("engine.shards_resident")
         shards_text = f"{shards:.0f}" if shards is not None else "-"
@@ -145,4 +140,4 @@ def _phase_of(span: SpanRecord) -> Optional[str]:
     return _PHASE_OF_SPAN.get(span.name)
 
 
-__all__ = ["CampaignMonitor", "EVALUATION_SPANS"]
+__all__ = ["CampaignMonitor"]

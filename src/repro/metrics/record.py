@@ -105,6 +105,24 @@ class RunRecord:
         )
 
 
+def engine_cache_stats(counters: Mapping[str, int]) -> Dict[str, Any]:
+    """Population-engine cache effectiveness from the ``engine.cache.*`` counters.
+
+    ``hits``/``misses`` count cache reads that found / did not find a stored
+    population (an engine without a cache reads nothing and counts neither);
+    ``hit_ratio`` is 0.0 when there were no reads.  The one definition the
+    history record, the loadgen report and the ``--monitor`` line share.
+    """
+    hits = int(counters.get("engine.cache.hits", 0))
+    misses = int(counters.get("engine.cache.misses", 0))
+    requests = hits + misses
+    return {
+        "hits": hits,
+        "misses": misses,
+        "hit_ratio": (hits / requests) if requests else 0.0,
+    }
+
+
 def build_run_record(
     snapshot: Mapping[str, Any],
     command: str,
@@ -127,9 +145,6 @@ def build_run_record(
     gauges = dict(payload["gauges"])
     rss = int(rss_probe())
     gauges.setdefault("process.rss_bytes", float(rss))
-    hits = int(counters.get("engine.cache.hits", 0))
-    misses = int(counters.get("engine.cache.misses", 0))
-    requests = hits + misses
     if not run_id:
         run_id = str(notes.pop("run_id", ""))
     if not run_id:
@@ -146,11 +161,7 @@ def build_run_record(
         summary=payload["summary"],
         counters=counters,
         gauges=gauges,
-        engine_cache={
-            "hits": hits,
-            "misses": misses,
-            "hit_ratio": (hits / requests) if requests else 0.0,
-        },
+        engine_cache=engine_cache_stats(counters),
         shards={
             "loaded": int(counters.get("engine.shards_loaded", 0)),
             "resident": gauges.get("engine.shards_resident", 0.0),
@@ -252,4 +263,5 @@ __all__ = [
     "annotate_run",
     "build_run_record",
     "collect_annotations",
+    "engine_cache_stats",
 ]

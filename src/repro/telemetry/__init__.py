@@ -34,9 +34,11 @@ from repro.telemetry.recorder import (
 )
 from repro.telemetry.report import (
     SpanSummary,
+    duration_percentile,
     render_trace_report,
     summarize_spans,
     summary_payload,
+    summary_rows,
     wall_clock_coverage,
 )
 
@@ -71,6 +73,11 @@ SPAN_NAMES = (
     "temporal.week",
 )
 
+#: Span names that each time one completed evaluation unit: the ``--monitor``
+#: line counts them and takes its latencies from them, and every loadgen
+#: phase reads one latency sample per such span recorded under it.
+EVALUATION_SPANS = frozenset({"sweeps.scenario", "loadgen.event", "temporal.week"})
+
 #: Every counter name instrumented code may increment (REP003, as above).
 COUNTER_NAMES = (
     "core.host_weeks_measured",
@@ -98,6 +105,7 @@ GAUGE_NAMES = (
 
 __all__ = [
     "COUNTER_NAMES",
+    "EVALUATION_SPANS",
     "GAUGE_NAMES",
     "NULL_RECORDER",
     "NULL_SPAN",
@@ -111,6 +119,7 @@ __all__ = [
     "add_count",
     "child_recorder",
     "chrome_trace",
+    "duration_percentile",
     "get_recorder",
     "monotonic_now",
     "read_trace_jsonl",
@@ -118,6 +127,7 @@ __all__ = [
     "set_gauge",
     "summarize_spans",
     "summary_payload",
+    "summary_rows",
     "trace_span",
     "use_recorder",
     "wall_clock_coverage",

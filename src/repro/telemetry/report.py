@@ -6,16 +6,26 @@ position in the tree, each carrying count, cumulative and self totals, and
 p50/p95 per-call durations.  ``self`` time is a span's duration minus its
 direct children's, the quantity that localises a bottleneck to a layer
 instead of smearing it over every enclosing span.
+
+Every latency percentile the run reports (span summaries, loadgen phases,
+the ``--monitor`` line) is read through :func:`duration_percentile`, and
+every summary table (``repro trace report``, ``repro metrics show``) is
+built by :func:`summary_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.telemetry.recorder import SpanRecord
+
+
+def duration_percentile(durations: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of a non-empty sequence of durations (seconds)."""
+    return float(np.percentile(np.asarray(durations, dtype=float), q))
 
 
 @dataclass
@@ -33,12 +43,12 @@ class SpanSummary:
     @property
     def p50(self) -> float:
         """Median per-call duration (seconds)."""
-        return float(np.percentile(np.asarray(self.durations), 50.0))
+        return duration_percentile(self.durations, 50.0)
 
     @property
     def p95(self) -> float:
         """95th-percentile per-call duration (seconds)."""
-        return float(np.percentile(np.asarray(self.durations), 95.0))
+        return duration_percentile(self.durations, 95.0)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe nested summary (used by tests and tooling)."""
@@ -151,47 +161,60 @@ def summary_payload(source: Union[Mapping[str, Any], Any]) -> Dict[str, Any]:
     }
 
 
+def summary_rows(
+    nodes: Sequence[Mapping[str, Any]],
+    max_depth: Optional[int] = None,
+    grand_total: Optional[float] = None,
+) -> List[List[str]]:
+    """Table rows of a summary tree (the :func:`summary_payload` shape), depth first.
+
+    Each row is the indented span name, count, total and self seconds and
+    p50/p95 milliseconds; with ``grand_total`` it ends with the node's share
+    of it.  Nodes at ``max_depth`` and below are left out.
+    """
+    rows: List[List[str]] = []
+
+    def add_rows(node: Mapping[str, Any], depth: int) -> None:
+        if max_depth is not None and depth >= max_depth:
+            return
+        row = [
+            "  " * depth + str(node["name"]),
+            str(node["count"]),
+            f"{node['total_seconds']:.3f}",
+            f"{node['self_seconds']:.3f}",
+            f"{node['p50'] * 1e3:.2f}",
+            f"{node['p95'] * 1e3:.2f}",
+        ]
+        if grand_total is not None:
+            row.append(f"{100.0 * node['total_seconds'] / grand_total:.1f}%")
+        rows.append(row)
+        for child in node.get("children", []):
+            add_rows(child, depth + 1)
+
+    for node in nodes:
+        add_rows(node, 0)
+    return rows
+
+
 def render_trace_report(
     source: Union[Mapping[str, Any], Any], max_depth: Optional[int] = None
 ) -> str:
     """The ``repro trace report`` table: the summary tree plus counters."""
     from repro.experiments.report import render_table
 
-    snapshot = source.snapshot() if hasattr(source, "snapshot") else source
-    roots = summarize_spans(snapshot)
-    grand_total = sum(root.total_seconds for root in roots) or 1.0
-
-    rows: List[List[str]] = []
-
-    def add_rows(node: SpanSummary, depth: int) -> None:
-        if max_depth is not None and depth >= max_depth:
-            return
-        rows.append(
-            [
-                "  " * depth + node.name,
-                str(node.count),
-                f"{node.total_seconds:.3f}",
-                f"{node.self_seconds:.3f}",
-                f"{node.p50 * 1e3:.2f}",
-                f"{node.p95 * 1e3:.2f}",
-                f"{100.0 * node.total_seconds / grand_total:.1f}%",
-            ]
-        )
-        for child in node.children:
-            add_rows(child, depth + 1)
-
-    for root in roots:
-        add_rows(root, 0)
+    payload = summary_payload(source)
+    summary = payload["summary"]
+    grand_total = sum(node["total_seconds"] for node in summary) or 1.0
     table = render_table(
         ["span", "count", "total_s", "self_s", "p50_ms", "p95_ms", "cumul%"],
-        rows,
+        summary_rows(summary, max_depth=max_depth, grand_total=grand_total),
         title="Trace summary — per-span count / cumulative vs self time",
     )
     lines = [table]
-    coverage = wall_clock_coverage(snapshot)
+    coverage = payload["wall_clock_coverage"]
     if coverage is not None:
         lines.append(f"root spans cover {coverage:.1%} of the traced wall clock")
-    counters = snapshot.get("counters", {})
+    counters = payload["counters"]
     if counters:
         counter_rows = [[name, str(counters[name])] for name in sorted(counters)]
         lines.append(render_table(["counter", "value"], counter_rows, title="Counters"))

@@ -30,8 +30,10 @@ from repro.loadgen import (
     plan_events,
     run_profile,
 )
+from repro.metrics import MetricsHistory, engine_cache_stats
 from repro.sweeps.cli import main as cli_main
 from repro.sweeps.spec import PopulationSpec
+from repro.telemetry import EVALUATION_SPANS, TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
 
 SEED_BENCH = Path(__file__).resolve().parents[1] / "BENCH_20260727_seed.json"
@@ -316,6 +318,89 @@ class TestOrchestration:
         assert faults.host_weeks == pytest.approx(expected)
 
 
+# ------------------------------------------------- phase metrics from spans
+def tiny_burst_profile() -> LoadProfile:
+    """A one-phase burst profile: every sample is a ``sweeps.scenario`` span."""
+    return LoadProfile(
+        name="tiny-burst",
+        description="test burst profile",
+        num_hosts=8,
+        num_weeks=2,
+        phases=(PhaseSpec(name="burst", kind="burst", num_events=3),),
+        total_events=3,
+    )
+
+
+def planned_host_weeks(profile: LoadProfile, phase: str) -> float:
+    """Host-weeks a direct or burst phase's planned events evaluate."""
+    events = [event for event in plan_events(profile) if event.phase == phase]
+    if events[0].kind == "burst":
+        return float(len(events) * profile.num_hosts * profile.num_weeks)
+    return float(
+        sum(len(e.target_hosts) - len(e.dropped_hosts) for e in events) * profile.num_weeks
+    )
+
+
+def phase_spans(recorder: TelemetryRecorder):
+    """``{phase name: [evaluation spans under it, in end order]}`` of a trace."""
+    spans = sorted(recorder.spans, key=lambda span: span.span_id)
+    phase_of = {}
+    for span in spans:
+        if span.name == "loadgen.phase":
+            phase_of[span.span_id] = span.attributes["phase"]
+        elif span.parent_id in phase_of:
+            phase_of[span.span_id] = phase_of[span.parent_id]
+    found = {}
+    for span in recorder.spans:
+        if span.name in EVALUATION_SPANS and span.span_id in phase_of:
+            found.setdefault(phase_of[span.span_id], []).append(span)
+    return found
+
+
+class TestPhaseMetricsFromSpans:
+    def test_local_fake_clock_recorder_samples_every_planned_event(self):
+        profile = load_profile("demo")
+        report = run_profile(profile, engine=fresh_engine(), clock=FakeClock(), timestamp="t")
+        for phase in report.phases:
+            planned = [e for e in plan_events(profile) if e.phase == phase.name]
+            assert phase.num_events == len(planned)
+            assert len(phase.latencies) == len(planned)
+            assert phase.host_weeks == planned_host_weeks(profile, phase.name)
+
+    def test_ambient_trace_recorder_samples_are_its_evaluation_spans(self):
+        profile = load_profile("demo")
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            report = run_profile(profile, engine=fresh_engine(), timestamp="t")
+        serial = run_profile(profile, engine=fresh_engine(), clock=FakeClock(), timestamp="t")
+        spans = phase_spans(recorder)
+        assert set(spans) == {phase.name for phase in report.phases}
+        for phase, local in zip(report.phases, serial.phases, strict=True):
+            assert phase.latencies == tuple(span.duration for span in spans[phase.name])
+            assert len(phase.latencies) == phase.num_events == local.num_events
+            assert phase.host_weeks == local.host_weeks
+        # The run recorded into the ambient recorder: its counters are the report's.
+        assert report.engine_cache == engine_cache_stats(recorder.counters)
+
+    def test_two_worker_burst_samples_the_merged_worker_spans(self, tmp_path):
+        profile = tiny_burst_profile()
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        serial = run_profile(profile, engine=engine, clock=FakeClock(), timestamp="t")
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            report = run_profile(profile, engine=engine, workers=2, timestamp="t")
+        (phase,) = report.phases
+        (spans,) = phase_spans(recorder).values()
+        # Every sample arrived from a pool worker through the recorder's merge.
+        assert [span.name for span in spans] == ["sweeps.scenario"] * 3
+        assert all(span.process.startswith("worker-") for span in spans)
+        assert phase.latencies == tuple(span.duration for span in spans)
+        assert len(phase.latencies) == phase.num_events == serial.phases[0].num_events == 3
+        assert phase.host_weeks == serial.phases[0].host_weeks == planned_host_weeks(
+            profile, "burst"
+        )
+
+
 # ---------------------------------------------------------------------- CLI
 class TestLoadgenCli:
     def test_list_shows_the_tier_ladder(self, capsys):
@@ -357,6 +442,28 @@ class TestLoadgenCli:
         # The saved report renders back through `repro loadgen report`.
         assert cli_main(["loadgen", "report", str(report_path)]) == 0
         assert "loadgen demo" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cache", ["no-cache", "cache-dir"])
+    def test_report_engine_cache_equals_the_metrics_record(self, tmp_path, capsys, cache):
+        report_path = tmp_path / "report.json"
+        history_path = tmp_path / "metrics.jsonl"
+        engine_flags = (
+            ["--no-cache"] if cache == "no-cache" else ["--cache-dir", str(tmp_path / "cache")]
+        )
+        argv = ["loadgen", "run", "demo", "--json", str(report_path)]
+        code = cli_main([*argv, "--metrics", str(history_path), *engine_flags])
+        assert code == 0
+        capsys.readouterr()
+        report = json.loads(report_path.read_text())
+        (record,) = MetricsHistory(history_path).records()
+        assert report["engine_cache"] == record.engine_cache
+        if cache == "no-cache":
+            # No cache, no cache reads: the run counts neither hits nor misses.
+            assert record.engine_cache == {"hits": 0, "misses": 0, "hit_ratio": 0.0}
+        else:
+            # The orchestrator generates the one demo population (a miss) and
+            # the burst's sweep runner reloads it (a hit).
+            assert record.engine_cache == {"hits": 1, "misses": 1, "hit_ratio": 0.5}
 
     def test_run_monitor_flag_renders_to_stderr(self, capsys):
         assert cli_main(["loadgen", "run", "demo", "--no-cache", "--monitor"]) == 0
