@@ -10,8 +10,9 @@ The load generator models that with two deterministic selectors:
 * :class:`HotKeySelector` splits items into an explicit hot pool and a cold
   pool and draws from the hot pool with a configured probability.
 
-Both selectors are pure functions of their configuration plus the caller's
-``numpy`` generator, so a seeded plan reproduces bit-identically.
+Both selectors draw through one :meth:`~_WeightedSelector.sample` from
+their own ``weights``, a pure function of their configuration plus the
+caller's ``numpy`` generator, so a seeded plan reproduces bit-identically.
 """
 
 from __future__ import annotations
@@ -25,8 +26,21 @@ import numpy as np
 from repro.utils.validation import require
 
 
+class _WeightedSelector:
+    """The draw both selectors share: their ``items`` weighted by ``weights``."""
+
+    def sample(self, count: int, rng: np.random.Generator) -> Tuple[Any, ...]:
+        """Draw ``count`` *distinct* items, weighted without replacement."""
+        require(
+            1 <= count <= len(self.items),
+            f"sample size must be in [1, {len(self.items)}], got {count}",
+        )
+        chosen = rng.choice(len(self.items), size=count, replace=False, p=self.weights)
+        return tuple(self.items[int(index)] for index in chosen)
+
+
 @dataclass(frozen=True)
-class ZipfSelector:
+class ZipfSelector(_WeightedSelector):
     """Draw items with Zipf-ranked probabilities (rank 0 is the hottest).
 
     Attributes
@@ -54,30 +68,9 @@ class ZipfSelector:
         weights.flags.writeable = False
         return weights
 
-    def select(self, rng: np.random.Generator) -> Any:
-        """Draw one item."""
-        return self.items[int(rng.choice(len(self.items), p=self.weights))]
-
-    def sample(self, count: int, rng: np.random.Generator) -> Tuple[Any, ...]:
-        """Draw ``count`` *distinct* items, weighted without replacement."""
-        require(
-            1 <= count <= len(self.items),
-            f"sample size must be in [1, {len(self.items)}], got {count}",
-        )
-        chosen = rng.choice(len(self.items), size=count, replace=False, p=self.weights)
-        return tuple(self.items[int(index)] for index in chosen)
-
-    def top(self, count: int) -> Tuple[Any, ...]:
-        """The ``count`` hottest items, in rank order."""
-        require(
-            1 <= count <= len(self.items),
-            f"top size must be in [1, {len(self.items)}], got {count}",
-        )
-        return tuple(self.items[:count])
-
 
 @dataclass(frozen=True)
-class HotKeySelector:
+class HotKeySelector(_WeightedSelector):
     """Draw from an explicit hot pool with a configured probability.
 
     The first ``hot_count`` items form the hot pool; each draw comes from it
@@ -109,16 +102,3 @@ class HotKeySelector:
         weights[self.hot_count :] = (1.0 - self.hot_probability) / cold
         weights.flags.writeable = False
         return weights
-
-    def select(self, rng: np.random.Generator) -> Any:
-        """Draw one item (hot with probability ``hot_probability``)."""
-        return self.items[int(rng.choice(len(self.items), p=self.weights))]
-
-    def sample(self, count: int, rng: np.random.Generator) -> Tuple[Any, ...]:
-        """Draw ``count`` *distinct* items, biased toward the hot pool."""
-        require(
-            1 <= count <= len(self.items),
-            f"sample size must be in [1, {len(self.items)}], got {count}",
-        )
-        chosen = rng.choice(len(self.items), size=count, replace=False, p=self.weights)
-        return tuple(self.items[int(index)] for index in chosen)

@@ -50,7 +50,6 @@ class TestSelectors:
         weights = selector.weights
         assert weights.sum() == pytest.approx(1.0)
         assert all(a > b for a, b in zip(weights, weights[1:], strict=False))
-        assert selector.top(3) == (0, 1, 2)
 
     def test_zipf_zero_exponent_is_uniform(self):
         selector = ZipfSelector(tuple(range(5)), exponent=0.0)
