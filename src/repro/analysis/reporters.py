@@ -1,7 +1,7 @@
 """Human-readable and JSON reporters for lint results.
 
-The JSON shape is the contract the CI validator
-(``scripts/ci_checks/check_lint_report.py``) checks; bump
+The JSON shape is the ``lint-report.json`` artifact CI uploads and
+``test_json_report_schema`` in ``tests/test_analysis.py`` pins; bump
 :data:`LINT_REPORT_SCHEMA_VERSION` when it changes.
 """
 

@@ -32,7 +32,6 @@ check_fusion = load_script("ci_checks/check_fusion.py")
 check_cooptimization = load_script("ci_checks/check_cooptimization.py")
 check_timeline = load_script("ci_checks/check_timeline.py")
 check_result_cache = load_script("ci_checks/check_result_cache.py")
-check_lint_report = load_script("ci_checks/check_lint_report.py")
 check_scaleout = load_script("ci_checks/check_scaleout.py")
 check_metrics = load_script("ci_checks/check_metrics.py")
 
@@ -445,107 +444,6 @@ class TestCheckTrace:
         path.write_text('{"type": "counter", "value": 3}\n')
         assert check_trace.main([str(path)]) == 2
         assert "check_trace: error:" in capsys.readouterr().err
-
-
-# --------------------------------------------------------- check_lint_report
-def lint_report(findings=None, **overrides):
-    """A minimal well-formed `repro lint --format json` report."""
-    findings = findings if findings is not None else []
-    violations = [f for f in findings if not f.get("suppressed")]
-    suppressed = [f for f in findings if f.get("suppressed")]
-    report = {
-        "schema": 1,
-        "root": "src",
-        "files_scanned": 100,
-        "rules": ["REP001", "REP002"],
-        "violation_count": len(violations),
-        "suppressed_count": len(suppressed),
-        "findings": findings,
-        "ok": not violations,
-    }
-    report.update(overrides)
-    return report
-
-
-def lint_finding(rule="REP002", suppressed=False, reason=""):
-    return {
-        "rule": rule,
-        "path": "repro/sweeps/cli.py",
-        "line": 10,
-        "column": 4,
-        "message": "wall clock read",
-        "suppressed": suppressed,
-        "suppression_reason": reason,
-    }
-
-
-class TestCheckLintReport:
-    def test_clean_report_passes(self):
-        assert check_lint_report.check(lint_report()) == []
-
-    def test_documented_suppression_passes(self):
-        report = lint_report([lint_finding(suppressed=True, reason="sanctioned seam")])
-        assert check_lint_report.check(report) == []
-
-    def test_unsuppressed_violation_fails_and_is_listed(self):
-        errors = check_lint_report.check(lint_report([lint_finding()]))
-        assert any("unsuppressed violation" in error for error in errors)
-        assert any("repro/sweeps/cli.py:10" in error for error in errors)
-
-    def test_suppression_without_reason_fails(self):
-        report = lint_report([lint_finding(suppressed=True, reason="  ")])
-        errors = check_lint_report.check(report)
-        assert any("without a written reason" in error for error in errors)
-
-    def test_missing_and_mistyped_keys_fail(self):
-        report = lint_report()
-        del report["findings"]
-        assert any("missing" in e for e in check_lint_report.check(report))
-        report = lint_report(violation_count="0")
-        assert any("expected int" in e for e in check_lint_report.check(report))
-
-    def test_count_mismatch_fails(self):
-        errors = check_lint_report.check(lint_report(violation_count=3))
-        assert any("violation_count is 3" in error for error in errors)
-        errors = check_lint_report.check(lint_report(suppressed_count=2))
-        assert any("suppressed_count is 2" in error for error in errors)
-
-    def test_ok_flag_must_agree_with_findings(self):
-        errors = check_lint_report.check(lint_report(ok=False))
-        assert any("disagrees" in error for error in errors)
-
-    def test_newer_schema_fails(self):
-        errors = check_lint_report.check(lint_report(schema=99))
-        assert any("newer than supported" in error for error in errors)
-
-    def test_empty_scan_fails(self):
-        errors = check_lint_report.check(lint_report(files_scanned=0))
-        assert any("analysed nothing" in error for error in errors)
-
-    def test_main_exit_codes(self, tmp_path, capsys):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(lint_report()))
-        assert check_lint_report.main([str(good)]) == 0
-        assert "OK: 100 file(s)" in capsys.readouterr().out
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(lint_report([lint_finding()])))
-        assert check_lint_report.main([str(bad)]) == 1
-        assert check_lint_report.main([str(tmp_path / "missing.json")]) == 2
-        (tmp_path / "list.json").write_text("[]")
-        assert check_lint_report.main([str(tmp_path / "list.json")]) == 2
-        capsys.readouterr()
-
-    def test_validates_a_real_lint_run(self, tmp_path, capsys):
-        """End-to-end: `repro lint --format json` output satisfies the gate."""
-        from repro.analysis.cli import main as lint_main
-
-        report_path = tmp_path / "lint-report.json"
-        code = lint_main(
-            ["src", "--format", "json", "--output", str(report_path), "--quiet-report"]
-        )
-        assert code == 0
-        assert check_lint_report.main([str(report_path)]) == 0
-        capsys.readouterr()
 
 
 # ------------------------------------------------------------- check_scaleout
