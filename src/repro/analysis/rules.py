@@ -204,7 +204,7 @@ class TelemetryNameRegistryRule(Rule):
     id = "REP003"
     title = "undeclared telemetry span/counter name"
     rationale = (
-        "Trace reports, the loadgen latency subscriptions, and the CI trace "
+        "Trace reports, the loadgen phase metrics, and the CI trace "
         "check all select spans and counters by exact name. A typo'd literal "
         "in trace_span()/add_count() still records — it just fragments the "
         "report into a name nobody aggregates, which is why the canonical "

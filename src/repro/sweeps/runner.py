@@ -282,9 +282,9 @@ class SweepRunner:
         ``skip_existing=False`` (the CLI's ``--rerun``) to force
         re-evaluation.
 
-        Per-scenario instrumentation subscribes to ``sweeps.scenario`` span
-        ends on a telemetry recorder (see :mod:`repro.telemetry`) — that is
-        where the load orchestrator gets its latency samples.
+        Each evaluated scenario records one ``sweeps.scenario`` span on the
+        current telemetry recorder (see :mod:`repro.telemetry`) — that is
+        where the load orchestrator reads a burst's latency samples.
         """
         started = monotonic_now()
         scenarios = list(scenarios) if scenarios is not None else sweep.expand()

@@ -5,8 +5,8 @@ Two recorder implementations share one duck-typed surface:
 * :class:`TelemetryRecorder` — records completed spans (monotonic start/end,
   nesting via an explicit stack, attached attributes), accumulates named
   counters and gauges, merges snapshots recorded by process-pool workers,
-  and notifies span-end subscribers (how :mod:`repro.loadgen` derives its
-  latency samples).
+  and notifies span-end subscribers (how the ``--monitor`` line follows a
+  run).
 * :class:`NullRecorder` — the process-wide default.  Every operation is a
   no-op returning shared singletons, so instrumented hot paths pay only a
   function call and an (empty) kwargs dict per span; the overhead is

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -177,7 +177,6 @@ def evaluate_timeline(
     schedule: RetrainSchedule,
     attack_builder: Optional[AttackBuilder] = None,
     end_week: Optional[int] = None,
-    week_hook: Optional[Callable[[TimelineWeek], None]] = None,
 ) -> TimelineResult:
     """Evaluate ``policy`` over every deployed week of the population.
 
@@ -202,11 +201,6 @@ def evaluate_timeline(
         schedule-aware mimic); plain builders receive the initial
         deployment's thresholds — an attacker that profiled the victim once
         keeps evading a configuration the defender may since have replaced.
-    week_hook:
-        Per-week instrumentation: called with each :class:`TimelineWeek` the
-        moment it is scored, letting long soak runs (see
-        :mod:`repro.loadgen`) record per-week latencies without waiting for
-        the full :class:`TimelineResult`.
     """
     matrices = (
         population.matrices()
@@ -330,8 +324,6 @@ def evaluate_timeline(
                 week_span.set(retrained=entry.retrained)
                 add_count("temporal.weeks_measured")
                 weeks.append(entry)
-                if week_hook is not None:
-                    week_hook(entry)
 
     return TimelineResult(
         policy_name=policy.name,

@@ -315,16 +315,16 @@ def golden_workload(recorder: TelemetryRecorder, measure_ticks: int) -> None:
                             add_count("sweeps.scenarios_evaluated")
                 set_gauge("engine.shards_resident", 2.0)
                 set_gauge("engine.shard_bytes_resident", 3.0 * 1024 * 1024)
-            with trace_span("loadgen.phase", phase="soak", kind="soak"):
-                with trace_span("temporal.timeline"):
-                    with trace_span("temporal.train"):
-                        monotonic_now()
-                    for week in (1, 2):
-                        with trace_span("temporal.week", week=week):
-                            add_count("temporal.weeks_measured")
-                            if week == 2:
-                                with trace_span("temporal.retrain", week=week):
-                                    add_count("temporal.retrains")
+            soak = trace_span("loadgen.phase", phase="soak", kind="soak")
+            with soak, trace_span("temporal.timeline"):
+                with trace_span("temporal.train"):
+                    monotonic_now()
+                for week in (1, 2):
+                    with trace_span("temporal.week", week=week):
+                        add_count("temporal.weeks_measured")
+                        if week == 2:
+                            with trace_span("temporal.retrain", week=week):
+                                add_count("temporal.retrains")
         monotonic_now()  # an untraced gap between the two roots
         with trace_span("sweeps.run", sweep="tail"), trace_span("optimize.joint"):
             add_count("optimize.iterations", 5)
