@@ -371,10 +371,10 @@ class TestPhaseMetricsFromSpans:
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
             report = run_profile(profile, engine=fresh_engine(), timestamp="t")
-        serial = run_profile(profile, engine=fresh_engine(), clock=FakeClock(), timestamp="t")
+        local_run = run_profile(profile, engine=fresh_engine(), clock=FakeClock(), timestamp="t")
         spans = phase_spans(recorder)
         assert set(spans) == {phase.name for phase in report.phases}
-        for phase, local in zip(report.phases, serial.phases, strict=True):
+        for phase, local in zip(report.phases, local_run.phases, strict=True):
             assert phase.latencies == tuple(span.duration for span in spans[phase.name])
             assert len(phase.latencies) == phase.num_events == local.num_events
             assert phase.host_weeks == local.host_weeks
