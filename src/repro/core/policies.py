@@ -263,16 +263,14 @@ class ConfigurationPolicy:
             for host_id, distribution in training_distributions.items()
         }
         assignment = self._grouping.assign(statistics)
-
-        group_thresholds: List[float] = []
-        thresholds: Dict[int, float] = {}
-        for group in assignment.groups:
-            members = [training_distributions[host_id] for host_id in group]
-            threshold = float(self._heuristic.threshold_for_group(members))
-            group_thresholds.append(threshold)
-            for host_id in group:
-                thresholds[host_id] = threshold
-
+        group_thresholds = self._heuristic.thresholds_for_groups(
+            [[training_distributions[host_id] for host_id in group] for group in assignment.groups]
+        )
+        thresholds = {
+            host_id: threshold
+            for group, threshold in zip(assignment.groups, group_thresholds, strict=True)
+            for host_id in group
+        }
         return ThresholdAssignment(
             thresholds=thresholds,
             grouping=assignment,

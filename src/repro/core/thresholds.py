@@ -13,18 +13,20 @@ per-group or per-host) training distribution into a detection threshold:
 
 All heuristics consume an :class:`~repro.stats.empirical.EmpiricalDistribution`
 of benign per-bin counts and return a scalar threshold, so they compose with
-any grouping method.
+any grouping method; a policy asks for all of its groups' thresholds in one
+call, which the utility and F-measure heuristics answer with one batched
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, f_measure_from_rate_arrays
-from repro.stats.empirical import EmpiricalDistribution
+from repro.stats.empirical import EmpiricalDistribution, stacked_percentiles
 from repro.utils.validation import require, require_non_negative, require_probability
 
 #: The percentile IT operators target in practice (per the paper's survey).
@@ -38,12 +40,13 @@ class ThresholdHeuristic:
 
     * :meth:`threshold` — compute a threshold from a single (possibly pooled)
       distribution.  Percentile and mean+std heuristics only need this.
-    * :meth:`threshold_for_group` — compute the single threshold a *group* of
-      hosts will share, given each member's own distribution.  The default
-      pools the members and delegates to :meth:`threshold`; utility- and
-      F-measure-maximising heuristics override it to pick the threshold that
-      maximises the *average member* objective, which is what the paper's
-      utility heuristic does when one threshold must serve many users.
+    * :meth:`thresholds_for_groups` — compute the single threshold each *group*
+      of hosts will share, given each member's own distribution, for all of a
+      policy's groups in one call.  The default pools each group's members and
+      delegates to :meth:`threshold`; utility- and F-measure-maximising
+      heuristics override it to pick the threshold that maximises the
+      *average member* objective, which is what the paper's utility heuristic
+      does when one threshold must serve many users, in one batched search.
     """
 
     name = "heuristic"
@@ -52,12 +55,15 @@ class ThresholdHeuristic:
         """Return the threshold for a detector trained on ``distribution``."""
         raise NotImplementedError
 
-    def threshold_for_group(self, distributions: Sequence[EmpiricalDistribution]) -> float:
-        """Return the shared threshold for a group of member distributions."""
-        require(len(distributions) > 0, "group must contain at least one distribution")
-        if len(distributions) == 1:
-            return self.threshold(distributions[0])
-        return self.threshold(EmpiricalDistribution.pooled(list(distributions)))
+    def thresholds_for_groups(
+        self, groups: Sequence[Sequence[EmpiricalDistribution]]
+    ) -> List[float]:
+        """Return the shared threshold of each group of member distributions."""
+        thresholds = []
+        for members in groups:
+            require(len(members) > 0, "group must contain at least one distribution")
+            thresholds.append(float(self.threshold(EmpiricalDistribution.pooled(list(members)))))
+        return thresholds
 
 
 @dataclass(frozen=True)
@@ -101,40 +107,172 @@ class MeanStdHeuristic(ThresholdHeuristic):
         return distribution.mean() + self.num_std * distribution.std()
 
 
-def candidate_threshold_grid(
-    distribution: EmpiricalDistribution, num_candidates: int
-) -> np.ndarray:
-    """Quantile grid of candidate thresholds spanning the distribution's range.
+def candidate_threshold_grids(
+    distributions: Sequence[EmpiricalDistribution], num_candidates: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every distribution's candidate thresholds, flat, and how many each has.
 
     The shared search grid of the utility/F-measure heuristics and the
-    :mod:`repro.optimize` optimizers: upper-half quantiles of the training
-    distribution, deduplicated and sorted.
+    :mod:`repro.optimize` optimizers: a training distribution's upper-half
+    quantiles and a headroom value above its maximum (so "never alarm" is a
+    candidate), deduplicated and sorted as ``np.unique`` does.  One pass of
+    the percentile kernel covers every distribution; distribution ``i`` owns
+    the ``i``-th run of ``counts[i]`` values.
     """
     quantiles = np.minimum(np.linspace(0.5, 1.0, num_candidates), 1.0)
-    values = distribution.percentiles(100.0 * quantiles)
-    # Include a little headroom above the max so "never alarm" is a candidate.
-    return np.unique(np.append(values, distribution.max() * 1.01 + 1.0))
+    grids = np.empty((len(distributions), num_candidates + 1))
+    grids[:, :-1] = stacked_percentiles(distributions, 100.0 * quantiles)
+    # The last quantile is 1.0, so the column before the headroom is the maximum.
+    grids[:, -1] = grids[:, -2] * 1.01 + 1.0
+    grids.sort(axis=1)
+    keep = np.ones(grids.shape, dtype=bool)
+    keep[:, 1:] = grids[:, 1:] != grids[:, :-1]
+    return grids[keep], np.count_nonzero(keep, axis=1)
 
 
-def _member_rate_matrices(
-    distributions: Sequence[EmpiricalDistribution],
-    candidates: np.ndarray,
-    attack_sizes: np.ndarray,
-) -> tuple:
-    """Each member's training (FP, FN) at each candidate, as two ``(candidates, members)`` arrays.
+#: Most (row, planned size or none) cells one chunk of members holds.
+_CHUNK_CELLS = 1 << 15
 
-    FN is the chance of missing an attack whose size is drawn uniformly from
-    ``attack_sizes`` (0 when there are none).  Member values sit contiguously
-    per candidate, so a mean over members sums each row pairwise.
+
+def _best_candidates(
+    groups: Sequence[Sequence[EmpiricalDistribution]],
+    num_candidates: int,
+    attack_sizes: Sequence[float],
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> List[float]:
+    """Each group's candidate with the highest mean member ``score(fp, fn)``.
+
+    A group's candidates come from its pooled distribution.  A row is one
+    (member, candidate) pair: the member's training FP at the candidate, and
+    its FN against an attack whose size is drawn uniformly from
+    ``attack_sizes`` (0 when there are none).  FN is exactly 0 where even the
+    smallest size leaves no training bin at or below the candidate, and
+    exactly 1 where the largest leaves every bin there; only the rows between
+    count the bins each size leaves.  Rows are scored in chunks of members;
+    each group's scores are averaged over members as one C-contiguous
+    ``(candidates, members)`` block, and the first maximum wins, as
+    ``np.argmax`` picks it.
     """
-    fp = np.empty((candidates.size, len(distributions)))
-    fn = np.zeros((candidates.size, len(distributions)))
-    shifted = candidates[:, None] - attack_sizes[None, :] if attack_sizes.size else None
-    for member_index, member in enumerate(distributions):
-        fp[:, member_index] = member.exceedances(candidates)
-        if shifted is not None:
-            fn[:, member_index] = np.mean(1.0 - member.exceedances(shifted), axis=1)
-    return fp, fn
+    if not groups:
+        return []
+    pooled = []
+    for members in groups:
+        require(len(members) > 0, "group must contain at least one distribution")
+        pooled.append(EmpiricalDistribution.pooled(list(members)))
+    candidates, widths = candidate_threshold_grids(pooled, num_candidates)
+    del pooled
+    samples = [member.samples for members in groups for member in members]
+    lengths = np.array([sample.size for sample in samples])
+    require(bool(np.all(lengths)), "operation requires a non-empty distribution")
+    lowest = np.array([sample[0] for sample in samples])
+    highest = np.array([sample[-1] for sample in samples])
+    sizes = np.asarray(attack_sizes, dtype=float)
+
+    group_sizes = np.array([len(members) for members in groups])
+    group_first = np.cumsum(widths) - widths
+    group_members = (np.cumsum(group_sizes) - group_sizes).tolist()
+    member_first = np.repeat(group_first, group_sizes).tolist()
+    member_widths = np.repeat(widths, group_sizes).tolist()
+    means = np.empty(candidates.size)
+    block = np.empty(0)
+    for group, first, end in _member_chunks(group_sizes, widths, sizes.size):
+        # The chunk's rows: each member's candidates in turn.
+        chunk_widths = member_widths[first:end]
+        rows = np.repeat(np.arange(end - first), chunk_widths)
+        offsets = np.arange(rows.size) - np.repeat(
+            np.cumsum(chunk_widths) - chunk_widths, chunk_widths
+        )
+        thresholds = candidates[np.asarray(member_first[first:end])[rows] + offsets]
+        false_negatives = np.zeros(rows.size)
+        counted = np.empty(0, dtype=np.intp)
+        if sizes.size:
+            misses_all = thresholds - sizes.max() >= highest[first:end][rows]
+            false_negatives[misses_all] = 1.0
+            counted = np.flatnonzero(
+                ~misses_all & (thresholds - sizes.min() >= lowest[first:end][rows])
+            )
+        grids = [
+            candidates[offset : offset + width]
+            for offset, width in zip(member_first[first:end], chunk_widths, strict=True)
+        ]
+        bounds = np.searchsorted(rows[counted], np.arange(end - first + 1)).tolist()
+        below, missed = _member_counts(
+            samples[first:end], grids, thresholds[counted, None] - sizes, bounds
+        )
+        row_lengths = lengths[first:end][rows]
+        if counted.size:
+            # 1 - exceedance at each shifted candidate, as a per-member search computes it.
+            detected = missed / row_lengths[counted, None]
+            np.subtract(1.0, detected, out=detected)
+            np.subtract(1.0, detected, out=detected)
+            false_negatives[counted] = np.mean(detected, axis=1)
+        scores = score(1.0 - below / row_lengths, false_negatives)
+        if group < 0:
+            # One-member groups, in candidate order: a one-member mean is the score (x / 1 == x).
+            means[member_first[first] : member_first[end - 1] + member_widths[end - 1]] = scores
+            continue
+        width, count = int(widths[group]), int(group_sizes[group])
+        done = first - group_members[group]
+        if done == 0:
+            block = np.empty((width, count))
+        block[:, done : done + end - first] = scores.reshape(end - first, width).T
+        if done + end - first == count:
+            means[group_first[group] : group_first[group] + width] = np.mean(block, axis=1)
+    best = np.maximum.reduceat(means, group_first)
+    hits = np.flatnonzero(means == np.repeat(best, widths))
+    return candidates[hits[np.searchsorted(hits, group_first)]].tolist()
+
+
+def _member_chunks(
+    group_sizes: np.ndarray, widths: np.ndarray, num_sizes: int
+) -> Iterator[Tuple[int, int, int]]:
+    """``(group, first, end)``: members ``first:end`` whose rows one chunk holds.
+
+    A chunk is a slice of one group of several members, or (``group`` -1) a
+    run of one-member groups.
+    """
+    member_cells = (widths * (num_sizes + 1)).tolist()
+    first = run = run_cells = 0
+    for group, (size, cells) in enumerate(zip(group_sizes.tolist(), member_cells, strict=True)):
+        if size == 1:
+            if run < first and run_cells + cells > _CHUNK_CELLS:
+                yield -1, run, first
+                run, run_cells = first, 0
+            first, run_cells = first + 1, run_cells + cells
+            continue
+        if run < first:
+            yield -1, run, first
+        step = max(1, _CHUNK_CELLS // cells)
+        for start in range(first, first + size, step):
+            yield group, start, min(start + step, first + size)
+        first = run = first + size
+        run_cells = 0
+    if run < first:
+        yield -1, run, first
+
+
+def _member_counts(
+    samples: Sequence[np.ndarray],
+    grids: Sequence[np.ndarray],
+    shifted: np.ndarray,
+    bounds: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Training bins at or below each member's candidates and shifted candidates.
+
+    Member ``i`` owns ``grids[i]`` and rows ``bounds[i]:bounds[i + 1]`` of
+    ``shifted``; each is one binary search of its sorted bins.
+    """
+    below = np.concatenate(
+        [
+            np.searchsorted(sample, grid, side="right")
+            for sample, grid in zip(samples, grids, strict=True)
+        ]
+    )
+    missed = np.empty(shifted.shape, dtype=np.intp)
+    for sample, low, high in zip(samples, bounds[:-1], bounds[1:], strict=True):
+        if high > low:
+            missed[low:high] = np.searchsorted(sample, shifted[low:high], side="right")
+    return below, missed
 
 
 @dataclass(frozen=True)
@@ -168,24 +306,25 @@ class UtilityHeuristic(ThresholdHeuristic):
         return f"utility-w{self.weight:g}"
 
     def threshold(self, distribution: EmpiricalDistribution) -> float:
-        return self.threshold_for_group([distribution])
+        return self.thresholds_for_groups([[distribution]])[0]
 
-    def threshold_for_group(self, distributions: Sequence[EmpiricalDistribution]) -> float:
-        """Threshold maximising the *average member* utility.
+    def thresholds_for_groups(
+        self, groups: Sequence[Sequence[EmpiricalDistribution]]
+    ) -> List[float]:
+        """Each group's threshold maximising its *average member* utility.
 
         For a single host this is the paper's per-host utility-optimal
         threshold; for the homogeneous and partial-diversity groupings it is
         the single value that best balances the false positives of heavy
         members against the missed detections of light members.
         """
-        require(len(distributions) > 0, "group must contain at least one distribution")
-        pooled = EmpiricalDistribution.pooled(list(distributions))
-        candidates = candidate_threshold_grid(pooled, self.num_candidates)
-        sizes = np.asarray(self.attack_sizes, dtype=float)
-        false_positives, false_negatives = _member_rate_matrices(distributions, candidates, sizes)
-        utilities = 1.0 - (self.weight * false_negatives + (1.0 - self.weight) * false_positives)
-        mean_utilities = np.mean(utilities, axis=1)
-        return float(candidates[int(np.argmax(mean_utilities))])
+        weight = self.weight
+        return _best_candidates(
+            groups,
+            self.num_candidates,
+            self.attack_sizes,
+            lambda fp, fn: 1.0 - (weight * fn + (1.0 - weight) * fp),
+        )
 
 
 @dataclass(frozen=True)
@@ -217,17 +356,16 @@ class FMeasureHeuristic(ThresholdHeuristic):
         return "f-measure"
 
     def threshold(self, distribution: EmpiricalDistribution) -> float:
-        return self.threshold_for_group([distribution])
+        return self.thresholds_for_groups([[distribution]])[0]
 
-    def threshold_for_group(self, distributions: Sequence[EmpiricalDistribution]) -> float:
-        """Threshold maximising the average member F-measure."""
-        require(len(distributions) > 0, "group must contain at least one distribution")
-        pooled = EmpiricalDistribution.pooled(list(distributions))
-        candidates = candidate_threshold_grid(pooled, self.num_candidates)
-        sizes = np.asarray(self.attack_sizes, dtype=float)
-        false_positives, false_negatives = _member_rate_matrices(distributions, candidates, sizes)
-        scores = f_measure_from_rate_arrays(
-            false_positives, false_negatives, self.attack_prevalence
+    def thresholds_for_groups(
+        self, groups: Sequence[Sequence[EmpiricalDistribution]]
+    ) -> List[float]:
+        """Each group's threshold maximising its average member F-measure."""
+        prevalence = self.attack_prevalence
+        return _best_candidates(
+            groups,
+            self.num_candidates,
+            self.attack_sizes,
+            lambda fp, fn: f_measure_from_rate_arrays(fp, fn, prevalence),
         )
-        mean_scores = np.mean(scores, axis=1)
-        return float(candidates[int(np.argmax(mean_scores))])

@@ -288,13 +288,15 @@ class LoadOrchestrator:
 def _host_weeks(profile: LoadProfile, events: Sequence[LoadEvent], samples: int) -> float:
     """Host-week evaluations a phase's planned events push through the engine.
 
-    A burst scenario evaluates every host over every week, a direct event
-    its targets minus the dropped hosts over every week, and a soak timeline
-    those hosts once per deployed week (one latency sample each).
+    A burst scenario evaluates every host (the ``sample_size`` sampled hosts
+    when the profile samples) over every week, a direct event its targets
+    minus the dropped hosts over every week, and a soak timeline those hosts
+    once per deployed week (one latency sample each).
     """
     kind = events[0].kind
     if kind == "burst":
-        return float(len(events) * profile.num_hosts * profile.num_weeks)
+        hosts = profile.sample_size or profile.num_hosts
+        return float(len(events) * hosts * profile.num_weeks)
     hosts = sum(len(event.target_hosts) - len(event.dropped_hosts) for event in events)
     return float(hosts * (samples if kind == "soak" else profile.num_weeks))
 

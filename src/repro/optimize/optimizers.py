@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.fusion import FusionRule
 from repro.core.metrics import DEFAULT_UTILITY_WEIGHT
-from repro.core.thresholds import ThresholdHeuristic, candidate_threshold_grid
+from repro.core.thresholds import ThresholdHeuristic, candidate_threshold_grids
 from repro.features.definitions import Feature
 from repro.optimize.objective import (
     DEFAULT_ATTACK_SIZES,
@@ -76,37 +76,47 @@ class OptimizationReport:
 
 
 def independent_thresholds(
-    members: Sequence[MemberDistributions],
+    groups: Sequence[Sequence[MemberDistributions]],
     features: Sequence[Feature],
     heuristic: ThresholdHeuristic,
-) -> Dict[Feature, float]:
-    """Per-feature heuristic thresholds for a group: the independent solution."""
-    return {
-        feature: float(heuristic.threshold_for_group([member[feature] for member in members]))
+) -> List[Dict[Feature, float]]:
+    """Each group's per-feature heuristic thresholds: the independent solution."""
+    per_feature = {
+        feature: heuristic.thresholds_for_groups(
+            [[member[feature] for member in members] for members in groups]
+        )
         for feature in features
     }
+    return [
+        {feature: per_feature[feature][index] for feature in features}
+        for index in range(len(groups))
+    ]
 
 
 def _feature_grids(
-    members: Sequence[MemberDistributions],
+    groups: Sequence[Sequence[MemberDistributions]],
     features: Sequence[Feature],
     num_candidates: int,
-    include: Sequence[Optional[Mapping[Feature, float]]] = (),
-) -> List[np.ndarray]:
-    """Per-feature candidate grids from the group's pooled distributions.
+    include: Sequence[Sequence[Optional[Mapping[Feature, float]]]],
+) -> List[List[np.ndarray]]:
+    """Each group's per-feature candidate grids, from its pooled distributions.
 
-    ``include`` vectors (the independent start, a warm start from a previous
-    optimisation) are merged into each grid so the search space always
-    contains the status quo and any known-good prior solution.
+    ``include[g]`` lists group ``g``'s anchor vectors (the independent start,
+    a warm start from a previous optimisation); they are merged into its
+    grids so the search space always contains the status quo and any
+    known-good prior solution.
     """
-    anchors = [vector for vector in include if vector is not None]
-    grids: List[np.ndarray] = []
+    grids: List[List[np.ndarray]] = [[] for _ in groups]
     for feature in features:
-        pooled = EmpiricalDistribution.pooled([member[feature] for member in members])
-        grid = candidate_threshold_grid(pooled, num_candidates)
-        if anchors:
-            grid = np.unique(np.append(grid, [vector[feature] for vector in anchors]))
-        grids.append(grid)
+        pooled = [
+            EmpiricalDistribution.pooled([member[feature] for member in members])
+            for members in groups
+        ]
+        values, counts = candidate_threshold_grids(pooled, num_candidates)
+        split = np.split(values, np.cumsum(counts)[:-1])
+        for group_grids, grid, vectors in zip(grids, split, include, strict=True):
+            anchors = [vector[feature] for vector in vectors if vector is not None]
+            group_grids.append(np.unique(np.append(grid, anchors)) if anchors else grid)
     return grids
 
 
@@ -223,7 +233,7 @@ class IndependentOptimizer(ThresholdOptimizer):
         warm_start: Optional[Mapping[Feature, float]] = None,
     ) -> GroupOptimization:
         features = tuple(features)
-        thresholds = independent_thresholds(members, features, heuristic)
+        thresholds = independent_thresholds([members], features, heuristic)[0]
         value = objective.score(members, features, [thresholds[f] for f in features])
         return GroupOptimization(thresholds=thresholds, objective_value=value, iterations=0)
 
@@ -285,11 +295,10 @@ class CoordinateAscentOptimizer(ThresholdOptimizer):
         """
         features = tuple(features)
         warm_starts = warm_starts if warm_starts is not None else [None] * len(groups)
-        starts = [independent_thresholds(members, features, heuristic) for members in groups]
-        grids = [
-            _feature_grids(members, features, self.num_candidates, include=(start, warm))
-            for members, start, warm in zip(groups, starts, warm_starts, strict=True)
-        ]
+        starts = independent_thresholds(groups, features, heuristic)
+        grids = _feature_grids(
+            groups, features, self.num_candidates, list(zip(starts, warm_starts, strict=True))
+        )
         sizes = np.array([len(members) for members in groups])
         group_of_row = np.repeat(np.arange(len(groups)), sizes)
         bound = objective.bind([member for members in groups for member in members], features)
@@ -369,10 +378,8 @@ class GridJointOptimizer(ThresholdOptimizer):
             f"GridJointOptimizer supports at most {MAX_JOINT_GRID_FEATURES} features "
             f"(the joint grid is exponential); got {len(features)}",
         )
-        start = independent_thresholds(members, features, heuristic)
-        grids = _feature_grids(
-            members, features, self.num_candidates, include=(start, warm_start)
-        )
+        start = independent_thresholds([members], features, heuristic)[0]
+        grids = _feature_grids([members], features, self.num_candidates, [(start, warm_start)])[0]
         mesh = np.meshgrid(*grids, indexing="ij")
         candidates = np.stack([axis.ravel() for axis in mesh], axis=1)
         scores = objective.group_scores(members, features, candidates)

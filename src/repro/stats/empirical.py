@@ -56,16 +56,24 @@ def _sorted_percentile(sorted_samples: np.ndarray, q: float) -> float:
     return a + (b - a) * gamma
 
 
-def _sorted_percentiles(sorted_samples: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """The kernel for an array of ``q``, in the shape ``np.percentile`` returns."""
-    last = sorted_samples.size - 1
+def _sorted_percentiles(
+    sorted_samples: np.ndarray, qs: np.ndarray, first=0, last=None
+) -> np.ndarray:
+    """The kernel for an array of ``q``, in the shape ``np.percentile`` returns.
+
+    ``first`` and ``last`` bound the sorted run read (default: all samples).
+    Given as index columns they read one run per row of a flat array of
+    concatenated runs, in one pass.
+    """
+    if last is None:
+        last = sorted_samples.size - 1
     virtual = last * (qs / 100.0)
     below = np.floor(virtual).astype(np.intp)
-    a = sorted_samples[below]
-    b = sorted_samples[np.minimum(below + 1, last)]
+    a = sorted_samples[first + below]
+    b = sorted_samples[first + np.minimum(below + 1, last)]
     gamma = virtual - below
     lerp = np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)
-    return np.where(virtual >= last, sorted_samples[last], lerp)[()]
+    return np.where(virtual >= last, sorted_samples[first + last], lerp)[()]
 
 
 class EmpiricalDistribution:
@@ -283,6 +291,35 @@ class EmpiricalDistribution:
             f"EmpiricalDistribution(n={len(self)}, "
             f"median={self.percentile(50):.3g}, p99={self.percentile(99):.3g})"
         )
+
+
+#: Most (distribution, q) cells one pass of :func:`stacked_percentiles` holds.
+_STACKED_CELLS = 1 << 13
+
+
+def stacked_percentiles(distributions: Sequence[EmpiricalDistribution], qs) -> np.ndarray:
+    """Every distribution's :meth:`~EmpiricalDistribution.percentiles`, as ``(distributions, qs)``.
+
+    Each pass of the index kernel reads the concatenated samples of a block
+    of distributions; row ``i`` is bit-identical to
+    ``distributions[i].percentiles(qs)`` for a 1-D ``qs``.
+    """
+    values = np.asarray(qs, dtype=float)
+    require(values.ndim == 1, "qs must be one-dimensional")
+    in_range = bool(np.all((values >= 0.0) & (values <= 100.0)))
+    require(in_range, "percentile q must be in [0, 100]")
+    lengths = np.array([len(distribution) for distribution in distributions], dtype=np.intp)
+    require(bool(np.all(lengths)), "operation requires a non-empty distribution")
+    result = np.empty((lengths.size, values.size))
+    step = max(1, _STACKED_CELLS // max(values.size, 1))
+    for start in range(0, lengths.size, step):
+        block = lengths[start : start + step]
+        flat = np.concatenate([dist._sorted for dist in distributions[start : start + step]])
+        first = np.cumsum(block) - block
+        result[start : start + step] = _sorted_percentiles(
+            flat, values, first[:, None], block[:, None] - 1
+        )
+    return result
 
 
 def common_bin_width(distributions: Sequence["EmpiricalDistribution"]) -> Optional[float]:

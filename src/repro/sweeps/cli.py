@@ -239,19 +239,8 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
             f"(pass --rerun to re-evaluate them)"
         )
     print(run.summary())
-    print(_cache_effectiveness_line(run.populations_from_cache, run.populations_generated))
     print(f"results appended to {store_path} (run id {run_id})")
     return 0
-
-
-def _cache_effectiveness_line(hits: int, misses: int) -> str:
-    """One-line engine-cache summary (``hits``/``misses``/ratio)."""
-    requests = hits + misses
-    ratio = (hits / requests) if requests else 0.0
-    return (
-        f"engine cache: {hits} hit(s), {misses} miss(es) "
-        f"({ratio:.0%} hit ratio over {requests} request(s))"
-    )
 
 
 def _store_records(store: ResultStore):
@@ -296,12 +285,13 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
     if sampled:
         print()
         print(_sampled_table(sampled))
-    # Per-scenario timing records carry population provenance: surface how
-    # effective the engine cache / population dedup was across the store.
+    # Per-scenario timing records carry population provenance: how many
+    # scenarios reused a population another scenario of their run had loaded
+    # (cache reads are the run's metrics record, ``repro metrics show``).
     timed = [record for record in records if "population_reused" in record.timing]
     if timed:
         reused = sum(1 for record in timed if record.timing["population_reused"])
-        print(_cache_effectiveness_line(reused, len(timed) - reused))
+        print(f"population reuse: {reused} of {len(timed)} scenario(s)")
     return 0
 
 

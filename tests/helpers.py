@@ -2,9 +2,10 @@
 
 The program never calls these: they build test inputs (packets, uniform
 attack traces, small load profiles), inspect what a test produced (capture
-sessions, exited processes), recompute, one host at a time, what the program
-computes in bulk, so the tests can compare the two, or render the payload of
-``tests/data/golden_observability.json`` (:func:`observability_golden`).
+sessions, exited processes), recompute, one host or group at a time, what
+the program computes in bulk, so the tests can compare the two, or render
+the payload of ``tests/data/golden_observability.json``
+(:func:`observability_golden`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.attacks.base import AttackTrace, FeatureInjection
+from repro.core.metrics import f_measure_from_rate_arrays
+from repro.core.thresholds import FMeasureHeuristic, ThresholdHeuristic, UtilityHeuristic
 from repro.engine import PopulationEngine
 from repro.features.definitions import Feature
 from repro.features.timeseries import TimeSeries
@@ -31,6 +34,7 @@ from repro.metrics import (
     render_metrics_diff,
 )
 from repro.metrics.cli import render_run_record
+from repro.stats.empirical import EmpiricalDistribution
 from repro.telemetry import (
     TelemetryRecorder,
     add_count,
@@ -192,6 +196,60 @@ def inject_attack(benign: TimeSeries, attack: AttackTrace, feature: Feature) -> 
     padded[:usable] = amounts[:usable]
     observed = TimeSeries(np.asarray(benign.values) + padded, benign.bin_spec)
     return InjectedSeries(observed=observed, benign=benign, attack_amounts=padded)
+
+
+# ---------------------------------------------------------- threshold search
+def candidate_threshold_grid(
+    distribution: EmpiricalDistribution, num_candidates: int
+) -> np.ndarray:
+    """One distribution's candidate grid, built on its own.
+
+    The reference for :func:`~repro.core.thresholds.candidate_threshold_grids`:
+    upper-half quantiles plus headroom above the maximum, through ``np.unique``.
+    """
+    quantiles = np.minimum(np.linspace(0.5, 1.0, num_candidates), 1.0)
+    values = distribution.percentiles(100.0 * quantiles)
+    return np.unique(np.append(values, distribution.max() * 1.01 + 1.0))
+
+
+def member_rate_matrices(
+    distributions: List[EmpiricalDistribution], candidates: np.ndarray, attack_sizes: np.ndarray
+) -> tuple:
+    """Each member's training (FP, FN) at each candidate, as two ``(candidates, members)`` arrays.
+
+    FN is the chance of missing an attack whose size is drawn uniformly from
+    ``attack_sizes`` (0 when there are none), one exceedance search per member.
+    """
+    fp = np.empty((candidates.size, len(distributions)))
+    fn = np.zeros((candidates.size, len(distributions)))
+    shifted = candidates[:, None] - attack_sizes[None, :] if attack_sizes.size else None
+    for member_index, member in enumerate(distributions):
+        fp[:, member_index] = member.exceedances(candidates)
+        if shifted is not None:
+            fn[:, member_index] = np.mean(1.0 - member.exceedances(shifted), axis=1)
+    return fp, fn
+
+
+def threshold_for_group(heuristic: ThresholdHeuristic, distributions) -> float:
+    """One group's threshold, searched for that group alone.
+
+    The reference for ``thresholds_for_groups``: the utility and F-measure
+    heuristics score every member at every candidate of the group's pooled
+    grid and take the first maximum of the C-contiguous member mean; the
+    other heuristics pool the members.
+    """
+    require(len(distributions) > 0, "group must contain at least one distribution")
+    pooled = EmpiricalDistribution.pooled(list(distributions))
+    if not isinstance(heuristic, (UtilityHeuristic, FMeasureHeuristic)):
+        return float(heuristic.threshold(pooled))
+    candidates = candidate_threshold_grid(pooled, heuristic.num_candidates)
+    sizes = np.asarray(heuristic.attack_sizes, dtype=float)
+    fp, fn = member_rate_matrices(list(distributions), candidates, sizes)
+    if isinstance(heuristic, UtilityHeuristic):
+        scores = 1.0 - (heuristic.weight * fn + (1.0 - heuristic.weight) * fp)
+    else:
+        scores = f_measure_from_rate_arrays(fp, fn, heuristic.attack_prevalence)
+    return float(candidates[int(np.argmax(np.mean(scores, axis=1)))])
 
 
 # ------------------------------------------------------------ load profiles

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from helpers import candidate_threshold_grid, threshold_for_group
+from hypothesis import given, settings, strategies as st
 
 from repro.core.grouping import (
     GroupAssignment,
@@ -19,14 +23,20 @@ from repro.core.policies import (
     HomogeneousPolicy,
     PartialDiversityPolicy,
 )
+from repro.core import thresholds as thresholds_module
+from repro.core.evaluation import training_distributions
 from repro.core.thresholds import (
     FMeasureHeuristic,
     MeanStdHeuristic,
     PercentileHeuristic,
     UtilityHeuristic,
+    candidate_threshold_grids,
 )
+from repro.experiments.fig3_utility import default_attack_sizes
+from repro.features.definitions import Feature
 from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.validation import ValidationError
+from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
 
 def _population_distributions(num_light=20, num_heavy=4, seed=0):
@@ -90,7 +100,7 @@ class TestThresholdHeuristics:
     def test_utility_group_threshold_balances_members(self):
         distributions = list(_population_distributions().values())
         heuristic = UtilityHeuristic(weight=0.4, attack_sizes=(100.0, 500.0, 2000.0))
-        group_threshold = heuristic.threshold_for_group(distributions)
+        group_threshold = heuristic.thresholds_for_groups([distributions])[0]
         pooled_p99 = EmpiricalDistribution.pooled(distributions).percentile(99)
         # The average-member optimum sits well below the pooled tail, because
         # protecting the many light members outweighs a few heavy members' FPs.
@@ -105,7 +115,7 @@ class TestThresholdHeuristics:
         a = EmpiricalDistribution([1.0, 2.0, 3.0])
         b = EmpiricalDistribution([100.0, 200.0, 300.0])
         heuristic = PercentileHeuristic(50.0)
-        assert heuristic.threshold_for_group([a, b]) == pytest.approx(
+        assert heuristic.thresholds_for_groups([[a, b]])[0] == pytest.approx(
             EmpiricalDistribution.pooled([a, b]).percentile(50)
         )
 
@@ -194,3 +204,214 @@ class TestPolicies:
         policy = ConfigurationPolicy(PercentileHeuristic(), SingleGroupGrouping(), name="custom")
         assert policy.name == "custom"
         assert "percentile" in ConfigurationPolicy(PercentileHeuristic(), SingleGroupGrouping()).name
+
+
+# --------------------------------------------------- batched search vs oracle
+@st.composite
+def _member(draw) -> EmpiricalDistribution:
+    """One member's training bins: ragged, integer counts with ties, spread floats or all zero."""
+    kind = draw(st.sampled_from(["integers", "floats", "zeros"]))
+    length = draw(st.integers(1, 40))
+    if kind == "zeros":
+        return EmpiricalDistribution(np.zeros(length))
+    values = (
+        st.integers(0, 7).map(float)
+        if kind == "integers"
+        else st.floats(0.0, 500.0, allow_nan=False, allow_infinity=False)
+    )
+    return EmpiricalDistribution(draw(st.lists(values, min_size=length, max_size=length)))
+
+
+@st.composite
+def _groups(draw):
+    """Members split into singletons, one big group, or uneven groups."""
+    members = draw(st.lists(_member(), min_size=1, max_size=12))
+    layout = draw(st.sampled_from(["singletons", "one", "uneven"]))
+    if layout == "singletons":
+        return [[member] for member in members]
+    if layout == "one" or len(members) == 1:
+        return [members]
+    cuts = sorted(draw(st.sets(st.integers(1, len(members) - 1), min_size=1)))
+    return [members[a:b] for a, b in zip([0, *cuts], [*cuts, len(members)], strict=True)]
+
+
+#: Planned sizes: 0, repeats, any order, or none at all.
+_SIZES = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 7.5, 12.0, 40.0]) | st.floats(0.0, 600.0),
+    max_size=12,
+).map(tuple)
+_CANDIDATES = st.sampled_from([2, 3, 5, 17, 200])
+_HEURISTICS = st.one_of(
+    st.builds(
+        UtilityHeuristic,
+        # w = 0.5 trades FP and FN exactly: the float arithmetic breaks those ties.
+        weight=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        attack_sizes=_SIZES,
+        num_candidates=_CANDIDATES,
+    ),
+    st.builds(
+        FMeasureHeuristic,
+        attack_sizes=_SIZES,
+        attack_prevalence=st.sampled_from([0.0, 0.01, 1.0]) | st.floats(0.0, 1.0),
+        num_candidates=_CANDIDATES,
+    ),
+)
+
+
+def _oracle(heuristic, groups):
+    return [threshold_for_group(heuristic, members) for members in groups]
+
+
+class TestBatchedSearchEqualsPerGroupOracle:
+    """``thresholds_for_groups`` equals one per-group search per group, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        heuristic=_HEURISTICS,
+        groups=_groups(),
+        chunk_cells=st.sampled_from([1, 5, 64, 1 << 15]),
+    )
+    def test_matches_oracle(self, heuristic, groups, chunk_cells):
+        """Small chunk budgets split groups into several chunks."""
+        with mock.patch.object(thresholds_module, "_CHUNK_CELLS", chunk_cells):
+            actual = heuristic.thresholds_for_groups(groups)
+        assert actual == _oracle(heuristic, groups)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        distributions=st.lists(_member(), min_size=1, max_size=8),
+        num_candidates=_CANDIDATES,
+    )
+    def test_grids_match_per_distribution_grid(self, distributions, num_candidates):
+        values, counts = candidate_threshold_grids(distributions, num_candidates)
+        expected = [candidate_threshold_grid(d, num_candidates) for d in distributions]
+        assert counts.tolist() == [grid.size for grid in expected]
+        assert np.array_equal(values, np.concatenate(expected))
+
+    @given(
+        heuristic=st.sampled_from([PercentileHeuristic(90.0), MeanStdHeuristic(2.0)]),
+        groups=_groups(),
+    )
+    def test_pooled_defaults_match_oracle(self, heuristic, groups):
+        assert heuristic.thresholds_for_groups(groups) == _oracle(heuristic, groups)
+
+    def test_no_groups(self):
+        assert UtilityHeuristic().thresholds_for_groups([]) == []
+
+    @pytest.mark.parametrize(
+        "samples, sizes, num_candidates, expected",
+        [
+            ([[2.0, 5.0, 7.0]], (2.0,), 5, 5.0),
+            (
+                [
+                    [0.0, 1.0, 2.0, 2.0, 6.0],
+                    [2.0, 4.0, 4.0],
+                    [0.0, 5.0, 6.0],
+                    [3.0, 5.0],
+                    [2.0, 4.0],
+                    [2.0, 7.0],
+                    [3.0, 5.0, 5.0, 6.0, 7.0, 7.0],
+                    [3.0, 7.0],
+                ],
+                (2.0, 2.0, 2.0),
+                17,
+                5.0,
+            ),
+        ],
+        ids=["one-member", "eight-members"],
+    )
+    def test_exact_ties_follow_the_per_group_arithmetic(
+        self, samples, sizes, num_candidates, expected
+    ):
+        """At w = 0.5 these candidates tie in exact arithmetic; the float FN
+        ``1 - (1 - k / n)`` and the pairwise member mean pick the winner.  FN
+        taken as ``k / n`` picks 7.0 for one member, and a sequential member
+        sum picks 4.0 for eight."""
+        heuristic = UtilityHeuristic(
+            weight=0.5, attack_sizes=sizes, num_candidates=num_candidates
+        )
+        group = [EmpiricalDistribution(values) for values in samples]
+        assert heuristic.thresholds_for_groups([group]) == [expected]
+        assert threshold_for_group(heuristic, group) == expected
+
+
+class TestBatchedSearchErrors:
+    """Every validation of the per-group search still raises."""
+
+    HEURISTICS = (
+        PercentileHeuristic(99.0),
+        MeanStdHeuristic(3.0),
+        UtilityHeuristic(weight=0.4, attack_sizes=(10.0,)),
+        FMeasureHeuristic(attack_sizes=(10.0,)),
+    )
+
+    @pytest.mark.parametrize("heuristic", HEURISTICS, ids=lambda h: h.name)
+    def test_empty_group(self, heuristic):
+        member = EmpiricalDistribution([1.0, 2.0])
+        with pytest.raises(ValidationError, match="at least one distribution"):
+            heuristic.thresholds_for_groups([[member], []])
+
+    @pytest.mark.parametrize("heuristic", HEURISTICS, ids=lambda h: h.name)
+    def test_mixed_bin_widths(self, heuristic):
+        narrow = EmpiricalDistribution(np.arange(50.0), bin_width=60.0)
+        wide = EmpiricalDistribution(np.arange(50.0) * 5.0, bin_width=300.0)
+        with pytest.raises(ValidationError, match="bin widths"):
+            heuristic.thresholds_for_groups([[narrow], [narrow, wide]])
+
+    @pytest.mark.parametrize("heuristic", HEURISTICS[2:], ids=lambda h: h.name)
+    def test_empty_member(self, heuristic):
+        """The searching heuristics score every member; pooling skips an empty one."""
+        member = EmpiricalDistribution([1.0, 2.0])
+        with pytest.raises(ValidationError, match="non-empty distribution"):
+            heuristic.thresholds_for_groups([[member, EmpiricalDistribution()]])
+
+    @pytest.mark.parametrize("kind", [UtilityHeuristic, FMeasureHeuristic])
+    def test_negative_size(self, kind):
+        with pytest.raises(ValidationError, match="non-negative"):
+            kind(attack_sizes=(10.0, -1.0))
+
+
+class TestFiguresPopulation:
+    """The figures population (350 hosts x 2 weeks, seed 2009): every policy of
+    Figure 3, at its planned sizes and at the heuristics' default sizes."""
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        return generate_enterprise(EnterpriseConfig(num_hosts=350, num_weeks=2, seed=2009))
+
+    @pytest.fixture(scope="class")
+    def training(self, population):
+        return training_distributions(population.matrices(), Feature.TCP_CONNECTIONS, week=0)
+
+    @pytest.mark.parametrize("planned", ["fig3", "default"])
+    @pytest.mark.parametrize("kind", [UtilityHeuristic, FMeasureHeuristic])
+    def test_policies_match_oracle(self, population, training, planned, kind):
+        sizes = (
+            default_attack_sizes(population, Feature.TCP_CONNECTIONS)
+            if planned == "fig3"
+            else (10.0, 50.0, 100.0, 500.0)
+        )
+        heuristic = kind(attack_sizes=sizes)
+        for policy in (
+            HomogeneousPolicy(heuristic),
+            FullDiversityPolicy(heuristic),
+            PartialDiversityPolicy(heuristic, num_groups=8),
+        ):
+            assignment = policy.compute_thresholds(training)
+            groups = [[training[host] for host in group] for group in assignment.grouping.groups]
+            assert list(assignment.group_thresholds) == _oracle(heuristic, groups), policy.name
+
+    def test_full_diversity_memory_is_bounded(self, population, training):
+        """Chunks bound the search: a dense (members, candidates, sizes) array
+        would hold 53,206 x 10 doubles (4.1 MiB) here."""
+        sizes = default_attack_sizes(population, Feature.TCP_CONNECTIONS)
+        heuristic = UtilityHeuristic(attack_sizes=sizes)
+        groups = [[distribution] for distribution in training.values()]
+        heuristic.thresholds_for_groups(groups)
+        tracemalloc.start()
+        try:
+            heuristic.thresholds_for_groups(groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, peak

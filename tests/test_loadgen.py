@@ -316,6 +316,22 @@ class TestOrchestration:
         )
         assert faults.host_weeks == pytest.approx(expected)
 
+    def test_sampled_burst_counts_the_sampled_hosts(self):
+        """Each scenario of a sampled burst evaluates ``sample_size`` hosts."""
+        profile = LoadProfile(
+            name="sampled-burst",
+            description="test burst profile with sampled evaluation",
+            num_hosts=16,
+            num_weeks=2,
+            phases=(PhaseSpec(name="burst", kind="burst", num_events=2),),
+            total_events=2,
+            sample_size=4,
+        )
+        report = run_profile(profile, engine=fresh_engine(), clock=FakeClock(), timestamp="t")
+        (phase,) = report.phases
+        assert phase.num_events == 2
+        assert phase.host_weeks == 16.0
+
 
 # ------------------------------------------------- phase metrics from spans
 def tiny_burst_profile() -> LoadProfile:
@@ -334,7 +350,8 @@ def planned_host_weeks(profile: LoadProfile, phase: str) -> float:
     """Host-weeks a direct or burst phase's planned events evaluate."""
     events = [event for event in plan_events(profile) if event.phase == phase]
     if events[0].kind == "burst":
-        return float(len(events) * profile.num_hosts * profile.num_weeks)
+        hosts = profile.sample_size or profile.num_hosts
+        return float(len(events) * hosts * profile.num_weeks)
     return float(
         sum(len(e.target_hosts) - len(e.dropped_hosts) for e in events) * profile.num_weeks
     )

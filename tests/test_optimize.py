@@ -36,7 +36,7 @@ from repro.core.thresholds import (
     MeanStdHeuristic,
     PercentileHeuristic,
     UtilityHeuristic,
-    candidate_threshold_grid,
+    candidate_threshold_grids,
 )
 from repro.engine.cache import PopulationCache
 from repro.features.definitions import Feature
@@ -441,10 +441,8 @@ def _reference_coordinate_ascent(optimizer, members, features, objective, heuris
             _reference_member_utilities(objective, members, features, candidates), axis=1
         )
 
-    start = independent_thresholds(members, features, heuristic)
-    grids = _feature_grids(
-        members, features, optimizer.num_candidates, include=(start, warm_start)
-    )
+    start = independent_thresholds([members], features, heuristic)[0]
+    grids = _feature_grids([members], features, optimizer.num_candidates, [(start, warm_start)])[0]
     vector = np.array([start[feature] for feature in features])
     best = float(scores(vector)[0])
     if warm_start is not None:
@@ -743,7 +741,7 @@ class TestEvaluationProvenance:
 
 
 class TestBinWidthPooling:
-    """`threshold_for_group` must not pool incomparable per-bin counts."""
+    """`thresholds_for_groups` must not pool incomparable per-bin counts."""
 
     def test_pooled_rejects_conflicting_widths(self):
         narrow = EmpiricalDistribution([1.0, 2.0], bin_width=60.0)
@@ -761,7 +759,7 @@ class TestBinWidthPooling:
             FMeasureHeuristic(attack_sizes=(10.0,)),
         ):
             with pytest.raises(ValidationError, match="bin widths"):
-                heuristic.threshold_for_group([narrow, wide])
+                heuristic.thresholds_for_groups([[narrow, wide]])
 
     def test_unknown_width_is_compatible(self):
         tagged = EmpiricalDistribution([1.0, 2.0], bin_width=60.0)
@@ -790,6 +788,7 @@ class TestBinWidthPooling:
 
     def test_candidate_grid_contains_headroom(self):
         distribution = EmpiricalDistribution(np.arange(100.0))
-        grid = candidate_threshold_grid(distribution, 16)
+        grid, counts = candidate_threshold_grids([distribution], 16)
+        assert counts.tolist() == [grid.size]
         assert grid[-1] > distribution.max()
         assert np.all(np.diff(grid) > 0)

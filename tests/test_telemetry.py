@@ -364,7 +364,8 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "engine cache:" in out
+        assert "1 distinct population(s)" in out
+        assert "engine cache:" not in out
         assert f"trace written to {trace_path}" in out
         snapshot = read_trace_jsonl(trace_path)
         assert snapshot["counters"]["sweeps.scenarios_evaluated"] == 12
@@ -373,7 +374,7 @@ class TestCli:
 
         code = cli_main(["sweep", "report", str(tmp_path / "store.jsonl")])
         assert code == 0
-        assert "engine cache:" in capsys.readouterr().out
+        assert "population reuse: 11 of 12 scenario(s)" in capsys.readouterr().out
 
         code = cli_main(["trace", "report", str(trace_path)])
         out = capsys.readouterr().out
