@@ -616,11 +616,104 @@ def _train_blocks(
     return distributions
 
 
+class EvaluationMemo:
+    """Training distributions and threshold assignments shared by evaluations.
+
+    :func:`evaluate_policy` takes each feature's training distributions and
+    the policy's :class:`~repro.core.policies.DetectionAssignment` from the
+    memo it is given, and computes them only on a miss.  A hit returns the
+    very object the miss computed, keyed on every input that made it, so
+    reuse is bit-identical:
+
+    * a training entry by (the matrices mapping by identity, feature, train
+      week, ``train_on_active_bins``);
+    * an assignment entry by every input ``policy.assign`` receives: the
+      policy's type, name, heuristic, grouping and optimizer, the training
+      distributions by identity in protocol feature order, the
+      grouping-statistic percentile and the fusion rule (kept even when the
+      policy has no optimizer to read it).
+
+    The memo holds a reference to every object it keys by identity, so an id
+    is never recycled while it lives.  An assignment whose policy parts
+    cannot be hashed is computed every time.
+    """
+
+    def __init__(self) -> None:
+        self._trainings: Dict[tuple, Tuple[object, Dict[int, EmpiricalDistribution]]] = {}
+        self._assignments: Dict[tuple, Tuple[object, DetectionAssignment]] = {}
+
+    def training(
+        self, matrices: Mapping[int, FeatureMatrix], protocol: DetectionProtocol
+    ) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
+        """Each protocol feature's training distributions, in protocol feature order.
+
+        The features without an entry are trained together in one
+        ``core.train`` span.
+        """
+        keys = {
+            feature: (id(matrices), feature, protocol.train_week, protocol.train_on_active_bins)
+            for feature in protocol.features
+        }
+        missing = [feature for feature, key in keys.items() if key not in self._trainings]
+        if len(missing) < len(keys):
+            add_count("core.trainings_reused", len(keys) - len(missing))
+        if missing:
+            with trace_span("core.train"):
+                trained = detection_training_distributions(
+                    matrices,
+                    missing,
+                    protocol.train_week,
+                    active_bins_only=protocol.train_on_active_bins,
+                )
+            for feature in missing:
+                self._trainings[keys[feature]] = (matrices, trained[feature])
+        return {feature: self._trainings[key][1] for feature, key in keys.items()}
+
+    def assignment(
+        self,
+        policy: ConfigurationPolicy,
+        training: Mapping[Feature, Mapping[int, EmpiricalDistribution]],
+        protocol: DetectionProtocol,
+    ) -> DetectionAssignment:
+        """``policy.assign`` on ``training``, computed in a ``core.assign`` span on a miss."""
+        inputs = tuple(training.values())
+        key = (
+            type(policy),
+            policy.name,
+            policy.heuristic,
+            policy.grouping,
+            policy.optimizer,
+            tuple(map(id, inputs)),
+            protocol.grouping_statistic_percentile,
+            protocol.fusion,
+        )
+        try:
+            entry = self._assignments.get(key)
+        except TypeError:  # e.g. a heuristic given a list of attack sizes
+            key = entry = None
+        if entry is not None:
+            add_count("core.assignments_reused")
+            # Counted as if assigned again, so the total does not depend on
+            # which process made the assignment.
+            add_count("optimize.assignments")
+            return entry[1]
+        with trace_span("core.assign"):
+            assignment = policy.assign(
+                training,
+                grouping_statistic_percentile=protocol.grouping_statistic_percentile,
+                fusion=protocol.fusion,
+            )
+        if key is not None:
+            self._assignments[key] = (inputs, assignment)
+        return assignment
+
+
 def evaluate_policy(
     matrices: Mapping[int, FeatureMatrix],
     policy: ConfigurationPolicy,
     protocol: DetectionProtocol,
     attack_builder: Optional[AttackBuilder] = None,
+    memo: Optional[EvaluationMemo] = None,
 ) -> PolicyEvaluation:
     """Run the full train/test evaluation of ``policy`` over a feature set.
 
@@ -640,25 +733,16 @@ def evaluate_policy(
         amounts to overlay on every host's *test* week; it is handed each
         host's thresholds in force.  When None, only false positives are
         measured and the false-negative rate is reported as 0.
+    memo:
+        The :class:`EvaluationMemo` the training and the assignment are
+        taken from (and stored in on a miss); a fresh one when None.
     """
     require(len(matrices) > 0, "matrices must cover at least one host")
-    features = protocol.features
+    memo = EvaluationMemo() if memo is None else memo
 
     with trace_span("core.evaluate", policy=policy.name, num_hosts=len(matrices)):
-        with trace_span("core.train"):
-            training = detection_training_distributions(
-                matrices,
-                features,
-                protocol.train_week,
-                active_bins_only=protocol.train_on_active_bins,
-            )
-        with trace_span("core.assign"):
-            assignment = policy.assign(
-                training,
-                grouping_statistic_percentile=protocol.grouping_statistic_percentile,
-                fusion=protocol.fusion,
-            )
-
+        training = memo.training(matrices, protocol)
+        assignment = memo.assignment(policy, training, protocol)
         performances = measure_assignment(
             matrices, assignment, protocol, attack_builder=attack_builder
         )
@@ -666,7 +750,7 @@ def evaluate_policy(
             "evaluated policy %s over %d host(s), %d feature(s)",
             policy.name,
             len(matrices),
-            len(features),
+            protocol.num_features,
         )
 
     return PolicyEvaluation(

@@ -27,6 +27,7 @@ from repro.attacks.base import AttackBuilder
 from repro.core.evaluation import (
     AlarmColumns,
     DetectionProtocol,
+    EvaluationMemo,
     PolicyEvaluation,
     evaluate_policy,
 )
@@ -317,6 +318,7 @@ def evaluate_scenario(
     attack_builder: Optional[AttackBuilder] = None,
     attack_prevalence: float = 0.01,
     sample: Optional[SampleSpec] = None,
+    memo: Optional[EvaluationMemo] = None,
 ) -> ScenarioOutcome:
     """Evaluate one policy on one population and return the scalar summary.
 
@@ -332,9 +334,19 @@ def evaluate_scenario(
     On a sharded population only the shards holding sampled hosts are ever
     loaded (via ``matrices_for``), so memory stays bounded however large the
     population is.
+
+    ``memo`` shares trainings and assignments with earlier evaluations of the
+    same population (see :class:`~repro.core.evaluation.EvaluationMemo`).  A
+    sampled evaluation never uses it: its host subset is a mapping of its
+    own, which nothing else would reuse.
     """
+    sampled = sample is not None and sample.enabled
     evaluation = evaluate_policy(
-        _scenario_matrices(population, sample), policy, protocol, attack_builder=attack_builder
+        _scenario_matrices(population, sample),
+        policy,
+        protocol,
+        attack_builder=attack_builder,
+        memo=None if sampled else memo,
     )
     return summarize_scenario(evaluation, attack_prevalence=attack_prevalence, sample=sample)
 

@@ -57,23 +57,21 @@ def _sorted_percentile(sorted_samples: np.ndarray, q: float) -> float:
 
 
 def _sorted_percentiles(
-    sorted_samples: np.ndarray, qs: np.ndarray, first=0, last=None
+    flat: np.ndarray, qs: np.ndarray, first: np.ndarray, last: np.ndarray
 ) -> np.ndarray:
-    """The kernel for an array of ``q``, in the shape ``np.percentile`` returns.
+    """The kernel for a 1-D array of ``q`` over sorted runs, one run per row.
 
-    ``first`` and ``last`` bound the sorted run read (default: all samples).
-    Given as index columns they read one run per row of a flat array of
-    concatenated runs, in one pass.
+    ``flat`` holds the runs back to back; the index columns ``first`` and
+    ``last`` give each run's start and its last index within the run.  Row
+    ``i`` is ``np.percentile`` of run ``i`` at ``qs``, in one pass.
     """
-    if last is None:
-        last = sorted_samples.size - 1
     virtual = last * (qs / 100.0)
     below = np.floor(virtual).astype(np.intp)
-    a = sorted_samples[first + below]
-    b = sorted_samples[first + np.minimum(below + 1, last)]
+    a = flat[first + below]
+    b = flat[first + np.minimum(below + 1, last)]
     gamma = virtual - below
     lerp = np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)
-    return np.where(virtual >= last, sorted_samples[first + last], lerp)[()]
+    return np.where(virtual >= last, flat[first + last], lerp)
 
 
 class EmpiricalDistribution:
@@ -238,13 +236,6 @@ class EmpiricalDistribution:
         """Vectorised :meth:`exceedance`: ``P(X > v)`` for an array of values."""
         return 1.0 - self.cdfs(values)
 
-    def percentiles(self, qs) -> np.ndarray:
-        """Vectorised :meth:`percentile` for an array of ``q`` values in [0, 100]."""
-        values = np.asarray(qs, dtype=float)
-        require(bool(np.all((values >= 0.0) & (values <= 100.0))), "percentile q must be in [0, 100]")
-        self._require_samples()
-        return _sorted_percentiles(self._sorted, values)
-
     def shifted_exceedance(self, threshold: float, shift: float) -> float:
         """Return ``P(X + shift > threshold)``.
 
@@ -298,11 +289,11 @@ _STACKED_CELLS = 1 << 13
 
 
 def stacked_percentiles(distributions: Sequence[EmpiricalDistribution], qs) -> np.ndarray:
-    """Every distribution's :meth:`~EmpiricalDistribution.percentiles`, as ``(distributions, qs)``.
+    """Every distribution's percentiles at the 1-D ``qs``, as ``(distributions, qs)``.
 
     Each pass of the index kernel reads the concatenated samples of a block
-    of distributions; row ``i`` is bit-identical to
-    ``distributions[i].percentiles(qs)`` for a 1-D ``qs``.
+    of distributions, at most :data:`_STACKED_CELLS` cells; row ``i`` is
+    bit-identical to ``np.percentile(distributions[i].samples, qs)``.
     """
     values = np.asarray(qs, dtype=float)
     require(values.ndim == 1, "qs must be one-dimensional")

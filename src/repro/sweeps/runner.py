@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.evaluation import DetectionProtocol
+from repro.core.evaluation import DetectionProtocol, EvaluationMemo
 from repro.core.experiment import ScenarioOutcome, evaluate_scenario
 from repro.engine import EngineStats, PopulationEngine, population_cache_key
 from repro.engine.engine import _run_pool
@@ -99,7 +99,11 @@ def scenario_components(spec: ScenarioSpec, bin_width: float) -> ScenarioCompone
     )
 
 
-def run_scenario(spec: ScenarioSpec, population: EnterprisePopulation) -> ScenarioOutcome:
+def run_scenario(
+    spec: ScenarioSpec,
+    population: EnterprisePopulation,
+    memo: Optional[EvaluationMemo] = None,
+) -> ScenarioOutcome:
     """Evaluate one scenario spec against an already generated population.
 
     Scenarios with a one-shot schedule run the classic single train/test
@@ -111,6 +115,11 @@ def run_scenario(spec: ScenarioSpec, population: EnterprisePopulation) -> Scenar
     ``population`` may also be a :class:`~repro.engine.ShardedPopulation`:
     with an enabled ``evaluation.sample`` only the shards holding sampled
     hosts are ever loaded.
+
+    ``memo`` lets an unsampled one-shot scenario reuse the trainings and
+    assignments of earlier scenarios on the same population (see
+    :func:`~repro.core.experiment.evaluate_scenario`).  Timelines never use
+    it: they time their own (re)training.
     """
     components = scenario_components(spec, population.config.bin_width)
     protocol = components.protocol
@@ -131,6 +140,7 @@ def run_scenario(spec: ScenarioSpec, population: EnterprisePopulation) -> Scenar
         attack_builder=attack_builder,
         attack_prevalence=spec.evaluation.attack_prevalence,
         sample=spec.evaluation.sample,
+        memo=memo,
     )
 
 
@@ -411,6 +421,10 @@ class SweepRunner:
         (restricted environments cannot spawn processes), the scenarios
         without a result run in-process, which is bit-identical, and the run
         reports one worker.
+
+        The scenarios evaluated in-process share one
+        :class:`~repro.core.evaluation.EvaluationMemo`, which goes when the
+        run does; each pool task evaluates on its own.
         """
         total = len(scenarios)
         reused = [first_use[key] != s.name for s, key in zip(scenarios, keys, strict=True)]
@@ -442,12 +456,13 @@ class SweepRunner:
 
             if not _run_pool(_evaluate_scenario_task, arguments, workers, on_result):
                 workers = 1
+        memo = EvaluationMemo()
         for index, scenario in enumerate(scenarios):
             if slots[index] is not None:
                 continue
             scenario_started = monotonic_now()
             with trace_span("sweeps.scenario", scenario=scenario.name) as span:
-                outcome = run_scenario(scenario, populations[keys[index]])
+                outcome = run_scenario(scenario, populations[keys[index]], memo=memo)
                 add_count("sweeps.scenarios_evaluated")
             duration = (
                 span.duration

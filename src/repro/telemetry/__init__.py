@@ -80,7 +80,9 @@ EVALUATION_SPANS = frozenset({"sweeps.scenario", "loadgen.event", "temporal.week
 
 #: Every counter name instrumented code may increment (REP003, as above).
 COUNTER_NAMES = (
+    "core.assignments_reused",
     "core.host_weeks_measured",
+    "core.trainings_reused",
     "engine.cache.hits",
     "engine.cache.misses",
     "engine.hosts_generated",

@@ -9,6 +9,7 @@ deterministic given the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.features.definitions import Feature
@@ -82,7 +83,8 @@ class EnterprisePopulation:
 
     A population loaded from a one-shard cache layout holds its matrices as
     a read-only :class:`~repro.features.timeseries.PopulationFrame` over the
-    mapped shard, kept as it is; any other mapping is copied into a dict.
+    mapped shard, kept as it is; any other mapping is copied into a dict
+    held behind one read-only view.
     """
 
     def __init__(
@@ -96,7 +98,9 @@ class EnterprisePopulation:
         self._config = config
         self._profiles = dict(profiles)
         self._matrices: Mapping[int, FeatureMatrix] = (
-            matrices if isinstance(matrices, PopulationFrame) else dict(matrices)
+            matrices
+            if isinstance(matrices, PopulationFrame)
+            else MappingProxyType(dict(matrices))
         )
 
     # ----------------------------------------------------------------- basic
@@ -127,13 +131,12 @@ class EnterprisePopulation:
     def matrices(self) -> Mapping[int, FeatureMatrix]:
         """All feature matrices keyed by host id.
 
-        The population's read-only :class:`~repro.features.timeseries.PopulationFrame`
-        when it has one, otherwise a shallow dict copy; wrap the result in
+        The same read-only mapping on every call: the population's
+        :class:`~repro.features.timeseries.PopulationFrame` when it has one,
+        otherwise a read-only view of its dict.  Wrap the result in
         ``dict(...)`` to edit it.
         """
-        if isinstance(self._matrices, PopulationFrame):
-            return self._matrices
-        return dict(self._matrices)
+        return self._matrices
 
     # ------------------------------------------------------------- transforms
     def week(self, index: int) -> "EnterprisePopulation":

@@ -208,7 +208,7 @@ def candidate_threshold_grid(
     upper-half quantiles plus headroom above the maximum, through ``np.unique``.
     """
     quantiles = np.minimum(np.linspace(0.5, 1.0, num_candidates), 1.0)
-    values = distribution.percentiles(100.0 * quantiles)
+    values = np.percentile(distribution.samples, 100.0 * quantiles)
     return np.unique(np.append(values, distribution.max() * 1.01 + 1.0))
 
 

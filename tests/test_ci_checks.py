@@ -31,7 +31,6 @@ bench_compare = load_script("bench_compare.py")
 check_fusion = load_script("ci_checks/check_fusion.py")
 check_cooptimization = load_script("ci_checks/check_cooptimization.py")
 check_timeline = load_script("ci_checks/check_timeline.py")
-check_result_cache = load_script("ci_checks/check_result_cache.py")
 check_scaleout = load_script("ci_checks/check_scaleout.py")
 check_metrics = load_script("ci_checks/check_metrics.py")
 
@@ -320,26 +319,6 @@ class TestCheckTimeline:
         assert check_timeline.main([str(store), "--expect", "3"]) == 0
         assert "retraining strictly beats 'never'" in capsys.readouterr().out
         assert check_timeline.main([str(store), "--expect", "18"]) == 1
-
-
-# -------------------------------------------------------- check_result_cache
-class TestCheckResultCache:
-    def test_cached_rerun_output_passes(self):
-        output = "loaded store\nskipped 27 scenario(s) already in fusion-smoke.jsonl\n"
-        assert check_result_cache.check(output, expect_skipped=27) is None
-
-    def test_uncached_rerun_fails(self):
-        assert check_result_cache.check("ran 27 scenario(s)", expect_skipped=27)
-        assert check_result_cache.check(
-            "skipped 12 scenario(s) already in store", expect_skipped=27
-        )
-
-    def test_main_exit_codes(self, tmp_path):
-        out = tmp_path / "rerun.txt"
-        out.write_text("skipped 27 scenario(s) already in fusion-smoke.jsonl\n")
-        assert check_result_cache.main([str(out)]) == 0
-        assert check_result_cache.main([str(out), "--expect-skipped", "12"]) == 1
-        assert check_result_cache.main([str(tmp_path / "nope.txt")]) == 2
 
 
 # --------------------------------------------------------------- check_trace

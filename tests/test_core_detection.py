@@ -7,12 +7,15 @@ import pytest
 from repro.attacks.naive import NaiveAttacker
 from repro.core.evaluation import (
     DetectionProtocol,
+    EvaluationMemo,
     evaluate_policy,
     training_distributions,
 )
 from repro.core.policies import FullDiversityPolicy, HomogeneousPolicy, PartialDiversityPolicy
+from repro.core.thresholds import UtilityHeuristic
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.timeutils import BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 
@@ -78,3 +81,52 @@ class TestEvaluation:
         # A tiny attack is mostly missed under the global threshold, so utility
         # must fall as the false-negative weight rises.
         assert evaluation.mean_utility(0.9) < evaluation.mean_utility(0.1)
+
+
+class TestEvaluationMemo:
+    PROTOCOL = DetectionProtocol(features=(Feature.DNS_CONNECTIONS, Feature.TCP_CONNECTIONS))
+
+    def test_a_hit_serves_the_objects_the_miss_computed(self, small_population):
+        matrices = small_population.matrices()
+        builder = NaiveAttacker(Feature.DNS_CONNECTIONS, attack_size=50.0).builder()
+        memo = EvaluationMemo()
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            first = evaluate_policy(matrices, FullDiversityPolicy(), self.PROTOCOL, memo=memo)
+            again = evaluate_policy(
+                matrices, FullDiversityPolicy(), self.PROTOCOL, builder, memo=memo
+            )
+        alone = evaluate_policy(matrices, FullDiversityPolicy(), self.PROTOCOL, builder)
+        assert again.assignment is first.assignment
+        assert again.assignment == alone.assignment
+        assert dict(again.performances) == dict(alone.performances)
+        assert recorder.counters["core.trainings_reused"] == 2
+        assert recorder.counters["core.assignments_reused"] == 1
+        assert recorder.counters["optimize.assignments"] == 2
+        names = [span.name for span in recorder.spans]
+        assert (names.count("core.train"), names.count("core.assign")) == (1, 1)
+
+    def test_only_missing_features_are_trained(self, small_population):
+        matrices = small_population.matrices()
+        memo = EvaluationMemo()
+        first = memo.training(matrices, self.PROTOCOL)
+        reordered = DetectionProtocol(
+            features=(Feature.TCP_SYN, Feature.TCP_CONNECTIONS), fusion=self.PROTOCOL.fusion
+        )
+        second = memo.training(matrices, reordered)
+        assert list(second) == [Feature.TCP_SYN, Feature.TCP_CONNECTIONS]
+        assert second[Feature.TCP_CONNECTIONS] is first[Feature.TCP_CONNECTIONS]
+        fresh = training_distributions(matrices, Feature.TCP_SYN, 0)
+        assert all(
+            second[Feature.TCP_SYN][host].samples.tobytes() == fresh[host].samples.tobytes()
+            for host in matrices
+        )
+
+    def test_unhashable_policy_parts_are_computed_each_time(self, small_population):
+        matrices = small_population.matrices()
+        policy = HomogeneousPolicy(UtilityHeuristic(attack_sizes=[10.0, 50.0]))
+        memo = EvaluationMemo()
+        first = evaluate_policy(matrices, policy, self.PROTOCOL, memo=memo)
+        again = evaluate_policy(matrices, policy, self.PROTOCOL, memo=memo)
+        assert again.assignment is not first.assignment
+        assert again.assignment == first.assignment

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -303,7 +304,9 @@ class TestPopulationFrame:
         cache = PopulationCache(tmp_path)
         write_population_sharded(cache.path_for(self.CONFIG), generated, hosts_per_shard=5)
         loaded = cache.load(self.CONFIG)
-        assert type(loaded.matrices()) is dict
+        # One read-only view of a plain dict, the same on every call.
+        matrices = loaded.matrices()
+        assert type(matrices) is MappingProxyType and loaded.matrices() is matrices
         assert_populations_identical(generated, loaded)
 
 

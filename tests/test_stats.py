@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.evaluation import detection_training_window_distributions, training_distributions
 from repro.features.definitions import PAPER_FEATURES
 from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
-from repro.stats.empirical import EmpiricalDistribution, ecdf
+from repro.stats.empirical import _STACKED_CELLS, EmpiricalDistribution, ecdf, stacked_percentiles
 from repro.stats.kmeans import kmeans, separation_score
 from repro.stats.summary import summarize
 from repro.stats.tail import exceedance_curve, hill_estimator, orders_of_magnitude, tail_ratio
@@ -149,15 +149,18 @@ def _out_of_range(upper):
     )
 
 
-#: ``q`` arrays: the candidate-threshold grid (upper-half quantiles), scalars
-#: as 0-d arrays, and arbitrary shapes.
+#: 1-D ``q`` arrays: the candidate-threshold grid (upper-half quantiles) and
+#: arbitrary ones, empty included.
 _QS = st.one_of(
     st.integers(0, 60).map(lambda k: 100.0 * np.minimum(np.linspace(0.5, 1.0, k), 1.0)),
-    _Q.map(np.asarray),
-    hnp.arrays(
-        np.float64, hnp.array_shapes(min_dims=0, max_dims=2), elements=st.floats(0.0, 100.0)
-    ),
+    _Q.map(lambda q: np.asarray([q], dtype=float)),
+    hnp.arrays(np.float64, st.integers(0, 30), elements=st.floats(0.0, 100.0)),
 )
+
+
+def _numpy_rows(parts, qs) -> np.ndarray:
+    """``np.percentile`` of each part at ``qs``, as ``(parts, qs)``."""
+    return np.array([np.percentile(part, qs) for part in parts]).reshape(len(parts), len(qs))
 
 
 class TestPercentileKernel:
@@ -172,12 +175,23 @@ class TestPercentileKernel:
         assert dist.quantile(p) == np.percentile(samples, 100.0 * p)
 
     @settings(max_examples=200, deadline=None)
-    @given(_SAMPLES, _QS)
-    def test_percentiles_match_numpy(self, samples, qs):
-        expected = np.percentile(samples, qs)
-        actual = EmpiricalDistribution(samples).percentiles(qs)
-        assert np.shape(actual) == np.shape(expected)
-        assert np.array_equal(actual, expected)
+    @given(st.lists(_SAMPLES, min_size=1, max_size=4), _QS)
+    def test_stacked_percentiles_match_numpy(self, parts, qs):
+        actual = stacked_percentiles([EmpiricalDistribution(part) for part in parts], qs)
+        assert np.array_equal(actual, _numpy_rows(parts, qs))
+
+    def test_stacked_percentiles_over_several_passes(self):
+        """Mixed lengths, ties and a 201-point grid: blocks of 40 runs, three passes."""
+        rng = np.random.default_rng(2009)
+        sizes = rng.integers(1, 3000, 100)
+        parts = [
+            rng.integers(0, 12, size).astype(float) if index % 3 else rng.lognormal(2, 1.5, size)
+            for index, size in enumerate(sizes)
+        ]
+        qs = 100.0 * np.minimum(np.linspace(0.5, 1.0, 201), 1.0)
+        assert len(parts) * qs.size > 2 * _STACKED_CELLS
+        actual = stacked_percentiles([EmpiricalDistribution(part) for part in parts], qs)
+        assert np.array_equal(actual, _numpy_rows(parts, qs))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_SAMPLES, min_size=1, max_size=4), _Q, _QS)
@@ -189,7 +203,8 @@ class TestPercentileKernel:
             added = added.add(part)
         for dist in (pooled, added):
             assert dist.percentile(q) == np.percentile(combined, q)
-            assert np.array_equal(dist.percentiles(qs), np.percentile(combined, qs))
+        stacked = stacked_percentiles([pooled, added], qs)
+        assert np.array_equal(stacked, _numpy_rows([combined, combined], qs))
 
     # quantile() gets its own draw: q / 100 underflows to -0.0, a valid
     # probability, for the tiniest negative subnormal q.
@@ -203,14 +218,16 @@ class TestPercentileKernel:
         with pytest.raises(ValidationError):
             dist.quantile(p)
         with pytest.raises(ValidationError):
-            dist.percentiles([50.0, q])
+            stacked_percentiles([dist], [50.0, q])
 
     def test_empty_distribution_rejected(self):
         empty = EmpiricalDistribution()
+        full = EmpiricalDistribution([1.0, 2.0])
         for query in (
             lambda: empty.percentile(50),
             lambda: empty.quantile(0.5),
-            lambda: empty.percentiles([50.0, 99.0]),
+            lambda: stacked_percentiles([full, empty], [50.0, 99.0]),
+            lambda: stacked_percentiles([full], [[50.0, 99.0]]),
         ):
             with pytest.raises(ValidationError):
                 query()

@@ -27,6 +27,8 @@ from repro.sweeps import (
     pivot,
     run_scenario,
 )
+from repro.sweeps.catalog import builtin_sweeps
+from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
 
 from helpers import process_exited
@@ -457,6 +459,117 @@ class TestSweepResultCache:
         assert outcome.optimizer == "none"
         assert outcome.objective_value is None
         assert outcome.optimizer_iterations == 0
+
+
+def _reuse_counts(sweep, engine):
+    """(reused trainings, reused assignments, assignments) of one serial run of ``sweep``."""
+    recorder = TelemetryRecorder()
+    with use_recorder(recorder):
+        SweepRunner(engine=engine, workers=1).run(sweep)
+    counters = recorder.counters
+    return (
+        counters.get("core.trainings_reused", 0),
+        counters.get("core.assignments_reused", 0),
+        counters["optimize.assignments"],
+    )
+
+
+def _memo_sweep(axes, **scenario):
+    """A two-feature sweep over ``axes``; ``scenario`` tables replace the base's."""
+    base = {
+        "name": "base",
+        "population": {"num_hosts": 8, "num_weeks": 3, "seed": 77},
+        "attack": {"kind": "naive", "size": 50.0},
+        "evaluation": {"features": ["num_tcp_connections", "num_dns_connections"]},
+    }
+    base.update(scenario)
+    return SweepSpec.from_dict(
+        {"sweep": {"name": "memo-sweep", "mode": "grid"}, "scenario": base, "axes": axes}
+    )
+
+
+class TestEvaluationMemo:
+    """One memo per run shares trainings and assignments, bit for bit."""
+
+    @staticmethod
+    def _at_16_hosts(spec):
+        data = spec.to_dict()
+        data["scenario"]["population"]["num_hosts"] = 16
+        if "population.num_hosts" in data["axes"]:
+            data["axes"]["population.num_hosts"] = [16]
+        return SweepSpec.from_dict(data)
+
+    def test_every_packaged_sweep_matches_its_scenarios_run_alone(self, tmp_path):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        recorder = TelemetryRecorder()
+        for spec in builtin_sweeps().values():
+            with use_recorder(recorder):
+                run = SweepRunner(engine=engine, workers=1).run(self._at_16_hosts(spec))
+            for result in run.results:
+                population = engine.generate(result.scenario.population.to_config())
+                alone = run_scenario(result.scenario, population).to_dict()
+                shared = result.outcome.to_dict()
+                for outcome in (alone, shared):
+                    outcome.pop("training_cost_seconds")
+                assert shared == alone, result.scenario.name
+        assert recorder.counters["core.trainings_reused"] > 0
+        assert recorder.counters["core.assignments_reused"] > 0
+
+    @pytest.mark.parametrize(
+        "axes, scenario",
+        [
+            (
+                {"evaluation.fusion.rule": ["any", "all"]},
+                {"evaluation": {
+                    "features": ["num_tcp_connections", "num_dns_connections"],
+                    "optimizer": {"kind": "independent"},
+                }},
+            ),
+            (
+                {"policy.attack_sizes": [[10.0, 50.0], [20.0, 100.0]]},
+                {"policy": {"kind": "partial-diversity", "heuristic": "utility"}},
+            ),
+            ({"policy.percentile": [95.0, 99.0]}, {}),
+            ({"evaluation.train_week": [0, 2]}, {}),
+            (
+                {"evaluation.features": [
+                    ["num_tcp_connections"], ["num_tcp_connections", "num_dns_connections"]
+                ]},
+                {},
+            ),
+            ({"policy.kind": ["homogeneous", "full-diversity"]}, {}),
+            ({"population.seed": [77, 78]}, {}),
+        ],
+        ids=[
+            "fusion",
+            "attack-sizes",
+            "percentile",
+            "train-week",
+            "features",
+            "policy-kind",
+            "population",
+        ],
+    )
+    def test_scenarios_differing_in_an_assign_input_do_not_share(self, tmp_path, axes, scenario):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        _, reused, assignments = _reuse_counts(_memo_sweep(axes, **scenario), engine)
+        assert (reused, assignments) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [{"attack.size": [10.0, 50.0, 400.0]}, {"attack.kind": ["naive", "mimicry", "none"]}],
+        ids=["attack-size", "attack-kind"],
+    )
+    def test_scenarios_differing_only_in_the_attack_share(self, tmp_path, axes):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        assert _reuse_counts(_memo_sweep(axes), engine) == (4, 2, 3)
+
+    def test_uncached_populations_reuse_as_much_as_a_warm_cache(self, tmp_path):
+        sweep = _memo_sweep({"attack.size": [10.0, 50.0, 400.0]})
+        warm = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        warm.generate(sweep.scenario.population.to_config())
+        uncached = PopulationEngine(workers=1, use_cache=False)
+        assert _reuse_counts(sweep, uncached) == _reuse_counts(sweep, warm) == (4, 2, 3)
 
 
 class TestMultiFeatureScenarios:

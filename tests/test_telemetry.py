@@ -50,7 +50,7 @@ def fake_clock(step=1.0, start=0.0):
     return tick
 
 
-def _sweep(name="tele-sweep", num_hosts=8):
+def _sweep(name="tele-sweep", num_hosts=8, axes=None):
     return SweepSpec.from_dict(
         {
             "sweep": {"name": name},
@@ -59,7 +59,7 @@ def _sweep(name="tele-sweep", num_hosts=8):
                 "population": {"num_hosts": num_hosts, "num_weeks": 2, "seed": 77},
                 "attack": {"kind": "naive", "size": 50.0},
             },
-            "axes": {"policy.kind": ["homogeneous", "full-diversity"]},
+            "axes": axes or {"policy.kind": ["homogeneous", "full-diversity"]},
         }
     )
 
@@ -165,11 +165,11 @@ class TestRecorder:
 
 # ------------------------------------------------------------- determinism
 class TestDeterminism:
-    def _record_run(self, tmp_path, label, workers=1):
+    def _record_run(self, tmp_path, label, workers=1, sweep=None):
         recorder = TelemetryRecorder()
         engine = PopulationEngine(workers=1, cache_dir=tmp_path / f"cache-{label}")
         with use_recorder(recorder):
-            SweepRunner(engine=engine, workers=workers).run(_sweep())
+            SweepRunner(engine=engine, workers=workers).run(sweep or _sweep())
         return recorder
 
     def test_span_tree_identical_for_identical_seeds(self, tmp_path):
@@ -191,6 +191,24 @@ class TestDeterminism:
             assert span.parent_id is None or span.parent_id in ids
         worker_spans = [s for s in parallel.spans if s.process != "main"]
         assert {s.name for s in worker_spans} >= {"sweeps.scenario", "core.evaluate"}
+
+    def test_reuse_counters_stay_serial_and_leave_workload_totals_alone(self, tmp_path):
+        # Repeats: every policy trains once and assigns once for both sizes.
+        sweep = _sweep(
+            axes={
+                "policy.kind": ["homogeneous", "full-diversity"],
+                "attack.size": [10.0, 50.0],
+            }
+        )
+        serial = self._record_run(tmp_path, "serial", workers=1, sweep=sweep)
+        parallel = self._record_run(tmp_path, "parallel", workers=2, sweep=sweep)
+        for counter in WORKLOAD_COUNTERS:
+            assert serial.counters[counter] == parallel.counters[counter], counter
+        assert serial.counters["optimize.assignments"] == 4
+        assert serial.counters["core.trainings_reused"] == 3
+        assert serial.counters["core.assignments_reused"] == 2
+        for counter in ("core.trainings_reused", "core.assignments_reused"):
+            assert parallel.counters.get(counter, 0) == 0, counter
 
 
 # ---------------------------------------------------------------- exporters
