@@ -263,8 +263,8 @@ def assignment_payload(assignment) -> dict:
     return {
         "thresholds": {
             feature.value: {
-                str(host_id): repr(float(assignment.for_feature(feature).threshold_of(host_id)))
-                for host_id in sorted(assignment.host_ids)
+                str(host_id): repr(value)
+                for host_id, value in assignment.for_feature(feature).thresholds.items()
             }
             for feature in OPTIMIZER_FEATURES
         },

@@ -194,10 +194,6 @@ class HostPerformance:
         )
         return float(next(iter(self.thresholds.values())))
 
-    def threshold_of(self, feature: Feature) -> float:
-        """Threshold in force for ``feature``."""
-        return float(self.thresholds[feature])
-
     def feature_point(self, feature: Feature) -> OperatingPoint:
         """Per-feature operating point for ``feature``."""
         return self.feature_operating_points[feature]
@@ -835,7 +831,7 @@ def naive_false_negatives(
         for host_ids, _, block in _window_blocks(matrices, feature, week, week + 1):
             ordered = np.sort(block, axis=1)
             num_bins = ordered.shape[1]
-            thresholds = _threshold_vector(assignment, feature, host_ids)[:, None]
+            thresholds = assignment.for_feature(feature).column(host_ids)[:, None]
             # Missed bins: the longest prefix of each sorted row that a size
             # leaves at or below the threshold, grown by halving steps.
             missed = np.zeros((len(host_ids), sizes.size), dtype=np.int64)
@@ -889,16 +885,6 @@ def _window_bounds(series: TimeSeries, start_week: int, end_week: int) -> Tuple[
     first = max(spec.index_of(start_week * WEEK), 0)
     last = min(spec.index_of(end_week * WEEK - 1e-9) + 1, series.num_bins)
     return first, last
-
-
-def _threshold_vector(assignment, feature: Feature, host_ids: Sequence[int]) -> np.ndarray:
-    """Per-host thresholds of ``feature`` as a ``(num_hosts,)`` vector.
-
-    Read straight from the assignment's host -> threshold mapping (the floats
-    ``threshold_of`` returns), without a method call per host.
-    """
-    thresholds = assignment.for_feature(feature).thresholds
-    return np.fromiter(map(thresholds.__getitem__, host_ids), dtype=float, count=len(host_ids))
 
 
 def _block(
@@ -988,7 +974,7 @@ def _measure_assignment_batched(
         feature: _block(matrices, host_ids, feature, first, last) for feature in features
     }
     thresholds: Dict[Feature, np.ndarray] = {
-        feature: _threshold_vector(assignment, feature, host_ids) for feature in features
+        feature: assignment.for_feature(feature).column(host_ids) for feature in features
     }
     exceed: Dict[Feature, np.ndarray] = {
         feature: values[feature] > thresholds[feature][:, None] for feature in features
@@ -1003,7 +989,7 @@ def _measure_assignment_batched(
             attack_thresholds = thresholds
         else:
             attack_thresholds = {
-                feature: _threshold_vector(attack_assignment, feature, host_ids)
+                feature: attack_assignment.for_feature(feature).column(host_ids)
                 for feature in features
             }
         amounts = _attack_amounts(

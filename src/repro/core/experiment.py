@@ -389,11 +389,6 @@ class PolicyComparison:
         """The policies under comparison."""
         return tuple(self._policies)
 
-    @property
-    def context(self) -> ExperimentContext:
-        """The shared experiment context."""
-        return self._context
-
     def run(
         self,
         feature: Union[Feature, DetectionProtocol],

@@ -80,16 +80,6 @@ class FusionRule:
             return num_features
         return min(self.k, num_features)
 
-    def fuse(self, indicators: np.ndarray) -> np.ndarray:
-        """Fused per-bin alarms from a ``(num_features, num_bins)`` bool array.
-
-        Row ``i`` holds feature ``i``'s per-bin alert indicator; the result is
-        the per-bin fused alarm under this rule.
-        """
-        stacked = np.atleast_2d(np.asarray(indicators, dtype=bool))
-        votes = np.count_nonzero(stacked, axis=0)
-        return votes >= self.required_votes(stacked.shape[0])
-
     def alarm_probability(self, alert_probabilities: np.ndarray) -> np.ndarray:
         """``P(fused alarm)`` from independent per-feature alert probabilities.
 

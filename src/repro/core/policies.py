@@ -15,9 +15,11 @@ vector for the protocol's *fused* utility under one shared grouping.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,12 +43,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ThresholdAssignment:
-    """The outcome of applying a policy: per-host thresholds plus provenance.
+    """The outcome of applying a policy: one threshold per group, plus provenance.
+
+    A host runs its group's threshold.  The per-host thresholds are derived
+    from the groups, not stored: :attr:`values` is the column in
+    :attr:`host_ids` order, :meth:`column` reads it in any host order, and
+    :attr:`thresholds` is the same column as a ``{host: threshold}`` mapping.
 
     Attributes
     ----------
-    thresholds:
-        Mapping from host id to the threshold it must use.
     grouping:
         The group assignment the thresholds were computed under.
     group_thresholds:
@@ -56,46 +61,80 @@ class ThresholdAssignment:
         Name of the policy that produced the assignment.
     """
 
-    thresholds: Mapping[int, float]
     grouping: GroupAssignment
     group_thresholds: Tuple[float, ...]
     policy_name: str
 
     def __post_init__(self) -> None:
-        require(len(self.thresholds) > 0, "assignment must cover at least one host")
         require(
             len(self.group_thresholds) == self.grouping.num_groups,
             "one threshold per group is required",
         )
 
-    def threshold_of(self, host_id: int) -> float:
-        """Threshold assigned to ``host_id``."""
-        return float(self.thresholds[host_id])
+    @functools.cached_property
+    def _layout(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sorted host ids and each one's group index."""
+        groups = self.grouping.groups
+        sizes = [len(group) for group in groups]
+        grouped = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=sum(sizes))
+        order = np.argsort(grouped)
+        return grouped[order], np.repeat(np.arange(len(groups)), sizes)[order]
 
-    @property
+    def _spread(self, group_values: Sequence[float]) -> np.ndarray:
+        """One value per group, read by each of its hosts, in :attr:`host_ids` order."""
+        return np.asarray(group_values, dtype=float)[self._layout[1]]
+
+    def _rounded_groups(self) -> List[float]:
+        """Each group's threshold rounded to 9 decimals, so near-equal values count as one."""
+        return [round(float(value), 9) for value in self.group_thresholds]
+
+    @functools.cached_property
     def host_ids(self) -> Tuple[int, ...]:
         """Hosts covered by the assignment, sorted."""
-        return tuple(sorted(self.thresholds))
+        return tuple(self._layout[0].tolist())
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Every host's threshold, a read-only float64 column in :attr:`host_ids` order."""
+        column = self._spread(self.group_thresholds)
+        column.flags.writeable = False
+        return column
+
+    def column(self, host_ids: Sequence[int]) -> np.ndarray:
+        """The thresholds of ``host_ids``, in that order; an unknown host raises ``KeyError``."""
+        ids = self._layout[0]
+        wanted = np.asarray(host_ids, dtype=np.int64)
+        index = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
+        unknown = ids[index] != wanted
+        if unknown.any():
+            raise KeyError(int(wanted[np.argmax(unknown)]))
+        return self.values[index]
+
+    @property
+    def thresholds(self) -> Dict[int, float]:
+        """Every host's threshold as a ``{host: threshold}`` mapping, in host order."""
+        return dict(zip(self.host_ids, self.values.tolist()))
 
     def distinct_threshold_count(self) -> int:
         """Number of distinct threshold values in force across the population.
 
         1 for homogeneous, ~number of hosts for full diversity, ~number of
         groups for partial diversity — the management-overhead proxy IT
-        operators care about.
+        operators care about.  Groups partition the hosts, so the groups'
+        rounded values are the hosts'.
         """
-        return len({round(value, 9) for value in self.thresholds.values()})
+        return len(set(self._rounded_groups()))
 
     def lowest_threshold_hosts(self, count: int = 10) -> Tuple[int, ...]:
         """The ``count`` hosts with the lowest thresholds ("best" detectors).
 
         These are the paper's Table 2 entries: hosts whose thresholds are so
         low that they can catch stealthy attacks the rest of the population
-        misses.
+        misses.  Ties go to the lower host id.
         """
         require(count >= 1, "count must be >= 1")
-        ranked = sorted(self.thresholds, key=lambda host: (self.thresholds[host], host))
-        return tuple(ranked[:count])
+        ids = self._layout[0]
+        return tuple(ids[np.lexsort((ids, self.values))[:count]].tolist())
 
 
 @dataclass(frozen=True)
@@ -121,7 +160,7 @@ class DetectionAssignment:
 
     def __post_init__(self) -> None:
         require(len(self.per_feature) > 0, "assignment must cover at least one feature")
-        host_sets = {frozenset(a.thresholds) for a in self.per_feature.values()}
+        host_sets = {a.host_ids for a in self.per_feature.values()}
         require(len(host_sets) == 1, "every feature's assignment must cover the same hosts")
 
     @property
@@ -142,49 +181,13 @@ class DetectionAssignment:
         """Number of distinct threshold *configurations* across the population.
 
         A configuration is the full per-feature threshold vector a host must
-        run; for a single feature this reduces to the legacy count of
-        distinct scalar thresholds — the management-overhead proxy IT
-        operators care about.
+        run; for a single feature this reduces to the count of distinct
+        scalar thresholds — the management-overhead proxy IT operators care
+        about.  Each feature's groups are rounded once and spread to their
+        hosts, whose per-feature tuples are then counted.
         """
-        configurations = {
-            tuple(
-                round(assignment.threshold_of(host_id), 9)
-                for assignment in self.per_feature.values()
-            )
-            for host_id in self.host_ids
-        }
-        return len(configurations)
-
-    # ------------------------------------------- single-feature conveniences
-    def _sole_assignment(self) -> ThresholdAssignment:
-        require(
-            len(self.per_feature) == 1,
-            "this accessor is only defined for single-feature assignments; use .for_feature",
-        )
-        return next(iter(self.per_feature.values()))
-
-    @property
-    def thresholds(self) -> Mapping[int, float]:
-        """Single-feature convenience: the per-host thresholds."""
-        return self._sole_assignment().thresholds
-
-    @property
-    def grouping(self) -> GroupAssignment:
-        """Single-feature convenience: the group assignment."""
-        return self._sole_assignment().grouping
-
-    @property
-    def group_thresholds(self) -> Tuple[float, ...]:
-        """Single-feature convenience: the per-group thresholds."""
-        return self._sole_assignment().group_thresholds
-
-    def threshold_of(self, host_id: int) -> float:
-        """Single-feature convenience: the threshold assigned to ``host_id``."""
-        return self._sole_assignment().threshold_of(host_id)
-
-    def lowest_threshold_hosts(self, count: int = 10) -> Tuple[int, ...]:
-        """Single-feature convenience: Table 2's lowest-threshold hosts."""
-        return self._sole_assignment().lowest_threshold_hosts(count)
+        columns = [a._spread(a._rounded_groups()).tolist() for a in self.per_feature.values()]
+        return len(set(zip(*columns)))
 
 
 class ConfigurationPolicy:
@@ -266,13 +269,7 @@ class ConfigurationPolicy:
         group_thresholds = self._heuristic.thresholds_for_groups(
             [[training_distributions[host_id] for host_id in group] for group in assignment.groups]
         )
-        thresholds = {
-            host_id: threshold
-            for group, threshold in zip(assignment.groups, group_thresholds, strict=True)
-            for host_id in group
-        }
         return ThresholdAssignment(
-            thresholds=thresholds,
             grouping=assignment,
             group_thresholds=tuple(group_thresholds),
             policy_name=self._name,
@@ -374,7 +371,6 @@ class ConfigurationPolicy:
         warm_vectors = self._warm_start_vectors(warm_start, features, grouping.num_groups)
 
         group_thresholds: Dict[Feature, List[float]] = {feature: [] for feature in features}
-        thresholds: Dict[Feature, Dict[int, float]] = {feature: {} for feature in features}
         total_iterations = 0
         weighted_objective = 0.0
         num_hosts = 0
@@ -399,10 +395,7 @@ class ConfigurationPolicy:
                 weighted_objective += optimized.objective_value * len(group)
                 num_hosts += len(group)
                 for feature in features:
-                    value = optimized.thresholds[feature]
-                    group_thresholds[feature].append(value)
-                    for host_id in group:
-                        thresholds[feature][host_id] = value
+                    group_thresholds[feature].append(optimized.thresholds[feature])
         add_count("optimize.iterations", total_iterations)
         logger.debug(
             "joint optimization (%s): %d group(s), %d iteration(s), objective %.4f",
@@ -414,7 +407,6 @@ class ConfigurationPolicy:
 
         per_feature = {
             feature: ThresholdAssignment(
-                thresholds=thresholds[feature],
                 grouping=grouping,
                 group_thresholds=tuple(group_thresholds[feature]),
                 policy_name=self._name,
@@ -476,7 +468,7 @@ class ConfigurationPolicy:
             {feature: training_distributions[feature][host_id] for feature in features}
             for host_id in host_ids
         ]
-        vectors = np.array([[per_feature[f].threshold_of(h) for f in features] for h in host_ids])
+        vectors = np.stack([per_feature[feature].values for feature in features], axis=1)
         utilities = objective.bind(members, features).utilities(vectors[:, None, :])[0]
         by_vector: Dict[Tuple[float, ...], List[int]] = {}
         for index, vector in enumerate(map(tuple, vectors)):

@@ -168,20 +168,6 @@ class PopulationCache:
         logger.debug("population cached: %s (%d hosts)", directory, len(population))
         return directory
 
-    def clear(self) -> int:
-        """Delete every cached population; returns the number removed.
-
-        Counts one per population: a ``.rpopd`` directory removes as a single
-        entry however many shard files it holds.
-        """
-        layouts = self._layouts()
-        for directory in layouts:
-            for path in directory.iterdir():
-                path.unlink()
-            directory.rmdir()
-        set_gauge("engine.cache_entries", float(self.entry_count()))
-        return len(layouts)
-
     def _layouts(self) -> List[Path]:
         if not self._directory.is_dir():
             return []

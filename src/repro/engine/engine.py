@@ -214,11 +214,6 @@ class EngineStats:
     generations: int = 0
     cache_hits: int = 0
 
-    @property
-    def requests(self) -> int:
-        """Total :meth:`PopulationEngine.generate` calls."""
-        return self.generations + self.cache_hits
-
 
 class PopulationEngine:
     """Generates enterprise populations in parallel, with on-disk caching.

@@ -427,17 +427,6 @@ class ShardedPopulation:
             _, matrices = self._shard(index)
             yield self._shard_host_range(index), matrices
 
-    def materialize(self) -> EnterprisePopulation:
-        """The equivalent fully in-memory :class:`EnterprisePopulation`."""
-        self._build_missing_shards(range(self.num_shards))
-        profiles: Dict[int, HostProfile] = {}
-        matrices: Dict[int, FeatureMatrix] = {}
-        for index in range(self.num_shards):
-            shard_profiles, shard_matrices = self._shard(index)
-            profiles.update(shard_profiles)
-            matrices.update(shard_matrices)
-        return EnterprisePopulation(config=self._config, profiles=profiles, matrices=matrices)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ShardedPopulation(hosts={self._num_hosts}, shards={self.num_shards}, "

@@ -26,7 +26,6 @@ from repro.attacks.mimicry import hidden_traffic_by_host  # noqa: F401
 from repro.attacks.naive import attack_size_sweep
 from repro.core.evaluation import (
     DetectionProtocol,
-    _threshold_vector,
     _window_blocks,
     detection_training_distributions,
     naive_false_negatives,
@@ -155,7 +154,7 @@ def run_fig4(
     hidden_of: Dict[str, Dict[int, float]] = {policy.name: {} for policy in policies}
     for host_ids, _, block in _window_blocks(matrices, feature, test_week, test_week + 1):
         thresholds = np.stack(
-            [_threshold_vector(assignments[policy.name], feature, host_ids) for policy in policies]
+            [assignments[policy.name].for_feature(feature).column(host_ids) for policy in policies]
         )
         rows = mimicry.batch_hidden_traffic(block, thresholds, evasion_probability)
         for policy, row in zip(policies, rows):

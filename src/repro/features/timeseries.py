@@ -166,15 +166,6 @@ class TimeSeries:
         """The ``q``-th percentile of per-bin counts."""
         return self.distribution().percentile(q)
 
-    def exceedance_count(self, threshold: float) -> int:
-        """Number of bins whose count strictly exceeds ``threshold``."""
-        return int(np.count_nonzero(self._values > threshold))
-
-    def exceedance_rate(self, threshold: float) -> float:
-        """Fraction of bins whose count strictly exceeds ``threshold``."""
-        require(self.num_bins > 0, "exceedance_rate requires a non-empty series")
-        return self.exceedance_count(threshold) / self.num_bins
-
     def total(self) -> float:
         """Sum over all bins."""
         return float(np.sum(self._values))
@@ -261,10 +252,6 @@ class FeatureMatrix:
     def rebin(self, factor: int) -> "FeatureMatrix":
         """Rebin every feature series by ``factor``."""
         return FeatureMatrix(self._host_id, {f: ts.rebin(factor) for f, ts in self._series.items()})
-
-    def distributions(self) -> Dict[Feature, EmpiricalDistribution]:
-        """Empirical distribution of every feature."""
-        return {feature: ts.distribution() for feature, ts in self._series.items()}
 
     def num_weeks(self) -> int:
         """Number of whole weeks covered."""

@@ -127,16 +127,6 @@ class FusedUtilityObjective:
         """
         return np.mean(self.member_utilities(members, features, candidates), axis=1)
 
-    def score(
-        self,
-        members: Sequence[MemberDistributions],
-        features: Sequence[Feature],
-        thresholds: Sequence[float],
-    ) -> float:
-        """Mean member utility of one threshold vector."""
-        vector = np.asarray(thresholds, dtype=float)[None, :]
-        return float(self.group_scores(members, features, vector)[0])
-
 
 @dataclass(frozen=True)
 class BoundObjective:

@@ -177,8 +177,7 @@ class ThresholdOptimizer:
         group (a rolling re-optimisation handing last deployment's solution
         back in).  Joint optimizers merge it into their candidate grids and
         start from whichever of (independent heuristic, warm start) scores
-        better, which typically converges in fewer sweeps; the independent
-        wrapper ignores it (its selection is the heuristic's by definition).
+        better, which typically converges in fewer sweeps.
         """
         raise NotImplementedError
 
@@ -211,7 +210,9 @@ class IndependentOptimizer(ThresholdOptimizer):
     Selection is exactly the pre-optimizer behaviour — each feature's
     threshold comes from the policy's heuristic in isolation — so existing
     configurations reproduce bit for bit; the fused objective is evaluated
-    only to report a value comparable with the joint optimizers.
+    only to report a value comparable with the joint optimizers.  It has no
+    group search: :meth:`~repro.core.policies.ConfigurationPolicy.assign`
+    selects through the policy's heuristic and scores the result.
     """
 
     weight: float = DEFAULT_UTILITY_WEIGHT
@@ -223,19 +224,6 @@ class IndependentOptimizer(ThresholdOptimizer):
 
     def __post_init__(self) -> None:
         self._validate_common()
-
-    def optimize_group(
-        self,
-        members: Sequence[MemberDistributions],
-        features: Sequence[Feature],
-        objective: FusedUtilityObjective,
-        heuristic: ThresholdHeuristic,
-        warm_start: Optional[Mapping[Feature, float]] = None,
-    ) -> GroupOptimization:
-        features = tuple(features)
-        thresholds = independent_thresholds([members], features, heuristic)[0]
-        value = objective.score(members, features, [thresholds[f] for f in features])
-        return GroupOptimization(thresholds=thresholds, objective_value=value, iterations=0)
 
 
 @dataclass(frozen=True)

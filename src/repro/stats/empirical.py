@@ -226,16 +226,6 @@ class EmpiricalDistribution:
         """Return ``P(X > value)`` — the false-positive rate at threshold ``value``."""
         return 1.0 - self.cdf(value)
 
-    def cdfs(self, values) -> np.ndarray:
-        """Vectorised :meth:`cdf`: ``P(X <= v)`` for an array of values."""
-        self._require_samples()
-        counts = np.searchsorted(self._sorted, np.asarray(values, dtype=float), side="right")
-        return counts.astype(float) / self._sorted.size
-
-    def exceedances(self, values) -> np.ndarray:
-        """Vectorised :meth:`exceedance`: ``P(X > v)`` for an array of values."""
-        return 1.0 - self.cdfs(values)
-
     def shifted_exceedance(self, threshold: float, shift: float) -> float:
         """Return ``P(X + shift > threshold)``.
 

@@ -47,10 +47,6 @@ class CaptureEnvironment:
         """Length of the interval in seconds."""
         return self.end_time - self.start_time
 
-    def contains(self, timestamp: float) -> bool:
-        """True when ``timestamp`` falls in [start, end)."""
-        return self.start_time <= timestamp < self.end_time
-
 
 @dataclass
 class CaptureSession:

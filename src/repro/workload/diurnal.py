@@ -122,10 +122,6 @@ class ActivityModel:
         jitter = rng.lognormal(mean=0.0, sigma=self.jitter_sigma) if self.jitter_sigma > 0 else 1.0
         return float(base * jitter)
 
-    def multipliers(self, timestamps: Sequence[float], rng: np.random.Generator) -> np.ndarray:
-        """Vectorised multipliers for many bin-start timestamps."""
-        return self.slot_multipliers(hour_of_week_slots(timestamps), rng)
-
     def slot_multipliers(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Vectorised multipliers for bins given by their :func:`hour_of_week_slots`."""
         base = np.maximum(self.pattern.slot_multipliers(slots), self.floor)

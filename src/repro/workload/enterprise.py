@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Seque
 
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, PopulationFrame
-from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.rng import RandomSource
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
 from repro.utils.validation import require, require_positive
@@ -146,13 +145,6 @@ class EnterprisePopulation:
             self._profiles,
             {host_id: matrix.week(index) for host_id, matrix in self._matrices.items()},
         )
-
-    def distributions(self, feature: Feature) -> Dict[int, EmpiricalDistribution]:
-        """Per-host empirical distribution of ``feature``."""
-        return {
-            host_id: matrix.series(feature).distribution()
-            for host_id, matrix in self._matrices.items()
-        }
 
     def per_host_percentiles(self, feature: Feature, q: float) -> Dict[int, float]:
         """Per-host ``q``-th percentile of ``feature`` (full-diversity thresholds)."""

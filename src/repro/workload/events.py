@@ -62,10 +62,6 @@ class ScheduledEvent:
         """Event end timestamp."""
         return self.start_time + self.duration
 
-    def covers(self, timestamp: float) -> bool:
-        """True when ``timestamp`` falls inside the event window."""
-        return self.start_time <= timestamp < self.end_time
-
 
 #: Per-bin counts a typical patch/software rollout adds on a participating
 #: host (package and signature downloads split across many CDN fetches,

@@ -16,14 +16,16 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.attacks.base import AttackTrace, FeatureInjection
+from repro.core.fusion import FusionRule
 from repro.core.metrics import f_measure_from_rate_arrays
 from repro.core.thresholds import FMeasureHeuristic, ThresholdHeuristic, UtilityHeuristic
 from repro.engine import PopulationEngine
+from repro.engine.sharded import ShardedPopulation
 from repro.features.definitions import Feature
 from repro.features.timeseries import TimeSeries
 from repro.loadgen import LoadProfile, PhaseSpec, load_profile, plan_events, run_profile
@@ -49,6 +51,7 @@ from repro.traces.capture import CaptureSession, NetworkLocation
 from repro.traces.packet import IPProtocol, Packet, TCPFlags, ip_to_int
 from repro.utils.timeutils import BinSpec
 from repro.utils.validation import require, require_non_negative
+from repro.workload.enterprise import EnterprisePopulation
 
 
 def process_exited(pid: int) -> bool:
@@ -112,7 +115,7 @@ def make_udp_packet(
 def location_at(session: CaptureSession, timestamp: float) -> NetworkLocation:
     """Where ``session``'s host was at ``timestamp`` (OFFLINE when no segment covers it)."""
     for environment in session.environments:
-        if environment.contains(timestamp):
+        if environment.start_time <= timestamp < environment.end_time:
             return environment.location
     return NetworkLocation.OFFLINE
 
@@ -224,10 +227,56 @@ def member_rate_matrices(
     fn = np.zeros((candidates.size, len(distributions)))
     shifted = candidates[:, None] - attack_sizes[None, :] if attack_sizes.size else None
     for member_index, member in enumerate(distributions):
-        fp[:, member_index] = member.exceedances(candidates)
+        fp[:, member_index] = exceedances(member, candidates)
         if shifted is not None:
-            fn[:, member_index] = np.mean(1.0 - member.exceedances(shifted), axis=1)
+            fn[:, member_index] = np.mean(1.0 - exceedances(member, shifted), axis=1)
     return fp, fn
+
+
+def exceedances(distribution: EmpiricalDistribution, values) -> np.ndarray:
+    """``P(X > v)`` for each of ``values``: the oracles' per-member exceedance search."""
+    samples = distribution.samples
+    counts = np.searchsorted(samples, np.asarray(values, dtype=float), side="right")
+    return 1.0 - counts.astype(float) / samples.size
+
+
+def fuse(rule: FusionRule, indicators: np.ndarray) -> np.ndarray:
+    """Per-bin fused alarms of ``rule`` from a ``(num_features, num_bins)`` bool array.
+
+    Row ``i`` holds feature ``i``'s per-bin alert indicator: the oracle of the
+    measurement kernel's vote count.
+    """
+    stacked = np.atleast_2d(np.asarray(indicators, dtype=bool))
+    votes = np.count_nonzero(stacked, axis=0)
+    return votes >= rule.required_votes(stacked.shape[0])
+
+
+def host_thresholds(assignment) -> Dict[int, float]:
+    """A :class:`~repro.core.policies.ThresholdAssignment`'s hosts mapped to their thresholds.
+
+    The dict ``compute_thresholds`` stored before assignments held one
+    threshold per group: built group by group, each member mapped to its
+    group's threshold.
+    """
+    groups, thresholds = assignment.grouping.groups, assignment.group_thresholds
+    return {
+        host_id: threshold
+        for group, threshold in zip(groups, thresholds, strict=True)
+        for host_id in group
+    }
+
+
+def distinct_host_configurations(per_feature: Sequence[Mapping[int, float]]) -> int:
+    """Distinct per-host threshold tuples, each threshold rounded to 9 decimals, host by host."""
+    hosts = per_feature[0]
+    return len({tuple(round(float(t[host]), 9) for t in per_feature) for host in hosts})
+
+
+def materialize(sharded: ShardedPopulation) -> EnterprisePopulation:
+    """The equivalent fully in-memory population; missing shards are built first."""
+    matrices = dict(sharded.matrices())
+    profiles = {host_id: sharded.profile(host_id) for host_id in sharded.host_ids}
+    return EnterprisePopulation(config=sharded.config, profiles=profiles, matrices=matrices)
 
 
 def threshold_for_group(heuristic: ThresholdHeuristic, distributions) -> float:

@@ -69,7 +69,6 @@ class TestEvaluation:
         protocol = DetectionProtocol(features=(Feature.TCP_CONNECTIONS,))
         evaluation = evaluate_policy(matrices, PartialDiversityPolicy(), protocol)
         assert evaluation.assignment.for_feature(Feature.TCP_CONNECTIONS).grouping.num_groups == 8
-        assert evaluation.assignment.grouping.num_groups == 8  # single-feature convenience
 
     def test_utilities_respond_to_weight(self, small_population):
         matrices = small_population.matrices()

@@ -7,7 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import candidate_threshold_grid, threshold_for_group
+from helpers import (
+    candidate_threshold_grid,
+    distinct_host_configurations,
+    host_thresholds,
+    threshold_for_group,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro.core.grouping import (
@@ -19,9 +24,11 @@ from repro.core.grouping import (
 from repro.core.metrics import OperatingPoint, f_measure, precision_recall, utility
 from repro.core.policies import (
     ConfigurationPolicy,
+    DetectionAssignment,
     FullDiversityPolicy,
     HomogeneousPolicy,
     PartialDiversityPolicy,
+    ThresholdAssignment,
 )
 from repro.core import thresholds as thresholds_module
 from repro.core.evaluation import training_distributions
@@ -163,14 +170,15 @@ class TestPolicies:
         distributions = _population_distributions()
         assignment = HomogeneousPolicy().compute_thresholds(distributions)
         assert assignment.distinct_threshold_count() == 1
-        assert len(assignment.thresholds) == len(distributions)
+        assert assignment.host_ids == tuple(sorted(distributions))
 
     def test_full_diversity_personal_thresholds(self):
         distributions = _population_distributions()
         assignment = FullDiversityPolicy().compute_thresholds(distributions)
         assert assignment.distinct_threshold_count() > len(distributions) * 0.8
+        thresholds = assignment.thresholds
         for host, distribution in distributions.items():
-            assert assignment.threshold_of(host) == pytest.approx(distribution.percentile(99))
+            assert thresholds[host] == pytest.approx(distribution.percentile(99))
 
     def test_partial_diversity_group_count(self):
         distributions = _population_distributions(num_light=60, num_heavy=12)
@@ -188,17 +196,15 @@ class TestPolicies:
         homogeneous = HomogeneousPolicy().compute_thresholds(distributions)
         diversity = FullDiversityPolicy().compute_thresholds(distributions)
         light_hosts = list(range(10))
-        for host in light_hosts:
-            assert homogeneous.threshold_of(host) >= diversity.threshold_of(host)
+        assert np.all(homogeneous.column(light_hosts) >= diversity.column(light_hosts))
 
     def test_lowest_threshold_hosts(self):
         distributions = _population_distributions()
         assignment = FullDiversityPolicy().compute_thresholds(distributions)
         best = assignment.lowest_threshold_hosts(5)
         assert len(best) == 5
-        worst_of_best = max(assignment.threshold_of(h) for h in best)
-        others = [assignment.threshold_of(h) for h in distributions if h not in best]
-        assert worst_of_best <= min(others)
+        others = [h for h in distributions if h not in best]
+        assert assignment.column(best).max() <= assignment.column(others).min()
 
     def test_custom_policy_name(self):
         policy = ConfigurationPolicy(PercentileHeuristic(), SingleGroupGrouping(), name="custom")
@@ -415,3 +421,103 @@ class TestFiguresPopulation:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20, peak
+
+
+# ------------------------------------------- columnar assignment vs host dict
+#: Thresholds, with repeats and values 9 decimals apart or closer.  Python's
+#: ``round(t, 9)`` takes 1.0000000005 to 1.000000001, and ``np.round`` to 1.0.
+_THRESHOLDS = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-10, 1.0000000005, 1.000000001, 37.8]),
+)
+
+
+@st.composite
+def _groupings(draw, host_ids):
+    """``host_ids`` in one group, singletons, quantile-split groups or a random partition."""
+    values = st.lists(st.floats(0.0, 1e4), min_size=len(host_ids), max_size=len(host_ids))
+    statistics = dict(zip(host_ids, draw(values)))
+    kind = draw(st.sampled_from(["single", "per-host", "quantile", "random"]))
+    if kind == "single":
+        return SingleGroupGrouping().assign(statistics)
+    if kind == "per-host":
+        return PerHostGrouping().assign(statistics)
+    if kind == "quantile":
+        per_side = draw(st.integers(min_value=1, max_value=4))
+        return QuantileSplitGrouping(groups_per_side=per_side).assign(statistics)
+    order = draw(st.permutations(host_ids))
+    cuts = draw(st.sets(st.integers(1, len(order) - 1))) if len(order) > 1 else set()
+    bounds = [0, *sorted(cuts), len(order)]
+    groups = tuple(tuple(order[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return GroupAssignment(groups=groups, strategy_name="random")
+
+
+@st.composite
+def _assignments(draw, host_ids):
+    grouping = draw(_groupings(host_ids))
+    size = grouping.num_groups
+    thresholds = draw(st.lists(_THRESHOLDS, min_size=size, max_size=size))
+    return ThresholdAssignment(grouping, tuple(thresholds), "random")
+
+
+#: Non-contiguous host ids.
+_HOST_IDS = st.lists(
+    st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40, unique=True
+)
+
+
+class TestColumnarAssignment:
+    """An assignment's host columns equal the host -> threshold dict it once stored."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(host_ids=_HOST_IDS, data=st.data())
+    def test_columns_match_the_host_dict(self, host_ids, data):
+        assignment = data.draw(_assignments(host_ids))
+        expected = host_thresholds(assignment)
+        hosts = sorted(expected)
+        assert assignment.host_ids == tuple(hosts)
+        assert assignment.values.dtype == np.float64
+        assert not assignment.values.flags.writeable
+        assert assignment.values.tolist() == [expected[host] for host in hosts]
+        view = assignment.thresholds
+        assert view == expected and list(view) == hosts
+        assert all(type(host) is int and type(value) is float for host, value in view.items())
+        permutation = data.draw(st.permutations(host_ids))
+        subset = data.draw(st.lists(st.sampled_from(host_ids)))
+        for order in (permutation, subset):
+            assert assignment.column(order).tolist() == [expected[host] for host in order]
+        assert assignment.distinct_threshold_count() == distinct_host_configurations([expected])
+        count = data.draw(st.integers(min_value=1, max_value=len(hosts) + 2))
+        ranked = sorted(expected, key=lambda host: (expected[host], host))
+        assert assignment.lowest_threshold_hosts(count) == tuple(ranked[:count])
+
+    @settings(max_examples=60, deadline=None)
+    @given(host_ids=_HOST_IDS, data=st.data())
+    def test_assignments_from_the_same_inputs_are_equal(self, host_ids, data):
+        assignment = data.draw(_assignments(host_ids))
+        assignment.column(host_ids)  # caches the columns on one side only
+        again = ThresholdAssignment(
+            assignment.grouping, assignment.group_thresholds, assignment.policy_name
+        )
+        assert again == assignment and hash(again) == hash(assignment)
+
+    @settings(max_examples=80, deadline=None)
+    @given(host_ids=_HOST_IDS, data=st.data())
+    def test_configuration_count_with_a_grouping_per_feature(self, host_ids, data):
+        features = (Feature.TCP_CONNECTIONS, Feature.UDP_CONNECTIONS, Feature.DNS_CONNECTIONS)
+        per_feature = {
+            feature: data.draw(_assignments(host_ids))
+            for feature in features[: data.draw(st.integers(min_value=1, max_value=3))]
+        }
+        assignment = DetectionAssignment(per_feature=per_feature, policy_name="random")
+        expected = distinct_host_configurations([host_thresholds(a) for a in per_feature.values()])
+        assert assignment.distinct_threshold_count() == expected
+
+    @pytest.mark.parametrize("unknown", [-1, 4, 8, 100])
+    def test_column_of_an_unknown_host_raises(self, unknown):
+        grouping = GroupAssignment(groups=((3, 9), (5,)), strategy_name="fixed")
+        assignment = ThresholdAssignment(grouping, (2.0, 1.0), "fixed")
+        assert assignment.column([9, 3, 5]).tolist() == [2.0, 2.0, 1.0]
+        with pytest.raises(KeyError, match=str(unknown)):
+            assignment.column([3, unknown, 5])
+

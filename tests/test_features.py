@@ -125,11 +125,6 @@ class TestTimeSeries:
         combined = a.add(b)
         assert list(combined.values) == [11.0, 12.0, 3.0]
 
-    def test_exceedance(self):
-        series = self._series([1, 5, 10, 20])
-        assert series.exceedance_count(5) == 2
-        assert series.exceedance_rate(5) == pytest.approx(0.5)
-
     def test_distribution_matches_values(self):
         series = self._series([1, 2, 3, 100])
         assert series.percentile(50) == pytest.approx(2.5)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import fuse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,14 +46,14 @@ class TestFusionRule:
 
     def test_fuse_matrix(self):
         indicators = np.array([[True, True, False, False], [True, False, True, False]])
-        assert FusionRule.any_().fuse(indicators).tolist() == [True, True, True, False]
-        assert FusionRule.all_().fuse(indicators).tolist() == [True, False, False, False]
-        assert FusionRule.k_of_n(2).fuse(indicators).tolist() == [True, False, False, False]
+        assert fuse(FusionRule.any_(), indicators).tolist() == [True, True, True, False]
+        assert fuse(FusionRule.all_(), indicators).tolist() == [True, False, False, False]
+        assert fuse(FusionRule.k_of_n(2), indicators).tolist() == [True, False, False, False]
 
     def test_fuse_single_row(self):
         row = np.array([True, False, True])
         for rule in (FusionRule.any_(), FusionRule.all_(), FusionRule.k_of_n(1)):
-            assert rule.fuse(row).tolist() == row.tolist()
+            assert fuse(rule, row).tolist() == row.tolist()
 
     def test_names(self):
         assert FusionRule.any_().name == "any"

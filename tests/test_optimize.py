@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import exceedances
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,10 +133,10 @@ class TestGoldenRegression:
             assignment = policy.assign(golden_training, fusion=FusionRule.any_())
             for feature in GOLDEN_FEATURES:
                 expected = entry["per_feature"][feature.value]
-                actual = assignment.for_feature(feature)
+                actual = assignment.for_feature(feature).thresholds
                 for host, value in expected.items():
                     # Exact equality: the refactor must not perturb a single bit.
-                    assert actual.threshold_of(int(host)) == value, (
+                    assert actual[int(host)] == value, (
                         entry["policy"],
                         entry["heuristic"],
                         feature.value,
@@ -157,8 +158,8 @@ class TestGoldenRegression:
             return {
                 "thresholds": {
                     feature.value: {
-                        str(host): repr(float(assignment.for_feature(feature).threshold_of(host)))
-                        for host in sorted(assignment.host_ids)
+                        str(host): repr(value)
+                        for host, value in assignment.for_feature(feature).thresholds.items()
                     }
                     for feature in OPTIMIZER_FEATURES
                 },
@@ -223,6 +224,12 @@ def _member_groups(draw, features=GOLDEN_FEATURES, max_members=3):
     return members
 
 
+def _independent_score(members, features, objective, heuristic):
+    """The group's mean member utility at its independent (per-feature heuristic) vector."""
+    start = independent_thresholds([members], features, heuristic)[0]
+    return float(objective.group_scores(members, features, [[start[f] for f in features]])[0])
+
+
 _FUSIONS = st.sampled_from([FusionRule.any_(), FusionRule.all_(), FusionRule.k_of_n(2)])
 _ATTACK_SIZES = st.lists(
     st.integers(min_value=1, max_value=150), min_size=1, max_size=3
@@ -236,13 +243,11 @@ class TestOptimizerProperties:
         """CA starts from the independent solution, so it can only improve."""
         heuristic = PercentileHeuristic(99.0)
         objective = FusedUtilityObjective(fusion=fusion, weight=0.4, attack_sizes=sizes)
-        independent = IndependentOptimizer().optimize_group(
-            members, GOLDEN_FEATURES, objective, heuristic
-        )
+        independent = _independent_score(members, GOLDEN_FEATURES, objective, heuristic)
         ascended = CoordinateAscentOptimizer(num_candidates=12, max_sweeps=16).optimize_group(
             members, GOLDEN_FEATURES, objective, heuristic
         )
-        assert ascended.objective_value >= independent.objective_value - 1e-12
+        assert ascended.objective_value >= independent - 1e-12
         assert ascended.iterations >= 1
 
     @settings(max_examples=40, deadline=None)
@@ -270,9 +275,7 @@ class TestOptimizerProperties:
         objective = FusedUtilityObjective(
             fusion=FusionRule.any_(), weight=weight, attack_sizes=sizes
         )
-        independent = IndependentOptimizer().optimize_group(
-            members, GOLDEN_FEATURES, objective, heuristic
-        )
+        independent = _independent_score(members, GOLDEN_FEATURES, objective, heuristic)
         ascended = CoordinateAscentOptimizer(
             num_candidates=num_candidates, max_sweeps=32
         ).optimize_group(members, GOLDEN_FEATURES, objective, heuristic)
@@ -280,7 +283,7 @@ class TestOptimizerProperties:
             members, GOLDEN_FEATURES, objective, heuristic
         )
         # CA starts from the independent solution (merged into both grids)...
-        assert ascended.objective_value >= independent.objective_value - 1e-12
+        assert ascended.objective_value >= independent - 1e-12
         # ...and its reachable set is a subset of the exhaustive joint grid.
         assert ascended.objective_value <= exhaustive.objective_value + 1e-12
 
@@ -337,10 +340,9 @@ class TestOptimizerProperties:
             training, fusion=FusionRule.any_()
         )
         feature = Feature.TCP_CONNECTIONS
-        for host in plain.host_ids:
-            assert ascended.for_feature(feature).threshold_of(host) == plain.for_feature(
-                feature
-            ).threshold_of(host)
+        assert np.array_equal(
+            ascended.for_feature(feature).values, plain.for_feature(feature).values
+        )
 
     def test_grid_joint_rejects_too_many_features(self):
         members = [
@@ -386,9 +388,9 @@ class TestFusedObjective:
         fp = distribution.exceedance(threshold)
         fn = 1.0 - distribution.shifted_exceedance(threshold, 10.0)
         expected = 1.0 - (0.4 * fn + 0.6 * fp)
-        actual = objective.score(
-            [{Feature.TCP_CONNECTIONS: distribution}], (Feature.TCP_CONNECTIONS,), [threshold]
-        )
+        actual = objective.group_scores(
+            [{Feature.TCP_CONNECTIONS: distribution}], (Feature.TCP_CONNECTIONS,), [[threshold]]
+        )[0]
         assert actual == pytest.approx(expected)
 
     def test_attack_feature_must_be_evaluated(self):
@@ -396,17 +398,16 @@ class TestFusedObjective:
             fusion=FusionRule.any_(), attack_feature=Feature.UDP_CONNECTIONS
         )
         with pytest.raises(ValidationError, match="not among"):
-            objective.score(
+            objective.bind(
                 [{Feature.TCP_CONNECTIONS: EmpiricalDistribution([1.0, 2.0])}],
                 (Feature.TCP_CONNECTIONS,),
-                [1.5],
             )
 
 
 def _reference_member_utilities(objective, members, features, candidates):
     """The per-member loop the stacked kernel replaced: the test oracle.
 
-    Scores one member at a time through ``EmpiricalDistribution.exceedances``
+    Scores one member at a time through the ``exceedances`` oracle
     and ``FusionRule.alarm_probability``; never touches ``bind``.
     """
     features = tuple(features)
@@ -417,14 +418,14 @@ def _reference_member_utilities(objective, members, features, candidates):
     utilities = np.empty((candidates.shape[0], len(members)))
     for member_index, member in enumerate(members):
         alert = np.stack(
-            [member[feature].exceedances(candidates[:, i]) for i, feature in enumerate(features)]
+            [exceedances(member[feature], candidates[:, i]) for i, feature in enumerate(features)]
         )
         false_positive = objective.fusion.alarm_probability(alert)
         if shifted is None:
             false_negative = np.zeros_like(false_positive)
         else:
             attacked = np.repeat(alert[:, None, :], sizes.size, axis=1)
-            attacked[target] = member[features[target]].exceedances(shifted)
+            attacked[target] = exceedances(member[features[target]], shifted)
             detection = objective.fusion.alarm_probability(attacked)
             false_negative = np.mean(1.0 - detection, axis=0)
         utilities[:, member_index] = 1.0 - (
@@ -603,9 +604,9 @@ class TestFusedUtilityKernel:
             policy = FullDiversityPolicy(heuristic, optimizer=optimizer)
         fusion = FusionRule.k_of_n(2)
         assignment = policy.assign(training, fusion=fusion)
+        columns = np.stack([assignment.for_feature(f).values for f in OPTIMIZER_FEATURES], axis=1)
         by_vector = {}
-        for host in assignment.host_ids:
-            vector = tuple(assignment.for_feature(f).threshold_of(host) for f in OPTIMIZER_FEATURES)
+        for host, vector in zip(assignment.host_ids, map(tuple, columns.tolist()), strict=True):
             by_vector.setdefault(vector, []).append(host)
         assert len(by_vector) > 1
         total = 0.0

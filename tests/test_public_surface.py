@@ -1,15 +1,19 @@
 """Every public name in ``src/`` has a caller outside ``tests/``, or README documents it.
 
 The scan takes every top-level function and class in ``src/`` and every method
-of a top-level class, skipping names that start with ``_``.  A name counts as
-called when it occurs as an identifier in program code: ``src/**/*.py``,
-``src/**/*.toml``, ``examples/``, ``benchmarks/``, ``perfbench/`` or
-``scripts/``.  Its own definition does not count, and neither do ``__all__``
-lists or the re-export imports of an ``__init__.py``.  Identifiers inside
-strings count, because ``perfbench/layers.py`` names what it patches that way.
+of a top-level class, skipping names that start with ``_``.  Program code is
+``src/**/*.py``, ``src/**/*.toml``, ``examples/``, ``benchmarks/``,
+``perfbench/`` and ``scripts/``.  A top-level name counts as called when it
+occurs there as an identifier, strings included, because
+``perfbench/layers.py`` names what it patches that way.  A method counts as
+called only where it is read as an attribute (``.name``), named by a whole
+string (``"name"`` or ``'name'``) or passed as a keyword (``name=``), so a
+method that prose or a bare local of the same name mentions is still
+reported.  A definition does not count, and neither do ``__all__`` lists or
+the re-export imports of an ``__init__.py``.
 
 The match is by name, so it is approximate: a name that is also some other
-identifier in program code counts as called.  Grep a name before acting on
+attribute in program code counts as called.  Grep a name before acting on
 what this reports.  A name it reports needs a caller outside ``tests/``, or
 goes (with the tests that check only it), or moves under ``tests/`` when
 other tests use it as a helper or reference implementation, or stays on
@@ -19,11 +23,13 @@ other tests use it as a helper or reference implementation, or stays on
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
@@ -40,6 +46,10 @@ ALLOWLIST = {
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: A use that counts as a method call: ``.name``, ``name=``, ``"name"`` or ``'name'``.
+_METHOD_USE = re.compile(
+    r"\.([A-Za-z_]\w*)|\b([A-Za-z_]\w*)=(?!=)|\"([A-Za-z_]\w*)\"|'([A-Za-z_]\w*)'"
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,10 @@ class Definition:
     def name(self) -> str:
         return self.qualname.rsplit(".", 1)[-1]
 
+    @property
+    def is_method(self) -> bool:
+        return "." in self.qualname
+
 
 def _is_public(node: ast.AST) -> bool:
     return isinstance(
@@ -59,8 +73,11 @@ def _is_public(node: ast.AST) -> bool:
     ) and not node.name.startswith("_")
 
 
-def _scan_source(path: Path, definitions: List[Definition], excluded: Counter) -> None:
-    """Collect ``path``'s public definitions and the occurrences that are not calls."""
+def _scan_source(
+    path: Path, definitions: List[Definition], excluded: Counter, exported: Counter
+) -> None:
+    """Collect ``path``'s public definitions, the ``__all__`` entries, and the
+    other occurrences that are not calls."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if _is_public(node):
@@ -74,7 +91,7 @@ def _scan_source(path: Path, definitions: List[Definition], excluded: Counter) -
         ):
             for element in ast.walk(node.value):
                 if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                    excluded[element.value] += 1
+                    exported[element.value] += 1
         elif path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 excluded[alias.name] += 1
@@ -82,12 +99,15 @@ def _scan_source(path: Path, definitions: List[Definition], excluded: Counter) -
                     excluded[alias.asname] += 1
 
 
-def _identifiers(paths: Iterable[Path]) -> Counter:
-    """Every identifier occurrence in ``paths``, each file tokenised once."""
-    counts: Counter = Counter()
+def _occurrences(paths: Iterable[Path]) -> Tuple[Counter, Counter]:
+    """Every identifier occurrence in ``paths``, and every use that counts as a method call."""
+    identifiers: Counter = Counter()
+    method_uses: Counter = Counter()
     for path in paths:
-        counts.update(_IDENTIFIER.findall(path.read_text(encoding="utf-8")))
-    return counts
+        text = path.read_text(encoding="utf-8")
+        identifiers.update(_IDENTIFIER.findall(text))
+        method_uses.update("".join(groups) for groups in _METHOD_USE.findall(text))
+    return identifiers, method_uses
 
 
 def scan(root: Path) -> Dict[str, List[Definition]]:
@@ -97,22 +117,29 @@ def scan(root: Path) -> Dict[str, List[Definition]]:
     """
     definitions: List[Definition] = []
     excluded: Counter = Counter()
+    exported: Counter = Counter()
     sources = sorted((root / "src").rglob("*.py"))
     for path in sources:
-        _scan_source(path, definitions, excluded)
+        _scan_source(path, definitions, excluded, exported)
     for definition in definitions:
         excluded[definition.name] += 1
     callers = sources + sorted((root / "src").rglob("*.toml"))
     for directory in CALLER_DIRS:
         callers += sorted((root / directory).rglob("*.py"))
-    calls = _identifiers(callers)
-    tests = _identifiers(sorted((root / "tests").rglob("*.py")))
+    calls, method_calls = _occurrences(callers)
+    tests, method_tests = _occurrences(sorted((root / "tests").rglob("*.py")))
+    excluded += exported
     result: Dict[str, List[Definition]] = {"unreferenced": [], "test_only": []}
     for definition in definitions:
-        if calls[definition.name] - excluded[definition.name] > 0:
-            continue
-        kind = "test_only" if tests[definition.name] else "unreferenced"
-        result[kind].append(definition)
+        name = definition.name
+        if definition.is_method:
+            called = method_calls[name] - exported[name] > 0
+            tested = method_tests[name] > 0
+        else:
+            called = calls[name] - excluded[name] > 0
+            tested = tests[name] > 0
+        if not called:
+            result["test_only" if tested else "unreferenced"].append(definition)
     return result
 
 
@@ -216,3 +243,42 @@ def test_scan_skips_private_and_nested_definitions(tmp_path):
     result = scan(tmp_path)
     # The re-export under another name is not a call either.
     assert [d.qualname for d in result["unreferenced"]] == ["Outer", "Outer.shown"]
+
+
+def test_scan_counts_only_attribute_string_and_keyword_uses_of_a_method(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "class Thing:\n"
+        '    """Call described() first."""\n\n'
+        "    def read(self):\n        return 1\n\n"
+        "    def by_keyword(self):\n        return 2\n\n"
+        "    def by_string(self):\n        return 3\n\n"
+        "    def described(self):\n        return 4\n\n\n"
+        "def run(thing):\n"
+        "    # described is mentioned, never called\n"
+        '    return thing.read(), dict(by_keyword=1), getattr(thing, "by_string")\n'
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "go.py").write_text("from pkg.mod import Thing, run\n\nrun(Thing())\n")
+    result = scan(tmp_path)
+    assert [d.qualname for d in result["unreferenced"]] == ["Thing.described"]
+    assert result["test_only"] == []
+
+
+def test_every_name_perfbench_patches_exists():
+    """``perfbench/layers.py`` reads what it patches with ``getattr``: each name must exist."""
+    path = ROOT / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = layers  # its dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(layers)
+        timer = layers.LayerTimer()
+        try:
+            layers.install_layer_wrappers(timer)
+        finally:
+            timer.restore()
+    finally:
+        del sys.modules[spec.name]

@@ -42,7 +42,7 @@ from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 
-from helpers import process_exited
+from helpers import materialize, process_exited
 
 CONFIG = EnterpriseConfig(num_hosts=30, num_weeks=2, seed=511)
 
@@ -310,20 +310,19 @@ class TestOneLayoutPerPopulation:
         engine = PopulationEngine(workers=1, cache_dir=tmp_path)
         engine.generate(CONFIG)
         materialized, generated = _hosts_generated(
-            lambda: engine.generate_sharded(CONFIG).materialize()
+            lambda: materialize(engine.generate_sharded(CONFIG))
         )
         assert generated == 0
         assert_matches_monolithic(materialized, monolithic)
 
     def test_sharded_then_generate_is_a_cache_hit(self, monolithic, tmp_path):
         engine = PopulationEngine(workers=1, cache_dir=tmp_path)
-        engine.generate_sharded(CONFIG).materialize()
+        engine.generate_sharded(CONFIG).matrices()
         whole, generated = _hosts_generated(lambda: engine.generate(CONFIG))
         assert engine.last_report.cache_hit is True
         assert generated == 0
         assert_matches_monolithic(whole, monolithic)
         assert engine.cache.entry_count() == 1
-        assert engine.cache.clear() == 1
 
     def test_generate_completes_a_partial_layout(self, monolithic, tmp_path):
         engine = PopulationEngine(workers=1, cache_dir=tmp_path)
@@ -334,7 +333,7 @@ class TestOneLayoutPerPopulation:
         # store() kept the layout's geometry and recorded every shard.
         assert None not in _manifest_hashes(engine.cache.path_for(CONFIG))
         sharded, generated = _hosts_generated(
-            lambda: engine.generate_sharded(CONFIG, hosts_per_shard=8).materialize()
+            lambda: materialize(engine.generate_sharded(CONFIG, hosts_per_shard=8))
         )
         assert generated == 0
         assert_matches_monolithic(sharded, monolithic)
@@ -395,8 +394,11 @@ class TestParallelShardBuild:
     ):
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
-            result = getattr(self._parallel(tmp_path), request_all)()
-        matrices = result.matrices() if request_all == "materialize" else result
+            sharded = self._parallel(tmp_path)
+            if request_all == "materialize":
+                matrices = materialize(sharded).matrices()
+            else:
+                matrices = sharded.matrices()
         assert sorted(matrices) == self.ALL_HOSTS
         for host_id in self.ALL_HOSTS:
             expected = monolithic.matrix(host_id)
@@ -513,7 +515,7 @@ sharded.ShardedPopulation._record_shard = record_then_kill
 num_hosts, num_weeks, seed = map(int, sys.argv[3:])
 config = EnterpriseConfig(num_hosts=num_hosts, num_weeks=num_weeks, seed=seed)
 engine = PopulationEngine(workers=2, min_parallel_hosts=1, cache_dir=sys.argv[1])
-engine.generate_sharded(config, hosts_per_shard=8).materialize()
+engine.generate_sharded(config, hosts_per_shard=8).matrices()
 raise SystemExit("the shard build was not interrupted")
 """
 
@@ -554,7 +556,7 @@ class TestKilledPoolBuild:
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
             engine = PopulationEngine(workers=2, min_parallel_hosts=1, cache_dir=cache_dir)
-            resumed = engine.generate_sharded(self.CONFIG, hosts_per_shard=8).materialize()
+            resumed = materialize(engine.generate_sharded(self.CONFIG, hosts_per_shard=8))
         # Only the two shards the manifest does not record are generated again.
         assert recorder.counters["engine.hosts_generated"] == 16
         expected = generate_enterprise(self.CONFIG)

@@ -92,7 +92,7 @@ from repro.utils.timeutils import WEEK, BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
 
-from helpers import inject_attack
+from helpers import fuse, inject_attack
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
 FIGURES_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_figures.json"
@@ -388,7 +388,7 @@ def _fused_false_negative(features, fusion, thresholds, benign, injections):
         > thresholds[f]
         for f in features
     ]
-    fused = fusion.fuse(np.stack(indicators))
+    fused = fuse(fusion, np.stack(indicators))
     fused_fn = float(int(np.count_nonzero(~fused[union]))) / num_attacked
     return fused_fn, fused_fn < 1.0
 
@@ -397,23 +397,24 @@ def _reference_rows(matrices, assignment, protocol, attack=None, week=None, atta
     """One :class:`HostPerformance` per host of ``matrices``, each scored alone."""
     features, fusion = protocol.features, protocol.fusion
     week = protocol.test_week if week is None else week
+    in_force = assignment if attack_assignment is None else attack_assignment
+    measuring = {f: assignment.for_feature(f).thresholds for f in features}
+    attacked = {f: in_force.for_feature(f).thresholds for f in features}
     rows = {}
     for host_id, matrix in matrices.items():
-        thresholds = {f: assignment.for_feature(f).threshold_of(host_id) for f in features}
+        thresholds = {f: measuring[f][host_id] for f in features}
         test_matrix = matrix.week(week)
         benign = {f: test_matrix.series(f) for f in features}
-        counts = {f: benign[f].exceedance_count(thresholds[f]) for f in features}
-        fp = {f: benign[f].exceedance_rate(thresholds[f]) for f in features}
+        counts = {
+            f: int(np.count_nonzero(np.asarray(benign[f].values) > thresholds[f]))
+            for f in features
+        }
+        fp = {f: counts[f] / benign[f].num_bins for f in features}
         fn = {f: 0.0 for f in features}
         raised = {f: None for f in features}
         trace = None
         if attack is not None:
-            in_force = assignment if attack_assignment is None else attack_assignment
-            trace = attack(
-                host_id,
-                test_matrix,
-                {f: in_force.for_feature(f).threshold_of(host_id) for f in features},
-            )
+            trace = attack(host_id, test_matrix, {f: attacked[f][host_id] for f in features})
         injections = {}
         if trace is not None:
             injections = {
@@ -429,7 +430,7 @@ def _reference_rows(matrices, assignment, protocol, attack=None, week=None, atta
             alarm_raised = raised[only]
         else:
             indicators = np.stack([np.asarray(benign[f].values) > thresholds[f] for f in features])
-            fused_count = int(np.count_nonzero(fusion.fuse(indicators)))
+            fused_count = int(np.count_nonzero(fuse(fusion, indicators)))
             fused_fp = float(fused_count) / benign[features[0]].num_bins
             fused_fn, alarm_raised = _fused_false_negative(
                 features, fusion, thresholds, benign, injections
@@ -493,7 +494,7 @@ def _tcp_assignment(thresholds) -> DetectionAssignment:
     """TCP ``thresholds`` (host id -> float), one group per host."""
     groups = tuple((host_id,) for host_id in thresholds)
     grouping = GroupAssignment(groups=groups, strategy_name="fixed")
-    tcp = ThresholdAssignment(dict(thresholds), grouping, tuple(thresholds.values()), "fixed")
+    tcp = ThresholdAssignment(grouping, tuple(thresholds.values()), "fixed")
     return DetectionAssignment(per_feature={Feature.TCP_CONNECTIONS: tcp}, policy_name="fixed")
 
 
@@ -788,7 +789,7 @@ def _fixed_assignment(host_id: int, thresholds) -> DetectionAssignment:
     grouping = GroupAssignment(groups=((host_id,),), strategy_name="fixed")
     return DetectionAssignment(
         per_feature={
-            feature: ThresholdAssignment({host_id: value}, grouping, (value,), "fixed")
+            feature: ThresholdAssignment(grouping, (value,), "fixed")
             for feature, value in thresholds.items()
         },
         policy_name="fixed",
@@ -906,7 +907,7 @@ class TestHandComputedWeek:
         grouping = GroupAssignment(groups=((1, 2),), strategy_name="fixed")
         assignment = DetectionAssignment(
             per_feature={
-                self.TCP: ThresholdAssignment({1: 10.0, 2: 10.0}, grouping, (10.0,), "fixed")
+                self.TCP: ThresholdAssignment(grouping, (10.0,), "fixed")
             },
             policy_name="fixed",
         )

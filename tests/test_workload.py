@@ -19,7 +19,12 @@ from repro.traces.capture import NetworkLocation
 from repro.utils.rng import RandomSource
 from repro.utils.timeutils import DAY, HOUR, MINUTE, WEEK, BinSpec
 from repro.utils.validation import ValidationError
-from repro.workload.diurnal import ActivityModel, always_on_pattern, office_worker_pattern
+from repro.workload.diurnal import (
+    ActivityModel,
+    always_on_pattern,
+    hour_of_week_slots,
+    office_worker_pattern,
+)
 from repro.workload.enterprise import (
     EnterpriseConfig,
     generate_enterprise,
@@ -90,7 +95,7 @@ class TestDiurnal:
 
     def test_activity_model_vectorised(self, rng):
         model = ActivityModel(pattern=office_worker_pattern())
-        values = model.multipliers(np.arange(0, DAY, 15 * MINUTE), rng)
+        values = model.slot_multipliers(hour_of_week_slots(np.arange(0, DAY, 15 * MINUTE)), rng)
         assert values.shape == (96,)
         assert np.all(values > 0)
 
@@ -207,12 +212,6 @@ class TestEvents:
             ScheduledEvent(name="x", start_time=0.0, duration=0.0, feature_amounts=DEFAULT_ROLLOUT_AMOUNTS)
         with pytest.raises(ValidationError):
             ScheduledEvent(name="x", start_time=0.0, duration=10.0, feature_amounts={})
-
-    def test_event_covers(self):
-        event = ScheduledEvent(
-            name="x", start_time=100.0, duration=50.0, feature_amounts=DEFAULT_ROLLOUT_AMOUNTS
-        )
-        assert event.covers(100.0) and event.covers(149.0) and not event.covers(150.0)
 
 
 def _reference_event_counts(counts, events, bin_starts, bin_width, online, rng):
