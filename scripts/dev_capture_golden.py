@@ -33,6 +33,15 @@ be regression-tested bit for bit against the code it replaced:
     record (``repro metrics show``), its OpenMetrics export, a metrics diff,
     the trace report (text and JSON) and the ``--monitor`` byte stream.  The
     builders live in ``tests/helpers.py``, which the test imports too.
+``tests/data/golden_specs.json``
+    What the specs store and hash: every packaged sweep's ``to_toml()`` text,
+    every expanded scenario's ``scenario_spec_hash`` (the sweep result
+    cache's key), the ``population_cache_key`` of each distinct population
+    those scenarios generate (the population cache's key) and the planned
+    event-stream SHA-256 of every packaged load profile.  A hash that moves
+    makes every stored sweep record miss the result cache; a key that moves
+    makes every cached population regenerate.  Its builder is
+    ``specs_golden`` in ``tests/helpers.py``.
 
 Run it at the parent commit of the change being guarded, then copy the
 fixtures into the change.  At any commit whose tests pass, every fixture
@@ -446,6 +455,14 @@ def capture_observability() -> str:
     return json.dumps(observability_golden(), indent=1, sort_keys=True) + "\n"
 
 
+def capture_specs() -> str:
+    """The spec fixture, one JSON line per TOML line and per hash."""
+    sys.path.insert(0, str(TESTS))
+    from helpers import specs_golden
+
+    return json.dumps(specs_golden(), indent=1, sort_keys=True) + "\n"
+
+
 def main() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
     for name, golden in (
@@ -456,9 +473,13 @@ def main() -> None:
         path = DATA / name
         path.write_text(json.dumps(golden, sort_keys=True, separators=(",", ":")))
         print(f"wrote {path} ({path.stat().st_size} bytes)")
-    path = DATA / "golden_observability.json"
-    path.write_text(capture_observability())
-    print(f"wrote {path} ({path.stat().st_size} bytes)")
+    for name, text in (
+        ("golden_observability.json", capture_observability()),
+        ("golden_specs.json", capture_specs()),
+    ):
+        path = DATA / name
+        path.write_text(text)
+        print(f"wrote {path} ({path.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ The program never calls these: they build test inputs (packets, uniform
 attack traces, small load profiles), inspect what a test produced (capture
 sessions, exited processes), recompute, one host or group at a time, what
 the program computes in bulk, so the tests can compare the two, or render
-the payload of ``tests/data/golden_observability.json``
-(:func:`observability_golden`).
+the payloads of ``tests/data/golden_observability.json``
+(:func:`observability_golden`) and ``tests/data/golden_specs.json``
+(:func:`specs_golden`).
 """
 
 from __future__ import annotations
@@ -24,11 +25,18 @@ from repro.attacks.base import AttackTrace, FeatureInjection
 from repro.core.fusion import FusionRule
 from repro.core.metrics import f_measure_from_rate_arrays
 from repro.core.thresholds import FMeasureHeuristic, ThresholdHeuristic, UtilityHeuristic
-from repro.engine import PopulationEngine
+from repro.engine import PopulationEngine, population_cache_key
 from repro.engine.sharded import ShardedPopulation
 from repro.features.definitions import Feature
 from repro.features.timeseries import TimeSeries
-from repro.loadgen import LoadProfile, PhaseSpec, load_profile, plan_events, run_profile
+from repro.loadgen import (
+    PROFILES,
+    LoadProfile,
+    PhaseSpec,
+    load_profile,
+    plan_events,
+    run_profile,
+)
 from repro.metrics import (
     CampaignMonitor,
     build_run_record,
@@ -37,6 +45,7 @@ from repro.metrics import (
 )
 from repro.metrics.cli import render_run_record
 from repro.stats.empirical import EmpiricalDistribution
+from repro.sweeps import builtin_sweeps, scenario_spec_hash
 from repro.telemetry import (
     TelemetryRecorder,
     add_count,
@@ -483,4 +492,30 @@ def observability_golden() -> Dict[str, Any]:
         "loadgen": {name: golden_load_payloads(name) for name in GOLDEN_PROFILES},
         "demo_plan_sha256": plan_sha256(load_profile("demo")),
         "renderings": golden_renderings(),
+    }
+
+
+def specs_golden() -> Dict[str, Any]:
+    """The payload of ``tests/data/golden_specs.json``: what the specs store and hash.
+
+    Every packaged sweep's TOML text (one list of lines each), every expanded
+    scenario's ``scenario_spec_hash`` (the result cache's key), the
+    ``population_cache_key`` of each distinct population those scenarios
+    generate (keyed by the first scenario that uses it) and every packaged
+    load profile's planned event-stream digest.
+    """
+    sweeps = builtin_sweeps()
+    scenarios = [scenario for sweep in sweeps.values() for scenario in sweep.expand()]
+    population_keys: Dict[str, str] = {}
+    for scenario in scenarios:
+        key = population_cache_key(scenario.population.to_config())
+        if key not in population_keys.values():
+            population_keys[scenario.name] = key
+    return {
+        "sweep_toml": {name: sweep.to_toml().split("\n") for name, sweep in sweeps.items()},
+        "scenario_spec_hashes": {
+            scenario.name: scenario_spec_hash(scenario) for scenario in scenarios
+        },
+        "population_cache_keys": population_keys,
+        "plan_sha256": {name: plan_sha256(profile) for name, profile in PROFILES.items()},
     }
