@@ -43,6 +43,7 @@ from repro.core.sampling import SampleSpec, bootstrap_mean_interval, sample_host
 from repro.core.thresholds import ThresholdHeuristic
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix
+from repro.utils.records import plain
 from repro.utils.validation import require
 from repro.workload.enterprise import EnterprisePopulation
 
@@ -173,41 +174,7 @@ class ScenarioOutcome:
     def __post_init__(self) -> None:
         object.__setattr__(self, "retrain_weeks", tuple(int(w) for w in self.retrain_weeks))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping of every metric."""
-        return {
-            "policy_name": self.policy_name,
-            "feature": self.feature,
-            "num_hosts": self.num_hosts,
-            "mean_utility": self.mean_utility,
-            "median_utility": self.median_utility,
-            "mean_false_positive_rate": self.mean_false_positive_rate,
-            "mean_false_negative_rate": self.mean_false_negative_rate,
-            "mean_detection_rate": self.mean_detection_rate,
-            "mean_f_measure": self.mean_f_measure,
-            "total_false_alarms": self.total_false_alarms,
-            "fraction_raising_alarm": self.fraction_raising_alarm,
-            "distinct_thresholds": self.distinct_thresholds,
-            "fusion": self.fusion,
-            "num_features": self.num_features,
-            "per_feature": {name: dict(values) for name, values in self.per_feature.items()},
-            "optimizer": self.optimizer,
-            "objective_value": self.objective_value,
-            "optimizer_iterations": self.optimizer_iterations,
-            "schedule": self.schedule,
-            "num_timeline_weeks": self.num_timeline_weeks,
-            "retrain_count": self.retrain_count,
-            "retrain_weeks": list(self.retrain_weeks),
-            "utility_decay_slope": self.utility_decay_slope,
-            "timeline": {week: dict(values) for week, values in self.timeline.items()},
-            "training_cost_seconds": self.training_cost_seconds,
-            "sample_size": self.sample_size,
-            "sample_seed": self.sample_seed,
-            "utility_ci_low": self.utility_ci_low,
-            "utility_ci_high": self.utility_ci_high,
-            "sample_confidence": self.sample_confidence,
-            "bootstrap_iterations": self.bootstrap_iterations,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioOutcome":

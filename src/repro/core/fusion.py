@@ -12,7 +12,6 @@ the general ``k``-of-``n`` vote) trades the other way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
 
 import numpy as np
 
@@ -43,7 +42,10 @@ class FusionRule:
     k: int = 1
 
     def __post_init__(self) -> None:
-        require(self.rule in FUSION_RULES, f"fusion rule must be one of {list(FUSION_RULES)}")
+        require(
+            self.rule in FUSION_RULES,
+            f"fusion rule must be one of {list(FUSION_RULES)}, got {self.rule!r}",
+        )
         require(self.k >= 1, "fusion k must be >= 1")
 
     # ------------------------------------------------------------ constructors
@@ -107,14 +109,3 @@ class FusionRule:
                 dp[votes] = dp[votes] * (1.0 - p) + dp[votes - 1] * p
             dp[0] = dp[0] * (1.0 - p)
         return np.sum(dp[votes_needed:], axis=0)
-
-    # ------------------------------------------------------------ round trips
-    def to_dict(self) -> Dict[str, Any]:
-        return {"rule": self.rule, "k": self.k}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FusionRule":
-        require(isinstance(data, Mapping), "fusion must be a table/dict")
-        unknown = set(data) - {"rule", "k"}
-        require(not unknown, f"fusion: unknown field(s) {sorted(unknown)}")
-        return cls(rule=str(data.get("rule", "any")), k=int(data.get("k", 1)))

@@ -18,10 +18,11 @@ the sampled-evaluation fields of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.records import parse, plain
 from repro.utils.validation import require
 
 #: Bootstrap resample count used when a spec does not override it.
@@ -66,30 +67,11 @@ class SampleSpec:
         """Whether this spec actually samples (``size > 0``)."""
         return self.size > 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "size": self.size,
-            "seed": self.seed,
-            "bootstrap": self.bootstrap,
-            "confidence": self.confidence,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SampleSpec":
-        require(isinstance(data, Mapping), "evaluation.sample must be a table/dict")
-        known = {"size", "seed", "bootstrap", "confidence"}
-        unknown = set(data) - known
-        require(
-            not unknown,
-            f"evaluation.sample: unknown field(s) {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}",
-        )
-        spec = cls(
-            size=int(data.get("size", 0)),
-            seed=int(data.get("seed", 0)),
-            bootstrap=int(data.get("bootstrap", DEFAULT_BOOTSTRAP)),
-            confidence=float(data.get("confidence", DEFAULT_CONFIDENCE)),
-        )
+        spec = parse(cls, data, "evaluation.sample")
         # Normalise the disabled spec back to the defaults: a scenario that
         # does not sample must hash identically however its inert sampling
         # knobs are spelled (mirrors OptimizerSpec/ScheduleSpec.from_dict).

@@ -22,7 +22,6 @@ shard.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -34,6 +33,7 @@ import numpy as np
 
 from repro.features.definitions import PAPER_FEATURES, Feature
 from repro.features.timeseries import FeatureMatrix, PopulationFrame
+from repro.utils.records import plain
 from repro.utils.timeutils import BinSpec
 from repro.utils.validation import ValidationError, require
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
@@ -74,22 +74,15 @@ ShardEntry = Tuple[Dict[int, HostProfile], Mapping[int, FeatureMatrix]]
 def config_payload(config: EnterpriseConfig) -> dict:
     """JSON-ready mapping of every ``EnterpriseConfig`` field.
 
-    Derived via :func:`dataclasses.asdict` so newly added config fields are
-    automatically part of both the manifest and the cache key — a
-    hand-maintained field list here would silently collide cache entries for
-    configs differing only in a forgotten field.
+    Derived from the dataclass fields (:func:`~repro.utils.records.plain`)
+    so newly added config fields are automatically part of both the
+    manifest and the cache key — a hand-maintained field list here would
+    silently collide cache entries for configs differing only in a
+    forgotten field.  The drift model is stored in its nested-dict form,
+    which ``EnterpriseConfig`` normalises back into the dataclass on
+    construction.
     """
-    payload = dataclasses.asdict(config)
-    payload["maintenance_weeks"] = list(payload["maintenance_weeks"])
-    # DriftModel round-trips as its nested-dict form (EnterpriseConfig
-    # normalises a mapping back into the dataclass on construction).
-    payload["drift"] = {
-        "components": [
-            dict(component, weeks=list(component["weeks"]))
-            for component in payload["drift"]["components"]
-        ]
-    }
-    return payload
+    return plain(config)
 
 
 def config_from_payload(payload: Mapping) -> EnterpriseConfig:

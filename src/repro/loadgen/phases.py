@@ -15,7 +15,7 @@ produce a bit-identical event stream (see ``tests/test_loadgen.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.sweeps.spec import (
     ScenarioSpec,
     ScheduleSpec,
 )
+from repro.utils.records import plain
 from repro.utils.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -130,19 +131,7 @@ class PhaseSpec:
                 f"(num_events must be 1)",
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping (plan serialisation)."""
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "num_events": self.num_events,
-            "host_fraction": self.host_fraction,
-            "size_start": self.size_start,
-            "size_end": self.size_end,
-            "drop_fraction": self.drop_fraction,
-            "corrupt_fraction": self.corrupt_fraction,
-            "corrupt_bins_fraction": self.corrupt_bins_fraction,
-        }
+    to_dict = plain
 
 
 @dataclass(frozen=True)
@@ -158,18 +147,7 @@ class LoadEvent:
     corrupted_hosts: Tuple[int, ...] = ()
     corrupt_bins_fraction: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping (the deterministic event-stream payload)."""
-        return {
-            "index": self.index,
-            "phase": self.phase,
-            "kind": self.kind,
-            "scenario": self.scenario.to_dict(),
-            "target_hosts": list(self.target_hosts),
-            "dropped_hosts": list(self.dropped_hosts),
-            "corrupted_hosts": list(self.corrupted_hosts),
-            "corrupt_bins_fraction": self.corrupt_bins_fraction,
-        }
+    to_dict = plain
 
 
 def corrupt_matrix(

@@ -32,11 +32,12 @@ its phases' event counts — the invariant the hypothesis property in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.features.definitions import Feature
 from repro.loadgen.phases import PhaseSpec
 from repro.sweeps.spec import POLICY_KINDS
+from repro.utils.records import plain
 from repro.utils.validation import require
 from repro.workload.drift import DRIFT_KINDS
 
@@ -162,27 +163,7 @@ class LoadProfile:
         """Phase names in execution order."""
         return tuple(phase.name for phase in self.phases)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping (embedded in every load report)."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "num_hosts": self.num_hosts,
-            "num_weeks": self.num_weeks,
-            "seed": self.seed,
-            "population_seed": self.population_seed,
-            "policy_kind": self.policy_kind,
-            "num_groups": self.num_groups,
-            "zipf_exponent": self.zipf_exponent,
-            "hot_feature_count": self.hot_feature_count,
-            "hot_feature_probability": self.hot_feature_probability,
-            "features_per_event": self.features_per_event,
-            "soak_drift_kind": self.soak_drift_kind,
-            "sample_size": self.sample_size,
-            "sample_seed": self.sample_seed,
-            "total_events": self.total_events,
-            "phases": [phase.to_dict() for phase in self.phases],
-        }
+    to_dict = plain
 
 
 def _ramp(num_events: int, host_fraction: float = 0.5) -> PhaseSpec:

@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.telemetry.report import summary_payload
 from repro.utils.jsonl import append_jsonl, read_jsonl
+from repro.utils.records import plain
 from repro.utils.resources import peak_rss_bytes
 from repro.utils.validation import ValidationError, require, require_type
 
@@ -59,22 +60,7 @@ class RunRecord:
     annotations: Dict[str, Any] = field(default_factory=dict)
     schema: int = METRICS_SCHEMA_VERSION
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload (one line of the history file)."""
-        return {
-            "schema": self.schema,
-            "run_id": self.run_id,
-            "command": self.command,
-            "timestamp": self.timestamp,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "summary": self.summary,
-            "counters": self.counters,
-            "gauges": self.gauges,
-            "engine_cache": self.engine_cache,
-            "shards": self.shards,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "annotations": self.annotations,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunRecord":

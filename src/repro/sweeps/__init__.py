@@ -43,7 +43,6 @@ from repro.sweeps.spec import (
     AttackSpec,
     DriftSpec,
     EvaluationSpec,
-    FusionSpec,
     OptimizerSpec,
     PolicySpec,
     PopulationSpec,
@@ -75,7 +74,6 @@ __all__ = [
     "load_builtin",
     "derive_scenario_seed",
     "scenario_spec_hash",
-    "FusionSpec",
     "OptimizerSpec",
     "DriftSpec",
     "ScheduleSpec",

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.experiments.report import render_table
 from repro.utils.jsonl import append_jsonl, read_jsonl
+from repro.utils.records import plain
 from repro.utils.validation import ValidationError, require
 
 #: Version stamped on every record; readers reject records from the future.
@@ -81,16 +82,7 @@ class ScenarioRecord:
     run_id: str = ""
     schema: int = RESULT_SCHEMA_VERSION
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "run_id": self.run_id,
-            "sweep": self.sweep,
-            "scenario": self.scenario,
-            "spec": self.spec,
-            "metrics": self.metrics,
-            "timing": self.timing,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioRecord":

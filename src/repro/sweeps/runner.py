@@ -80,7 +80,7 @@ def scenario_components(spec: ScenarioSpec, bin_width: float) -> ScenarioCompone
     spec.validate()
     protocol = DetectionProtocol(
         features=spec.evaluation.features_enum(),
-        fusion=spec.evaluation.fusion_rule(),
+        fusion=spec.evaluation.fusion,
         train_week=spec.evaluation.train_week,
         test_week=spec.evaluation.test_week,
         utility_weight=spec.evaluation.utility_weight,

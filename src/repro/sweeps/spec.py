@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,10 +31,11 @@ from repro.attacks.base import AttackBuilder
 from repro.attacks.botnet import CommandAndControl, botnet_builder
 from repro.attacks.mimicry import mimicry_builder
 from repro.attacks.naive import NaiveAttacker
-from repro.core.fusion import FUSION_RULES, FusionRule
+from repro.core.fusion import FusionRule
 from repro.core.sampling import SampleSpec
 from repro.features.definitions import Feature
 from repro.sweeps import toml_io
+from repro.utils.records import parse, plain
 from repro.utils.timeutils import WEEK
 from repro.utils.validation import ValidationError, require
 from repro.workload.drift import DRIFT_KINDS, DriftModel
@@ -61,35 +62,6 @@ SWEEP_MODES = ("grid", "zip")
 #: Per-scenario seed handling: keep the spec's seed, or derive one per
 #: distinct population configuration from the sweep seed.
 SEED_MODES = ("fixed", "derived")
-
-
-def _from_mapping(cls, data: Mapping[str, Any], context: str):
-    """Build a flat spec dataclass from a mapping, rejecting unknown keys."""
-    require(isinstance(data, Mapping), f"{context} must be a table/dict")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(
-            f"{context}: unknown field(s) {sorted(unknown)}; expected a subset of {sorted(known)}"
-        )
-    kwargs: Dict[str, Any] = {}
-    for spec_field in fields(cls):
-        if spec_field.name in data:
-            kwargs[spec_field.name] = _coerce(data[spec_field.name], spec_field.type, context)
-    return cls(**kwargs)
-
-
-def _coerce(value: Any, annotation: Any, context: str) -> Any:
-    """Normalise TOML/JSON scalars onto the annotated field type."""
-    text = str(annotation)
-    if "float" in text and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if "Tuple" in text and isinstance(value, (list, tuple)):
-        return tuple(
-            float(item) if isinstance(item, int) and not isinstance(item, bool) else item
-            for item in value
-        )
-    return value
 
 
 def _choice(value: str, allowed: Sequence[str], label: str) -> None:
@@ -126,19 +98,11 @@ class DriftSpec:
             magnitude=self.magnitude,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "scale": self.scale,
-            "period_weeks": self.period_weeks,
-            "probability": self.probability,
-            "weeks": list(self.weeks),
-            "magnitude": self.magnitude,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DriftSpec":
-        spec = _from_mapping(cls, data, "population.drift")
+        spec = parse(cls, data, "population.drift")
         spec = replace(spec, weeks=tuple(int(week) for week in spec.weeks))
         for kind in spec.kind.split("+"):
             kind = kind.strip()
@@ -195,24 +159,11 @@ class PopulationSpec:
             drift=self.drift.build(),
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_hosts": self.num_hosts,
-            "num_weeks": self.num_weeks,
-            "seed": self.seed,
-            "laptop_fraction": self.laptop_fraction,
-            "with_mobility": self.with_mobility,
-            "with_maintenance": self.with_maintenance,
-            "week_drift_scale": self.week_drift_scale,
-            "drift": self.drift.to_dict(),
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PopulationSpec":
-        require(isinstance(data, Mapping), "population must be a table/dict")
-        drift = DriftSpec.from_dict(data.get("drift", {}))
-        flat = {key: value for key, value in data.items() if key != "drift"}
-        spec = replace(_from_mapping(cls, flat, "population"), drift=drift)
+        spec = parse(cls, data, "population")
         spec.to_config()  # delegate range validation to EnterpriseConfig
         return spec
 
@@ -265,21 +216,11 @@ class PolicySpec:
             return FullDiversityPolicy(heuristic, optimizer=optimizer)
         return PartialDiversityPolicy(heuristic, num_groups=self.num_groups, optimizer=optimizer)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "heuristic": self.heuristic,
-            "percentile": self.percentile,
-            "num_std": self.num_std,
-            "utility_weight": self.utility_weight,
-            "attack_sizes": list(self.attack_sizes),
-            "attack_prevalence": self.attack_prevalence,
-            "num_groups": self.num_groups,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PolicySpec":
-        spec = _from_mapping(cls, data, "policy")
+        spec = parse(cls, data, "policy")
         _choice(spec.kind, POLICY_KINDS, "policy.kind")
         _choice(spec.heuristic, HEURISTIC_KINDS, "policy.heuristic")
         require(0.0 < spec.percentile < 100.0, "policy.percentile must be in (0, 100)")
@@ -379,22 +320,11 @@ class AttackSpec:
             control_size=self.control_size,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "active_fraction": self.active_fraction,
-            "seed": self.seed,
-            "feature": self.feature,
-            "evasion_probability": self.evasion_probability,
-            "compromise_probability": self.compromise_probability,
-            "command_and_control": self.command_and_control,
-            "control_size": self.control_size,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AttackSpec":
-        spec = _from_mapping(cls, data, "attack")
+        spec = parse(cls, data, "attack")
         _choice(spec.kind, ATTACK_KINDS, "attack.kind")
         _choice(spec.command_and_control, C2_KINDS, "attack.command_and_control")
         require(spec.size >= 0.0, "attack.size must be non-negative")
@@ -410,28 +340,6 @@ class AttackSpec:
         )
         if spec.feature:
             spec.target_feature(Feature.TCP_CONNECTIONS)  # validate the name
-        return spec
-
-
-@dataclass(frozen=True)
-class FusionSpec:
-    """How per-feature alerts fuse into one alarm (see :class:`FusionRule`)."""
-
-    rule: str = "any"
-    k: int = 1
-
-    def build(self) -> FusionRule:
-        """The :class:`FusionRule` this spec describes."""
-        return FusionRule(rule=self.rule, k=self.k)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"rule": self.rule, "k": self.k}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FusionSpec":
-        spec = _from_mapping(cls, data, "evaluation.fusion")
-        _choice(spec.rule, FUSION_RULES, "evaluation.fusion.rule")
-        require(spec.k >= 1, "evaluation.fusion.k must be >= 1")
         return spec
 
 
@@ -498,17 +406,11 @@ class OptimizerSpec:
             common["num_candidates"] = self.num_candidates
         return GridJointOptimizer(**common)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "num_candidates": self.num_candidates,
-            "max_sweeps": self.max_sweeps,
-            "tolerance": self.tolerance,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "OptimizerSpec":
-        spec = _from_mapping(cls, data, "evaluation.optimizer")
+        spec = parse(cls, data, "evaluation.optimizer")
         _choice(spec.kind, OPTIMIZER_KINDS, "evaluation.optimizer.kind")
         require(
             spec.num_candidates == 0 or spec.num_candidates >= 2,
@@ -561,19 +463,13 @@ class ScheduleSpec:
             window_weeks=self.window_weeks,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "period": self.period,
-            "threshold": self.threshold,
-            "window_weeks": self.window_weeks,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScheduleSpec":
         from repro.temporal import RETRAIN_KINDS
 
-        spec = _from_mapping(cls, data, "evaluation.schedule")
+        spec = parse(cls, data, "evaluation.schedule")
         _choice(spec.kind, ("one-shot",) + RETRAIN_KINDS, "evaluation.schedule.kind")
         require(spec.period >= 1, "evaluation.schedule.period must be >= 1")
         require(spec.threshold >= 0.0, "evaluation.schedule.threshold must be non-negative")
@@ -598,7 +494,9 @@ class EvaluationSpec:
 
     ``features`` (plus ``fusion``) is the feature-set-first detection
     surface: when non-empty it names the monitored feature set, with the
-    fusion rule applied per bin to the per-feature alert indicators.  The
+    :class:`~repro.core.fusion.FusionRule` in ``fusion`` (the
+    ``[scenario.evaluation.fusion]`` table, ``rule`` and ``k``) applied per
+    bin to the per-feature alert indicators.  The
     scalar ``feature`` field remains for single-feature scenarios (and stays
     sweepable as the ``evaluation.feature`` axis); when ``features`` is empty
     the evaluation monitors exactly ``[feature]``, reproducing the legacy
@@ -623,7 +521,7 @@ class EvaluationSpec:
 
     feature: str = Feature.TCP_CONNECTIONS.value
     features: Tuple[str, ...] = ()
-    fusion: FusionSpec = field(default_factory=FusionSpec)
+    fusion: FusionRule = field(default_factory=FusionRule)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     sample: SampleSpec = field(default_factory=SampleSpec)
@@ -642,61 +540,14 @@ class EvaluationSpec:
             return (self.feature_enum(),)
         return tuple(_feature_enum(name, "evaluation.features") for name in self.features)
 
-    def fusion_rule(self) -> FusionRule:
-        """The :class:`FusionRule` in force."""
-        return self.fusion.build()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "feature": self.feature,
-            "features": list(self.features),
-            "fusion": self.fusion.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "sample": self.sample.to_dict(),
-            "train_week": self.train_week,
-            "test_week": self.test_week,
-            "utility_weight": self.utility_weight,
-            "attack_prevalence": self.attack_prevalence,
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvaluationSpec":
-        require(isinstance(data, Mapping), "evaluation must be a table/dict")
-        known = {
-            "feature",
-            "features",
-            "fusion",
-            "optimizer",
-            "schedule",
-            "sample",
-            "train_week",
-            "test_week",
-            "utility_weight",
-            "attack_prevalence",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(
-                f"evaluation: unknown field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        features = data.get("features", ())
+        spec = parse(cls, data, "evaluation")
         require(
-            isinstance(features, (list, tuple)),
+            isinstance(spec.features, tuple),
             "evaluation.features must be an array of feature names",
-        )
-        spec = cls(
-            feature=str(data.get("feature", Feature.TCP_CONNECTIONS.value)),
-            features=tuple(str(name) for name in features),
-            fusion=FusionSpec.from_dict(data.get("fusion", {})),
-            optimizer=OptimizerSpec.from_dict(data.get("optimizer", {})),
-            schedule=ScheduleSpec.from_dict(data.get("schedule", {})),
-            sample=SampleSpec.from_dict(data.get("sample", {})),
-            train_week=int(data.get("train_week", 0)),
-            test_week=int(data.get("test_week", 1)),
-            utility_weight=float(data.get("utility_weight", 0.4)),
-            attack_prevalence=float(data.get("attack_prevalence", 0.01)),
         )
         resolved = spec.features_enum()
         require(
@@ -760,12 +611,6 @@ class ScenarioSpec:
                 f"schedules only (timeline aggregation over a host subsample is "
                 f"not defined yet)",
             )
-        fusion = self.evaluation.fusion
-        if fusion.rule == "k_of_n":
-            require(
-                fusion.k >= 1,
-                f"scenario {self.name!r}: fusion.k must be >= 1",
-            )
         if self.evaluation.optimizer.kind == "grid-joint":
             from repro.optimize import MAX_JOINT_GRID_FEATURES
 
@@ -777,28 +622,11 @@ class ScenarioSpec:
             )
         return self
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "population": self.population.to_dict(),
-            "policy": self.policy.to_dict(),
-            "attack": self.attack.to_dict(),
-            "evaluation": self.evaluation.to_dict(),
-        }
+    to_dict = plain
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        require(isinstance(data, Mapping), "scenario must be a table/dict")
-        unknown = set(data) - {"name", "population", "policy", "attack", "evaluation"}
-        if unknown:
-            raise ValidationError(f"scenario: unknown section(s) {sorted(unknown)}")
-        return cls(
-            name=str(data.get("name", "scenario")),
-            population=PopulationSpec.from_dict(data.get("population", {})),
-            policy=PolicySpec.from_dict(data.get("policy", {})),
-            attack=AttackSpec.from_dict(data.get("attack", {})),
-            evaluation=EvaluationSpec.from_dict(data.get("evaluation", {})),
-        ).validate()
+        return parse(cls, data, "scenario").validate()
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
         """A copy with dotted-path fields replaced (``{"policy.kind": ...}``)."""

@@ -31,7 +31,7 @@ a component never perturbs the benign body/burst draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, List, Mapping, Tuple
 
 import numpy as np
 
@@ -122,16 +122,6 @@ class DriftComponent:
                 multipliers[week] = surge
         return multipliers
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "scale": self.scale,
-            "period_weeks": self.period_weeks,
-            "probability": self.probability,
-            "weeks": list(self.weeks),
-            "magnitude": self.magnitude,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DriftComponent":
         require(isinstance(data, Mapping), "drift component must be a table/dict")
@@ -189,9 +179,6 @@ class DriftModel:
         for component in self.components:
             multipliers = multipliers * component.week_multipliers(profile, num_weeks, rng)
         return multipliers
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"components": [component.to_dict() for component in self.components]}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DriftModel":

@@ -19,6 +19,7 @@ from repro.core.fusion import FusionRule
 from repro.core.policies import FullDiversityPolicy, HomogeneousPolicy
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.utils.records import parse, plain
 from repro.utils.timeutils import BinSpec, HOUR
 from repro.utils.validation import ValidationError
 
@@ -61,16 +62,19 @@ class TestFusionRule:
         assert FusionRule.k_of_n(2).name == "2-of-n"
 
     def test_round_trip(self):
+        # A rule is stored as its two fields and read back as a scenario's
+        # evaluation.fusion section.
         for rule in (FusionRule.any_(), FusionRule.all_(), FusionRule.k_of_n(4)):
-            assert FusionRule.from_dict(rule.to_dict()) == rule
+            assert plain(rule) == {"rule": rule.rule, "k": rule.k}
+            assert parse(FusionRule, plain(rule), "evaluation.fusion") == rule
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             FusionRule(rule="majority")
         with pytest.raises(ValidationError):
             FusionRule.k_of_n(0)
-        with pytest.raises(ValidationError):
-            FusionRule.from_dict({"rule": "any", "votes": 2})
+        with pytest.raises(ValidationError, match="evaluation.fusion: unknown field"):
+            parse(FusionRule, {"rule": "any", "votes": 2}, "evaluation.fusion")
 
 
 class TestDetectionProtocol:

@@ -29,6 +29,7 @@ from repro.temporal import (
     weeks_covered,
 )
 from repro.temporal.statistic import drift_from_baseline, pooled_baseline_quantiles
+from repro.utils.records import plain
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ValidationError
 from repro.workload.drift import DriftComponent, DriftModel
@@ -109,7 +110,7 @@ class TestDriftModels:
     def test_from_kinds_rejects_duplicates_and_roundtrips(self):
         model = DriftModel.from_kinds("seasonal+flash-crowd", scale=1.5, weeks=(2,))
         assert model.name == "seasonal+flash-crowd"
-        assert DriftModel.from_dict(model.to_dict()) == model
+        assert DriftModel.from_dict(plain(model)) == model
         assert DriftModel.from_kinds("none") == DriftModel()
         with pytest.raises(ValidationError):
             DriftModel.from_kinds("seasonal+seasonal")
