@@ -49,7 +49,7 @@ def main() -> None:
         rows.append(
             [
                 name,
-                evaluation.assignment.distinct_threshold_count(),
+                evaluation.assignment.distinct_threshold_count,
                 round(evaluation.mean_utility(), 4),
                 evaluation.total_false_alarms(),
                 round(evaluation.fraction_raising_alarm(), 3),

@@ -237,7 +237,7 @@ def summarize_scenario(
         aggregates["total_false_alarms"] = columns.total_false_alarms()
         aggregates["fraction_raising_alarm"] = columns.fraction_raising_alarm()
         aggregates["distinct_thresholds"] = (
-            evaluation.assignment.for_feature(feature).distinct_threshold_count()
+            evaluation.assignment.for_feature(feature).distinct_threshold_count
         )
         per_feature[feature.value] = aggregates
     optimization = evaluation.optimization
@@ -267,7 +267,7 @@ def summarize_scenario(
         mean_f_measure=fused["mean_f_measure"],
         total_false_alarms=evaluation.total_false_alarms(),
         fraction_raising_alarm=evaluation.fraction_raising_alarm(),
-        distinct_thresholds=evaluation.assignment.distinct_threshold_count(),
+        distinct_thresholds=evaluation.assignment.distinct_threshold_count,
         fusion=protocol.fusion.name,
         num_features=protocol.num_features,
         per_feature=per_feature,

@@ -115,13 +115,15 @@ class ThresholdAssignment:
         """Every host's threshold as a ``{host: threshold}`` mapping, in host order."""
         return dict(zip(self.host_ids, self.values.tolist()))
 
+    @functools.cached_property
     def distinct_threshold_count(self) -> int:
         """Number of distinct threshold values in force across the population.
 
         1 for homogeneous, ~number of hosts for full diversity, ~number of
         groups for partial diversity — the management-overhead proxy IT
         operators care about.  Groups partition the hosts, so the groups'
-        rounded values are the hosts'.
+        rounded values are the hosts'.  Counted once per assignment, however
+        many evaluations share it.
         """
         return len(set(self._rounded_groups()))
 
@@ -177,6 +179,7 @@ class DetectionAssignment:
         """The per-feature :class:`ThresholdAssignment` for ``feature``."""
         return self.per_feature[feature]
 
+    @functools.cached_property
     def distinct_threshold_count(self) -> int:
         """Number of distinct threshold *configurations* across the population.
 
@@ -184,7 +187,8 @@ class DetectionAssignment:
         run; for a single feature this reduces to the count of distinct
         scalar thresholds — the management-overhead proxy IT operators care
         about.  Each feature's groups are rounded once and spread to their
-        hosts, whose per-feature tuples are then counted.
+        hosts, whose per-feature tuples are then counted, once per
+        assignment however many evaluations share it.
         """
         columns = [a._spread(a._rounded_groups()).tolist() for a in self.per_feature.values()]
         return len(set(zip(*columns)))

@@ -11,7 +11,13 @@ from repro.core.evaluation import (
     evaluate_policy,
     training_distributions,
 )
-from repro.core.policies import FullDiversityPolicy, HomogeneousPolicy, PartialDiversityPolicy
+from repro.core.experiment import summarize_scenario
+from repro.core.policies import (
+    FullDiversityPolicy,
+    HomogeneousPolicy,
+    PartialDiversityPolicy,
+    ThresholdAssignment,
+)
 from repro.core.thresholds import UtilityHeuristic
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
@@ -104,6 +110,38 @@ class TestEvaluationMemo:
         assert recorder.counters["optimize.assignments"] == 2
         names = [span.name for span in recorder.spans]
         assert (names.count("core.train"), names.count("core.assign")) == (1, 1)
+
+    def test_a_shared_assignment_counts_its_thresholds_once(self, small_population, monkeypatch):
+        matrices = small_population.matrices()
+        builder = NaiveAttacker(Feature.DNS_CONNECTIONS, attack_size=50.0).builder()
+        memo = EvaluationMemo()
+        first = summarize_scenario(
+            evaluate_policy(matrices, PartialDiversityPolicy(num_groups=4), self.PROTOCOL, memo=memo)
+        )
+        rounded = []
+        count_groups = ThresholdAssignment._rounded_groups
+
+        def counted(assignment):
+            rounded.append(assignment)
+            return count_groups(assignment)
+
+        monkeypatch.setattr(ThresholdAssignment, "_rounded_groups", counted)
+        shared = evaluate_policy(
+            matrices, PartialDiversityPolicy(num_groups=4), self.PROTOCOL, builder, memo=memo
+        )
+        second = summarize_scenario(shared)
+        assert rounded == []
+        alone = summarize_scenario(
+            evaluate_policy(matrices, PartialDiversityPolicy(num_groups=4), self.PROTOCOL, builder)
+        )
+        assert len(rounded) == 4  # a fresh assignment: two features, each counted twice
+        for outcome in (first, second):
+            assert outcome.distinct_thresholds == alone.distinct_thresholds
+            for feature, aggregates in alone.per_feature.items():
+                assert (
+                    outcome.per_feature[feature]["distinct_thresholds"]
+                    == aggregates["distinct_thresholds"]
+                )
 
     def test_only_missing_features_are_trained(self, small_population):
         matrices = small_population.matrices()

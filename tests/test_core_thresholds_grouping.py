@@ -169,13 +169,13 @@ class TestPolicies:
     def test_homogeneous_single_threshold(self):
         distributions = _population_distributions()
         assignment = HomogeneousPolicy().compute_thresholds(distributions)
-        assert assignment.distinct_threshold_count() == 1
+        assert assignment.distinct_threshold_count == 1
         assert assignment.host_ids == tuple(sorted(distributions))
 
     def test_full_diversity_personal_thresholds(self):
         distributions = _population_distributions()
         assignment = FullDiversityPolicy().compute_thresholds(distributions)
-        assert assignment.distinct_threshold_count() > len(distributions) * 0.8
+        assert assignment.distinct_threshold_count > len(distributions) * 0.8
         thresholds = assignment.thresholds
         for host, distribution in distributions.items():
             assert thresholds[host] == pytest.approx(distribution.percentile(99))
@@ -184,7 +184,7 @@ class TestPolicies:
         distributions = _population_distributions(num_light=60, num_heavy=12)
         assignment = PartialDiversityPolicy(num_groups=8).compute_thresholds(distributions)
         assert assignment.grouping.num_groups == 8
-        assert 2 <= assignment.distinct_threshold_count() <= 8
+        assert 2 <= assignment.distinct_threshold_count <= 8
 
     def test_partial_diversity_requires_even_groups(self):
         with pytest.raises(ValidationError):
@@ -486,7 +486,7 @@ class TestColumnarAssignment:
         subset = data.draw(st.lists(st.sampled_from(host_ids)))
         for order in (permutation, subset):
             assert assignment.column(order).tolist() == [expected[host] for host in order]
-        assert assignment.distinct_threshold_count() == distinct_host_configurations([expected])
+        assert assignment.distinct_threshold_count == distinct_host_configurations([expected])
         count = data.draw(st.integers(min_value=1, max_value=len(hosts) + 2))
         ranked = sorted(expected, key=lambda host: (expected[host], host))
         assert assignment.lowest_threshold_hosts(count) == tuple(ranked[:count])
@@ -511,7 +511,7 @@ class TestColumnarAssignment:
         }
         assignment = DetectionAssignment(per_feature=per_feature, policy_name="random")
         expected = distinct_host_configurations([host_thresholds(a) for a in per_feature.values()])
-        assert assignment.distinct_threshold_count() == expected
+        assert assignment.distinct_threshold_count == expected
 
     @pytest.mark.parametrize("unknown", [-1, 4, 8, 100])
     def test_column_of_an_unknown_host_raises(self, unknown):

@@ -1087,7 +1087,7 @@ def _reference_outcome(evaluation, rows, attack_prevalence, sample) -> dict:
             perf.feature_alarm_raised.get(feature) for perf in performances
         )
         aggregates["distinct_thresholds"] = (
-            evaluation.assignment.for_feature(feature).distinct_threshold_count()
+            evaluation.assignment.for_feature(feature).distinct_threshold_count
         )
         per_feature[feature.value] = aggregates
     sampling = {}
@@ -1117,7 +1117,7 @@ def _reference_outcome(evaluation, rows, attack_prevalence, sample) -> dict:
         ),
         total_false_alarms=int(sum(perf.false_alarm_count for perf in performances)),
         fraction_raising_alarm=_reference_fraction(perf.alarm_raised for perf in performances),
-        distinct_thresholds=evaluation.assignment.distinct_threshold_count(),
+        distinct_thresholds=evaluation.assignment.distinct_threshold_count,
         fusion=protocol.fusion.name,
         num_features=protocol.num_features,
         per_feature=per_feature,
