@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from repro.sweeps import (
     builtin_sweeps,
     derive_scenario_seed,
     load_builtin,
+    scenario_spec_hash,
 )
 from repro.sweeps import toml_io
 from repro.sweeps.spec import PopulationSpec
@@ -582,6 +584,127 @@ class TestTemporalSpecs:
         base = PopulationSpec()
         drifted = PopulationSpec.from_dict({"drift": {"kind": "seasonal"}})
         assert derive_scenario_seed(7, base) != derive_scenario_seed(7, drifted)
+
+
+#: The scenario every hashed-field case starts from (every optional section off).
+_HASH_BASE = ScenarioSpec.from_dict(
+    {"name": "base", "population": {"num_hosts": 8, "num_weeks": 4}}
+)
+
+#: Every leaf field of a scenario spec: a valid value other than the base's,
+#: and the overrides under which the field is live (not normalised away).
+_HASHED_FIELDS = {
+    "name": ("renamed", {}),
+    "population.num_hosts": (9, {}),
+    "population.num_weeks": (5, {}),
+    "population.seed": (7, {}),
+    "population.laptop_fraction": (0.5, {}),
+    "population.with_mobility": (False, {}),
+    "population.with_maintenance": (False, {}),
+    "population.week_drift_scale": (0.5, {}),
+    "population.drift.kind": ("seasonal", {}),
+    "population.drift.scale": (2.0, {"population.drift.kind": "seasonal"}),
+    "population.drift.period_weeks": (6, {"population.drift.kind": "seasonal"}),
+    "population.drift.probability": (0.3, {"population.drift.kind": "role-churn"}),
+    "population.drift.weeks": ([2], {"population.drift.kind": "flash-crowd"}),
+    "population.drift.magnitude": (5.0, {"population.drift.kind": "flash-crowd"}),
+    "policy.kind": ("full-diversity", {}),
+    "policy.heuristic": ("utility", {}),
+    "policy.percentile": (95.0, {}),
+    "policy.num_std": (2.0, {}),
+    "policy.utility_weight": (0.6, {}),
+    "policy.attack_sizes": ([20.0], {}),
+    "policy.attack_prevalence": (0.05, {}),
+    "policy.num_groups": (4, {}),
+    "attack.kind": ("storm", {}),
+    "attack.size": (10.0, {}),
+    "attack.active_fraction": (0.5, {}),
+    "attack.seed": (9, {}),
+    "attack.feature": ("num_udp_connections", {}),
+    "attack.evasion_probability": (0.5, {}),
+    "attack.compromise_probability": (0.5, {}),
+    "attack.command_and_control": ("irc", {}),
+    "attack.control_size": (2.0, {}),
+    "evaluation.feature": ("num_dns_connections", {}),
+    "evaluation.features": (["num_tcp_connections", "num_udp_connections"], {}),
+    "evaluation.fusion.rule": ("all", {}),
+    "evaluation.fusion.k": (2, {}),
+    "evaluation.optimizer.kind": ("coordinate-ascent", {}),
+    "evaluation.optimizer.num_candidates": (
+        16,
+        {"evaluation.optimizer.kind": "coordinate-ascent"},
+    ),
+    "evaluation.optimizer.max_sweeps": (3, {"evaluation.optimizer.kind": "coordinate-ascent"}),
+    "evaluation.optimizer.tolerance": (1e-6, {"evaluation.optimizer.kind": "coordinate-ascent"}),
+    "evaluation.schedule.kind": ("never", {}),
+    "evaluation.schedule.period": (3, {"evaluation.schedule.kind": "every-k-weeks"}),
+    "evaluation.schedule.threshold": (0.2, {"evaluation.schedule.kind": "drift-triggered"}),
+    "evaluation.schedule.window_weeks": (2, {"evaluation.schedule.kind": "never"}),
+    "evaluation.sample.size": (4, {}),
+    "evaluation.sample.seed": (3, {"evaluation.sample.size": 4}),
+    "evaluation.sample.bootstrap": (50, {"evaluation.sample.size": 4}),
+    "evaluation.sample.confidence": (0.9, {"evaluation.sample.size": 4}),
+    "evaluation.train_week": (2, {}),
+    "evaluation.test_week": (2, {}),
+    "evaluation.utility_weight": (0.6, {}),
+    "evaluation.attack_prevalence": (0.05, {}),
+}
+
+#: Sections whose other fields parsing normalises back to their defaults,
+#: and the overrides under which they are inert (none: the base's defaults).
+_INERT_SECTIONS = {
+    "population.drift.": ({},),
+    "evaluation.optimizer.": ({}, {"evaluation.optimizer.kind": "independent"}),
+    "evaluation.schedule.": ({},),
+    "evaluation.sample.": ({},),
+}
+
+_INERT_CASES = [
+    (path, inert)
+    for path in _HASHED_FIELDS
+    for prefix, bases in _INERT_SECTIONS.items()
+    if path.startswith(prefix) and path.rsplit(".", 1)[1] not in ("kind", "size")
+    for inert in bases
+]
+
+
+def _leaf_paths(record, prefix=""):
+    for spec_field in dataclasses.fields(record):
+        value = getattr(record, spec_field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_paths(value, f"{prefix}{spec_field.name}.")
+        else:
+            yield prefix + spec_field.name
+
+
+class TestEveryFieldReachesTheHash:
+    """The result cache keys a stored record by its spec hash, so every field
+    that changes what a scenario computes must change the hash, and every
+    field parsing normalises away must not."""
+
+    def test_the_table_names_every_leaf_field(self):
+        assert sorted(_leaf_paths(_HASH_BASE)) == sorted(_HASHED_FIELDS)
+
+    @pytest.mark.parametrize("path", sorted(_HASHED_FIELDS))
+    def test_a_live_field_moves_the_hash(self, path):
+        value, live = _HASHED_FIELDS[path]
+        base = _HASH_BASE.with_overrides(live)
+        changed = base.with_overrides({path: value})
+        assert changed.to_dict() != base.to_dict()
+        assert scenario_spec_hash(changed) != scenario_spec_hash(base)
+
+    @pytest.mark.parametrize(
+        ("path", "inert"), _INERT_CASES, ids=[f"{path}-{inert}" for path, inert in _INERT_CASES]
+    )
+    def test_a_normalised_field_keeps_the_hash(self, path, inert):
+        value, _ = _HASHED_FIELDS[path]
+        base = _HASH_BASE.with_overrides(inert)
+        changed = base.with_overrides({path: value})
+        assert changed == base
+        assert scenario_spec_hash(changed) == scenario_spec_hash(base)
+
+    def test_every_normalised_section_is_covered(self):
+        assert len(_INERT_CASES) == 5 + 2 * 3 + 3 + 3
 
 
 class TestSeedDerivation:
