@@ -351,11 +351,6 @@ class PolicyComparison:
         self._context = context
         self._policies = list(policies) if policies is not None else standard_policies()
 
-    @property
-    def policies(self) -> Sequence[ConfigurationPolicy]:
-        """The policies under comparison."""
-        return tuple(self._policies)
-
     def run(
         self,
         feature: Union[Feature, DetectionProtocol],
@@ -379,21 +374,3 @@ class PolicyComparison:
                 matrices, policy, protocol, attack_builder=attack_builder
             )
         return results
-
-    def mean_utilities(
-        self,
-        feature: Union[Feature, DetectionProtocol],
-        weights: Sequence[float],
-        attack_builder: Optional[AttackBuilder] = None,
-    ) -> Dict[str, List[float]]:
-        """Average utility per policy across a sweep of utility weights.
-
-        This is the Figure 3(b) computation: the (FP, FN) operating points are
-        measured once per policy, then re-weighted for every ``w``.
-        """
-        require(len(weights) > 0, "at least one weight is required")
-        evaluations = self.run(feature, utility_weight=weights[0], attack_builder=attack_builder)
-        return {
-            name: [evaluation.mean_utility(weight) for weight in weights]
-            for name, evaluation in evaluations.items()
-        }

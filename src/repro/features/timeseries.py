@@ -128,16 +128,6 @@ class TimeSeries:
         """Number of whole weeks covered by the series."""
         return int(self.duration // WEEK)
 
-    def rebin(self, factor: int) -> "TimeSeries":
-        """Aggregate ``factor`` adjacent bins into one (e.g. 5-min -> 15-min)."""
-        require(factor >= 1, "factor must be >= 1")
-        if factor == 1:
-            return TimeSeries(self._values.copy(), self._bin_spec)
-        usable = (self.num_bins // factor) * factor
-        reshaped = self._values[:usable].reshape(-1, factor)
-        aggregated = reshaped.sum(axis=1)
-        return TimeSeries(aggregated, BinSpec(width=self.bin_width * factor, origin=self._bin_spec.origin))
-
     def add(self, other: "TimeSeries") -> "TimeSeries":
         """Element-wise sum with another series on the same bin grid.
 
@@ -248,10 +238,6 @@ class FeatureMatrix:
         return FeatureMatrix(
             self._host_id, {f: ts.slice_time(start, end) for f, ts in self._series.items()}
         )
-
-    def rebin(self, factor: int) -> "FeatureMatrix":
-        """Rebin every feature series by ``factor``."""
-        return FeatureMatrix(self._host_id, {f: ts.rebin(factor) for f, ts in self._series.items()})
 
     def num_weeks(self) -> int:
         """Number of whole weeks covered."""

@@ -281,6 +281,18 @@ def distinct_host_configurations(per_feature: Sequence[Mapping[int, float]]) -> 
     return len({tuple(round(float(t[host]), 9) for t in per_feature) for host in hosts})
 
 
+def rebin(series: TimeSeries, factor: int) -> TimeSeries:
+    """``series`` with every ``factor`` adjacent bins summed into one (5-min -> 15-min).
+
+    A partial trailing group of bins is dropped.
+    """
+    require(factor >= 1, "factor must be >= 1")
+    usable = (series.num_bins // factor) * factor
+    aggregated = series.values[:usable].reshape(-1, factor).sum(axis=1)
+    spec = BinSpec(width=series.bin_width * factor, origin=series.bin_spec.origin)
+    return TimeSeries(aggregated, spec)
+
+
 def materialize(sharded: ShardedPopulation) -> EnterprisePopulation:
     """The equivalent fully in-memory population; missing shards are built first."""
     matrices = dict(sharded.matrices())

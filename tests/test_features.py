@@ -14,7 +14,7 @@ from repro.traces.packet import TCPFlags, ip_to_int
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
 from repro.utils.validation import ValidationError
 
-from helpers import make_tcp_packet, make_udp_packet
+from helpers import make_tcp_packet, make_udp_packet, rebin
 
 HOST = "10.0.0.9"
 HOST_IP = ip_to_int(HOST)
@@ -114,7 +114,7 @@ class TestTimeSeries:
 
     def test_rebin_sums_adjacent(self):
         series = TimeSeries([1, 2, 3, 4, 5, 6], BinSpec(width=5 * MINUTE))
-        rebinned = series.rebin(3)
+        rebinned = rebin(series, 3)
         assert rebinned.num_bins == 2
         assert list(rebinned.values) == [6.0, 15.0]
         assert rebinned.bin_width == pytest.approx(15 * MINUTE)
@@ -136,7 +136,7 @@ class TestTimeSeries:
         usable = (len(values) // factor) * factor
         if usable == 0:
             return
-        rebinned = series.rebin(factor)
+        rebinned = rebin(series, factor)
         assert rebinned.total() == pytest.approx(sum(values[:usable]))
 
 

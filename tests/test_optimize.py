@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import exceedances
+from helpers import exceedances, rebin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -783,7 +783,7 @@ class TestBinWidthPooling:
         matrix = next(iter(tiny_population.matrices().values()))
         series = matrix.series(Feature.TCP_CONNECTIONS)
         assert series.distribution().bin_width == series.bin_width
-        coarse = series.rebin(2)
+        coarse = rebin(series, 2)
         with pytest.raises(ValidationError, match="bin widths"):
             EmpiricalDistribution.pooled([series.distribution(), coarse.distribution()])
 
