@@ -15,6 +15,7 @@ renames, computes or reshapes keys keep a hand-written ``to_dict``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
@@ -24,14 +25,6 @@ R = TypeVar("R")
 
 #: Value types :func:`plain` returns as they are (dict fields are not copied).
 _LEAVES = frozenset({str, int, float, bool, type(None), dict})
-
-#: Each record class's field names, in declaration order.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
-
-#: Per record class and field, how :func:`parse` normalises a given value:
-#: ``(kind, nested record class)`` with kind ``"float"``, ``"floats"``,
-#: ``"tuple"``, ``"record"`` or ``""`` (kept as given).
-_FIELD_KINDS: Dict[type, Dict[str, Tuple[str, Optional[type]]]] = {}
 
 
 def plain(value: Any) -> Any:
@@ -44,13 +37,11 @@ def plain(value: Any) -> Any:
     cls = type(value)
     if cls in _LEAVES:
         return value
-    names = _FIELD_NAMES.get(cls)
+    names = _field_names(cls)
     if names is None:
         if isinstance(value, (tuple, list)):
             return [item if type(item) in _LEAVES else plain(item) for item in value]
-        if not dataclasses.is_dataclass(cls):
-            return value
-        names = _FIELD_NAMES[cls] = tuple(field.name for field in dataclasses.fields(cls))
+        return value
     record = {}
     for name in names:
         item = getattr(value, name)
@@ -72,9 +63,7 @@ def parse(cls: Type[R], data: Mapping[str, Any], context: str) -> R:
     ``__post_init__`` checks run as it is built.
     """
     require(isinstance(data, Mapping), f"{context} must be a table/dict")
-    kinds = _FIELD_KINDS.get(cls)
-    if kinds is None:
-        kinds = _FIELD_KINDS[cls] = _field_kinds(cls)
+    kinds = _field_kinds(cls)
     unknown = set(data) - kinds.keys()
     if unknown:
         raise ValidationError(
@@ -102,12 +91,26 @@ def parse(cls: Type[R], data: Mapping[str, Any], context: str) -> R:
     return cls(**kwargs)
 
 
+@functools.cache
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """A dataclass's field names in declaration order; None for any other type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
 def _as_float(value: Any) -> Any:
     """An integer (not a bool) as a float; any other value as it is."""
     return float(value) if type(value) is int else value
 
 
+@functools.cache
 def _field_kinds(cls: type) -> Dict[str, Tuple[str, Optional[type]]]:
+    """How :func:`parse` normalises each field of ``cls``: ``(kind, nested class)``.
+
+    The kind is ``"float"``, ``"floats"`` (a tuple of floats), ``"tuple"``,
+    ``"record"`` (a nested dataclass) or ``""`` (kept as given).
+    """
     hints = typing.get_type_hints(cls)
     kinds: Dict[str, Tuple[str, Optional[type]]] = {}
     for field in dataclasses.fields(cls):
