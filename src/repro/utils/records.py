@@ -83,10 +83,7 @@ def parse(cls: Type[R], data: Mapping[str, Any], context: str) -> R:
             value = tuple(value)
         elif kind == "record" and not isinstance(value, nested):
             reader = getattr(nested, "from_dict", None)
-            if reader is not None:
-                value = reader(value)
-            else:
-                value = parse(nested, value, f"{context}.{name}")
+            value = reader(value) if reader else parse(nested, value, f"{context}.{name}")
         kwargs[name] = value
     return cls(**kwargs)
 

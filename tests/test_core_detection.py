@@ -115,9 +115,8 @@ class TestEvaluationMemo:
         matrices = small_population.matrices()
         builder = NaiveAttacker(Feature.DNS_CONNECTIONS, attack_size=50.0).builder()
         memo = EvaluationMemo()
-        first = summarize_scenario(
-            evaluate_policy(matrices, PartialDiversityPolicy(num_groups=4), self.PROTOCOL, memo=memo)
-        )
+        policy = PartialDiversityPolicy(num_groups=4)
+        first = summarize_scenario(evaluate_policy(matrices, policy, self.PROTOCOL, memo=memo))
         rounded = []
         count_groups = ThresholdAssignment._rounded_groups
 
