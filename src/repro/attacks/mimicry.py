@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.attacks.base import Attack, AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
+from repro.features.timeseries import FeatureMatrix, population_block
 from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.validation import require, require_probability
 
@@ -161,26 +161,14 @@ def hidden_traffic_by_host(
 
     This is the quantity summarised by the Figure 4(b) boxplots: for each
     host, the largest per-bin injection a mimicry attacker can sustain while
-    evading detection with ``evasion_probability``.  Populations whose hosts
-    share a bin grid are scored as one stacked percentile computation
-    (bit-identical to the per-host loop, which remains the fallback for
-    irregular matrices).
+    evading detection with ``evasion_probability``, over every bin of its
+    series.  The hosts share one bin grid, read as one block: one stacked
+    percentile computation, bit-identical to each host's
+    :meth:`MimicryAttacker.plan`.
     """
     host_ids = list(matrices)
-    lengths = {matrices[host_id].num_bins for host_id in host_ids}
-    if len(lengths) == 1:
-        stacked = np.stack(
-            [np.asarray(matrices[host_id].series(feature).values) for host_id in host_ids]
-        )
-        threshold_vector = np.array([float(thresholds[host_id]) for host_id in host_ids])
-        hidden = batch_hidden_traffic(stacked, threshold_vector, evasion_probability)
-        return {host_id: float(value) for host_id, value in zip(host_ids, hidden)}
-    results: Dict[int, float] = {}
-    for host_id, matrix in matrices.items():
-        attacker = MimicryAttacker(
-            feature=feature,
-            threshold=float(thresholds[host_id]),
-            evasion_probability=evasion_probability,
-        )
-        results[host_id] = attacker.plan(matrix).hidden_traffic
-    return results
+    threshold_vector = np.array([float(thresholds[host_id]) for host_id in host_ids])
+    hidden = batch_hidden_traffic(
+        population_block(matrices, feature), threshold_vector, evasion_probability
+    )
+    return dict(zip(host_ids, hidden.tolist()))

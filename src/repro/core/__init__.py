@@ -37,12 +37,7 @@ from repro.core.policies import (
     ThresholdAssignment,
 )
 from repro.core.fusion import FUSION_RULES, FusionRule
-from repro.core.metrics import (
-    OperatingPoint,
-    f_measure,
-    precision_recall,
-    utility,
-)
+from repro.core.metrics import OperatingPoint, utility
 from repro.core.evaluation import (
     DetectionProtocol,
     HostPerformance,
@@ -75,8 +70,6 @@ __all__ = [
     "ThresholdAssignment",
     "OperatingPoint",
     "utility",
-    "f_measure",
-    "precision_recall",
     "FusionRule",
     "FUSION_RULES",
     "DetectionAssignment",

@@ -14,17 +14,18 @@ The evaluation API is built around feature *sets*: a
 indicators, and :func:`evaluate_policy` measures both the per-feature
 operating points and the fused per-host (FP, FN)/utility.
 
-Measurement is vectorised: one kernel scores every host of a test-week bin
-grid as whole ``(num_hosts, num_bins)`` array operations per feature —
-threshold exceedance, attack overlay and fusion votes.  Every generated
-population is one grid; hosts on different grids (clipped or shifted series)
-are scored one grid at a time and joined in input order.  Training is one
-sort of the same kind of ``(num_hosts, num_bins)`` block per feature-week.
-A :class:`~repro.features.timeseries.PopulationFrame` (a population loaded
-from a one-shard cache layout) is one grid, and both kernels read its
-blocks as views of the mapped shard instead of stacking per-host rows.
-Always-on naive attacks of many sizes are scored from one sorted test-week
-block per grid instead (:func:`naive_false_negatives`).
+A population is one bin grid: every host shares its series length and
+:class:`~repro.utils.timeutils.BinSpec`, as every generated population does,
+and a mapping of hosts on several grids raises
+:class:`~repro.utils.validation.ValidationError`.  Each kernel reads one
+feature-window of it as one ``(num_hosts, num_bins)`` block through
+:func:`~repro.features.timeseries.population_block` (a view of a
+:class:`~repro.features.timeseries.PopulationFrame`, a population loaded
+from a one-shard cache layout, or a stack of any other mapping's rows).
+Measurement scores every host in whole-block array operations per feature —
+threshold exceedance, attack overlay and fusion votes; training is one sort
+of the block per feature-window; always-on naive attacks of many sizes are
+scored from one sorted test-week block (:func:`naive_false_negatives`).
 
 The result is one :class:`HostPerformanceTable`: per-host results stay numpy
 columns, which the population aggregates read directly, and a
@@ -34,8 +35,8 @@ columns, which the population aggregates read directly, and a
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,10 +46,9 @@ from repro.core.metrics import DEFAULT_UTILITY_WEIGHT, OperatingPoint, utility_f
 from repro.core.policies import ConfigurationPolicy, DetectionAssignment
 from repro.core.thresholds import DEFAULT_PERCENTILE
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
+from repro.features.timeseries import FeatureMatrix, population_block
 from repro.stats.empirical import EmpiricalDistribution
 from repro.telemetry import add_count, trace_span
-from repro.utils.timeutils import WEEK, BinSpec
 from repro.utils.validation import ValidationError, require, require_probability
 
 logger = logging.getLogger(__name__)
@@ -362,41 +362,6 @@ class HostPerformanceTable(Mapping[int, HostPerformance]):
             "every column must hold one entry per host",
         )
 
-    @classmethod
-    def concatenate(
-        cls, tables: Sequence["HostPerformanceTable"], host_ids: Sequence[int]
-    ) -> "HostPerformanceTable":
-        """The rows of ``tables`` as one table, in ``host_ids`` order.
-
-        The tables cover disjoint hosts and the same features.
-        """
-        position = {
-            host_id: index
-            for index, host_id in enumerate(h for table in tables for h in table.host_ids)
-        }
-        order = [position[host_id] for host_id in host_ids]
-
-        def joined(columns: Sequence[np.ndarray]) -> np.ndarray:
-            return np.concatenate(columns)[order]
-
-        def joined_alarm(alarms: Sequence[AlarmColumns]) -> AlarmColumns:
-            names = [column.name for column in fields(AlarmColumns)]
-            return AlarmColumns(*(joined([getattr(a, name) for a in alarms]) for name in names))
-
-        features = list(tables[0]._feature_columns)
-        return cls(
-            host_ids,
-            thresholds={
-                feature: joined([table._thresholds[feature] for table in tables])
-                for feature in features
-            },
-            feature_columns={
-                feature: joined_alarm([table.feature_columns(feature) for table in tables])
-                for feature in features
-            },
-            fused=joined_alarm([table.fused for table in tables]),
-        )
-
     @property
     def host_ids(self) -> Tuple[int, ...]:
         """Hosts in measurement order (the mapping's iteration order)."""
@@ -579,7 +544,7 @@ def _train_blocks(
     end_week: int,
     active_bins_only: bool,
 ) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
-    """The training kernel: per feature and bin grid, one sort of a ``(hosts, bins)`` block.
+    """The training kernel: per feature, one sort of the population's ``(hosts, bins)`` block.
 
     Each host's distribution wraps its row of the sorted block without a
     copy.  With ``active_bins_only`` that row is its suffix after the last
@@ -588,27 +553,24 @@ def _train_blocks(
     over the host's own window (sorting a row sorts the same values).  Hosts
     come back in ``matrices`` order.
     """
-    distributions: Dict[Feature, Dict[int, EmpiricalDistribution]] = {
-        feature: {} for feature in features
-    }
-    for feature, trained in distributions.items():
-        windows = list(_window_blocks(matrices, feature, start_week, end_week))
-        for host_ids, width, window in windows:
-            block = np.sort(window, axis=1)
-            # Sorted rows put -inf first and +inf and NaN last.
-            if not np.isfinite(block[:, [0, -1]]).all():
-                raise ValidationError("samples must be finite")
-            block.flags.writeable = False
-            starts = np.zeros(len(host_ids), dtype=np.intp)
-            if active_bins_only:
-                starts = np.count_nonzero(block <= 0, axis=1)
-                starts[starts == block.shape[1]] = 0
-            # Tag the measurement bin width so grouping never silently pools
-            # per-bin counts observed over incompatible windows.
-            for row, (host_id, start) in enumerate(zip(host_ids, starts.tolist())):
-                trained[host_id] = EmpiricalDistribution.from_sorted(block[row, start:], width)
-        if len(windows) > 1:
-            distributions[feature] = {host_id: trained[host_id] for host_id in matrices}
+    distributions: Dict[Feature, Dict[int, EmpiricalDistribution]] = {}
+    for feature in features:
+        block = np.sort(population_block(matrices, feature, (start_week, end_week)), axis=1)
+        # Sorted rows put -inf first and +inf and NaN last.
+        if not np.isfinite(block[:, [0, -1]]).all():
+            raise ValidationError("samples must be finite")
+        block.flags.writeable = False
+        starts = np.zeros(len(block), dtype=np.intp)
+        if active_bins_only:
+            starts = np.count_nonzero(block <= 0, axis=1)
+            starts[starts == block.shape[1]] = 0
+        # Tag the measurement bin width so grouping never silently pools
+        # per-bin counts observed over incompatible windows.
+        width = next(iter(matrices.values())).series(feature).bin_width
+        distributions[feature] = {
+            host_id: EmpiricalDistribution.from_sorted(block[row, start:], width)
+            for row, (host_id, start) in enumerate(zip(matrices, starts.tolist()))
+        }
     return distributions
 
 
@@ -784,9 +746,13 @@ def measure_assignment(
     assignment's thresholds, exactly as the one-shot evaluation does.
 
     The result is a :class:`HostPerformanceTable` over the hosts of
-    ``matrices``, in their order.  Hosts are scored one test-week bin grid at
-    a time (see :func:`_grid_groups`); every generated population is a
-    single grid.
+    ``matrices``, in their order, which must share one bin grid.  This is
+    the measurement kernel: every per-host quantity is an array operation
+    over the population's ``(num_hosts, num_bins)`` test-week blocks (views
+    of a :class:`~repro.features.timeseries.PopulationFrame`, which nothing
+    here writes), and each row equals, bit for bit, scoring that host alone
+    (element-wise comparisons and additions are the same scalar operations,
+    just batched).
     """
     require(len(matrices) > 0, "matrices must cover at least one host")
     week = protocol.test_week if test_week is None else int(test_week)
@@ -794,15 +760,81 @@ def measure_assignment(
 
     with trace_span("core.measure", num_hosts=len(matrices), test_week=week):
         add_count("core.host_weeks_measured", len(matrices))
-        tables = [
-            _measure_assignment_batched(
-                matrices, host_ids, assignment, protocol, attack_builder, week, attack_assignment
+        features = protocol.features
+        host_ids = tuple(matrices)
+        values: Dict[Feature, np.ndarray] = {
+            feature: population_block(matrices, feature, (week, week + 1))
+            for feature in features
+        }
+        num_bins = values[features[0]].shape[1]
+        thresholds: Dict[Feature, np.ndarray] = {
+            feature: assignment.for_feature(feature).column(host_ids) for feature in features
+        }
+        exceed: Dict[Feature, np.ndarray] = {
+            feature: values[feature] > thresholds[feature][:, None] for feature in features
+        }
+        counts: Dict[Feature, np.ndarray] = {
+            feature: np.count_nonzero(exceed[feature], axis=1) for feature in features
+        }
+
+        amounts: Dict[Feature, np.ndarray] = {}
+        if attack_builder is not None:
+            if attack_assignment is None:
+                attack_thresholds = thresholds
+            else:
+                attack_thresholds = {
+                    feature: attack_assignment.for_feature(feature).column(host_ids)
+                    for feature in features
+                }
+            amounts = _attack_amounts(
+                attack_builder, matrices, host_ids, week, values, attack_thresholds
             )
-            for host_ids in _grid_groups(matrices, protocol.primary_feature)
-        ]
-        if len(tables) == 1:
-            return tables[0]
-        return HostPerformanceTable.concatenate(tables, list(matrices))
+
+        no_bins = np.zeros(len(host_ids), dtype=np.int64)
+        feature_columns: Dict[Feature, AlarmColumns] = {}
+        for feature in features:
+            attacked_bins = missed_bins = no_bins
+            if feature in amounts:
+                attacked = amounts[feature] > 0
+                attacked_bins = np.count_nonzero(attacked, axis=1)
+                missed_bins = np.count_nonzero(
+                    ((values[feature] + amounts[feature]) <= thresholds[feature][:, None])
+                    & attacked,
+                    axis=1,
+                )
+            feature_columns[feature] = AlarmColumns.from_bin_counts(
+                counts[feature], num_bins, missed_bins, attacked_bins
+            )
+
+        if len(features) == 1:
+            # Any fusion rule needs exactly 1 vote of 1: the fused alarm IS the
+            # feature's detector.
+            fused = feature_columns[features[0]]
+        else:
+            votes = np.zeros((len(host_ids), num_bins), dtype=np.int64)
+            for feature in features:
+                votes += exceed[feature]
+            required = protocol.fusion.required_votes(len(features))
+            fused_counts = np.count_nonzero(votes >= required, axis=1)
+            fused_attacked_bins = fused_missed = no_bins
+            if amounts:
+                union = np.zeros((len(host_ids), num_bins), dtype=bool)
+                for rows in amounts.values():
+                    union |= rows > 0
+                fused_attacked_bins = np.count_nonzero(union, axis=1)
+                attack_votes = np.zeros((len(host_ids), num_bins), dtype=np.int64)
+                for feature in features:
+                    observed = (
+                        values[feature] + amounts[feature]
+                        if feature in amounts
+                        else values[feature]
+                    )
+                    attack_votes += observed > thresholds[feature][:, None]
+                fused_missed = np.count_nonzero((attack_votes < required) & union, axis=1)
+            fused = AlarmColumns.from_bin_counts(
+                fused_counts, num_bins, fused_missed, fused_attacked_bins
+            )
+        return HostPerformanceTable(host_ids, thresholds, feature_columns, fused)
 
 
 def naive_false_negatives(
@@ -817,119 +849,57 @@ def naive_false_negatives(
     returns for the one-feature ``protocol`` under ``NaiveAttacker(feature,
     sizes[j]).builder()``; rows are C-contiguous, in ``matrices`` order.  A bin
     is missed where ``v + s <= t``, the kernel's own predicate, monotone along a
-    sorted row: one sort per grid, then a binary search per (host, size).  (Not
-    a search for ``t - s``: at ``v = 29``, ``s = 8.8`` and ``t = 37.8`` the bin
-    is missed, but ``37.8 - 8.8 < 29``.)  Size 0 attacks no bin: its FN is 0.
+    sorted row: one sort of the test-week block, then a binary search per
+    (host, size).  (Not a search for ``t - s``: at ``v = 29``, ``s = 8.8`` and
+    ``t = 37.8`` the bin is missed, but ``37.8 - 8.8 < 29``.)  Size 0 attacks
+    no bin: its FN is 0.
     """
     require(protocol.num_features == 1, "naive_false_negatives needs a one-feature protocol")
     sizes = np.asarray(sizes, dtype=float)
     require(bool(np.all(sizes >= 0)), "attack sizes must be non-negative")
     feature, week = protocol.primary_feature, protocol.test_week
-    position = {host_id: index for index, host_id in enumerate(matrices)}
-    false_negatives = np.zeros((len(position), sizes.size))
     with trace_span("core.measure_sizes", num_hosts=len(matrices), num_sizes=sizes.size):
-        for host_ids, _, block in _window_blocks(matrices, feature, week, week + 1):
-            ordered = np.sort(block, axis=1)
-            num_bins = ordered.shape[1]
-            thresholds = assignment.for_feature(feature).column(host_ids)[:, None]
-            # Missed bins: the longest prefix of each sorted row that a size
-            # leaves at or below the threshold, grown by halving steps.
-            missed = np.zeros((len(host_ids), sizes.size), dtype=np.int64)
-            step = 1 << (num_bins.bit_length() - 1)
-            while step:
-                grown = missed + step
-                values = np.take_along_axis(ordered, np.minimum(grown, num_bins) - 1, axis=1)
-                missed[(grown <= num_bins) & (values + sizes <= thresholds)] += step
-                step >>= 1
-            # int64 / int64, the division AlarmColumns.from_bin_counts does.
-            rows = [position[host_id] for host_id in host_ids]
-            false_negatives[rows] = np.where(sizes > 0, missed / num_bins, 0.0)
-    return false_negatives
-
-
-def _grid_groups(matrices: Mapping[int, FeatureMatrix], feature: Feature) -> List[Sequence[int]]:
-    """Hosts grouped by bin grid: series length and :class:`BinSpec`, origin included.
-
-    Hosts of one group share their week slice bounds, so one kernel pass
-    reads them as one block.  A :class:`PopulationFrame` is one grid.
-    """
-    if isinstance(matrices, PopulationFrame):
-        return [matrices.host_ids]
-    groups: Dict[Tuple[int, BinSpec], List[int]] = {}
-    for host_id, matrix in matrices.items():
-        series = matrix.series(feature)
-        groups.setdefault((series.num_bins, series.bin_spec), []).append(host_id)
-    return list(groups.values())
-
-
-def _window_blocks(
-    matrices: Mapping[int, FeatureMatrix], feature: Feature, start_week: int, end_week: int
-) -> Iterator[Tuple[Sequence[int], float, np.ndarray]]:
-    """Per bin grid: its hosts, bin width, and ``feature`` over weeks ``[start, end)`` as a block.
-
-    The window is checked once per grid, on one host: the hosts share it.
-    """
-    for host_ids in _grid_groups(matrices, feature):
-        reference = matrices[host_ids[0]].series(feature)
-        first, last = _window_bounds(reference, start_week, end_week)
-        yield host_ids, reference.bin_width, _block(matrices, host_ids, feature, first, last)
-
-
-def _window_bounds(series: TimeSeries, start_week: int, end_week: int) -> Tuple[int, int]:
-    """The [first, last) bin indices :meth:`TimeSeries.week_range` slices.
-
-    Raises as ``week_range`` does when ``series`` does not cover the window.
-    """
-    series.week_range(start_week, end_week)
-    spec = series.bin_spec
-    first = max(spec.index_of(start_week * WEEK), 0)
-    last = min(spec.index_of(end_week * WEEK - 1e-9) + 1, series.num_bins)
-    return first, last
-
-
-def _block(
-    matrices: Mapping[int, FeatureMatrix],
-    host_ids: Sequence[int],
-    feature: Feature,
-    first: int,
-    last: int,
-) -> np.ndarray:
-    """Bins ``[first, last)`` of ``feature``, one row per host of ``host_ids``.
-
-    A read-only view of a :class:`PopulationFrame` over exactly these hosts;
-    otherwise the hosts' rows stacked into a new array.
-    """
-    if isinstance(matrices, PopulationFrame) and tuple(host_ids) == matrices.host_ids:
-        return matrices.block(feature, first, last)
-    return np.stack(
-        [np.asarray(matrices[host_id].series(feature).values)[first:last] for host_id in host_ids]
-    )
+        ordered = np.sort(population_block(matrices, feature, (week, week + 1)), axis=1)
+        num_bins = ordered.shape[1]
+        thresholds = assignment.for_feature(feature).column(tuple(matrices))[:, None]
+        # Missed bins: the longest prefix of each sorted row that a size
+        # leaves at or below the threshold, grown by halving steps.
+        missed = np.zeros((len(ordered), sizes.size), dtype=np.int64)
+        step = 1 << (num_bins.bit_length() - 1)
+        while step:
+            grown = missed + step
+            values = np.take_along_axis(ordered, np.minimum(grown, num_bins) - 1, axis=1)
+            missed[(grown <= num_bins) & (values + sizes <= thresholds)] += step
+            step >>= 1
+        # int64 / int64, the division AlarmColumns.from_bin_counts does.
+        return np.where(sizes > 0, missed / num_bins, 0.0)
 
 
 def _attack_amounts(
     builder: AttackBuilder,
-    host_ids: Sequence[int],
     matrices: Mapping[int, FeatureMatrix],
-    bin_spec: BinSpec,
-    first: int,
-    last: int,
+    host_ids: Sequence[int],
+    week: int,
     values: Dict[Feature, np.ndarray],
     attack_thresholds: Mapping[Feature, np.ndarray],
 ) -> Dict[Feature, np.ndarray]:
-    """Per-feature ``(num_hosts, num_bins)`` amounts the builder injects.
+    """Per-feature ``(num_hosts, num_bins)`` amounts the builder injects on test ``week``.
 
-    Amounts for features the protocol does not monitor are dropped.
+    ``values`` holds the monitored features' test-week blocks; amounts for
+    features the protocol does not monitor are dropped.
     """
-    num_bins = last - first
+    primary = next(iter(values))
+    num_bins = values[primary].shape[1]
 
     def provider(feature: Feature) -> np.ndarray:
         if feature in values:
             return values[feature]
-        return _block(matrices, host_ids, feature, first, last)
+        return population_block(matrices, feature, (week, week + 1))
 
     batch = VictimBatch(
         host_ids=host_ids,
-        bin_spec=bin_spec,
+        # The block reads checked that every host shares this grid.
+        bin_spec=matrices[host_ids[0]].series(primary).bin_spec,
         num_bins=num_bins,
         thresholds=attack_thresholds,
         values_provider=provider,
@@ -945,105 +915,3 @@ def _attack_amounts(
         )
         amounts[feature] = rows
     return amounts
-
-
-def _measure_assignment_batched(
-    matrices: Mapping[int, FeatureMatrix],
-    host_ids: Sequence[int],
-    assignment,
-    protocol: DetectionProtocol,
-    builder: Optional[AttackBuilder],
-    week: int,
-    attack_assignment,
-) -> HostPerformanceTable:
-    """The measurement kernel: ``host_ids``, which share one bin grid, straight into columns.
-
-    Every per-host quantity is computed as an array operation over
-    ``(num_hosts, num_bins)`` blocks (views of a :class:`PopulationFrame`,
-    which nothing here writes); each row equals, bit for bit, scoring that
-    host alone (element-wise comparisons and additions are the same scalar
-    operations, just batched).
-    """
-    features = protocol.features
-    reference = matrices[host_ids[0]].series(features[0])
-    # The hosts share one grid: one host's week check covers them all.
-    first, last = _window_bounds(reference, week, week + 1)
-    num_bins = last - first
-
-    values: Dict[Feature, np.ndarray] = {
-        feature: _block(matrices, host_ids, feature, first, last) for feature in features
-    }
-    thresholds: Dict[Feature, np.ndarray] = {
-        feature: assignment.for_feature(feature).column(host_ids) for feature in features
-    }
-    exceed: Dict[Feature, np.ndarray] = {
-        feature: values[feature] > thresholds[feature][:, None] for feature in features
-    }
-    counts: Dict[Feature, np.ndarray] = {
-        feature: np.count_nonzero(exceed[feature], axis=1) for feature in features
-    }
-
-    amounts: Dict[Feature, np.ndarray] = {}
-    if builder is not None:
-        if attack_assignment is None:
-            attack_thresholds = thresholds
-        else:
-            attack_thresholds = {
-                feature: attack_assignment.for_feature(feature).column(host_ids)
-                for feature in features
-            }
-        amounts = _attack_amounts(
-            builder,
-            host_ids,
-            matrices,
-            reference.bin_spec,
-            first,
-            last,
-            values,
-            attack_thresholds,
-        )
-
-    no_bins = np.zeros(len(host_ids), dtype=np.int64)
-    feature_columns: Dict[Feature, AlarmColumns] = {}
-    for feature in features:
-        attacked_bins = missed_bins = no_bins
-        if feature in amounts:
-            attacked = amounts[feature] > 0
-            attacked_bins = np.count_nonzero(attacked, axis=1)
-            missed_bins = np.count_nonzero(
-                ((values[feature] + amounts[feature]) <= thresholds[feature][:, None]) & attacked,
-                axis=1,
-            )
-        feature_columns[feature] = AlarmColumns.from_bin_counts(
-            counts[feature], num_bins, missed_bins, attacked_bins
-        )
-
-    if len(features) == 1:
-        # Any fusion rule needs exactly 1 vote of 1: the fused alarm IS the
-        # feature's detector.
-        fused = feature_columns[features[0]]
-    else:
-        votes = np.zeros((len(host_ids), num_bins), dtype=np.int64)
-        for feature in features:
-            votes += exceed[feature]
-        required = protocol.fusion.required_votes(len(features))
-        fused_counts = np.count_nonzero(votes >= required, axis=1)
-        fused_attacked_bins = fused_missed = no_bins
-        if amounts:
-            union = np.zeros((len(host_ids), num_bins), dtype=bool)
-            for rows in amounts.values():
-                union |= rows > 0
-            fused_attacked_bins = np.count_nonzero(union, axis=1)
-            attack_votes = np.zeros((len(host_ids), num_bins), dtype=np.int64)
-            for feature in features:
-                observed = (
-                    values[feature] + amounts[feature]
-                    if feature in amounts
-                    else values[feature]
-                )
-                attack_votes += observed > thresholds[feature][:, None]
-            fused_missed = np.count_nonzero((attack_votes < required) & union, axis=1)
-        fused = AlarmColumns.from_bin_counts(
-            fused_counts, num_bins, fused_missed, fused_attacked_bins
-        )
-    return HostPerformanceTable(host_ids, thresholds, feature_columns, fused)

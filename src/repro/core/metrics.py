@@ -14,11 +14,10 @@ Section 4 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from repro.utils.validation import require, require_probability
+from repro.utils.validation import require_probability
 
 #: The paper's default utility weight (Figure 3(a) uses w = 0.4).
 DEFAULT_UTILITY_WEIGHT = 0.4
@@ -80,64 +79,19 @@ def utility_from_rate_arrays(
     return 1.0 - (weight * fn + (1.0 - weight) * fp)
 
 
-def precision_recall(
-    true_positives: float, false_positives: float, false_negatives: float
-) -> Tuple[float, float]:
-    """Precision and recall from detection counts.
-
-    Degenerate cases follow the usual conventions: precision is 1.0 when
-    nothing was flagged, recall is 1.0 when there was nothing to detect.
-    """
-    require(true_positives >= 0, "true_positives must be non-negative")
-    require(false_positives >= 0, "false_positives must be non-negative")
-    require(false_negatives >= 0, "false_negatives must be non-negative")
-    flagged = true_positives + false_positives
-    actual = true_positives + false_negatives
-    precision = true_positives / flagged if flagged > 0 else 1.0
-    recall = true_positives / actual if actual > 0 else 1.0
-    return precision, recall
-
-
-def f_measure(precision: float, recall: float) -> float:
-    """Harmonic mean of precision and recall (0.0 when both are zero)."""
-    require_probability(precision, "precision")
-    require_probability(recall, "recall")
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def f_measure_from_rates(
-    false_positive_rate: float,
-    false_negative_rate: float,
-    attack_prevalence: float,
-) -> float:
-    """F-measure computed from rates and the fraction of bins that carry attacks.
-
-    Converts the rate-based operating point into expected per-bin counts using
-    ``attack_prevalence`` (the fraction of bins containing attack traffic) and
-    then applies the usual precision/recall definitions.
-    """
-    require_probability(false_positive_rate, "false_positive_rate")
-    require_probability(false_negative_rate, "false_negative_rate")
-    require_probability(attack_prevalence, "attack_prevalence")
-    true_positives = attack_prevalence * (1.0 - false_negative_rate)
-    false_negatives = attack_prevalence * false_negative_rate
-    false_positives = (1.0 - attack_prevalence) * false_positive_rate
-    precision, recall = precision_recall(true_positives, false_positives, false_negatives)
-    return f_measure(precision, recall)
-
-
 def f_measure_from_rate_arrays(
     false_positive_rates: np.ndarray,
     false_negative_rates: np.ndarray,
     attack_prevalence: float,
 ) -> np.ndarray:
-    """Vectorised :func:`f_measure_from_rates` over arrays of operating points.
+    """F-measure per operating point, from rates and the fraction of bins that carry attacks.
 
-    Element-for-element identical to the scalar version, including the
-    degenerate conventions (precision 1.0 when nothing is flagged, F-measure
-    0.0 when precision and recall are both zero).
+    Converts each rate-based operating point into expected per-bin counts
+    using ``attack_prevalence`` (the fraction of bins containing attack
+    traffic) and then applies the usual precision/recall definitions, with
+    their degenerate conventions: precision is 1.0 when nothing is flagged,
+    recall is 1.0 when there is nothing to detect, and the F-measure is 0.0
+    when precision and recall are both zero.
     """
     require_probability(attack_prevalence, "attack_prevalence")
     fp = np.asarray(false_positive_rates, dtype=float)

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.features.definitions import PAPER_FEATURES, Feature
 from repro.features.timeseries import FeatureMatrix, PopulationFrame
-from repro.utils.records import plain
+from repro.utils.records import parse, plain
 from repro.utils.timeutils import BinSpec
 from repro.utils.validation import ValidationError, require
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
@@ -79,17 +79,18 @@ def config_payload(config: EnterpriseConfig) -> dict:
     manifest and the cache key — a hand-maintained field list here would
     silently collide cache entries for configs differing only in a
     forgotten field.  The drift model is stored in its nested-dict form,
-    which ``EnterpriseConfig`` normalises back into the dataclass on
-    construction.
+    which :func:`config_from_payload` reads back.
     """
     return plain(config)
 
 
 def config_from_payload(payload: Mapping) -> EnterpriseConfig:
-    """The ``EnterpriseConfig`` a :func:`config_payload` mapping describes."""
-    payload = dict(payload)
-    payload["maintenance_weeks"] = tuple(payload["maintenance_weeks"])
-    return EnterpriseConfig(**payload)
+    """The ``EnterpriseConfig`` a :func:`config_payload` mapping describes.
+
+    Read by :func:`~repro.utils.records.parse`, drift model included: a
+    malformed payload raises :class:`ValidationError`.
+    """
+    return parse(EnterpriseConfig, payload, "population config")
 
 
 # ------------------------------------------------------------------- shards

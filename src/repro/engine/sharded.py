@@ -59,7 +59,7 @@ from repro.engine.serialization import (
 from repro.features.timeseries import FeatureMatrix, PopulationFrame
 from repro.telemetry import add_count, child_recorder, set_gauge, trace_span
 from repro.utils.validation import ValidationError, require
-from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation
+from repro.workload.enterprise import EnterpriseConfig
 from repro.workload.profiles import HostProfile, UserRole
 
 #: Default number of shards kept resident by :class:`ShardedPopulation`.

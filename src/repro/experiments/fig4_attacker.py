@@ -26,7 +26,6 @@ from repro.attacks.mimicry import hidden_traffic_by_host  # noqa: F401
 from repro.attacks.naive import attack_size_sweep
 from repro.core.evaluation import (
     DetectionProtocol,
-    _window_blocks,
     detection_training_distributions,
     naive_false_negatives,
     # Unused here, but perfbench/layers.py times them by patching this module's
@@ -43,6 +42,7 @@ from repro.core.policies import (
 from repro.core.thresholds import PercentileHeuristic
 from repro.experiments.report import render_series, render_table
 from repro.features.definitions import Feature
+from repro.features.timeseries import population_block
 from repro.stats.summary import SummaryStatistics, summarize
 from repro.utils.validation import require
 from repro.workload.enterprise import EnterprisePopulation
@@ -148,21 +148,17 @@ def run_fig4(
         fn = naive_false_negatives(matrices, assignments[policy.name], protocol, sizes)
         detection_curves[policy.name] = tuple(np.mean(fn < 1.0, axis=0).tolist())
 
-    # Panel (b): resourceful (mimicry) attacker hidden traffic.  The hosts of
-    # each bin grid read their test week as one block (a frame view, or a
-    # stack), whose percentile is taken once for every policy's thresholds.
-    hidden_of: Dict[str, Dict[int, float]] = {policy.name: {} for policy in policies}
-    for host_ids, _, block in _window_blocks(matrices, feature, test_week, test_week + 1):
-        thresholds = np.stack(
-            [assignments[policy.name].for_feature(feature).column(host_ids) for policy in policies]
-        )
-        rows = mimicry.batch_hidden_traffic(block, thresholds, evasion_probability)
-        for policy, row in zip(policies, rows):
-            hidden_of[policy.name].update(zip(host_ids, row.tolist()))
-    # In the population's host order, whatever the grid grouping.
+    # Panel (b): resourceful (mimicry) attacker hidden traffic.  The test
+    # week is one block (a frame view, or a stack), whose percentile is
+    # taken once for every policy's thresholds.
+    host_ids = tuple(matrices)
+    block = population_block(matrices, feature, (test_week, test_week + 1))
+    thresholds = np.stack(
+        [assignments[policy.name].for_feature(feature).column(host_ids) for policy in policies]
+    )
+    rows = mimicry.batch_hidden_traffic(block, thresholds, evasion_probability)
     hidden: Dict[str, Mapping[int, float]] = {
-        name: {host_id: values[host_id] for host_id in matrices}
-        for name, values in hidden_of.items()
+        policy.name: dict(zip(host_ids, row.tolist())) for policy, row in zip(policies, rows)
     }
 
     return AttackerResult(

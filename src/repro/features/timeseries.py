@@ -3,23 +3,26 @@
 :class:`TimeSeries` holds one feature's per-bin counts for one host;
 :class:`FeatureMatrix` holds all six features for one host over the same bin
 grid.  Both support slicing by week (the paper's train-one-week /
-test-the-next protocol), rebinning to coarser windows and conversion to
-empirical distributions for threshold computation.  :class:`PopulationFrame`
-is a whole population's matrices over one read-only
-``(hosts, features, bins)`` block, which the train and measure kernels read
-as views.
+test-the-next protocol) and conversion to empirical distributions for
+threshold computation.  :class:`PopulationFrame` is a whole population's
+matrices over one read-only ``(hosts, features, bins)`` block.
+
+Every kernel reads a population through :func:`population_block`: one
+feature over a week window as one ``(hosts, bins)`` block, a view of a
+frame or a stack of any other mapping's rows.  A population is one bin grid
+(:func:`shared_grid`), as every population the workload generates is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.features.definitions import Feature
 from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.timeutils import BinSpec, WEEK
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 
 class TimeSeries:
@@ -109,20 +112,8 @@ class TimeSeries:
         weeks 2 and 3 back to back.  Out-of-range windows raise a
         :class:`ValueError` naming the available range.
         """
-        require(start >= 0, "week index must be non-negative")
-        require(end > start, "week range must cover at least one week")
-        sliced = self.slice_time(start * WEEK, end * WEEK)
-        available = self.duration / WEEK
-        last = max(int(np.ceil(available)) - 1, 0)
-        # A window whose end runs past the covered span would otherwise come
-        # back silently truncated (or empty) — training on fewer weeks than
-        # the caller asked for.
-        if sliced.num_bins == 0 or end > last + 1:
-            raise ValueError(
-                f"week range [{start}, {end}) is out of range: series covers "
-                f"{available:.2f} week(s) (valid week indices are 0..{last})"
-            )
-        return sliced
+        first, last = _week_bounds(self._bin_spec, self.num_bins, start, end)
+        return TimeSeries._wrap(self._values[first:last], self._bin_spec)
 
     def num_weeks(self) -> int:
         """Number of whole weeks covered by the series."""
@@ -167,6 +158,29 @@ class TimeSeries:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"TimeSeries(bins={self.num_bins}, width={self.bin_width:.0f}s)"
+
+
+def _week_bounds(bin_spec: BinSpec, num_bins: int, start: int, end: int) -> Tuple[int, int]:
+    """The ``[first, last)`` bins of weeks ``[start, end)`` on a ``num_bins``-bin grid.
+
+    Raises :class:`ValueError` naming the available range unless the grid
+    covers the whole window.
+    """
+    require(start >= 0, "week index must be non-negative")
+    require(end > start, "week range must cover at least one week")
+    first = max(bin_spec.index_of(start * WEEK), 0)
+    last = min(bin_spec.index_of(end * WEEK - 1e-9) + 1, num_bins)
+    available = num_bins * bin_spec.width / WEEK
+    last_week = max(int(np.ceil(available)) - 1, 0)
+    # A window whose end runs past the covered span would otherwise come
+    # back silently truncated (or empty) — training on fewer weeks than
+    # the caller asked for.
+    if last <= first or end > last_week + 1:
+        raise ValueError(
+            f"week range [{start}, {end}) is out of range: series covers "
+            f"{available:.2f} week(s) (valid week indices are 0..{last_week})"
+        )
+    return first, last
 
 
 class FeatureMatrix:
@@ -339,3 +353,44 @@ class PopulationFrame(Mapping[int, FeatureMatrix]):
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         hosts, features, bins = self._array.shape
         return f"PopulationFrame(hosts={hosts}, features={features}, bins={bins})"
+
+
+def shared_grid(matrices: Mapping[int, FeatureMatrix], feature: Feature) -> Tuple[int, BinSpec]:
+    """The ``(num_bins, bin_spec)`` grid every host's ``feature`` series is on.
+
+    A :class:`PopulationFrame` is one grid by construction.  Any other
+    mapping is checked host by host: series of another length or another
+    :class:`BinSpec` (origin included) raise :class:`ValidationError`.
+    """
+    if isinstance(matrices, PopulationFrame):
+        return matrices.array.shape[2], matrices.bin_spec
+    require(len(matrices) > 0, "matrices must cover at least one host")
+    series = [matrix.series(feature) for matrix in matrices.values()]
+    # Plain tuples: hashing a BinSpec costs more than the rest of the check.
+    grids = {(s._values.size, s._bin_spec.width, s._bin_spec.origin) for s in series}
+    if len(grids) > 1:
+        raise ValidationError(
+            "every host must share one bin grid (series length and bin spec); "
+            f"{feature.value} comes on {len(grids)} grids"
+        )
+    return series[0].num_bins, series[0].bin_spec
+
+
+def population_block(
+    matrices: Mapping[int, FeatureMatrix],
+    feature: Feature,
+    weeks: Optional[Tuple[int, int]] = None,
+) -> np.ndarray:
+    """``feature`` over ``weeks`` ``[start, end)`` (every bin when None), one row per host.
+
+    The one way a kernel reads a population: rows follow ``matrices`` order,
+    on the one grid :func:`shared_grid` checks.  A :class:`PopulationFrame`
+    hands out a read-only view of its block; any other mapping's rows are
+    stacked into a new array.  A window the grid does not cover raises
+    :class:`ValueError`, as :meth:`TimeSeries.week_range` does.
+    """
+    num_bins, bin_spec = shared_grid(matrices, feature)
+    first, last = (0, num_bins) if weeks is None else _week_bounds(bin_spec, num_bins, *weeks)
+    if isinstance(matrices, PopulationFrame):
+        return matrices.block(feature, first, last)
+    return np.stack([matrix.series(feature)._values[first:last] for matrix in matrices.values()])

@@ -18,13 +18,6 @@ import numpy as np
 from repro.utils.validation import ValidationError, require, require_probability
 
 
-def ecdf(samples: Sequence[float], value: float) -> float:
-    """Return the empirical CDF ``P(X <= value)`` of ``samples`` at ``value``."""
-    data = np.asarray(samples, dtype=float)
-    require(data.size > 0, "ecdf requires at least one sample")
-    return float(np.count_nonzero(data <= value)) / data.size
-
-
 def _sample_array(samples: Iterable[float]) -> np.ndarray:
     """``samples`` as a float array: an ndarray converts directly, other iterables via a list.
 

@@ -2,9 +2,9 @@
 
 The paper's central empirical claim is that the *tail* of each host's feature
 distribution — where the anomaly-detection thresholds live — varies enormously
-across the population.  These helpers quantify tail heaviness (Hill estimator)
-and tail spread (ratio of extreme percentiles across hosts), and are used both
-by the workload calibration tests and by the Figure 1 experiment driver.
+across the population.  These helpers quantify that tail spread (the ratio of
+extreme per-host thresholds), and are used both by the workload calibration
+tests and by the Figure 1 experiment driver.
 """
 
 from __future__ import annotations
@@ -14,27 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.utils.validation import require
-
-
-def hill_estimator(samples: Sequence[float], tail_fraction: float = 0.1) -> float:
-    """Hill estimator of the tail index from the top ``tail_fraction`` of samples.
-
-    Returns the estimated Pareto tail index ``alpha``; smaller values indicate
-    heavier tails.  Requires at least 10 positive samples in the tail.
-    """
-    data = np.asarray(samples, dtype=float)
-    data = data[data > 0]
-    require(data.size >= 20, "hill_estimator requires at least 20 positive samples")
-    require(0.0 < tail_fraction <= 0.5, "tail_fraction must be in (0, 0.5]")
-    sorted_desc = np.sort(data)[::-1]
-    k = max(int(np.floor(tail_fraction * data.size)), 10)
-    k = min(k, data.size - 1)
-    top = sorted_desc[:k]
-    reference = sorted_desc[k]
-    logs = np.log(top / reference)
-    mean_log = float(np.mean(logs))
-    require(mean_log > 0, "degenerate tail: all top-k samples equal the reference")
-    return 1.0 / mean_log
 
 
 def tail_ratio(per_host_thresholds: Sequence[float]) -> float:
@@ -53,16 +32,3 @@ def orders_of_magnitude(per_host_thresholds: Sequence[float]) -> float:
     """Spread of per-host thresholds expressed in orders of magnitude (log10)."""
     return float(np.log10(tail_ratio(per_host_thresholds)))
 
-
-def exceedance_curve(samples: Sequence[float], points: int = 50) -> np.ndarray:
-    """Return an ``(points, 2)`` array of (value, P(X > value)) pairs.
-
-    Useful for plotting complementary CDFs of per-bin feature counts when
-    inspecting how heavy a generated workload's tail is.
-    """
-    data = np.sort(np.asarray(samples, dtype=float))
-    require(data.size > 0, "exceedance_curve requires samples")
-    quantile_grid = np.linspace(0.0, 1.0 - 1.0 / data.size, points)
-    values = np.quantile(data, quantile_grid)
-    probabilities = 1.0 - quantile_grid
-    return np.column_stack([values, probabilities])

@@ -7,7 +7,7 @@ it does not — so this subsystem turns evaluation into a *timeline*:
 * :class:`RetrainSchedule` — when the defender re-optimises (never, every
   ``k`` weeks, or when a population-level drift statistic crosses a
   trigger), and on which rolling training window;
-* :func:`population_drift_statistic` — the cheap pooled-quantile
+* :mod:`repro.temporal.statistic` — the cheap pooled-quantile
   distribution-shift statistic the drift-triggered schedule watches;
 * :func:`evaluate_timeline` — score every deployed week against the
   configuration in force that week, retraining per the schedule with
@@ -27,11 +27,7 @@ from repro.temporal.schedule import (
     RetrainSchedule,
 )
 from repro.temporal.staleness import StalenessReport, staleness_report
-from repro.temporal.statistic import (
-    DEFAULT_DRIFT_QUANTILES,
-    population_drift_statistic,
-    weeks_covered,
-)
+from repro.temporal.statistic import DEFAULT_DRIFT_QUANTILES, weeks_covered
 from repro.temporal.timeline import (
     TimelineResult,
     TimelineWeek,
@@ -46,7 +42,6 @@ __all__ = [
     "RetrainSchedule",
     "StalenessReport",
     "staleness_report",
-    "population_drift_statistic",
     "weeks_covered",
     "TimelineResult",
     "TimelineWeek",

@@ -20,7 +20,7 @@ from repro.utils.validation import ValidationError, require
 RETRAIN_KINDS = ("never", "every-k-weeks", "drift-triggered")
 
 #: Default trigger level of the drift-triggered schedule (mean absolute
-#: log10 quantile shift — see :func:`repro.temporal.population_drift_statistic`).
+#: log10 quantile shift — see :mod:`repro.temporal.statistic`).
 DEFAULT_DRIFT_TRIGGER = 0.05
 
 

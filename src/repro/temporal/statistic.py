@@ -11,9 +11,10 @@ and averages the absolute log10 shift:
 
 ``D = 0.05`` therefore means the monitored tails moved ~12% on average; the
 ``+1`` keeps mostly-idle features well-defined.  Pooling across hosts keeps
-the cost at one concatenate + percentile call per feature — negligible next
-to a threshold re-optimisation — and matches what a central console could
-compute from its agents' summaries without per-host state.
+the cost at one percentile call over the population's ``(hosts, bins)``
+block per feature — negligible next to a threshold re-optimisation — and
+matches what a central console could compute from its agents' summaries
+without per-host state.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.evaluation import _window_blocks
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
+from repro.features.timeseries import FeatureMatrix, population_block, shared_grid
+from repro.utils.timeutils import WEEK
 from repro.utils.validation import require
 
 #: Tail quantiles the drift statistic compares (the grouping statistic's 99th
@@ -39,11 +40,8 @@ def _pooled_quantiles(
     end_week: int,
     quantiles: Sequence[float],
 ) -> np.ndarray:
-    # One block per bin grid (a view of a PopulationFrame): the percentiles
-    # of the pooled values do not depend on their order.
-    blocks = [block for _, _, block in _window_blocks(matrices, feature, start_week, end_week)]
-    values = blocks[0] if len(blocks) == 1 else np.concatenate([b.ravel() for b in blocks])
-    return np.percentile(values, quantiles)
+    # The window's one block (a view of a PopulationFrame), pooled whole.
+    return np.percentile(population_block(matrices, feature, (start_week, end_week)), quantiles)
 
 
 def pooled_baseline_quantiles(
@@ -85,45 +83,19 @@ def drift_from_baseline(
     return float(np.mean(shifts))
 
 
-def population_drift_statistic(
-    matrices: Mapping[int, FeatureMatrix],
-    features: Iterable[Feature],
-    baseline_weeks: Tuple[int, int],
-    week: int,
-    quantiles: Sequence[float] = DEFAULT_DRIFT_QUANTILES,
-) -> float:
-    """Mean absolute log10 shift of pooled feature quantiles vs a baseline.
-
-    Parameters
-    ----------
-    matrices:
-        Per-host feature matrices (the full multi-week population).
-    features:
-        The monitored features the deployed thresholds cover.
-    baseline_weeks:
-        The ``[start, end)`` week range the deployed configuration was
-        trained on.
-    week:
-        The completed week to compare against the baseline.
-    quantiles:
-        Percentiles compared per feature.
-    """
-    baseline = pooled_baseline_quantiles(matrices, features, baseline_weeks, quantiles)
-    return drift_from_baseline(matrices, baseline, week, quantiles)
-
-
 def weeks_covered(matrices: Mapping[int, FeatureMatrix]) -> int:
-    """Whole weeks every host's matrix covers (the timeline's horizon)."""
+    """Whole weeks the population's one bin grid covers (the timeline's horizon).
+
+    The grid is read on the first host's first feature.
+    """
     require(len(matrices) > 0, "matrices must cover at least one host")
-    counts = {matrix.num_weeks() for matrix in matrices.values()}
-    require(len(counts) == 1, "every host must cover the same number of weeks")
-    return counts.pop()
+    num_bins, bin_spec = shared_grid(matrices, next(iter(matrices.values())).features[0])
+    return int(num_bins * bin_spec.width // WEEK)
 
 
 __all__ = [
     "DEFAULT_DRIFT_QUANTILES",
     "pooled_baseline_quantiles",
     "drift_from_baseline",
-    "population_drift_statistic",
     "weeks_covered",
 ]

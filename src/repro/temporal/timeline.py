@@ -220,6 +220,22 @@ def evaluate_timeline(
     features = protocol.features
     tracks_schedule = bool(getattr(attack_builder, "tracks_schedule", False))
 
+    def deploy(window: Tuple[int, int], span, warm_start=None):
+        """Train on ``window`` and assign inside ``span``; returns the assignment and its cost."""
+        started = monotonic_now()
+        with span:
+            training = detection_training_window_distributions(
+                matrices, features, window[0], window[1],
+                active_bins_only=protocol.train_on_active_bins,
+            )
+            deployed = policy.assign(
+                training,
+                grouping_statistic_percentile=protocol.grouping_statistic_percentile,
+                fusion=protocol.fusion,
+                warm_start=warm_start,
+            )
+        return deployed, monotonic_now() - started
+
     timeline_span = trace_span(
         "temporal.timeline",
         policy=policy.name,
@@ -228,20 +244,10 @@ def evaluate_timeline(
         last_week=last_week,
     )
     with timeline_span:
-        training_cost = 0.0
-        started = monotonic_now()
         window = _initial_window(protocol, schedule)
-        with trace_span("temporal.train", window_start=window[0], window_end=window[1]):
-            training = detection_training_window_distributions(
-                matrices, features, window[0], window[1],
-                active_bins_only=protocol.train_on_active_bins,
-            )
-            assignment = policy.assign(
-                training,
-                grouping_statistic_percentile=protocol.grouping_statistic_percentile,
-                fusion=protocol.fusion,
-            )
-        training_cost += monotonic_now() - started
+        assignment, training_cost = deploy(
+            window, trace_span("temporal.train", window_start=window[0], window_end=window[1])
+        )
         initial_assignment = assignment
         deployed_week = first_week
         logger.info(
@@ -272,22 +278,11 @@ def evaluate_timeline(
                         # peeks at the week it is about to score.
                         drift_value = drift_from_baseline(matrices, baseline, week - 1)
                     if schedule.should_retrain(week, deployed_week, drift_value):
-                        started = monotonic_now()
                         window = (max(0, week - schedule.window_weeks), week)
-                        with trace_span("temporal.retrain", week=week):
-                            training = detection_training_window_distributions(
-                                matrices, features, window[0], window[1],
-                                active_bins_only=protocol.train_on_active_bins,
-                            )
-                            assignment = policy.assign(
-                                training,
-                                grouping_statistic_percentile=(
-                                    protocol.grouping_statistic_percentile
-                                ),
-                                fusion=protocol.fusion,
-                                warm_start=assignment,
-                            )
-                        training_cost += monotonic_now() - started
+                        assignment, cost = deploy(
+                            window, trace_span("temporal.retrain", week=week), assignment
+                        )
+                        training_cost += cost
                         deployed_week = week
                         retrain_weeks.append(week)
                         add_count("temporal.retrains")

@@ -77,8 +77,7 @@ class CaptureSession:
         """A session whose environments are the given segments, checked at once.
 
         ``starts``/``ends`` hold one segment per entry, in time order;
-        :func:`check_segments` applies the checks :class:`CaptureEnvironment`
-        and :meth:`add_environment` make, over the whole timeline.
+        :func:`check_segments` checks the whole timeline at once.
         """
         starts = np.asarray(starts, dtype=float)
         ends = np.asarray(ends, dtype=float)
@@ -97,16 +96,6 @@ class CaptureSession:
             ],
         )
 
-    def add_environment(self, environment: CaptureEnvironment) -> None:
-        """Append an environment segment; must not overlap the previous one."""
-        if self.environments:
-            last = self.environments[-1]
-            require(
-                environment.start_time >= last.end_time - 1e-9,
-                "environments must be appended in time order without overlap",
-            )
-        self.environments.append(environment)
-
     @property
     def start_time(self) -> float:
         """Start of the first environment (or 0 when empty)."""
@@ -122,8 +111,7 @@ def check_segments(starts: np.ndarray, ends: np.ndarray) -> None:
     """Check a timeline given as aligned segment start and end arrays.
 
     Every segment must have positive length, and each must start no earlier
-    than the previous one ends (time order, no overlap, with the same 1 ns
-    slack :meth:`CaptureSession.add_environment` allows).
+    than the previous one ends (time order, no overlap, with 1 ns of slack).
     """
     require(
         starts.ndim == 1 and starts.shape == ends.shape,

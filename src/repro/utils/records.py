@@ -8,8 +8,9 @@ planned event.  Such a class serialises by naming the writer as its method
 printed with no second field list to keep in step.
 
 :func:`plain` writes a record; :func:`parse` reads one back from a mapping
-(a TOML table, a JSON object, a sweep axis override).  Classes whose payload
-renames, computes or reshapes keys keep a hand-written ``to_dict``.
+(a TOML table, a JSON object, a sweep axis override, a population cache
+manifest's config).  Classes whose payload renames, computes or reshapes
+keys keep a hand-written ``to_dict``.
 """
 
 from __future__ import annotations
@@ -52,14 +53,16 @@ def plain(value: Any) -> Any:
 def parse(cls: Type[R], data: Mapping[str, Any], context: str) -> R:
     """Build the record ``cls`` from a mapping holding some of its fields.
 
-    A non-mapping or an unknown key is rejected with a message that names
-    ``context``, the section's dotted path; a missing field takes its
-    default.  Values are normalised onto the annotated field types: an
-    integer for a ``float`` field, or inside a ``Tuple[float, ...]``, becomes
-    a float, and an array for a tuple field becomes a tuple.  A field that
-    holds a nested record is read through that class's ``from_dict`` when it
-    has one, so its own checks and normalisations apply, and otherwise
-    parsed the same way under ``context.<field>``.  The class's
+    A non-mapping, an unknown key or a missing field without a default is
+    rejected with a :class:`ValidationError` that names ``context``, the
+    section's dotted path; any other missing field takes its default.
+    Values are normalised onto the annotated field types: an integer for a
+    ``float`` field, or inside a ``Tuple[float, ...]``, becomes a float, and
+    an array for a tuple field becomes a tuple.  A field that holds a nested
+    record, or a ``Tuple[<record>, ...]`` of them, reads each record through
+    that class's ``from_dict`` when it has one, so its own checks and
+    normalisations apply, and otherwise parses it the same way under
+    ``context.<field>`` (``context.<field>[i]`` in a tuple).  The class's
     ``__post_init__`` checks run as it is built.
     """
     require(isinstance(data, Mapping), f"{context} must be a table/dict")
@@ -70,8 +73,11 @@ def parse(cls: Type[R], data: Mapping[str, Any], context: str) -> R:
             f"{context}: unknown field(s) {sorted(unknown)}; "
             f"expected a subset of {sorted(kinds)}"
         )
+    missing = [name for name, (_, _, required) in kinds.items() if required and name not in data]
+    if missing:
+        raise ValidationError(f"{context}: missing required field(s) {missing}")
     kwargs: Dict[str, Any] = {}
-    for name, (kind, nested) in kinds.items():
+    for name, (kind, nested, _) in kinds.items():
         if name not in data:
             continue
         value = data[name]
@@ -81,11 +87,23 @@ def parse(cls: Type[R], data: Mapping[str, Any], context: str) -> R:
             value = tuple(_as_float(item) for item in value)
         elif kind == "tuple" and isinstance(value, (list, tuple)):
             value = tuple(value)
-        elif kind == "record" and not isinstance(value, nested):
-            reader = getattr(nested, "from_dict", None)
-            value = reader(value) if reader else parse(nested, value, f"{context}.{name}")
+        elif kind == "record":
+            value = _record(nested, value, f"{context}.{name}")
+        elif kind == "records" and isinstance(value, (list, tuple)):
+            value = tuple(
+                _record(nested, item, f"{context}.{name}[{index}]")
+                for index, item in enumerate(value)
+            )
         kwargs[name] = value
     return cls(**kwargs)
+
+
+def _record(cls: type, value: Any, context: str) -> Any:
+    """``value`` as a ``cls`` record: as it is, through ``cls.from_dict``, or parsed."""
+    if isinstance(value, cls):
+        return value
+    reader = getattr(cls, "from_dict", None)
+    return reader(value) if reader else parse(cls, value, context)
 
 
 @functools.cache
@@ -101,24 +119,37 @@ def _as_float(value: Any) -> Any:
     return float(value) if type(value) is int else value
 
 
+def _is_record(hint: Any) -> bool:
+    """Whether a field annotation names a record (a dataclass)."""
+    return isinstance(hint, type) and dataclasses.is_dataclass(hint)
+
+
 @functools.cache
-def _field_kinds(cls: type) -> Dict[str, Tuple[str, Optional[type]]]:
-    """How :func:`parse` normalises each field of ``cls``: ``(kind, nested class)``.
+def _field_kinds(cls: type) -> Dict[str, Tuple[str, Optional[type], bool]]:
+    """How :func:`parse` reads each field of ``cls``: ``(kind, nested class, required)``.
 
     The kind is ``"float"``, ``"floats"`` (a tuple of floats), ``"tuple"``,
-    ``"record"`` (a nested dataclass) or ``""`` (kept as given).
+    ``"record"`` (a nested dataclass), ``"records"`` (a tuple of them) or
+    ``""`` (kept as given).  A field is required when it has no default.
     """
     hints = typing.get_type_hints(cls)
-    kinds: Dict[str, Tuple[str, Optional[type]]] = {}
+    kinds: Dict[str, Tuple[str, Optional[type], bool]] = {}
     for field in dataclasses.fields(cls):
         hint = hints[field.name]
+        kind, nested = "", None
         if hint is float:
-            kinds[field.name] = ("float", None)
+            kind = "float"
         elif typing.get_origin(hint) is tuple:
-            floats = typing.get_args(hint)[:1] == (float,)
-            kinds[field.name] = ("floats" if floats else "tuple", None)
-        elif isinstance(hint, type) and dataclasses.is_dataclass(hint):
-            kinds[field.name] = ("record", hint)
-        else:
-            kinds[field.name] = ("", None)
+            item = typing.get_args(hint)[:1]
+            if item == (float,):
+                kind = "floats"
+            elif item and _is_record(item[0]):
+                kind, nested = "records", item[0]
+            else:
+                kind = "tuple"
+        elif _is_record(hint):
+            kind, nested = "record", hint
+        unset = dataclasses.MISSING
+        required = field.default is unset and field.default_factory is unset
+        kinds[field.name] = (kind, nested, required)
     return kinds

@@ -31,7 +31,7 @@ a component never perturbs the benign body/burst draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -122,26 +122,6 @@ class DriftComponent:
                 multipliers[week] = surge
         return multipliers
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DriftComponent":
-        require(isinstance(data, Mapping), "drift component must be a table/dict")
-        known = {"kind", "scale", "period_weeks", "probability", "weeks", "magnitude"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(
-                f"drift component: unknown field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        require("kind" in data, "drift component requires a kind")
-        return cls(
-            kind=str(data["kind"]),
-            scale=float(data.get("scale", 1.0)),
-            period_weeks=int(data.get("period_weeks", 4)),
-            probability=float(data.get("probability", 0.15)),
-            weeks=tuple(int(week) for week in data.get("weeks", ())),
-            magnitude=float(data.get("magnitude", 3.0)),
-        )
-
 
 @dataclass(frozen=True)
 class DriftModel:
@@ -179,26 +159,6 @@ class DriftModel:
         for component in self.components:
             multipliers = multipliers * component.week_multipliers(profile, num_weeks, rng)
         return multipliers
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DriftModel":
-        require(isinstance(data, Mapping), "drift model must be a table/dict")
-        unknown = set(data) - {"components"}
-        if unknown:
-            raise ValidationError(f"drift model: unknown field(s) {sorted(unknown)}")
-        components = data.get("components", ())
-        require(
-            isinstance(components, (list, tuple)),
-            "drift model components must be an array of component tables",
-        )
-        return cls(
-            components=tuple(
-                component
-                if isinstance(component, DriftComponent)
-                else DriftComponent.from_dict(component)
-                for component in components
-            )
-        )
 
     @classmethod
     def from_kinds(cls, kinds: str, **params: Any) -> "DriftModel":

@@ -45,8 +45,7 @@ class EnterpriseConfig:
     churn, fleet turnover, flash-crowd weeks — see
     :class:`~repro.workload.drift.DriftModel`) on top of the baseline
     ``week_drift_scale`` non-stationarity.  The default (empty model) leaves
-    generation bit-identical to the pre-drift-model code.  A plain mapping
-    (e.g. from a deserialized config payload) is accepted and normalised.
+    generation bit-identical to the pre-drift-model code.
     """
 
     num_hosts: int = 350
@@ -67,8 +66,6 @@ class EnterpriseConfig:
         require_positive(self.bin_width, "bin_width")
         require(0.0 <= self.laptop_fraction <= 1.0, "laptop_fraction must be in [0, 1]")
         require(self.week_drift_scale >= 0.0, "week_drift_scale must be non-negative")
-        if isinstance(self.drift, Mapping):
-            object.__setattr__(self, "drift", DriftModel.from_dict(self.drift))
         require(isinstance(self.drift, DriftModel), "drift must be a DriftModel")
 
     @property
@@ -138,14 +135,6 @@ class EnterprisePopulation:
         return self._matrices
 
     # ------------------------------------------------------------- transforms
-    def week(self, index: int) -> "EnterprisePopulation":
-        """Population restricted to week ``index`` (0-based)."""
-        return EnterprisePopulation(
-            self._config,
-            self._profiles,
-            {host_id: matrix.week(index) for host_id, matrix in self._matrices.items()},
-        )
-
     def per_host_percentiles(self, feature: Feature, q: float) -> Dict[int, float]:
         """Per-host ``q``-th percentile of ``feature`` (full-diversity thresholds)."""
         return {

@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.core.thresholds import FMeasureHeuristic, ThresholdHeuristic, Utility
 from repro.engine import PopulationEngine, population_cache_key
 from repro.engine.sharded import ShardedPopulation
 from repro.features.definitions import Feature
-from repro.features.timeseries import TimeSeries
+from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.loadgen import (
     PROFILES,
     LoadProfile,
@@ -56,10 +56,11 @@ from repro.telemetry import (
     trace_span,
     use_recorder,
 )
+from repro.temporal.statistic import drift_from_baseline, pooled_baseline_quantiles
 from repro.traces.capture import CaptureSession, NetworkLocation
 from repro.traces.packet import IPProtocol, Packet, TCPFlags, ip_to_int
 from repro.utils.timeutils import BinSpec
-from repro.utils.validation import require, require_non_negative
+from repro.utils.validation import require, require_non_negative, require_probability
 from repro.workload.enterprise import EnterprisePopulation
 
 
@@ -320,6 +321,69 @@ def threshold_for_group(heuristic: ThresholdHeuristic, distributions) -> float:
     else:
         scores = f_measure_from_rate_arrays(fp, fn, heuristic.attack_prevalence)
     return float(candidates[int(np.argmax(np.mean(scores, axis=1)))])
+
+
+def precision_recall(
+    true_positives: float, false_positives: float, false_negatives: float
+) -> Tuple[float, float]:
+    """Precision and recall from detection counts.
+
+    Degenerate cases follow the usual conventions: precision is 1.0 when
+    nothing was flagged, recall is 1.0 when there was nothing to detect.
+    """
+    require(true_positives >= 0, "true_positives must be non-negative")
+    require(false_positives >= 0, "false_positives must be non-negative")
+    require(false_negatives >= 0, "false_negatives must be non-negative")
+    flagged = true_positives + false_positives
+    actual = true_positives + false_negatives
+    precision = true_positives / flagged if flagged > 0 else 1.0
+    recall = true_positives / actual if actual > 0 else 1.0
+    return precision, recall
+
+
+def f_measure(precision: float, recall: float) -> float:
+    """Harmonic mean of precision and recall (0.0 when both are zero)."""
+    require_probability(precision, "precision")
+    require_probability(recall, "recall")
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def f_measure_from_rates(
+    false_positive_rate: float,
+    false_negative_rate: float,
+    attack_prevalence: float,
+) -> float:
+    """One operating point's F-measure, the per-host form of ``f_measure_from_rate_arrays``.
+
+    Converts the rate-based operating point into expected per-bin counts using
+    ``attack_prevalence`` (the fraction of bins containing attack traffic) and
+    then applies the usual precision/recall definitions.
+    """
+    require_probability(false_positive_rate, "false_positive_rate")
+    require_probability(false_negative_rate, "false_negative_rate")
+    require_probability(attack_prevalence, "attack_prevalence")
+    true_positives = attack_prevalence * (1.0 - false_negative_rate)
+    false_negatives = attack_prevalence * false_negative_rate
+    false_positives = (1.0 - attack_prevalence) * false_positive_rate
+    precision, recall = precision_recall(true_positives, false_positives, false_negatives)
+    return f_measure(precision, recall)
+
+
+def population_drift_statistic(
+    matrices: Mapping[int, FeatureMatrix],
+    features: Sequence[Feature],
+    baseline_weeks: Tuple[int, int],
+    week: int,
+) -> float:
+    """The drift statistic of completed ``week`` against the ``baseline_weeks`` window.
+
+    What a drift-triggered timeline computes: the pooled baseline of the
+    training window, then the week's mean absolute log10 quantile shift.
+    """
+    baseline = pooled_baseline_quantiles(matrices, features, baseline_weeks)
+    return drift_from_baseline(matrices, baseline, week)
 
 
 # ------------------------------------------------------------ load profiles

@@ -10,7 +10,9 @@ import pytest
 from helpers import (
     candidate_threshold_grid,
     distinct_host_configurations,
+    f_measure,
     host_thresholds,
+    precision_recall,
     threshold_for_group,
 )
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from repro.core.grouping import (
     QuantileSplitGrouping,
     SingleGroupGrouping,
 )
-from repro.core.metrics import OperatingPoint, f_measure, precision_recall, utility
+from repro.core.metrics import OperatingPoint, utility
 from repro.core.policies import (
     ConfigurationPolicy,
     DetectionAssignment,

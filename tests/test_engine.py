@@ -28,6 +28,7 @@ from repro.features.definitions import PAPER_FEATURES
 from repro.features.timeseries import PopulationFrame
 from repro.utils.timeutils import BinSpec
 from repro.utils.validation import ValidationError
+from repro.workload.drift import DriftModel
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 from repro.workload.profiles import UserRole
 
@@ -219,6 +220,23 @@ class TestSerialization:
         # Cut inside the host records, after a valid header.
         cache = self._store_and_rewrite_shard(tmp_path, lambda data: data[:40])
         assert cache.load(self.CONFIG) is None
+
+    def test_drift_component_without_kind_is_a_miss(self, tmp_path):
+        """The manifest's config is read by the record codec: a malformed one is a ValidationError."""
+        config = EnterpriseConfig(
+            num_hosts=4, num_weeks=2, seed=77, drift=DriftModel.from_kinds("seasonal")
+        )
+        cache = PopulationCache(tmp_path)
+        cache.store(PopulationEngine(workers=1).generate(config))
+        layout = cache.path_for(config)
+        assert ShardedPopulation.open(layout).config == config
+        manifest = json.loads((layout / "manifest.json").read_text())
+        del manifest["config"]["drift"]["components"][0]["kind"]
+        (layout / "manifest.json").write_text(json.dumps(manifest))
+        assert cache.load(config) is None
+        missing = r"drift\.components\[0\]: missing required field\(s\) \['kind'\]"
+        with pytest.raises(ValidationError, match=missing):
+            ShardedPopulation.open(layout)
 
 
 class TestPopulationFrame:

@@ -3,14 +3,17 @@
 The scan takes every top-level function and class in ``src/`` and every method
 of a top-level class, skipping names that start with ``_``.  Program code is
 ``src/**/*.py``, ``src/**/*.toml``, ``examples/``, ``benchmarks/``,
-``perfbench/`` and ``scripts/``.  A top-level name counts as called when it
-occurs there as an identifier, strings included, because
-``perfbench/layers.py`` names what it patches that way.  A method counts as
-called only where it is read as an attribute (``.name``), named by a whole
-string (``"name"`` or ``'name'``) or passed as a keyword (``name=``), so a
-method that prose or a bare local of the same name mentions is still
-reported.  A definition does not count, and neither do ``__all__`` lists or
-the re-export imports of an ``__init__.py``.
+``perfbench/`` and ``scripts/``.  Only code counts: the comments and
+docstrings of Python files are blanked out first (each file is tokenised
+once), so prose never makes a caller.  A top-level name counts as called
+when it occurs in code as an identifier, strings included, because
+``perfbench/layers.py`` names what it patches that way; its own definition
+does not count, so a function its own error message names is still
+reported.  A method counts as called only where it is read as an attribute
+(``.name``), named by a whole string (``"name"`` or ``'name'``) or passed as
+a keyword (``name=``), so a method that a bare local of the same name
+mentions is still reported.  Neither do ``__all__`` lists or the re-export
+imports of an ``__init__.py`` count.
 
 The match is by name, so it is approximate: a name that is also some other
 attribute in program code counts as called.  Grep a name before acting on
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import io
 import re
 import sys
+import tokenize
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +48,7 @@ CALLER_DIRS = ("examples", "benchmarks", "perfbench", "scripts")
 ALLOWLIST = {
     "HostPerformance.feature_point": "README's fusion example reads one feature's (FP, FN)",
     "ShardedPopulation.resident_shards": "README: the shards a sharded population holds",
+    "SweepSpec.to_toml": "README: a sweep written back as TOML, pinned by the golden spec fixture",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -73,19 +79,56 @@ def _is_public(node: ast.AST) -> bool:
     ) and not node.name.startswith("_")
 
 
+def _code(source: str) -> str:
+    """Python ``source`` with its comments and docstrings blanked out.
+
+    A docstring here is any string that is a whole statement.  Blanked
+    characters become spaces, so every line and column stays where it was.
+    """
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    prose = [token for token in tokens if token.type == tokenize.COMMENT]
+    code = [token for token in tokens if token.type not in (tokenize.NL, tokenize.COMMENT)]
+    statement_edges = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
+    for index, token in enumerate(code):
+        if (
+            token.type == tokenize.STRING
+            and (index == 0 or code[index - 1].type in statement_edges)
+            and code[index + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER)
+        ):
+            prose.append(token)
+    lines = source.splitlines(keepends=True)
+    for token in prose:
+        (first_row, first_col), (last_row, last_col) = token.start, token.end
+        for row in range(first_row, last_row + 1):
+            line = lines[row - 1]
+            start = first_col if row == first_row else 0
+            end = last_col if row == last_row else len(line.rstrip("\n"))
+            lines[row - 1] = line[:start] + " " * (end - start) + line[end:]
+    return "".join(lines)
+
+
 def _scan_source(
-    path: Path, definitions: List[Definition], excluded: Counter, exported: Counter
+    path: Path,
+    code: str,
+    definitions: List[Definition],
+    excluded: Counter,
+    exported: Counter,
 ) -> None:
     """Collect ``path``'s public definitions, the ``__all__`` entries, and the
-    other occurrences that are not calls."""
+    other occurrences that are not calls (``code`` is its blanked text)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = code.splitlines()
     for node in tree.body:
         if _is_public(node):
             definitions.append(Definition(node.name, path, node.lineno))
+            # Every mention inside the definition, its own name included.
+            own = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+            excluded[node.name] += _IDENTIFIER.findall(own).count(node.name)
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if _is_public(item) and not isinstance(item, ast.ClassDef):
                     definitions.append(Definition(f"{node.name}.{item.name}", path, item.lineno))
+                    excluded[item.name] += 1
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
@@ -99,12 +142,17 @@ def _scan_source(
                     excluded[alias.asname] += 1
 
 
-def _occurrences(paths: Iterable[Path]) -> Tuple[Counter, Counter]:
-    """Every identifier occurrence in ``paths``, and every use that counts as a method call."""
+def _read(path: Path) -> str:
+    """``path``'s text, blanked to its code when it is a Python file."""
+    text = path.read_text(encoding="utf-8")
+    return _code(text) if path.suffix == ".py" else text
+
+
+def _occurrences(texts: Iterable[str]) -> Tuple[Counter, Counter]:
+    """Every identifier occurrence in ``texts``, and every use that counts as a method call."""
     identifiers: Counter = Counter()
     method_uses: Counter = Counter()
-    for path in paths:
-        text = path.read_text(encoding="utf-8")
+    for text in texts:
         identifiers.update(_IDENTIFIER.findall(text))
         method_uses.update("".join(groups) for groups in _METHOD_USE.findall(text))
     return identifiers, method_uses
@@ -118,16 +166,17 @@ def scan(root: Path) -> Dict[str, List[Definition]]:
     definitions: List[Definition] = []
     excluded: Counter = Counter()
     exported: Counter = Counter()
-    sources = sorted((root / "src").rglob("*.py"))
-    for path in sources:
-        _scan_source(path, definitions, excluded, exported)
-    for definition in definitions:
-        excluded[definition.name] += 1
-    callers = sources + sorted((root / "src").rglob("*.toml"))
+    sources = {path: _read(path) for path in sorted((root / "src").rglob("*.py"))}
+    for path, code in sources.items():
+        _scan_source(path, code, definitions, excluded, exported)
+    callers = list(sources.values())
+    callers += [_read(path) for path in sorted((root / "src").rglob("*.toml"))]
     for directory in CALLER_DIRS:
-        callers += sorted((root / directory).rglob("*.py"))
+        callers += [_read(path) for path in sorted((root / directory).rglob("*.py"))]
     calls, method_calls = _occurrences(callers)
-    tests, method_tests = _occurrences(sorted((root / "tests").rglob("*.py")))
+    tests, method_tests = _occurrences(
+        _read(path) for path in sorted((root / "tests").rglob("*.py"))
+    )
     excluded += exported
     result: Dict[str, List[Definition]] = {"unreferenced": [], "test_only": []}
     for definition in definitions:
@@ -264,6 +313,40 @@ def test_scan_counts_only_attribute_string_and_keyword_uses_of_a_method(tmp_path
     (tmp_path / "scripts" / "go.py").write_text("from pkg.mod import Thing, run\n\nrun(Thing())\n")
     result = scan(tmp_path)
     assert [d.qualname for d in result["unreferenced"]] == ["Thing.described"]
+    assert result["test_only"] == []
+
+
+def test_scan_does_not_count_prose_or_a_definition_naming_itself(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        '"""Call documented() or Thing.described() first."""\n\n\n'
+        "def self_named(x):\n"
+        '    assert x, "self_named needs x"\n'
+        "    return self_named(x - 1) if x > 1 else x\n\n\n"
+        "def documented():\n    return 1\n\n\n"
+        "def commented():\n    return 2\n\n\n"
+        "def in_a_string():\n    return 3\n\n\n"
+        "class Thing:\n"
+        '    """Thing.described() answers 4."""\n\n'
+        "    def described(self):\n        return 4\n\n"
+        "    def named(self):\n        return 5\n\n\n"
+        "def run(thing):\n"
+        "    # commented() and thing.described() are mentioned, never called\n"
+        '    return thing.named(), "in_a_string is patched by name"\n'
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "go.py").write_text(
+        '"""Runs documented()."""\n\nfrom pkg.mod import Thing, run  # self_named\n\nrun(Thing())\n'
+    )
+    result = scan(tmp_path)
+    assert [d.qualname for d in result["unreferenced"]] == [
+        "self_named",
+        "documented",
+        "commented",
+        "Thing.described",
+    ]
     assert result["test_only"] == []
 
 

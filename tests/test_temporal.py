@@ -23,18 +23,19 @@ from repro.temporal import (
     DEFAULT_DRIFT_QUANTILES,
     RetrainSchedule,
     evaluate_timeline,
-    population_drift_statistic,
     staleness_report,
     timeline_outcome,
     weeks_covered,
 )
 from repro.temporal.statistic import drift_from_baseline, pooled_baseline_quantiles
-from repro.utils.records import plain
+from repro.utils.records import parse, plain
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ValidationError
 from repro.workload.drift import DriftComponent, DriftModel
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
 from repro.workload.profiles import sample_host_profile
+
+from helpers import population_drift_statistic
 
 PROTOCOL = DetectionProtocol(features=(Feature.TCP_CONNECTIONS,))
 
@@ -110,7 +111,7 @@ class TestDriftModels:
     def test_from_kinds_rejects_duplicates_and_roundtrips(self):
         model = DriftModel.from_kinds("seasonal+flash-crowd", scale=1.5, weeks=(2,))
         assert model.name == "seasonal+flash-crowd"
-        assert DriftModel.from_dict(plain(model)) == model
+        assert parse(DriftModel, plain(model), "drift") == model
         assert DriftModel.from_kinds("none") == DriftModel()
         with pytest.raises(ValidationError):
             DriftModel.from_kinds("seasonal+seasonal")

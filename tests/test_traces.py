@@ -182,15 +182,14 @@ class TestProtocolClassification:
 
 class TestCaptureSession:
     def _session(self):
-        session = CaptureSession(host_id=1)
-        session.add_environment(
-            CaptureEnvironment(0.0, 100.0, NetworkLocation.OFFICE_WIRED, HOST_IP)
+        return CaptureSession(
+            host_id=1,
+            environments=[
+                CaptureEnvironment(0.0, 100.0, NetworkLocation.OFFICE_WIRED, HOST_IP),
+                CaptureEnvironment(100.0, 150.0, NetworkLocation.OFFLINE, HOST_IP),
+                CaptureEnvironment(150.0, 200.0, NetworkLocation.HOME, HOST_IP),
+            ],
         )
-        session.add_environment(
-            CaptureEnvironment(100.0, 150.0, NetworkLocation.OFFLINE, HOST_IP)
-        )
-        session.add_environment(CaptureEnvironment(150.0, 200.0, NetworkLocation.HOME, HOST_IP))
-        return session
 
     @staticmethod
     def _segments(session):
@@ -219,13 +218,6 @@ class TestCaptureSession:
     def test_vectorised_location_lookup_empty_session(self):
         starts, ends = self._segments(CaptureSession(host_id=2))
         assert segment_lookup(starts, ends, [0.0, 10.0]).tolist() == [-1, -1]
-
-    def test_overlapping_environment_rejected(self):
-        session = self._session()
-        with pytest.raises(ValidationError):
-            session.add_environment(
-                CaptureEnvironment(100.0, 180.0, NetworkLocation.TRAVEL, HOST_IP)
-            )
 
     def test_from_segments_matches_appended_environments(self):
         built = CaptureSession.from_segments(

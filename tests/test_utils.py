@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.jsonl import append_jsonl, read_jsonl
+from repro.utils.records import parse
 from repro.utils.rng import RandomSource, derive_seed, spawn_rng
 from repro.utils.timeutils import BinSpec, WEEK, bin_index
 from repro.utils.validation import (
@@ -22,6 +23,7 @@ from repro.utils.validation import (
     require_probability,
     require_type,
 )
+from repro.workload.drift import DriftComponent, DriftModel
 
 
 class TestBinSpec:
@@ -84,6 +86,29 @@ class TestValidation:
             require_probability(1.5, "x")
         with pytest.raises(ValidationError):
             require_in_range(6, 1, 5, "x")
+
+
+class TestRecordReader:
+    """``parse`` on a record holding a tuple of records (a drift model's components)."""
+
+    def test_reads_a_tuple_of_records(self):
+        payload = {"components": [{"kind": "seasonal", "scale": 2}, {"kind": "flash-crowd"}]}
+        model = parse(DriftModel, payload, "drift")
+        assert model == DriftModel(
+            (DriftComponent("seasonal", scale=2.0), DriftComponent("flash-crowd"))
+        )
+        assert type(model.components[0].scale) is float
+        kept = DriftComponent("role-churn")
+        assert parse(DriftModel, {"components": (kept,)}, "drift").components[0] is kept
+
+    def test_missing_required_field_is_named(self):
+        missing = r"drift\.components\[1\]: missing required field\(s\) \['kind'\]"
+        with pytest.raises(ValidationError, match=missing):
+            parse(DriftModel, {"components": [{"kind": "seasonal"}, {"scale": 1.0}]}, "drift")
+
+    def test_unknown_field_of_a_tuple_record_is_named(self):
+        with pytest.raises(ValidationError, match=r"drift\.components\[0\]: unknown field"):
+            parse(DriftModel, {"components": [{"kind": "seasonal", "speed": 1}]}, "drift")
 
 
 class TestRandomSource:

@@ -18,8 +18,9 @@ scores each host alone on its own test-week slice, attacked by per-host
 builders that rebuild every ``ATTACKS`` kind one host at a time.
 ``measure_assignment`` must equal it on fresh populations, covering the
 measure-only entry points (explicit test weeks, stale attack assignments)
-and populations mixing test-week bin grids, which the golden fixture does
-not exercise.
+and hosts in scrambled order, which the golden fixture does not exercise.
+A population is one bin grid: every entry point that reads its blocks
+raises on a host with a shifted origin or a clipped series.
 
 Every golden fixture and both oracle comparisons run twice: on a freshly
 generated population (plain dict matrices) and on the same population stored
@@ -29,8 +30,8 @@ and loaded back through a :class:`PopulationCache`, whose matrices are a
 The naive attack-size sweep behind Figure 3's size average and Figure 4(a)
 (``naive_false_negatives``) has the kernel itself as its oracle: each of its
 columns must equal the FN of one ``measure_assignment`` pass at that size,
-byte for byte, on hypothesis-drawn weeks, mixed grids, cached frames and the
-350-host benchmark population.
+byte for byte, on hypothesis-drawn weeks, scrambled host orders, cached
+frames and the 350-host benchmark population.
 
 The last part is the reference oracle for the population aggregates: every
 aggregate read from a :class:`HostPerformanceTable`'s columns must equal, bit
@@ -41,7 +42,6 @@ for bit, the same aggregate computed host by host from the per-host loop's
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +58,9 @@ from repro.core.evaluation import (
     AlarmColumns,
     DetectionProtocol,
     HostPerformance,
-    HostPerformanceTable,
     PolicyEvaluation,
     detection_training_distributions,
+    detection_training_window_distributions,
     evaluate_policy,
     measure_assignment,
     naive_false_negatives,
@@ -69,7 +69,7 @@ from repro.core.evaluation import (
 from repro.core.experiment import ScenarioOutcome, summarize_scenario
 from repro.core.fusion import FusionRule
 from repro.core.grouping import GroupAssignment
-from repro.core.metrics import OperatingPoint, f_measure_from_rates
+from repro.core.metrics import OperatingPoint
 from repro.core.policies import (
     DetectionAssignment,
     FullDiversityPolicy,
@@ -88,11 +88,13 @@ from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
 from repro.sweeps.spec import AttackSpec
 from repro.telemetry import TelemetryRecorder, use_recorder
+from repro.temporal import RetrainSchedule, evaluate_timeline
+from repro.temporal.statistic import drift_from_baseline, pooled_baseline_quantiles
 from repro.utils.timeutils import WEEK, BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
 
-from helpers import fuse, inject_attack
+from helpers import f_measure_from_rates, fuse, inject_attack
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
 FIGURES_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_figures.json"
@@ -590,19 +592,6 @@ class TestBatchedEqualsPerHostLoop:
             matrices, _full_diversity(matrices, protocol), protocol, sizes
         )
 
-    def test_irregular_grid_measured_per_grid(self, population):
-        """A host with fewer bins is measured on its own grid, in input order."""
-        matrices = dict(population.matrices())
-        host_ids = list(matrices)
-        # Truncate one host's matrix to two weeks: it no longer shares the
-        # others' bin grid.
-        irregular = dict(matrices)
-        irregular[host_ids[0]] = matrices[host_ids[0]].slice_time(0.0, 2 * WEEK)
-        protocol = PROTOCOLS["single"]
-        table, rows = _measure_both(irregular, _full_diversity(irregular, protocol), protocol)
-        assert table == rows
-        assert list(table) == host_ids
-
 
 def _shift_origin(matrix: FeatureMatrix, origin: float) -> FeatureMatrix:
     """``matrix``'s bin counts on a grid starting at ``origin``."""
@@ -615,52 +604,32 @@ def _shift_origin(matrix: FeatureMatrix, origin: float) -> FeatureMatrix:
     )
 
 
-class TestMixedBinGrids:
-    """Populations whose hosts do not share one test-week bin grid."""
+def _run_fig4_on(matrices):
+    """``run_fig4`` on ``matrices`` (hosts of the 2-week seed-909 population), 4 partial groups."""
+    config = EnterpriseConfig(num_hosts=len(matrices), num_weeks=2, seed=909)
+    generated = generate_enterprise(config)
+    population = EnterprisePopulation(
+        config, {host_id: generated.profile(host_id) for host_id in matrices}, matrices
+    )
+    return run_fig4(population, num_attack_sizes=3, partial_groups=4)
+
+
+class TestOneGrid:
+    """A one-grid population in scrambled host order: every result follows the input order."""
 
     @pytest.fixture(scope="class")
-    def shifted_origin(self):
-        """Three hosts of Poisson(5) bins over 3 weeks; host 2's grid starts half a week late."""
-        rng = np.random.default_rng(2009)
-        num_bins = int(3 * WEEK // (15 * MINUTE))
-        matrices = {}
-        for host_id in range(3):
-            spec = BinSpec(15 * MINUTE, WEEK / 2 if host_id == 2 else 0.0)
-            matrices[host_id] = FeatureMatrix(
-                host_id,
-                {feature: TimeSeries(rng.poisson(5, num_bins), spec) for feature in Feature},
-            )
-        return matrices
-
-    @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
-    def test_shifted_origin_matches_oracle(self, shifted_origin, proto_name):
-        protocol = PROTOCOLS[proto_name]
-        table, rows = _measure_both(
-            shifted_origin, _full_diversity(shifted_origin, protocol), protocol
-        )
-        assert table == rows
-
-    @pytest.fixture(scope="class")
-    def interleaved(self):
-        """Full-length, clipped mid-test-week and shifted-origin hosts, in scrambled order."""
+    def scrambled(self):
         population = generate_enterprise(EnterpriseConfig(num_hosts=12, num_weeks=2, seed=909))
         matrices = population.matrices()
         host_ids = list(matrices)
-        grids = {}
-        for index, host_id in enumerate(host_ids):
-            matrix = matrices[host_id]
-            if index % 3 == 1:
-                matrix = matrix.slice_time(0.0, 1.5 * WEEK)
-            elif index % 3 == 2:
-                matrix = _shift_origin(matrix, WEEK / 2)
-            grids[host_id] = matrix
-        order = host_ids[1::2] + host_ids[::-2]
-        return {host_id: grids[host_id] for host_id in order}, population.config.bin_width
+        order = host_ids[1::2] + host_ids[-2::-2]
+        assert sorted(order) == host_ids
+        return {host_id: matrices[host_id] for host_id in order}, population.config.bin_width
 
     @pytest.mark.parametrize("proto_name", list(PROTOCOLS))
     @pytest.mark.parametrize("attack_name", list(ATTACKS))
-    def test_interleaved_grids_match_oracle(self, interleaved, proto_name, attack_name):
-        matrices, bin_width = interleaved
+    def test_scrambled_hosts_match_oracle(self, scrambled, proto_name, attack_name):
+        matrices, bin_width = scrambled
         protocol = PROTOCOLS[proto_name]
         assignment = _full_diversity(matrices, protocol)
         table, rows = _measure_both(
@@ -669,23 +638,17 @@ class TestMixedBinGrids:
         assert table == rows
         assert list(table) == list(matrices)
 
-    def test_naive_size_sweep_sorts_each_grid(self, interleaved):
-        """One sorted block per grid, rows back in input order."""
-        matrices, _ = interleaved
+    def test_naive_size_sweep_in_input_order(self, scrambled):
+        matrices, _ = scrambled
         protocol = PROTOCOLS["single"]
         _assert_naive_columns_match_kernel(
             matrices, _full_diversity(matrices, protocol), protocol, (0.0, 1.0, 3.5, 12.0, 40.0)
         )
 
-    def test_fig4_hidden_traffic_matches_per_host_plans(self, interleaved):
-        """Panel (b) scores one block per grid; the per-host plans are the reference."""
-        matrices, _ = interleaved
-        config = EnterpriseConfig(num_hosts=12, num_weeks=2, seed=909)
-        generated = generate_enterprise(config)
-        mixed = EnterprisePopulation(
-            config, {host_id: generated.profile(host_id) for host_id in matrices}, matrices
-        )
-        result = run_fig4(mixed, num_attack_sizes=3, partial_groups=4)
+    def test_fig4_hidden_traffic_matches_per_host_plans(self, scrambled):
+        """Panel (b) scores one block; the per-host plans are the reference."""
+        matrices, _ = scrambled
+        result = _run_fig4_on(matrices)
 
         feature = Feature.TCP_CONNECTIONS
         protocol = DetectionProtocol(features=(feature,))
@@ -713,8 +676,8 @@ class TestMixedBinGrids:
             assert list(result.hidden_traffic[policy.name]) == list(matrices)
             assert result.hidden_traffic[policy.name] == expected
 
-    def test_one_measure_span_and_count_per_call(self, interleaved):
-        matrices, bin_width = interleaved
+    def test_one_measure_span_and_count_per_call(self, scrambled):
+        matrices, bin_width = scrambled
         protocol = PROTOCOLS["multi-any"]
         assignment = _full_diversity(matrices, protocol)
         builder = ATTACKS["naive"].build_builder(protocol.primary_feature, bin_width)
@@ -724,8 +687,8 @@ class TestMixedBinGrids:
         assert [span.name for span in recorder.spans] == ["core.measure"]
         assert recorder.counters["core.host_weeks_measured"] == len(matrices)
 
-    def test_builder_gets_one_batch_per_grid(self, interleaved):
-        matrices, _ = interleaved
+    def test_builder_gets_one_batch_in_input_order(self, scrambled):
+        matrices, _ = scrambled
         protocol = PROTOCOLS["single"]
         batches = []
 
@@ -736,52 +699,75 @@ class TestMixedBinGrids:
         measure_assignment(
             matrices, _full_diversity(matrices, protocol), protocol, attack_builder=record
         )
-        assert len({(batch.num_bins, batch.bin_spec) for batch in batches}) == len(batches) == 3
-        assert sorted(h for batch in batches for h in batch.host_ids) == sorted(matrices)
-        for batch in batches:
-            assert list(batch.host_ids) == [h for h in matrices if h in batch.host_ids]
-            for host_id in batch.host_ids:
-                series = matrices[host_id].series(protocol.primary_feature)
-                assert series.bin_spec == batch.bin_spec
-                assert series.week(protocol.test_week).num_bins == batch.num_bins
+        [batch] = batches
+        assert batch.host_ids == tuple(matrices)
+        for host_id in batch.host_ids:
+            series = matrices[host_id].series(protocol.primary_feature)
+            assert series.bin_spec == batch.bin_spec
+            assert series.week(protocol.test_week).num_bins == batch.num_bins
 
-    def test_concatenate_joins_tables_in_host_id_order(self, matrices):
-        protocol = PROTOCOLS["multi-2ofn"]
-        assignment = _full_diversity(matrices, protocol)
-        builder = ATTACKS["botnet"].build_builder(protocol.primary_feature, CONFIG.bin_width)
-
-        def measured(host_ids):
-            return measure_assignment(
-                {host_id: matrices[host_id] for host_id in host_ids},
-                assignment,
-                protocol,
-                attack_builder=builder,
-            )
-
-        host_ids = list(matrices)
-        order = [host_ids[i] for i in np.random.default_rng(1).permutation(len(host_ids))]
-        joined = HostPerformanceTable.concatenate(
-            [measured(host_ids[::2]), measured(host_ids[1::2])], order
-        )
-        whole = measured(order)
-        assert list(joined) == order
-        assert joined == whole
-
-        def alarms(table):
-            return [table.fused] + [table.feature_columns(f) for f in protocol.features]
-
-        for ours, theirs in zip(alarms(joined), alarms(whole), strict=True):
-            for column in fields(AlarmColumns):
-                assert np.array_equal(getattr(ours, column.name), getattr(theirs, column.name))
-
-    def test_storm_bin_width_mismatch_raises(self, interleaved):
-        matrices, bin_width = interleaved
+    def test_storm_bin_width_mismatch_raises(self, scrambled):
+        matrices, bin_width = scrambled
         protocol = DetectionProtocol(features=(Feature.DISTINCT_CONNECTIONS,))
         storm = storm_builder(generate_storm_trace(bin_width=2 * bin_width))
         with pytest.raises(ValidationError, match="same bin width"):
             measure_assignment(
                 matrices, _full_diversity(matrices, protocol), protocol, attack_builder=storm
             )
+
+
+TCP = Feature.TCP_CONNECTIONS
+NEVER = RetrainSchedule("never")
+
+#: Every entry point that reads a population's blocks, called as
+#: ``call(matrices, assignment, baseline)`` with TCP thresholds and a TCP drift
+#: baseline taken from the same hosts on one grid.
+ONE_GRID_ENTRY_POINTS = {
+    "training_distributions": lambda m, a, b: training_distributions(m, TCP, 0),
+    "detection_training_distributions": (
+        lambda m, a, b: detection_training_distributions(m, (TCP,), 0)
+    ),
+    "detection_training_window_distributions": (
+        lambda m, a, b: detection_training_window_distributions(m, (TCP,), 0, 2)
+    ),
+    "measure_assignment": lambda m, a, b: measure_assignment(m, a, PROTOCOLS["single"]),
+    "naive_false_negatives": (
+        lambda m, a, b: naive_false_negatives(m, a, PROTOCOLS["single"], (5.0,))
+    ),
+    "run_fig4": lambda m, a, b: _run_fig4_on(m),
+    "pooled_baseline_quantiles": lambda m, a, b: pooled_baseline_quantiles(m, (TCP,), (0, 1)),
+    "drift_from_baseline": lambda m, a, b: drift_from_baseline(m, b, 1),
+    "evaluate_timeline": lambda m, a, b: evaluate_timeline(
+        m, FullDiversityPolicy(PercentileHeuristic(99.0)), PROTOCOLS["single"], NEVER
+    ),
+    "hidden_traffic_by_host": (
+        lambda m, a, b: hidden_traffic_by_host(m, a.for_feature(TCP).thresholds, TCP)
+    ),
+}
+
+
+class TestOneGridRule:
+    """A mapping whose hosts are not on one bin grid raises at every entry point."""
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        population = generate_enterprise(EnterpriseConfig(num_hosts=6, num_weeks=2, seed=909))
+        matrices = dict(population.matrices())
+        assignment = _full_diversity(matrices, PROTOCOLS["single"])
+        return matrices, assignment, pooled_baseline_quantiles(matrices, (TCP,), (0, 1))
+
+    @pytest.mark.parametrize("odd_host", ["shifted-origin", "clipped"])
+    @pytest.mark.parametrize("name", list(ONE_GRID_ENTRY_POINTS))
+    def test_a_host_on_another_grid_raises(self, clean, name, odd_host):
+        matrices, assignment, baseline = clean
+        host_id = list(matrices)[3]
+        mixed = dict(matrices)
+        if odd_host == "shifted-origin":
+            mixed[host_id] = _shift_origin(matrices[host_id], WEEK / 2)
+        else:
+            mixed[host_id] = matrices[host_id].slice_time(0.0, 1.5 * WEEK)
+        with pytest.raises(ValidationError, match="one bin grid"):
+            ONE_GRID_ENTRY_POINTS[name](mixed, assignment, baseline)
 
 
 def _fixed_assignment(host_id: int, thresholds) -> DetectionAssignment:
@@ -1186,17 +1172,6 @@ class TestColumnAggregatesMatchPerHostFormulas:
         protocol = PROTOCOLS[proto_name]
         matrices = population.matrices()
         attack = _attack(attack_name, protocol, population.config.bin_width)
-        assignment = self._assignment(matrices, protocol)
-        table, rows = _measure_both(matrices, assignment, protocol, attack)
-        _assert_aggregates_match_rows(table, rows, protocol, assignment)
-
-    def test_irregular_grid(self, population):
-        """A table joined from two grids' columns aggregates the same way."""
-        matrices = dict(population.matrices())
-        first_host = next(iter(matrices))
-        matrices[first_host] = matrices[first_host].slice_time(0.0, 2 * WEEK)
-        protocol = PROTOCOLS["multi-2ofn"]
-        attack = _attack("naive", protocol, population.config.bin_width)
         assignment = self._assignment(matrices, protocol)
         table, rows = _measure_both(matrices, assignment, protocol, attack)
         _assert_aggregates_match_rows(table, rows, protocol, assignment)

@@ -360,11 +360,6 @@ class TestEnterprisePopulation:
                 b.matrix(host)[Feature.TCP_CONNECTIONS].values,
             )
 
-    def test_week_view(self, small_population):
-        week = small_population.week(1)
-        host = week.host_ids[0]
-        assert week.matrix(host).num_bins == 672
-
     def test_max_observed_positive(self, small_population):
         assert small_population.max_observed(Feature.TCP_CONNECTIONS) > 0
 
