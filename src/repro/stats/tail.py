@@ -3,8 +3,8 @@
 The paper's central empirical claim is that the *tail* of each host's feature
 distribution — where the anomaly-detection thresholds live — varies enormously
 across the population.  These helpers quantify that tail spread (the ratio of
-extreme per-host thresholds), and are used both by the workload calibration
-tests and by the Figure 1 experiment driver.
+extreme per-host thresholds) for the workload calibration tests and for
+Figure 1 (:mod:`repro.experiments.fig1_tail_diversity`).
 """
 
 from __future__ import annotations
