@@ -13,6 +13,7 @@ from repro.engine.cache import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
     PopulationCache,
+    VerifiedShards,
     population_cache_key,
     resolve_cache_dir,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "GenerationReport",
     "EngineStats",
     "PopulationCache",
+    "VerifiedShards",
     "population_cache_key",
     "resolve_cache_dir",
     "ShardedPopulation",

@@ -4,8 +4,9 @@ Generating the paper-scale population is pure function of
 (:class:`~repro.workload.enterprise.EnterpriseConfig`, explicit role
 overrides), so a content hash of those inputs fully identifies the output.
 The cache stores one ``.rpopd`` layout per key (see
-:mod:`repro.engine.serialization`), hash-checks every shard it reads back,
-and treats any unreadable, stale-format or corrupt layout as a miss.
+:mod:`repro.engine.serialization`), hash-checks every shard it reads back
+(once per :class:`VerifiedShards` memo), and treats any unreadable,
+stale-format or corrupt layout as a miss.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ import logging
 import os
 import warnings
 from pathlib import Path
-from typing import List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.engine.serialization import (
     DEFAULT_HOSTS_PER_SHARD,
     POPULATION_FORMAT_VERSION,
+    FileIdentity,
     ShardEntry,
-    _file_sha256,
+    _file_identity,
+    _hash_file,
     _read_shard,
     config_from_payload,
     config_payload,
@@ -75,6 +78,38 @@ def resolve_cache_dir(cache_dir: Optional[PathLike] = None) -> Optional[Path]:
     return Path(from_env).expanduser() if from_env else None
 
 
+class VerifiedShards:
+    """The shard files one owner has hashed against their manifest records.
+
+    :class:`~repro.sweeps.SweepRunner` keeps one for its lifetime and hands
+    it to every :meth:`PopulationEngine.generate
+    <repro.engine.PopulationEngine.generate>` call, so a layout it reads
+    again is not hashed again.  For each shard path it keeps the manifest
+    SHA-256 the file matched and the ``(st_dev, st_ino, st_size,
+    st_mtime_ns)`` of the handle it was hashed from.  :meth:`check` skips the
+    hash only while all of them still match: a shard replaced by rename, a
+    rewrite that changes its size or modification time, or a manifest that
+    records another hash is hashed again.  (A rewrite in place that keeps
+    the size and lands within the file system's timestamp granularity is
+    not seen; the cache itself replaces a shard only by rename.)
+    """
+
+    def __init__(self) -> None:
+        self._hashed: Dict[Path, Tuple[str, FileIdentity]] = {}
+
+    def check(self, path: Path, sha256: str) -> None:
+        """Raise ``ValidationError`` unless the file at ``path`` hashes to ``sha256``.
+
+        Raises ``OSError`` when the file cannot be read.
+        """
+        hashed = self._hashed.get(path)
+        if hashed is not None and hashed == (sha256, _file_identity(os.stat(path))):
+            return
+        digest, identity = _hash_file(path)
+        require(digest == sha256, f"shard {path} does not match its manifest hash")
+        self._hashed[path] = (sha256, identity)
+
+
 class PopulationCache:
     """A directory of ``.rpopd`` population layouts addressed by content hash."""
 
@@ -99,14 +134,19 @@ class PopulationCache:
         return self._directory / f"population-{key[:32]}.rpopd"
 
     def load(
-        self, config: EnterpriseConfig, roles: Optional[Mapping[int, UserRole]] = None
+        self,
+        config: EnterpriseConfig,
+        roles: Optional[Mapping[int, UserRole]] = None,
+        verified: Optional[VerifiedShards] = None,
     ) -> Optional[EnterprisePopulation]:
         """Return the cached population, or None on a miss.
 
-        Every shard is hashed against its manifest record before it is read.
-        A missing or unreadable manifest, one for another config, and a shard
-        with no record, no file or another hash all make a miss: the engine
-        then regenerates the population and :meth:`store` rewrites the layout.
+        Every shard is hashed against its manifest record before it is read,
+        unless ``verified`` already hashed the same unchanged file against
+        the same record.  A missing or unreadable manifest, one for another
+        config, and a shard with no record, no file or another hash all make
+        a miss: the engine then regenerates the population and :meth:`store`
+        rewrites the layout.
         """
         directory = self.path_for(config, roles)
         with trace_span("engine.cache.read") as span:
@@ -116,7 +156,11 @@ class PopulationCache:
                 return None
             try:
                 with trace_span("engine.cache.deserialize"):
-                    population = _read_layout(directory, config)
+                    population = _read_layout(
+                        directory,
+                        config,
+                        verified if verified is not None else VerifiedShards(),
+                    )
             except (ValidationError, OSError, ValueError, KeyError):
                 span.set(hit=False)
                 logger.debug("population cache layout unreadable, treating as miss: %s", directory)
@@ -188,26 +232,25 @@ def _matching_manifest(directory: Path, config: EnterpriseConfig) -> dict:
     return manifest
 
 
-def _read_layout(directory: Path, config: EnterpriseConfig) -> EnterprisePopulation:
-    """Every shard of the layout at ``directory``, each checked against its hash.
+def _read_layout(
+    directory: Path, config: EnterpriseConfig, verified: VerifiedShards
+) -> EnterprisePopulation:
+    """Every shard of the layout at ``directory``, each checked through ``verified``.
 
     A one-shard layout (every population of up to
     :data:`~repro.engine.serialization.DEFAULT_HOSTS_PER_SHARD` hosts in the
-    default geometry) is served over its shard's
-    :class:`~repro.features.timeseries.PopulationFrame`; the matrices of
-    several shards are merged into one dict.  Raises ``ValidationError`` (or
-    ``OSError`` for a missing shard file) unless every shard is recorded and
-    intact.
+    default geometry) is served over its shard's profile table and
+    :class:`~repro.features.timeseries.PopulationFrame`; the profiles and
+    matrices of several shards are merged into dicts.  Raises
+    ``ValidationError`` (or ``OSError`` for a missing shard file) unless
+    every shard is recorded and intact.
     """
     manifest = _matching_manifest(directory, config)
     shards: List[ShardEntry] = []
     for index, record in enumerate(manifest["shards"]):
         require(record is not None, f"cached layout {directory} has no shard {index}")
         path = directory / record["file"]
-        require(
-            _file_sha256(path) == record["sha256"],
-            f"shard {path} does not match its manifest hash",
-        )
+        verified.check(path, record["sha256"])
         shards.append(_read_shard(path))
     if len(shards) == 1:
         profiles, matrices = shards[0]

@@ -35,7 +35,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine.cache import DEFAULT_CACHE_DIR, PopulationCache, resolve_cache_dir
+from repro.engine.cache import (
+    DEFAULT_CACHE_DIR,
+    PopulationCache,
+    VerifiedShards,
+    resolve_cache_dir,
+)
 from repro.engine.serialization import DEFAULT_HOSTS_PER_SHARD
 from repro.features.timeseries import FeatureMatrix
 from repro.telemetry import add_count, child_recorder, get_recorder, monotonic_now, trace_span
@@ -316,8 +321,15 @@ class PopulationEngine:
         self,
         config: Optional[EnterpriseConfig] = None,
         roles: Optional[Mapping[int, UserRole]] = None,
+        verified: Optional[VerifiedShards] = None,
     ) -> EnterprisePopulation:
-        """Return the population for ``config``, from cache when possible."""
+        """Return the population for ``config``, from cache when possible.
+
+        A cached layout's shards are hashed on every call, unless
+        ``verified`` (the caller's memo, e.g. a
+        :class:`~repro.sweeps.SweepRunner`'s) already hashed the same
+        unchanged files (see :class:`~repro.engine.cache.VerifiedShards`).
+        """
         config = config if config is not None else EnterpriseConfig()
         started = monotonic_now()
 
@@ -325,7 +337,7 @@ class PopulationEngine:
             "engine.generate", num_hosts=config.num_hosts, num_weeks=config.num_weeks
         ) as span:
             if self._cache is not None:
-                cached = self._cache.load(config, roles)
+                cached = self._cache.load(config, roles, verified=verified)
                 if cached is not None:
                     span.set(cache_hit=True)
                     add_count("engine.cache.hits")

@@ -27,7 +27,7 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +58,8 @@ _HEADER_STRUCT = struct.Struct("<4sHI")
 _HOST_STRUCT = struct.Struct("<IBBd")
 # scale, body_sigma, burst_probability, burst_alpha
 _INTENSITY_STRUCT = struct.Struct("<dddd")
+# a feature index byte, then its intensity
+_INTENSITY_RECORD_SIZE = 1 + _INTENSITY_STRUCT.size
 # num_bins, bin_width, bin origin
 _MATRIX_STRUCT = struct.Struct("<Idd")
 
@@ -67,8 +69,11 @@ _FEATURE_ORDER = PAPER_FEATURES
 PathLike = Union[str, Path]
 
 #: One shard's contents: profiles and feature matrices keyed by host id (a
-#: :class:`PopulationFrame` when read from a shard file).
-ShardEntry = Tuple[Dict[int, HostProfile], Mapping[int, FeatureMatrix]]
+#: profile table and a :class:`PopulationFrame` when read from a shard file).
+ShardEntry = Tuple[Mapping[int, HostProfile], Mapping[int, FeatureMatrix]]
+
+#: A file as one handle saw it: ``(st_dev, st_ino, st_size, st_mtime_ns)``.
+FileIdentity = Tuple[int, int, int, int]
 
 
 def config_payload(config: EnterpriseConfig) -> dict:
@@ -181,15 +186,28 @@ class _DigestSink:
 
 
 def _file_sha256(path: Path) -> str:
-    """SHA-256 hex digest of a file, hashed from buffered reads.
+    """SHA-256 hex digest of a file, hashed from buffered reads."""
+    return _hash_file(path)[0]
 
-    Never through an mmap: hashing a shard must not leave its pages resident.
+
+def _hash_file(path: Path) -> Tuple[str, FileIdentity]:
+    """SHA-256 hex digest of a file and the identity of the handle it was read from.
+
+    The identity is taken from the open handle before its first read, so a
+    write during the hash moves the modification time past it.  Never
+    through an mmap: hashing a shard must not leave its pages resident.
     """
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
+        identity = _file_identity(os.fstat(handle.fileno()))
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+    return digest.hexdigest(), identity
+
+
+def _file_identity(status: os.stat_result) -> FileIdentity:
+    """``(st_dev, st_ino, st_size, st_mtime_ns)``: what a rewrite or a rename changes."""
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
 
 
 def _shard_file_name(index: int) -> str:
@@ -215,13 +233,17 @@ def _write_shard_file(
 
 
 def _read_shard(path: Path) -> ShardEntry:
-    """Read a shard written by :func:`_write_shard`: its profiles and its frame.
+    """Read a shard written by :func:`_write_shard`: its profile table and its frame.
 
-    The value block is not read at all: the :class:`PopulationFrame` holds one
-    read-only mapping of the file, and each host's series wraps a row of it,
-    so bins are paged in only when an evaluation actually touches them.  The
-    block and its rows are plain ``numpy.ndarray`` views (whose base keeps the
-    mapping alive), not ``numpy.memmap`` rows, whose Python-level
+    Every host record is walked and checked at load (see
+    :func:`_read_host_records`), so a bad shard is a miss here and never an
+    error at a later lookup; each host's :class:`HostProfile` and
+    :class:`FeatureMatrix` are built on first use.  The value block is not
+    read at all: the :class:`PopulationFrame` holds one read-only mapping of
+    the file, and each host's series wraps a row of it, so bins are paged in
+    only when an evaluation actually touches them.  The block and its rows
+    are plain ``numpy.ndarray`` views (whose base keeps the mapping alive),
+    not ``numpy.memmap`` rows, whose Python-level
     ``__array_wrap__``/``__getitem__`` would tax every numpy operation on them.
     """
     with open(path, "rb") as handle:
@@ -231,33 +253,7 @@ def _read_shard(path: Path) -> ShardEntry:
             version == POPULATION_FORMAT_VERSION,
             f"unsupported shard format version {version}",
         )
-        profiles: Dict[int, HostProfile] = {}
-        host_ids: List[int] = []
-        for _ in range(num_hosts):
-            host_id, role_index, is_laptop, master_intensity = _HOST_STRUCT.unpack(
-                _read_exact(handle, _HOST_STRUCT.size)
-            )
-            (num_intensities,) = struct.unpack("<B", _read_exact(handle, 1))
-            intensities: Dict[Feature, FeatureIntensity] = {}
-            for _ in range(num_intensities):
-                (feature_index,) = struct.unpack("<B", _read_exact(handle, 1))
-                scale, body_sigma, burst_probability, burst_alpha = _INTENSITY_STRUCT.unpack(
-                    _read_exact(handle, _INTENSITY_STRUCT.size)
-                )
-                intensities[_feature_at(feature_index)] = FeatureIntensity(
-                    scale=scale,
-                    body_sigma=body_sigma,
-                    burst_probability=burst_probability,
-                    burst_alpha=burst_alpha,
-                )
-            profiles[host_id] = HostProfile(
-                host_id=host_id,
-                role=_role_at(role_index),
-                master_intensity=master_intensity,
-                intensities=intensities,
-                is_laptop=bool(is_laptop),
-            )
-            host_ids.append(host_id)
+        host_ids, profiles = _read_host_records(handle, num_hosts)
         num_bins, bin_width, origin = _MATRIX_STRUCT.unpack(
             _read_exact(handle, _MATRIX_STRUCT.size)
         )
@@ -279,6 +275,111 @@ def _read_shard(path: Path) -> ShardEntry:
     return profiles, PopulationFrame(host_ids, features, bin_spec, block.view(np.ndarray))
 
 
+def _read_host_records(handle, num_hosts: int) -> Tuple[List[int], "_ShardProfiles"]:
+    """The host ids (in shard order) and the profile table of a shard's host records.
+
+    Reads the ``num_hosts`` records at ``handle`` and checks every field a
+    :class:`HostProfile` is built from: a truncated record, an unknown role
+    or feature index, or a value outside the ranges :class:`HostProfile` and
+    :class:`FeatureIntensity` accept raises :class:`ValidationError`.
+    """
+    records = bytearray()
+    starts: List[int] = []
+    for _ in range(num_hosts):
+        starts.append(len(records))
+        head = _read_exact(handle, _HOST_STRUCT.size + 1)
+        records += head
+        records += _read_exact(handle, head[-1] * _INTENSITY_RECORD_SIZE)
+    raw = np.frombuffer(records, dtype=np.uint8)
+    first = np.array(starts, dtype=np.int64)
+    counts = raw[first + _HOST_STRUCT.size].astype(np.int64)
+    # Each intensity record's offset: its host's first record plus its rank.
+    ranks = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    at = np.repeat(first, counts) + (_HOST_STRUCT.size + 1) + ranks * _INTENSITY_RECORD_SIZE
+    # A host record holds its id at byte 0, its role index at 4 and its
+    # master intensity at 6 (_HOST_STRUCT).
+    _require_indices(raw[first + 4], len(_ROLE_ORDER), "role")
+    _require_indices(raw[at], len(_FEATURE_ORDER), "feature")
+    master = _gather(raw, first + 6, "<f8")[:, 0]
+    scale, body_sigma, burst_probability, burst_alpha = _gather(raw, at + 1, "<f8", 4).T
+    in_range = (
+        counts.all()
+        and (master > 0).all()
+        and (scale > 0).all()
+        and (body_sigma > 0).all()
+        and ((burst_probability >= 0.0) & (burst_probability <= 0.2)).all()
+        and (burst_alpha > 0).all()
+    )
+    require(bool(in_range), "population shard holds a host profile no HostProfile accepts")
+    host_ids = _gather(raw, first, "<u4")[:, 0].tolist()
+    return host_ids, _ShardProfiles(bytes(records), dict(zip(host_ids, starts)))
+
+
+class _ShardProfiles(Mapping[int, HostProfile]):
+    """A shard's host profiles, each built from its checked record on first lookup.
+
+    ``records`` holds the shard's host records back to back and ``starts``
+    maps each host id to its record's offset, in shard order.  A built
+    profile is kept, so every lookup of a host returns the same object.
+    """
+
+    def __init__(self, records: bytes, starts: Dict[int, int]) -> None:
+        self._records = records
+        self._starts = starts
+        self._built: Dict[int, HostProfile] = {}
+
+    def __getitem__(self, host_id: int) -> HostProfile:
+        profile = self._built.get(host_id)
+        if profile is None:
+            profile = self._built[host_id] = self._build(self._starts[host_id])
+        return profile
+
+    def __contains__(self, host_id: object) -> bool:
+        return host_id in self._starts
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._starts)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def _build(self, start: int) -> HostProfile:
+        records = self._records
+        host_id, role_index, is_laptop, master_intensity = _HOST_STRUCT.unpack_from(records, start)
+        intensities: Dict[Feature, FeatureIntensity] = {}
+        position = start + _HOST_STRUCT.size + 1
+        for _ in range(records[start + _HOST_STRUCT.size]):
+            scale, body_sigma, burst_probability, burst_alpha = _INTENSITY_STRUCT.unpack_from(
+                records, position + 1
+            )
+            intensities[_FEATURE_ORDER[records[position]]] = FeatureIntensity(
+                scale=scale,
+                body_sigma=body_sigma,
+                burst_probability=burst_probability,
+                burst_alpha=burst_alpha,
+            )
+            position += _INTENSITY_RECORD_SIZE
+        return HostProfile(
+            host_id=host_id,
+            role=_ROLE_ORDER[role_index],
+            master_intensity=master_intensity,
+            intensities=intensities,
+            is_laptop=bool(is_laptop),
+        )
+
+
+def _gather(raw: np.ndarray, offsets: np.ndarray, dtype: str, count: int = 1) -> np.ndarray:
+    """``count`` values of ``dtype`` at each byte offset into ``raw``, one row per offset."""
+    width = np.dtype(dtype).itemsize * count
+    return raw[offsets[:, None] + np.arange(width)].view(dtype)
+
+
+def _require_indices(indices: np.ndarray, limit: int, kind: str) -> None:
+    unknown = indices[indices >= limit]
+    if unknown.size:
+        raise ValidationError(f"unknown {kind} index {unknown[0]} in population shard")
+
+
 def _read_exact(handle, size: int) -> bytes:
     chunk = handle.read(size)
     require(len(chunk) == size, "truncated population shard file")
@@ -289,12 +390,6 @@ def _feature_at(index: int) -> Feature:
     if not 0 <= index < len(_FEATURE_ORDER):
         raise ValidationError(f"unknown feature index {index} in population shard")
     return _FEATURE_ORDER[index]
-
-
-def _role_at(index: int) -> UserRole:
-    if not 0 <= index < len(_ROLE_ORDER):
-        raise ValidationError(f"unknown role index {index} in population shard")
-    return _ROLE_ORDER[index]
 
 
 # ----------------------------------------------------------------- manifest

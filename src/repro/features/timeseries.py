@@ -89,13 +89,6 @@ class TimeSeries:
         return series
 
     # ------------------------------------------------------------ operations
-    def slice_time(self, start: float, end: float) -> "TimeSeries":
-        """Return the sub-series covering [start, end) in trace time."""
-        require(end >= start, "end must be >= start")
-        first = max(self._bin_spec.index_of(start), 0)
-        last = min(self._bin_spec.index_of(end - 1e-9) + 1, self.num_bins)
-        return TimeSeries._wrap(self._values[first:last], self._bin_spec)
-
     def week(self, index: int) -> "TimeSeries":
         """Return the series for week ``index`` (0-based).
 
@@ -237,22 +230,6 @@ class FeatureMatrix:
         """
         return FeatureMatrix(self._host_id, {f: ts.week(index) for f, ts in self._series.items()})
 
-    def week_range(self, start: int, end: int) -> "FeatureMatrix":
-        """Slice every feature series to the contiguous weeks ``[start, end)``.
-
-        The rolling-training-window slice; out-of-range windows raise a
-        :class:`ValueError` naming the available range.
-        """
-        return FeatureMatrix(
-            self._host_id, {f: ts.week_range(start, end) for f, ts in self._series.items()}
-        )
-
-    def slice_time(self, start: float, end: float) -> "FeatureMatrix":
-        """Slice every feature series to [start, end)."""
-        return FeatureMatrix(
-            self._host_id, {f: ts.slice_time(start, end) for f, ts in self._series.items()}
-        )
-
     def num_weeks(self) -> int:
         """Number of whole weeks covered."""
         return next(iter(self._series.values())).num_weeks()
@@ -273,9 +250,11 @@ class PopulationFrame(Mapping[int, FeatureMatrix]):
     ``values``, which would shadow :meth:`Mapping.values`.)  As a mapping the
     frame iterates in ``host_ids`` order and ``frame[h]`` is ``h``'s
     :class:`FeatureMatrix`, whose series are rows of ``array`` (not copies),
-    so it serves every reader of a population's matrices.  :meth:`block`
-    hands the train and measure kernels a whole population's bins as one
-    view instead of per-host rows to stack.
+    so it serves every reader of a population's matrices.  A host's matrix
+    is built on its first ``frame[h]`` and kept, so ``frame[h] is frame[h]``;
+    the block kernels never build one.  :meth:`block` hands the train and
+    measure kernels a whole population's bins as one view instead of
+    per-host rows to stack.
 
     A mapped shard is read-only, and so is the frame: the constructor rejects
     a writeable block, and every view of it raises on a write.
@@ -303,19 +282,9 @@ class PopulationFrame(Mapping[int, FeatureMatrix]):
         require(len(self._columns) == len(self._features), "frame features must be distinct")
         self._bin_spec = bin_spec
         self._array = array
-        self._matrices: Dict[int, FeatureMatrix] = {
-            host_id: FeatureMatrix(
-                host_id,
-                {
-                    # The block was validated when its series were built, so
-                    # rows are wrapped without a pass over their bins.
-                    feature: TimeSeries._wrap(array[row, column], bin_spec)
-                    for column, feature in enumerate(self._features)
-                },
-            )
-            for row, host_id in enumerate(self._host_ids)
-        }
-        require(len(self._matrices) == len(self._host_ids), "frame host ids must be distinct")
+        self._rows = {host_id: row for row, host_id in enumerate(self._host_ids)}
+        require(len(self._rows) == len(self._host_ids), "frame host ids must be distinct")
+        self._matrices: Dict[int, FeatureMatrix] = {}
 
     @property
     def host_ids(self) -> Tuple[int, ...]:
@@ -342,7 +311,20 @@ class PopulationFrame(Mapping[int, FeatureMatrix]):
         return self._array[:, self._columns[feature], first:last]
 
     def __getitem__(self, host_id: int) -> FeatureMatrix:
-        return self._matrices[host_id]
+        matrix = self._matrices.get(host_id)
+        if matrix is None:
+            row = self._rows[host_id]
+            # The block was validated when its series were built, so rows
+            # are wrapped without a pass over their bins.
+            series = {
+                feature: TimeSeries._wrap(self._array[row, column], self._bin_spec)
+                for column, feature in enumerate(self._features)
+            }
+            matrix = self._matrices[host_id] = FeatureMatrix(host_id, series)
+        return matrix
+
+    def __contains__(self, host_id: object) -> bool:
+        return host_id in self._rows
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._host_ids)

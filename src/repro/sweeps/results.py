@@ -16,14 +16,28 @@ group any record field (dotted paths reach into the spec, e.g.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.experiments.report import render_table
-from repro.utils.jsonl import append_jsonl, read_jsonl
+from repro.sweeps.spec import scenario_spec_hash
+from repro.utils.jsonl import append_jsonl, iter_jsonl, read_jsonl
 from repro.utils.records import plain
 from repro.utils.validation import ValidationError, require
 
@@ -130,10 +144,19 @@ class ScenarioRecord:
 
 
 class ResultStore:
-    """An append-only JSONL file of :class:`ScenarioRecord` lines."""
+    """An append-only JSONL file of :class:`ScenarioRecord` lines.
+
+    :meth:`spec_hashes` keeps what it has read: the spec hashes of the
+    file's complete lines, the file's ``(st_dev, st_ino)``, the byte offset
+    just past its last complete line and that line's bytes, so each call
+    reads only what was appended since the last.  A file replaced by rename,
+    cut shorter than that offset, or no longer holding that line just before
+    it is read from the start.
+    """
 
     def __init__(self, path: PathLike) -> None:
         self._path = Path(path).expanduser()
+        self._forget(None)
 
     @property
     def path(self) -> Path:
@@ -147,6 +170,44 @@ class ResultStore:
     def records(self) -> List[ScenarioRecord]:
         """Every stored record, in append order (a torn final line is skipped)."""
         return [ScenarioRecord.from_dict(payload) for payload in read_jsonl(self._path)]
+
+    def spec_hashes(self) -> FrozenSet[str]:
+        """The :func:`~repro.sweeps.spec.scenario_spec_hash` of every stored record's spec.
+
+        The sweep runner's result-cache key.  Records are read by
+        :func:`~repro.utils.jsonl.iter_jsonl` under :meth:`records`' rules: a
+        torn final line is skipped with a warning (and read again on the next
+        call), an unparsable line raises ``ValidationError`` naming
+        ``path:line``, and so does a record from a newer schema.  Only the
+        lines past the last complete one this store has read are parsed.
+        """
+        if not self._path.is_file():
+            self._forget(None)
+            return frozenset()
+        unterminated: Set[str] = set()
+        with self._path.open("rb") as handle:
+            status = os.fstat(handle.fileno())
+            identity = (status.st_dev, status.st_ino)
+            handle.seek(self._offset - len(self._last_line))
+            if identity != self._identity or handle.read(len(self._last_line)) != self._last_line:
+                self._forget(identity)
+            for payload, text, end, line in iter_jsonl(
+                handle, self._path, self._offset, self._lines
+            ):
+                spec_hash = scenario_spec_hash(ScenarioRecord.from_dict(payload).spec)
+                if end is None:
+                    unterminated.add(spec_hash)
+                else:
+                    self._hashes.add(spec_hash)
+                    self._offset, self._lines, self._last_line = end, line, text
+        return frozenset(self._hashes | unterminated)
+
+    def _forget(self, identity: Optional[Tuple[int, int]]) -> None:
+        """Start over on the file ``identity`` names: nothing of it read yet."""
+        self._identity = identity
+        self._offset = self._lines = 0
+        self._last_line = b""
+        self._hashes = set()
 
     def __len__(self) -> int:
         return len(self.records())

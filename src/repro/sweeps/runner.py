@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.evaluation import DetectionProtocol, EvaluationMemo
 from repro.core.experiment import ScenarioOutcome, evaluate_scenario
-from repro.engine import EngineStats, PopulationEngine, population_cache_key
+from repro.engine import EngineStats, PopulationEngine, VerifiedShards, population_cache_key
 from repro.engine.engine import _run_pool
 from repro.sweeps.results import ResultStore, ScenarioRecord
 from repro.sweeps.spec import ScenarioSpec, SweepSpec, scenario_spec_hash
@@ -249,6 +249,15 @@ class SweepRunner:
         requires the engine to have an on-disk cache — the pool's workers
         reload the shared populations from it; without a cache the runner
         falls back to serial evaluation.
+
+    A runner pays once for each input it has already checked.  It keeps one
+    :class:`~repro.engine.cache.VerifiedShards` memo for its lifetime, so
+    every :meth:`run` after the first maps a cached layout it already hashed
+    without hashing it again, unless the file or its manifest record
+    changed.  Its pool workers, and every engine call made outside a runner,
+    hash as before.  The result-cache check asks the store for its spec
+    hashes (:meth:`~repro.sweeps.results.ResultStore.spec_hashes`), which
+    reads only the records appended since the store's previous call.
     """
 
     def __init__(
@@ -257,6 +266,7 @@ class SweepRunner:
         require(workers is None or workers >= 1, "workers must be >= 1")
         self._engine = engine if engine is not None else PopulationEngine.from_env()
         self._workers = workers if workers is not None else 1
+        self._verified = VerifiedShards()
 
     @property
     def engine(self) -> PopulationEngine:
@@ -357,7 +367,7 @@ class SweepRunner:
         scenarios: List[ScenarioSpec], store: ResultStore
     ) -> Tuple[List[ScenarioSpec], Tuple[str, ...]]:
         """Split scenarios into (to evaluate, names already in the store)."""
-        existing = {scenario_spec_hash(record.spec) for record in store.records()}
+        existing = store.spec_hashes()
         if not existing:
             return scenarios, ()
         kept: List[ScenarioSpec] = []
@@ -397,7 +407,7 @@ class SweepRunner:
                 if sampled_only[key]:
                     populations[key] = self._engine.generate_sharded(config)
                 else:
-                    populations[key] = self._engine.generate(config)
+                    populations[key] = self._engine.generate(config, verified=self._verified)
                 first_use[key] = scenario.name
         return populations, first_use
 

@@ -3,7 +3,8 @@
 The sweep result store and the run-metrics history both append one JSON
 record per line.  A process killed mid-append leaves a *torn* final line: a
 partial record with no trailing newline.  :func:`read_jsonl` skips exactly
-that line with a warning, so every complete record stays readable, and
+that line with a warning, so every complete record stays readable (through
+:func:`iter_jsonl`, which also reads on from where a caller stopped), and
 :func:`append_jsonl` cuts a torn tail off before writing, so the fragment
 never ends up as a bad line in the middle of the file.  Any other line that
 is not valid JSON is corruption and raises.
@@ -19,7 +20,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any, List
+from typing import Any, BinaryIO, Iterator, List, Optional, Tuple
 
 from repro.utils.validation import ValidationError
 
@@ -40,23 +41,41 @@ def read_jsonl(path: Path) -> List[Any]:
     """
     if not path.is_file():
         return []
-    payloads: List[Any] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                # Only the last line of a file can lack its newline.
-                if not line.endswith("\n"):
-                    logger.warning(
-                        "%s:%d: skipping torn final line (interrupted append)", path, number
-                    )
-                    break
-                raise ValidationError(f"{path}:{number}: not valid JSON") from None
-            payloads.append(payload)
-    return payloads
+    with path.open("rb") as handle:
+        return [payload for payload, *_ in iter_jsonl(handle, path)]
+
+
+def iter_jsonl(
+    handle: BinaryIO, path: Path, offset: int = 0, line: int = 0
+) -> Iterator[Tuple[Any, bytes, Optional[int], int]]:
+    """``(payload, text, end, number)`` for each parsed line of ``path`` from byte ``offset`` on.
+
+    The one reader behind :func:`read_jsonl`, under the same rules, for a
+    caller that keeps its place in a growing file.  ``handle`` is ``path``
+    open in binary mode, ``offset`` is the start of a line and ``line``
+    counts the lines before it, so ``number`` (and every warning or error)
+    counts lines from the start of the file.  ``text`` is the line's bytes
+    and ``end`` the byte offset just past its newline, or None for a final
+    line without one.
+    """
+    handle.seek(offset)
+    for raw in handle:
+        line += 1
+        offset += len(raw)
+        if not raw.strip():
+            continue
+        terminated = raw.endswith(b"\n")
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            # Only the last line of a file can lack its newline.
+            if not terminated:
+                logger.warning(
+                    "%s:%d: skipping torn final line (interrupted append)", path, line
+                )
+                return
+            raise ValidationError(f"{path}:{line}: not valid JSON") from None
+        yield payload, raw, offset if terminated else None, line
 
 
 def append_jsonl(path: Path, payload: Any) -> None:
@@ -102,4 +121,4 @@ def _parses(text: bytes) -> bool:
     return True
 
 
-__all__ = ["append_jsonl", "read_jsonl"]
+__all__ = ["append_jsonl", "iter_jsonl", "read_jsonl"]

@@ -77,10 +77,13 @@ class EnterpriseConfig:
 class EnterprisePopulation:
     """The generated population: host profiles plus per-host feature matrices.
 
-    A population loaded from a one-shard cache layout holds its matrices as
-    a read-only :class:`~repro.features.timeseries.PopulationFrame` over the
-    mapped shard, kept as it is; any other mapping is copied into a dict
-    held behind one read-only view.
+    A population loaded from a one-shard cache layout holds the shard's
+    read-only :class:`~repro.features.timeseries.PopulationFrame` and its
+    profile table, both kept as they are: each builds a host's
+    :class:`~repro.features.timeseries.FeatureMatrix` or
+    :class:`~repro.workload.profiles.HostProfile` on first use.  Any other
+    matrices are copied into a dict held behind one read-only view, and any
+    other profiles into a dict.
     """
 
     def __init__(
@@ -92,11 +95,10 @@ class EnterprisePopulation:
         require(set(profiles) == set(matrices), "profiles and matrices must cover the same hosts")
         require(len(profiles) > 0, "population must contain at least one host")
         self._config = config
-        self._profiles = dict(profiles)
+        from_shard = isinstance(matrices, PopulationFrame)
+        self._profiles: Mapping[int, HostProfile] = profiles if from_shard else dict(profiles)
         self._matrices: Mapping[int, FeatureMatrix] = (
-            matrices
-            if isinstance(matrices, PopulationFrame)
-            else MappingProxyType(dict(matrices))
+            matrices if from_shard else MappingProxyType(dict(matrices))
         )
 
     # ----------------------------------------------------------------- basic

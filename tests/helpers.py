@@ -294,6 +294,43 @@ def rebin(series: TimeSeries, factor: int) -> TimeSeries:
     return TimeSeries(aggregated, spec)
 
 
+def slice_time(matrix: FeatureMatrix, start: float, end: float) -> FeatureMatrix:
+    """Every feature series of ``matrix`` cut to the bins covering [start, end) in trace time."""
+    require(end >= start, "end must be >= start")
+    series = {}
+    for feature, ts in matrix.items():
+        spec = ts.bin_spec
+        first = max(spec.index_of(start), 0)
+        last = min(spec.index_of(end - 1e-9) + 1, ts.num_bins)
+        series[feature] = TimeSeries(ts.values[first:last], spec)
+    return FeatureMatrix(matrix.host_id, series)
+
+
+def week_range(matrix: FeatureMatrix, start: int, end: int) -> FeatureMatrix:
+    """Every feature series of ``matrix`` cut to the contiguous weeks ``[start, end)``.
+
+    Out-of-range windows raise :class:`ValueError`, as ``TimeSeries.week_range`` does.
+    """
+    return FeatureMatrix(
+        matrix.host_id, {feature: s.week_range(start, end) for feature, s in matrix.items()}
+    )
+
+
+def count_hashes(monkeypatch) -> List[Path]:
+    """The shard paths the population cache hashes from here on, in call order."""
+    import repro.engine.cache as cache_module
+
+    hashed: List[Path] = []
+    original = cache_module._hash_file
+
+    def counted(path):
+        hashed.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cache_module, "_hash_file", counted)
+    return hashed
+
+
 def materialize(sharded: ShardedPopulation) -> EnterprisePopulation:
     """The equivalent fully in-memory population; missing shards are built first."""
     matrices = dict(sharded.matrices())

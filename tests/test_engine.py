@@ -23,14 +23,22 @@ from repro.engine import (
     population_cache_key,
 )
 from repro.engine.engine import _chunk_host_ids
-from repro.engine.serialization import _file_sha256, write_population_sharded
+from repro.engine.serialization import (
+    _HEADER_STRUCT,
+    _HOST_STRUCT,
+    _INTENSITY_RECORD_SIZE,
+    _file_sha256,
+    write_population_sharded,
+)
 from repro.features.definitions import PAPER_FEATURES
-from repro.features.timeseries import PopulationFrame
+from repro.features.timeseries import FeatureMatrix, PopulationFrame
 from repro.utils.timeutils import BinSpec
 from repro.utils.validation import ValidationError
 from repro.workload.drift import DriftModel
 from repro.workload.enterprise import EnterpriseConfig, generate_enterprise
-from repro.workload.profiles import UserRole
+from repro.workload.profiles import HostProfile, UserRole
+
+from helpers import count_hashes
 
 CONFIG = EnterpriseConfig(num_hosts=70, num_weeks=2, seed=424)
 
@@ -161,6 +169,15 @@ class TestCache:
         # Without --workers the serial heuristic stays in force.
         assert PopulationEngine.from_flags()._effective_workers(2) == 1
 
+    def test_each_generate_outside_a_runner_hashes_the_layout(self, tmp_path, monkeypatch):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path)
+        engine.generate(CONFIG)
+        hashed = count_hashes(monkeypatch)
+        engine.generate(CONFIG)
+        engine.generate(CONFIG)
+        shard = engine.cache.path_for(CONFIG) / "shard-00000.rpsh"
+        assert hashed == [shard, shard]
+
     def test_engine_stats_accounting(self, tmp_path):
         from repro.engine import EngineStats
 
@@ -221,6 +238,27 @@ class TestSerialization:
         cache = self._store_and_rewrite_shard(tmp_path, lambda data: data[:40])
         assert cache.load(self.CONFIG) is None
 
+    @pytest.mark.parametrize(
+        "field, offset, value",
+        [
+            ("role index", 4, len(UserRole)),
+            ("feature index", _HOST_STRUCT.size + 1, len(PAPER_FEATURES)),
+            ("intensity burst probability", _HOST_STRUCT.size + 1 + 1 + 16, 0.5),
+            ("master intensity", 6, 0.0),
+        ],
+    )
+    def test_a_host_record_no_profile_accepts_is_a_miss(self, tmp_path, field, offset, value):
+        """Checked at load for every host, although profiles are built on first lookup."""
+        record = _HOST_STRUCT.size + 1 + len(PAPER_FEATURES) * _INTENSITY_RECORD_SIZE
+        at = _HEADER_STRUCT.size + 7 * record + offset
+        packed = struct.pack("<B", value) if isinstance(value, int) else struct.pack("<d", value)
+
+        def rewrite(data):
+            return data[:at] + packed + data[at + len(packed) :]
+
+        cache = self._store_and_rewrite_shard(tmp_path, rewrite)
+        assert cache.load(self.CONFIG) is None, field
+
     def test_drift_component_without_kind_is_a_miss(self, tmp_path):
         """The manifest's config is read by the record codec: a malformed one is a ValidationError."""
         config = EnterpriseConfig(
@@ -270,6 +308,29 @@ class TestPopulationFrame:
         np.testing.assert_array_equal(block, frame.array[:, 1, 3:9])
         assert np.shares_memory(block, frame.array)
         assert 12 not in frame and 0 in frame
+
+    def test_host_objects_are_built_on_first_use(self, tmp_path, monkeypatch):
+        generated = PopulationEngine(workers=1).generate(self.CONFIG)
+        cache = PopulationCache(tmp_path)
+        cache.store(generated)
+        built = []
+        for cls, method in ((FeatureMatrix, "__init__"), (HostProfile, "__post_init__")):
+            original = getattr(cls, method)
+
+            def counted(self, *args, _original=original, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+        loaded = cache.load(self.CONFIG)
+        assert built == []
+        frame = loaded.matrices()
+        assert frame[5] is frame[5] is loaded.matrix(5)
+        assert loaded.profile(5) is loaded.profile(5)
+        assert built == ["FeatureMatrix", "HostProfile"]
+        assert_populations_identical(generated, loaded)
+        assert all(frame[h] is loaded.matrix(h) for h in frame)
+        assert built.count("FeatureMatrix") == built.count("HostProfile") == len(frame)
 
     def test_writes_raise(self, tmp_path):
         _, loaded = self._frame(tmp_path)

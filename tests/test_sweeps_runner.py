@@ -28,10 +28,11 @@ from repro.sweeps import (
     run_scenario,
 )
 from repro.sweeps.catalog import builtin_sweeps
+from repro.sweeps.spec import scenario_spec_hash
 from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
 
-from helpers import process_exited
+from helpers import count_hashes, process_exited
 
 
 def _sweep(axes, num_hosts=8, mode="grid", name="test-sweep"):
@@ -572,6 +573,88 @@ class TestEvaluationMemo:
         assert _reuse_counts(sweep, uncached) == _reuse_counts(sweep, warm) == (4, 2, 3)
 
 
+def _outcomes(run):
+    """A run's outcomes by scenario name, without their wall-clock training cost."""
+    outcomes = {}
+    for result in run.results:
+        outcome = result.outcome.to_dict()
+        outcome.pop("training_cost_seconds")
+        outcomes[result.scenario.name] = outcome
+    return outcomes
+
+
+def _rewrite_in_place(path: Path, data: bytes) -> None:
+    """Write ``data`` over ``path`` (same inode) and move its mtime on by a second.
+
+    A second is coarser than any file system's timestamp granularity, so the
+    rewrite shows in the mtime even when it lands in the tick of the last
+    write, as it would on a later clock.
+    """
+    status = path.stat()
+    with open(path, "r+b") as handle:
+        handle.write(data)
+        handle.truncate()
+    os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns + 1_000_000_000))
+
+
+class TestVerifiedLayouts:
+    """A runner hashes a cached layout once, until its file or manifest record changes."""
+
+    FIRST = _sweep({"policy.kind": ["homogeneous", "full-diversity"]}, name="first")
+    SECOND = _sweep({"attack.size": [25.0, 75.0]}, name="second")
+
+    def _warm(self, tmp_path):
+        engine = PopulationEngine(workers=1, cache_dir=tmp_path / "cache")
+        config = self.FIRST.scenario.population.to_config()
+        engine.generate(config)
+        layout = engine.cache.path_for(config)
+        return engine, layout / "shard-00000.rpsh", layout / "manifest.json"
+
+    def test_two_runs_on_one_unchanged_layout_hash_its_shard_once(self, tmp_path, monkeypatch):
+        engine, shard, _ = self._warm(tmp_path)
+        hashed = count_hashes(monkeypatch)
+        runner = SweepRunner(engine=engine, workers=1)
+        runner.run(self.FIRST)
+        runner.run(self.SECOND)
+        assert hashed == [shard]
+        # Another runner on the same engine has checked nothing yet.
+        SweepRunner(engine=engine, workers=1).run(self.SECOND)
+        assert hashed == [shard, shard]
+
+    @pytest.mark.parametrize(
+        "change", ["rewritten-in-place", "replaced-by-rename", "manifest-hash", "corrupt"]
+    )
+    def test_a_changed_layout_is_hashed_again(self, tmp_path, monkeypatch, change):
+        engine, shard, manifest_path = self._warm(tmp_path)
+        hashed = count_hashes(monkeypatch)
+        runner = SweepRunner(engine=engine, workers=1)
+        runner.run(self.FIRST)
+        data = shard.read_bytes()
+        if change == "rewritten-in-place":
+            _rewrite_in_place(shard, data)
+        elif change == "replaced-by-rename":
+            # A copy that keeps the size and mtime (as cp -p would): only the inode moves.
+            status = shard.stat()
+            replacement = shard.with_suffix(".new")
+            replacement.write_bytes(data)
+            os.utime(replacement, ns=(status.st_atime_ns, status.st_mtime_ns))
+            os.replace(replacement, shard)
+        elif change == "manifest-hash":
+            manifest = json.loads(manifest_path.read_text())
+            manifest["shards"][0]["sha256"] = "0" * 64
+            manifest_path.write_text(json.dumps(manifest))
+        else:
+            corrupt = bytearray(data)
+            corrupt[-3] ^= 0xFF
+            _rewrite_in_place(shard, bytes(corrupt))
+        second = runner.run(self.SECOND)
+        assert hashed == [shard, shard]
+        # A shard that no longer matches its record is a miss: regenerated and rewritten.
+        assert second.populations_generated == (change in ("manifest-hash", "corrupt"))
+        fresh_engine = PopulationEngine(workers=1, cache_dir=tmp_path / "fresh")
+        assert _outcomes(second) == _outcomes(SweepRunner(engine=fresh_engine).run(self.SECOND))
+
+
 class TestMultiFeatureScenarios:
     def _fusion_sweep(self, tmp_path):
         return SweepSpec.from_dict(
@@ -783,7 +866,7 @@ class TestResultStore:
         """A store of ``count`` records whose last append was cut off mid-record."""
         store = ResultStore(tmp_path / "store.jsonl")
         for index in range(count):
-            store.append(self._record(scenario=f"s{index}"))
+            store.append(self._record(scenario=f"s{index}", size=float(index)))
         text = store.path.read_text()
         store.path.write_text(text[: text.rindex("\n", 0, -1) + 40])
         return store
@@ -809,6 +892,105 @@ class TestResultStore:
         store.append(self._record(scenario="s2"))
         assert [record.scenario for record in store.records()] == ["s1", "s2"]
         assert jsonl_warnings == []
+
+    @staticmethod
+    def _stored_hashes(store):
+        return {scenario_spec_hash(record.spec) for record in store.records()}
+
+    def test_spec_hashes_follow_appends_through_another_store(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        assert store.spec_hashes() == frozenset()
+        writer = ResultStore(store.path)
+        for index in range(3):
+            writer.append(self._record(scenario=f"s{index}", size=float(index)))
+            assert store.spec_hashes() == self._stored_hashes(store)
+        assert len(store.spec_hashes()) == 3
+
+    def test_spec_hashes_read_only_the_new_records(self, tmp_path, monkeypatch):
+        import repro.sweeps.results as results_module
+
+        hashed = []
+        monkeypatch.setattr(
+            results_module,
+            "scenario_spec_hash",
+            lambda spec: hashed.append(spec) or scenario_spec_hash(spec),
+        )
+        store = ResultStore(tmp_path / "store.jsonl")
+        for index in range(5):
+            store.append(self._record(scenario=f"s{index}", size=float(index)))
+        assert len(store.spec_hashes()) == 5 and len(hashed) == 5
+        assert len(store.spec_hashes()) == 5 and len(hashed) == 5
+        store.append(self._record(scenario="s5", size=5.0))
+        assert len(store.spec_hashes()) == 6 and len(hashed) == 6
+
+    def test_spec_hashes_skip_a_torn_final_line_until_an_append_cuts_it(
+        self, tmp_path, jsonl_warnings
+    ):
+        store = self._torn_store(tmp_path)
+        reader = ResultStore(store.path)
+        stored = self._stored_hashes(store)
+        assert len(stored) == 11
+        jsonl_warnings.clear()
+        # Each call reads the torn line again and warns as read_jsonl does.
+        assert reader.spec_hashes() == reader.spec_hashes() == stored
+        torn = f"{store.path}:12: skipping torn final line (interrupted append)"
+        assert jsonl_warnings == [torn, torn]
+        store.append(self._record(scenario="s11", size=11.0))
+        assert jsonl_warnings[-1] == f"{store.path}:12: dropping torn final line (interrupted append)"
+        assert reader.spec_hashes() == self._stored_hashes(store)
+        assert len(reader.spec_hashes()) == 12
+
+    def test_spec_hashes_count_a_complete_final_line_without_its_newline(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        first, second = (self._record(scenario=f"s{i}", size=float(i)) for i in range(2))
+        path.write_text(json.dumps(first.to_dict()) + "\n" + json.dumps(second.to_dict()))
+        store = ResultStore(path)
+        assert store.spec_hashes() == self._stored_hashes(store)
+        assert len(store.spec_hashes()) == 2
+        store.append(self._record(scenario="s2", size=2.0))
+        assert store.spec_hashes() == self._stored_hashes(store)
+        assert len(store.spec_hashes()) == 3
+
+    @pytest.mark.parametrize("change", ["truncated", "truncated-and-regrown", "replaced"])
+    def test_spec_hashes_reread_a_file_cut_or_replaced(self, tmp_path, change):
+        store = ResultStore(tmp_path / "store.jsonl")
+        for index in range(6):
+            store.append(self._record(scenario=f"s{index}", size=float(index)))
+        reader = ResultStore(store.path)
+        assert len(reader.spec_hashes()) == 6
+        lines = store.path.read_text().splitlines(keepends=True)
+        if change == "replaced":
+            # Other records of the same lengths, then the same last line at the same offset.
+            others = [self._record(scenario=f"t{i}", size=i + 0.5).to_dict() for i in range(5)]
+            replacement = store.path.with_suffix(".new")
+            replacement.write_text("".join(json.dumps(o, sort_keys=True) + "\n" for o in others))
+            with replacement.open("a") as handle:
+                handle.write(lines[5])
+            assert replacement.stat().st_size == store.path.stat().st_size
+            os.replace(replacement, store.path)
+        else:
+            store.path.write_text("".join(lines[:2]))
+            if change == "truncated-and-regrown":
+                for index in range(10, 15):
+                    store.append(self._record(scenario=f"s{index}", size=float(index)))
+        assert reader.spec_hashes() == self._stored_hashes(store)
+        assert len(reader.spec_hashes()) == {"truncated": 2, "replaced": 6}.get(change, 7)
+
+    def test_spec_hashes_reject_a_bad_middle_line_and_a_newer_schema(self, tmp_path):
+        store = ResultStore(tmp_path / "store.jsonl")
+        for index in range(3):
+            store.append(self._record(scenario=f"s{index}", size=float(index)))
+        assert len(store.spec_hashes()) == 3
+        with store.path.open("a") as handle:
+            handle.write("not json\n")
+        store.append(self._record(scenario="s4", size=4.0))
+        with pytest.raises(ValidationError, match=f"{store.path}:4: not valid JSON"):
+            store.spec_hashes()
+        newer = self._record(scenario="s5").to_dict()
+        newer["schema"] = RESULT_SCHEMA_VERSION + 1
+        store.path.write_text(json.dumps(newer) + "\n")
+        with pytest.raises(ValidationError, match="newer than supported"):
+            store.spec_hashes()
 
     def test_value_lookup(self):
         record = self._record()

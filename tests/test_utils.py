@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.jsonl import append_jsonl, read_jsonl
+from repro.utils.jsonl import append_jsonl, iter_jsonl, read_jsonl
 from repro.utils.records import parse
 from repro.utils.rng import RandomSource, derive_seed, spawn_rng
 from repro.utils.timeutils import BinSpec, WEEK, bin_index
@@ -139,6 +139,40 @@ class TestRandomSource:
     def test_derive_seed_in_range(self, seed, label):
         derived = derive_seed(seed, label)
         assert 0 <= derived < 2**63
+
+
+class TestJsonlTail:
+    """``iter_jsonl`` reads on from a caller's offset under ``read_jsonl``'s rules."""
+
+    @staticmethod
+    def _rows(path, offset=0, line=0):
+        with path.open("rb") as handle:
+            return list(iter_jsonl(handle, path, offset, line))
+
+    def test_lines_from_an_offset_keep_their_file_line_numbers(self, tmp_path, jsonl_warnings):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"a": 1}\n{"a": 2}\n\n{"a": 3}\n{"a": 4')
+        assert self._rows(path, offset=9, line=1) == [
+            ({"a": 2}, b'{"a": 2}\n', 18, 2),
+            ({"a": 3}, b'{"a": 3}\n', 28, 4),
+        ]
+        assert jsonl_warnings == [f"{path}:5: skipping torn final line (interrupted append)"]
+        assert [row[0] for row in self._rows(path)] == read_jsonl(path) == [{"a": i} for i in (1, 2, 3)]
+
+    def test_a_complete_final_line_without_its_newline_has_no_end(self, tmp_path, jsonl_warnings):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"a": 1}\n{"a": 2}')
+        assert self._rows(path) == [({"a": 1}, b'{"a": 1}\n', 9, 1), ({"a": 2}, b'{"a": 2}', None, 2)]
+        assert jsonl_warnings == []
+
+    @pytest.mark.parametrize("bad", [b"nope", b"\xff"], ids=["not-json", "not-utf8"])
+    def test_a_bad_middle_line_names_its_file_line(self, tmp_path, bad):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"a": 1}\n' + bad + b'\n{"a": 2}\n')
+        with pytest.raises(ValidationError, match=f"{path}:2: not valid JSON"):
+            self._rows(path, offset=9, line=1)
+        with pytest.raises(ValidationError, match=f"{path}:2: not valid JSON"):
+            read_jsonl(path)
 
 
 def _append_records(path: str, log_path: str, writer: int, count: int, pad: int) -> None:

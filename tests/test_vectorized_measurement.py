@@ -94,7 +94,7 @@ from repro.utils.timeutils import WEEK, BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
 
-from helpers import f_measure_from_rates, fuse, inject_attack
+from helpers import f_measure_from_rates, fuse, inject_attack, slice_time
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
 FIGURES_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_figures.json"
@@ -765,7 +765,7 @@ class TestOneGridRule:
         if odd_host == "shifted-origin":
             mixed[host_id] = _shift_origin(matrices[host_id], WEEK / 2)
         else:
-            mixed[host_id] = matrices[host_id].slice_time(0.0, 1.5 * WEEK)
+            mixed[host_id] = slice_time(matrices[host_id], 0.0, 1.5 * WEEK)
         with pytest.raises(ValidationError, match="one bin grid"):
             ONE_GRID_ENTRY_POINTS[name](mixed, assignment, baseline)
 
