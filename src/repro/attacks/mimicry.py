@@ -22,7 +22,7 @@ import numpy as np
 from repro.attacks.base import Attack, AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, population_block
-from repro.stats.empirical import EmpiricalDistribution
+from repro.stats.empirical import EmpiricalDistribution, block_percentiles
 from repro.utils.validation import require, require_probability
 
 
@@ -117,14 +117,12 @@ def batch_hidden_traffic(
     series, ``thresholds`` the ``(num_hosts,)`` thresholds in force, or a
     ``(num_assignments, num_hosts)`` stack of several assignments' thresholds
     scored against one percentile per host (the result then has that shape
-    too).  Host ``i`` is bit-identical to the per-host computation —
-    ``np.percentile`` along ``axis=1`` applies the same order statistics and
-    interpolation per row as the scalar call does on one host's samples.
+    too).  Each host's percentile is read by index from one row-sorted copy
+    of the stack (:func:`~repro.stats.empirical.block_percentiles`), so host
+    ``i`` is bit-identical to the per-host computation on its own samples.
     """
     require_probability(evasion_probability, "evasion_probability")
-    stacked = np.asarray(values, dtype=float)
-    require(stacked.ndim == 2, "values must be a (num_hosts, num_bins) stack")
-    quantiles = np.percentile(stacked, 100.0 * evasion_probability, axis=1)
+    quantiles = block_percentiles(values, 100.0 * evasion_probability)
     return np.maximum(0.0, np.asarray(thresholds, dtype=float) - quantiles)
 
 

@@ -505,7 +505,7 @@ def training_distributions(
     Only the requested feature is trained — a single-feature protocol never
     pays for the five features it does not train on.
     """
-    return _train_blocks(matrices, (feature,), week, week + 1, active_bins_only)[feature]
+    return _train_blocks(matrices, (feature,), (week, week + 1), active_bins_only)[feature]
 
 
 def detection_training_distributions(
@@ -515,7 +515,19 @@ def detection_training_distributions(
     active_bins_only: bool = True,
 ) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
     """:func:`training_distributions` for every feature of a protocol."""
-    return _train_blocks(matrices, features, week, week + 1, active_bins_only)
+    return _train_blocks(matrices, features, (week, week + 1), active_bins_only)
+
+
+def series_distributions(
+    matrices: Mapping[int, FeatureMatrix],
+    features: Iterable[Feature],
+    active_bins_only: bool = True,
+) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
+    """:func:`detection_training_distributions` over every bin of each series, not one week.
+
+    Figure 1 reads each host's tails from these.
+    """
+    return _train_blocks(matrices, features, None, active_bins_only)
 
 
 def detection_training_window_distributions(
@@ -534,17 +546,18 @@ def detection_training_window_distributions(
     the same bins).  Out-of-range windows raise :class:`ValueError` as
     :meth:`~repro.features.timeseries.TimeSeries.week_range` does.
     """
-    return _train_blocks(matrices, features, start_week, end_week, active_bins_only)
+    return _train_blocks(matrices, features, (start_week, end_week), active_bins_only)
 
 
 def _train_blocks(
     matrices: Mapping[int, FeatureMatrix],
     features: Iterable[Feature],
-    start_week: int,
-    end_week: int,
+    weeks: Optional[Tuple[int, int]],
     active_bins_only: bool,
 ) -> Dict[Feature, Dict[int, EmpiricalDistribution]]:
     """The training kernel: per feature, one sort of the population's ``(hosts, bins)`` block.
+
+    The block covers ``weeks`` ``[start, end)``, or every bin when None.
 
     Each host's distribution wraps its row of the sorted block without a
     copy.  With ``active_bins_only`` that row is its suffix after the last
@@ -555,7 +568,7 @@ def _train_blocks(
     """
     distributions: Dict[Feature, Dict[int, EmpiricalDistribution]] = {}
     for feature in features:
-        block = np.sort(population_block(matrices, feature, (start_week, end_week)), axis=1)
+        block = np.sort(population_block(matrices, feature, weeks), axis=1)
         # Sorted rows put -inf first and +inf and NaN last.
         if not np.isfinite(block[:, [0, -1]]).all():
             raise ValidationError("samples must be finite")

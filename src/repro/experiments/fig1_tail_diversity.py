@@ -14,8 +14,10 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.evaluation import series_distributions
 from repro.experiments.report import render_table
 from repro.features.definitions import Feature, PAPER_FEATURES
+from repro.stats.empirical import stacked_percentiles
 from repro.stats.tail import orders_of_magnitude
 from repro.utils.validation import require
 from repro.workload.enterprise import EnterprisePopulation
@@ -92,21 +94,20 @@ def run_fig1(
     """Compute the Figure 1 measurements on ``population``.
 
     ``active_bins_only`` mirrors the connection-log semantics used for
-    threshold learning (zero-count bins excluded from the distribution).
+    threshold learning (zero-count bins excluded from the distribution, or
+    every bin of a host with no active one).  Each feature's rows come from
+    one sort of its ``(hosts, bins)`` block over the whole series, and both
+    tails from one pass of the percentile kernel; every value equals
+    ``np.percentile`` of the host's own bins.
     """
     require(len(features) > 0, "at least one feature is required")
+    distributions = series_distributions(population.matrices(), features, active_bins_only)
     per_feature: Dict[Feature, FeatureTailDiversity] = {}
-    for feature in features:
-        p99: Dict[int, float] = {}
-        p999: Dict[int, float] = {}
-        for host_id in population.host_ids:
-            values = np.asarray(population.matrix(host_id).series(feature).values)
-            if active_bins_only:
-                active = values[values > 0]
-                values = active if active.size else values
-            p99[host_id] = float(np.percentile(values, 99))
-            p999[host_id] = float(np.percentile(values, 99.9))
+    for feature, by_host in distributions.items():
+        tails = stacked_percentiles(list(by_host.values()), [99.0, 99.9]).T.tolist()
         per_feature[feature] = FeatureTailDiversity(
-            feature=feature, p99_by_host=p99, p999_by_host=p999
+            feature=feature,
+            p99_by_host=dict(zip(by_host, tails[0])),
+            p999_by_host=dict(zip(by_host, tails[1])),
         )
     return TailDiversityResult(per_feature=per_feature, num_hosts=len(population))

@@ -26,6 +26,7 @@ from repro.attacks.mimicry import mimicry_builder
 from repro.attacks.naive import NaiveAttacker
 from repro.core.evaluation import (
     DetectionProtocol,
+    EvaluationMemo,
     PolicyEvaluation,
     evaluate_policy,
     naive_false_negatives,
@@ -119,6 +120,7 @@ def run_fig3(
     test_week: int = 1,
     attack_sizes: Optional[Sequence[float]] = None,
     partial_groups: int = 8,
+    memo: Optional[EvaluationMemo] = None,
 ) -> UtilityComparisonResult:
     """Compute Figure 3 on ``population``.
 
@@ -129,6 +131,9 @@ def run_fig3(
     ``evaluations`` holds each policy's full evaluation under the first
     attack size (the smallest, by default); the figure's numbers average
     each host's FN over every size.
+
+    Every evaluation takes its training and assignments from ``memo``, a
+    fresh :class:`~repro.core.evaluation.EvaluationMemo` when None.
     """
     require(len(weights) > 0, "at least one weight is required")
     sizes = tuple(attack_sizes) if attack_sizes is not None else default_attack_sizes(population, feature)
@@ -146,6 +151,7 @@ def run_fig3(
         test_week=test_week,
         utility_weight=utility_weight,
     )
+    memo = EvaluationMemo() if memo is None else memo
 
     # The evaluated attacks: one always-on naive injection per swept size.
     first_builder = NaiveAttacker(feature=feature, attack_size=sizes[0]).builder()
@@ -157,7 +163,9 @@ def run_fig3(
         # that assignment under every size.  Each host's FN is averaged over
         # the sizes (a C-order row mean sums pairwise, as np.mean of the
         # host's own FN list does); FP does not depend on the attack.
-        first = evaluate_policy(matrices, policy, protocol, attack_builder=first_builder)
+        first = evaluate_policy(
+            matrices, policy, protocol, attack_builder=first_builder, memo=memo
+        )
         evaluations[policy.name] = first
         false_negatives = naive_false_negatives(matrices, first.assignment, protocol, sizes)
         rates[policy.name] = (
@@ -257,6 +265,7 @@ def run_fig3_cooptimized(
     test_week: int = 1,
     partial_groups: int = 8,
     optimizers: Optional[Mapping[str, ThresholdOptimizer]] = None,
+    memo: Optional[EvaluationMemo] = None,
 ) -> CoOptimizedUtilityResult:
     """Compute the co-optimised Figure 3 variant on ``population``.
 
@@ -265,6 +274,9 @@ def run_fig3_cooptimized(
     primary feature — so it adapts to the co-optimised thresholds too, and
     the measured gap is a fair fight between selection strategies, not an
     attacker caught off guard.
+
+    Every evaluation takes its training and assignments from ``memo``, a
+    fresh :class:`~repro.core.evaluation.EvaluationMemo` when None.
     """
     features = tuple(features)
     fusion = fusion if fusion is not None else FusionRule.any_()
@@ -290,6 +302,7 @@ def run_fig3_cooptimized(
         utility_weight=utility_weight,
     )
     mimicry = mimicry_builder(features[0], evasion_probability)
+    memo = EvaluationMemo() if memo is None else memo
 
     mean_utilities: Dict[str, Dict[str, float]] = {}
     detection_rates: Dict[str, Dict[str, float]] = {}
@@ -304,7 +317,9 @@ def run_fig3_cooptimized(
         detections: Dict[str, float] = {}
         objectives: Dict[str, float] = {}
         for policy in policies:
-            evaluation = evaluate_policy(matrices, policy, protocol, attack_builder=mimicry)
+            evaluation = evaluate_policy(
+                matrices, policy, protocol, attack_builder=mimicry, memo=memo
+            )
             utilities[policy.name] = evaluation.mean_utility()
             detections[policy.name] = float(
                 np.mean(list(evaluation.detection_rates().values()))

@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.storm import StormZombieModel, generate_storm_trace, storm_builder
-from repro.core.evaluation import DetectionProtocol, evaluate_policy
+from repro.core.evaluation import DetectionProtocol, EvaluationMemo, evaluate_policy
 from repro.core.policies import (
     ConfigurationPolicy,
     FullDiversityPolicy,
@@ -95,12 +95,16 @@ def run_fig5(
     storm_model: Optional[StormZombieModel] = None,
     storm_seed: int = 1701,
     partial_groups: int = 8,
+    memo: Optional[EvaluationMemo] = None,
 ) -> StormReplayResult:
     """Compute Figure 5 on ``population``.
 
     The same Storm zombie trace (same seed) is overlaid on every host's test
-    week, matching the paper's replay methodology.
+    week, matching the paper's replay methodology.  Every evaluation takes
+    its training and assignments from ``memo``, a fresh
+    :class:`~repro.core.evaluation.EvaluationMemo` when None.
     """
+    memo = EvaluationMemo() if memo is None else memo
     matrices = population.matrices()
     protocol = DetectionProtocol(features=(feature,), train_week=train_week, test_week=test_week)
     heuristic = PercentileHeuristic(99.0)
@@ -121,7 +125,7 @@ def run_fig5(
     scatter: Dict[str, Dict[int, Tuple[float, float]]] = {}
     for policy in policies:
         evaluation = evaluate_policy(
-            matrices, policy, protocol, attack_builder=attack_builder
+            matrices, policy, protocol, attack_builder=attack_builder, memo=memo
         )
         false_positives = evaluation.false_positive_rates()
         detections = evaluation.detection_rates()

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.evaluation import EvaluationMemo
 from repro.experiments.fig1_tail_diversity import TailDiversityResult, run_fig1
 from repro.experiments.fig2_feature_scatter import FeatureScatterResult, run_fig2
 from repro.experiments.fig3_utility import (
@@ -74,19 +75,28 @@ def run_all_experiments(
     350 hosts, five weeks).  An ``engine`` (see
     :class:`repro.engine.PopulationEngine`) enables parallel generation and
     population caching for repeated runs.
+
+    The figures that evaluate through
+    :func:`~repro.core.evaluation.evaluate_policy` (fig3, table3, fig5 and
+    the fused table3 and co-optimised fig3) share one
+    :class:`~repro.core.evaluation.EvaluationMemo`: each (feature, training
+    week) is trained once and each distinct assignment computed once, so
+    table3's utility trio reuses fig3's.  fig4 trains and assigns by itself,
+    outside any evaluation.  Nothing outlives the call.
     """
     if population is None:
         population = generate_enterprise(config, engine=engine)
+    memo = EvaluationMemo()
     return ExperimentSuiteResult(
         population=population,
         fig1=run_fig1(population),
         fig2=run_fig2(population),
         table2=run_table2(population),
-        fig3=run_fig3(population),
-        table3=run_table3(population),
+        fig3=run_fig3(population, memo=memo),
+        table3=run_table3(population, memo=memo),
         fig4=run_fig4(population),
-        fig5=run_fig5(population),
-        table3_fused=run_table3_fused(population),
-        fig3_cooptimized=run_fig3_cooptimized(population),
+        fig5=run_fig5(population, memo=memo),
+        table3_fused=run_table3_fused(population, memo=memo),
+        fig3_cooptimized=run_fig3_cooptimized(population, memo=memo),
         fig6=run_fig6(population),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.evaluation import DetectionProtocol, evaluate_policy
+from repro.core.evaluation import DetectionProtocol, EvaluationMemo, evaluate_policy
 from repro.core.fusion import FusionRule
 from repro.core.policies import (
     ConfigurationPolicy,
@@ -72,8 +72,15 @@ def run_table3(
     utility_weight: float = 0.4,
     attack_sizes: Optional[Sequence[float]] = None,
     partial_groups: int = 8,
+    memo: Optional[EvaluationMemo] = None,
 ) -> AlarmVolumeResult:
-    """Compute Table 3 on ``population``."""
+    """Compute Table 3 on ``population``.
+
+    Every evaluation takes its training and assignments from ``memo``, a
+    fresh :class:`~repro.core.evaluation.EvaluationMemo` when None: the six
+    cells train once.
+    """
+    memo = EvaluationMemo() if memo is None else memo
     matrices = population.matrices()
     protocol = DetectionProtocol(
         features=(feature,),
@@ -100,7 +107,7 @@ def run_table3(
         )
         per_policy: Dict[str, float] = {}
         for policy in policies:
-            evaluation = evaluate_policy(matrices, policy, protocol)
+            evaluation = evaluate_policy(matrices, policy, protocol, memo=memo)
             per_policy[policy.name] = float(evaluation.total_false_alarms())
         alarms[heuristic_name] = per_policy
 
@@ -164,6 +171,7 @@ def run_table3_fused(
     utility_weight: float = 0.4,
     attack_sizes: Sequence[float] = (10.0, 50.0, 100.0, 500.0),
     partial_groups: int = 8,
+    memo: Optional[EvaluationMemo] = None,
 ) -> FusedAlarmVolumeResult:
     """Compute the fused Table 3: console load under each threshold optimizer.
 
@@ -171,7 +179,11 @@ def run_table3_fused(
     utility heuristic as the per-feature base; the rows differ only in how
     the per-feature threshold vector is *selected* (independent per-feature
     heuristics vs joint co-optimisation of the fused utility).
+
+    Every evaluation takes its training and assignments from ``memo``, a
+    fresh :class:`~repro.core.evaluation.EvaluationMemo` when None.
     """
+    memo = EvaluationMemo() if memo is None else memo
     matrices = population.matrices()
     fusion = fusion if fusion is not None else FusionRule.any_()
     protocol = DetectionProtocol(
@@ -203,7 +215,7 @@ def run_table3_fused(
         per_policy: Dict[str, float] = {}
         per_policy_objective: Dict[str, float] = {}
         for policy in policies:
-            evaluation = evaluate_policy(matrices, policy, protocol)
+            evaluation = evaluate_policy(matrices, policy, protocol, memo=memo)
             per_policy[policy.name] = float(evaluation.total_false_alarms())
             per_policy_objective[policy.name] = float(evaluation.optimization.objective_value)
         alarms[optimizer_name] = per_policy

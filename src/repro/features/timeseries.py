@@ -136,18 +136,9 @@ class TimeSeries:
         """
         return EmpiricalDistribution(self._values, bin_width=self.bin_width)
 
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile of per-bin counts."""
-        return self.distribution().percentile(q)
-
     def total(self) -> float:
         """Sum over all bins."""
         return float(np.sum(self._values))
-
-    def max(self) -> float:
-        """Largest bin count."""
-        require(self.num_bins > 0, "max requires a non-empty series")
-        return float(np.max(self._values))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"TimeSeries(bins={self.num_bins}, width={self.bin_width:.0f}s)"

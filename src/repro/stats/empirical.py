@@ -271,6 +271,14 @@ class EmpiricalDistribution:
 _STACKED_CELLS = 1 << 13
 
 
+def _percentile_qs(qs) -> np.ndarray:
+    """``qs`` as a float array, every entry checked to lie in [0, 100]."""
+    values = np.asarray(qs, dtype=float)
+    in_range = bool(np.all((values >= 0.0) & (values <= 100.0)))
+    require(in_range, "percentile q must be in [0, 100]")
+    return values
+
+
 def stacked_percentiles(distributions: Sequence[EmpiricalDistribution], qs) -> np.ndarray:
     """Every distribution's percentiles at the 1-D ``qs``, as ``(distributions, qs)``.
 
@@ -278,10 +286,8 @@ def stacked_percentiles(distributions: Sequence[EmpiricalDistribution], qs) -> n
     of distributions, at most :data:`_STACKED_CELLS` cells; row ``i`` is
     bit-identical to ``np.percentile(distributions[i].samples, qs)``.
     """
-    values = np.asarray(qs, dtype=float)
+    values = _percentile_qs(qs)
     require(values.ndim == 1, "qs must be one-dimensional")
-    in_range = bool(np.all((values >= 0.0) & (values <= 100.0)))
-    require(in_range, "percentile q must be in [0, 100]")
     lengths = np.array([len(distribution) for distribution in distributions], dtype=np.intp)
     require(bool(np.all(lengths)), "operation requires a non-empty distribution")
     result = np.empty((lengths.size, values.size))
@@ -294,6 +300,28 @@ def stacked_percentiles(distributions: Sequence[EmpiricalDistribution], qs) -> n
             flat, values, first[:, None], block[:, None] - 1
         )
     return result
+
+
+def block_percentiles(block: np.ndarray, qs) -> np.ndarray:
+    """Every row's percentiles of a ``(rows, columns)`` block at ``qs``.
+
+    Bit-identical to ``np.percentile(block, qs, axis=1)``, shape included:
+    ``(rows,)`` for a scalar ``q``, ``(len(qs), rows)`` for a 1-D ``qs``.
+    The block is sorted once into a new array (``np.sort(axis=1)``; a
+    read-only frame view is never written) and every percentile is read from
+    it by index.  Every value must be finite.
+    """
+    values = _percentile_qs(qs)
+    require(values.ndim <= 1, "qs must be a scalar or one-dimensional")
+    array = np.asarray(block, dtype=float)
+    require(array.ndim == 2 and array.shape[1] > 0, "block must be 2-D with at least one column")
+    ordered = np.sort(array, axis=1)
+    # Sorted rows put -inf first and +inf and NaN last.
+    if not np.isfinite(ordered[:, [0, -1]]).all():
+        raise ValidationError("samples must be finite")
+    rows, columns = ordered.shape
+    first = np.arange(rows, dtype=np.intp) * columns
+    return _sorted_percentiles(ordered.ravel(), values[..., None], first, columns - 1)
 
 
 def common_bin_width(distributions: Sequence["EmpiricalDistribution"]) -> Optional[float]:

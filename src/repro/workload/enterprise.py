@@ -13,7 +13,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix, PopulationFrame
+from repro.features.timeseries import FeatureMatrix, PopulationFrame, population_block
+from repro.stats.empirical import block_percentiles
 from repro.utils.rng import RandomSource
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
 from repro.utils.validation import require, require_positive
@@ -138,11 +139,14 @@ class EnterprisePopulation:
 
     # ------------------------------------------------------------- transforms
     def per_host_percentiles(self, feature: Feature, q: float) -> Dict[int, float]:
-        """Per-host ``q``-th percentile of ``feature`` (full-diversity thresholds)."""
-        return {
-            host_id: matrix.series(feature).percentile(q)
-            for host_id, matrix in self._matrices.items()
-        }
+        """Per-host ``q``-th percentile of ``feature`` over every bin of its series, zeros included.
+
+        Read by index from one row-sorted copy of the population's block
+        (:func:`~repro.stats.empirical.block_percentiles`); each value equals
+        ``np.percentile`` of the host's own series.
+        """
+        tails = block_percentiles(population_block(self._matrices, feature), q)
+        return dict(zip(self._matrices, tails.tolist()))
 
     def max_observed(self, feature: Feature) -> float:
         """Maximum per-bin value of ``feature`` across all hosts.
@@ -150,7 +154,7 @@ class EnterprisePopulation:
         The paper uses this as the largest attack size worth simulating: any
         attack bigger than the largest benign value stands out on every host.
         """
-        return max(matrix.series(feature).max() for matrix in self._matrices.values())
+        return float(population_block(self._matrices, feature).max())
 
 
 def build_population_events(config: EnterpriseConfig) -> List[ScheduledEvent]:

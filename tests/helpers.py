@@ -316,6 +316,26 @@ def week_range(matrix: FeatureMatrix, start: int, end: int) -> FeatureMatrix:
     )
 
 
+def tail_diversity(
+    population: EnterprisePopulation, feature: Feature, active_bins_only: bool = True
+) -> Tuple[Dict[int, float], Dict[int, float]]:
+    """Figure 1's per-host p99 and p99.9 of ``feature``, one ``np.percentile`` per host and tail.
+
+    Each host's window is every bin of its series; with ``active_bins_only``
+    its positive bins, or every bin when none is positive.
+    """
+    p99: Dict[int, float] = {}
+    p999: Dict[int, float] = {}
+    for host_id in population.host_ids:
+        values = np.asarray(population.matrix(host_id).series(feature).values)
+        if active_bins_only:
+            active = values[values > 0]
+            values = active if active.size else values
+        p99[host_id] = float(np.percentile(values, 99))
+        p999[host_id] = float(np.percentile(values, 99.9))
+    return p99, p999
+
+
 def count_hashes(monkeypatch) -> List[Path]:
     """The shard paths the population cache hashes from here on, in call order."""
     import repro.engine.cache as cache_module

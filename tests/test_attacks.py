@@ -8,12 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.attacks.base import AttackTrace, FeatureInjection, VictimBatch
 from repro.attacks.botnet import Botnet, CommandAndControl, botnet_builder
-from repro.attacks.mimicry import MimicryAttacker, hidden_traffic_by_host, mimicry_builder
+from repro.attacks.mimicry import (
+    MimicryAttacker,
+    batch_hidden_traffic,
+    hidden_traffic_by_host,
+    mimicry_builder,
+)
 from repro.attacks.naive import NaiveAttacker, attack_size_sweep
 from repro.attacks.primitives import PortScanModel, SpamCampaignModel
 from repro.attacks.storm import generate_storm_trace, storm_builder
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
+from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
 from repro.utils.validation import ValidationError
 
@@ -310,6 +316,29 @@ class TestAttackBuilders:
             assert np.array_equal(row, np.full(matrix.num_bins, plan.hidden_traffic))
         # The lowest threshold leaves its host no room; the highest leaves some.
         assert not np.any(rows[3]) and np.all(rows[2] > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(
+            st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 7.5, 40.0]), min_size=1, max_size=30),
+            min_size=1,
+            max_size=5,
+        ),
+        evasion_probability=st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]),
+    )
+    def test_batch_hidden_traffic_equals_each_hosts_shift(self, counts, evasion_probability):
+        """Every assignment's row, host by host, is the per-host plan's hidden traffic."""
+        width = min(len(row) for row in counts)
+        values = np.array([row[:width] for row in counts])
+        thresholds = np.stack([np.full(len(values), 5.0), np.linspace(0.0, 60.0, len(values))])
+        hidden = batch_hidden_traffic(values, thresholds, evasion_probability)
+        assert hidden.shape == thresholds.shape
+        for row, assignment in zip(hidden, thresholds, strict=True):
+            for value, threshold, samples in zip(row, assignment, values, strict=True):
+                shift = EmpiricalDistribution(samples).largest_hidden_shift(
+                    threshold, evasion_probability
+                )
+                assert value == shift
 
     def test_mimicry_builder_tracks_schedule_only_when_asked(self):
         assert mimicry_builder(self.TCP).tracks_schedule is False

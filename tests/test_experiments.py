@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.attacks.naive import NaiveAttacker
+from repro.core.evaluation import EvaluationMemo
 from repro.core.policies import ConfigurationPolicy
 from repro.experiments import (
     run_all_experiments,
     run_fig1,
     run_fig2,
     run_fig3,
+    run_fig3_cooptimized,
     run_fig4,
     run_fig5,
     run_table2,
@@ -21,6 +23,12 @@ from repro.experiments.report import render_series, render_table
 from repro.features.definitions import Feature, PAPER_FEATURES
 from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
+
+
+def _span_counts(recorder: TelemetryRecorder):
+    """The ``(core.train, core.assign)`` spans ``recorder`` holds."""
+    names = [span.name for span in recorder.spans]
+    return names.count("core.train"), names.count("core.assign")
 
 
 class TestReportRendering:
@@ -101,11 +109,15 @@ class TestFig3:
             assert means[name] == result.weight_sweep[name][1]
 
     def test_assigns_each_policy_once(self, tiny_population):
-        """Thresholds do not depend on the attack: one assignment per policy, not per size."""
+        """Thresholds do not depend on the attack: one assignment per policy, not per size.
+
+        The three policies share one training of the week.
+        """
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
             result = run_fig3(tiny_population)
         assert recorder.counters["optimize.assignments"] == 3
+        assert _span_counts(recorder) == (1, 3)
         # One kernel pass per policy (its evaluation under the first size);
         # all ten sizes are scored from one sorted test week per policy.
         measured = [span for span in recorder.spans if span.name == "core.measure"]
@@ -135,6 +147,25 @@ class TestTable3:
         rate = result.per_host_rate("99th-percentile", "full-diversity")
         assert 0.0 <= rate < 50.0
         assert "Table 3" in result.render()
+
+    def test_trains_once_and_assigns_each_cell(self, tiny_population):
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            run_table3(tiny_population)
+        assert _span_counts(recorder) == (1, 6)
+        assert recorder.counters["core.trainings_reused"] == 5
+
+    def test_a_shared_memo_reuses_fig3s_assignments(self, tiny_population):
+        """table3's utility trio is fig3's: one memo serves it, with the same outputs."""
+        memo = EvaluationMemo()
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            fig3 = run_fig3(tiny_population, memo=memo)
+            table3 = run_table3(tiny_population, memo=memo)
+        assert _span_counts(recorder) == (1, 6)
+        assert recorder.counters["core.assignments_reused"] == 3
+        assert fig3 == run_fig3(tiny_population)
+        assert table3 == run_table3(tiny_population)
 
 
 class TestFig4:
@@ -207,3 +238,17 @@ class TestRunner:
         text = suite.render()
         for marker in ("Figure 1", "Figure 2", "Table 2", "Figure 3", "Table 3", "Figure 4", "Figure 5"):
             assert marker in text
+
+    def test_figures_share_one_memo(self, tiny_population):
+        """Three trainings (one per feature), and table3's utility trio is fig3's.
+
+        Separate calls would make 24 trainings and 24 assignments; fig4 assigns
+        on its own, outside any span.
+        """
+        recorder = TelemetryRecorder()
+        with use_recorder(recorder):
+            suite = run_all_experiments(population=tiny_population)
+        assert _span_counts(recorder) == (3, 21)
+        assert recorder.counters["core.assignments_reused"] == 3
+        assert suite.table3 == run_table3(tiny_population)
+        assert suite.fig3_cooptimized == run_fig3_cooptimized(tiny_population)

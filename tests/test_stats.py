@@ -7,10 +7,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.evaluation import detection_training_window_distributions, training_distributions
+from repro.core.evaluation import (
+    detection_training_window_distributions,
+    series_distributions,
+    training_distributions,
+)
 from repro.features.definitions import PAPER_FEATURES
 from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
-from repro.stats.empirical import _STACKED_CELLS, EmpiricalDistribution, stacked_percentiles
+from repro.stats.empirical import (
+    _STACKED_CELLS,
+    EmpiricalDistribution,
+    block_percentiles,
+    stacked_percentiles,
+)
 from repro.stats.kmeans import kmeans, separation_score
 from repro.stats.summary import summarize
 from repro.stats.tail import orders_of_magnitude, tail_ratio
@@ -339,6 +348,94 @@ class TestBlockTraining:
         assert wrapped.bin_width == 900.0
         assert wrapped.percentile(60) == EmpiricalDistribution(row).percentile(60)
         assert wrapped.add([2.0]).samples.tolist() == [0.0, 1.0, 1.0, 2.0, 4.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_training_cases(), active_bins_only=st.booleans(), as_frame=st.booleans())
+    def test_series_distributions_cover_every_bin(self, case, active_bins_only, as_frame):
+        host_ids, array, _, _ = case
+        matrices = _matrices(array, host_ids, as_frame)
+        trained = series_distributions(matrices, PAPER_FEATURES[:2], active_bins_only)
+        for feature, distributions in trained.items():
+            assert list(distributions) == list(host_ids)
+            for host_id, actual in distributions.items():
+                expected = _per_row(matrices[host_id].series(feature), active_bins_only)
+                assert actual.samples.tobytes() == expected.samples.tobytes()
+
+
+#: The tails the program reads, the extremes and the median.
+_BLOCK_QS = (0.0, 50.0, 90.0, 99.0, 99.9, 100.0)
+
+
+@st.composite
+def _percentile_blocks(draw):
+    """A ``(rows, columns)`` block with ties, runs of zeros and all-zero rows; one column at times."""
+    rows = draw(st.integers(1, 6))
+    columns = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    counts = st.one_of(st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 2.5]), st.floats(-1e9, 1e9))
+    block = draw(hnp.arrays(np.float64, (rows, columns), elements=counts))
+    idle = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    block[np.array(idle)] = 0.0
+    run = draw(st.integers(0, columns))
+    block[:, :run] = 0.0
+    return block
+
+
+class TestBlockPercentiles:
+    """One row-sorted copy read by index equals ``np.percentile(block, qs, axis=1)``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block=_percentile_blocks(),
+        qs=st.one_of(
+            st.sampled_from(_BLOCK_QS),
+            st.floats(0.0, 100.0),
+            st.just(list(_BLOCK_QS)),
+            hnp.arrays(np.float64, st.integers(0, 8), elements=st.floats(0.0, 100.0)),
+        ),
+        as_frame=st.booleans(),
+    )
+    def test_matches_numpy_and_leaves_the_input_unchanged(self, block, qs, as_frame):
+        if as_frame:
+            # A strided view of a read-only frame: features interleave the rows.
+            stack = np.stack([np.full_like(block, 7.0), block], axis=1)
+            stack.flags.writeable = False
+            frame = PopulationFrame(range(len(block)), PAPER_FEATURES[:2], _SHORT_GRID, stack)
+            block = frame.block(PAPER_FEATURES[1], 0, block.shape[1])
+            assert not block.flags.c_contiguous or block.shape[0] == 1
+        before = block.tobytes()
+        actual = block_percentiles(block, qs)
+        expected = np.percentile(block, qs, axis=1)
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+        assert block.tobytes() == before
+
+    def test_reads_a_cached_frame_without_writing_it(self):
+        rng = np.random.default_rng(2009)
+        stack = np.floor(rng.lognormal(1.0, 2.0, (5, 2, 96)))
+        stack[:, :, :40] = 0.0
+        stack.flags.writeable = False
+        frame = PopulationFrame(range(5), PAPER_FEATURES[:2], _SHORT_GRID, stack)
+        view = frame.block(PAPER_FEATURES[0], 8, 96)
+        actual = block_percentiles(view, list(_BLOCK_QS))
+        assert actual.tobytes() == np.percentile(view, _BLOCK_QS, axis=1).tobytes()
+        assert not np.shares_memory(actual, stack)
+
+    @pytest.mark.parametrize(
+        "block, qs",
+        [
+            (np.array([[1.0, np.nan]]), 50.0),
+            (np.array([[1.0, np.inf]]), 50.0),
+            (np.array([[-np.inf, 1.0]]), 50.0),
+            (np.ones((2, 0)), 50.0),
+            (np.ones(3), 50.0),
+            (np.ones((2, 3)), 100.5),
+            (np.ones((2, 3)), [50.0, -1.0]),
+            (np.ones((2, 3)), [[50.0]]),
+        ],
+    )
+    def test_rejects_what_it_cannot_read(self, block, qs):
+        with pytest.raises(ValidationError):
+            block_percentiles(block, qs)
 
 
 class TestTailAnalysis:

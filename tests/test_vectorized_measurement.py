@@ -27,6 +27,11 @@ generated population (plain dict matrices) and on the same population stored
 and loaded back through a :class:`PopulationCache`, whose matrices are a
 :class:`PopulationFrame` that the kernels read as views of the mapped shard.
 
+The per-host tails (``per_host_percentiles``, ``max_observed`` and Figure 1)
+are read by index from one row-sorted block per feature; on both sources each
+must equal one ``np.percentile`` (or ``np.max``) per host series, Figure 1
+against the per-host loop in ``tests/helpers.py``.
+
 The naive attack-size sweep behind Figure 3's size average and Figure 4(a)
 (``naive_false_negatives``) has the kernel itself as its oracle: each of its
 columns must equal the FN of one ``measure_assignment`` pass at that size,
@@ -80,11 +85,12 @@ from repro.core.policies import (
 from repro.core.sampling import SampleSpec, bootstrap_mean_interval
 from repro.core.thresholds import PercentileHeuristic, UtilityHeuristic
 from repro.engine.cache import PopulationCache
+from repro.experiments.fig1_tail_diversity import run_fig1
 from repro.experiments.fig3_utility import default_attack_sizes, run_fig3, run_fig3_cooptimized
 from repro.experiments.fig4_attacker import run_fig4
 from repro.experiments.fig5_storm import run_fig5
 from repro.experiments.table3_alarms import run_table3
-from repro.features.definitions import Feature
+from repro.features.definitions import PAPER_FEATURES, Feature
 from repro.features.timeseries import FeatureMatrix, PopulationFrame, TimeSeries
 from repro.sweeps.spec import AttackSpec
 from repro.telemetry import TelemetryRecorder, use_recorder
@@ -94,7 +100,7 @@ from repro.utils.timeutils import WEEK, BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
 
-from helpers import f_measure_from_rates, fuse, inject_attack, slice_time
+from helpers import f_measure_from_rates, fuse, inject_attack, slice_time, tail_diversity
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
 FIGURES_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_figures.json"
@@ -313,6 +319,37 @@ class TestGoldenBitIdentity:
                 for optimizer, row in getattr(result, name).items()
             }
             assert actual == golden_figures["fig3_cooptimized"][name]
+
+
+class TestPerHostTails:
+    """Per-host tails read by index from one sorted block equal one ``np.percentile`` per series."""
+
+    @pytest.mark.parametrize("q", [0.0, 50.0, 90.0, 99.0, 99.9, 100.0])
+    def test_per_host_percentiles_match_each_series(self, golden_population, q):
+        matrices = golden_population.matrices()
+        for feature in PAPER_FEATURES:
+            expected = {
+                host_id: float(np.percentile(matrix.series(feature).values, q))
+                for host_id, matrix in matrices.items()
+            }
+            actual = golden_population.per_host_percentiles(feature, q)
+            assert list(actual) == list(expected)
+            assert actual == expected
+
+    def test_max_observed_matches_each_series(self, golden_population):
+        matrices = golden_population.matrices()
+        for feature in PAPER_FEATURES:
+            expected = max(float(np.max(matrix.series(feature).values)) for matrix in matrices.values())
+            assert golden_population.max_observed(feature) == expected
+
+    @pytest.mark.parametrize("active_bins_only", [True, False])
+    def test_fig1_matches_per_host_loop(self, golden_population, active_bins_only):
+        result = run_fig1(golden_population, active_bins_only=active_bins_only)
+        assert list(result.per_feature) == list(PAPER_FEATURES)
+        for feature, diversity in result.per_feature.items():
+            p99, p999 = tail_diversity(golden_population, feature, active_bins_only)
+            assert diversity.p99_by_host == p99
+            assert diversity.p999_by_host == p999
 
 
 # --- Reference oracle: the per-host measurement loop and per-host attack builders.
