@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 
+import numpy as np
+
 from repro import Feature, quick_population
-from repro.attacks.botnet import Botnet
+from repro.attacks.mimicry import hidden_traffic_by_host
 from repro.core.evaluation import training_distributions
 from repro.core.policies import FullDiversityPolicy, HomogeneousPolicy, PartialDiversityPolicy
 from repro.engine import PopulationEngine
@@ -63,21 +65,23 @@ def main() -> None:
     )
     matrices = {host: matrix.week(1) for host, matrix in population.matrices().items()}
     train = training_distributions(population.matrices(), feature, week=0)
+    num_bins = next(iter(matrices.values())).num_bins
 
-    botnet = Botnet(compromise_probability=1.0)
     policies = [HomogeneousPolicy(), FullDiversityPolicy(), PartialDiversityPolicy()]
 
     rows = []
     for policy in policies:
         assignment = policy.compute_thresholds(train)
-        campaign = botnet.resourceful_campaign(
+        # Every host is recruited and injects its hidden traffic in every bin.
+        hidden = hidden_traffic_by_host(
             matrices, assignment.thresholds, feature, evasion_probability=args.evasion
         )
-        per_bin = campaign.per_bin_volume()
+        campaign = np.repeat(np.array(list(hidden.values()))[:, None], num_bins, axis=1)
+        per_bin = campaign.sum(axis=0)
         rows.append(
             [
                 policy.name,
-                round(campaign.total_volume() / 1e6, 3),
+                round(float(campaign.sum()) / 1e6, 3),
                 round(float(per_bin.mean()), 1),
                 round(float(per_bin.max()), 1),
             ]

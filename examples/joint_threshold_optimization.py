@@ -23,7 +23,7 @@ import argparse
 import numpy as np
 
 from repro import Feature, quick_population
-from repro.attacks.mimicry import mimicry_builder
+from repro.attacks.mimicry import MimicryAttacker
 from repro.core.evaluation import DetectionProtocol, evaluate_policy
 from repro.core.fusion import FusionRule
 from repro.core.policies import (
@@ -64,7 +64,7 @@ def main() -> None:
 
     # The attacker adapts: it evades the TCP threshold actually in force,
     # co-optimised or not.
-    mimicry = mimicry_builder(Feature.TCP_CONNECTIONS, args.evasion)
+    mimicry = MimicryAttacker(Feature.TCP_CONNECTIONS, args.evasion).builder()
 
     heuristic = UtilityHeuristic(weight=args.weight, attack_sizes=ATTACK_SIZES)
     optimizers = {

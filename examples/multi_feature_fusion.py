@@ -21,7 +21,7 @@ import argparse
 import numpy as np
 
 from repro import Feature, PolicyComparison, quick_population
-from repro.attacks.mimicry import mimicry_builder
+from repro.attacks.mimicry import MimicryAttacker
 from repro.core.experiment import ExperimentContext
 from repro.core.fusion import FusionRule
 from repro.experiments.report import render_table
@@ -51,7 +51,7 @@ def main() -> None:
 
     # The attacker knows the TCP threshold in force on each host and injects
     # the largest volume that evades it with --evasion probability.
-    mimicry = mimicry_builder(Feature.TCP_CONNECTIONS, args.evasion)
+    mimicry = MimicryAttacker(Feature.TCP_CONNECTIONS, args.evasion).builder()
 
     rows = []
     for features in FEATURE_SETS:

@@ -160,7 +160,7 @@ def capture_measurement() -> dict:
     golden: dict = {"config": config_payload(), "cases": {}}
     for proto_name, protocol in PROTOCOLS.items():
         for attack_name, attack in ATTACKS.items():
-            builder = attack.build_builder(protocol.primary_feature, CONFIG.bin_width)
+            builder = attack.build_builder(protocol.primary_feature)
             for policy_name, policy in policies.items():
                 evaluation = evaluate_policy(matrices, policy, protocol, attack_builder=builder)
                 key = f"{proto_name}/{attack_name}/{policy_name}"

@@ -12,38 +12,32 @@ footprint.
 Every evaluation entry point takes an *attack builder*
 (:data:`~repro.attacks.base.AttackBuilder`): a callable that receives a
 :class:`~repro.attacks.base.VictimBatch` and returns each attacked feature's
-``(num_hosts, num_bins)`` injected amounts.  One factory builds each attack
-kind: :meth:`NaiveAttacker.builder`, :func:`mimicry_builder`,
+``(num_hosts, num_bins)`` injected amounts.  This is the only form an
+attack takes.  One factory builds each attack kind:
+:meth:`NaiveAttacker.builder`, :meth:`MimicryAttacker.builder`,
 :func:`storm_builder` and :func:`botnet_builder`.
 """
 
-from repro.attacks.base import Attack, AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
+from repro.attacks.base import AttackBuilder, VictimBatch
 from repro.attacks.naive import NaiveAttacker
-from repro.attacks.mimicry import MimicryAttacker, MimicryPlan, mimicry_builder
+from repro.attacks.mimicry import MimicryAttacker
 from repro.attacks.primitives import (
     PortScanModel,
     SpamCampaignModel,
 )
 from repro.attacks.storm import StormZombieModel, generate_storm_trace, storm_builder
-from repro.attacks.botnet import Botnet, BotnetCampaign, CommandAndControl, botnet_builder
+from repro.attacks.botnet import CommandAndControl, botnet_builder
 
 __all__ = [
-    "Attack",
     "AttackBuilder",
-    "AttackTrace",
-    "FeatureInjection",
     "VictimBatch",
     "NaiveAttacker",
     "MimicryAttacker",
-    "MimicryPlan",
-    "mimicry_builder",
     "PortScanModel",
     "SpamCampaignModel",
     "StormZombieModel",
     "generate_storm_trace",
     "storm_builder",
-    "Botnet",
-    "BotnetCampaign",
     "CommandAndControl",
     "botnet_builder",
 ]

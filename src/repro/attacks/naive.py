@@ -14,14 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.attacks.base import Attack, AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
+from repro.attacks.base import AttackBuilder, VictimBatch
 from repro.features.definitions import Feature
-from repro.features.timeseries import FeatureMatrix
 from repro.utils.validation import require, require_non_negative, require_probability
 
 
 @dataclass(frozen=True)
-class NaiveAttacker(Attack):
+class NaiveAttacker:
     """Inject a fixed volume per active bin into one feature.
 
     Attributes
@@ -44,32 +43,15 @@ class NaiveAttacker(Attack):
         require_non_negative(self.attack_size, "attack_size")
         require_probability(self.active_fraction, "active_fraction")
 
-    @property
-    def name(self) -> str:
-        return f"naive-{self.feature.value}-{self.attack_size:g}"
-
-    def build(self, victim: FeatureMatrix, rng: np.random.Generator) -> AttackTrace:
-        num_bins = victim.num_bins
-        amounts = np.full(num_bins, float(self.attack_size))
-        if self.active_fraction < 1.0:
-            active = rng.uniform(size=num_bins) < self.active_fraction
-            amounts = np.where(active, amounts, 0.0)
-        injection = FeatureInjection(feature=self.feature, amounts=amounts)
-        return AttackTrace(
-            name=self.name,
-            injections={self.feature: injection},
-            bin_spec=victim.series(self.feature).bin_spec,
-        )
-
     def batch_amounts(
         self, batch: VictimBatch, rng_for: Callable[[int], np.random.Generator]
     ) -> np.ndarray:
         """Per-host injected amounts for a whole victim batch.
 
-        Bit-identical to calling :meth:`build` per host with
-        ``rng_for(host_id)``: an always-on attack needs no randomness at all,
-        while intermittent campaigns draw each host's activity mask from its
-        own generator, in host order, exactly as the per-host path does.
+        An always-on attack needs no randomness at all, while an intermittent
+        campaign draws host ``h``'s activity mask, one uniform per bin, from
+        its own generator ``rng_for(h)``, so a host is attacked alike in any
+        batch.
         """
         base = float(self.attack_size)
         if self.active_fraction >= 1.0:

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.attacks.base import AttackBuilder, AttackTrace, FeatureInjection, VictimBatch
+from repro.attacks.base import AttackBuilder, VictimBatch
 from repro.attacks.primitives import PortScanModel, SpamCampaignModel
 from repro.features.definitions import Feature
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -86,25 +86,19 @@ def generate_storm_trace(
     bin_width: float = 15 * MINUTE,
     seed: int = 1701,
     model: Optional[StormZombieModel] = None,
-) -> AttackTrace:
+) -> Dict[Feature, np.ndarray]:
     """Generate the week-long Storm zombie attack trace used by Figure 5.
 
-    The same trace (same seed) is overlaid on every user, matching the
-    paper's methodology of replaying one collected zombie trace across the
-    population.
+    Returns the zombie's per-bin counts of every feature it touches, over
+    ``duration`` in bins of ``bin_width``.  The same trace (same seed) is
+    overlaid on every user, matching the paper's methodology of replaying
+    one collected zombie trace across the population.
     """
     require_positive(duration, "duration")
     require_positive(bin_width, "bin_width")
     model = model if model is not None else StormZombieModel()
-    bin_spec = BinSpec(width=bin_width)
-    num_bins = max(bin_spec.count_until(duration), 1)
-    rng = np.random.default_rng(seed)
-    counts = model.per_bin_counts(num_bins, rng)
-    injections = {
-        feature: FeatureInjection(feature=feature, amounts=values)
-        for feature, values in counts.items()
-    }
-    return AttackTrace(name="storm-zombie", injections=injections, bin_spec=bin_spec)
+    num_bins = max(BinSpec(width=bin_width).count_until(duration), 1)
+    return model.per_bin_counts(num_bins, np.random.default_rng(seed))
 
 
 def _pad_attack_amounts(amounts: np.ndarray, num_bins: int) -> np.ndarray:
@@ -121,25 +115,20 @@ def _pad_attack_amounts(amounts: np.ndarray, num_bins: int) -> np.ndarray:
     return padded
 
 
-def storm_builder(trace: AttackTrace) -> AttackBuilder:
-    """An attack builder replaying ``trace`` over every victim's test week.
+def storm_builder(seed: int = 1701, model: Optional[StormZombieModel] = None) -> AttackBuilder:
+    """An attack builder replaying the week-long Storm trace over every victim's test week.
 
-    Each victim receives the trace's overlapping prefix, and bins past the
-    trace's end carry zero.  A trace binned differently from the victims
-    raises :class:`~repro.utils.validation.ValidationError`.
+    Each call generates the trace (:func:`generate_storm_trace` with ``seed``
+    and ``model``) in the batch's own bins, so it always matches the victims'
+    binning.  Each victim receives the trace's overlapping prefix, and bins
+    past the trace's end carry zero.
     """
 
     def build(batch: VictimBatch) -> Dict[Feature, np.ndarray]:
-        require(
-            abs(trace.bin_spec.width - batch.bin_spec.width) < 1e-9,
-            "attack and benign series must use the same bin width",
-        )
+        trace = generate_storm_trace(WEEK, batch.bin_spec.width, seed, model)
         return {
-            feature: np.tile(
-                _pad_attack_amounts(trace.amounts(feature), batch.num_bins),
-                (batch.num_hosts, 1),
-            )
-            for feature in trace.features
+            feature: np.tile(_pad_attack_amounts(amounts, batch.num_bins), (batch.num_hosts, 1))
+            for feature, amounts in trace.items()
         }
 
     return build

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.mimicry import mimicry_builder
+from repro.attacks.mimicry import MimicryAttacker
 from repro.attacks.naive import NaiveAttacker
 from repro.core.evaluation import (
     DetectionProtocol,
@@ -301,7 +301,7 @@ def run_fig3_cooptimized(
         test_week=test_week,
         utility_weight=utility_weight,
     )
-    mimicry = mimicry_builder(features[0], evasion_probability)
+    mimicry = MimicryAttacker(features[0], evasion_probability).builder()
     memo = EvaluationMemo() if memo is None else memo
 
     mean_utilities: Dict[str, Dict[str, float]] = {}

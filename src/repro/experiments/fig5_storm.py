@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.storm import StormZombieModel, generate_storm_trace, storm_builder
+from repro.attacks.storm import StormZombieModel, storm_builder
 from repro.core.evaluation import DetectionProtocol, EvaluationMemo, evaluate_policy
 from repro.core.policies import (
     ConfigurationPolicy,
@@ -31,7 +31,6 @@ from repro.core.policies import (
 from repro.core.thresholds import PercentileHeuristic
 from repro.experiments.report import render_table
 from repro.features.definitions import Feature
-from repro.utils.timeutils import WEEK
 from repro.workload.enterprise import EnterprisePopulation
 
 
@@ -113,14 +112,7 @@ def run_fig5(
         FullDiversityPolicy(heuristic),
         PartialDiversityPolicy(heuristic, num_groups=partial_groups),
     )
-    attack_builder = storm_builder(
-        generate_storm_trace(
-            duration=WEEK,
-            bin_width=population.config.bin_width,
-            seed=storm_seed,
-            model=storm_model,
-        )
-    )
+    attack_builder = storm_builder(storm_seed, storm_model)
 
     scatter: Dict[str, Dict[int, Tuple[float, float]]] = {}
     for policy in policies:

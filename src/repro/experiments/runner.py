@@ -11,6 +11,7 @@ from repro.experiments.fig2_feature_scatter import FeatureScatterResult, run_fig
 from repro.experiments.fig3_utility import (
     CoOptimizedUtilityResult,
     UtilityComparisonResult,
+    default_attack_sizes,
     run_fig3,
     run_fig3_cooptimized,
 )
@@ -24,6 +25,7 @@ from repro.experiments.table3_alarms import (
     run_table3,
     run_table3_fused,
 )
+from repro.features.definitions import Feature
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,21 +84,24 @@ def run_all_experiments(
     :class:`~repro.core.evaluation.EvaluationMemo`: each (feature, training
     week) is trained once and each distinct assignment computed once, so
     table3's utility trio reuses fig3's.  fig4 trains and assigns by itself,
-    outside any evaluation.  Nothing outlives the call.
+    outside any evaluation.  fig3, table3 and the co-optimised fig3 share
+    one :func:`~repro.experiments.fig3_utility.default_attack_sizes` sweep
+    over the TCP feature they all score.  Nothing outlives the call.
     """
     if population is None:
         population = generate_enterprise(config, engine=engine)
     memo = EvaluationMemo()
+    sizes = default_attack_sizes(population, Feature.TCP_CONNECTIONS)
     return ExperimentSuiteResult(
         population=population,
         fig1=run_fig1(population),
         fig2=run_fig2(population),
         table2=run_table2(population),
-        fig3=run_fig3(population, memo=memo),
-        table3=run_table3(population, memo=memo),
+        fig3=run_fig3(population, attack_sizes=sizes, memo=memo),
+        table3=run_table3(population, attack_sizes=sizes, memo=memo),
         fig4=run_fig4(population),
         fig5=run_fig5(population, memo=memo),
         table3_fused=run_table3_fused(population, memo=memo),
-        fig3_cooptimized=run_fig3_cooptimized(population, memo=memo),
+        fig3_cooptimized=run_fig3_cooptimized(population, attack_sizes=sizes, memo=memo),
         fig6=run_fig6(population),
     )

@@ -3,8 +3,7 @@
 :class:`TimeSeries` holds one feature's per-bin counts for one host;
 :class:`FeatureMatrix` holds all six features for one host over the same bin
 grid.  Both support slicing by week (the paper's train-one-week /
-test-the-next protocol) and conversion to empirical distributions for
-threshold computation.  :class:`PopulationFrame` is a whole population's
+test-the-next protocol).  :class:`PopulationFrame` is a whole population's
 matrices over one read-only ``(hosts, features, bins)`` block.
 
 Every kernel reads a population through :func:`population_block`: one
@@ -20,7 +19,6 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.features.definitions import Feature
-from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.timeutils import BinSpec, WEEK
 from repro.utils.validation import ValidationError, require
 
@@ -127,15 +125,6 @@ class TimeSeries:
         return TimeSeries(combined, self._bin_spec)
 
     # --------------------------------------------------------------- queries
-    def distribution(self) -> EmpiricalDistribution:
-        """The empirical distribution of per-bin counts.
-
-        Tagged with this series' bin width, so pooling distributions measured
-        over incompatible windows is rejected at the source (see
-        :meth:`~repro.stats.empirical.EmpiricalDistribution.pooled`).
-        """
-        return EmpiricalDistribution(self._values, bin_width=self.bin_width)
-
     def total(self) -> float:
         """Sum over all bins."""
         return float(np.sum(self._values))

@@ -215,9 +215,7 @@ class LoadOrchestrator:
         """Evaluate one event on its host subset (with failures injected)."""
         with trace_span("loadgen.event", index=event.index, kind=event.kind):
             matrices = self._event_matrices(profile, event)
-            components = scenario_components(
-                event.scenario, self._population(event).config.bin_width
-            )
+            components = scenario_components(event.scenario)
             evaluate_policy(
                 matrices,
                 components.policy,
@@ -256,7 +254,7 @@ class LoadOrchestrator:
             for host_id in event.target_hosts
             if host_id not in dropped
         }
-        components = scenario_components(event.scenario, population.config.bin_width)
+        components = scenario_components(event.scenario)
         require(components.schedule is not None, "soak events must carry a schedule")
         evaluate_timeline(
             matrices,

@@ -3,8 +3,7 @@
 The paper's percentile-based threshold heuristic works directly on the
 empirical distribution of per-bin feature counts observed on a host (or a
 group of hosts).  :class:`EmpiricalDistribution` is the central object: it
-stores the samples, exposes percentiles, the ECDF, exceedance probabilities
-(used for false-positive/false-negative computations) and supports pooling
+stores the samples sorted, exposes percentiles and supports pooling
 distributions across hosts (used by the homogeneous and partial-diversity
 policies).
 """
@@ -15,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.utils.validation import ValidationError, require, require_probability
+from repro.utils.validation import ValidationError, require
 
 
 def _sample_array(samples: Iterable[float]) -> np.ndarray:
@@ -70,9 +69,9 @@ def _sorted_percentiles(
 class EmpiricalDistribution:
     """An empirical distribution built from observed samples.
 
-    The samples are kept sorted, so percentiles and quantiles are read by
-    index from them rather than recomputed by ``np.percentile``; the values
-    are bit-identical (tested) to ``np.percentile``'s default ``'linear'``
+    The samples are kept sorted, so percentiles are read by index from them
+    rather than recomputed by ``np.percentile``; the values are
+    bit-identical (tested) to ``np.percentile``'s default ``'linear'``
     method.
 
     Parameters
@@ -204,44 +203,6 @@ class EmpiricalDistribution:
         require(0.0 <= q <= 100.0, "percentile q must be in [0, 100]")
         self._require_samples()
         return _sorted_percentile(self._sorted, q)
-
-    def quantile(self, p: float) -> float:
-        """Return the ``p``-quantile (``p`` in [0, 1])."""
-        require_probability(p, "p")
-        return self.percentile(100.0 * p)
-
-    def cdf(self, value: float) -> float:
-        """Return ``P(X <= value)``."""
-        self._require_samples()
-        return float(np.searchsorted(self._sorted, value, side="right")) / self._sorted.size
-
-    def exceedance(self, value: float) -> float:
-        """Return ``P(X > value)`` — the false-positive rate at threshold ``value``."""
-        return 1.0 - self.cdf(value)
-
-    def shifted_exceedance(self, threshold: float, shift: float) -> float:
-        """Return ``P(X + shift > threshold)``.
-
-        Used to compute detection probabilities when an attacker adds
-        ``shift`` units of traffic on top of the benign feature value.
-        """
-        return self.exceedance(threshold - shift)
-
-    def largest_hidden_shift(self, threshold: float, evasion_probability: float) -> float:
-        """Largest additive shift ``b`` with ``P(X + b < threshold) >= evasion_probability``.
-
-        This implements the resourceful (mimicry) attacker from the paper: the
-        attacker knows the benign distribution and chooses the largest
-        injection that still evades detection with the requested probability.
-        Returns 0.0 if even ``b = 0`` cannot achieve the target (i.e. the
-        benign traffic alone exceeds the threshold too often).
-        """
-        require_probability(evasion_probability, "evasion_probability")
-        self._require_samples()
-        # P(X + b < T) >= p  <=>  b <= T - quantile_p(X) (strictly, using the
-        # p-quantile of X). Use the empirical p-quantile.
-        room = threshold - self.quantile(evasion_probability)
-        return max(0.0, float(room))
 
     def summary(self) -> dict:
         """Return a dict of headline statistics for reporting."""

@@ -70,12 +70,11 @@ class ScenarioComponents:
     schedule: Any
 
 
-def scenario_components(spec: ScenarioSpec, bin_width: float) -> ScenarioComponents:
+def scenario_components(spec: ScenarioSpec) -> ScenarioComponents:
     """Build the protocol, attack builder, policy and schedule of ``spec``.
 
-    ``bin_width`` is the population's bin width (storm traces are replayed
-    at the population's binning).  ``schedule`` is ``None`` for one-shot
-    evaluations, a :class:`~repro.temporal.RetrainSchedule` otherwise.
+    ``schedule`` is ``None`` for one-shot evaluations, a
+    :class:`~repro.temporal.RetrainSchedule` otherwise.
     """
     spec.validate()
     protocol = DetectionProtocol(
@@ -85,7 +84,7 @@ def scenario_components(spec: ScenarioSpec, bin_width: float) -> ScenarioCompone
         test_week=spec.evaluation.test_week,
         utility_weight=spec.evaluation.utility_weight,
     )
-    attack_builder = spec.attack.build_builder(protocol.primary_feature, bin_width)
+    attack_builder = spec.attack.build_builder(protocol.primary_feature)
     optimizer = spec.evaluation.optimizer.build(
         weight=spec.evaluation.utility_weight,
         attack_sizes=spec.policy.attack_sizes,
@@ -121,7 +120,7 @@ def run_scenario(
     :func:`~repro.core.experiment.evaluate_scenario`).  Timelines never use
     it: they time their own (re)training.
     """
-    components = scenario_components(spec, population.config.bin_width)
+    components = scenario_components(spec)
     protocol = components.protocol
     attack_builder = components.attack_builder
     policy = components.policy

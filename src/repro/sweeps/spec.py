@@ -26,17 +26,16 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.attacks import storm
 from repro.attacks.base import AttackBuilder
 from repro.attacks.botnet import CommandAndControl, botnet_builder
-from repro.attacks.mimicry import mimicry_builder
+from repro.attacks.mimicry import MimicryAttacker
 from repro.attacks.naive import NaiveAttacker
+from repro.attacks.storm import storm_builder
 from repro.core.fusion import FusionRule
 from repro.core.sampling import SampleSpec
 from repro.features.definitions import Feature
 from repro.sweeps import toml_io
 from repro.utils.records import parse, plain
-from repro.utils.timeutils import WEEK
 from repro.utils.validation import ValidationError, require
 from repro.workload.drift import DRIFT_KINDS, DriftModel
 from repro.workload.enterprise import EnterpriseConfig
@@ -289,21 +288,20 @@ class AttackSpec:
                 f"attack.feature must be one of {valid}, got {self.feature!r}"
             ) from None
 
-    def build_builder(self, primary_feature: Feature, bin_width: float) -> Optional[AttackBuilder]:
+    def build_builder(self, primary_feature: Feature) -> Optional[AttackBuilder]:
         """The attack builder :func:`evaluate_policy` takes (None for ``"none"``)."""
         if self.kind == "none":
             return None
         if self.kind == "storm":
             # The paper replays the same zombie trace over every host's test week.
-            trace = storm.generate_storm_trace(duration=WEEK, bin_width=bin_width, seed=self.seed)
-            return storm.storm_builder(trace)
+            return storm_builder(self.seed)
         target = self.target_feature(primary_feature)
         if self.kind in ("mimicry", "mimicry-vs-schedule"):
             # On a timeline, plain mimicry keeps evading the thresholds it
             # profiled at the initial deployment; mimicry-vs-schedule evades
             # whatever is in force on the attacked week.
             tracks = self.kind == "mimicry-vs-schedule"
-            return mimicry_builder(target, self.evasion_probability, tracks_schedule=tracks)
+            return MimicryAttacker(target, self.evasion_probability, tracks).builder()
 
         def rng_for(host_id: int) -> np.random.Generator:
             return np.random.default_rng((self.seed, host_id))

@@ -1,8 +1,8 @@
 """Test-only builders and reference implementations.
 
-The program never calls these: they build test inputs (packets, uniform
-attack traces, small load profiles), inspect what a test produced (capture
-sessions, exited processes), recompute, one host or group at a time, what
+The program never calls these: they build test inputs (packets, small load
+profiles), inspect what a test produced (capture sessions, exited
+processes), recompute, one host or group at a time, what
 the program computes in bulk, so the tests can compare the two, or render
 the payloads of ``tests/data/golden_observability.json``
 (:func:`observability_golden`) and ``tests/data/golden_specs.json``
@@ -17,11 +17,10 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackTrace, FeatureInjection
 from repro.core.fusion import FusionRule
 from repro.core.metrics import f_measure_from_rate_arrays
 from repro.core.thresholds import FMeasureHeuristic, ThresholdHeuristic, UtilityHeuristic
@@ -60,7 +59,7 @@ from repro.temporal.statistic import drift_from_baseline, pooled_baseline_quanti
 from repro.traces.capture import CaptureSession, NetworkLocation
 from repro.traces.packet import IPProtocol, Packet, TCPFlags, ip_to_int
 from repro.utils.timeutils import BinSpec
-from repro.utils.validation import require, require_non_negative, require_probability
+from repro.utils.validation import require, require_probability
 from repro.workload.enterprise import EnterprisePopulation
 
 
@@ -143,24 +142,6 @@ def online_fraction(session: CaptureSession) -> float:
     return online / total
 
 
-def uniform_injection(
-    feature: Feature,
-    amount_per_bin: float,
-    num_bins: int,
-    bin_spec: BinSpec,
-    name: Optional[str] = None,
-) -> AttackTrace:
-    """An attack that adds ``amount_per_bin`` to every bin of one feature."""
-    require_non_negative(amount_per_bin, "amount_per_bin")
-    require(num_bins >= 1, "num_bins must be >= 1")
-    injection = FeatureInjection(feature=feature, amounts=np.full(num_bins, float(amount_per_bin)))
-    return AttackTrace(
-        name=name or f"uniform-{feature.value}-{amount_per_bin:g}",
-        injections={feature: injection},
-        bin_spec=bin_spec,
-    )
-
-
 @dataclass(frozen=True)
 class InjectedSeries:
     """A benign series with attack traffic overlaid, plus ground truth.
@@ -190,25 +171,47 @@ class InjectedSeries:
         return int(np.count_nonzero(self.attack_mask))
 
 
-def inject_attack(benign: TimeSeries, attack: AttackTrace, feature: Feature) -> InjectedSeries:
-    """Overlay ``attack``'s injection for ``feature`` onto one host's ``benign`` series.
+def inject_attack(benign: TimeSeries, amounts: np.ndarray) -> InjectedSeries:
+    """Overlay one feature's per-bin attack ``amounts`` onto one host's ``benign`` series.
 
     The reference for the batch attack builders and the measurement kernel:
-    the attack trace may be shorter or longer than the benign series, and
-    only the overlapping prefix is injected (the paper overlays a one-week
-    zombie trace onto each one-week test window).
+    the amounts may be shorter or longer than the benign series, and only
+    the overlapping prefix is injected (the paper overlays a one-week zombie
+    trace onto each one-week test window).
     """
-    require(
-        abs(benign.bin_width - attack.bin_spec.width) < 1e-9,
-        "attack and benign series must use the same bin width",
-    )
-    amounts = attack.amounts(feature)
+    amounts = np.asarray(amounts, dtype=float)
     length = benign.num_bins
     padded = np.zeros(length)
     usable = min(length, amounts.size)
     padded[:usable] = amounts[:usable]
     observed = TimeSeries(np.asarray(benign.values) + padded, benign.bin_spec)
     return InjectedSeries(observed=observed, benign=benign, attack_amounts=padded)
+
+
+def naive_amounts(
+    size: float, active_fraction: float, num_bins: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One host's naive injection: the oracle of ``NaiveAttacker.builder``.
+
+    ``size`` in every bin, masked by ``rng.uniform(size=num_bins) <
+    active_fraction`` when ``active_fraction < 1`` (an always-on attack
+    draws nothing).
+    """
+    amounts = np.full(num_bins, float(size))
+    if active_fraction < 1.0:
+        amounts = np.where(rng.uniform(size=num_bins) < active_fraction, amounts, 0.0)
+    return amounts
+
+
+def mimicry_amounts(values, threshold: float, evasion_probability: float) -> np.ndarray:
+    """One host's mimicry injection: the oracle of ``MimicryAttacker.builder``.
+
+    ``max(0, threshold - np.percentile(values, 100 * evasion_probability))``
+    over the host's test-week ``values``, in every bin.
+    """
+    values = np.asarray(values, dtype=float)
+    quantile = np.percentile(values, 100.0 * evasion_probability)
+    return np.full(values.size, max(0.0, float(threshold - quantile)))
 
 
 # ---------------------------------------------------------- threshold search

@@ -6,24 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.attacks.base import AttackTrace, FeatureInjection, VictimBatch
-from repro.attacks.botnet import Botnet, CommandAndControl, botnet_builder
-from repro.attacks.mimicry import (
-    MimicryAttacker,
-    batch_hidden_traffic,
-    hidden_traffic_by_host,
-    mimicry_builder,
-)
+from repro.attacks.base import VictimBatch
+from repro.attacks.botnet import CommandAndControl, botnet_builder
+from repro.attacks.mimicry import MimicryAttacker, batch_hidden_traffic, hidden_traffic_by_host
 from repro.attacks.naive import NaiveAttacker, attack_size_sweep
 from repro.attacks.primitives import PortScanModel, SpamCampaignModel
 from repro.attacks.storm import generate_storm_trace, storm_builder
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
-from repro.stats.empirical import EmpiricalDistribution
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
 from repro.utils.validation import ValidationError
 
-from helpers import inject_attack, uniform_injection
+from helpers import inject_attack, mimicry_amounts, naive_amounts
 
 
 def _matrix(values, host_id=1):
@@ -35,49 +29,19 @@ def _matrix(values, host_id=1):
     return FeatureMatrix(host_id=host_id, series=series)
 
 
-class TestAttackTrace:
-    def test_uniform_injection(self):
-        trace = uniform_injection(Feature.TCP_CONNECTIONS, 10.0, 5, BinSpec(width=900.0))
-        assert trace.num_bins == 5
-        assert trace.injection(Feature.TCP_CONNECTIONS).total == 50.0
-        assert np.all(trace.amounts(Feature.TCP_CONNECTIONS) > 0)
-
-    def test_amounts_for_untouched_feature_are_zero(self):
-        trace = uniform_injection(Feature.TCP_CONNECTIONS, 10.0, 5, BinSpec(width=900.0))
-        assert np.all(trace.amounts(Feature.UDP_CONNECTIONS) == 0)
-
-    def test_negative_amounts_rejected(self):
-        with pytest.raises(ValidationError):
-            FeatureInjection(feature=Feature.TCP_CONNECTIONS, amounts=np.array([-1.0]))
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValidationError):
-            AttackTrace(
-                name="x",
-                injections={
-                    Feature.TCP_CONNECTIONS: FeatureInjection(
-                        Feature.TCP_CONNECTIONS, np.ones(3)
-                    ),
-                    Feature.UDP_CONNECTIONS: FeatureInjection(
-                        Feature.UDP_CONNECTIONS, np.ones(4)
-                    ),
-                },
-                bin_spec=BinSpec(width=900.0),
-            )
-
-
 class TestNaiveAttacker:
-    def test_always_on_injection(self, rng):
-        victim = _matrix([5.0] * 10)
-        trace = NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=50.0).build(victim, rng)
-        assert np.all(trace.amounts(Feature.TCP_CONNECTIONS) == 50.0)
+    def test_always_on_injection(self):
+        victims = {1: _matrix([5.0] * 10)}
+        amounts = NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=50.0).builder()(
+            _batch(victims)
+        )
+        assert np.all(amounts[Feature.TCP_CONNECTIONS] == 50.0)
 
-    def test_partial_activity(self, rng):
-        victim = _matrix([5.0] * 500)
-        trace = NaiveAttacker(
-            Feature.TCP_CONNECTIONS, attack_size=50.0, active_fraction=0.3
-        ).build(victim, rng)
-        fraction = (trace.amounts(Feature.TCP_CONNECTIONS) > 0).mean()
+    def test_partial_activity(self):
+        victims = {1: _matrix([5.0] * 500)}
+        attacker = NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size=50.0, active_fraction=0.3)
+        amounts = attacker.builder(_seeded(0))(_batch(victims))[Feature.TCP_CONNECTIONS]
+        fraction = (amounts > 0).mean()
         assert 0.15 < fraction < 0.45
 
     def test_attack_size_sweep_monotone(self):
@@ -88,24 +52,21 @@ class TestNaiveAttacker:
 
 
 class TestMimicryAttacker:
-    def test_plan_respects_evasion_probability(self):
-        values = list(range(100))
-        victim = _matrix(values)
-        threshold = 150.0
-        attacker = MimicryAttacker(Feature.TCP_CONNECTIONS, threshold, evasion_probability=0.9)
-        plan = attacker.plan(victim)
-        assert plan.hidden_traffic > 0
-        assert plan.expected_evasion >= 0.9 - 1e-9
+    @pytest.mark.parametrize("threshold", [120.0, 150.0])
+    def test_hidden_traffic_respects_evasion_probability(self, threshold):
+        """After injecting ``b`` in every bin, at least 90% of bins stay under the threshold."""
+        values = np.arange(100.0)[None, :]
+        [hidden] = batch_hidden_traffic(values, [threshold], evasion_probability=0.9)
+        assert hidden > 0
+        assert np.mean(values[0] + hidden < threshold) >= 0.9 - 1e-9
 
     def test_zero_hidden_traffic_when_threshold_low(self):
-        victim = _matrix([100.0] * 20)
-        attacker = MimicryAttacker(Feature.TCP_CONNECTIONS, threshold=10.0)
-        assert attacker.plan(victim).hidden_traffic == 0.0
+        values = np.full((1, 20), 100.0)
+        assert batch_hidden_traffic(values, [10.0]).tolist() == [0.0]
 
     def test_lower_threshold_means_less_hidden_traffic(self):
-        victim = _matrix(list(range(100)))
-        high = MimicryAttacker(Feature.TCP_CONNECTIONS, 500.0).plan(victim).hidden_traffic
-        low = MimicryAttacker(Feature.TCP_CONNECTIONS, 120.0).plan(victim).hidden_traffic
+        values = np.arange(100.0)[None, :]
+        [[high], [low]] = batch_hidden_traffic(values, [[500.0], [120.0]])
         assert low < high
 
     def test_hidden_traffic_by_host(self):
@@ -114,12 +75,9 @@ class TestMimicryAttacker:
         hidden = hidden_traffic_by_host(matrices, thresholds, Feature.TCP_CONNECTIONS)
         assert hidden[2] > hidden[1]  # the lighter host leaves more room
 
-    def test_build_injects_constant_plan(self, rng):
-        victim = _matrix(list(range(50)))
-        attacker = MimicryAttacker(Feature.TCP_CONNECTIONS, 100.0)
-        trace = attacker.build(victim, rng)
-        amounts = trace.amounts(Feature.TCP_CONNECTIONS)
-        assert np.all(amounts == amounts[0])
+    def test_rejects_an_evasion_probability_outside_the_unit_interval(self):
+        with pytest.raises(ValidationError):
+            MimicryAttacker(Feature.TCP_CONNECTIONS, evasion_probability=1.5)
 
 
 class TestPrimitives:
@@ -136,60 +94,36 @@ class TestPrimitives:
 class TestStorm:
     def test_storm_trace_dimensions(self):
         trace = generate_storm_trace(duration=WEEK, bin_width=15 * MINUTE, seed=1)
-        assert trace.num_bins == 672
-        assert Feature.DISTINCT_CONNECTIONS in trace.features
+        assert Feature.DISTINCT_CONNECTIONS in trace
+        assert {amounts.shape for amounts in trace.values()} == {(672,)}
 
     def test_storm_distinct_dominates(self):
         trace = generate_storm_trace(seed=2)
-        distinct_total = trace.injection(Feature.DISTINCT_CONNECTIONS).total
-        dns_total = trace.amounts(Feature.DNS_CONNECTIONS).sum()
-        assert distinct_total > dns_total
+        assert trace[Feature.DISTINCT_CONNECTIONS].sum() > trace[Feature.DNS_CONNECTIONS].sum()
 
     def test_storm_deterministic_by_seed(self):
         a = generate_storm_trace(seed=3)
         b = generate_storm_trace(seed=3)
-        assert np.array_equal(
-            a.amounts(Feature.DISTINCT_CONNECTIONS), b.amounts(Feature.DISTINCT_CONNECTIONS)
-        )
+        assert list(a) == list(b)
+        for feature, amounts in a.items():
+            assert np.array_equal(amounts, b[feature])
 
     def test_storm_has_quiet_and_bursty_bins(self):
-        amounts = generate_storm_trace(seed=4).amounts(Feature.DISTINCT_CONNECTIONS)
+        amounts = generate_storm_trace(seed=4)[Feature.DISTINCT_CONNECTIONS]
         assert np.percentile(amounts, 20) < 150
         assert np.max(amounts) > 800
 
 
 class TestBotnet:
-    def test_recruitment_probability(self):
-        botnet = Botnet(compromise_probability=1.0)
-        assert botnet.recruit(list(range(10))) == list(range(10))
-        none_botnet = Botnet(compromise_probability=0.0)
-        assert none_botnet.recruit(list(range(10))) == []
-
     def test_resourceful_campaign_bounded_by_thresholds(self):
-        matrices = {i: _matrix(list(range(20))) for i in range(3)}
-        low = Botnet().resourceful_campaign(
-            matrices, {i: 30.0 for i in range(3)}, Feature.TCP_CONNECTIONS
+        """Every zombie sizes its injection by the mimicry attacker: lower thresholds, less volume."""
+        victims = {i: _matrix(list(range(20)), host_id=i) for i in range(3)}
+        campaign = MimicryAttacker(Feature.TCP_CONNECTIONS).builder()
+        low, high = (
+            campaign(_batch(victims, {Feature.TCP_CONNECTIONS: np.full(3, threshold)}))
+            for threshold in (30.0, 300.0)
         )
-        high = Botnet().resourceful_campaign(
-            matrices, {i: 300.0 for i in range(3)}, Feature.TCP_CONNECTIONS
-        )
-        assert low.total_volume() < high.total_volume()
-
-    def test_campaign_per_bin_volume_sums_to_total(self):
-        matrices = {i: _matrix(list(range(20)), host_id=i) for i in range(3)}
-        campaign = Botnet().resourceful_campaign(
-            matrices, {i: 300.0 for i in range(3)}, Feature.TCP_CONNECTIONS
-        )
-        profile = campaign.per_bin_volume()
-        assert profile.shape == (20,)
-        assert profile.sum() == pytest.approx(campaign.total_volume())
-        assert campaign.total_volume() > 0.0
-        empty = Botnet(compromise_probability=0.0).resourceful_campaign(
-            matrices, {i: 300.0 for i in range(3)}, Feature.TCP_CONNECTIONS
-        )
-        assert empty.total_volume() == 0.0
-        with pytest.raises(ValidationError, match="no participating hosts"):
-            empty.per_bin_volume()
+        assert 0.0 < low[Feature.TCP_CONNECTIONS].sum() < high[Feature.TCP_CONNECTIONS].sum()
 
     def test_control_feature_mapping(self):
         assert CommandAndControl.HTTP.control_feature == Feature.HTTP_CONNECTIONS
@@ -199,32 +133,21 @@ class TestBotnet:
 class TestInjection:
     def test_inject_attack_additive(self):
         benign = TimeSeries([1.0, 2.0, 3.0], BinSpec(width=900.0))
-        attack = uniform_injection(Feature.TCP_CONNECTIONS, 10.0, 3, BinSpec(width=900.0))
-        injected = inject_attack(benign, attack, Feature.TCP_CONNECTIONS)
+        injected = inject_attack(benign, np.full(3, 10.0))
         assert list(injected.observed.values) == [11.0, 12.0, 13.0]
         assert injected.num_attack_bins == 3
 
     def test_inject_attack_shorter_than_benign(self):
         benign = TimeSeries([1.0] * 5, BinSpec(width=900.0))
-        attack = uniform_injection(Feature.TCP_CONNECTIONS, 10.0, 2, BinSpec(width=900.0))
-        injected = inject_attack(benign, attack, Feature.TCP_CONNECTIONS)
+        injected = inject_attack(benign, np.full(2, 10.0))
         assert list(injected.observed.values) == [11.0, 11.0, 1.0, 1.0, 1.0]
-
-    def test_bin_width_mismatch_rejected(self):
-        benign = TimeSeries([1.0], BinSpec(width=300.0))
-        attack = uniform_injection(Feature.TCP_CONNECTIONS, 10.0, 1, BinSpec(width=900.0))
-        with pytest.raises(ValidationError):
-            inject_attack(benign, attack, Feature.TCP_CONNECTIONS)
 
     @given(st.lists(st.floats(min_value=0, max_value=1e4), min_size=1, max_size=50),
            st.floats(min_value=0, max_value=1e4))
     @settings(max_examples=30)
     def test_injection_preserves_benign_plus_attack(self, benign_values, size):
         benign = TimeSeries(benign_values, BinSpec(width=900.0))
-        attack = uniform_injection(
-            Feature.TCP_CONNECTIONS, size, len(benign_values), BinSpec(width=900.0)
-        )
-        injected = inject_attack(benign, attack, Feature.TCP_CONNECTIONS)
+        injected = inject_attack(benign, np.full(len(benign_values), size))
         assert np.allclose(
             np.asarray(injected.observed.values),
             np.asarray(benign.values) + size,
@@ -269,7 +192,7 @@ def _seeded(seed):
 
 
 class TestAttackBuilders:
-    """The batch attack builders, row by row against the single-victim trace API."""
+    """The batch attack builders, row by row against the per-host oracles in ``helpers``."""
 
     TCP = Feature.TCP_CONNECTIONS
 
@@ -283,37 +206,48 @@ class TestAttackBuilders:
         assert requested == []
 
     @pytest.mark.parametrize("active_fraction", [1.0, 0.4])
-    def test_naive_builder_rows_equal_single_victim_builds(self, active_fraction):
+    def test_naive_builder_rows_equal_the_per_host_oracle(self, active_fraction):
         victims = _victims()
         attacker = NaiveAttacker(self.TCP, attack_size=12.0, active_fraction=active_fraction)
         rng_for = _seeded(9)
         rows = attacker.builder(rng_for)(_batch(victims))[self.TCP]
-        for row, (host_id, matrix) in zip(rows, victims.items(), strict=True):
-            expected = attacker.build(matrix, rng_for(host_id)).amounts(self.TCP)
-            assert np.array_equal(row, expected)
+        for row, host_id in zip(rows, victims, strict=True):
+            assert np.array_equal(row, naive_amounts(12.0, active_fraction, 20, rng_for(host_id)))
 
     def test_naive_builder_draws_each_host_from_default_rng_of_its_id(self):
         victims = _victims()
         attacker = NaiveAttacker(self.TCP, attack_size=3.0, active_fraction=0.5)
         rows = attacker.builder()(_batch(victims))[self.TCP]
-        for row, (host_id, matrix) in zip(rows, victims.items(), strict=True):
-            expected = attacker.build(matrix, np.random.default_rng(host_id)).amounts(self.TCP)
+        for row, host_id in zip(rows, victims, strict=True):
+            expected = naive_amounts(3.0, 0.5, 20, np.random.default_rng(host_id))
             assert np.array_equal(row, expected)
         assert 0 < np.count_nonzero(rows) < rows.size
 
-    def test_mimicry_builder_rows_equal_plans(self):
+    @pytest.mark.parametrize("tracks_schedule", [False, True])
+    def test_mimicry_carries_tracks_schedule_and_repeats_hidden_traffic(
+        self, tracks_schedule
+    ):
         victims = _victims()
         thresholds = np.array([8.0, 14.0, 30.0, 2.0])
         requested = []
-        amounts = mimicry_builder(self.TCP, evasion_probability=0.8)(
-            _batch(victims, {self.TCP: thresholds}, requested)
-        )
+        builder = MimicryAttacker(self.TCP, 0.8, tracks_schedule=tracks_schedule).builder()
+        assert builder.tracks_schedule is tracks_schedule
+        batch = _batch(victims, {self.TCP: thresholds}, requested)
+        amounts = builder(batch)
         assert list(amounts) == [self.TCP]
         assert requested == [self.TCP]
-        rows = amounts[self.TCP]
+        hidden = batch_hidden_traffic(batch.values(self.TCP), thresholds, 0.8)
+        assert np.array_equal(amounts[self.TCP], np.repeat(hidden[:, None], 20, axis=1))
+
+    def test_mimicry_rows_equal_the_per_host_oracle(self):
+        victims = _victims()
+        thresholds = np.array([8.0, 14.0, 30.0, 2.0])
+        rows = MimicryAttacker(self.TCP, evasion_probability=0.8).builder()(
+            _batch(victims, {self.TCP: thresholds})
+        )[self.TCP]
         for row, threshold, matrix in zip(rows, thresholds, victims.values(), strict=True):
-            plan = MimicryAttacker(self.TCP, threshold, evasion_probability=0.8).plan(matrix)
-            assert np.array_equal(row, np.full(matrix.num_bins, plan.hidden_traffic))
+            expected = mimicry_amounts(matrix.series(self.TCP).values, threshold, 0.8)
+            assert np.array_equal(row, expected)
         # The lowest threshold leaves its host no room; the highest leaves some.
         assert not np.any(rows[3]) and np.all(rows[2] > 0)
 
@@ -327,7 +261,7 @@ class TestAttackBuilders:
         evasion_probability=st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]),
     )
     def test_batch_hidden_traffic_equals_each_hosts_shift(self, counts, evasion_probability):
-        """Every assignment's row, host by host, is the per-host plan's hidden traffic."""
+        """Every assignment's row, host by host, is the per-host oracle's hidden traffic."""
         width = min(len(row) for row in counts)
         values = np.array([row[:width] for row in counts])
         thresholds = np.stack([np.full(len(values), 5.0), np.linspace(0.0, 60.0, len(values))])
@@ -335,41 +269,28 @@ class TestAttackBuilders:
         assert hidden.shape == thresholds.shape
         for row, assignment in zip(hidden, thresholds, strict=True):
             for value, threshold, samples in zip(row, assignment, values, strict=True):
-                shift = EmpiricalDistribution(samples).largest_hidden_shift(
-                    threshold, evasion_probability
-                )
-                assert value == shift
+                assert value == mimicry_amounts(samples, threshold, evasion_probability)[0]
 
-    def test_mimicry_builder_tracks_schedule_only_when_asked(self):
-        assert mimicry_builder(self.TCP).tracks_schedule is False
-        assert mimicry_builder(self.TCP, tracks_schedule=True).tracks_schedule is True
-
+    @pytest.mark.parametrize("width", [15 * MINUTE, 30 * MINUTE], ids=["15min", "30min"])
     @pytest.mark.parametrize("num_bins", [96, 700], ids=["shorter-week", "longer-week"])
-    def test_storm_builder_replays_the_trace_on_every_victim(self, num_bins):
-        trace = generate_storm_trace(seed=5)
+    def test_storm_builder_replays_the_trace_in_the_victims_bins(self, width, num_bins):
+        """Each victim gets the trace generated in its own bins, padded or cut to its week."""
+        spec = BinSpec(width=width)
         victims = {
             host_id: FeatureMatrix(
                 host_id,
-                {f: TimeSeries(np.full(num_bins, float(host_id)), trace.bin_spec) for f in Feature},
+                {f: TimeSeries(np.full(num_bins, float(host_id)), spec) for f in Feature},
             )
             for host_id in (3, 1, 2)
         }
-        amounts = storm_builder(trace)(_batch(victims))
-        assert set(amounts) == set(trace.features)
+        trace = generate_storm_trace(WEEK, width, 5)
+        amounts = storm_builder(5)(_batch(victims))
+        assert list(amounts) == list(trace)
         for feature, rows in amounts.items():
             assert rows.shape == (3, num_bins)
             for row, matrix in zip(rows, victims.values(), strict=True):
-                expected = inject_attack(matrix.series(feature), trace, feature).attack_amounts
+                expected = inject_attack(matrix.series(feature), trace[feature]).attack_amounts
                 assert np.array_equal(row, expected)
-
-    def test_storm_builder_rejects_another_bin_width_like_inject_attack(self):
-        trace = generate_storm_trace(bin_width=30 * MINUTE, seed=5)
-        victims = _victims()
-        message = "attack and benign series must use the same bin width"
-        with pytest.raises(ValidationError, match=message):
-            storm_builder(trace)(_batch(victims))
-        with pytest.raises(ValidationError, match=message):
-            inject_attack(victims[10].series(self.TCP), trace, Feature.DISTINCT_CONNECTIONS)
 
     def test_botnet_builder_recruitment_bounds(self):
         batch = _batch(_victims())
@@ -415,8 +336,8 @@ class TestAttackBuilders:
         """A host is attacked alike in any batch, so hosts can be measured grid by grid."""
         builder = {
             "naive": NaiveAttacker(self.TCP, 7.0, active_fraction=0.5).builder(_seeded(4)),
-            "mimicry": mimicry_builder(self.TCP),
-            "storm": storm_builder(generate_storm_trace(seed=4)),
+            "mimicry": MimicryAttacker(self.TCP).builder(),
+            "storm": storm_builder(4),
             "botnet": botnet_builder(
                 self.TCP, 9.0, _seeded(4), 0.6, active_fraction=0.7, control_size=2.0
             ),

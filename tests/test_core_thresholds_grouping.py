@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     candidate_threshold_grid,
     distinct_host_configurations,
+    exceedances,
     f_measure,
     host_thresholds,
     precision_recall,
@@ -89,7 +90,7 @@ class TestThresholdHeuristics:
         heuristic = PercentileHeuristic(99.0)
         assert heuristic.threshold(dist) == pytest.approx(dist.percentile(99))
         # By construction, the exceedance at the threshold is at most 1%.
-        assert dist.exceedance(heuristic.threshold(dist)) <= 0.011
+        assert exceedances(dist, heuristic.threshold(dist)) <= 0.011
 
     def test_percentile_validation(self):
         with pytest.raises(ValidationError):

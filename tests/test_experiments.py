@@ -23,6 +23,7 @@ from repro.experiments.report import render_series, render_table
 from repro.features.definitions import Feature, PAPER_FEATURES
 from repro.telemetry import TelemetryRecorder, use_recorder
 from repro.utils.validation import ValidationError
+from repro.workload.enterprise import EnterprisePopulation
 
 
 def _span_counts(recorder: TelemetryRecorder):
@@ -252,3 +253,20 @@ class TestRunner:
         assert recorder.counters["core.assignments_reused"] == 3
         assert suite.table3 == run_table3(tiny_population)
         assert suite.fig3_cooptimized == run_fig3_cooptimized(tiny_population)
+
+    def test_fig3_attack_sizes_are_computed_once(self, tiny_population, monkeypatch):
+        """fig2 reads two per-host tails; fig3, table3 and the co-optimised fig3 share one.
+
+        Each figure sizing its own sweep would read five tails, four of them TCP.
+        """
+        features = []
+        original = EnterprisePopulation.per_host_percentiles
+
+        def counted(self, feature, q):
+            features.append(feature)
+            return original(self, feature, q)
+
+        monkeypatch.setattr(EnterprisePopulation, "per_host_percentiles", counted)
+        run_all_experiments(population=tiny_population)
+        assert len(features) == 3
+        assert features.count(Feature.TCP_CONNECTIONS) == 2

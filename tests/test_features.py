@@ -124,10 +124,6 @@ class TestTimeSeries:
         combined = a.add(b)
         assert list(combined.values) == [11.0, 12.0, 3.0]
 
-    def test_distribution_matches_values(self):
-        series = self._series([1, 2, 3, 100])
-        assert series.distribution().percentile(50) == pytest.approx(2.5)
-
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=300))
     def test_rebin_preserves_total_on_exact_multiple(self, values):
         series = TimeSeries(values, BinSpec(width=300.0))

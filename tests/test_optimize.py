@@ -23,6 +23,7 @@ from repro.core.evaluation import (
     DetectionProtocol,
     detection_training_distributions,
     evaluate_policy,
+    series_distributions,
     training_distributions,
 )
 from repro.core.experiment import summarize_scenario
@@ -41,7 +42,7 @@ from repro.core.thresholds import (
 )
 from repro.engine.cache import PopulationCache
 from repro.features.definitions import Feature
-from repro.features.timeseries import PopulationFrame
+from repro.features.timeseries import FeatureMatrix, PopulationFrame
 from repro.optimize import (
     MAX_JOINT_GRID_FEATURES,
     CoordinateAscentOptimizer,
@@ -385,8 +386,8 @@ class TestFusedObjective:
             fusion=FusionRule.any_(), weight=0.4, attack_sizes=(10.0,)
         )
         threshold = 89.5
-        fp = distribution.exceedance(threshold)
-        fn = 1.0 - distribution.shifted_exceedance(threshold, 10.0)
+        fp = exceedances(distribution, threshold)
+        fn = 1.0 - exceedances(distribution, threshold - 10.0)
         expected = 1.0 - (0.4 * fn + 0.6 * fp)
         actual = objective.group_scores(
             [{Feature.TCP_CONNECTIONS: distribution}], (Feature.TCP_CONNECTIONS,), [[threshold]]
@@ -778,14 +779,18 @@ class TestBinWidthPooling:
         assert all(dist.bin_width == expected for dist in distributions.values())
 
     def test_series_distribution_tagged_at_source(self, tiny_population):
-        """Every series-derived distribution carries its measurement width,
-        so mixed-width pooling is rejected whatever path built it."""
+        """The training kernel tags every distribution with its series' measurement
+        width, so mixed-width pooling is rejected whatever path built it."""
+        tcp = Feature.TCP_CONNECTIONS
         matrix = next(iter(tiny_population.matrices().values()))
-        series = matrix.series(Feature.TCP_CONNECTIONS)
-        assert series.distribution().bin_width == series.bin_width
-        coarse = rebin(series, 2)
+        series = matrix.series(tcp)
+        coarse = FeatureMatrix(matrix.host_id, {tcp: rebin(series, 2)})
+        fine_dist = series_distributions({0: matrix}, (tcp,))[tcp][0]
+        coarse_dist = series_distributions({0: coarse}, (tcp,))[tcp][0]
+        assert fine_dist.bin_width == series.bin_width
+        assert coarse_dist.bin_width == 2 * series.bin_width
         with pytest.raises(ValidationError, match="bin widths"):
-            EmpiricalDistribution.pooled([series.distribution(), coarse.distribution()])
+            EmpiricalDistribution.pooled([fine_dist, coarse_dist])
 
     def test_candidate_grid_contains_headroom(self):
         distribution = EmpiricalDistribution(np.arange(100.0))

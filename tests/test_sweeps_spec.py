@@ -506,15 +506,11 @@ class TestTemporalSpecs:
 
     def test_mimicry_vs_schedule_validates_target_like_mimicry(self):
         scenario = self._scenario(attack={"kind": "mimicry-vs-schedule"})
-        builder = scenario.attack.build_builder(
-            scenario.evaluation.feature_enum(), 900.0
-        )
+        builder = scenario.attack.build_builder(scenario.evaluation.feature_enum())
         assert builder.tracks_schedule is True
         plain = self._scenario(attack={"kind": "mimicry"})
         assert (
-            plain.attack.build_builder(
-                plain.evaluation.feature_enum(), 900.0
-            ).tracks_schedule
+            plain.attack.build_builder(plain.evaluation.feature_enum()).tracks_schedule
             is False
         )
         with pytest.raises(ValidationError, match="mimicry-vs-schedule targets"):

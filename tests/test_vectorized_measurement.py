@@ -54,11 +54,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks.base import AttackTrace, FeatureInjection
 from repro.attacks.botnet import CommandAndControl
-from repro.attacks.mimicry import MimicryAttacker, hidden_traffic_by_host
+from repro.attacks.mimicry import hidden_traffic_by_host
 from repro.attacks.naive import NaiveAttacker, attack_size_sweep
-from repro.attacks.storm import generate_storm_trace, storm_builder
+from repro.attacks.storm import generate_storm_trace
 from repro.core.evaluation import (
     AlarmColumns,
     DetectionProtocol,
@@ -100,7 +99,15 @@ from repro.utils.timeutils import WEEK, BinSpec, MINUTE
 from repro.utils.validation import ValidationError
 from repro.workload.enterprise import EnterpriseConfig, EnterprisePopulation, generate_enterprise
 
-from helpers import f_measure_from_rates, fuse, inject_attack, slice_time, tail_diversity
+from helpers import (
+    f_measure_from_rates,
+    fuse,
+    inject_attack,
+    mimicry_amounts,
+    naive_amounts,
+    slice_time,
+    tail_diversity,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_measurement.json"
 FIGURES_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_figures.json"
@@ -221,7 +228,7 @@ class TestGoldenBitIdentity:
     ):
         protocol = PROTOCOLS[proto_name]
         attack = ATTACKS[attack_name]
-        builder = attack.build_builder(protocol.primary_feature, CONFIG.bin_width)
+        builder = attack.build_builder(protocol.primary_feature)
         for policy_name, policy in _policies().items():
             evaluation = evaluate_policy(matrices, policy, protocol, attack_builder=builder)
             expected = golden["cases"][f"{proto_name}/{attack_name}/{policy_name}"]
@@ -362,22 +369,21 @@ class TestPerHostTails:
 
 
 def _reference_attack(spec: AttackSpec, primary: Feature, bin_width: float):
-    """``spec``'s attack as ``(host_id, test_matrix, thresholds) -> AttackTrace | None``."""
+    """``spec``'s attack as ``(host_id, test_matrix, thresholds) -> {feature: amounts} | None``."""
     if spec.kind == "none":
         return None
     if spec.kind == "storm":
-        trace = generate_storm_trace(duration=WEEK, bin_width=bin_width, seed=spec.seed)
+        trace = generate_storm_trace(WEEK, bin_width, spec.seed)
         return lambda host_id, matrix, thresholds: trace
     target = spec.target_feature(primary)
     if spec.kind == "naive":
-        return _reference_naive(NaiveAttacker(target, spec.size, spec.active_fraction), spec.seed)
+        return _reference_naive(target, spec.size, spec.active_fraction, spec.seed)
     if spec.kind in ("mimicry", "mimicry-vs-schedule"):
-
-        def build_mimicry(host_id, matrix, thresholds):
-            attacker = MimicryAttacker(target, float(thresholds[target]), spec.evasion_probability)
-            return attacker.build(matrix, np.random.default_rng((spec.seed, host_id)))
-
-        return build_mimicry
+        return lambda host_id, matrix, thresholds: {
+            target: mimicry_amounts(
+                matrix.series(target).values, thresholds[target], spec.evasion_probability
+            )
+        }
     assert spec.kind == "botnet", spec.kind
     control = CommandAndControl(spec.command_and_control).control_feature
 
@@ -389,19 +395,21 @@ def _reference_attack(spec: AttackSpec, primary: Feature, bin_width: float):
         amounts = np.full(num_bins, float(spec.size))
         if spec.active_fraction < 1.0:
             amounts = np.where(rng.uniform(size=num_bins) < spec.active_fraction, amounts, 0.0)
-        injections = {target: FeatureInjection(target, amounts)}
+        injections = {target: amounts}
         if control != target and spec.control_size > 0.0:
-            injections[control] = FeatureInjection(control, np.full(num_bins, spec.control_size))
-        return AttackTrace("botnet", injections, matrix.series(target).bin_spec)
+            injections[control] = np.full(num_bins, spec.control_size)
+        return injections
 
     return build_botnet
 
 
-def _reference_naive(attacker: NaiveAttacker, seed: int):
-    """``attacker`` built per victim, host ``h`` drawing from ``default_rng((seed, h))``."""
-    return lambda host_id, matrix, thresholds: attacker.build(
-        matrix, np.random.default_rng((seed, host_id))
-    )
+def _reference_naive(feature: Feature, size: float, active_fraction: float, seed: int):
+    """A naive attack built per victim, host ``h`` drawing from ``default_rng((seed, h))``."""
+    return lambda host_id, matrix, thresholds: {
+        feature: naive_amounts(
+            size, active_fraction, matrix.num_bins, np.random.default_rng((seed, host_id))
+        )
+    }
 
 
 def _false_negative_rate(benign: TimeSeries, amounts: np.ndarray, threshold: float) -> float:
@@ -451,14 +459,12 @@ def _reference_rows(matrices, assignment, protocol, attack=None, week=None, atta
         fp = {f: counts[f] / benign[f].num_bins for f in features}
         fn = {f: 0.0 for f in features}
         raised = {f: None for f in features}
-        trace = None
+        amounts = None
         if attack is not None:
-            trace = attack(host_id, test_matrix, {f: attacked[f][host_id] for f in features})
+            amounts = attack(host_id, test_matrix, {f: attacked[f][host_id] for f in features})
         injections = {}
-        if trace is not None:
-            injections = {
-                f: inject_attack(benign[f], trace, f) for f in features if f in trace.features
-            }
+        if amounts is not None:
+            injections = {f: inject_attack(benign[f], amounts[f]) for f in features if f in amounts}
         for f, injected in injections.items():
             fn[f] = _false_negative_rate(benign[f], injected.attack_amounts, thresholds[f])
             if injected.num_attack_bins > 0:
@@ -506,7 +512,7 @@ def _attack(attack_name, protocol, bin_width):
     """The production builder of ``ATTACKS[attack_name]`` and its per-host reference."""
     spec = ATTACKS[attack_name]
     return (
-        spec.build_builder(protocol.primary_feature, bin_width),
+        spec.build_builder(protocol.primary_feature),
         _reference_attack(spec, protocol.primary_feature, bin_width),
     )
 
@@ -601,7 +607,7 @@ class TestBatchedEqualsPerHostLoop:
 
     @pytest.mark.parametrize("active_fraction", [1.0, 0.6])
     def test_equal_with_naive_attacker_builder(self, population, active_fraction):
-        """NaiveAttacker.builder injects what NaiveAttacker.build does, host by host."""
+        """NaiveAttacker.builder injects what the per-host naive oracle does, host by host."""
         protocol = PROTOCOLS["single"]
         matrices = population.matrices()
         attacker = NaiveAttacker(
@@ -609,7 +615,7 @@ class TestBatchedEqualsPerHostLoop:
         )
         attack = (
             attacker.builder(lambda host_id: np.random.default_rng((5, host_id))),
-            _reference_naive(attacker, 5),
+            _reference_naive(protocol.primary_feature, 20.0, active_fraction, 5),
         )
         training = detection_training_distributions(
             matrices, protocol.features, protocol.train_week
@@ -683,7 +689,7 @@ class TestOneGrid:
         )
 
     def test_fig4_hidden_traffic_matches_per_host_plans(self, scrambled):
-        """Panel (b) scores one block; the per-host plans are the reference."""
+        """Panel (b) scores one block; the per-host mimicry oracle is the reference."""
         matrices, _ = scrambled
         result = _run_fig4_on(matrices)
 
@@ -705,19 +711,19 @@ class TestOneGrid:
                 fusion=protocol.fusion,
             ).for_feature(feature).thresholds
             expected = {
-                host_id: MimicryAttacker(feature=feature, threshold=float(thresholds[host_id]))
-                .plan(matrix.week(1))
-                .hidden_traffic
+                host_id: mimicry_amounts(
+                    matrix.week(1).series(feature).values, float(thresholds[host_id]), 0.9
+                )[0]
                 for host_id, matrix in matrices.items()
             }
             assert list(result.hidden_traffic[policy.name]) == list(matrices)
             assert result.hidden_traffic[policy.name] == expected
 
     def test_one_measure_span_and_count_per_call(self, scrambled):
-        matrices, bin_width = scrambled
+        matrices, _ = scrambled
         protocol = PROTOCOLS["multi-any"]
         assignment = _full_diversity(matrices, protocol)
-        builder = ATTACKS["naive"].build_builder(protocol.primary_feature, bin_width)
+        builder = ATTACKS["naive"].build_builder(protocol.primary_feature)
         recorder = TelemetryRecorder()
         with use_recorder(recorder):
             measure_assignment(matrices, assignment, protocol, attack_builder=builder)
@@ -742,15 +748,6 @@ class TestOneGrid:
             series = matrices[host_id].series(protocol.primary_feature)
             assert series.bin_spec == batch.bin_spec
             assert series.week(protocol.test_week).num_bins == batch.num_bins
-
-    def test_storm_bin_width_mismatch_raises(self, scrambled):
-        matrices, bin_width = scrambled
-        protocol = DetectionProtocol(features=(Feature.DISTINCT_CONNECTIONS,))
-        storm = storm_builder(generate_storm_trace(bin_width=2 * bin_width))
-        with pytest.raises(ValidationError, match="same bin width"):
-            measure_assignment(
-                matrices, _full_diversity(matrices, protocol), protocol, attack_builder=storm
-            )
 
 
 TCP = Feature.TCP_CONNECTIONS

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.evaluation import series_distributions
 from repro.engine import PopulationEngine
 from repro.engine.serialization import config_from_payload
 from repro.features.definitions import Feature, PAPER_FEATURES
@@ -341,10 +342,11 @@ class TestEnterprisePopulation:
         # The monoculture's global distribution pools every host's samples, so
         # its tail sits above the typical host's own tail.
         feature = Feature.TCP_CONNECTIONS
-        distributions = [
-            small_population.matrix(host_id)[feature].distribution()
-            for host_id in small_population.host_ids
-        ]
+        distributions = list(
+            series_distributions(
+                small_population.matrices(), (feature,), active_bins_only=False
+            )[feature].values()
+        )
         pooled = EmpiricalDistribution.pooled(distributions)
         assert len(pooled) == sum(len(distribution) for distribution in distributions)
         per_host = small_population.per_host_percentiles(feature, 99)
