@@ -11,7 +11,7 @@ from repro.attacks.botnet import CommandAndControl, botnet_builder
 from repro.attacks.mimicry import MimicryAttacker, batch_hidden_traffic, hidden_traffic_by_host
 from repro.attacks.naive import NaiveAttacker, attack_size_sweep
 from repro.attacks.primitives import PortScanModel, SpamCampaignModel
-from repro.attacks.storm import generate_storm_trace, storm_builder
+from repro.attacks.storm import StormZombieModel, generate_storm_trace, storm_builder
 from repro.features.definitions import Feature
 from repro.features.timeseries import FeatureMatrix, TimeSeries
 from repro.utils.timeutils import BinSpec, MINUTE, WEEK
@@ -49,6 +49,22 @@ class TestNaiveAttacker:
         assert sweep[0] == 1.0
         assert sweep[-1] == 1000.0
         assert np.all(np.diff(sweep) > 0)
+
+    @pytest.mark.parametrize(
+        "attack_size, active_fraction",
+        [(-1.0, 1.0), (5.0, 1.5), (5.0, -0.1)],
+        ids=["negative-size", "fraction-above-one", "negative-fraction"],
+    )
+    def test_rejects_invalid_parameters(self, attack_size, active_fraction):
+        with pytest.raises(ValidationError):
+            NaiveAttacker(Feature.TCP_CONNECTIONS, attack_size, active_fraction)
+
+    @pytest.mark.parametrize(
+        "max_size, num_points", [(0.5, 10), (100.0, 1)], ids=["max-below-one", "one-point"]
+    )
+    def test_attack_size_sweep_rejects_degenerate_ranges(self, max_size, num_points):
+        with pytest.raises(ValidationError):
+            attack_size_sweep(max_size, num_points)
 
 
 class TestMimicryAttacker:
@@ -113,10 +129,48 @@ class TestStorm:
         assert np.percentile(amounts, 20) < 150
         assert np.max(amounts) > 800
 
+    def test_storm_seeds_give_different_traces(self):
+        a = generate_storm_trace(seed=5)[Feature.DISTINCT_CONNECTIONS]
+        b = generate_storm_trace(seed=6)[Feature.DISTINCT_CONNECTIONS]
+        assert a.shape == b.shape
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "duration, bin_width", [(0.0, 15 * MINUTE), (WEEK, 0.0)], ids=["duration", "bin-width"]
+    )
+    def test_storm_trace_rejects_a_non_positive_span(self, duration, bin_width):
+        with pytest.raises(ValidationError):
+            generate_storm_trace(duration, bin_width)
+
 
 class TestBotnet:
+    def test_recruitment_probability(self):
+        """A host is recruited with ``compromise_probability``; a recruit injects in every bin."""
+        batch = _batch(_victims(num_hosts=400, num_bins=4))
+        campaign = botnet_builder(Feature.TCP_CONNECTIONS, 25.0, _seeded(2), 0.3)(batch)
+        rows = campaign[Feature.TCP_CONNECTIONS]
+        recruited = np.any(rows > 0, axis=1)
+        assert 0.22 < recruited.mean() < 0.38
+        assert np.array_equal(rows[recruited], np.full((recruited.sum(), 4), 25.0))
+        assert not np.any(rows[~recruited])
+
+    def test_campaign_per_bin_volume_sums_to_total(self):
+        """An intermittent campaign's per-bin volume is ``size`` times that bin's active zombies."""
+        batch = _batch(_victims(num_hosts=30, num_bins=50))
+        builder = botnet_builder(
+            Feature.TCP_CONNECTIONS, 6.0, _seeded(8), 0.5, active_fraction=0.4
+        )
+        rows = builder(batch)[Feature.TCP_CONNECTIONS]
+        profile = rows.sum(axis=0)
+        assert profile.shape == (50,)
+        assert np.array_equal(profile, 6.0 * np.count_nonzero(rows, axis=0))
+        assert profile.sum() == rows.sum() > 0.0
+        recruits = np.count_nonzero(np.any(rows > 0, axis=1))
+        assert np.all(profile <= 6.0 * recruits)
+        assert np.any(profile < 6.0 * recruits)
+
     def test_resourceful_campaign_bounded_by_thresholds(self):
-        """Every zombie sizes its injection by the mimicry attacker: lower thresholds, less volume."""
+        """Each zombie is sized by the mimicry attacker: lower thresholds, less volume."""
         victims = {i: _matrix(list(range(20)), host_id=i) for i in range(3)}
         campaign = MimicryAttacker(Feature.TCP_CONNECTIONS).builder()
         low, high = (
@@ -291,6 +345,41 @@ class TestAttackBuilders:
             for row, matrix in zip(rows, victims.values(), strict=True):
                 expected = inject_attack(matrix.series(feature), trace[feature]).attack_amounts
                 assert np.array_equal(row, expected)
+
+    def test_storm_builder_uses_the_given_model(self):
+        model = StormZombieModel(p2p_peers_per_bin=5.0, p2p_duty_cycle=0.5)
+        batch = _batch(_victims(num_hosts=2, num_bins=672))
+        amounts = storm_builder(7, model)(batch)
+        trace = generate_storm_trace(WEEK, 15 * MINUTE, 7, model)
+        assert list(amounts) == list(trace)
+        for feature, rows in amounts.items():
+            assert np.array_equal(rows, np.tile(trace[feature], (2, 1)))
+        default = storm_builder(7)(batch)[Feature.UDP_CONNECTIONS]
+        assert not np.array_equal(amounts[Feature.UDP_CONNECTIONS], default)
+
+    def test_storm_builder_is_the_same_on_every_call(self):
+        """The trace is regenerated from the seed, so no call shifts the next one's draws."""
+        builder = storm_builder(11)
+        batch = _batch(_victims())
+        first, second = builder(batch), builder(batch)
+        assert list(first) == list(second)
+        for feature, rows in first.items():
+            assert np.array_equal(rows, second[feature])
+
+    @pytest.mark.parametrize("active_fraction", [1.0, 0.6])
+    def test_botnet_builder_rows_equal_the_per_host_oracle(self, active_fraction):
+        """Host ``h`` draws its recruitment, then its naive activity mask, from ``rng_for(h)``."""
+        victims = _victims(num_hosts=10)
+        rng_for = _seeded(13)
+        rows = botnet_builder(
+            self.TCP, 4.0, rng_for, 0.5, active_fraction=active_fraction
+        )(_batch(victims))[self.TCP]
+        for row, host_id in zip(rows, victims, strict=True):
+            rng = rng_for(host_id)
+            recruited = rng.uniform() < 0.5
+            expected = naive_amounts(4.0, active_fraction, 20, rng) if recruited else np.zeros(20)
+            assert np.array_equal(row, expected)
+        assert 0 < np.count_nonzero(np.any(rows > 0, axis=1)) < 10
 
     def test_botnet_builder_recruitment_bounds(self):
         batch = _batch(_victims())
